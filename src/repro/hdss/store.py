@@ -51,7 +51,9 @@ def _fsync_dir(path: Path) -> None:
         os.close(fd)
 
 
-def _write_atomic(path: Path, payload: bytes, *, durable: bool = True) -> None:
+def _write_atomic(
+    path: Path, payload: "bytes | memoryview", *, durable: bool = True
+) -> None:
     """Write ``payload`` to ``path`` via a unique fsync'd tmp + rename.
 
     The tmp name carries the pid and a random token so two concurrent
@@ -334,11 +336,10 @@ class FileChunkStore(ChunkStore):
             raise StorageError(f"chunk {chunk_id} must be 1-D, got shape {arr.shape}")
         path = self._chunk_path(disk_id, chunk_id)
         path.parent.mkdir(parents=True, exist_ok=True)
-        payload = arr.tobytes()
-        _write_atomic(path, payload, durable=self.durable)
+        _write_atomic(path, arr.data, durable=self.durable)
         _write_atomic(
             self._sidecar_path(path),
-            f"{crc32c(payload):08x}\n".encode("ascii"),
+            f"{crc32c(arr):08x}\n".encode("ascii"),
             durable=self.durable,
         )
         if self.durable:
@@ -378,9 +379,12 @@ class FileChunkStore(ChunkStore):
         """
         path = self._chunk_path(disk_id, chunk_id)
         for attempt in (0, 1):
-            if not path.exists():
-                raise ChunkNotFoundError(f"chunk {chunk_id} not on disk {disk_id}")
-            payload = path.read_bytes()
+            try:
+                payload = path.read_bytes()
+            except FileNotFoundError:
+                raise ChunkNotFoundError(
+                    f"chunk {chunk_id} not on disk {disk_id}"
+                ) from None
             expected = self._read_expected_crc(path)
             if expected is None or crc32c(payload) == expected:
                 return payload

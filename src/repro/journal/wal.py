@@ -30,6 +30,7 @@ import io
 import json
 import os
 import struct
+import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Tuple
@@ -97,17 +98,18 @@ def decode_stream(stream: io.BufferedIOBase) -> Iterator[WALRecord]:
         payload = stream.read(hlen + blen)
         if len(payload) < hlen + blen:
             return  # torn frame: crash mid-append
-        header, body = payload[:hlen], payload[hlen:]
+        view = memoryview(payload)
+        header, body = view[:hlen], view[hlen:]
         if crc32c(body, crc32c(header)) != crc:
             return  # bit rot or torn rewrite; stop at last good record
         try:
-            decoded = json.loads(header.decode("utf-8"))
+            decoded = json.loads(str(header, "utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError):
             return
         blobs: Dict[str, bytes] = {}
         offset = 0
         for name, size in decoded.get("blobs", []):
-            blobs[str(name)] = body[offset : offset + int(size)]
+            blobs[str(name)] = bytes(body[offset : offset + int(size)])
             offset += int(size)
         yield WALRecord(
             type=str(decoded["type"]), meta=dict(decoded.get("meta", {})), blobs=blobs
@@ -121,6 +123,12 @@ class WALWriter:
     durable (and visible to :class:`WALReader`) only after the commit that
     follows it. Callers batch every record of one checkpoint and commit
     once.
+
+    Thread-safe: one lock serialises append, commit, close and the segment
+    rotation inside append, so concurrent appenders can never flush or
+    fsync a handle that a rotation just closed. Frames are encoded (and
+    checksummed) outside the lock. A commit makes durable everything
+    appended before it, by any thread.
     """
 
     def __init__(
@@ -141,10 +149,11 @@ class WALWriter:
         self._seg_index = _segment_index(existing[-1]) + 1 if existing else 0
         self._fh: Optional[io.BufferedWriter] = None
         self._fh_bytes = 0
+        self._lock = threading.Lock()
 
     def _open_segment(self) -> io.BufferedWriter:
         if self._fh is None or self._fh_bytes >= self.segment_bytes:
-            self.close()
+            self._close_segment()
             path = self.root / _segment_name(self._seg_index)
             self._seg_index += 1
             self._fh = open(path, "ab")
@@ -156,27 +165,33 @@ class WALWriter:
     def append(self, record: WALRecord) -> None:
         """Buffer one record onto the active segment (durable at commit)."""
         frame = encode_record(record)
-        fh = self._open_segment()
-        fh.write(frame)
-        self._fh_bytes += len(frame)
-        self.records_written += 1
-        self.bytes_written += len(frame)
+        with self._lock:
+            self._open_segment().write(frame)
+            self._fh_bytes += len(frame)
+            self.records_written += 1
+            self.bytes_written += len(frame)
+
+    def _sync(self) -> None:
+        if self._fh is not None:
+            self._fh.flush()
+            if self.durable:
+                os.fsync(self._fh.fileno())
 
     def commit(self) -> None:
         """Flush and fsync everything appended so far."""
-        if self._fh is not None:
-            self._fh.flush()
-            if self.durable:
-                os.fsync(self._fh.fileno())
-        self.commits += 1
+        with self._lock:
+            self._sync()
+            self.commits += 1
 
-    def close(self) -> None:
+    def _close_segment(self) -> None:
+        self._sync()
         if self._fh is not None:
-            self._fh.flush()
-            if self.durable:
-                os.fsync(self._fh.fileno())
             self._fh.close()
             self._fh = None
+
+    def close(self) -> None:
+        with self._lock:
+            self._close_segment()
 
     def __enter__(self) -> "WALWriter":
         return self

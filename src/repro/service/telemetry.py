@@ -40,6 +40,7 @@ from repro.service.service import (
     READ_LATENCY_QUANTILES,
     RepairService,
 )
+from repro.utils.checksum import BACKEND as CHECKSUM_BACKEND
 
 #: Gauge: fraction of a repair job's stripes rebuilt, per disk.
 JOB_PROGRESS = "hdpsr_service_job_progress_ratio"
@@ -119,6 +120,7 @@ def stats_snapshot(
         },
         "read_quantiles": list(READ_LATENCY_QUANTILES),
         "store": {
+            "checksum_backend": CHECKSUM_BACKEND,
             "swept_tmp_files": int(
                 getattr(service.server.store, "swept_tmp_files", 0)
             ),

@@ -1,14 +1,43 @@
-"""CRC32C (Castagnoli): known-answer vectors and incremental updates."""
+"""CRC32C (Castagnoli): known-answer vectors, incremental updates, and the
+equivalence of both in-tree kernels to a byte-at-a-time oracle."""
+
+import sys
+import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.utils import checksum
 from repro.utils.checksum import (
-    _crc32c_bytewise,
+    _crc32c_numpy,
     _crc32c_sliced,
+    _crc32c_vector,
     crc32c,
     verify_crc32c,
 )
+
+_POLY = 0x82F63B78
+_BYTE_TABLE = []
+for _i in range(256):
+    _crc = _i
+    for _ in range(8):
+        _crc = (_crc >> 1) ^ _POLY if _crc & 1 else _crc >> 1
+    _BYTE_TABLE.append(_crc)
+
+
+def _crc32c_bytewise(data: bytes, value: int = 0) -> int:
+    """The oracle: the textbook byte-at-a-time table walk, sharing no code
+    and no table with ``repro.utils.checksum``."""
+    crc = (~value) & 0xFFFFFFFF
+    for byte in data:
+        crc = _BYTE_TABLE[(crc ^ byte) & 0xFF] ^ (crc >> 8)
+    return (~crc) & 0xFFFFFFFF
+
+
+def _random_bytes(length: int, seed: int) -> bytes:
+    return np.random.default_rng(seed).integers(0, 256, size=length, dtype=np.uint8).tobytes()
 
 
 class TestKnownAnswers:
@@ -53,12 +82,11 @@ class TestKnownAnswers:
 
 
 class TestSlicedEquivalence:
-    """The slicing-by-4 fast path must match the bytewise reference exactly."""
+    """The slicing-by-4 scalar path must match the bytewise oracle exactly."""
 
     @pytest.mark.parametrize("length", list(range(0, 17)) + [31, 32, 33, 63, 64, 65, 127, 255, 4096, 4097])
     def test_boundary_lengths(self, length):
-        rng = np.random.default_rng(length)
-        data = rng.integers(0, 256, size=length, dtype=np.uint8).tobytes()
+        data = _random_bytes(length, seed=length)
         assert _crc32c_sliced(data) == _crc32c_bytewise(data)
 
     def test_random_inputs_and_seeds(self):
@@ -70,8 +98,7 @@ class TestSlicedEquivalence:
             assert _crc32c_sliced(data, seed) == _crc32c_bytewise(data, seed)
 
     def test_streaming_continuation_across_unaligned_splits(self):
-        rng = np.random.default_rng(11)
-        data = rng.integers(0, 256, size=1000, dtype=np.uint8).tobytes()
+        data = _random_bytes(1000, seed=11)
         for split in (0, 1, 2, 3, 4, 5, 7, 500, 999, 1000):
             acc = _crc32c_sliced(data[:split])
             acc = _crc32c_sliced(data[split:], acc)
@@ -80,3 +107,168 @@ class TestSlicedEquivalence:
     def test_public_entrypoint_uses_equivalent_path(self):
         data = bytes(range(256)) * 3
         assert crc32c(data) == _crc32c_bytewise(data)
+
+
+WORD = 4
+MIN = checksum._VECTOR_MIN
+BLOCK = checksum._BLOCK_WORDS * WORD
+
+
+class TestVectorEquivalence:
+    """The word-parallel NumPy path must match the bytewise oracle exactly.
+
+    ``_crc32c_numpy`` is exercised directly, so these hold whichever
+    backend ``crc32c`` itself selected at import.
+    """
+
+    # Around the scalar/vector crossover, around word counts on either
+    # side of a power of two (the fold's leading slot), and around the
+    # gather block.
+    BOUNDARIES = sorted(
+        {
+            n + d
+            for n in (MIN, MIN + 3 * WORD, 2 * MIN - WORD, 2 * MIN, 3 * MIN,
+                      BLOCK - WORD, BLOCK, BLOCK + WORD, 2 * BLOCK, 3 * BLOCK)
+            for d in (-1, 0, 1, 3, 4)
+        }
+    )
+
+    @pytest.mark.parametrize("length", BOUNDARIES)
+    @pytest.mark.parametrize("value", [0, 0xDEADBEEF])
+    def test_crossover_and_block_boundaries(self, length, value):
+        data = _random_bytes(length, seed=length)
+        buf = np.frombuffer(data, dtype=np.uint8)
+        assert _crc32c_numpy(buf, value) == _crc32c_bytewise(data, value)
+
+    @pytest.mark.parametrize("power", range(0, 21))
+    def test_every_power_of_two_and_its_neighbours(self, power):
+        for length in ((1 << power) - 1, 1 << power, (1 << power) + 1):
+            data = _random_bytes(length, seed=power)
+            buf = np.frombuffer(data, dtype=np.uint8)
+            assert _crc32c_numpy(buf, 0) == _crc32c_bytewise(data)
+
+    def test_vector_kernel_alone_on_whole_words(self):
+        for words in (1, 2, 3, 63, 64, 65, 200, 1023, 1024, 1025):
+            data = _random_bytes(words * WORD, seed=words)
+            buf = np.frombuffer(data, dtype=np.uint8)
+            assert _crc32c_vector(buf, 12345) == _crc32c_bytewise(data, 12345)
+
+    def test_all_zero_and_all_one_buffers(self):
+        # Zero words leave zero registers: the fold must still advance the
+        # incoming value through them.
+        for fill in (b"\x00", b"\xff"):
+            data = fill * (MIN + 21)
+            buf = np.frombuffer(data, dtype=np.uint8)
+            for value in (0, 1, 0xFFFFFFFF):
+                assert _crc32c_numpy(buf, value) == _crc32c_bytewise(data, value)
+
+    # Hypothesis draws at most a few KiB of raw bytes per example, so the
+    # large cases come from a drawn (length, seed) pair and the small ones
+    # — where every byte is adversarial — from st.binary.
+    @given(
+        length=st.integers(0, 300_000),
+        seed=st.integers(0, 2**32 - 1),
+        value=st.integers(0, 2**32 - 1),
+        cut=st.floats(0.0, 1.0),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_split_anywhere_chains_to_the_oracle(self, length, seed, value, cut):
+        data = _random_bytes(length, seed)
+        split = int(cut * length)
+        a = np.frombuffer(data[:split], dtype=np.uint8)
+        b = np.frombuffer(data[split:], dtype=np.uint8)
+        whole = np.frombuffer(data, dtype=np.uint8)
+        expected = _crc32c_bytewise(data, value)
+        assert _crc32c_numpy(whole, value) == expected
+        assert _crc32c_numpy(b, _crc32c_numpy(a, value)) == expected
+
+    @given(
+        data=st.binary(max_size=2 * MIN),
+        value=st.integers(0, 2**32 - 1),
+        split=st.integers(0, 2 * MIN),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_arbitrary_small_bytes(self, data, value, split):
+        split = min(split, len(data))
+        expected = _crc32c_bytewise(data, value)
+        assert crc32c(data, value) == expected
+        assert crc32c(data[split:], crc32c(data[:split], value)) == expected
+
+
+class TestInputBuffers:
+    DATA = _random_bytes(2 * MIN + 5, seed=3)
+
+    def test_bytes_like_objects_agree(self):
+        expected = _crc32c_bytewise(self.DATA)
+        assert crc32c(bytearray(self.DATA)) == expected
+        assert crc32c(memoryview(self.DATA)) == expected
+        assert crc32c(memoryview(bytearray(self.DATA))[5:]) == _crc32c_bytewise(self.DATA[5:])
+        assert crc32c(np.frombuffer(self.DATA, dtype=np.uint8)) == expected
+
+    def test_strided_ndarray_hashes_its_c_order_bytes(self):
+        arr = np.frombuffer(self.DATA, dtype=np.uint8)
+        assert not arr[::2].flags.c_contiguous
+        assert crc32c(arr[::2]) == _crc32c_bytewise(self.DATA[::2])
+        grid = arr[: 2 * MIN].reshape(8, -1)
+        assert crc32c(grid) == _crc32c_bytewise(self.DATA[: 2 * MIN])
+        assert crc32c(grid.T) == _crc32c_bytewise(grid.T.tobytes())
+
+    def test_wider_dtype_hashes_its_memory_bytes(self):
+        arr = np.arange(900, dtype="<u4")
+        assert crc32c(arr) == _crc32c_bytewise(arr.tobytes())
+        assert crc32c(arr[::3]) == _crc32c_bytewise(arr[::3].tobytes())
+
+    def test_contiguous_buffers_are_not_copied(self, monkeypatch):
+        seen = []
+
+        def fake_native(buf, value):
+            seen.append(buf)
+            return 0
+
+        monkeypatch.setattr(checksum, "_native_crc32c", fake_native)
+        arr = np.frombuffer(self.DATA, dtype=np.uint8)
+        writable = bytearray(self.DATA)
+        crc32c(arr)
+        crc32c(writable)
+        assert np.shares_memory(seen[0], arr)
+        assert np.shares_memory(seen[1], np.frombuffer(writable, dtype=np.uint8))
+
+
+class TestTables:
+    def test_cold_start_under_64_threads(self, monkeypatch):
+        """Every thread races through the lazy table build and must still
+        get the right answer (build-then-publish, no half-built table)."""
+        monkeypatch.setattr(checksum, "_SHIFTS", None)
+        monkeypatch.setattr(checksum, "_SLICING", None)
+        data = _random_bytes(3 * MIN + 77, seed=64)
+        buf = np.frombuffer(data, dtype=np.uint8)
+        expected = _crc32c_bytewise(data, 7)
+        barrier = threading.Barrier(64)
+        results = []
+
+        def work():
+            barrier.wait(timeout=30)
+            results.append(_crc32c_numpy(buf, 7))
+
+        threads = [threading.Thread(target=work) for _ in range(64)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert results == [expected] * 64
+
+    def test_tables_stay_bounded_over_a_thousand_lengths(self):
+        data = _random_bytes(70_000, seed=1000)
+        buf = np.frombuffer(data, dtype=np.uint8)
+        for length in range(69_000, 70_000):
+            _crc32c_numpy(buf[:length], 0)
+        _crc32c_numpy(np.zeros(3 << 20, dtype=np.uint8), 0)
+        shifts = checksum._shift_tables()
+        assert len(shifts) <= 32
+        assert sum(s.nbytes for s in shifts) < 1 << 20

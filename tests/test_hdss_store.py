@@ -1,5 +1,7 @@
 """Chunk stores: in-memory and file-backed backends, identical contract."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -123,7 +125,29 @@ class TestInMemorySpecific:
         assert store.get(0, ChunkId(0, 0))[0] == 1
 
 
+class _VanishingPath(type(Path())):
+    """A chunk path whose file is deleted after any existence check and
+    before its bytes are read — ``drop_disk``/``delete`` racing a ``get``."""
+
+    def read_bytes(self):
+        self.unlink()
+        return super().read_bytes()
+
+
+class _RacingStore(FileChunkStore):
+    def _chunk_path(self, disk_id, chunk_id):
+        return _VanishingPath(super()._chunk_path(disk_id, chunk_id))
+
+
 class TestFileSpecific:
+    def test_chunk_deleted_under_a_read_is_not_found(self, tmp_path):
+        FileChunkStore(tmp_path).put(0, ChunkId(0, 0), chunk())
+        with pytest.raises(ChunkNotFoundError):
+            _RacingStore(tmp_path).get(0, ChunkId(0, 0))
+        FileChunkStore(tmp_path).put(0, ChunkId(0, 0), chunk())
+        with pytest.raises(ChunkNotFoundError):
+            _RacingStore(tmp_path).verify_chunk(0, ChunkId(0, 0))
+
     def test_layout_on_disk(self, tmp_path):
         store = FileChunkStore(tmp_path / "root")
         store.put(7, ChunkId(12, 3), chunk())

@@ -7,6 +7,8 @@ resumed run's rebuilt bytes are identical to an uninterrupted run's.
 """
 
 import json
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -122,6 +124,48 @@ class TestWAL:
         self.write(tmp_path, [WALRecord(type="begin", meta={})])
         self.write(tmp_path, [WALRecord(type="resume", meta={})])
         assert [r.type for r in WALReader(tmp_path)] == ["begin", "resume"]
+
+    def test_concurrent_appenders_survive_rotation(self, tmp_path):
+        """Eight threads append+commit on one writer while segments rotate
+        every few records: no thread may flush a handle a rotation closed,
+        and every record must replay intact, in each thread's own order."""
+        workers, per_worker = 8, 200
+        writer = WALWriter(tmp_path, segment_bytes=4096, durable=False)
+        errors = []
+        barrier = threading.Barrier(workers)
+
+        def work(worker):
+            try:
+                barrier.wait(timeout=30)
+                for seq in range(per_worker):
+                    writer.append(WALRecord(
+                        type="phase", meta={"w": worker, "seq": seq},
+                        blobs={"b": bytes([worker]) * 300},
+                    ))
+                    writer.commit()
+            except Exception as exc:  # reported below, with its type
+                errors.append(exc)
+
+        threads = [threading.Thread(target=work, args=(w,)) for w in range(workers)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        writer.close()
+        assert errors == []
+        assert len(list_segments(tmp_path)) > 10
+        seen = {w: [] for w in range(workers)}
+        for rec in WALReader(tmp_path):
+            assert rec.blobs["b"] == bytes([rec.meta["w"]]) * 300
+            seen[rec.meta["w"]].append(rec.meta["seq"])
+        assert seen == {w: list(range(per_worker)) for w in range(workers)}
+        assert writer.records_written == writer.commits == workers * per_worker
 
 
 # -------------------------------------------------- decoder state round-trip

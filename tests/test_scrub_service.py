@@ -34,6 +34,7 @@ from repro.service.overload import (
     OverloadConfig,
 )
 from repro.service.protocol import ERR_CORRUPT
+from repro.utils import checksum
 
 
 @pytest.fixture(autouse=True)
@@ -317,6 +318,7 @@ class TestScrubVerb:
                 assert stats["scrub"]["chunks_verified"] > 0
                 assert stats["corruption"]["found"] >= 1
                 assert "swept_tmp_files" in stats["store"]
+                assert stats["store"]["checksum_backend"] == checksum.BACKEND
             finally:
                 await client.call("shutdown")
                 await client.close()
