@@ -14,6 +14,9 @@ Contents map directly onto §4 of the paper:
   memory (interval and slot models) and whole-disk repair orchestration;
 * :mod:`repro.core.multi_disk` — naive vs cooperative multi-disk repair
   (§4.4);
+* :mod:`repro.core.stripe_repair` — one stripe's repair as a sans-I/O
+  state machine (round queue, salvage ladder, read-policy decisions),
+  driven by the executor below and by :mod:`repro.service`;
 * :mod:`repro.core.executor` — the byte-exact data path (chunks through
   the c-chunk memory, partial decoding, spare-disk write-back);
 * :mod:`repro.core.analysis` — ACWT / TR analytics behind Figures 3-4.

@@ -20,12 +20,13 @@ Fault hardening
 The executor keeps a *logical clock*: every modeled read advances it by the
 disk's (unjittered) transfer time. A :class:`~repro.faults.injector.FaultInjector`
 bound to the executor fires schedule events as the clock passes them — at
-read boundaries, so reads are atomic. When a pending survivor dies
-mid-stripe the executor salvages the partial sums already accumulated
-(``PartialDecoder.replan``), falls back to a from-scratch decode when the
-salvage system is singular (``restart``), and finally records the stripe as
-*lost* in a :class:`~repro.faults.report.DataLossReport` when fewer than
-``k`` readable shards remain — never an unhandled exception.
+read boundaries, so reads are atomic. What happens when a pending survivor
+dies or crawls mid-stripe — salvage the partial sums, restart from scratch,
+or record the stripe as *lost* in a
+:class:`~repro.faults.report.DataLossReport`, never an unhandled exception —
+is decided by the one :class:`~repro.core.stripe_repair.StripeRepair`
+machine; this module only performs its reads, prices them on the clock and
+accounts memory.
 
 A :class:`ReadPolicy` adds per-read timeouts with capped exponential
 backoff (timeouts advance the clock, which lets transient slow/hang windows
@@ -43,94 +44,31 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from repro.core.plans import RepairPlan, StripePlan
+from repro.core.stripe_repair import (
+    FORCE,
+    READ_RETRY,
+    READ_SLOW,
+    ReadPolicy,
+    ShardFault,
+    StripeRepair,
+    readable_shards,
+)
 from repro.ec.partial import PartialDecoder
 from repro.ec.stripe import ChunkId, Stripe
 from repro.errors import (
     ChunkChecksumError,
     ChunkNotFoundError,
-    CodingError,
-    ConfigurationError,
     DiskFailedError,
     LatentSectorError,
-    RetryExhaustedError,
     StorageError,
 )
-from repro.faults.report import LOST, RECOVERED, REPLANNED, DataLossReport
+from repro.faults.report import LOST, DataLossReport
 from repro.hdss.server import HighDensityStorageServer
-from repro.hdss.store import FaultyChunkStore
 from repro.obs.context import current_registry, current_tracer
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.faults.injector import FaultInjector
     from repro.journal.journal import RepairJournal, RepairState, StripeDone
-
-
-@dataclass(frozen=True)
-class ReadPolicy:
-    """Knobs for hardening survivor reads against slow and hung disks.
-
-    Attributes:
-        timeout_seconds: a read whose modeled duration exceeds this is
-            abandoned (the clock still pays the timeout) and retried after
-            backoff. ``None`` disables timeouts entirely.
-        max_retries: retry budget per read before giving up on the disk.
-        backoff_base: first backoff sleep, seconds; attempt ``i`` sleeps
-            ``backoff_base * 2**i`` (capped), letting transient windows end.
-        backoff_cap: upper bound on a single backoff sleep.
-        hedge: after the retry budget, re-plan the read onto a different
-            survivor instead of forcing it through the slow disk.
-        hedge_threshold_seconds: when set (with ``hedge``), a read slower
-            than this hedges immediately without burning retries.
-    """
-
-    timeout_seconds: Optional[float] = None
-    max_retries: int = 3
-    backoff_base: float = 0.05
-    backoff_cap: float = 2.0
-    hedge: bool = False
-    hedge_threshold_seconds: Optional[float] = None
-
-    def __post_init__(self) -> None:
-        if self.timeout_seconds is not None and self.timeout_seconds <= 0:
-            raise ConfigurationError(
-                f"timeout_seconds must be > 0, got {self.timeout_seconds}"
-            )
-        if self.max_retries < 0:
-            raise ConfigurationError(f"max_retries must be >= 0, got {self.max_retries}")
-        if self.backoff_base < 0 or self.backoff_cap < self.backoff_base:
-            raise ConfigurationError(
-                f"need 0 <= backoff_base <= backoff_cap, got "
-                f"{self.backoff_base}/{self.backoff_cap}"
-            )
-        if self.hedge_threshold_seconds is not None and self.hedge_threshold_seconds <= 0:
-            raise ConfigurationError(
-                f"hedge_threshold_seconds must be > 0, got {self.hedge_threshold_seconds}"
-            )
-
-    def backoff(self, attempt: int) -> float:
-        """Backoff sleep before retry ``attempt`` (0-based), capped."""
-        return min(self.backoff_base * (2.0 ** attempt), self.backoff_cap)
-
-
-class _ShardDead(Exception):
-    """Internal: a survivor shard is permanently unreadable."""
-
-    def __init__(self, shard: int, cause: Exception) -> None:
-        super().__init__(str(cause))
-        self.shard = shard
-        self.cause = cause
-
-
-class _ShardSlow(RetryExhaustedError):
-    """A survivor read exhausted its retry budget (disk alive but slow).
-
-    Subclasses the public :class:`RetryExhaustedError` so the signal keeps a
-    meaningful type if it ever escapes the executor's hedging machinery.
-    """
-
-    def __init__(self, shard: int) -> None:
-        super().__init__(f"retries exhausted on shard {shard}")
-        self.shard = shard
 
 
 @dataclass
@@ -240,12 +178,17 @@ class DataPathExecutor:
         shard_idx: int,
         stats: DataPathStats,
         seen: Set[int],
+        forced: bool = False,
     ) -> np.ndarray:
         """One hardened survivor read; advances the clock.
 
+        ``forced`` reads with no timeout, waiting out transient windows —
+        the last resort for a slow shard no other survivor can replace.
+
         Raises:
-            _ShardDead: disk failed / chunk missing / latent sector error.
-            _ShardSlow: policy retries exhausted and hedging is enabled.
+            ShardFault: dead — disk failed (also while we waited), chunk
+                missing or latent sector error; slow — the policy's retries
+                are exhausted and hedging is enabled.
         """
         server = self.server
         disk_id = stripe.disks[shard_idx]
@@ -255,79 +198,34 @@ class DataPathExecutor:
             self._advance_faults()
             disk = server.disk(disk_id)
             if disk.is_failed:
-                raise _ShardDead(shard_idx, DiskFailedError(f"disk {disk_id} failed"))
+                raise ShardFault(shard_idx, DiskFailedError(f"disk {disk_id} failed"))
             duration = self._transfer_seconds(disk, server.config.chunk_size)
-            if policy is not None:
-                hedge_now = (
-                    policy.hedge
-                    and policy.hedge_threshold_seconds is not None
-                    and duration > policy.hedge_threshold_seconds
-                )
-                timed_out = (
-                    policy.timeout_seconds is not None
-                    and duration > policy.timeout_seconds
-                )
-                if hedge_now and not timed_out:
-                    raise _ShardSlow(shard_idx)
-                if timed_out:
-                    stats.timeouts += 1
-                    self.clock += policy.timeout_seconds
-                    if attempt >= policy.max_retries:
-                        if policy.hedge:
-                            raise _ShardSlow(shard_idx)
-                        duration = self._wait_out(disk_id)
-                        if duration is None:
-                            raise _ShardDead(
-                                shard_idx, DiskFailedError(f"disk {disk_id} failed")
-                            )
-                    else:
-                        stats.retries += 1
-                        self.clock += policy.backoff(attempt)
-                        attempt += 1
-                        continue
-            try:
-                data = server.store.get(disk_id, ChunkId(global_index, shard_idx))
-            except (LatentSectorError, ChunkNotFoundError) as exc:
-                if isinstance(exc, ChunkChecksumError):
-                    stats.checksum_failures += 1
-                raise _ShardDead(shard_idx, exc) from None
-            self.clock += duration
-            disk.record_read(data.size)
-            stats.chunks_read += 1
-            stats.bytes_read += int(data.size)
-            if shard_idx in seen:
-                stats.reread_chunks += 1
-            seen.add(shard_idx)
-            return data
-
-    def _forced_read(
-        self,
-        stripe: Stripe,
-        global_index: int,
-        shard_idx: int,
-        stats: DataPathStats,
-        seen: Set[int],
-    ) -> np.ndarray:
-        """Read a slow shard with no timeout (waiting out transient windows).
-
-        Raises:
-            _ShardDead: the disk failed while we waited, or the chunk is
-                gone/poisoned — the shard really is unreadable.
-        """
-        server = self.server
-        disk_id = stripe.disks[shard_idx]
-        self._advance_faults()
-        duration = self._wait_out(disk_id)
-        if duration is None:
-            raise _ShardDead(shard_idx, DiskFailedError(f"disk {disk_id} failed"))
+            if forced or policy is None:
+                break
+            verdict, penalty = policy.decide(duration, attempt)
+            if penalty:
+                stats.timeouts += 1
+                self.clock += penalty
+            if verdict == READ_SLOW:
+                raise ShardFault(shard_idx)
+            if verdict == READ_RETRY:
+                stats.retries += 1
+                attempt += 1
+                continue
+            forced = verdict == FORCE
+            break
+        if forced:
+            duration = self._wait_out(disk_id)
+            if duration is None:
+                raise ShardFault(shard_idx, DiskFailedError(f"disk {disk_id} failed"))
         try:
             data = server.store.get(disk_id, ChunkId(global_index, shard_idx))
         except (LatentSectorError, ChunkNotFoundError) as exc:
             if isinstance(exc, ChunkChecksumError):
                 stats.checksum_failures += 1
-            raise _ShardDead(shard_idx, exc) from None
+            raise ShardFault(shard_idx, exc) from None
         self.clock += duration
-        server.disk(disk_id).record_read(data.size)
+        disk.record_read(data.size)
         stats.chunks_read += 1
         stats.bytes_read += int(data.size)
         if shard_idx in seen:
@@ -357,90 +255,6 @@ class DataPathExecutor:
                 return duration
             self.clock = horizon
             self._advance_faults()
-
-    # --------------------------------------------------------------- salvage
-    def _readable_shards(
-        self, stripe: Stripe, global_index: int, exclude: Set[int]
-    ) -> List[int]:
-        """Shards with a live disk and a readable chunk, fast disks first."""
-        server = self.server
-        store = server.store
-        out: List[Tuple[bool, int]] = []
-        for sid, disk_id in enumerate(stripe.disks):
-            if sid in exclude:
-                continue
-            disk = server.disks[disk_id]
-            if disk.is_failed:
-                continue
-            cid = ChunkId(global_index, sid)
-            if not store.contains(disk_id, cid):
-                continue
-            if isinstance(store, FaultyChunkStore) and (disk_id, cid) in store._bad:
-                continue
-            out.append((disk.is_slow, sid))
-        return [sid for _, sid in sorted(out)]
-
-    def _rounds_of(self, shard_ids: Sequence[int], per_round: int) -> List[List[int]]:
-        per_round = max(1, per_round)
-        return [
-            list(shard_ids[i : i + per_round])
-            for i in range(0, len(shard_ids), per_round)
-        ]
-
-    def _replan_rounds(
-        self,
-        decoder: PartialDecoder,
-        stripe: Stripe,
-        global_index: int,
-        bad_shard: int,
-        stats: DataPathStats,
-        per_round: int,
-        tracer,
-        allow_restart: bool = True,
-    ) -> Optional[List[List[int]]]:
-        """Re-plan a stripe around an unreadable (or hopelessly slow) shard.
-
-        Returns the new read rounds, or ``None`` when no viable plan exists.
-        Prefers :meth:`PartialDecoder.replan` (salvages every fed chunk, only
-        ``k - t`` reads remain); falls back to a from-scratch ``restart``
-        when the salvage system is singular. With ``allow_restart`` off
-        (hedging a slow-but-alive shard) only the salvage path is tried —
-        the caller forces the read through instead of discarding progress.
-        """
-        k, t = decoder.code.k, len(decoder.targets)
-        exclude = set(decoder.targets) | {bad_shard}
-        with tracer.span("replan", f"stripe {global_index} replan",
-                         track="datapath", bad_shard=bad_shard):
-            candidates = self._readable_shards(stripe, global_index, exclude)
-            fed = set(decoder.fed)
-            pending_alive = [s for s in decoder.pending if s in set(candidates)]
-            fresh = [
-                s for s in candidates
-                if s not in set(pending_alive) and s not in fed
-            ]
-            # Last choice: re-read fed shards (their reads repeat, but the
-            # accumulator still saves t reads versus a full restart).
-            refed = [s for s in candidates if s in fed]
-            new_reads = (pending_alive + fresh + refed)[: k - t]
-            if len(new_reads) == k - t:
-                try:
-                    decoder.replan(new_reads)
-                    stats.replans += 1
-                    stats.salvaged_chunks += len(decoder.fed)
-                    return self._rounds_of(decoder.pending, per_round)
-                except CodingError:
-                    pass  # singular salvage system; fall through to restart
-            if not allow_restart:
-                return None
-            survivors = list(candidates)  # fed shards are re-readable
-            if len(survivors) >= k:
-                decoder.restart(survivors[:k])
-                stats.fresh_restarts += 1
-                return self._rounds_of(decoder.pending, per_round)
-            stats.stripes_lost += 1
-            tracer.instant("replan", f"stripe {global_index} lost",
-                           readable=len(survivors), needed=k)
-            return None
 
     # ----------------------------------------------------------------- repair
     def repair(
@@ -488,7 +302,6 @@ class DataPathExecutor:
         stats = DataPathStats()
         if hardened:
             stats.loss = DataLossReport()
-        chunk_size = server.config.chunk_size
         tracer = current_tracer()
 
         if self.journal is not None and self.resume_state is None and not self.journal.begun:
@@ -518,15 +331,10 @@ class DataPathExecutor:
                 continue
             with tracer.span("stripe", f"stripe {global_index}",
                              track="datapath", rounds=sp.num_rounds):
-                if hardened:
-                    self._repair_stripe_hardened(
-                        sp, stripe, global_index, shards, targets, stats, tracer,
-                        restored=inflight.get(global_index),
-                    )
-                else:
-                    self._repair_stripe(
-                        sp, stripe, global_index, shards, targets, stats
-                    )
+                self._repair_stripe(
+                    sp, stripe, global_index, shards, targets, stats, tracer,
+                    restored=inflight.get(global_index),
+                )
 
         stats.peak_memory_chunks = memory.peak_occupancy
         stats.modeled_seconds = self.clock
@@ -536,64 +344,8 @@ class DataPathExecutor:
         self._export_metrics(stats)
         return stats
 
-    # ------------------------------------------------------------ fault-free
+    # ----------------------------------------------------------- stripe loop
     def _repair_stripe(
-        self,
-        sp: StripePlan,
-        stripe: Stripe,
-        global_index: int,
-        shards: List[int],
-        targets: List[int],
-        stats: DataPathStats,
-    ) -> None:
-        """The plain data path: no timeouts, failures propagate."""
-        server = self.server
-        memory = server.memory
-        tracer = current_tracer()
-        decoder = PartialDecoder(
-            server.code, shards, targets, chunk_size=server.config.chunk_size
-        )
-        acc_handles = [("acc", global_index, t) for t in targets]
-        multi_round = sp.num_rounds > 1
-        if multi_round:
-            # Accumulators are resident for the stripe's whole repair.
-            for handle in acc_handles:
-                memory.admit(handle)
-
-        seen: Set[int] = set()
-        for round_index, rnd in enumerate(sp.rounds):
-            fed: Dict[int, np.ndarray] = {}
-            handles = []
-            with tracer.span("round", f"stripe {global_index} round {round_index}",
-                             track="datapath", chunks=len(rnd)):
-                with tracer.span("read", "fetch survivors", track="datapath"):
-                    for col in rnd:
-                        shard_idx = shards[col]
-                        try:
-                            data = self._read_survivor(
-                                stripe, global_index, shard_idx, stats, seen
-                            )
-                        except _ShardDead as exc:
-                            raise exc.cause  # plain path: surface the real error
-                        handle = ("xfer", global_index, shard_idx)
-                        buf = memory.admit(handle, data)
-                        handles.append(handle)
-                        fed[shard_idx] = buf
-                with tracer.span("decode", "partial decode", track="datapath"):
-                    decoder.feed(fed)
-                for handle in handles:
-                    memory.release(handle)
-
-        # Single-round plans decode in place: the accumulator result
-        # is materialised only after the round's slots are released.
-        self._write_back(decoder, stripe, global_index, targets, stats)
-        if multi_round:
-            for handle in acc_handles:
-                memory.release(handle)
-        stats.stripes_repaired += 1
-
-    # -------------------------------------------------------------- hardened
-    def _repair_stripe_hardened(
         self,
         sp: StripePlan,
         stripe: Stripe,
@@ -604,146 +356,115 @@ class DataPathExecutor:
         tracer,
         restored: Optional[Dict[str, object]] = None,
     ) -> None:
-        """The fault-tolerant data path: salvage, restart, or record loss."""
+        """Drive one stripe's :class:`StripeRepair`: read, fold, write back.
+
+        Rounds are read sequentially and stop at the first fault. Under
+        fault handling (``stats.loss`` present) the fault goes to the
+        machine's salvage ladder; a run that is fault-free by construction
+        surfaces the real error instead.
+        """
         server = self.server
         memory = server.memory
-        acc_handles = [("acc", global_index, t) for t in targets]
-        acc_admitted = False
-        # Post-failure rounds must fit alongside the accumulators even when
-        # the original plan was single-round (its budget had no acc slots).
-        per_round = max(1, sp.peak_memory_chunks() - len(targets))
-        held: List[tuple] = []
-
         if restored is not None:
-            # Resume mid-stripe from the last committed round: the
-            # accumulators and remaining-read bookkeeping come straight
-            # from the journal; nothing already fed is read again.
-            state = dict(restored)
-            outcome = str(state.pop("outcome", RECOVERED))
-            decoder = PartialDecoder.from_state(server.code, state)
-            seen: Set[int] = set(decoder.fed)
-            queue = self._rounds_of(decoder.pending, per_round)
-            if not decoder.complete:
-                for handle in acc_handles:
-                    memory.admit(handle)
-                acc_admitted = True
+            repair = StripeRepair.restore(server.code, restored, sp)
+            seen: Set[int] = set(repair.decoder.fed)
+            multi_round = not repair.decoder.complete
         else:
-            decoder = PartialDecoder(
-                server.code, shards, targets, chunk_size=server.config.chunk_size
+            repair = StripeRepair.fresh(
+                server.code, shards, targets, sp, server.config.chunk_size
             )
-            outcome = RECOVERED
             seen = set()
-            queue = [[shards[col] for col in rnd] for rnd in sp.rounds]
-            if sp.num_rounds > 1:
-                for handle in acc_handles:
+            multi_round = sp.num_rounds > 1
+        acc_held: List[tuple] = []
+
+        def hold_accumulators() -> None:
+            # Accumulators stay resident for the rest of the stripe's repair.
+            if not acc_held:
+                acc_held.extend(("acc", global_index, t) for t in targets)
+                for handle in acc_held:
                     memory.admit(handle)
-                acc_admitted = True
 
-        def release_held() -> None:
-            while held:
-                memory.release(held.pop())
+        def read(shard_idx: int, forced: bool = False) -> np.ndarray:
+            return self._read_survivor(
+                stripe, global_index, shard_idx, stats, seen, forced=forced
+            )
 
-        round_index = decoder.rounds_fed
-        while queue:
-            rnd = [s for s in queue.pop(0) if s in set(decoder.pending)]
-            if not rnd:
-                continue
+        if multi_round:
+            hold_accumulators()
+        round_index = repair.decoder.rounds_fed
+        while rnd := repair.next_round():
             fed: Dict[int, np.ndarray] = {}
-            fault: "Optional[Exception]" = None
-            rest: List[int] = []
+            handles: List[tuple] = []
+            fault: Optional[ShardFault] = None
             with tracer.span("round", f"stripe {global_index} round {round_index}",
                              track="datapath", chunks=len(rnd)):
-                for pos, shard_idx in enumerate(rnd):
-                    try:
-                        data = self._read_survivor(
-                            stripe, global_index, shard_idx, stats, seen
-                        )
-                    except (_ShardDead, _ShardSlow) as exc:
-                        fault = exc
-                        rest = rnd[pos + 1 :]
-                        break
-                    handle = ("xfer", global_index, shard_idx)
-                    buf = memory.admit(handle, data)
-                    held.append(handle)
-                    fed[shard_idx] = buf
+                with tracer.span("read", "fetch survivors", track="datapath"):
+                    for shard_idx in rnd:
+                        try:
+                            data = read(shard_idx)
+                        except ShardFault as exc:
+                            fault = exc
+                            break
+                        handle = ("xfer", global_index, shard_idx)
+                        fed[shard_idx] = memory.admit(handle, data)
+                        handles.append(handle)
                 # Salvage everything this round read successfully — fold it
                 # into the accumulators before the handles go away.
                 if fed:
-                    decoder.feed(fed)
-                release_held()
+                    with tracer.span("decode", "partial decode", track="datapath"):
+                        repair.feed(fed)
+                for handle in handles:
+                    memory.release(handle)
             if fed and self.journal is not None:
                 self.journal.round_commit(
-                    global_index, self.clock, decoder.to_state(), outcome=outcome
+                    global_index, self.clock, repair.decoder.to_state(),
+                    outcome=repair.outcome,
                 )
             round_index += 1
-            if fault is None:
-                continue
 
-            # Mid-round fault: make sure decoder state can survive further
-            # rounds before re-planning the remaining reads.
-            if not acc_admitted and not decoder.complete:
-                for handle in acc_handles:
-                    memory.admit(handle)
-                acc_admitted = True
+            while fault is not None:
+                if stats.loss is None:
+                    raise fault.cause  # plain path: surface the real error
+                # Mid-round fault: make sure decoder state can survive
+                # further rounds before re-planning the remaining reads.
+                if not repair.decoder.complete:
+                    hold_accumulators()
+                shard = fault.shard
+                with tracer.span("replan", f"stripe {global_index} replan",
+                                 track="datapath", bad_shard=shard):
+                    readable = readable_shards(server, global_index, stripe)
+                    verdict = repair.on_fault(fault, readable)
+                    if verdict == LOST:
+                        tracer.instant("replan", f"stripe {global_index} lost",
+                                       readable=len(readable), needed=server.code.k)
+                fault = None
+                if verdict == FORCE:
+                    try:
+                        data = read(shard, forced=True)
+                    except ShardFault as exc:
+                        fault = exc  # died while waiting; handle as dead
+                    else:
+                        handle = ("xfer", global_index, shard)
+                        repair.feed({shard: memory.admit(handle, data)})
+                        memory.release(handle)
 
-            if isinstance(fault, _ShardSlow):
-                # Hedge: swap the slow shard for another survivor, keeping
-                # everything already accumulated. A slow disk still has the
-                # data, so never restart or lose the stripe over it — when
-                # no alternative exists, force the read through.
-                new_rounds = self._replan_rounds(
-                    decoder, stripe, global_index, fault.shard, stats,
-                    per_round, tracer, allow_restart=False,
-                )
-                if new_rounds is not None:
-                    stats.hedged_reads += 1
-                    outcome = REPLANNED
-                    queue = new_rounds
-                    continue
-                try:
-                    data = self._forced_read(
-                        stripe, global_index, fault.shard, stats, seen
-                    )
-                except _ShardDead as exc:
-                    fault = exc  # died while waiting; handle as dead below
-                else:
-                    handle = ("xfer", global_index, fault.shard)
-                    buf = memory.admit(handle, data)
-                    decoder.feed({fault.shard: buf})
-                    memory.release(handle)
-                    if rest:
-                        queue.insert(0, rest)
-                    continue
-
-            # A survivor is permanently unreadable: salvage, restart, or lose.
-            new_rounds = self._replan_rounds(
-                decoder, stripe, global_index, fault.shard, stats,
-                per_round, tracer, allow_restart=True,
+        repair.fold_into(stats)
+        written: Sequence[Tuple[int, int, np.ndarray]] = ()
+        if repair.outcome == LOST:
+            stats.stripes_lost += 1
+        else:
+            # Single-round plans decode in place: the accumulator result
+            # is materialised only after the round's slots are released.
+            written = self._write_back(
+                repair.decoder, stripe, global_index, targets, stats
             )
-            if new_rounds is None:
-                outcome = LOST
-                break
-            outcome = REPLANNED
-            queue = new_rounds
-
-        if outcome == LOST:
-            release_held()
-            if acc_admitted:
-                for handle in acc_handles:
-                    memory.release(handle)
-            stats.loss.record(global_index, LOST)
-            if self.journal is not None:
-                self.journal.stripe_done(global_index, LOST, self.clock)
-            return
-
-        written = self._write_back(decoder, stripe, global_index, targets, stats)
-        if acc_admitted:
-            for handle in acc_handles:
-                memory.release(handle)
-        stats.stripes_repaired += 1
-        stats.loss.record(global_index, outcome)
+            stats.stripes_repaired += 1
+        for handle in acc_held:
+            memory.release(handle)
+        if stats.loss is not None:
+            stats.loss.record(global_index, repair.outcome)
         if self.journal is not None:
-            self.journal.stripe_done(global_index, outcome, self.clock, written)
+            self.journal.stripe_done(global_index, repair.outcome, self.clock, written)
 
     # ---------------------------------------------------------------- replay
     def _replay_stripe(
@@ -800,7 +521,6 @@ class DataPathExecutor:
         # never land two shards of one stripe on the same disk — including
         # two *rebuilt* shards (multi-target cooperative repair).
         exclude = list(stripe.disks)
-        verify = getattr(server.store, "verify_chunk", None)
         with tracer.span("writeback", f"stripe {global_index} writeback",
                          track="datapath", targets=len(targets)):
             for target in targets:
@@ -810,10 +530,9 @@ class DataPathExecutor:
                     exclude.append(spare)
                     cid = ChunkId(global_index, target)
                     server.store.put(spare, cid, rebuilt)
-                    if verify is not None:
-                        # End-to-end: re-read the landed bytes against the
-                        # sidecar before trusting the rebuilt chunk.
-                        verify(spare, cid)
+                    # End-to-end: re-read the landed bytes against the
+                    # sidecar before trusting the rebuilt chunk.
+                    server.store.verify_chunk(spare, cid)
                     stats.writebacks.append((global_index, target, spare))
                     written.append((target, spare, rebuilt))
                 stats.chunks_rebuilt += 1
@@ -860,11 +579,4 @@ class DataPathExecutor:
                 registry.counter(name, help_text).inc(value)
 
 
-# Backwards-compatible alias: the retry-exhaustion signal surfaced to users
-# when a forced read is impossible is the public RetryExhaustedError.
-__all__ = [
-    "DataPathExecutor",
-    "DataPathStats",
-    "ReadPolicy",
-    "RetryExhaustedError",
-]
+__all__ = ["DataPathExecutor", "DataPathStats", "ReadPolicy"]

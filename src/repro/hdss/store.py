@@ -115,6 +115,23 @@ class ChunkStore(abc.ABC):
     def drop_disk(self, disk_id: int) -> int:
         """Destroy all chunks on a disk (failure); returns chunks lost."""
 
+    def is_readable(self, disk_id: int, chunk_id: ChunkId) -> bool:
+        """Whether a ``get`` is expected to succeed, without reading.
+
+        Repair planning asks this to pick survivors; backends that know of
+        unreadable chunks (injected sector errors) answer for themselves.
+        """
+        return self.contains(disk_id, chunk_id)
+
+    def verify_chunk(self, disk_id: int, chunk_id: ChunkId) -> bool:
+        """Re-read one chunk end to end; True when it is intact.
+
+        Raises whatever ``get`` raises for a missing or corrupt chunk
+        (:class:`ChunkNotFoundError`, :class:`LatentSectorError`).
+        """
+        self.get(disk_id, chunk_id)
+        return True
+
     def get_many(self, keys: Sequence[Key]) -> List[np.ndarray]:
         """Read a batch of chunks, preserving order.
 
@@ -204,11 +221,14 @@ class FaultyChunkStore(ChunkStore):
         self._bad.discard((disk_id, chunk_id))
         self.inner.put(disk_id, chunk_id, data)
 
-    def get(self, disk_id: int, chunk_id: ChunkId) -> np.ndarray:
+    def _check_sector(self, disk_id: int, chunk_id: ChunkId) -> None:
         if (disk_id, chunk_id) in self._bad:
             raise LatentSectorError(
                 f"unreadable sector: chunk {chunk_id} on disk {disk_id}"
             )
+
+    def get(self, disk_id: int, chunk_id: ChunkId) -> np.ndarray:
+        self._check_sector(disk_id, chunk_id)
         return self.inner.get(disk_id, chunk_id)
 
     def delete(self, disk_id: int, chunk_id: ChunkId) -> None:
@@ -217,6 +237,15 @@ class FaultyChunkStore(ChunkStore):
 
     def contains(self, disk_id: int, chunk_id: ChunkId) -> bool:
         return self.inner.contains(disk_id, chunk_id)
+
+    def is_readable(self, disk_id: int, chunk_id: ChunkId) -> bool:
+        return (disk_id, chunk_id) not in self._bad and self.inner.is_readable(
+            disk_id, chunk_id
+        )
+
+    def verify_chunk(self, disk_id: int, chunk_id: ChunkId) -> bool:
+        self._check_sector(disk_id, chunk_id)
+        return self.inner.verify_chunk(disk_id, chunk_id)
 
     def chunks_on_disk(self, disk_id: int) -> List[ChunkId]:
         return self.inner.chunks_on_disk(disk_id)
@@ -408,9 +437,12 @@ class FileChunkStore(ChunkStore):
 
     def delete(self, disk_id: int, chunk_id: ChunkId) -> None:
         path = self._chunk_path(disk_id, chunk_id)
-        if not path.exists():
-            raise ChunkNotFoundError(f"chunk {chunk_id} not on disk {disk_id}")
-        path.unlink()
+        try:
+            path.unlink()
+        except FileNotFoundError:
+            raise ChunkNotFoundError(
+                f"chunk {chunk_id} not on disk {disk_id}"
+            ) from None
         self._sidecar_path(path).unlink(missing_ok=True)
 
     def contains(self, disk_id: int, chunk_id: ChunkId) -> bool:
@@ -513,13 +545,11 @@ class ShardedChunkStore(ChunkStore):
     def drop_disk(self, disk_id: int) -> int:
         return self.shard_for(disk_id).drop_disk(disk_id)
 
+    def is_readable(self, disk_id: int, chunk_id: ChunkId) -> bool:
+        return self.shard_for(disk_id).is_readable(disk_id, chunk_id)
+
     def verify_chunk(self, disk_id: int, chunk_id: ChunkId) -> bool:
-        """Delegate end-to-end verification to shards that support it."""
-        shard = self.shard_for(disk_id)
-        verify = getattr(shard, "verify_chunk", None)
-        if verify is None:
-            return shard.contains(disk_id, chunk_id)
-        return verify(disk_id, chunk_id)
+        return self.shard_for(disk_id).verify_chunk(disk_id, chunk_id)
 
     # --------------------------------------------------------------- batched
     def get_many(self, keys: Sequence[Key]) -> List[np.ndarray]:

@@ -112,6 +112,12 @@ class CountingStore(ChunkStore):
     def contains(self, disk_id: int, chunk_id: ChunkId) -> bool:
         return self.inner.contains(disk_id, chunk_id)
 
+    def is_readable(self, disk_id: int, chunk_id: ChunkId) -> bool:
+        return self.inner.is_readable(disk_id, chunk_id)
+
+    def verify_chunk(self, disk_id: int, chunk_id: ChunkId) -> bool:
+        return self.inner.verify_chunk(disk_id, chunk_id)
+
     def chunks_on_disk(self, disk_id: int) -> List[ChunkId]:
         return self.inner.chunks_on_disk(disk_id)
 
@@ -470,9 +476,7 @@ class ChaosScenario:
 
         bad_sidecars = []
         for (disk, cid), _count in sorted(shared.write_counts.items()):
-            backend = shared.inner.shard_for(disk)
-            verify = getattr(backend, "verify_chunk", None)
-            if verify is not None and not verify(disk, cid):
+            if not shared.verify_chunk(disk, cid):
                 bad_sidecars.append((disk, cid))
         report["verified_chunks"] = len(shared.write_counts) - len(bad_sidecars)
         if bad_sidecars:

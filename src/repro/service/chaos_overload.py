@@ -101,6 +101,12 @@ class SlowStore(ChunkStore):
     def contains(self, disk_id: int, chunk_id: ChunkId) -> bool:
         return self.inner.contains(disk_id, chunk_id)
 
+    def is_readable(self, disk_id: int, chunk_id: ChunkId) -> bool:
+        return self.inner.is_readable(disk_id, chunk_id)
+
+    # verify_chunk is the base default on purpose: a verify is a read
+    # through :meth:`get`, so it pays the service time like any other.
+
     def chunks_on_disk(self, disk_id: int) -> List[ChunkId]:
         return self.inner.chunks_on_disk(disk_id)
 

@@ -337,7 +337,7 @@ class Scrubber:
             corrupt = False
             async with service.gate.read(disk_id, foreground=False):
                 try:
-                    await asyncio.to_thread(self._verify, store, disk_id, cid)
+                    await asyncio.to_thread(store.verify_chunk, disk_id, cid)
                 except ChunkChecksumError:
                     corrupt = True
                 except ChunkNotFoundError:
@@ -347,14 +347,6 @@ class Scrubber:
             verified_counter.inc()
             if corrupt:
                 await self._handle_corrupt(disk_id, cid)
-
-    @staticmethod
-    def _verify(store, disk_id: int, cid) -> None:
-        verify = getattr(store, "verify_chunk", None)
-        if verify is not None:
-            verify(disk_id, cid)
-        else:
-            store.get(disk_id, cid)  # verifying backends raise on mismatch
 
     async def _handle_corrupt(self, disk_id: int, cid) -> None:
         service = self.service

@@ -36,13 +36,21 @@ import asyncio
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.core.base import RepairAlgorithm, RepairContext
-from repro.core.executor import ReadPolicy
 from repro.core.plans import RepairPlan, StripePlan
+from repro.core.stripe_repair import (
+    FORCE,
+    READ_RETRY,
+    READ_SLOW,
+    ReadPolicy,
+    ShardFault,
+    StripeRepair,
+    readable_shards,
+)
 from repro.ec.partial import PartialDecoder
 from repro.ec.stripe import ChunkId, Stripe
 from repro.errors import (
@@ -58,7 +66,7 @@ from repro.errors import (
     StorageError,
 )
 from repro.faults.injector import FaultInjector
-from repro.faults.report import LOST, RECOVERED, REPLANNED, DataLossReport
+from repro.faults.report import LOST, DataLossReport
 from repro.faults.spec import FaultSchedule
 from repro.hdss.prober import ActiveProber
 from repro.hdss.server import HighDensityStorageServer, ScrubReport
@@ -132,23 +140,6 @@ class ServiceConfig:
             raise ConfigurationError(
                 f"max_concurrent_stripes must be >= 1, got {self.max_concurrent_stripes}"
             )
-
-
-class _ShardDead(Exception):
-    """A survivor shard is permanently unreadable (service-internal)."""
-
-    def __init__(self, shard: int, cause: Exception) -> None:
-        super().__init__(str(cause))
-        self.shard = shard
-        self.cause = cause
-
-
-class _ShardSlow(Exception):
-    """A survivor read exhausted its retry budget (service-internal)."""
-
-    def __init__(self, shard: int) -> None:
-        super().__init__(f"retries exhausted on shard {shard}")
-        self.shard = shard
 
 
 @dataclass
@@ -443,48 +434,13 @@ class RepairService:
             raise ConfigurationError(f"stripe has no shard {shard_idx}")
         disk_id = stripe.disks[shard_idx]
         cid = ChunkId(stripe_index, shard_idx)
-        failed = server.failed_disks()
-        survivors = [
-            s
-            for s in stripe.surviving_shards(failed)
-            if s != shard_idx
-            and server.store.contains(stripe.disks[s], ChunkId(stripe_index, s))
-            and not self.is_quarantined(stripe.disks[s], ChunkId(stripe_index, s))
-        ][: stripe.k]
-        if len(survivors) < stripe.k:
-            raise InsufficientShardsError(
-                f"stripe {stripe_index}: {len(survivors)} clean survivors < k; "
-                f"cannot read-repair shard {shard_idx}"
-            )
-        decoder = PartialDecoder(
-            server.code, survivors, [shard_idx], chunk_size=server.config.chunk_size
+        data = await self._decode_chunk(
+            stripe_index, stripe, shard_idx,
+            foreground=False, deadline=None, source="repair", auto_repair=False,
         )
-
-        async def fetch(s: int) -> Tuple[int, np.ndarray]:
-            d = stripe.disks[s]
-            async with self.gate.read(d, foreground=False):
-                try:
-                    return s, await asyncio.to_thread(
-                        server.store.get, d, ChunkId(stripe_index, s)
-                    )
-                except ChunkChecksumError:
-                    self.quarantine_chunk(
-                        d, stripe_index, s, source="repair", auto_repair=False
-                    )
-                    raise ChunkQuarantinedError(
-                        f"survivor shard {s} of stripe {stripe_index} failed "
-                        "verification during read-repair",
-                        disk=d, stripe=stripe_index, shard=s,
-                    ) from None
-
-        reads = await asyncio.gather(*(fetch(s) for s in survivors))
-        await asyncio.to_thread(decoder.feed, dict(reads))
-        data = decoder.result(shard_idx)
         self._check_fence(disk_id)
         await asyncio.to_thread(server.store.put, disk_id, cid, data)
-        verify = getattr(server.store, "verify_chunk", None)
-        if verify is not None:
-            await asyncio.to_thread(verify, disk_id, cid)
+        await asyncio.to_thread(server.store.verify_chunk, disk_id, cid)
         self.quarantine.pop((disk_id, cid), None)
         self.corrupt_repaired += 1
         current_registry().counter(
@@ -495,6 +451,63 @@ class RepairService:
             disk=disk_id, stripe=stripe_index, shard=shard_idx,
         )
         return True
+
+    async def _decode_chunk(
+        self,
+        stripe_index: int,
+        stripe: Stripe,
+        shard_idx: int,
+        *,
+        foreground: bool,
+        deadline: Optional[Deadline],
+        source: str,
+        auto_repair: bool,
+    ) -> np.ndarray:
+        """Standalone k-survivor decode of one chunk (no repair to join).
+
+        Serves both a degraded front-door read (foreground slots, bounded
+        by ``deadline``) and a read-repair (background slots). A survivor
+        that fails its CRC32C verify mid-decode is quarantined (labelled
+        ``source``; ``auto_repair`` spawns its own read-repair) and
+        surfaced as a structured, retryable
+        :class:`~repro.errors.ChunkQuarantinedError` — never fed into the
+        decode (which would produce a silently wrong answer), and no ladder
+        here: the retry plans around the quarantined survivor.
+        """
+        server = self.server
+        survivors = readable_shards(
+            server, stripe_index, stripe,
+            exclude=(shard_idx,), skip=self.is_quarantined,
+        )[: stripe.k]
+        if len(survivors) < stripe.k:
+            raise InsufficientShardsError(
+                f"stripe {stripe_index}: {len(survivors)} clean survivors < k; "
+                f"cannot decode shard {shard_idx}"
+            )
+        decoder = PartialDecoder(
+            server.code, survivors, [shard_idx], chunk_size=server.config.chunk_size
+        )
+
+        async def fetch(s: int) -> Tuple[int, np.ndarray]:
+            d = stripe.disks[s]
+            async with self.gate.read(d, foreground=foreground, deadline=deadline):
+                try:
+                    return s, await asyncio.to_thread(
+                        server.store.get, d, ChunkId(stripe_index, s)
+                    )
+                except ChunkChecksumError:
+                    self.quarantine_chunk(
+                        d, stripe_index, s, source=source, auto_repair=auto_repair
+                    )
+                    raise ChunkQuarantinedError(
+                        f"survivor shard {s} of stripe {stripe_index} failed "
+                        f"verification during a {source} decode",
+                        disk=d, stripe=stripe_index, shard=s,
+                    ) from None
+
+        reads = await asyncio.gather(*(fetch(s) for s in survivors))
+        await asyncio.to_thread(decoder.feed, dict(reads))
+        return decoder.result(shard_idx)
 
     # ------------------------------------------------------------ fault glue
     def _ensure_injector(self, skip_crashes: int) -> Optional[FaultInjector]:
@@ -783,25 +796,19 @@ class RepairService:
             await self._replay_stripe(job, si, targets)
             return
 
-        outcome = RECOVERED
-        per_round = max(1, sp.peak_memory_chunks() - len(targets))
         if state is not None and si in state.inflight:
-            restored = dict(state.inflight[si])
-            outcome = str(restored.pop("outcome", RECOVERED))
-            decoder = PartialDecoder.from_state(server.code, restored)
+            repair = StripeRepair.restore(server.code, state.inflight[si], sp)
             job.resumed_stripes += 1
-            queue = self._rounds_of(decoder.pending, per_round)
         else:
-            decoder = PartialDecoder(
-                server.code, shards, targets, chunk_size=server.config.chunk_size
+            repair = StripeRepair.fresh(
+                server.code, shards, targets, sp, server.config.chunk_size
             )
-            queue = [[shards[col] for col in rnd] for rnd in sp.rounds]
 
         stripe_clock = self.modeled_now
-        while queue:
-            rnd = [s for s in queue.pop(0) if s in set(decoder.pending)]
-            if not rnd:
-                continue
+        while rnd := repair.next_round():
+            # The whole round is in flight at once; the first fault is the
+            # one handled (a second faulted shard is re-read, and re-faults,
+            # on the re-planned rounds).
             reads = await asyncio.gather(
                 *(
                     self._read_survivor(job, stripe, si, s, stripe_clock)
@@ -810,9 +817,9 @@ class RepairService:
                 return_exceptions=True,
             )
             fed: Dict[int, np.ndarray] = {}
-            fault: Optional[Exception] = None
+            fault: Optional[ShardFault] = None
             for shard_idx, res in zip(rnd, reads):
-                if isinstance(res, (_ShardDead, _ShardSlow)):
+                if isinstance(res, ShardFault):
                     fault = fault or res
                 elif isinstance(res, BaseException):
                     raise res
@@ -827,46 +834,38 @@ class RepairService:
                         "decode", f"stripe-{si}/feed", track="service",
                         stripe=si, chunks=len(fed),
                     ):
-                        await asyncio.to_thread(decoder.feed, fed)
+                        await asyncio.to_thread(repair.feed, fed)
                 else:
-                    await asyncio.to_thread(decoder.feed, fed)
+                    await asyncio.to_thread(repair.feed, fed)
                 if job.journal is not None:
                     self._check_fence(job.disk)
                     await asyncio.to_thread(
                         job.journal.round_commit,
-                        si, self.modeled_now, decoder.to_state(), outcome,
+                        si, self.modeled_now, repair.decoder.to_state(),
+                        repair.outcome,
                     )
-            if fault is None:
-                continue
 
-            if isinstance(fault, _ShardSlow):
-                new_rounds = self._replan(
-                    job, decoder, stripe, si, fault.shard, per_round,
-                    allow_restart=False,
+            while fault is not None:
+                shard = fault.shard
+                verdict = repair.on_fault(
+                    fault,
+                    readable_shards(server, si, stripe, skip=self.is_quarantined),
                 )
-                if new_rounds is not None:
-                    job.loss.hedged_reads += 1
-                    outcome = REPLANNED
-                    queue = new_rounds
-                    continue
-                # No alternative survivor: force the slow read through.
-                data, end = await self._read_survivor(
-                    job, stripe, si, fault.shard, stripe_clock, forced=True
-                )
-                stripe_clock = max(stripe_clock, end)
-                await asyncio.to_thread(decoder.feed, {fault.shard: data})
-                continue
+                fault = None
+                if verdict == FORCE:
+                    # No alternative survivor: force the slow read through.
+                    try:
+                        data, end = await self._read_survivor(
+                            job, stripe, si, shard, stripe_clock, forced=True
+                        )
+                    except ShardFault as exc:
+                        fault = exc  # died while waiting; handle as dead
+                    else:
+                        stripe_clock = max(stripe_clock, end)
+                        await asyncio.to_thread(repair.feed, {shard: data})
 
-            new_rounds = self._replan(
-                job, decoder, stripe, si, fault.shard, per_round,
-                allow_restart=True,
-            )
-            if new_rounds is None:
-                outcome = LOST
-                break
-            outcome = REPLANNED
-            queue = new_rounds
-
+        repair.fold_into(job.loss)
+        outcome = repair.outcome
         fut = self._repair_futures.get(si)
         if outcome == LOST:
             job.loss.record(si, LOST)
@@ -882,7 +881,7 @@ class RepairService:
             ).labels(outcome=LOST).inc()
             return
 
-        results = await asyncio.to_thread(decoder.results)
+        results = await asyncio.to_thread(repair.decoder.results)
         # Resolve the piggyback future *before* persisting: a degraded
         # read only needs the decoded bytes, not their new home.
         if fut is not None and not fut.done():
@@ -928,75 +927,6 @@ class RepairService:
         if fut is not None and not fut.done():
             fut.set_result(payloads if done.outcome != LOST else None)
 
-    # ---------------------------------------------------------------- replan
-    def _rounds_of(self, shard_ids: Sequence[int], per_round: int) -> List[List[int]]:
-        per_round = max(1, per_round)
-        return [
-            list(shard_ids[i : i + per_round])
-            for i in range(0, len(shard_ids), per_round)
-        ]
-
-    def _readable_shards(
-        self, stripe: Stripe, si: int, exclude: set
-    ) -> List[int]:
-        server = self.server
-        store = server.store
-        out: List[Tuple[bool, int]] = []
-        for sid, disk_id in enumerate(stripe.disks):
-            if sid in exclude:
-                continue
-            disk = server.disks[disk_id]
-            if disk.is_failed:
-                continue
-            cid = ChunkId(si, sid)
-            if not store.contains(disk_id, cid):
-                continue
-            bad = getattr(store, "_bad", None)
-            if bad is not None and (disk_id, cid) in bad:
-                continue
-            if self.is_quarantined(disk_id, cid):
-                continue
-            out.append((disk.is_slow, sid))
-        return [sid for _, sid in sorted(out)]
-
-    def _replan(
-        self,
-        job: _Job,
-        decoder: PartialDecoder,
-        stripe: Stripe,
-        si: int,
-        bad_shard: int,
-        per_round: int,
-        allow_restart: bool,
-    ) -> Optional[List[List[int]]]:
-        """Same salvage ladder as the sequential executor: replan, restart,
-        or declare the stripe lost (returns None)."""
-        k, t = decoder.code.k, len(decoder.targets)
-        exclude = set(decoder.targets) | {bad_shard}
-        candidates = self._readable_shards(stripe, si, exclude)
-        fed = set(decoder.fed)
-        pending_alive = [s for s in decoder.pending if s in set(candidates)]
-        fresh = [
-            s for s in candidates if s not in set(pending_alive) and s not in fed
-        ]
-        refed = [s for s in candidates if s in fed]
-        new_reads = (pending_alive + fresh + refed)[: k - t]
-        if len(new_reads) == k - t:
-            try:
-                decoder.replan(new_reads)
-                job.loss.replans += 1
-                job.loss.salvaged_chunks += len(decoder.fed)
-                return self._rounds_of(decoder.pending, per_round)
-            except CodingError:
-                pass
-        if not allow_restart:
-            return None
-        if len(candidates) >= k:
-            decoder.restart(candidates[:k])
-            job.loss.fresh_restarts += 1
-            return self._rounds_of(decoder.pending, per_round)
-        return None
-
     # ----------------------------------------------------------- repair reads
     async def _read_survivor(
         self,
@@ -1009,10 +939,10 @@ class RepairService:
     ) -> Tuple[np.ndarray, float]:
         """One gated repair read; returns (payload, modeled end time).
 
-        Raises :class:`_ShardDead` / :class:`_ShardSlow` exactly like the
-        sequential executor's hardened read, but prices the transfer on
-        the per-disk modeled channel so concurrent reads on *different*
-        disks overlap and reads on the *same* disk serialize.
+        Raises :class:`~repro.core.stripe_repair.ShardFault` (dead or slow)
+        exactly like the sequential executor's hardened read, but prices
+        the transfer on the per-disk modeled channel so concurrent reads on
+        *different* disks overlap and reads on the *same* disk serialize.
         """
         server = self.server
         disk_id = stripe.disks[shard_idx]
@@ -1040,7 +970,7 @@ class RepairService:
                         disk_id, si, shard_idx,
                         source="repair", auto_repair=True,
                     )
-                raise _ShardDead(shard_idx, exc) from None
+                raise ShardFault(shard_idx, exc) from None
             server.disk(disk_id).record_read(data.size)
             if tracer.enabled:
                 tracer.complete(
@@ -1068,28 +998,21 @@ class RepairService:
                 self._injector.advance(self.modeled_now)  # may raise SimulatedCrash
             disk = server.disk(disk_id)
             if disk.is_failed:
-                raise _ShardDead(
+                raise ShardFault(
                     shard_idx, DiskFailedError(f"disk {disk_id} failed")
                 )
             duration = disk.transfer_time(server.config.chunk_size, jittered=False)
             if policy is None or forced:
                 break
-            if (
-                policy.hedge
-                and policy.hedge_threshold_seconds is not None
-                and duration > policy.hedge_threshold_seconds
-            ):
-                raise _ShardSlow(shard_idx)
-            if policy.timeout_seconds is None or duration <= policy.timeout_seconds:
-                break
-            job.loss.timeouts += 1
-            penalty += policy.timeout_seconds
-            if attempt >= policy.max_retries:
-                if policy.hedge:
-                    raise _ShardSlow(shard_idx)
-                break  # force through at degraded speed
+            verdict, wasted = policy.decide(duration, attempt)
+            if wasted:
+                job.loss.timeouts += 1
+                penalty += wasted
+            if verdict == READ_SLOW:
+                raise ShardFault(shard_idx)
+            if verdict != READ_RETRY:
+                break  # on time, or forced through at degraded speed
             job.loss.retries += 1
-            penalty += policy.backoff(attempt)
             attempt += 1
             # let transient windows close before re-checking the disk
             self.modeled_now = max(self.modeled_now, not_before + penalty)
@@ -1173,18 +1096,18 @@ class RepairService:
                 self._observe_read(registry, "piggyback", started)
                 return results[shard_idx]
         degraded.labels(source="decode").inc()
+        decode = self._decode_chunk(
+            stripe_index, stripe, shard_idx,
+            foreground=True, deadline=deadline, source="degraded", auto_repair=True,
+        )
         if tracer.enabled:
             with tracer.span(
                 "decode", f"degraded:{stripe_index}/{shard_idx}",
                 track="service", stripe=stripe_index, shard=shard_idx,
             ):
-                data = await self._degraded_decode(
-                    stripe_index, stripe, shard_idx, deadline
-                )
+                data = await decode
         else:
-            data = await self._degraded_decode(
-                stripe_index, stripe, shard_idx, deadline
-            )
+            data = await decode
         self._observe_read(registry, "decode", started)
         return data
 
@@ -1211,60 +1134,6 @@ class RepairService:
             READ_LATENCY, "front-door read wall latency",
             quantiles=READ_LATENCY_QUANTILES,
         ).labels(path=path).observe(time.monotonic() - started)
-
-    async def _degraded_decode(
-        self,
-        stripe_index: int,
-        stripe: Stripe,
-        shard_idx: int,
-        deadline: Optional[Deadline] = None,
-    ) -> np.ndarray:
-        """Standalone k-survivor decode of one lost chunk (no repair to join).
-
-        A survivor that fails its CRC32C verify mid-decode is quarantined
-        and surfaced as a structured, retryable
-        :class:`~repro.errors.ChunkQuarantinedError` — never fed into the
-        decode (which would produce a silently wrong answer). The retry
-        plans around the quarantined survivor, whose read-repair is
-        already in flight.
-        """
-        server = self.server
-        failed = server.failed_disks()
-        survivors = [
-            s
-            for s in stripe.surviving_shards(failed)
-            if s != shard_idx
-            and server.store.contains(stripe.disks[s], ChunkId(stripe_index, s))
-            and not self.is_quarantined(stripe.disks[s], ChunkId(stripe_index, s))
-        ][: stripe.k]
-        if len(survivors) < stripe.k:
-            raise InsufficientShardsError(
-                f"stripe {stripe_index}: {len(survivors)} readable shards < k"
-            )
-        decoder = PartialDecoder(
-            server.code, survivors, [shard_idx], chunk_size=server.config.chunk_size
-        )
-
-        async def fetch(s: int) -> Tuple[int, np.ndarray]:
-            d = stripe.disks[s]
-            async with self.gate.read(d, foreground=True, deadline=deadline):
-                try:
-                    return s, await asyncio.to_thread(
-                        server.store.get, d, ChunkId(stripe_index, s)
-                    )
-                except ChunkChecksumError:
-                    self.quarantine_chunk(
-                        d, stripe_index, s, source="degraded", auto_repair=True
-                    )
-                    raise ChunkQuarantinedError(
-                        f"survivor shard {s} of stripe {stripe_index} failed "
-                        "verification during degraded decode",
-                        disk=d, stripe=stripe_index, shard=s,
-                    ) from None
-
-        reads = await asyncio.gather(*(fetch(s) for s in survivors))
-        await asyncio.to_thread(decoder.feed, dict(reads))
-        return decoder.result(shard_idx)
 
     async def read_object(
         self, stripe_index: int, deadline: Optional[Deadline] = None

@@ -133,6 +133,9 @@ class _VanishingPath(type(Path())):
         self.unlink()
         return super().read_bytes()
 
+    def exists(self):
+        return True  # the answer from just before the file went away
+
 
 class _RacingStore(FileChunkStore):
     def _chunk_path(self, disk_id, chunk_id):
@@ -147,6 +150,11 @@ class TestFileSpecific:
         FileChunkStore(tmp_path).put(0, ChunkId(0, 0), chunk())
         with pytest.raises(ChunkNotFoundError):
             _RacingStore(tmp_path).verify_chunk(0, ChunkId(0, 0))
+
+    def test_chunk_deleted_under_a_delete_is_not_found(self, tmp_path):
+        # drop_disk landed between any existence check and the unlink
+        with pytest.raises(ChunkNotFoundError):
+            _RacingStore(tmp_path).delete(0, ChunkId(0, 0))
 
     def test_layout_on_disk(self, tmp_path):
         store = FileChunkStore(tmp_path / "root")

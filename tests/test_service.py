@@ -21,7 +21,8 @@ from repro.errors import (
 from repro.faults.injector import SimulatedCrash
 from repro.faults.spec import FaultEvent, FaultSchedule
 from repro.hdss.server import HDSSConfig, HighDensityStorageServer
-from repro.hdss.store import ShardedChunkStore
+from repro.faults.report import EXIT_DATA_LOSS, LOST
+from repro.hdss.store import FaultyChunkStore, InMemoryChunkStore, ShardedChunkStore
 from repro.obs import MetricsRegistry, use_registry
 from repro.service import (
     AsyncShardWriter,
@@ -433,6 +434,43 @@ class TestServiceFaults:
         assert not result.loss.has_loss
         assert result.loss.timeouts >= 1
         assert result.loss.hedged_reads + result.loss.replans >= 1
+        assert_all_objects_intact(server, originals)
+
+    def test_shard_dying_in_a_forced_read_loses_one_stripe_not_the_job(self):
+        # A slow survivor whose hedge has no alternative is force-read; when
+        # that forced read then hits a latent sector error the shard is
+        # handled as dead (replan / restart / LOST) like any other — it used
+        # to escape the stripe task and kill the whole job.
+        store = FaultyChunkStore(InMemoryChunkStore())
+        server = make_server(store=store)
+        originals = originals_of(server)
+        server.fail_disk(0)
+        si = server.layout.stripe_set(0)[0]
+        stripe = server.layout[si]
+        planned = server.survivor_shards(stripe, [0])
+        (unplanned,) = set(stripe.surviving_shards([0])) - set(planned)
+        first = planned[0]
+        base = server.disk(stripe.disks[first]).transfer_time(
+            server.config.chunk_size, jittered=False
+        )
+        server.degrade_disk(stripe.disks[first], 100.0)
+        store.mark_bad(stripe.disks[first], ChunkId(si, first))
+        store.mark_bad(stripe.disks[unplanned], ChunkId(si, unplanned))
+
+        async def run():
+            service = make_service(server, policy=ReadPolicy(
+                hedge=True, timeout_seconds=2 * base, max_retries=0,
+            ))
+            result = await service.submit_repair(0).wait()
+            await service.close()
+            return result
+
+        result = asyncio.run(run())
+        assert result.loss.lost == [si]
+        assert result.loss.stripes[si] == LOST
+        assert result.exit_code == EXIT_DATA_LOSS
+        assert result.stripes_repaired == result.stripes - 1
+        del originals[si]
         assert_all_objects_intact(server, originals)
 
     def test_process_crash_escapes_ticket(self, tmp_path):

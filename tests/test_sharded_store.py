@@ -6,7 +6,6 @@ import pytest
 from repro.ec.stripe import ChunkId
 from repro.errors import ChunkNotFoundError, StorageError
 from repro.hdss.store import (
-    FileChunkStore,
     InMemoryChunkStore,
     ShardedChunkStore,
 )
@@ -84,13 +83,9 @@ class TestContract:
         cid = ChunkId(0, 0)
         sharded.put(7, cid, chunk())
         assert sharded.verify_chunk(7, cid)
-        # missing chunk: file shards raise (their documented contract),
-        # memory shards fall back to contains() -> False
-        if isinstance(sharded.shards[0], FileChunkStore):
-            with pytest.raises(ChunkNotFoundError):
-                sharded.verify_chunk(7, ChunkId(9, 9))
-        else:
-            assert not sharded.verify_chunk(7, ChunkId(9, 9))
+        # one contract on every backend: a missing chunk raises
+        with pytest.raises(ChunkNotFoundError):
+            sharded.verify_chunk(7, ChunkId(9, 9))
 
     def test_checksum_failures_sums_shards(self, tmp_path):
         store = ShardedChunkStore.from_root(tmp_path, num_shards=2, durable=False)
