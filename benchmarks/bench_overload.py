@@ -28,24 +28,20 @@ from __future__ import annotations
 
 import asyncio
 import time
-from typing import Dict, List
+from typing import Dict, Optional
 
-from repro.core import ALGORITHMS
-from repro.hdss.server import HDSSConfig, HighDensityStorageServer
 from repro.hdss.store import InMemoryChunkStore
-from repro.obs.quantiles import QuantileSketch
-from repro.service.chaos_overload import SlowStore
+from repro.service import chaos_rig as rig
+from repro.service.chaos_overload import GATE_WIDTH, OVERLOAD, SERVICE_TIME_S
+from repro.service.client import pace_open_loop, tally_open_loop
 from repro.service.netserver import ServiceDaemon
-from repro.service.overload import _STATE_LEVEL, OverloadConfig
+from repro.service.overload import _STATE_LEVEL
 from repro.service.protocol import ERR_DEADLINE, ERR_OVERLOAD
-from repro.service.service import RepairService, ServiceConfig
 from repro.utils.tables import AsciiTable
 from repro.workloads.arrivals import constant_arrivals
 
 from benchutil import emit
 
-SERVICE_TIME_S = 0.002
-GATE_WIDTH = 1
 CAPACITY = GATE_WIDTH / SERVICE_TIME_S  # 500 reads/s on the hot disk
 DEADLINE_MS = 100.0
 EPISODE_SECONDS = 1.2
@@ -61,62 +57,35 @@ def run_episode(offered_frac: float, control: bool) -> Dict[str, object]:
     rate = offered_frac * CAPACITY
 
     async def episode() -> Dict[str, object]:
-        store = SlowStore(InMemoryChunkStore(), SERVICE_TIME_S)
-        server = HighDensityStorageServer(
-            HDSSConfig(
-                num_disks=12, n=5, k=3, chunk_size=2048, memory_chunks=16,
-                spares=3, seed=SEED, placement="rotating",
-            ),
-            store=store,
+        server = rig.build_server(
+            rig.SlowStore(InMemoryChunkStore(), SERVICE_TIME_S),
+            stripes=4, seed=SEED,
         )
-        server.provision_stripes(4, with_data=True)
-        overload = None
-        if control:
-            overload = OverloadConfig(
-                target_ms=5.0, shed_target_ms=30.0, interval_ms=50.0,
-                recovery_intervals=2, repair_pace_ms=10.0,
-                queue_cap=48, idle_reset_s=1.0,
-            )
-        service = RepairService(
-            server, ALGORITHMS["hd-psr-ap"](),
-            ServiceConfig(
-                max_concurrent_stripes=2, per_disk_reads=GATE_WIDTH,
-                durable_journal=False, overload=overload,
-            ),
+        service = rig.build_service(
+            server, max_concurrent_stripes=2, per_disk_reads=GATE_WIDTH,
+            overload=OVERLOAD if control else None,
         )
-        daemon = ServiceDaemon(service)
+        call = rig.in_process(ServiceDaemon(service))
 
         schedule = constant_arrivals(rate, EPISODE_SECONDS, seed=SEED)
-        latencies = QuantileSketch((0.5, 0.9, 0.99))
-        errors: Dict[str, int] = {}
+        read = {"stripe": 0, "shard": 0}
+        if control:
+            read["deadline_ms"] = DEADLINE_MS
         max_level = 0
 
-        async def fire() -> None:
-            msg = {"op": "read", "stripe": 0, "shard": 0}
-            if control:
-                msg["deadline_ms"] = DEADLINE_MS
-            t0 = time.monotonic()
-            reply = await daemon.handle_request(msg)
-            if reply.get("ok"):
-                latencies.observe(time.monotonic() - t0)
-            else:
-                code = str(reply.get("code", "unknown"))
-                errors[code] = errors.get(code, 0) + 1
-
-        started = time.monotonic()
-        tasks: List[asyncio.Task] = []
-        for offset in schedule.times:
-            delay = started + float(offset) - time.monotonic()
-            if delay > 0:
-                await asyncio.sleep(delay)
-            tasks.append(asyncio.create_task(fire()))
-            if control and service.overload is not None:
+        async def send(_: int) -> Optional[str]:
+            nonlocal max_level
+            if service.overload is not None:
                 max_level = max(
                     max_level, _STATE_LEVEL[service.overload.state]
                 )
-        await asyncio.gather(*tasks)
+            return rig.error_code(await call("read", **read))
+
+        started = time.monotonic()
+        outcomes = await pace_open_loop(schedule.times, send)
         elapsed = time.monotonic() - started
         await service.close()
+        latencies, errors = tally_open_loop(outcomes)
 
         q = latencies.quantiles() if latencies.count else {}
         return {

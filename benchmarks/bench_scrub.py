@@ -29,17 +29,15 @@ import asyncio
 import time
 from typing import Dict, List
 
-from repro.core import ALGORITHMS
 from repro.ec.stripe import ChunkId
 from repro.faults import apply_corruption
 from repro.faults.spec import FaultEvent
-from repro.hdss.server import HDSSConfig, HighDensityStorageServer
 from repro.hdss.store import InMemoryChunkStore, ShardedChunkStore
-from repro.obs.quantiles import QuantileSketch
-from repro.service.chaos_overload import SlowStore
+from repro.service import chaos_rig as rig
+from repro.service.client import pace_open_loop, tally_open_loop
 from repro.service.netserver import ServiceDaemon
 from repro.service.scrub import ScrubConfig, Scrubber
-from repro.service.service import RepairService, ServiceConfig
+from repro.service.service import RepairService
 from repro.utils.tables import AsciiTable
 from repro.workloads.arrivals import diurnal_arrivals
 
@@ -64,20 +62,11 @@ def _make_service(root, store=None) -> RepairService:
         store = ShardedChunkStore.from_root(
             root / "store", num_shards=2, durable=False
         )
-    server = HighDensityStorageServer(
-        HDSSConfig(
-            num_disks=12, n=5, k=3, chunk_size=1024, memory_chunks=16,
-            spares=3, seed=SEED, placement="rotating",
-        ),
-        store=store,
+    server = rig.build_server(
+        store, stripes=STRIPES, seed=SEED, chunk_size=1024
     )
-    server.provision_stripes(STRIPES, with_data=True)
-    return RepairService(
-        server, ALGORITHMS["hd-psr-ap"](),
-        ServiceConfig(
-            max_concurrent_stripes=2, per_disk_reads=GATE_WIDTH,
-            durable_journal=False,
-        ),
+    return rig.build_service(
+        server, max_concurrent_stripes=2, per_disk_reads=GATE_WIDTH
     )
 
 
@@ -157,7 +146,7 @@ def run_foreground_episode(tmp_path, scrub_on: bool) -> Dict[str, object]:
 
     async def episode() -> Dict[str, object]:
         store = ShardedChunkStore(
-            [SlowStore(InMemoryChunkStore(), SERVICE_TIME_S) for _ in range(2)]
+            [rig.SlowStore(InMemoryChunkStore(), SERVICE_TIME_S) for _ in range(2)]
         )
         service = _make_service(tmp_path / f"fg-{scrub_on}", store=store)
         scrub = None
@@ -167,7 +156,7 @@ def run_foreground_episode(tmp_path, scrub_on: bool) -> Dict[str, object]:
                 ScrubConfig(interval_ms=0.0, cycle_pause_s=0.01,
                             park_poll_s=0.01),
             )
-        daemon = ServiceDaemon(service, scrubber=scrub)
+        call = rig.in_process(ServiceDaemon(service, scrubber=scrub))
         if scrub is not None:
             scrub.start()
 
@@ -175,29 +164,16 @@ def run_foreground_episode(tmp_path, scrub_on: bool) -> Dict[str, object]:
             READ_RATE, EPISODE_SECONDS, period=DIURNAL_PERIOD_S,
             amplitude=0.6, seed=SEED,
         )
-        latencies = QuantileSketch((0.5, 0.9, 0.99))
-        errors = 0
 
-        async def fire(ordinal: int) -> None:
-            nonlocal errors
-            stripe = ordinal % STRIPES
-            t0 = time.monotonic()
-            reply = await daemon.handle_request(
-                {"op": "read", "stripe": stripe, "shard": ordinal % 3}
-            )
-            if reply.get("ok"):
-                latencies.observe(time.monotonic() - t0)
-            else:
-                errors += 1
+        async def send(ordinal: int):
+            return rig.error_code(await call(
+                "read", stripe=ordinal % STRIPES, shard=ordinal % 3
+            ))
 
-        started = time.monotonic()
-        tasks: List[asyncio.Task] = []
-        for i, offset in enumerate(schedule.times):
-            delay = started + float(offset) - time.monotonic()
-            if delay > 0:
-                await asyncio.sleep(delay)
-            tasks.append(asyncio.create_task(fire(i)))
-        await asyncio.gather(*tasks)
+        latencies, by_code = tally_open_loop(
+            await pace_open_loop(schedule.times, send)
+        )
+        errors = sum(by_code.values())
         cycles = 0
         if scrub is not None:
             # politeness must coexist with progress, not replace it

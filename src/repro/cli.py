@@ -1273,65 +1273,76 @@ def _report_bitrot_chaos(report: dict) -> None:
           f"repair certified={ (report.get('repair') or {}).get('certified') }")
 
 
+def _report_failover_chaos(report: dict) -> None:
+    """Human rendering of one kill-the-owner episode report."""
+    latency = report.get("foreground_latency", {})
+    repair = report.get("repair_b", {})
+    print(f"daemon a killed mid-repair (exit {report.get('exit_code_a')}), "
+          f"takeover in {report.get('takeover_seconds', '?')}s")
+    print(f"handoff repaired disk(s) {report.get('handoffs')} on b: "
+          f"{repair.get('stripes_repaired', '?')} stripes "
+          f"({repair.get('resumed_stripes', '?')} resumed from journal), "
+          f"certified={repair.get('certified')}")
+    print(f"foreground: {latency.get('count', 0)} reads, "
+          f"p50 {latency.get('p50', 0) * 1e3:.2f} ms, "
+          f"p99 {latency.get('p99', 0) * 1e3:.2f} ms")
+    print(f"byte-identical={report.get('byte_identical')}  "
+          f"duplicate-writes={len(report.get('duplicate_writes', []))}  "
+          f"stale-owner-fenced={report.get('stale_owner_fenced')}")
+
+
+#: scenario -> (module under repro.service, config class, run function,
+#: summary renderer, config field -> its value from the parsed args, for
+#: the fields beyond the five every scenario takes). A ``None`` value
+#: leaves the config's own default in force (``--p99-budget``).
+_CHAOS_SCENARIOS = {
+    "failover": ("chaos", "ChaosConfig", "run_chaos", _report_failover_chaos, {
+        "crash_at": lambda a: a.crash_at,
+        "lease_ttl": lambda a: a.lease_ttl,
+        "heartbeat_interval": lambda a: a.heartbeat_interval,
+        "p99_budget": lambda a: a.p99_budget,
+    }),
+    "overload": (
+        "chaos_overload", "OverloadChaosConfig", "run_overload_chaos",
+        _report_overload_chaos, {
+            "control": lambda a: not a.no_control,
+            "p99_budget": lambda a: a.p99_budget,
+        },
+    ),
+    "bitrot": (
+        "chaos_bitrot", "BitrotChaosConfig", "run_bitrot_chaos",
+        _report_bitrot_chaos, {
+            "scrub": lambda a: not a.no_scrub,
+            "corruptions": lambda a: a.corruptions,
+        },
+    ),
+}
+
+
 def cmd_chaos(args: argparse.Namespace) -> int:
     """Run a chaos scenario: ``failover`` (kill the owner mid-repair),
     ``overload`` (flash crowd against a repairing daemon), or ``bitrot``
     (silent corruption against the scrub plane)."""
+    import importlib
     import json
     import tempfile
     from pathlib import Path
 
-    if args.scenario == "bitrot":
-        from repro.service.chaos_bitrot import (
-            BitrotChaosConfig,
-            run_bitrot_chaos,
+    module, config_cls, run_fn, render, extra = _CHAOS_SCENARIOS[args.scenario]
+    # Imported here, not at the top: the daemon and every other command
+    # run without the chaos harness loaded.
+    scenario = importlib.import_module(f"repro.service.{module}")
+
+    def execute(root: Path) -> dict:
+        fields = dict(
+            root=root, seed=args.seed, stripes=args.stripes,
+            failed_disk=args.disk, deadline=args.deadline,
         )
-
-        def execute(root: Path) -> dict:
-            return run_bitrot_chaos(BitrotChaosConfig(
-                root=root,
-                scrub=not args.no_scrub,
-                seed=args.seed,
-                stripes=args.stripes,
-                failed_disk=args.disk,
-                corruptions=args.corruptions,
-                deadline=args.deadline,
-            ))
-    elif args.scenario == "overload":
-        from repro.service.chaos_overload import (
-            OverloadChaosConfig,
-            run_overload_chaos,
+        fields.update((name, pick(args)) for name, pick in extra.items())
+        config = getattr(scenario, config_cls)(
+            **{k: v for k, v in fields.items() if v is not None}
         )
-
-        def execute(root: Path) -> dict:
-            return run_overload_chaos(OverloadChaosConfig(
-                control=not args.no_control,
-                root=root,
-                seed=args.seed,
-                stripes=args.stripes,
-                failed_disk=args.disk,
-                p99_budget=(
-                    args.p99_budget if args.p99_budget is not None else 0.3
-                ),
-                deadline=args.deadline,
-            ))
-    else:
-        from repro.service.chaos import ChaosConfig, run_chaos
-
-        def execute(root: Path) -> dict:
-            return run_chaos(ChaosConfig(
-                root=root,
-                seed=args.seed,
-                stripes=args.stripes,
-                failed_disk=args.disk,
-                crash_at=args.crash_at,
-                lease_ttl=args.lease_ttl,
-                heartbeat_interval=args.heartbeat_interval,
-                p99_budget=(
-                    args.p99_budget if args.p99_budget is not None else 2.0
-                ),
-                deadline=args.deadline,
-            ))
+        return getattr(scenario, run_fn)(config)
 
     if args.dir:
         report = execute(Path(args.dir))
@@ -1343,29 +1354,8 @@ def cmd_chaos(args: argparse.Namespace) -> int:
         Path(args.output).write_text(json.dumps(report, indent=2, sort_keys=True))
     if args.json:
         print(json.dumps(report, indent=2, sort_keys=True))
-    elif args.scenario in ("overload", "bitrot"):
-        if args.scenario == "overload":
-            _report_overload_chaos(report)
-        else:
-            _report_bitrot_chaos(report)
-        for failure in report.get("failures", []):
-            print(f"FAIL: {failure}", file=sys.stderr)
-        print("chaos: PASS" if report.get("passed") else "chaos: FAIL")
     else:
-        latency = report.get("foreground_latency", {})
-        repair = report.get("repair_b", {})
-        print(f"daemon a killed mid-repair (exit {report.get('exit_code_a')}), "
-              f"takeover in {report.get('takeover_seconds', '?')}s")
-        print(f"handoff repaired disk(s) {report.get('handoffs')} on b: "
-              f"{repair.get('stripes_repaired', '?')} stripes "
-              f"({repair.get('resumed_stripes', '?')} resumed from journal), "
-              f"certified={repair.get('certified')}")
-        print(f"foreground: {latency.get('count', 0)} reads, "
-              f"p50 {latency.get('p50', 0) * 1e3:.2f} ms, "
-              f"p99 {latency.get('p99', 0) * 1e3:.2f} ms")
-        print(f"byte-identical={report.get('byte_identical')}  "
-              f"duplicate-writes={len(report.get('duplicate_writes', []))}  "
-              f"stale-owner-fenced={report.get('stale_owner_fenced')}")
+        render(report)
         for failure in report.get("failures", []):
             print(f"FAIL: {failure}", file=sys.stderr)
         print("chaos: PASS" if report.get("passed") else "chaos: FAIL")

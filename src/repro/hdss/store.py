@@ -195,7 +195,59 @@ class InMemoryChunkStore(ChunkStore):
                 yield disk_id, chunk_id
 
 
-class FaultyChunkStore(ChunkStore):
+class ForwardingChunkStore(ChunkStore):
+    """Base of the store decorators: everything goes to ``inner``.
+
+    Forwards **every** :class:`ChunkStore` method — the four with base-class
+    defaults included, so a decorated store keeps its own batched and
+    verify paths — plus, through ``__getattr__``, the backend's extras
+    (``total_chunks``, ``checksum_failures``, ...). Subclasses override
+    only what they change; a new interface method is added here and
+    nowhere else. A subclass whose ``get``/``put`` *does* something (raises,
+    costs time) and wants batches and verifies to go through it re-points
+    them at the looping defaults: ``get_many = ChunkStore.get_many``.
+    """
+
+    def __init__(self, inner: ChunkStore) -> None:
+        self.inner = inner
+
+    def put(self, disk_id: int, chunk_id: ChunkId, data: np.ndarray) -> None:
+        self.inner.put(disk_id, chunk_id, data)
+
+    def get(self, disk_id: int, chunk_id: ChunkId) -> np.ndarray:
+        return self.inner.get(disk_id, chunk_id)
+
+    def delete(self, disk_id: int, chunk_id: ChunkId) -> None:
+        self.inner.delete(disk_id, chunk_id)
+
+    def contains(self, disk_id: int, chunk_id: ChunkId) -> bool:
+        return self.inner.contains(disk_id, chunk_id)
+
+    def chunks_on_disk(self, disk_id: int) -> List[ChunkId]:
+        return self.inner.chunks_on_disk(disk_id)
+
+    def drop_disk(self, disk_id: int) -> int:
+        return self.inner.drop_disk(disk_id)
+
+    def is_readable(self, disk_id: int, chunk_id: ChunkId) -> bool:
+        return self.inner.is_readable(disk_id, chunk_id)
+
+    def verify_chunk(self, disk_id: int, chunk_id: ChunkId) -> bool:
+        return self.inner.verify_chunk(disk_id, chunk_id)
+
+    def get_many(self, keys: Sequence[Key]) -> List[np.ndarray]:
+        return self.inner.get_many(keys)
+
+    def put_many(self, items: Sequence[Tuple[int, ChunkId, np.ndarray]]) -> None:
+        self.inner.put_many(items)
+
+    def __getattr__(self, name: str):
+        if name == "inner":  # not set yet (copy/unpickle): no recursion
+            raise AttributeError(name)
+        return getattr(self.inner, name)
+
+
+class FaultyChunkStore(ForwardingChunkStore):
     """Decorates any store with injectable latent sector errors (UREs).
 
     A chunk marked bad raises :class:`LatentSectorError` on ``get`` while
@@ -205,7 +257,7 @@ class FaultyChunkStore(ChunkStore):
     """
 
     def __init__(self, inner: ChunkStore) -> None:
-        self.inner = inner
+        super().__init__(inner)
         self._bad: set = set()
 
     # ------------------------------------------------------------- injection
@@ -216,16 +268,16 @@ class FaultyChunkStore(ChunkStore):
     def bad_chunks(self) -> List[Key]:
         return sorted(self._bad)
 
-    # ------------------------------------------------------------ delegation
-    def put(self, disk_id: int, chunk_id: ChunkId, data: np.ndarray) -> None:
-        self._bad.discard((disk_id, chunk_id))
-        self.inner.put(disk_id, chunk_id, data)
-
     def _check_sector(self, disk_id: int, chunk_id: ChunkId) -> None:
         if (disk_id, chunk_id) in self._bad:
             raise LatentSectorError(
                 f"unreadable sector: chunk {chunk_id} on disk {disk_id}"
             )
+
+    # -------------------------------------------------- what the marks change
+    def put(self, disk_id: int, chunk_id: ChunkId, data: np.ndarray) -> None:
+        self._bad.discard((disk_id, chunk_id))
+        self.inner.put(disk_id, chunk_id, data)
 
     def get(self, disk_id: int, chunk_id: ChunkId) -> np.ndarray:
         self._check_sector(disk_id, chunk_id)
@@ -234,9 +286,6 @@ class FaultyChunkStore(ChunkStore):
     def delete(self, disk_id: int, chunk_id: ChunkId) -> None:
         self._bad.discard((disk_id, chunk_id))
         self.inner.delete(disk_id, chunk_id)
-
-    def contains(self, disk_id: int, chunk_id: ChunkId) -> bool:
-        return self.inner.contains(disk_id, chunk_id)
 
     def is_readable(self, disk_id: int, chunk_id: ChunkId) -> bool:
         return (disk_id, chunk_id) not in self._bad and self.inner.is_readable(
@@ -247,16 +296,13 @@ class FaultyChunkStore(ChunkStore):
         self._check_sector(disk_id, chunk_id)
         return self.inner.verify_chunk(disk_id, chunk_id)
 
-    def chunks_on_disk(self, disk_id: int) -> List[ChunkId]:
-        return self.inner.chunks_on_disk(disk_id)
-
     def drop_disk(self, disk_id: int) -> int:
         self._bad = {(d, c) for (d, c) in self._bad if d != disk_id}
         return self.inner.drop_disk(disk_id)
 
-    def __getattr__(self, name: str):
-        # Backend-specific extras (total_chunks, iter_all, ...) pass through.
-        return getattr(self.inner, name)
+    # Batches loop this class's get/put, so the marks apply to them too.
+    get_many = ChunkStore.get_many
+    put_many = ChunkStore.put_many
 
 
 class FileChunkStore(ChunkStore):

@@ -26,32 +26,20 @@ client reads while disks rebuild:
 * :mod:`repro.service.cluster` — multi-daemon shard ownership: epoch-
   stamped file leases, heartbeat failure detection, journal handoff and
   epoch fencing (:class:`ClusterNode`);
-* :mod:`repro.service.chaos` — the deterministic two-daemon chaos
-  harness behind ``hdpsr chaos --scenario failover``;
-* :mod:`repro.service.chaos_overload` — the flash-crowd overload
-  scenario behind ``hdpsr chaos --scenario overload``;
 * :mod:`repro.service.scrub` — the online scrub plane: a crash-resumable
   background :class:`Scrubber` that verifies every chunk against its
   CRC32C sidecar, quarantines silent corruption, and read-repairs it
   through the partial-stripe decode path;
-* :mod:`repro.service.chaos_bitrot` — the silent-corruption scenario
-  behind ``hdpsr chaos --scenario bitrot``;
 * :mod:`repro.service.telemetry` — the live scrape surface: the ``stats``
   snapshot builder and the HTTP ``/metrics`` + ``/healthz`` listener.
+
+The proofs behind ``hdpsr chaos`` — :mod:`repro.service.chaos` (failover),
+:mod:`repro.service.chaos_overload`, :mod:`repro.service.chaos_bitrot`,
+over the shared :mod:`repro.service.chaos_rig` — are a harness, not part
+of the daemon: nothing here imports them, ``hdpsr chaos`` does.
 """
 
 from repro.service.admission import DiskGate
-from repro.service.chaos import ChaosConfig, ChaosScenario, run_chaos
-from repro.service.chaos_bitrot import (
-    BitrotChaosConfig,
-    BitrotChaosScenario,
-    run_bitrot_chaos,
-)
-from repro.service.chaos_overload import (
-    OverloadChaosConfig,
-    OverloadChaosScenario,
-    run_overload_chaos,
-)
 from repro.service.client import (
     BackoffPolicy,
     CircuitBreaker,
@@ -89,10 +77,6 @@ from repro.service.telemetry import TelemetryServer, stats_snapshot
 __all__ = [
     "AsyncShardWriter",
     "BackoffPolicy",
-    "BitrotChaosConfig",
-    "BitrotChaosScenario",
-    "ChaosConfig",
-    "ChaosScenario",
     "CircuitBreaker",
     "ClusterClient",
     "ClusterClock",
@@ -103,8 +87,6 @@ __all__ = [
     "HashRing",
     "LeaseRecord",
     "LeaseStore",
-    "OverloadChaosConfig",
-    "OverloadChaosScenario",
     "OverloadConfig",
     "OverloadController",
     "RepairService",
@@ -119,10 +101,7 @@ __all__ = [
     "ServiceError",
     "ServiceRepairResult",
     "TelemetryServer",
-    "run_bitrot_chaos",
-    "run_chaos",
     "run_open_loop",
-    "run_overload_chaos",
     "run_workload",
     "stats_snapshot",
 ]

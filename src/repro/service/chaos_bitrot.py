@@ -40,22 +40,46 @@ import asyncio
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
-from repro.core import ALGORITHMS
 from repro.ec.stripe import ChunkId
-from repro.errors import ChunkChecksumError, ConfigurationError
+from repro.errors import ConfigurationError
 from repro.faults.service import ServiceFaultInjector
 from repro.faults.spec import CORRUPTION_FAULT_KINDS, FaultEvent, FaultSchedule
-from repro.hdss.server import HDSSConfig, HighDensityStorageServer
+from repro.hdss.server import HighDensityStorageServer
 from repro.hdss.store import ShardedChunkStore
-from repro.obs.context import current_registry
+from repro.service import chaos_rig as rig
 from repro.service.netserver import ServiceDaemon
 from repro.service.overload import STATE_HEALTHY, STATE_SHEDDING, OverloadConfig
+from repro.service.protocol import unpack_bytes
 from repro.service.scrub import ScrubConfig, Scrubber
-from repro.service.service import RepairService, ServiceConfig
+from repro.service.service import RepairService
 
 __all__ = ["BitrotChaosConfig", "BitrotChaosScenario", "run_bitrot_chaos"]
+
+Victim = Tuple[int, int, int]  # (disk, stripe, shard)
+
+CHUNK_SIZE = 1024
+NUM_SHARDS = 4
+GATE_WIDTH = 2
+#: Inter-verify pause of the scrubber under test.
+SCRUB_INTERVAL_MS = 1.0
+#: Full scrub cycles allowed between seeding and every victim being
+#: detected + repaired (1 = "within one cycle"; the budget waits for that
+#: many *complete* cycles that started after seeding).
+DETECTION_CYCLES = 1
+#: A twitchy controller (20 ms windows, one clean window to recover, idle
+#: reset in 0.4 s) so the synthetic brownout of step 5 enters and leaves
+#: shedding in well under a second.
+OVERLOAD = OverloadConfig(
+    target_ms=5.0, shed_target_ms=30.0, interval_ms=20.0,
+    recovery_intervals=1, idle_reset_s=0.4,
+    scrub_brownout_factor=4.0,
+)
+
+
+def _kind(i: int) -> str:
+    return CORRUPTION_FAULT_KINDS[i % len(CORRUPTION_FAULT_KINDS)]
 
 
 @dataclass(frozen=True)
@@ -69,30 +93,15 @@ class BitrotChaosConfig:
             for corruption to have bytes to rot.
         corruptions: victim count; kinds cycle through
             :data:`~repro.faults.spec.CORRUPTION_FAULT_KINDS`.
-        scrub_interval_ms: inter-verify pause of the scrubber under test.
-        detection_cycles: full scrub cycles allowed between seeding and
-            every victim being detected + repaired (1 = "within one
-            cycle"; the budget waits for that many *complete* cycles
-            that started after seeding).
+        deadline: wall seconds the whole episode may take.
     """
 
     root: "str | Path" = ""
     scrub: bool = True
-    num_disks: int = 12
-    n: int = 5
-    k: int = 3
-    chunk_size: int = 1024
-    memory_chunks: int = 16
-    spares: int = 3
     seed: int = 23
     stripes: int = 10
     failed_disk: int = 3
-    algorithm: str = "hd-psr-ap"
-    num_shards: int = 4
-    gate_width: int = 2
     corruptions: int = 3
-    scrub_interval_ms: float = 1.0
-    detection_cycles: int = 1
     deadline: float = 60.0
 
     def __post_init__(self) -> None:
@@ -104,142 +113,90 @@ class BitrotChaosConfig:
             raise ConfigurationError(
                 f"corruptions must be >= 1, got {self.corruptions}"
             )
-        if self.detection_cycles < 1:
-            raise ConfigurationError(
-                f"detection_cycles must be >= 1, got {self.detection_cycles}"
-            )
 
 
-class BitrotChaosScenario:
+class BitrotChaosScenario(rig.Episode):
     """One seeded silent-corruption episode; :meth:`run` returns the report."""
 
-    def __init__(self, config: BitrotChaosConfig) -> None:
-        self.config = config
-        self.failures: List[str] = []
+    def _pick_victims(self, server: HighDensityStorageServer) -> List[Victim]:
+        """``(disk, stripe, shard)`` triples the disk repair never reads:
+        data shards of stripes that do not touch the failed disk, one per
+        stripe on distinct disks first (so the corruption lands "across
+        shards" rather than clustering), then — if the layout is too small
+        for that spread — whatever other such shards are left."""
+        c = self.config
+        spread: List[Victim] = []
+        rest: List[Victim] = []
+        used_disks: set = set()
+        for si in range(len(server.layout)):
+            stripe = server.layout[si]
+            if c.failed_disk in stripe.disks:
+                continue
+            fresh = next(
+                (s for s in range(stripe.k) if stripe.disks[s] not in used_disks),
+                None,
+            )
+            for s in range(stripe.k):
+                (spread if s == fresh else rest).append((stripe.disks[s], si, s))
+            if fresh is not None:
+                used_disks.add(stripe.disks[fresh])
+        victims = (spread + rest)[:c.corruptions]
+        if len(victims) < c.corruptions:
+            raise ConfigurationError(
+                "not enough repair-untouched stripes to seed "
+                f"{c.corruptions} corruptions"
+            )
+        return victims
 
-    def _fail(self, message: str) -> None:
-        self.failures.append(message)
-
-    # ------------------------------------------------------------- assembly
-    def _build(self):
+    # ------------------------------------------------------------------ run
+    async def run(self) -> dict:
         c = self.config
         root = Path(c.root)
         store = ShardedChunkStore.from_root(
-            root / "store", num_shards=c.num_shards, durable=False
+            root / "store", num_shards=NUM_SHARDS, durable=False
         )
-        server = HighDensityStorageServer(
-            HDSSConfig(
-                num_disks=c.num_disks, n=c.n, k=c.k, chunk_size=c.chunk_size,
-                memory_chunks=c.memory_chunks, spares=c.spares, seed=c.seed,
-                placement="rotating",
-            ),
-            store=store,
+        server = rig.build_server(
+            store, stripes=c.stripes, seed=c.seed, chunk_size=CHUNK_SIZE
         )
-        server.provision_stripes(c.stripes, with_data=True)
-        service = RepairService(
+        service = rig.build_service(
             server,
-            ALGORITHMS[c.algorithm](),
-            ServiceConfig(
-                max_concurrent_stripes=2,
-                per_disk_reads=c.gate_width,
-                journal_root=root / "journal",
-                durable_journal=False,
-                overload=OverloadConfig(
-                    target_ms=5.0, shed_target_ms=30.0, interval_ms=20.0,
-                    recovery_intervals=1, idle_reset_s=0.4,
-                    scrub_brownout_factor=4.0,
-                ),
-            ),
+            max_concurrent_stripes=2,
+            per_disk_reads=GATE_WIDTH,
+            journal_root=root / "journal",
+            overload=OVERLOAD,
         )
         victims = self._pick_victims(server)
-        schedule = FaultSchedule([
-            FaultEvent(
-                # Ordinals 0 and 1 are fail_disk + repair: the events land
-                # on the seeding pings fired right after, i.e. mid-repair.
-                at=float(2 + i),
-                kind=CORRUPTION_FAULT_KINDS[i % len(CORRUPTION_FAULT_KINDS)],
-                disk=disk, stripe=si, shard=s,
-            )
+        injector = ServiceFaultInjector(FaultSchedule([
+            # Ordinals 0 and 1 are fail_disk + repair: the events land
+            # on the seeding pings fired right after, i.e. mid-repair.
+            FaultEvent(at=float(2 + i), kind=_kind(i), disk=disk, stripe=si, shard=s)
             for i, (disk, si, s) in enumerate(victims)
-        ])
-        injector = ServiceFaultInjector(schedule)
+        ]))
         scrubber = None
         if c.scrub:
             scrubber = Scrubber(service, ScrubConfig(
-                interval_ms=c.scrub_interval_ms,
+                interval_ms=SCRUB_INTERVAL_MS,
                 cycle_pause_s=0.05,
                 park_poll_s=0.02,
                 journal_root=root / "scrub-cursor",
                 durable_journal=False,
                 auto_repair=True,
             ))
-        daemon = ServiceDaemon(service, chaos=injector, scrubber=scrubber)
-        return store, server, service, daemon, scrubber, injector, victims
-
-    def _pick_victims(
-        self, server: HighDensityStorageServer
-    ) -> List[Tuple[int, int, int]]:
-        """``(disk, stripe, shard)`` triples the disk repair never reads:
-        data shards of stripes that do not touch the failed disk, spread
-        across distinct disks (and store shards where possible) so the
-        corruption lands "across shards" rather than clustering."""
-        c = self.config
-        victims: List[Tuple[int, int, int]] = []
-        used_disks: set = set()
-        for si in range(len(server.layout)):
-            stripe = server.layout[si]
-            if c.failed_disk in stripe.disks:
-                continue
-            for s in range(stripe.k):
-                disk = stripe.disks[s]
-                if disk in used_disks:
-                    continue
-                victims.append((disk, si, s))
-                used_disks.add(disk)
-                break
-            if len(victims) >= c.corruptions:
-                return victims
-        # Relax the distinct-disk spread if the layout is too small for it.
-        for si in range(len(server.layout)):
-            stripe = server.layout[si]
-            if c.failed_disk in stripe.disks:
-                continue
-            for s in range(stripe.k):
-                key = (stripe.disks[s], si, s)
-                if key not in victims:
-                    victims.append(key)
-                if len(victims) >= c.corruptions:
-                    return victims
-        raise ConfigurationError(
-            "not enough repair-untouched stripes to seed "
-            f"{c.corruptions} corruptions"
+        call = rig.in_process(
+            ServiceDaemon(service, chaos=injector, scrubber=scrubber)
         )
-
-    # ------------------------------------------------------------------ run
-    async def run(self) -> dict:
-        c = self.config
-        hard_deadline = time.monotonic() + c.deadline
-        store, server, service, daemon, scrubber, injector, victims = (
-            self._build()
-        )
-        originals = {
-            si: server.read_object(si) for si in range(len(server.layout))
-        }
+        originals = rig.originals_of(server)
         pristine = {
             (disk, si, s): store.get(disk, ChunkId(si, s)).tobytes()
             for disk, si, s in victims
         }
-        victim_stripes = {si for _, si, _ in victims}
 
         report: dict = {
             "scenario": "bitrot",
             "scrub": c.scrub,
             "seed": c.seed,
             "victims": [
-                {
-                    "disk": d, "stripe": si, "shard": s,
-                    "kind": CORRUPTION_FAULT_KINDS[i % len(CORRUPTION_FAULT_KINDS)],
-                }
+                {"disk": d, "stripe": si, "shard": s, "kind": _kind(i)}
                 for i, (d, si, s) in enumerate(victims)
             ],
         }
@@ -248,27 +205,19 @@ class BitrotChaosScenario:
             scrubber.start()
 
         # 1. Fail the disk and start its repair (ordinals 0 and 1).
-        reply = await daemon.handle_request(
-            {"op": "fail_disk", "disk": c.failed_disk}
-        )
-        if not reply.get("ok"):
-            self._fail(f"fail_disk refused: {reply}")
-        reply = await daemon.handle_request({"op": "repair", "disk": c.failed_disk})
-        job_id = reply.get("job_id")
-        if not reply.get("ok"):
-            self._fail(f"repair refused: {reply}")
+        job_id = await self.start_repair(call, c.failed_disk)
 
         # 2. Seed the corruption mid-repair: each ping advances the request
         # ordinal past one scheduled corruption event.
         cycles_at_seed = scrubber.cycles_completed if scrubber else 0
         for _ in range(c.corruptions):
-            await daemon.handle_request({"op": "ping"})
+            await call("ping")
         seeded_at = time.monotonic()
         report["injected"] = dict(injector.applied)
         if sum(injector.applied.get(k, 0) for k in CORRUPTION_FAULT_KINDS) != len(
             victims
         ):
-            self._fail(
+            self.fail(
                 f"expected {len(victims)} corruption events to fire, "
                 f"applied: {injector.applied}"
             )
@@ -276,67 +225,46 @@ class BitrotChaosScenario:
         # 3. The front door must never leak rotted bytes: read the first
         # victim right now, while its corruption is fresh. The daemon
         # quarantines it on the checksum mismatch and serves the decode.
-        first_disk, first_si, first_s = victims[0]
-        reply = await daemon.handle_request(
-            {"op": "read", "stripe": first_si, "shard": first_s}
+        _, first_si, first_s = victims[0]
+        reply = await call("read", stripe=first_si, shard=first_s)
+        clean = bool(reply.get("ok")) and (
+            unpack_bytes(reply["data_b64"]) == pristine[victims[0]]
         )
         if not reply.get("ok"):
-            self._fail(f"foreground read of corrupt chunk failed: {reply}")
-        else:
-            from repro.service.protocol import unpack_bytes
-
-            got = unpack_bytes(reply["data_b64"])
-            if got != pristine[(first_disk, first_si, first_s)]:
-                self._fail(
-                    "foreground read of corrupt chunk returned wrong bytes "
-                    f"(s{first_si}/{first_s})"
-                )
-        report["foreground_read_clean"] = not any(
-            "foreground read" in f for f in self.failures
-        )
+            self.fail(f"foreground read of corrupt chunk failed: {reply}")
+        elif not clean:
+            self.fail(
+                "foreground read of corrupt chunk returned wrong bytes "
+                f"(s{first_si}/{first_s})"
+            )
+        report["foreground_read_clean"] = clean
 
         # 4. The disk repair must finish clean despite the corruption.
-        if job_id is not None:
-            budget = max(1.0, hard_deadline - time.monotonic())
-            try:
-                reply = await asyncio.wait_for(
-                    daemon.handle_request({"op": "wait", "job_id": job_id}),
-                    timeout=budget,
-                )
-            except asyncio.TimeoutError:
-                self._fail(f"disk repair did not finish within {budget:.0f}s")
-            else:
-                if not reply.get("certified", False):
-                    self._fail("disk repair did not certify clean")
-                report["repair"] = {
-                    k: v for k, v in reply.items() if k not in ("ok", "trace_id")
-                }
+        summary = await self.wait_certified(call, job_id, "disk repair")
+        if summary:
+            report["repair"] = summary
 
         if scrubber is not None:
             await self._assert_treatment(
                 report, service, scrubber, victims, pristine,
-                cycles_at_seed, seeded_at, hard_deadline,
+                cycles_at_seed, seeded_at,
             )
         else:
-            self._assert_control(report, store, victims)
+            # Without the scrub plane nothing verifies the victims: the
+            # corruption must still be latent on disk at episode end. The
+            # control's own pass/fail stays about integrity; the caller
+            # asserts latent_corruptions >= 1, mirroring the overload control.
+            report["latent_corruptions"] = len(rig.bad_sidecars(
+                store, [(disk, ChunkId(si, s)) for disk, si, s in victims]
+            ))
 
         # Final byte-identity sweep. The negative control skips stripes
         # holding latent corruption on purpose: reading them would detect
         # (and quarantine) the very rot whose latency it exists to prove.
-        mismatched = []
-        for si, want in originals.items():
-            if scrubber is None and si in victim_stripes:
-                continue
-            try:
-                got = await service.read_object(si)
-            except Exception as exc:  # noqa: BLE001 - recorded as mismatch
-                mismatched.append((si, repr(exc)))
-                continue
-            if got != want:
-                mismatched.append((si, "bytes differ"))
-        report["byte_identical"] = not mismatched
-        if mismatched:
-            self._fail(f"objects not byte-identical: {mismatched}")
+        report["byte_identical"] = self.check(await rig.check_byte_identical(
+            service.read_object, originals,
+            skip=() if scrubber is not None else {si for _, si, _ in victims},
+        ))
 
         if scrubber is not None:
             await scrubber.stop()
@@ -347,12 +275,7 @@ class BitrotChaosScenario:
             "repaired": service.corrupt_repaired,
             "quarantined": len(service.quarantine),
         }
-        report["failures"] = list(self.failures)
-        report["passed"] = not self.failures
-        current_registry().counter(
-            "hdpsr_chaos_runs_total", "Chaos scenarios executed.",
-        ).labels(outcome="pass" if report["passed"] else "fail").inc()
-        return report
+        return self.finish(report)
 
     # ------------------------------------------------------------ assertions
     async def _assert_treatment(
@@ -360,22 +283,20 @@ class BitrotChaosScenario:
         report: dict,
         service: RepairService,
         scrubber: Scrubber,
-        victims: List[Tuple[int, int, int]],
-        pristine: Dict[Tuple[int, int, int], bytes],
+        victims: List[Victim],
+        pristine: Dict[Victim, bytes],
         cycles_at_seed: int,
         seeded_at: float,
-        hard_deadline: float,
     ) -> None:
-        c = self.config
         store = service.server.store
 
-        # Detection budget: wait for `detection_cycles` cycles guaranteed
+        # Detection budget: wait for DETECTION_CYCLES cycles guaranteed
         # to have *started* after seeding (+1 covers the cycle that was
         # already in flight when the corruption landed).
-        target = cycles_at_seed + c.detection_cycles + 1
-        budget = max(1.0, hard_deadline - time.monotonic())
+        target = cycles_at_seed + DETECTION_CYCLES + 1
+        budget = self.remaining()
         if not await scrubber.wait_cycles(target, timeout=budget):
-            self._fail(
+            self.fail(
                 f"scrubber completed {scrubber.cycles_completed} cycles "
                 f"(wanted {target}) within {budget:.0f}s"
             )
@@ -384,31 +305,30 @@ class BitrotChaosScenario:
         )
 
         # Every victim: detected, repaired byte-identically, sidecar fresh.
+        rotten = set(rig.bad_sidecars(
+            store, [(disk, ChunkId(si, s)) for disk, si, s in victims]
+        ))
         still_bad = []
         for disk, si, s in victims:
             cid = ChunkId(si, s)
             if service.is_quarantined(disk, cid):
                 still_bad.append((disk, si, s, "still quarantined"))
-                continue
-            try:
-                store.verify_chunk(disk, cid)
-            except ChunkChecksumError:
+            elif (disk, cid) in rotten:
                 still_bad.append((disk, si, s, "sidecar mismatch"))
-                continue
-            if store.get(disk, cid).tobytes() != pristine[(disk, si, s)]:
+            elif store.get(disk, cid).tobytes() != pristine[(disk, si, s)]:
                 still_bad.append((disk, si, s, "bytes differ"))
         if still_bad:
-            self._fail(
-                f"corrupt chunks not repaired within {c.detection_cycles} "
+            self.fail(
+                f"corrupt chunks not repaired within {DETECTION_CYCLES} "
                 f"scrub cycle(s): {still_bad}"
             )
         if service.corrupt_found < len(victims):
-            self._fail(
+            self.fail(
                 f"only {service.corrupt_found} corruptions detected of "
                 f"{len(victims)} seeded"
             )
         if service.corrupt_repaired < len(victims):
-            self._fail(
+            self.fail(
                 f"only {service.corrupt_repaired} read-repairs completed of "
                 f"{len(victims)} seeded"
             )
@@ -426,24 +346,22 @@ class BitrotChaosScenario:
         healthy_rate = (scrubber.chunks_verified - healthy_start) / 0.3
         report["scrub_rate_healthy_per_s"] = round(healthy_rate, 1)
 
-        async def shed_pulse() -> None:
+        async def parked_after_pulse() -> bool:
+            # Keep the window hot until the park lands.
             controller.observe_wait(0, 0.2)
             await asyncio.sleep(interval * 1.5)
             controller.observe_wait(0, 0.2)
+            return scrubber.parked
 
-        await shed_pulse()
-        parked_deadline = time.monotonic() + 2.0
-        while not scrubber.parked and time.monotonic() < parked_deadline:
-            await shed_pulse()  # keep the window hot until the park lands
-        report["scrub_parked_while_shedding"] = scrubber.parked
+        report["scrub_parked_while_shedding"] = await self.await_until(
+            parked_after_pulse, "the scrubber to park while shedding", 2.0
+        )
         report["state_during_pulse"] = controller.state
         if controller.state != STATE_SHEDDING:
-            self._fail(
+            self.fail(
                 f"synthetic gate waits left controller {controller.state}, "
                 "expected shedding"
             )
-        if not scrubber.parked:
-            self._fail("scrubber did not park while the daemon was shedding")
         parked_start = scrubber.chunks_verified
         hold = time.monotonic() + 0.3
         while time.monotonic() < hold:
@@ -452,44 +370,21 @@ class BitrotChaosScenario:
         parked_verifies = scrubber.chunks_verified - parked_start
         report["verifies_while_parked"] = parked_verifies
         if parked_verifies:
-            self._fail(
+            self.fail(
                 f"scrubber verified {parked_verifies} chunks while parked"
             )
 
         # Recovery: the idle window expires, the controller walks back to
         # healthy, and the scrubber resumes verifying.
-        budget = max(1.0, hard_deadline - time.monotonic())
-        recover_deadline = time.monotonic() + budget
-        while (
-            controller.state != STATE_HEALTHY
-            and time.monotonic() < recover_deadline
-        ):
-            await asyncio.sleep(0.05)
-        report["recovered_healthy"] = controller.state == STATE_HEALTHY
-        if controller.state != STATE_HEALTHY:
-            self._fail(f"controller stuck in {controller.state} after the pulse")
+        report["recovered_healthy"] = await self.await_until(
+            lambda: controller.state == STATE_HEALTHY,
+            "the controller to walk back to healthy after the pulse",
+        )
         resume_start = scrubber.chunks_verified
-        while (
-            scrubber.chunks_verified == resume_start
-            and time.monotonic() < recover_deadline
-        ):
-            await asyncio.sleep(0.02)
-        report["scrub_resumed"] = scrubber.chunks_verified > resume_start
-        if not report["scrub_resumed"]:
-            self._fail("scrubber made no progress after the daemon recovered")
-
-    def _assert_control(self, report: dict, store, victims) -> None:
-        """Without the scrub plane, nothing verifies the victims: the
-        corruption must still be latent on disk at episode end."""
-        latent = 0
-        for disk, si, s in victims:
-            try:
-                store.verify_chunk(disk, ChunkId(si, s))
-            except ChunkChecksumError:
-                latent += 1
-        report["latent_corruptions"] = latent
-        # The control's own pass/fail stays about integrity; the caller
-        # asserts latent_corruptions >= 1, mirroring the overload control.
+        report["scrub_resumed"] = await self.await_until(
+            lambda: scrubber.chunks_verified > resume_start,
+            "the scrubber to make progress after the daemon recovered",
+        )
 
 
 def run_bitrot_chaos(config: BitrotChaosConfig) -> dict:

@@ -12,15 +12,16 @@ fixed service time. The episode:
    front door on every surviving spindle.
 2. Replay a :func:`~repro.workloads.arrivals.flash_crowd_arrivals`
    schedule against a single hot chunk: a steady base rate, then a
-   ``spike_factor`` step that pushes offered load well past the hot
-   disk's service capacity, then quiet. Open loop — arrivals fire at
-   their scheduled instants regardless of completions, and latency is
-   measured from the *scheduled* arrival (no coordinated omission).
+   :data:`SPIKE_FACTOR` step that pushes offered load well past the hot
+   disk's service capacity, then quiet. Open loop — the shared pacer
+   (:func:`~repro.service.client.pace_open_loop`) fires arrivals at
+   their scheduled instants regardless of completions, and times each
+   read from its *scheduled* arrival (no coordinated omission).
 3. With the controller enabled (``control=True``), assert the contract:
    the daemon enters brownout/shedding during the spike, sheds at least
    one request with a ``retry_after_ms`` hint on the wire, keeps
    successful-read p99 under ``p99_budget``, keeps spike goodput at
-   ``goodput_floor`` of the pre-spike level, finishes the repair with
+   :data:`GOODPUT_FLOOR` of the pre-spike level, finishes the repair with
    every object byte-identical, and returns to ``healthy``.
 4. With the controller disabled (``control=False``, the negative
    control), the same schedule must *violate* the p99 budget — the
@@ -40,17 +41,13 @@ import asyncio
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Optional
 
-import numpy as np
-
-from repro.core import ALGORITHMS
-from repro.ec.stripe import ChunkId
 from repro.errors import ConfigurationError
-from repro.hdss.server import HDSSConfig, HighDensityStorageServer
-from repro.hdss.store import ChunkStore, InMemoryChunkStore
-from repro.obs.context import current_registry
-from repro.obs.quantiles import QuantileSketch
+from repro.hdss.server import HighDensityStorageServer
+from repro.hdss.store import InMemoryChunkStore
+from repro.service import chaos_rig as rig
+from repro.service.client import pace_open_loop, tally_open_loop
 from repro.service.netserver import ServiceDaemon
 from repro.service.overload import (
     STATE_HEALTHY,
@@ -58,73 +55,36 @@ from repro.service.overload import (
     OverloadConfig,
 )
 from repro.service.protocol import ERR_DEADLINE, ERR_OVERLOAD
-from repro.service.service import RepairService, ServiceConfig
 from repro.workloads.arrivals import flash_crowd_arrivals
 
 __all__ = ["OverloadChaosConfig", "OverloadChaosScenario", "run_overload_chaos"]
 
-
-class SlowStore(ChunkStore):
-    """Delegating store whose reads cost a fixed wall-clock service time.
-
-    The disk-physics stand-in the scenario queues against: each ``get``
-    sleeps ``service_time_s`` (inside the caller's ``to_thread``), so a
-    gate of width ``w`` gives each disk a real capacity of
-    ``w / service_time_s`` reads per second — and offered load beyond it
-    builds a real standing queue with real waits for the controller to
-    measure.
-    """
-
-    def __init__(self, inner: ChunkStore, service_time_s: float) -> None:
-        self.inner = inner
-        self.service_time_s = service_time_s
-        self.reads = 0
-
-    def get(self, disk_id: int, chunk_id: ChunkId) -> np.ndarray:
-        self.reads += 1
-        time.sleep(self.service_time_s)
-        return self.inner.get(disk_id, chunk_id)
-
-    # ------------------------------------------------------------ delegation
-    def put(self, disk_id: int, chunk_id: ChunkId, data: np.ndarray) -> None:
-        self.inner.put(disk_id, chunk_id, data)
-
-    def put_many(self, items) -> None:
-        self.inner.put_many(items)
-
-    def get_many(self, keys):
-        return [self.get(d, c) for d, c in keys]
-
-    def delete(self, disk_id: int, chunk_id: ChunkId) -> None:
-        self.inner.delete(disk_id, chunk_id)
-
-    def contains(self, disk_id: int, chunk_id: ChunkId) -> bool:
-        return self.inner.contains(disk_id, chunk_id)
-
-    def is_readable(self, disk_id: int, chunk_id: ChunkId) -> bool:
-        return self.inner.is_readable(disk_id, chunk_id)
-
-    # verify_chunk is the base default on purpose: a verify is a read
-    # through :meth:`get`, so it pays the service time like any other.
-
-    def chunks_on_disk(self, disk_id: int) -> List[ChunkId]:
-        return self.inner.chunks_on_disk(disk_id)
-
-    def drop_disk(self, disk_id: int) -> int:
-        return self.inner.drop_disk(disk_id)
-
-    def __getattr__(self, name: str):
-        return getattr(self.inner, name)
+#: Wall seconds one store read costs: with the width-1 gate below, the hot
+#: disk's capacity is ``GATE_WIDTH / SERVICE_TIME_S`` = 500 reads/s.
+SERVICE_TIME_S = 0.002
+GATE_WIDTH = 1
+#: The spike offers this multiple of the base rate — ~3.2x the hot disk's
+#: capacity at the default 80/s base — so without control the standing
+#: queue grows for the whole spike and the tail explodes.
+SPIKE_FACTOR = 10.0
+#: Spike goodput must stay at this fraction of the pre-spike goodput
+#: (treatment only): shedding trims the queue, not the throughput.
+GOODPUT_FLOOR = 0.8
+#: The controller under test. Interval well under the spike so brownout
+#: is detected within it; targets sized to the 2 ms service time.
+OVERLOAD = OverloadConfig(
+    target_ms=5.0, shed_target_ms=30.0, interval_ms=50.0,
+    recovery_intervals=2, repair_pace_ms=10.0,
+    queue_cap=48, idle_reset_s=1.0,
+)
 
 
 @dataclass(frozen=True)
 class OverloadChaosConfig:
     """Knobs of one flash-crowd episode.
 
-    The defaults put the hot disk's capacity at ``1 / service_time_s``
-    = 500 reads/s (gate width 1): the base rate loads it to ~16%, the
-    spike offers ~3.2× capacity, so without control the standing queue
-    grows for the whole spike and the tail explodes — while with control
+    With the defaults the base rate loads the hot disk to ~16% of its
+    500 reads/s, and the spike offers ~3.2× capacity — while with control
     the deadline + shed path keeps waits near ``deadline_ms``.
 
     Attributes:
@@ -132,99 +92,37 @@ class OverloadChaosConfig:
             (the treatment) or with neither (the negative control).
         root: optional scratch dir for the repair journal (None = no
             journal; the scenario's byte-identity check doesn't need one).
+        base_rate / pre_seconds / spike_seconds / post_seconds: the
+            flash-crowd schedule — reads/s before and after the spike and
+            the length of each phase.
+        deadline_ms: per-read budget the treatment's client sends.
         p99_budget: wall bound asserted on successful-read p99 (treatment)
             and asserted *violated* without control.
-        goodput_floor: spike goodput must stay at this fraction of the
-            pre-spike goodput (treatment only).
+        deadline: wall seconds the whole episode may take.
     """
 
     control: bool = True
     root: "str | Path | None" = None
-    num_disks: int = 12
-    n: int = 5
-    k: int = 3
-    chunk_size: int = 2048
-    memory_chunks: int = 16
-    spares: int = 3
     seed: int = 11
     stripes: int = 12
     failed_disk: int = 3
-    algorithm: str = "hd-psr-ap"
-    service_time_s: float = 0.002
-    gate_width: int = 1
     base_rate: float = 80.0
-    spike_factor: float = 10.0
     pre_seconds: float = 1.0
     spike_seconds: float = 1.0
     post_seconds: float = 0.5
     deadline_ms: float = 100.0
     p99_budget: float = 0.3
-    goodput_floor: float = 0.8
-    overload: Optional[OverloadConfig] = None
     deadline: float = 60.0
 
     def __post_init__(self) -> None:
-        if self.service_time_s <= 0:
-            raise ConfigurationError(
-                f"service_time_s must be > 0, got {self.service_time_s}"
-            )
-        if not 0 < self.goodput_floor <= 1:
-            raise ConfigurationError(
-                f"goodput_floor must be in (0, 1], got {self.goodput_floor}"
-            )
         if self.p99_budget <= 0:
             raise ConfigurationError(
                 f"p99_budget must be > 0, got {self.p99_budget}"
             )
 
 
-class OverloadChaosScenario:
+class OverloadChaosScenario(rig.Episode):
     """One seeded flash-crowd episode; :meth:`run` returns the report."""
-
-    def __init__(self, config: OverloadChaosConfig) -> None:
-        self.config = config
-        self.failures: List[str] = []
-
-    def _fail(self, message: str) -> None:
-        self.failures.append(message)
-
-    # ------------------------------------------------------------- assembly
-    def _build(self):
-        c = self.config
-        store = SlowStore(InMemoryChunkStore(), c.service_time_s)
-        server = HighDensityStorageServer(
-            HDSSConfig(
-                num_disks=c.num_disks, n=c.n, k=c.k, chunk_size=c.chunk_size,
-                memory_chunks=c.memory_chunks, spares=c.spares, seed=c.seed,
-                placement="rotating",
-            ),
-            store=store,
-        )
-        server.provision_stripes(c.stripes, with_data=True)
-        overload = None
-        if c.control:
-            overload = c.overload or OverloadConfig(
-                # Interval well under the spike so brownout is detected
-                # within it; targets sized to the 2 ms service time.
-                target_ms=5.0, shed_target_ms=30.0, interval_ms=50.0,
-                recovery_intervals=2, repair_pace_ms=10.0,
-                queue_cap=48, idle_reset_s=1.0,
-            )
-        service = RepairService(
-            server,
-            ALGORITHMS[c.algorithm](),
-            ServiceConfig(
-                max_concurrent_stripes=2,
-                per_disk_reads=c.gate_width,
-                journal_root=(
-                    Path(c.root) / "journal" if c.root is not None else None
-                ),
-                durable_journal=False,
-                overload=overload,
-            ),
-        )
-        daemon = ServiceDaemon(service)
-        return store, server, service, daemon
 
     def _hot_target(self, server: HighDensityStorageServer) -> "tuple[int, int]":
         """A (stripe, shard) whose disk survives the failure — every flood
@@ -240,17 +138,23 @@ class OverloadChaosScenario:
     # ------------------------------------------------------------------ run
     async def run(self) -> dict:
         c = self.config
-        hard_deadline = time.monotonic() + c.deadline
-        store, server, service, daemon = self._build()
-        originals = {
-            si: server.read_object(si) for si in range(len(server.layout))
-        }
+        server = rig.build_server(
+            rig.SlowStore(InMemoryChunkStore(), SERVICE_TIME_S),
+            stripes=c.stripes, seed=c.seed,
+        )
+        service = rig.build_service(
+            server,
+            max_concurrent_stripes=2,
+            per_disk_reads=GATE_WIDTH,
+            journal_root=Path(c.root) / "journal" if c.root is not None else None,
+            overload=OVERLOAD if c.control else None,
+        )
+        call = rig.in_process(ServiceDaemon(service))
+        originals = rig.originals_of(server)
         hot_stripe, hot_shard = self._hot_target(server)
-        hot_disk = server.layout[hot_stripe].disks[hot_shard]
-        duration = c.pre_seconds + c.spike_seconds + c.post_seconds
         schedule = flash_crowd_arrivals(
-            c.base_rate, duration,
-            spike_factor=c.spike_factor,
+            c.base_rate, c.pre_seconds + c.spike_seconds + c.post_seconds,
+            spike_factor=SPIKE_FACTOR,
             spike_start=c.pre_seconds,
             spike_duration=c.spike_seconds,
             seed=c.seed,
@@ -260,188 +164,121 @@ class OverloadChaosScenario:
             "control": c.control,
             "seed": c.seed,
             "hot_target": [hot_stripe, hot_shard],
-            "hot_disk": hot_disk,
+            "hot_disk": server.layout[hot_stripe].disks[hot_shard],
             "offered": schedule.count,
             "offered_rate": round(schedule.mean_rate, 3),
-            "hot_capacity_per_s": round(c.gate_width / c.service_time_s, 1),
+            "hot_capacity_per_s": round(GATE_WIDTH / SERVICE_TIME_S, 1),
             "shape": schedule.params,
         }
 
         # 1. Fail the disk and start its repair under the daemon.
-        reply = await daemon.handle_request({"op": "fail_disk", "disk": c.failed_disk})
-        if not reply.get("ok"):
-            self._fail(f"fail_disk refused: {reply}")
-        reply = await daemon.handle_request({"op": "repair", "disk": c.failed_disk})
-        job_id = reply.get("job_id")
-        if not reply.get("ok"):
-            self._fail(f"repair refused: {reply}")
+        job_id = await self.start_repair(call, c.failed_disk)
 
-        # 2. The open-loop flood, plus a state sampler watching brownout.
-        latencies = QuantileSketch((0.5, 0.9, 0.99))
-        errors: Dict[str, int] = {}
+        # 2. The open-loop flood; each arrival also notes the brownout state.
         shed_example: Optional[dict] = None
-        completed_at: List[float] = []  # scheduled offsets of successes
-        max_level = 0
         states_seen = {STATE_HEALTHY}
+        read = {"stripe": hot_stripe, "shard": hot_shard}
+        if c.control:
+            read["deadline_ms"] = c.deadline_ms
 
-        async def sample_states(stop: asyncio.Event) -> None:
-            nonlocal max_level
-            while not stop.is_set():
-                if service.overload is not None:
-                    state = service.overload.state
-                    states_seen.add(state)
-                    max_level = max(max_level, _STATE_LEVEL[state])
-                await asyncio.sleep(0.01)
-
-        async def fire(offset: float) -> None:
+        async def send(_: int) -> Optional[str]:
             nonlocal shed_example
-            msg = {"op": "read", "stripe": hot_stripe, "shard": hot_shard}
-            if c.control:
-                msg["deadline_ms"] = c.deadline_ms
-            t0 = time.monotonic()
-            reply = await daemon.handle_request(msg)
-            if reply.get("ok"):
-                latencies.observe(time.monotonic() - t0)
-                completed_at.append(offset)
-            else:
-                code = str(reply.get("code", "unknown"))
-                errors[code] = errors.get(code, 0) + 1
-                if code == ERR_OVERLOAD and "retry_after_ms" in reply:
-                    shed_example = shed_example or dict(reply)
+            if service.overload is not None:
+                states_seen.add(service.overload.state)
+            reply = await call("read", **read)
+            code = rig.error_code(reply)
+            if code == ERR_OVERLOAD and "retry_after_ms" in reply:
+                shed_example = shed_example or dict(reply)
+            return code
 
-        stop_sampler = asyncio.Event()
-        sampler = asyncio.create_task(sample_states(stop_sampler))
-        started = time.monotonic()
-        tasks: List[asyncio.Task] = []
-        for offset in schedule.times:
-            delay = started + float(offset) - time.monotonic()
-            if delay > 0:
-                await asyncio.sleep(delay)
-            tasks.append(asyncio.create_task(fire(float(offset))))
-        await asyncio.gather(*tasks)
+        outcomes = await pace_open_loop(schedule.times, send)
 
         # 3. Repair must finish (possibly stalled behind foreground
         # priority during the spike) and certify clean.
-        repair_summary: dict = {}
-        if job_id is not None:
-            budget = max(1.0, hard_deadline - time.monotonic())
-            try:
-                reply = await asyncio.wait_for(
-                    daemon.handle_request({"op": "wait", "job_id": job_id}),
-                    timeout=budget,
-                )
-            except asyncio.TimeoutError:
-                self._fail(f"repair did not finish within {budget:.0f}s")
-            else:
-                repair_summary = {
-                    k: v for k, v in reply.items() if k not in ("ok", "trace_id")
-                }
-                if not reply.get("certified", False):
-                    self._fail("repair did not certify clean under the flood")
-        stop_sampler.set()
-        await sampler
+        repair_summary = await self.wait_certified(
+            call, job_id, "repair under the flood"
+        )
         await service.close()
 
         # ------------------------------------------------------- the ledger
+        latencies, errors = tally_open_loop(outcomes)
         q = latencies.quantiles() if latencies.count else {}
         p99 = q.get(0.99)
-        pre = [t for t in completed_at if t < c.pre_seconds]
-        spike = [
-            t for t in completed_at
-            if c.pre_seconds <= t < c.pre_seconds + c.spike_seconds
-        ]
-        goodput_pre = len(pre) / c.pre_seconds
-        goodput_spike = len(spike) / c.spike_seconds
-        snapshot = (
-            service.overload.snapshot() if service.overload is not None else {}
-        )
+        # Goodput by *scheduled* offset: which phase's arrivals completed.
+        completed_at = [t for t, r in outcomes if not isinstance(r, str)]
+        spike_end = c.pre_seconds + c.spike_seconds
+        pre = sum(t < c.pre_seconds for t in completed_at)
+        spike = sum(c.pre_seconds <= t < spike_end for t in completed_at)
         report.update({
             "completed": latencies.count,
-            "errors": dict(errors),
+            "errors": errors,
             "sheds": errors.get(ERR_OVERLOAD, 0),
             "deadline_expired": errors.get(ERR_DEADLINE, 0),
             "read_p50_seconds": q.get(0.5),
             "read_p99_seconds": p99,
             "p99_budget": c.p99_budget,
             "p99_violated": bool(p99 is not None and p99 > c.p99_budget),
-            "goodput_pre_per_s": round(goodput_pre, 1),
-            "goodput_spike_per_s": round(goodput_spike, 1),
+            "goodput_pre_per_s": round(pre / c.pre_seconds, 1),
+            "goodput_spike_per_s": round(spike / c.spike_seconds, 1),
             "states_seen": sorted(states_seen, key=_STATE_LEVEL.get),
-            "max_state_level": max_level,
+            "max_state_level": max(_STATE_LEVEL[s] for s in states_seen),
             "shed_example": shed_example,
-            "overload": snapshot,
+            "overload": (
+                service.overload.snapshot() if service.overload is not None else {}
+            ),
             "repair": repair_summary,
         })
 
         # 4. Byte identity: every object — including the repaired disk's
         # rebuilt chunks on their spares — reads back exactly as written.
-        mismatched = []
-        for si, want in originals.items():
-            try:
-                got = server.read_object(si)
-            except Exception as exc:  # noqa: BLE001 - recorded as mismatch
-                mismatched.append((si, repr(exc)))
-                continue
-            if got != want:
-                mismatched.append((si, "bytes differ"))
-        report["byte_identical"] = not mismatched
-        if mismatched:
-            self._fail(f"objects not byte-identical after repair: {mismatched}")
+        report["byte_identical"] = self.check(
+            await rig.check_byte_identical(server.read_object, originals)
+        )
 
         if c.control:
-            self._assert_treatment(report, service, hard_deadline)
+            await self._assert_treatment(report, service)
         # The negative control asserts nothing about its own tail here:
         # the *caller* (test/CI) asserts report["p99_violated"] is True,
         # keeping this run's pass/fail about integrity only.
+        return self.finish(report)
 
-        report["failures"] = list(self.failures)
-        report["passed"] = not self.failures
-        current_registry().counter(
-            "hdpsr_chaos_runs_total", "Chaos scenarios executed.",
-        ).labels(outcome="pass" if report["passed"] else "fail").inc()
-        return report
-
-    def _assert_treatment(
-        self, report: dict, service: RepairService, hard_deadline: float
-    ) -> None:
+    async def _assert_treatment(self, report: dict, service) -> None:
         """The overload-control contract, asserted with control enabled."""
         c = self.config
         if report["max_state_level"] < 1:
-            self._fail(
-                "daemon never left healthy under a "
-                f"{c.spike_factor}x flash crowd"
+            self.fail(
+                f"daemon never left healthy under a {SPIKE_FACTOR}x flash crowd"
             )
         total_sheds = report["sheds"] + report["deadline_expired"]
         if not total_sheds:
-            self._fail("controller shed nothing during the spike")
+            self.fail("controller shed nothing during the spike")
         if report["sheds"] and not report["shed_example"]:
-            self._fail("overload refusals carried no retry_after_ms hint")
+            self.fail("overload refusals carried no retry_after_ms hint")
         p99 = report["read_p99_seconds"]
         if p99 is None:
-            self._fail("no successful reads to measure p99 on")
+            self.fail("no successful reads to measure p99 on")
         elif p99 > c.p99_budget:
-            self._fail(
+            self.fail(
                 f"p99 {p99:.3f}s exceeded the {c.p99_budget}s budget "
                 "with control enabled"
             )
-        floor = c.goodput_floor * report["goodput_pre_per_s"]
+        floor = GOODPUT_FLOOR * report["goodput_pre_per_s"]
         if report["goodput_spike_per_s"] < floor:
-            self._fail(
+            self.fail(
                 f"spike goodput {report['goodput_spike_per_s']}/s fell below "
-                f"{c.goodput_floor:.0%} of pre-spike "
+                f"{GOODPUT_FLOOR:.0%} of pre-spike "
                 f"({report['goodput_pre_per_s']}/s)"
             )
         # Clean recovery: with the flood gone, windows go clean (or idle-
         # expire) and the daemon must walk back to healthy.
-        budget = max(1.0, hard_deadline - time.monotonic())
-        waited = 0.0
-        while service.overload.state != STATE_HEALTHY and waited < budget:
-            time.sleep(0.05)
-            waited += 0.05
-        report["recovered_healthy"] = service.overload.state == STATE_HEALTHY
-        report["recovery_wait_seconds"] = round(waited, 2)
-        if not report["recovered_healthy"]:
-            self._fail(f"daemon stuck in {service.overload.state} after the flood")
+        waiting_since = time.monotonic()
+        report["recovered_healthy"] = await self.await_until(
+            lambda: service.overload.state == STATE_HEALTHY,
+            "the daemon to walk back to healthy after the flood",
+        )
+        report["recovery_wait_seconds"] = round(
+            time.monotonic() - waiting_since, 2
+        )
 
 
 def run_overload_chaos(config: OverloadChaosConfig) -> dict:

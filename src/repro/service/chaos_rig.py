@@ -1,0 +1,349 @@
+"""The chaos rig: what the three ``hdpsr chaos`` scenarios share.
+
+:mod:`~repro.service.chaos` (kill the owner), :mod:`~repro.service.chaos_overload`
+(flash crowd) and :mod:`~repro.service.chaos_bitrot` (silent corruption)
+each say what to inject, when, and what to assert about it. What they have
+in common lives here, once, and nothing scenario-specific does:
+
+* the fixed geometry and :func:`build_server` / :func:`attach_server` /
+  :func:`build_service` — the one place a chaos server is assembled (the
+  failover and overload tests and the overload and scrub benches included);
+* :class:`Episode` — the failure ledger, the hard deadline, and the steps
+  every scenario takes (``await_until``, ``start_repair``,
+  ``wait_certified``, ``finish``). The repair steps go through a plain
+  ``call(op, **fields)``, so the TCP episode and the in-process ones
+  (:func:`in_process`) run the same code;
+* the invariants, each a ``check_*`` function returning a failure string
+  or ``None`` — written once, so they can be checked across many seeds;
+* the store decorators the scenarios measure with, :class:`CountingStore`
+  and :class:`SlowStore`.
+"""
+
+from __future__ import annotations
+
+import asyncio
+import time
+from typing import Awaitable, Callable, Dict, Iterable, List, Optional
+
+import numpy as np
+
+from repro.core import ALGORITHMS
+from repro.ec.stripe import ChunkId
+from repro.errors import ChunkNotFoundError, FencedError, LatentSectorError
+from repro.hdss.server import HDSSConfig, HighDensityStorageServer
+from repro.hdss.store import (
+    ChunkStore,
+    ForwardingChunkStore,
+    InMemoryChunkStore,
+    Key,
+)
+from repro.obs.context import current_registry
+from repro.service.netserver import ServiceDaemon
+from repro.service.protocol import ERR_INTERNAL
+from repro.service.service import RepairService, ServiceConfig
+
+#: ``call(op, **fields)`` → the daemon's reply dict. A TCP client raises on
+#: a refusal; the in-process one returns the ``ok: false`` reply.
+Call = Callable[..., Awaitable[dict]]
+
+# The one geometry every chaos episode, its tests and its benches run at:
+# RS(5,3) over 12 disks with rotating placement, so a 12-stripe volume
+# puts 5 stripes on any one disk — enough for a crash to land mid-repair
+# with some stripes journaled and some in flight, small enough for tier-1.
+NUM_DISKS = 12
+N = 5
+K = 3
+MEMORY_CHUNKS = 16
+SPARES = 3
+ALGORITHM = "hd-psr-ap"
+
+
+# ------------------------------------------------------------------ assembly
+def build_server(
+    store: Optional[ChunkStore] = None,
+    *,
+    stripes: int = 12,
+    seed: int = 11,
+    chunk_size: int = 2048,
+) -> HighDensityStorageServer:
+    """A provisioned chaos-geometry server over ``store``."""
+    server = HighDensityStorageServer(
+        HDSSConfig(
+            num_disks=NUM_DISKS, n=N, k=K, chunk_size=chunk_size,
+            memory_chunks=MEMORY_CHUNKS, spares=SPARES, seed=seed,
+            placement="rotating",
+        ),
+        store=store,
+    )
+    server.provision_stripes(stripes, with_data=True)
+    return server
+
+
+def attach_server(shared: ChunkStore, **geometry) -> HighDensityStorageServer:
+    """A second daemon's view of an already provisioned ``shared`` store.
+
+    Provisioning writes data, so the newcomer provisions into a throwaway
+    store (same seed => identical layout, spares, and volume sizes) and is
+    then pointed at the shared one — the in-process stand-in for a second
+    process opening the same directory tree.
+    """
+    server = build_server(InMemoryChunkStore(), **geometry)
+    server.store = shared
+    return server
+
+
+def build_service(
+    server: HighDensityStorageServer, *, faults=None, fence=None, **config
+) -> RepairService:
+    """A :class:`RepairService` running the chaos algorithm over ``server``;
+    ``config`` are :class:`ServiceConfig` fields (journals are never
+    fsync'd here: the episodes kill tasks, not the kernel)."""
+    config.setdefault("durable_journal", False)
+    return RepairService(
+        server, ALGORITHMS[ALGORITHM](), ServiceConfig(**config),
+        faults=faults, fence=fence,
+    )
+
+
+def originals_of(server: HighDensityStorageServer) -> Dict[int, bytes]:
+    """Every object's bytes right now — what recovery must reproduce."""
+    return {si: server.read_object(si) for si in range(len(server.layout))}
+
+
+def in_process(daemon: ServiceDaemon) -> Call:
+    """``call(op, **fields)`` through
+    :meth:`~repro.service.netserver.ServiceDaemon.handle_request`: full
+    protocol semantics, no TCP framing, so a thousand-request open-loop
+    flood doesn't need a thousand sockets."""
+
+    async def call(op: str, **fields) -> dict:
+        return await daemon.handle_request({"op": op, **fields})
+
+    return call
+
+
+def error_code(reply: dict) -> Optional[str]:
+    """``None`` for an ``ok`` reply, else its error code — what a pacer
+    ``send`` (:func:`~repro.service.client.pace_open_loop`) returns."""
+    return None if reply.get("ok") else str(reply.get("code", ERR_INTERNAL))
+
+
+# -------------------------------------------------------------- the decorators
+class CountingStore(ForwardingChunkStore):
+    """Write-count wrapper proving "no chunk was persisted twice".
+
+    Counts each persisted ``(disk, chunk)``. :meth:`reset` is called
+    after provisioning so only repair-plane writes are audited;
+    foreground reads never write, so any key with count > 1 after the
+    scenario is a genuine duplicate write across the two daemons.
+    """
+
+    def __init__(self, inner: ChunkStore) -> None:
+        super().__init__(inner)
+        self.write_counts: Dict[Key, int] = {}
+
+    def _count(self, disk_id: int, chunk_id: ChunkId) -> None:
+        key = (disk_id, chunk_id)
+        self.write_counts[key] = self.write_counts.get(key, 0) + 1
+
+    def reset(self) -> None:
+        self.write_counts.clear()
+
+    def duplicates(self) -> List[Key]:
+        return sorted(k for k, c in self.write_counts.items() if c > 1)
+
+    def put(self, disk_id: int, chunk_id: ChunkId, data: np.ndarray) -> None:
+        self._count(disk_id, chunk_id)
+        self.inner.put(disk_id, chunk_id, data)
+
+    def put_many(self, items) -> None:
+        for disk_id, chunk_id, _ in items:
+            self._count(disk_id, chunk_id)
+        self.inner.put_many(items)
+
+
+class SlowStore(ForwardingChunkStore):
+    """Delegating store whose reads cost a fixed wall-clock service time.
+
+    The disk-physics stand-in the scenario queues against: each ``get``
+    sleeps ``service_time_s`` (inside the caller's ``to_thread``), so a
+    gate of width ``w`` gives each disk a real capacity of
+    ``w / service_time_s`` reads per second — and offered load beyond it
+    builds a real standing queue with real waits for the controller to
+    measure.
+    """
+
+    def __init__(self, inner: ChunkStore, service_time_s: float) -> None:
+        super().__init__(inner)
+        self.service_time_s = service_time_s
+        self.reads = 0
+
+    def get(self, disk_id: int, chunk_id: ChunkId) -> np.ndarray:
+        self.reads += 1
+        time.sleep(self.service_time_s)
+        return self.inner.get(disk_id, chunk_id)
+
+    # The looping defaults on purpose: a verify or a batch is reads through
+    # :meth:`get`, so each pays the service time like any other.
+    verify_chunk = ChunkStore.verify_chunk
+    get_many = ChunkStore.get_many
+
+
+# ------------------------------------------------------------- the invariants
+async def check_byte_identical(
+    read_object: Callable[[int], "bytes | Awaitable[bytes]"],
+    originals: Dict[int, bytes],
+    skip: Iterable[int] = (),
+) -> Optional[str]:
+    """Every object reads back exactly as written (``read_object`` sync or
+    async; a read that raises counts as a mismatch). ``skip`` names stripes
+    a negative control must not touch."""
+    skip = set(skip)
+    mismatched = []
+    for si, want in originals.items():
+        if si in skip:
+            continue
+        try:
+            got = read_object(si)
+            if asyncio.iscoroutine(got):
+                got = await got
+        except Exception as exc:  # noqa: BLE001 - recorded as mismatch
+            mismatched.append((si, repr(exc)))
+            continue
+        if got != want:
+            mismatched.append((si, "bytes differ"))
+    if mismatched:
+        return f"objects not byte-identical after recovery: {mismatched}"
+    return None
+
+
+def check_no_duplicate_writes(store: CountingStore) -> Optional[str]:
+    """No ``(disk, chunk)`` was persisted twice since ``store.reset()``."""
+    dupes = store.duplicates()
+    if dupes:
+        return f"{len(dupes)} chunk(s) persisted twice: {dupes[:5]}"
+    return None
+
+
+def bad_sidecars(store: ChunkStore, keys: Iterable[Key]) -> List[Key]:
+    """The ``keys`` whose bytes disagree with their CRC32C sidecar (or are
+    unreadable, or gone) when re-read end to end."""
+    bad = []
+    for disk, cid in keys:
+        try:
+            ok = store.verify_chunk(disk, cid)
+        except (LatentSectorError, ChunkNotFoundError):
+            ok = False
+        if not ok:
+            bad.append((disk, cid))
+    return bad
+
+
+def check_sidecars_verify(store: ChunkStore, keys: Iterable[Key]) -> Optional[str]:
+    """Every chunk in ``keys`` passes an end-to-end sidecar verify."""
+    bad = bad_sidecars(store, keys)
+    if bad:
+        return f"CRC32C sidecar mismatch on rebuilt chunks: {bad}"
+    return None
+
+
+def check_stale_owner_fenced(node, disk: int) -> Optional[str]:
+    """A revived owner whose in-memory state still says it holds ``disk``'s
+    shard is refused at the commit point: the on-disk lease carries the
+    survivor's bumped epoch."""
+    try:
+        node.check_fence(disk)
+    except FencedError:
+        return None
+    return "revived stale owner passed the fence — split-brain possible"
+
+
+def check_repair_certified(summary: dict, what: str = "repair") -> Optional[str]:
+    """A repair job's ``wait`` summary says it certified clean."""
+    if not summary.get("certified", False):
+        return f"{what} did not certify clean"
+    return None
+
+
+# ------------------------------------------------------------------ the episode
+class Episode:
+    """What every scenario carries: its config, a failure ledger, and one
+    hard deadline (``config.deadline`` seconds from construction) that
+    bounds every wait it makes."""
+
+    def __init__(self, config) -> None:
+        self.config = config
+        self.failures: List[str] = []
+        self._deadline = time.monotonic() + config.deadline
+
+    def fail(self, message: str) -> None:
+        self.failures.append(message)
+
+    def check(self, failure: Optional[str]) -> bool:
+        """Record an invariant's verdict; True when it held."""
+        if failure is not None:
+            self.fail(failure)
+        return failure is None
+
+    def remaining(self) -> float:
+        """Seconds a wait may still take (never under one: a late step
+        gets a fair try, the deadline is not a guillotine)."""
+        return max(1.0, self._deadline - time.monotonic())
+
+    async def await_until(
+        self, predicate, what: str, timeout: Optional[float] = None
+    ) -> bool:
+        """Poll ``predicate`` (sync or async) until true; a timeout is
+        recorded as a failure and returns False."""
+        budget = self.remaining()
+        if timeout is not None:
+            budget = min(budget, timeout)
+        deadline = time.monotonic() + budget
+        while time.monotonic() < deadline:
+            result = predicate()
+            if asyncio.iscoroutine(result):
+                result = await result
+            if result:
+                return True
+            await asyncio.sleep(0.02)
+        self.fail(f"timed out waiting for {what}")
+        return False
+
+    async def start_repair(self, call: Call, disk: int, **route) -> Optional[int]:
+        """Fail ``disk`` and submit its repair (two requests, in that
+        order); returns the job id. ``route`` goes to ``call`` untouched
+        (a cluster client's ``shard=`` hint)."""
+        reply: dict = {}
+        for op in ("fail_disk", "repair"):
+            reply = await call(op, disk=disk, **route)
+            if not reply.get("ok"):
+                self.fail(f"{op} refused: {reply}")
+        return reply.get("job_id")
+
+    async def wait_certified(
+        self, call: Call, job_id: Optional[int], what: str = "repair"
+    ) -> dict:
+        """Wait the job out inside the deadline and check it certified;
+        returns its summary (``{}`` when it never finished)."""
+        if job_id is None:
+            return {}
+        budget = self.remaining()
+        try:
+            reply = await asyncio.wait_for(
+                call("wait", job_id=job_id), timeout=budget
+            )
+        except asyncio.TimeoutError:
+            self.fail(f"{what} did not finish within {budget:.0f}s")
+            return {}
+        self.check(check_repair_certified(reply, what))
+        return {k: v for k, v in reply.items() if k not in ("ok", "trace_id")}
+
+    def finish(self, report: dict) -> dict:
+        """The report epilogue: failures, ``passed``, and the one
+        ``hdpsr_chaos_runs_total`` increment."""
+        report["failures"] = list(self.failures)
+        report["passed"] = not self.failures
+        current_registry().counter(
+            "hdpsr_chaos_runs_total", "Chaos scenarios executed.",
+        ).labels(outcome="pass" if report["passed"] else "fail").inc()
+        return report

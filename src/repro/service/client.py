@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import asyncio
 import time
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Awaitable, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ReproError
 from repro.faults.report import EXIT_CRASHED
@@ -44,8 +44,8 @@ class ServiceError(ReproError):
 
     Carries the v3 error taxonomy: ``code`` is one of
     :data:`repro.service.protocol.ERROR_CODES` and ``retryable`` says
-    whether a client may transparently retry. ``crashed`` is kept as a
-    property for pre-v3 call sites. For ``not_owner`` errors the reply's
+    whether a client may transparently retry; :attr:`crashed` reads
+    ``code == ERR_CRASH``. For ``not_owner`` errors the reply's
     redirect fields are exposed as :attr:`owner`/:attr:`endpoint`/
     :attr:`epoch`/:attr:`shard`.
     """
@@ -53,14 +53,11 @@ class ServiceError(ReproError):
     def __init__(
         self,
         message: str,
-        crashed: bool = False,
-        code: Optional[str] = None,
+        code: str = protocol.ERR_INTERNAL,
         retryable: Optional[bool] = None,
         reply: Optional[dict] = None,
     ) -> None:
         super().__init__(message)
-        if code is None:
-            code = ERR_CRASH if crashed else protocol.ERR_INTERNAL
         self.code = code
         self.retryable = (
             protocol.is_retryable(code) if retryable is None else bool(retryable)
@@ -147,13 +144,9 @@ class ServiceClient:
         if reply is None:
             raise ServiceError(f"connection closed during {op!r}", code=ERR_CRASH)
         if not reply.get("ok", False):
-            # Pre-v3 daemons send no code; fall back on the crashed flag.
-            code = reply.get("code")
-            if code is None:
-                code = ERR_CRASH if reply.get("crashed") else protocol.ERR_INTERNAL
             raise ServiceError(
                 reply.get("error", "unknown error"),
-                code=str(code),
+                code=str(reply.get("code", protocol.ERR_INTERNAL)),
                 retryable=reply.get("retryable"),
                 reply=reply,
             )
@@ -763,6 +756,54 @@ async def _run_workload(
         await control.close()
 
 
+Outcome = Tuple[float, "float | str"]
+
+
+async def pace_open_loop(
+    times: Sequence[float], send: Callable[[int], Awaitable[Optional[str]]]
+) -> List[Outcome]:
+    """The open-loop pacer: start ``send(i)`` at its scheduled instant.
+
+    ``times`` are ascending arrival offsets in seconds from now; ``send(i)``
+    performs arrival ``i`` and returns ``None`` on success or an error
+    code. Arrivals fire whether or not earlier ones have returned, and a
+    success is timed from its *scheduled* arrival — not from when the
+    event loop got round to starting it, nor from when ``send`` got a
+    connection — so client-side queueing counts against the service (no
+    coordinated omission). Returns, in schedule order, one
+    ``(offset, seconds_since_scheduled_arrival | error_code)`` each.
+    """
+
+    async def fire(i: int, offset: float) -> Outcome:
+        code = await send(i)
+        if code is not None:
+            return offset, code
+        return offset, time.monotonic() - (started + offset)
+
+    started = time.monotonic()
+    tasks: List[asyncio.Task] = []
+    for i, offset in enumerate(times):
+        delay = started + float(offset) - time.monotonic()
+        if delay > 0:
+            await asyncio.sleep(delay)
+        tasks.append(asyncio.create_task(fire(i, float(offset))))
+    return list(await asyncio.gather(*tasks))
+
+
+def tally_open_loop(
+    outcomes: Sequence[Outcome],
+) -> Tuple[QuantileSketch, Dict[str, int]]:
+    """Fold pacer outcomes into (success-latency sketch, errors by code)."""
+    latencies = QuantileSketch((0.5, 0.9, 0.99))
+    errors: Dict[str, int] = {}
+    for _, result in outcomes:
+        if isinstance(result, str):
+            errors[result] = errors.get(result, 0) + 1
+        else:
+            latencies.observe(result)
+    return latencies, errors
+
+
 async def run_open_loop(
     host: str,
     port: int,
@@ -789,10 +830,9 @@ async def run_open_loop(
     never retried (an open-loop client that retries is a closed loop in
     denial).
 
-    Latency is measured from the *scheduled arrival*, not the send, so
-    client-side queueing (bounded by ``connections`` sockets) counts
-    against the service exactly as coordinated-omission-free load
-    generators do.
+    Pacing and timing are :func:`pace_open_loop`'s: latency counts from the
+    *scheduled arrival*, so client-side queueing (bounded by
+    ``connections`` sockets) counts against the service.
 
     When ``disks`` is non-empty the episode fails them and runs their
     repairs concurrently with the load (waited on at the end), mirroring
@@ -831,37 +871,21 @@ async def run_open_loop(
             (int(rng.integers(num_stripes)), int(rng.integers(n)))
             for _ in range(schedule.count)
         ]
-        latencies = QuantileSketch((0.5, 0.9, 0.99))
-        errors: Dict[str, int] = {}
-        ok_count = 0
 
-        async def fire(scheduled: float, stripe: int, shard: int) -> None:
-            nonlocal ok_count
+        async def send(i: int) -> Optional[str]:
             conn = await pool.get()
             try:
-                await conn.read_chunk(stripe, shard, deadline_ms=deadline_ms)
+                await conn.read_chunk(*targets[i], deadline_ms=deadline_ms)
             except ServiceError as exc:
-                errors[exc.code] = errors.get(exc.code, 0) + 1
-            else:
-                ok_count += 1
-                latencies.observe(time.monotonic() - scheduled)
+                return exc.code
             finally:
                 pool.put_nowait(conn)
+            return None
 
         started = time.monotonic()
-        tasks: List[asyncio.Task] = []
-        for offset, target in zip(schedule.times, targets):
-            delay = started + float(offset) - time.monotonic()
-            if delay > 0:
-                await asyncio.sleep(delay)
-            tasks.append(
-                asyncio.create_task(
-                    fire(started + float(offset), target[0], target[1])
-                )
-            )
-        if tasks:
-            await asyncio.gather(*tasks)
+        outcomes = await pace_open_loop(schedule.times, send)
         elapsed = time.monotonic() - started
+        latencies, errors = tally_open_loop(outcomes)
 
         summaries = [
             (await control.call("wait", job_id=job["job_id"])) for job in jobs
@@ -870,9 +894,9 @@ async def run_open_loop(
             "shape": schedule.params,
             "offered": schedule.count,
             "offered_rate": schedule.mean_rate,
-            "completed": ok_count,
+            "completed": latencies.count,
             "errors": errors,
-            "goodput_per_s": ok_count / elapsed if elapsed > 0 else 0.0,
+            "goodput_per_s": latencies.count / elapsed if elapsed > 0 else 0.0,
             "read_p50_seconds": latencies.quantile(0.5),
             "read_p90_seconds": latencies.quantile(0.9),
             "read_p99_seconds": latencies.quantile(0.99),

@@ -212,19 +212,14 @@ def error(message: str, code: str = ERR_INTERNAL, **fields) -> dict:
     """A structured error response.
 
     ``code`` defaults to :data:`ERR_INTERNAL`; ``retryable`` is derived
-    from the code unless explicitly overridden. Legacy ``crashed=True``
-    callers are normalized onto :data:`ERR_CRASH`.
+    from the code unless explicitly overridden.
     """
-    if fields.pop("crashed", False):
-        code = ERR_CRASH
     out = {
         "ok": False,
         "error": str(message),
         "code": code,
         "retryable": fields.pop("retryable", is_retryable(code)),
     }
-    if code == ERR_CRASH:
-        out["crashed"] = True  # kept for pre-v3 clients
     out.update(fields)
     return out
 

@@ -28,6 +28,7 @@ from repro.service.client import (
     BackoffPolicy,
     CircuitBreaker,
     ClusterClient,
+    ServiceClient,
     ServiceError,
     parse_endpoint,
 )
@@ -95,17 +96,44 @@ class TestErrorTaxonomy:
             "retryable"
         ] is False
 
-    def test_crash_reply_keeps_legacy_flag(self):
-        # Pre-v3 clients key off `crashed`; the v3 reply still sets it.
+    def test_crash_reply_has_no_legacy_flag(self):
+        # The pre-v3 `crashed` boolean is gone from the wire: `code` says it.
         reply = protocol.error("dead", code=protocol.ERR_CRASH)
-        assert reply["crashed"] is True
+        assert reply["code"] == protocol.ERR_CRASH and reply["retryable"]
+        assert "crashed" not in reply
+
+    def test_reply_without_a_code_reads_as_internal(self):
+        """No pre-v3 fallback: `crashed: true` without `code` is not a crash."""
+        async def run():
+            async def answer(reader, writer):
+                await reader.readline()
+                writer.write(protocol.encode_message(
+                    {"ok": False, "error": "old daemon", "crashed": True}
+                ))
+                await writer.drain()
+                writer.close()
+
+            server = await asyncio.start_server(answer, "127.0.0.1", 0)
+            port = server.sockets[0].getsockname()[1]
+            client = await ServiceClient.connect("127.0.0.1", port)
+            try:
+                with pytest.raises(ServiceError) as err:
+                    await client.call("ping")
+            finally:
+                await client.close()
+                server.close()
+                await server.wait_closed()
+            return err.value
+
+        err = asyncio.run(run())
+        assert err.code == protocol.ERR_INTERNAL
+        assert not err.crashed and not err.retryable
 
     def test_service_error_defaults(self):
         err = ServiceError("boom")
         assert err.code == protocol.ERR_INTERNAL
         assert not err.retryable and not err.crashed
-        err = ServiceError("gone", crashed=True)
-        assert err.code == protocol.ERR_CRASH
+        err = ServiceError("gone", code=protocol.ERR_CRASH)
         assert err.retryable and err.crashed
 
     def test_service_error_redirect_fields(self):

@@ -8,25 +8,24 @@ are always the same: byte-identical objects, no chunk persisted twice,
 and a fenced stale owner refused at the commit point.
 
 The full wire-level scenario (real sockets, leases expiring on the wall
-clock, hedged client reads) lives in ``ChaosScenario`` and runs once at
-the end; the matrix cases here stay socket-free so each timing variant is
-cheap enough to enumerate.
+clock, hedged client reads) lives in ``ChaosScenario`` and runs once in
+``test_chaos_episodes.py``; the matrix cases here stay socket-free so each
+timing variant is cheap enough to enumerate. Servers, services and the
+invariant checks are the chaos rig's — the same ones the scenario uses.
 """
 
 import asyncio
 
 import pytest
 
-from repro.core import ALGORITHMS
 from repro.errors import FencedError
 from repro.faults.injector import SimulatedCrash
 from repro.faults.spec import FaultEvent, FaultSchedule
-from repro.hdss.server import HDSSConfig, HighDensityStorageServer
+from repro.hdss.store import ShardedChunkStore
 from repro.obs import MetricsRegistry, use_registry
-from repro.service.chaos import ChaosConfig, ChaosScenario, CountingStore
+from repro.service import chaos_rig as rig
+from repro.service.chaos_rig import attach_server, build_server as make_server
 from repro.service.cluster import ClusterClock, ClusterConfig, ClusterNode
-from repro.service.service import RepairService, ServiceConfig
-from repro.hdss.store import InMemoryChunkStore, ShardedChunkStore
 
 DISK = 3
 
@@ -37,37 +36,15 @@ def _registry():
         yield
 
 
-def make_server(store, seed=11):
-    config = HDSSConfig(
-        num_disks=12, n=5, k=3, chunk_size=2048, memory_chunks=16,
-        spares=3, seed=seed, placement="rotating",
-    )
-    server = HighDensityStorageServer(config, store=store)
-    server.provision_stripes(12, with_data=True)
-    return server
-
-
-def attach_server(store, seed=11):
-    """A second daemon's view: provision into a throwaway store, then
-    front the shared one (same seed => identical layout and spares)."""
-    server = make_server(InMemoryChunkStore(), seed=seed)
-    server.store = store
-    return server
-
-
 def make_service(server, journal_root, faults=None, fence=None):
-    return RepairService(
-        server, ALGORITHMS["hd-psr-ap"](),
-        ServiceConfig(
-            max_concurrent_stripes=1, journal_root=journal_root,
-            durable_journal=False,
-        ),
+    return rig.build_service(
+        server, max_concurrent_stripes=1, journal_root=journal_root,
         faults=faults, fence=fence,
     )
 
 
 def shared_store(tmp_path):
-    return CountingStore(
+    return rig.CountingStore(
         ShardedChunkStore.from_root(tmp_path / "store", durable=False)
     )
 
@@ -88,11 +65,13 @@ async def finish_repair(service, disk=DISK):
     return result
 
 
-def assert_invariants(store, server, originals, result):
-    assert result.certified, "handoff repair must certify clean"
-    assert store.duplicates() == [], "a chunk was persisted twice"
-    for si, want in originals.items():
-        assert server.read_object(si) == want, f"stripe {si} bytes diverged"
+async def assert_invariants(store, server, originals, result):
+    for failure in (
+        rig.check_repair_certified(result.summary(), "handoff repair"),
+        rig.check_no_duplicate_writes(store),
+        await rig.check_byte_identical(server.read_object, originals),
+    ):
+        assert failure is None, failure
 
 
 def crash_then_handoff(tmp_path, crash_at):
@@ -101,9 +80,7 @@ def crash_then_handoff(tmp_path, crash_at):
     async def run():
         store = shared_store(tmp_path)
         server_a = make_server(store)
-        originals = {
-            si: server_a.read_object(si) for si in range(len(server_a.layout))
-        }
+        originals = rig.originals_of(server_a)
         store.reset()
         journal = tmp_path / "journal"
         schedule = FaultSchedule(
@@ -117,7 +94,7 @@ def crash_then_handoff(tmp_path, crash_at):
         server_b.fail_disk(DISK, destroy_data=False)
         service_b = make_service(server_b, journal)
         result = await finish_repair(service_b)
-        assert_invariants(store, server_b, originals, result)
+        await assert_invariants(store, server_b, originals, result)
         return result
 
     return asyncio.run(run())
@@ -146,10 +123,7 @@ class TestCrashTimingMatrix:
         async def run():
             store = shared_store(tmp_path)
             server_a = make_server(store)
-            originals = {
-                si: server_a.read_object(si)
-                for si in range(len(server_a.layout))
-            }
+            originals = rig.originals_of(server_a)
             store.reset()
             journal = tmp_path / "journal"
             service_a = make_service(
@@ -179,7 +153,7 @@ class TestCrashTimingMatrix:
             server_c.fail_disk(DISK, destroy_data=False)
             service_c = make_service(server_c, journal)
             result = await finish_repair(service_c)
-            assert_invariants(store, server_c, originals, result)
+            await assert_invariants(store, server_c, originals, result)
 
         asyncio.run(run())
 
@@ -260,24 +234,3 @@ class TestEpochFencing:
             assert a_tick == []  # revival does not steal leases back
 
         asyncio.run(run())
-
-
-# ---------------------------------------------------------------- scenario
-class TestChaosScenario:
-    def test_full_wire_scenario_passes(self, tmp_path):
-        """The whole stack once: sockets, leases on the wall clock, client
-        retries/hedging, handoff, and the report's invariant checks."""
-        report = asyncio.run(
-            ChaosScenario(ChaosConfig(root=tmp_path)).run()
-        )
-        assert report["failures"] == []
-        assert report["passed"] is True
-        assert report["exit_code_a"] == 4
-        assert report["exit_code_b"] == 0
-        assert report["handoffs"] == [DISK]
-        assert report["byte_identical"] is True
-        assert report["duplicate_writes"] == []
-        assert report["stale_owner_fenced"] is True
-        assert report["fence_epochs"]["current"] > report["fence_epochs"]["held"]
-        assert report["repair_b"]["resumed_stripes"] > 0
-        assert report["takeover_seconds"] < 30.0

@@ -6,8 +6,20 @@ import numpy as np
 import pytest
 
 from repro.ec.stripe import ChunkId
-from repro.errors import ChunkChecksumError, ChunkNotFoundError, StorageError
-from repro.hdss.store import CRC_SUFFIX, FileChunkStore, InMemoryChunkStore
+from repro.errors import (
+    ChunkChecksumError,
+    ChunkNotFoundError,
+    LatentSectorError,
+    StorageError,
+)
+from repro.hdss.store import (
+    CRC_SUFFIX,
+    FaultyChunkStore,
+    FileChunkStore,
+    ForwardingChunkStore,
+    InMemoryChunkStore,
+    ShardedChunkStore,
+)
 
 
 @pytest.fixture(params=["memory", "file"])
@@ -123,6 +135,56 @@ class TestInMemorySpecific:
         store.put(0, ChunkId(0, 0), buf)
         buf[0] = 42
         assert store.get(0, ChunkId(0, 0))[0] == 1
+
+
+class TestForwardingDecorators:
+    def test_everything_reaches_the_inner_store(self, store):
+        wrapped = ForwardingChunkStore(store)
+        cid = ChunkId(0, 1)
+        wrapped.put_many([(2, cid, chunk()), (2, ChunkId(0, 2), chunk(fill=9))])
+        assert store.contains(2, cid) and (2, cid) in wrapped
+        assert wrapped.is_readable(2, cid) and wrapped.verify_chunk(2, cid)
+        got = wrapped.get_many([(2, ChunkId(0, 2)), (2, cid)])
+        assert [int(g[0]) for g in got] == [9, 7]
+        assert wrapped.chunks_on_disk(2) == [cid, ChunkId(0, 2)]
+        wrapped.delete(2, cid)
+        assert wrapped.drop_disk(2) == 1 and not store.contains(2, cid)
+
+    def test_backend_extras_pass_through(self):
+        inner = InMemoryChunkStore()
+        inner.put(0, ChunkId(0, 0), chunk())
+        assert ForwardingChunkStore(inner).total_chunks() == 1
+        with pytest.raises(AttributeError):
+            ForwardingChunkStore(inner).no_such_extra
+
+    def test_batches_keep_the_inner_store_s_batch_path(self):
+        calls = []
+
+        class Spy(ShardedChunkStore):
+            def get_many(self, keys):
+                calls.append(len(keys))
+                return super().get_many(keys)
+
+        inner = Spy([InMemoryChunkStore(), InMemoryChunkStore()])
+        inner.put(0, ChunkId(0, 0), chunk())
+        inner.put(1, ChunkId(0, 1), chunk())
+        ForwardingChunkStore(inner).get_many(
+            [(0, ChunkId(0, 0)), (1, ChunkId(0, 1))]
+        )
+        assert calls == [2]  # one grouped batch, not two single gets
+
+    def test_sector_marks_apply_to_the_batched_paths(self):
+        faulty = FaultyChunkStore(InMemoryChunkStore())
+        cid = ChunkId(3, 0)
+        faulty.put(1, cid, chunk())
+        faulty.mark_bad(1, cid)
+        assert not faulty.is_readable(1, cid) and faulty.contains(1, cid)
+        with pytest.raises(LatentSectorError):
+            faulty.get_many([(1, cid)])
+        with pytest.raises(LatentSectorError):
+            faulty.verify_chunk(1, cid)
+        faulty.put_many([(1, cid, chunk(fill=5))])  # a rewrite remaps the sector
+        assert faulty.bad_chunks() == [] and int(faulty.get(1, cid)[0]) == 5
 
 
 class _VanishingPath(type(Path())):

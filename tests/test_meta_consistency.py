@@ -6,7 +6,11 @@ canonical experiment ids stay in sync.
 """
 
 import ast
+import inspect
 import re
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 
@@ -126,3 +130,126 @@ class TestOneSalvageLadder:
             assert not probe.search(text), f"{path}: probes a store by getattr"
             if path != SRC / "hdss" / "store.py":
                 assert "._bad" not in text, f"{path}: reaches into a store's _bad"
+
+
+SERVICE = SRC / "service"
+RIG = SERVICE / "chaos_rig.py"
+BENCH_OVERLOAD = BENCHMARKS / "bench_overload.py"
+
+
+def functions_matching(path, pattern):
+    """``file:function`` for every match of ``pattern`` in ``path``, naming
+    the innermost function around it (``<module>`` outside any)."""
+    text = path.read_text()
+    lines = {text.count("\n", 0, m.start()) + 1 for m in re.finditer(pattern, text)}
+    if not lines:
+        return set()
+    funcs = [
+        n for n in ast.walk(ast.parse(text))
+        if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))
+    ]
+    hits = set()
+    for line in lines:
+        around = [f for f in funcs if f.lineno <= line <= f.end_lineno]
+        innermost = min(around, key=lambda f: f.end_lineno - f.lineno, default=None)
+        name = innermost.name if innermost else "<module>"
+        hits.add(f"{path.relative_to(ROOT)}:{name}")
+    return hits
+
+
+class TestOneChaosRig:
+    """The scenarios' shared steps exist once: in the rig, the forwarding
+    store base, and the open-loop pacer."""
+
+    def test_one_forwarding_getattr(self):
+        owners = []
+        for path in src_files():
+            for cls in ast.walk(ast.parse(path.read_text())):
+                if not isinstance(cls, ast.ClassDef):
+                    continue
+                for fn in cls.body:
+                    if (
+                        isinstance(fn, ast.FunctionDef)
+                        and fn.name == "__getattr__"
+                        and "self.inner" in ast.unparse(fn)
+                    ):
+                        owners.append(f"{path.relative_to(ROOT)}:{cls.name}")
+        assert owners == ["src/repro/hdss/store.py:ForwardingChunkStore"]
+
+    def test_forwarding_base_covers_the_whole_interface(self):
+        from repro.hdss.store import ChunkStore, ForwardingChunkStore
+
+        interface = {
+            name for name, member in vars(ChunkStore).items()
+            if callable(member) and not name.startswith("_")
+        }
+        missing = interface - set(vars(ForwardingChunkStore))
+        assert not missing, f"ForwardingChunkStore does not forward {missing}"
+
+    def test_decorators_define_no_pure_forwarder(self):
+        """A method of a store decorator either does something or is not
+        there: ``return self.inner.<same name>(<same args>)`` alone is the
+        base class's job."""
+        from repro.hdss.store import FaultyChunkStore
+        from repro.service.chaos_rig import CountingStore, SlowStore
+
+        for cls in (FaultyChunkStore, CountingStore, SlowStore):
+            for name, member in vars(cls).items():
+                if not inspect.isfunction(member) or name == "__init__":
+                    continue
+                if member.__qualname__ != f"{cls.__name__}.{name}":
+                    continue  # re-pointed at a ChunkStore looping default
+                fn = ast.parse(textwrap.dedent(inspect.getsource(member))).body[0]
+                body = [
+                    s for s in fn.body
+                    if not (isinstance(s, ast.Expr)
+                            and isinstance(s.value, ast.Constant))
+                ]
+                only_forwards = len(body) == 1 and re.fullmatch(
+                    rf"(return )?self\.inner\.{name}\(.*\)", ast.unparse(body[0])
+                )
+                assert not only_forwards, f"{cls.__name__}.{name} only forwards"
+
+    def test_assembly_and_epilogue_live_only_in_the_rig(self):
+        for path in SERVICE.glob("chaos*.py"):
+            if path == RIG:
+                continue
+            text = path.read_text()
+            assert "HDSSConfig(" not in text, path
+            assert "hdpsr_chaos_runs_total" not in text, path
+        for path in (ROOT / "tests" / "test_cluster_failover.py",
+                     ROOT / "tests" / "test_overload.py",
+                     BENCH_OVERLOAD, BENCHMARKS / "bench_scrub.py"):
+            assert "HDSSConfig(" not in path.read_text(), path
+
+    def test_one_open_loop_pacer(self):
+        """Sleeping until ``started + offset`` is the pacer's business."""
+        idiom = r"started \+ (float\()?offset\)? - time\.monotonic\(\)"
+        hits = set()
+        for path in [*src_files(), BENCH_OVERLOAD, BENCHMARKS / "bench_scrub.py"]:
+            hits |= functions_matching(path, idiom)
+        assert hits == {"src/repro/service/client.py:pace_open_loop"}
+
+    def test_no_blocking_sleep_in_the_episodes(self):
+        hits = set()
+        for path in SERVICE.glob("chaos*.py"):
+            hits |= functions_matching(path, r"time\.sleep\(")
+        assert hits == {"src/repro/service/chaos_rig.py:get"}  # SlowStore.get
+
+    def test_invariants_defined_once(self):
+        for name in ("check_byte_identical", "check_no_duplicate_writes",
+                     "check_sidecars_verify", "check_stale_owner_fenced",
+                     "check_repair_certified"):
+            assert count_defs(name) == {"src/repro/service/chaos_rig.py": 1}
+
+    def test_daemon_does_not_import_its_chaos_harness(self):
+        probe = (
+            "import sys, repro.service, repro.cli; repro.cli.build_parser(); "
+            "print(sorted(m for m in sys.modules "
+            "if m.startswith('repro.service.chaos')))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True,
+            env={"PYTHONPATH": str(ROOT / "src")}, check=True,
+        )
+        assert out.stdout.strip() == "[]"

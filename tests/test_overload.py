@@ -1,36 +1,41 @@
 """Overload control: deadlines, the brownout controller, retry budgets,
-and the flash-crowd chaos scenario.
+and the open-loop pacer.
 
 Unit layers first — :class:`Deadline` and :class:`OverloadController` are
 clock-injected, so the CoDel window arithmetic is tested without
 sleeping — then daemon-backed tests that drive real TCP round trips
 (two-hop deadline propagation: client → daemon admission → gate), and
-finally one positive + one negative flash-crowd episode, which is the
-acceptance test of the whole stack: bounded p99 *with* control, budget
-violation *without* it, byte-identical repair either way. No
-pytest-asyncio in the toolchain: tests drive coroutines via
-``asyncio.run``.
+the open-loop pacer every load generator here shares. The flash-crowd
+episodes — the acceptance test of the whole stack — run in
+``test_chaos_episodes.py``. No pytest-asyncio in the toolchain: tests
+drive coroutines via ``asyncio.run``.
 """
 
 import asyncio
+import types
 
 import pytest
 
-from repro.core import ALGORITHMS
 from repro.errors import (
     ConfigurationError,
     DeadlineExceededError,
     OverloadError,
 )
-from repro.hdss.server import HDSSConfig, HighDensityStorageServer
 from repro.hdss.store import InMemoryChunkStore
 from repro.obs import MetricsRegistry, use_registry
-from repro.service.chaos_overload import (
-    OverloadChaosConfig,
+from repro.service import client as client_module
+from repro.service.chaos_rig import (
     SlowStore,
-    run_overload_chaos,
+    build_server as make_server,
+    build_service,
 )
-from repro.service.client import ClusterClient, ServiceClient
+from repro.service.client import (
+    ClusterClient,
+    ServiceClient,
+    pace_open_loop,
+    run_open_loop,
+    tally_open_loop,
+)
 from repro.service.netserver import ServiceDaemon
 from repro.service.overload import (
     CLASS_DEGRADED,
@@ -46,7 +51,6 @@ from repro.service.overload import (
     RetryBudget,
 )
 from repro.service.protocol import ERR_DEADLINE, ERR_OVERLOAD
-from repro.service.service import RepairService, ServiceConfig
 
 
 @pytest.fixture(autouse=True)
@@ -297,16 +301,6 @@ class TestRetryBudget:
 
 
 # ----------------------------------------------------- daemon-backed layers
-def make_server(store=None, seed=11):
-    config = HDSSConfig(
-        num_disks=12, n=5, k=3, chunk_size=2048, memory_chunks=16,
-        spares=3, seed=seed, placement="rotating",
-    )
-    server = HighDensityStorageServer(config, store=store)
-    server.provision_stripes(12, with_data=True)
-    return server
-
-
 async def start_daemon(service, **kwargs):
     daemon = ServiceDaemon(service, **kwargs)
     port = await daemon.start()
@@ -333,11 +327,7 @@ class TestDeadlinePropagation:
             # budget admits the first two and kills the rest *at the gate*
             # (they were alive at admission).
             store = SlowStore(InMemoryChunkStore(), service_time_s=0.05)
-            server = make_server(store=store)
-            service = RepairService(
-                server, ALGORITHMS["hd-psr-ap"](),
-                ServiceConfig(per_disk_reads=1),
-            )
+            service = build_service(make_server(store), per_disk_reads=1)
             daemon, port, task = await start_daemon(service)
             conns = [
                 await ServiceClient.connect("127.0.0.1", port)
@@ -378,10 +368,8 @@ class TestDeadlinePropagation:
     def test_deadline_tallied_by_controller_when_enabled(self):
         async def run():
             store = SlowStore(InMemoryChunkStore(), service_time_s=0.05)
-            server = make_server(store=store)
-            service = RepairService(
-                server, ALGORITHMS["hd-psr-ap"](),
-                ServiceConfig(per_disk_reads=1, overload=OverloadConfig()),
+            service = build_service(
+                make_server(store), per_disk_reads=1, overload=OverloadConfig()
             )
             daemon, port, task = await start_daemon(service)
             conns = [
@@ -408,8 +396,7 @@ class TestClusterClientBudgets:
             # max_inflight=0: every read is refused with a retryable
             # overload + retry_after_ms. An unmetered client would ride
             # the full retry ladder; the budget must cut it short.
-            server = make_server()
-            service = RepairService(server, ALGORITHMS["hd-psr-ap"]())
+            service = build_service(make_server())
             daemon, port, task = await start_daemon(service, max_inflight=0)
             endpoint = f"127.0.0.1:{port}"
             client = ClusterClient(
@@ -434,49 +421,55 @@ class TestClusterClientBudgets:
         asyncio.run(run())
 
 
-# ---------------------------------------------------------- chaos episodes
-def quick_chaos(control: bool) -> dict:
-    return run_overload_chaos(OverloadChaosConfig(
-        control=control,
-        base_rate=60.0,
-        spike_factor=10.0,
-        pre_seconds=0.8,
-        spike_seconds=0.8,
-        post_seconds=0.4,
-        deadline_ms=80.0,
-        p99_budget=0.25,
-        stripes=8,
-    ))
-
-
-class TestOverloadChaos:
-    def test_flash_crowd_with_control(self):
-        report = quick_chaos(control=True)
-        assert report["passed"], report["failures"]
-        # brownout entered and exited:
-        assert report["max_state_level"] >= 1
-        assert report["recovered_healthy"]
-        # at least one shed carried the backoff hint on the wire:
-        assert report["sheds"] + report["deadline_expired"] >= 1
-        if report["sheds"]:
-            assert report["shed_example"]["retry_after_ms"] > 0
-            assert report["shed_example"]["retryable"] is True
-        # bounded tail, preserved goodput, clean repair:
-        assert report["read_p99_seconds"] <= report["p99_budget"]
-        assert report["goodput_spike_per_s"] >= 0.8 * report["goodput_pre_per_s"]
-        assert report["byte_identical"]
-        assert report["repair"].get("certified")
-
-    def test_flash_crowd_negative_control_violates_budget(self):
-        report = quick_chaos(control=False)
-        # Without the controller the same schedule must blow the budget —
-        # this is what proves the bounded p99 above is earned, not free.
-        assert report["p99_violated"], (
-            "negative control stayed under budget; the scenario is not "
-            "actually saturating the hot disk"
+# ------------------------------------------------------ the open-loop pacer
+class TestOpenLoopPacer:
+    def test_late_start_counts_against_the_service(self, monkeypatch):
+        """No coordinated omission: a send the event loop only got round
+        to starting 5 s after its arrival reports >= 5 s, not ~0."""
+        clock = FakeClock()
+        monkeypatch.setattr(
+            client_module, "time", types.SimpleNamespace(monotonic=clock)
         )
-        assert report["errors"] == {}  # nothing shed: everything queued
-        # ...but correctness never degrades, only latency:
-        assert report["byte_identical"]
-        assert report["repair"].get("certified")
-        assert report["passed"], report["failures"]
+
+        async def send(i):
+            if i == 0:
+                clock.advance(5.0)  # holds the loop: arrival 1 cannot start
+            return None
+
+        outcomes = asyncio.run(pace_open_loop([0.0, 0.0], send))
+        assert [offset for offset, _ in outcomes] == [0.0, 0.0]
+        assert outcomes[1][1] >= 5.0
+
+    def test_outcomes_keep_schedule_order_and_error_codes(self):
+        async def send(i):
+            return ERR_OVERLOAD if i % 2 else None
+
+        times = [0.0, 0.001, 0.002, 0.003]
+        outcomes = asyncio.run(pace_open_loop(times, send))
+        assert [offset for offset, _ in outcomes] == times
+        assert [r for _, r in outcomes if isinstance(r, str)] == [ERR_OVERLOAD] * 2
+        latencies, errors = tally_open_loop(outcomes)
+        assert latencies.count == 2 and errors == {ERR_OVERLOAD: 2}
+
+    def test_empty_schedule(self):
+        async def send(i):
+            raise AssertionError("nothing to send")
+
+        assert asyncio.run(pace_open_loop([], send)) == []
+
+    def test_run_open_loop_against_a_daemon(self):
+        async def run():
+            daemon, port, task = await start_daemon(build_service(make_server()))
+            try:
+                return await run_open_loop(
+                    "127.0.0.1", port, rate=100.0, duration=0.2, seed=3,
+                    connections=4,
+                )
+            finally:
+                await stop_daemon(port, task)
+
+        report = asyncio.run(run())
+        assert report["offered"] >= 1
+        assert report["completed"] == report["offered"]
+        assert report["errors"] == {}
+        assert 0 < report["read_p50_seconds"] <= report["read_p99_seconds"]
