@@ -19,7 +19,7 @@ from repro.core import (
     PassiveRepair,
     RepairContext,
 )
-from repro.core.scheduler import _disk_id_matrix
+from repro.core.repair_job import _disk_id_matrix
 from repro.hdss import HDSSConfig, HighDensityStorageServer
 from repro.hdss.profiles import UniformProfile
 from repro.io import PacedDiskArray, WallClockRepairExecutor

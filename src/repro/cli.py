@@ -728,7 +728,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         )
     config = ServiceConfig(
         max_concurrent_stripes=args.max_stripes,
-        per_disk_reads=args.per_disk_reads,
+        per_disk_reads=args.gate_width,
         policy=policy,
         journal_root=args.journal,
         durable_journal=not args.no_fsync,
@@ -1513,13 +1513,9 @@ def build_parser() -> argparse.ArgumentParser:
                          help="shard count for --store (default 4)")
     p_serve.add_argument("--max-stripes", type=int, default=4,
                          help="concurrent stripe decodes per repair job")
-    p_serve.add_argument("--gate-width", dest="per_disk_reads", type=int,
-                         default=argparse.SUPPRESS,
+    p_serve.add_argument("--gate-width", type=int, default=2,
                          help="concurrent reads allowed per disk (the DiskGate "
-                              "width; default 2). Canonical name for "
-                              "--per-disk-reads — last flag given wins.")
-    p_serve.add_argument("--per-disk-reads", type=int, default=2,
-                         help="alias of --gate-width (kept for older scripts)")
+                              "width; default 2)")
     p_serve.add_argument("--no-overload-control", action="store_true",
                          help="disable the CoDel-style brownout controller "
                               "(deadline errors still honored; see "

@@ -17,6 +17,10 @@ Contents map directly onto §4 of the paper:
 * :mod:`repro.core.stripe_repair` — one stripe's repair as a sans-I/O
   state machine (round queue, salvage ladder, read-policy decisions),
   driven by the executor below and by :mod:`repro.service`;
+* :mod:`repro.core.repair_job` — one repair *job* as a sans-I/O object:
+  the one ``plan_repair`` (the only caller of ``build_plan``), the
+  fingerprint guard, journal replay, spare placement and the job's
+  closing tally, under every caller below and :mod:`repro.service`;
 * :mod:`repro.core.executor` — the byte-exact data path (chunks through
   the c-chunk memory, partial decoding, spare-disk write-back);
 * :mod:`repro.core.analysis` — ACWT / TR analytics behind Figures 3-4.
@@ -41,7 +45,8 @@ from repro.core.multi_disk import (
     cooperative_multi_disk_repair,
     naive_multi_disk_repair,
 )
-from repro.core.executor import DataPathExecutor, DataPathStats, ReadPolicy
+from repro.core.repair_job import DataPathStats
+from repro.core.executor import DataPathExecutor, ReadPolicy
 from repro.core.recovery import RecoveryResult, recover_disk, recover_disks
 from repro.core.analysis import (
     acwt_curve_vs_pa,

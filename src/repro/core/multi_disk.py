@@ -21,15 +21,12 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.core.base import RepairAlgorithm, RepairContext
-from repro.core.scheduler import (
-    ExecutionOptions,
-    _disk_id_matrix,
-    execute_plan,
-)
+from repro.core.base import RepairAlgorithm
+from repro.core.repair_job import plan_repair
+from repro.core.scheduler import ExecutionOptions, simulate
 from repro.errors import StorageError
 from repro.faults.injector import SimFaultModel
-from repro.hdss.prober import ActiveProber, PassiveMonitor
+from repro.hdss.prober import ActiveProber
 from repro.hdss.server import HighDensityStorageServer
 from repro.obs.context import current_registry, current_tracer, use_tracer
 from repro.obs.profiling import profile
@@ -89,67 +86,27 @@ class MultiDiskOutcome:
         return out
 
 
-def _plan_inputs(
-    server: HighDensityStorageServer,
-    algorithm: RepairAlgorithm,
-    stripe_indices: Sequence[int],
-    select: str,
-    probe_noise: float,
-    prober: Optional[ActiveProber],
-):
-    """Oracle + planning matrices restricted to ``stripe_indices``.
-
-    Survivors always exclude *every* currently failed disk on the server —
-    a naive per-disk phase must not try to read from the other failed
-    disks.
-    """
-    exclude = server.failed_disks()
-    survivor_ids: List[List[int]] = []
-    oracle_rows: List[List[float]] = []
-    size = server.config.chunk_size
-    for si in stripe_indices:
-        stripe = server.layout[si]
-        shards = server.survivor_shards(stripe, exclude, select=select)
-        survivor_ids.append(shards)
-        oracle_rows.append(
-            [server.disks[stripe.disks[j]].transfer_time(size) for j in shards]
-        )
-    L_oracle = np.asarray(oracle_rows, dtype=np.float64)
-    if algorithm.requires_probing:
-        assert prober is not None
-        plan_rows = [
-            [prober.estimated_chunk_time(server.layout[si].disks[j]) for j in shards]
-            for si, shards in zip(stripe_indices, survivor_ids)
-        ]
-        L_plan = np.asarray(plan_rows, dtype=np.float64)
-    else:
-        L_plan = L_oracle
-    disk_ids = _disk_id_matrix(server, stripe_indices, survivor_ids)
-    return survivor_ids, L_oracle, L_plan, disk_ids
-
-
 def _run_phase(
     server: HighDensityStorageServer,
     algorithm: RepairAlgorithm,
     stripe_indices: List[int],
     select: str,
     options: Optional[ExecutionOptions],
-    probe_noise: float,
-    prober: Optional[ActiveProber],
-    context: Optional[RepairContext],
+    prober: ActiveProber,
     order: str = "default",
     failed: Optional[List[int]] = None,
-) -> "tuple[TransferReport, int]":
-    survivor_ids, L_oracle, L_plan, disk_ids = _plan_inputs(
-        server, algorithm, stripe_indices, select, probe_noise, prober
-    )
-    ctx = context or RepairContext()
-    ctx.disk_ids = disk_ids
-    if ctx.monitor is None and algorithm.name == "hd-psr-pa":
-        ctx.monitor = PassiveMonitor(threshold_ratio=ctx.slow_threshold_ratio)
-    c = server.config.memory_chunks
+) -> TransferReport:
+    """Plan and simulate one phase over ``stripe_indices``.
+
+    Survivors always exclude *every* currently failed disk on the server —
+    a naive per-disk phase must not try to read from the other failed
+    disks.
+    """
     with profile(f"plan/{algorithm.name}", stripes=len(stripe_indices)):
-        plan = algorithm.build_plan(L_plan, c, context=ctx)
+        planned = plan_repair(
+            server, algorithm, server.failed_disks(), stripes=stripe_indices,
+            select=select, prober=prober,
+        )
     if order == "vulnerability":
         # Admit the most exposed stripes (fewest remaining erasures until
         # data loss) first, stably, overriding the algorithm's order.
@@ -158,19 +115,10 @@ def _run_phase(
             row: len(server.layout[si].lost_shards(failed))
             for row, si in enumerate(stripe_indices)
         }
-        plan.stripe_plans.sort(key=lambda sp: -lost_count[sp.stripe_index])
+        planned.plan.stripe_plans.sort(key=lambda sp: -lost_count[sp.stripe_index])
     elif order != "default":
         raise StorageError(f"unknown repair order {order!r}")
-    report = execute_plan(
-        plan,
-        L_oracle,
-        c,
-        stripe_indices=stripe_indices,
-        survivor_ids=survivor_ids,
-        disk_ids=disk_ids,
-        options=options,
-    )
-    return report, int(L_oracle.size)
+    return simulate(planned, server, options).report
 
 
 def _check_failed(server: HighDensityStorageServer, failed_disks: Sequence[int]) -> List[int]:
@@ -200,7 +148,7 @@ def naive_multi_disk_repair(
     """
     failed = _check_failed(server, failed_disks)
     algorithm = algorithm_factory()
-    prober = ActiveProber(server, noise=probe_noise) if algorithm.requires_probing else None
+    prober = ActiveProber(server, noise=probe_noise)
 
     total_time = 0.0
     chunks_read = 0
@@ -219,9 +167,8 @@ def naive_multi_disk_repair(
         # timeline at the phase's true start so the sequential structure
         # is visible.
         with use_tracer(OffsetTracer(tracer, total_time)):
-            report, read = _run_phase(
-                server, algorithm, list(stripe_indices), select, options,
-                probe_noise, prober, None,
+            report = _run_phase(
+                server, algorithm, list(stripe_indices), select, options, prober
             )
         if tracer.enabled:
             tracer.complete(
@@ -287,16 +234,16 @@ def cooperative_multi_disk_repair(
     """
     failed = _check_failed(server, failed_disks)
     algorithm = algorithm_factory()
-    prober = ActiveProber(server, noise=probe_noise) if algorithm.requires_probing else None
+    prober = ActiveProber(server, noise=probe_noise)
 
     stripe_indices = server.stripes_needing_repair(failed)
     if not stripe_indices:
         raise StorageError(f"disks {failed} hold no stripes; nothing to repair")
     tracer = current_tracer()
     options = options or ExecutionOptions()
-    report, _ = _run_phase(
-        server, algorithm, stripe_indices, select, options,
-        probe_noise, prober, None, order=order, failed=failed,
+    report = _run_phase(
+        server, algorithm, stripe_indices, select, options, prober,
+        order=order, failed=failed,
     )
     if tracer.enabled:
         tracer.complete(
@@ -359,9 +306,9 @@ def cooperative_multi_disk_repair(
                 faults=SimFaultModel(options.faults.schedule.shifted(phase_start)),
             )
         with use_tracer(OffsetTracer(tracer, phase_start)):
-            rep, _ = _run_phase(
-                server, algorithm, recoverable, select, phase_options,
-                probe_noise, prober, None, order=order, failed=failed,
+            rep = _run_phase(
+                server, algorithm, recoverable, select, phase_options, prober,
+                order=order, failed=failed,
             )
         if tracer.enabled:
             tracer.complete(

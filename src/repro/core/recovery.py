@@ -20,28 +20,27 @@ disks are retried or hedged, and unrecoverable stripes land in
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
-import os
-
 from repro.core.base import RepairAlgorithm, RepairContext
-from repro.core.executor import DataPathExecutor, DataPathStats, ReadPolicy
-from repro.core.plans import RepairPlan
+from repro.core.executor import DataPathExecutor, ReadPolicy
+from repro.core.repair_job import DataPathStats, RepairJob, certified, plan_repair
 from repro.core.scheduler import (
     ExecutionOptions,
     RepairOutcome,
-    _disk_id_matrix,
-    execute_plan,
     repair_single_disk,
+    simulate,
 )
+from repro.ec.stripe import ChunkId
 from repro.errors import JournalError, StorageError
 from repro.faults.injector import FaultInjector
 from repro.faults.report import DataLossReport
 from repro.faults.spec import FaultSchedule
 from repro.hdss.prober import ActiveProber
 from repro.hdss.server import HighDensityStorageServer, ScrubReport
-from repro.journal.journal import RepairJournal, RepairState, load_state
+from repro.journal.journal import RepairJournal, load_state
 from repro.sim.metrics import TransferReport
 
 
@@ -63,16 +62,8 @@ class RecoveryResult:
 
     @property
     def certified(self) -> bool:
-        """True when no stripe was lost and every one scrubbed clean.
-
-        Strict by design: a disk that died *during* the repair leaves its
-        own chunks missing from otherwise-recovered stripes, so those
-        stripes scrub degraded and certification fails — the honest signal
-        that another recovery (for the new disk) is still owed.
-        """
-        if self.loss is not None and self.loss.has_loss:
-            return False
-        return self.scrub.healthy and not self.scrub.unpopulated
+        """See :func:`repro.core.repair_job.certified`."""
+        return certified(self.loss, self.scrub)
 
     def summary(self) -> dict:
         out = {
@@ -90,79 +81,67 @@ class RecoveryResult:
         return out
 
 
-def _require_bytes(
+def _recover(
     server: HighDensityStorageServer,
-    stripe_indices: Sequence[int],
-    survivor_ids: Sequence[Sequence[int]],
-) -> None:
-    """The data path needs actual survivor bytes, not metadata-only stripes."""
-    from repro.ec.stripe import ChunkId
+    failed: Sequence[int],
+    plan_outcome,
+    faults: Optional[FaultSchedule],
+    policy: Optional[ReadPolicy],
+    journal: "str | os.PathLike | RepairJournal | None",
+    resume: bool,
+) -> RecoveryResult:
+    """The one recovery: plan or resume, move the bytes, commit, certify.
 
-    sample_stripe = server.layout[stripe_indices[0]]
-    sample_survivor = survivor_ids[0][0]
-    if not server.store.contains(
-        sample_stripe.disks[sample_survivor],
-        ChunkId(sample_stripe.index, sample_survivor),
-    ):
+    ``plan_outcome()`` plans a fresh run on the timing plane; a resumed run
+    reuses the journaled plan verbatim and reports a zeroed timing-plane
+    report — simulated repair time belongs to the run that planned it.
+    """
+    jrnl = (
+        journal
+        if journal is None or isinstance(journal, RepairJournal)
+        else RepairJournal(journal)
+    )
+    fingerprint = server.config.fingerprint()
+    if resume:
+        if jrnl is None:
+            raise JournalError("resume=True needs a journal directory")
+        job = RepairJob.resumed(load_state(jrnl.root), fingerprint, jrnl.root)
+        outcome = RepairOutcome(
+            algorithm=job.plan.algorithm,
+            plan=job.plan,
+            report=TransferReport(total_time=0.0),
+            stripe_indices=job.stripe_indices,
+            survivor_ids=job.survivor_ids,
+        )
+    else:
+        outcome = plan_outcome()
+        job = RepairJob(
+            outcome.plan, outcome.stripe_indices, outcome.survivor_ids,
+            failed, fingerprint,
+            hardened=bool(faults) or policy is not None or jrnl is not None,
+        )
+    # The data path needs actual survivor bytes, not metadata-only stripes.
+    sample = server.layout[job.stripe_indices[0]]
+    shard = job.survivor_ids[0][0]
+    if not server.store.contains(sample.disks[shard], ChunkId(sample.index, shard)):
         raise StorageError(
             "server holds no chunk bytes; provision with with_data=True "
             "(or use repair_single_disk for timing-only studies)"
         )
-
-
-def _hardened_executor(
-    server: HighDensityStorageServer,
-    faults: Optional[FaultSchedule],
-    policy: Optional[ReadPolicy],
-    journal: Optional[RepairJournal] = None,
-    resume_state: Optional[RepairState] = None,
-) -> DataPathExecutor:
-    # A resumed run already survived one crash per previous incarnation
-    # (the original plus one per 'resume' record) — skip exactly those.
-    skip = resume_state.resume_count + 1 if resume_state is not None else 0
-    injector = FaultInjector(server, faults, skip_crashes=skip) if faults else None
-    return DataPathExecutor(
-        server, policy=policy, injector=injector,
-        journal=journal, resume_state=resume_state,
+    injector = (
+        FaultInjector(server, faults, skip_crashes=job.crashes_survived)
+        if faults
+        else None
     )
-
-
-def _open_journal(
-    journal: "str | os.PathLike | RepairJournal | None",
-) -> Optional[RepairJournal]:
-    if journal is None or isinstance(journal, RepairJournal):
-        return journal
-    return RepairJournal(journal)
-
-
-def _load_resume_state(
-    journal: RepairJournal, server: HighDensityStorageServer
-) -> RepairState:
-    """Replay the journal and refuse to resume against the wrong server."""
-    state = load_state(journal.root)
-    fp = server.config.fingerprint()
-    if state.fingerprint != fp:
-        diff = sorted(
-            k for k in set(state.fingerprint) | set(fp)
-            if state.fingerprint.get(k) != fp.get(k)
-        )
-        raise JournalError(
-            f"journal {journal.root} was written by a different server "
-            f"configuration (mismatched: {diff}); refusing to resume"
-        )
-    journal.mark_resume(state.clock)
-    return state
-
-
-def _scrub_surviving(
-    server: HighDensityStorageServer,
-    stripe_indices: Sequence[int],
-    stats: DataPathStats,
-) -> ScrubReport:
-    """Scrub the affected stripes, excluding those recorded as lost."""
-    lost = set(stats.loss.lost) if stats.loss is not None else set()
-    keep = [si for si in stripe_indices if si not in lost]
-    return server.scrub(stripe_indices=keep) if keep else ScrubReport()
+    executor = DataPathExecutor(server, policy=policy, injector=injector, journal=jrnl)
+    executor.run(job)
+    kept = job.commit(server)
+    scrub = server.scrub(stripe_indices=kept) if kept else ScrubReport()
+    stats = job.finish(jrnl, injector, executor.clock)
+    return RecoveryResult(
+        outcome=outcome, data_path=stats, remapped=job.remapped, scrub=scrub,
+        loss=stats.loss,
+    )
 
 
 def recover_disk(
@@ -199,58 +178,13 @@ def recover_disk(
         JournalError: ``resume`` without a journal, or the journal belongs
             to a different server configuration.
     """
-    jrnl = _open_journal(journal)
-    state: Optional[RepairState] = None
-    if resume:
-        if jrnl is None:
-            raise JournalError("resume=True needs a journal directory")
-        state = _load_resume_state(jrnl, server)
-        outcome = _journaled_outcome(state)
-    else:
-        outcome = repair_single_disk(
+    return _recover(
+        server, server.failed_disks(),
+        lambda: repair_single_disk(
             server, algorithm, failed_disk, options=options, context=context
-        )
-    _require_bytes(server, outcome.stripe_indices, outcome.survivor_ids)
-    executor = _hardened_executor(server, faults, policy, jrnl, state)
-    stats = executor.repair(
-        outcome.plan, outcome.stripe_indices, outcome.survivor_ids
+        ),
+        faults, policy, journal, resume,
     )
-    remapped = server.commit_writebacks(stats.writebacks)
-    scrub = _scrub_surviving(server, outcome.stripe_indices, stats)
-    _finish_journal(jrnl, stats)
-    return RecoveryResult(
-        outcome=outcome, data_path=stats, remapped=remapped, scrub=scrub,
-        loss=stats.loss,
-    )
-
-
-def _journaled_outcome(state: RepairState) -> RepairOutcome:
-    """Rebuild the original run's outcome from the journal's begin record.
-
-    The timing-plane report is zeroed: simulated repair time belongs to
-    the run that planned the repair, not to the replay.
-    """
-    return RepairOutcome(
-        algorithm=state.algorithm,
-        plan=RepairPlan.from_dict(state.plan),
-        report=TransferReport(total_time=0.0),
-        stripe_indices=list(state.stripe_indices),
-        survivor_ids=[list(row) for row in state.survivor_ids],
-    )
-
-
-def _finish_journal(jrnl: Optional[RepairJournal], stats: DataPathStats) -> None:
-    if jrnl is None:
-        return
-    summary: dict = {
-        "stripes_repaired": stats.stripes_repaired,
-        "stripes_lost": stats.stripes_lost,
-        "chunks_rebuilt": stats.chunks_rebuilt,
-        "resumed_stripes": stats.resumed_stripes,
-        "modeled_seconds": stats.modeled_seconds,
-    }
-    jrnl.complete(**summary)
-    jrnl.close()
 
 
 def recover_disks(
@@ -291,80 +225,14 @@ def recover_disks(
     for d in failed:
         if not server.disk(d).is_failed:
             raise StorageError(f"disk {d} is healthy; fail it before repairing")
-
-    jrnl = _open_journal(journal)
-    if resume:
-        if jrnl is None:
-            raise JournalError("resume=True needs a journal directory")
-        state = _load_resume_state(jrnl, server)
-        outcome = _journaled_outcome(state)
-        _require_bytes(server, outcome.stripe_indices, outcome.survivor_ids)
-        executor = _hardened_executor(server, faults, policy, jrnl, state)
-        stats = executor.repair(
-            outcome.plan, outcome.stripe_indices, outcome.survivor_ids,
-            failed_disks=state.failed_disks,
-        )
-        remapped = server.commit_writebacks(stats.writebacks)
-        scrub = _scrub_surviving(server, outcome.stripe_indices, stats)
-        _finish_journal(jrnl, stats)
-        return RecoveryResult(
-            outcome=outcome, data_path=stats, remapped=remapped, scrub=scrub,
-            loss=stats.loss,
-        )
-
-    stripe_indices, survivor_ids, L_oracle = server.transfer_time_matrix(
-        failed, select=select
-    )
-    if not stripe_indices:
-        raise StorageError(f"disks {failed} hold no stripes; nothing to repair")
-    _require_bytes(server, stripe_indices, survivor_ids)
-    disk_ids = _disk_id_matrix(server, stripe_indices, survivor_ids)
-
-    probe_bytes = 0
-    if algorithm.requires_probing:
-        prober = ActiveProber(server, noise=probe_noise)
-        plan_rows = [
-            [prober.estimated_chunk_time(server.layout[si].disks[j]) for j in shards]
-            for si, shards in zip(stripe_indices, survivor_ids)
-        ]
-        import numpy as np
-
-        L_plan = np.asarray(plan_rows, dtype=np.float64)
-        probe_bytes = prober.probe_bytes_issued
-    else:
-        L_plan = L_oracle
-
-    ctx = context or RepairContext()
-    if ctx.disk_ids is None:
-        ctx.disk_ids = disk_ids
-    c = server.config.memory_chunks
-    plan = algorithm.build_plan(L_plan, c, context=ctx)
-    report = execute_plan(
-        plan,
-        L_oracle,
-        c,
-        stripe_indices=stripe_indices,
-        survivor_ids=survivor_ids,
-        disk_ids=disk_ids,
-        options=options,
-    )
-    outcome = RepairOutcome(
-        algorithm=algorithm.name,
-        plan=plan,
-        report=report,
-        stripe_indices=list(stripe_indices),
-        survivor_ids=[list(s) for s in survivor_ids],
-        L=L_oracle,
-        probe_bytes=probe_bytes,
-    )
-    executor = _hardened_executor(server, faults, policy, jrnl)
-    stats = executor.repair(
-        plan, stripe_indices, survivor_ids, failed_disks=failed
-    )
-    remapped = server.commit_writebacks(stats.writebacks)
-    scrub = _scrub_surviving(server, stripe_indices, stats)
-    _finish_journal(jrnl, stats)
-    return RecoveryResult(
-        outcome=outcome, data_path=stats, remapped=remapped, scrub=scrub,
-        loss=stats.loss,
+    return _recover(
+        server, failed,
+        lambda: simulate(
+            plan_repair(
+                server, algorithm, failed, select=select,
+                prober=ActiveProber(server, noise=probe_noise), context=context,
+            ),
+            server, options,
+        ),
+        faults, policy, journal, resume,
     )

@@ -29,8 +29,9 @@ import numpy as np
 
 from repro.core.base import RepairAlgorithm, RepairContext
 from repro.core.plans import RepairPlan, plan_to_jobs
+from repro.core.repair_job import PlannedRepair, plan_repair
 from repro.errors import ConfigurationError, StorageError
-from repro.hdss.prober import ActiveProber, PassiveMonitor
+from repro.hdss.prober import ActiveProber
 from repro.hdss.server import HighDensityStorageServer
 from repro.obs.context import current_registry, current_tracer
 from repro.obs.profiling import profile
@@ -194,17 +195,30 @@ class RepairOutcome:
         }
 
 
-def _disk_id_matrix(
+def simulate(
+    planned: PlannedRepair,
     server: HighDensityStorageServer,
-    stripe_indices: Sequence[int],
-    survivor_ids: Sequence[Sequence[int]],
-) -> np.ndarray:
-    """s x k matrix of source-disk ids aligned with the L matrix."""
-    rows = []
-    for si, shards in zip(stripe_indices, survivor_ids):
-        stripe = server.layout[si]
-        rows.append([stripe.disks[j] for j in shards])
-    return np.asarray(rows, dtype=np.int64)
+    options: Optional[ExecutionOptions] = None,
+) -> RepairOutcome:
+    """Execute a planned repair on the simulated timeline, at oracle speeds."""
+    report = execute_plan(
+        planned.plan,
+        planned.L,
+        server.config.memory_chunks,
+        stripe_indices=planned.stripe_indices,
+        survivor_ids=planned.survivor_ids,
+        disk_ids=planned.disk_ids,
+        options=options,
+    )
+    return RepairOutcome(
+        algorithm=planned.plan.algorithm,
+        plan=planned.plan,
+        report=report,
+        stripe_indices=planned.stripe_indices,
+        survivor_ids=planned.survivor_ids,
+        L=planned.L,
+        probe_bytes=planned.probe_bytes,
+    )
 
 
 def repair_single_disk(
@@ -231,31 +245,15 @@ def repair_single_disk(
             f"disk {failed_disk} is healthy; fail it explicitly before repairing"
         )
     failed = server.failed_disks()
-    stripe_indices, survivor_ids, L_oracle = server.transfer_time_matrix(
-        failed, select=select
-    )
+    stripe_indices = server.stripes_needing_repair(failed)
     if not stripe_indices:
         raise StorageError(f"disk {failed_disk} holds no stripes; nothing to repair")
-    disk_ids = _disk_id_matrix(server, stripe_indices, survivor_ids)
-
-    probe_bytes = 0
-    if algorithm.requires_probing:
-        prober = ActiveProber(server, noise=probe_noise)
-        est_indices, est_survivors, L_plan = prober.estimate_matrix(failed, select=select)
-        assert est_indices == stripe_indices and est_survivors == survivor_ids
-        probe_bytes = prober.probe_bytes_issued
-    else:
-        L_plan = L_oracle
-
-    ctx = context or RepairContext()
-    if ctx.disk_ids is None:
-        ctx.disk_ids = disk_ids
-    if ctx.monitor is None and algorithm.name == "hd-psr-pa":
-        ctx.monitor = PassiveMonitor(threshold_ratio=ctx.slow_threshold_ratio)
-
-    c = server.config.memory_chunks
     with profile(f"plan/{algorithm.name}", stripes=len(stripe_indices)):
-        plan = algorithm.build_plan(L_plan, c, context=ctx)
+        planned = plan_repair(
+            server, algorithm, failed, stripes=stripe_indices, select=select,
+            prober=ActiveProber(server, noise=probe_noise), context=context,
+        )
+    plan = planned.plan
     tracer = current_tracer()
     if tracer.enabled:
         tracer.instant(
@@ -268,25 +266,8 @@ def repair_single_disk(
         "hdpsr_selection_seconds", "Wall-clock spent choosing P_a",
         buckets=(1e-5, 1e-4, 1e-3, 0.01, 0.1, 1.0, 10.0),
     ).labels(algorithm=algorithm.name).observe(plan.selection_seconds)
-    if probe_bytes:
+    if planned.probe_bytes:
         registry.counter(
             "hdpsr_probe_bytes_total", "Bytes issued by active probing"
-        ).labels(algorithm=algorithm.name).inc(probe_bytes)
-    report = execute_plan(
-        plan,
-        L_oracle,
-        c,
-        stripe_indices=stripe_indices,
-        survivor_ids=survivor_ids,
-        disk_ids=disk_ids,
-        options=options,
-    )
-    return RepairOutcome(
-        algorithm=algorithm.name,
-        plan=plan,
-        report=report,
-        stripe_indices=list(stripe_indices),
-        survivor_ids=[list(s) for s in survivor_ids],
-        L=L_oracle,
-        probe_bytes=probe_bytes,
-    )
+        ).labels(algorithm=algorithm.name).inc(planned.probe_bytes)
+    return simulate(planned, server, options)

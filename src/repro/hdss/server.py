@@ -365,6 +365,7 @@ class HighDensityStorageServer:
         failed_disks: Sequence[int],
         select: str = "first",
         jittered: bool = True,
+        stripes: Optional[Sequence[int]] = None,
     ) -> Tuple[List[int], List[List[int]], np.ndarray]:
         """Build the ``L_{s×k}`` matrix for a recovery (§4.1, Table 1).
 
@@ -372,8 +373,13 @@ class HighDensityStorageServer:
         float64 matrix ``L`` holds the transfer times of the k chosen
         survivor chunks of stripe ``stripe_indices[i]``, and
         ``survivor_ids[i]`` their shard indices (same column order).
+        ``stripes`` restricts the rows (default: every stripe touching a
+        failed disk); survivors never sit on a failed disk either way.
         """
-        stripe_indices = self.stripes_needing_repair(failed_disks)
+        stripe_indices = (
+            list(stripes) if stripes is not None
+            else self.stripes_needing_repair(failed_disks)
+        )
         survivor_ids: List[List[int]] = []
         rows: List[List[float]] = []
         size = self.config.chunk_size

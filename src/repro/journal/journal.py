@@ -109,9 +109,6 @@ class RepairJournal:
     ) -> None:
         self.root = Path(root)
         self._writer = WALWriter(self.root, durable=durable)
-        #: Whether a ``begin`` record was written (by this instance or a
-        #: previous incarnation whose segments already exist).
-        self.begun = journal_exists(self.root)
 
     # ------------------------------------------------------------- low level
     def _emit(self, record: WALRecord) -> None:
@@ -154,7 +151,6 @@ class RepairJournal:
                 },
             )
         )
-        self.begun = True
 
     def mark_resume(self, clock: float) -> None:
         self._emit(WALRecord(type="resume", meta={"clock": float(clock)}))

@@ -33,11 +33,11 @@ from dataclasses import dataclass
 from typing import Optional
 
 
-from repro.core.base import RepairAlgorithm, RepairContext
-from repro.core.scheduler import ExecutionOptions, _disk_id_matrix, execute_plan
+from repro.core.base import RepairAlgorithm
+from repro.core.repair_job import plan_repair
+from repro.core.scheduler import ExecutionOptions, simulate
 from repro.ec.stripe import StripeLayout
 from repro.errors import ConfigurationError
-from repro.hdss.prober import ActiveProber
 from repro.hdss.server import HighDensityStorageServer
 from repro.reliability.lifetimes import YEAR_SECONDS, LifetimeModel
 from repro.utils.rng import RngLike, derive_seed, make_rng
@@ -320,21 +320,8 @@ def estimate_repair_seconds(
     untouched) and returns the scheme's total transfer time — the number
     :func:`simulate_durability` consumes.
     """
-    stripe_indices, survivor_ids, L_oracle = server.transfer_time_matrix([disk])
-    if not stripe_indices:
+    stripes = server.stripes_needing_repair([disk])
+    if not stripes:
         raise ConfigurationError(f"disk {disk} holds no stripes")
-    disk_ids = _disk_id_matrix(server, stripe_indices, survivor_ids)
-    if algorithm.requires_probing:
-        prober = ActiveProber(server)
-        _, _, L_plan = prober.estimate_matrix([disk])
-    else:
-        L_plan = L_oracle
-    ctx = RepairContext(disk_ids=disk_ids)
-    c = server.config.memory_chunks
-    plan = algorithm.build_plan(L_plan, c, context=ctx)
-    report = execute_plan(
-        plan, L_oracle, c,
-        stripe_indices=stripe_indices, survivor_ids=survivor_ids,
-        disk_ids=disk_ids, options=options,
-    )
-    return report.total_time
+    planned = plan_repair(server, algorithm, [disk], stripes=stripes)
+    return simulate(planned, server, options).transfer_time

@@ -34,14 +34,22 @@ from __future__ import annotations
 
 import asyncio
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
-from repro.core.base import RepairAlgorithm, RepairContext
-from repro.core.plans import RepairPlan, StripePlan
+from repro.core.base import RepairAlgorithm
+from repro.core.plans import StripePlan
+from repro.core.repair_job import (
+    REPLAY,
+    RESTORE,
+    RepairJob,
+    certified,
+    place,
+    plan_repair,
+)
 from repro.core.stripe_repair import (
     FORCE,
     READ_RETRY,
@@ -68,9 +76,8 @@ from repro.errors import (
 from repro.faults.injector import FaultInjector
 from repro.faults.report import LOST, DataLossReport
 from repro.faults.spec import FaultSchedule
-from repro.hdss.prober import ActiveProber
 from repro.hdss.server import HighDensityStorageServer, ScrubReport
-from repro.journal.journal import RepairJournal, RepairState, load_state
+from repro.journal.journal import RepairJournal, load_state
 from repro.obs.context import current_registry, current_tracer
 from repro.service.admission import DiskGate
 from repro.service.overload import (
@@ -162,9 +169,8 @@ class ServiceRepairResult:
 
     @property
     def certified(self) -> bool:
-        if self.loss.has_loss:
-            return False
-        return self.scrub.healthy and not self.scrub.unpopulated
+        """See :func:`repro.core.repair_job.certified`."""
+        return certified(self.loss, self.scrub)
 
     @property
     def exit_code(self) -> int:
@@ -203,26 +209,15 @@ class RepairTicket:
         return await self.task
 
 
-@dataclass
-class _Job:
-    """Supervisor-internal state of one repair job."""
+class _Job(RepairJob):
+    """One :class:`~repro.core.repair_job.RepairJob` plus the supervisor's
+    own bookkeeping: which disk, which journal, the modeled start, and the
+    live-telemetry fields read by :meth:`RepairService.progress`."""
 
-    disk: int
-    stripe_indices: List[int]
-    survivor_ids: List[List[int]]
-    plan: RepairPlan
-    failed_all: List[int]
+    disk: int = -1
     journal: Optional[RepairJournal] = None
-    state: Optional[RepairState] = None
-    loss: DataLossReport = field(default_factory=DataLossReport)
-    writebacks: List[Tuple[int, int, int]] = field(default_factory=list)
-    chunks_rebuilt: int = 0
-    resumed_stripes: int = 0
     modeled_start: float = 0.0
-    modeled_end: float = 0.0
-    # --- live-telemetry bookkeeping (read by RepairService.progress) ---
     job_id: int = -1
-    algorithm: str = ""
     started_wall: float = 0.0
     stripes_done: int = 0
     finished: bool = False
@@ -231,6 +226,7 @@ class _Job:
         """One job's live progress row (JSON-safe, served by ``stats``)."""
         total = len(self.stripe_indices)
         done = self.stripes_done
+        stats = self.stats
         elapsed = time.monotonic() - self.started_wall
         if self.finished:
             eta = 0.0
@@ -241,15 +237,15 @@ class _Job:
         return {
             "job_id": self.job_id,
             "disk": self.disk,
-            "algorithm": self.algorithm,
+            "algorithm": self.plan.algorithm,
             "stripes_total": total,
             "stripes_done": done,
-            "stripes_lost": len(self.loss.lost),
-            "chunks_rebuilt": self.chunks_rebuilt,
-            "resumed_stripes": self.resumed_stripes,
-            "replans": self.loss.replans,
-            "fresh_restarts": self.loss.fresh_restarts,
-            "checksum_failures": self.loss.checksum_failures,
+            "stripes_lost": stats.stripes_lost,
+            "chunks_rebuilt": stats.chunks_rebuilt,
+            "resumed_stripes": stats.resumed_stripes,
+            "replans": stats.replans,
+            "fresh_restarts": stats.fresh_restarts,
+            "checksum_failures": stats.checksum_failures,
             "elapsed_seconds": elapsed,
             "eta_seconds": eta,
             "done": self.finished,
@@ -524,58 +520,7 @@ class RepairService:
             )
         return self._injector
 
-    # --------------------------------------------------------------- planning
-    def _plan_job(self, disk_id: int) -> Tuple[List[int], List[List[int]], RepairPlan]:
-        """Plan one disk's repair (runs off the event loop)."""
-        server = self.server
-        if not server.disk(disk_id).is_failed:
-            raise StorageError(
-                f"disk {disk_id} is healthy; fail it before submitting a repair"
-            )
-        failed_all = server.failed_disks()
-        stripe_indices = [
-            si
-            for si in server.stripes_needing_repair([disk_id])
-            if si not in self._claimed
-        ]
-        if not stripe_indices:
-            raise StorageError(
-                f"disk {disk_id} holds no unclaimed stripes; nothing to repair"
-            )
-        survivor_ids: List[List[int]] = []
-        rows: List[List[float]] = []
-        size = server.config.chunk_size
-        prober = (
-            ActiveProber(server) if self.algorithm.requires_probing else None
-        )
-        for si in stripe_indices:
-            stripe = server.layout[si]
-            shard_ids = server.survivor_shards(stripe, failed_all)
-            survivor_ids.append(shard_ids)
-            if prober is not None:
-                rows.append(
-                    [prober.estimated_chunk_time(stripe.disks[j]) for j in shard_ids]
-                )
-            else:
-                rows.append(
-                    [
-                        server.disks[stripe.disks[j]].transfer_time(size, jittered=False)
-                        for j in shard_ids
-                    ]
-                )
-        L = np.asarray(rows, dtype=np.float64)
-        disk_ids = np.asarray(
-            [
-                [server.layout[si].disks[j] for j in shards]
-                for si, shards in zip(stripe_indices, survivor_ids)
-            ],
-            dtype=np.int64,
-        )
-        ctx = RepairContext()
-        ctx.disk_ids = disk_ids
-        plan = self.algorithm.build_plan(L, server.config.memory_chunks, context=ctx)
-        return stripe_indices, survivor_ids, plan
-
+    # ---------------------------------------------------------------- journals
     def _journal_dir(self, disk_id: int) -> Optional[Path]:
         if self.config.journal_root is None:
             return None
@@ -618,59 +563,48 @@ class RepairService:
         self, disk_id: int, resume: bool, job_id: int = -1
     ) -> ServiceRepairResult:
         started = time.monotonic()
+        server = self.server
         jdir = self._journal_dir(disk_id)
         tracer = current_tracer()
+        fingerprint = server.config.fingerprint()
 
         if resume:
             if jdir is None:
                 raise JournalError("resume needs a journal_root in ServiceConfig")
             state = await asyncio.to_thread(load_state, jdir)
-            fp = self.server.config.fingerprint()
-            if state.fingerprint != fp:
-                raise JournalError(
-                    f"journal {jdir} was written by a different server "
-                    "configuration; refusing to resume"
-                )
-            journal = RepairJournal(jdir, durable=self.config.durable_journal)
-            journal.mark_resume(state.clock)
-            self._ensure_injector(state.resume_count + 1)
-            job = _Job(
-                disk=disk_id,
-                stripe_indices=list(state.stripe_indices),
-                survivor_ids=[list(r) for r in state.survivor_ids],
-                plan=RepairPlan.from_dict(state.plan),
-                failed_all=list(state.failed_disks),
-                journal=journal,
-                state=state,
-            )
+            job = _Job.resumed(state, fingerprint, jdir)
             self.modeled_now = max(self.modeled_now, state.clock)
         else:
-            stripe_indices, survivor_ids, plan = await asyncio.to_thread(
-                self._plan_job, disk_id
-            )
-            self._ensure_injector(0)
-            journal = None
-            if jdir is not None:
-                journal = RepairJournal(jdir, durable=self.config.durable_journal)
-                journal.begin(
-                    algorithm=plan.algorithm,
-                    plan=plan.to_dict(),
-                    stripe_indices=[int(s) for s in stripe_indices],
-                    survivor_ids=[[int(s) for s in row] for row in survivor_ids],
-                    failed_disks=[int(d) for d in self.server.failed_disks()],
-                    fingerprint=self.server.config.fingerprint(),
+            if not server.disk(disk_id).is_failed:
+                raise StorageError(
+                    f"disk {disk_id} is healthy; fail it before submitting a repair"
                 )
-            job = _Job(
-                disk=disk_id,
-                stripe_indices=stripe_indices,
-                survivor_ids=survivor_ids,
-                plan=plan,
-                failed_all=self.server.failed_disks(),
-                journal=journal,
+            failed_all = server.failed_disks()
+            stripes = [
+                si
+                for si in server.stripes_needing_repair([disk_id])
+                if si not in self._claimed
+            ]
+            if not stripes:
+                raise StorageError(
+                    f"disk {disk_id} holds no unclaimed stripes; nothing to repair"
+                )
+            # The modeled clock prices reads unjittered, so the plan does too.
+            planned = await asyncio.to_thread(
+                plan_repair, server, self.algorithm, failed_all,
+                stripes=stripes, jittered=False,
             )
+            job = _Job(
+                planned.plan, planned.stripe_indices, planned.survivor_ids,
+                failed_all, fingerprint,
+            )
+        self._ensure_injector(job.crashes_survived)
+        if jdir is not None:
+            job.journal = RepairJournal(jdir, durable=self.config.durable_journal)
+            job.open(job.journal)
 
+        job.disk = disk_id
         job.job_id = job_id
-        job.algorithm = job.plan.algorithm
         job.started_wall = started
         self._jobs[job_id] = job
 
@@ -683,8 +617,8 @@ class RepairService:
 
         sem = asyncio.Semaphore(self.config.max_concurrent_stripes)
         tasks = [
-            loop.create_task(self._stripe_bounded(sem, job, sp))
-            for sp in job.plan.stripe_plans
+            loop.create_task(self._stripe_bounded(sem, job, sp, si, shards))
+            for sp, si, shards in job.rows()
         ]
         try:
             await asyncio.gather(*tasks)
@@ -702,49 +636,30 @@ class RepairService:
             raise
 
         self._check_fence(job.disk)
-        remapped = self.server.commit_writebacks(job.writebacks)
-        kept = [
-            si
-            for si in job.stripe_indices
-            if job.loss.stripes.get(si) != LOST
-        ]
+        kept = job.commit(server)
         scrub = (
-            await asyncio.to_thread(self.server.scrub, kept)
-            if kept
-            else ScrubReport()
+            await asyncio.to_thread(server.scrub, kept) if kept else ScrubReport()
         )
-        job.modeled_end = self.modeled_now
-        if job.journal is not None:
-            job.journal.complete(
-                stripes_repaired=len(job.loss.recovered) + len(job.loss.replanned),
-                stripes_lost=len(job.loss.lost),
-                chunks_rebuilt=job.chunks_rebuilt,
-                resumed_stripes=job.resumed_stripes,
-                modeled_seconds=self.modeled_now,
-            )
-            job.journal.close()
+        stats = job.finish(job.journal, self._injector, self.modeled_now)
         self._release_stripes(job)
-        if self._injector is not None:
-            for kind, n in self._injector.applied.items():
-                job.loss.count_fault(kind, n)
         result = ServiceRepairResult(
             disk=disk_id,
             algorithm=job.plan.algorithm,
             stripes=len(job.stripe_indices),
-            stripes_repaired=len(job.loss.recovered) + len(job.loss.replanned),
-            stripes_lost=len(job.loss.lost),
-            chunks_rebuilt=job.chunks_rebuilt,
-            resumed_stripes=job.resumed_stripes,
-            remapped=remapped,
+            stripes_repaired=stats.stripes_repaired,
+            stripes_lost=stats.stripes_lost,
+            chunks_rebuilt=stats.chunks_rebuilt,
+            resumed_stripes=stats.resumed_stripes,
+            remapped=job.remapped,
             modeled_seconds=self.modeled_now - job.modeled_start,
             wall_seconds=time.monotonic() - started,
-            loss=job.loss,
+            loss=stats.loss,
             scrub=scrub,
         )
         job.finished = True
         current_registry().counter(
             REPAIRS, "repair jobs finished"
-        ).labels(outcome="lost" if job.loss.has_loss else "recovered").inc()
+        ).labels(outcome="lost" if stats.stripes_lost else "recovered").inc()
         tracer.instant(
             "service", f"repair disk {disk_id} done",
             stripes=result.stripes, lost=result.stripes_lost,
@@ -759,7 +674,8 @@ class RepairService:
             self._claimed.discard(si)
 
     async def _stripe_bounded(
-        self, sem: asyncio.Semaphore, job: _Job, sp: StripePlan
+        self, sem: asyncio.Semaphore, job: _Job, sp: StripePlan,
+        si: int, shards: List[int],
     ) -> None:
         async with sem:
             inflight = current_registry().gauge(
@@ -767,42 +683,55 @@ class RepairService:
             )
             inflight.inc()
             tracer = current_tracer()
-            si = job.stripe_indices[sp.stripe_index]
             try:
                 if tracer.enabled:
                     with tracer.span(
                         "stripe", f"stripe-{si}", track="service",
                         stripe=si, disk=job.disk, job=job.job_id,
                     ):
-                        await self._repair_stripe(job, sp)
+                        await self._repair_stripe(job, sp, si, shards)
                 else:
-                    await self._repair_stripe(job, sp)
+                    await self._repair_stripe(job, sp, si, shards)
                 job.stripes_done += 1
             finally:
                 inflight.dec()
 
     # ----------------------------------------------------------- stripe task
-    async def _repair_stripe(self, job: _Job, sp: StripePlan) -> None:
+    async def _repair_stripe(
+        self, job: _Job, sp: StripePlan, si: int, shards: List[int]
+    ) -> None:
         server = self.server
-        si = job.stripe_indices[sp.stripe_index]
         stripe = server.layout[si]
-        shards = list(job.survivor_ids[sp.stripe_index])
-        targets = stripe.lost_shards(job.failed_all)
-        if not targets:
-            raise StorageError(f"stripe {si} lost nothing on {job.failed_all}")
-        state = job.state
+        targets = job.targets(stripe)
+        fut = self._repair_futures.get(si)
+        how, journaled = job.dispatch(si)
 
-        if state is not None and si in state.done:
-            await self._replay_stripe(job, si, targets)
+        def resolve(payloads: Optional[Dict[int, np.ndarray]]) -> None:
+            # Piggybacking degraded reads get the decoded bytes (None: lost).
+            if fut is not None and not fut.done():
+                fut.set_result(payloads)
+
+        if how == REPLAY:
+            # Re-put what the spare is missing; zero survivor reads.
+            self._check_fence(job.disk)
+            for spare, cid, payload in job.replay_puts(
+                si, journaled, server.store.contains
+            ):
+                await self.writer.put(spare, cid, payload)
+            resolve(
+                {t: p for t, _, p in journaled.writebacks if p is not None}
+                if journaled.outcome != LOST
+                else None
+            )
             return
 
-        if state is not None and si in state.inflight:
-            repair = StripeRepair.restore(server.code, state.inflight[si], sp)
-            job.resumed_stripes += 1
+        if how == RESTORE:
+            repair = StripeRepair.restore(server.code, journaled, sp)
         else:
             repair = StripeRepair.fresh(
                 server.code, shards, targets, sp, server.config.chunk_size
             )
+        seen: Set[int] = set(repair.decoder.fed)
 
         stripe_clock = self.modeled_now
         while rnd := repair.next_round():
@@ -826,6 +755,7 @@ class RepairService:
                 else:
                     data, end = res
                     fed[shard_idx] = data
+                    job.count_read(seen, shard_idx, data.size)
                     stripe_clock = max(stripe_clock, end)
             if fed:
                 tracer = current_tracer()
@@ -861,43 +791,27 @@ class RepairService:
                     except ShardFault as exc:
                         fault = exc  # died while waiting; handle as dead
                     else:
+                        job.count_read(seen, shard, data.size)
                         stripe_clock = max(stripe_clock, end)
                         await asyncio.to_thread(repair.feed, {shard: data})
 
-        repair.fold_into(job.loss)
+        repair.fold_into(job.stats)
         outcome = repair.outcome
-        fut = self._repair_futures.get(si)
+        written: List[Tuple[int, int, np.ndarray]] = []
         if outcome == LOST:
-            job.loss.record(si, LOST)
-            if fut is not None and not fut.done():
-                fut.set_result(None)
+            resolve(None)
             if job.journal is not None:
                 self._check_fence(job.disk)
-                await asyncio.to_thread(
-                    job.journal.stripe_done, si, LOST, self.modeled_now
-                )
-            current_registry().counter(
-                REPAIR_STRIPES, "stripe repairs finished"
-            ).labels(outcome=LOST).inc()
-            return
-
-        results = await asyncio.to_thread(repair.decoder.results)
-        # Resolve the piggyback future *before* persisting: a degraded
-        # read only needs the decoded bytes, not their new home.
-        if fut is not None and not fut.done():
-            fut.set_result(results)
-
-        written: List[Tuple[int, int, np.ndarray]] = []
-        exclude = list(stripe.disks)
-        self._check_fence(job.disk)
-        for target in targets:
-            spare = server.pick_spare(exclude=exclude)
-            exclude.append(spare)
-            await self.writer.put(spare, ChunkId(si, target), results[target])
-            job.writebacks.append((si, target, spare))
-            written.append((target, spare, results[target]))
-            job.chunks_rebuilt += 1
-        job.loss.record(si, outcome)
+        else:
+            results = await asyncio.to_thread(repair.decoder.results)
+            # Resolve the piggyback future *before* persisting: a degraded
+            # read only needs the decoded bytes, not their new home.
+            resolve(results)
+            self._check_fence(job.disk)
+            for target, spare in place(stripe, targets, server.pick_spare):
+                await self.writer.put(spare, ChunkId(si, target), results[target])
+                written.append((target, spare, results[target]))
+        job.record(si, outcome, written)
         if job.journal is not None:
             await asyncio.to_thread(
                 job.journal.stripe_done, si, outcome, self.modeled_now, written
@@ -905,27 +819,6 @@ class RepairService:
         current_registry().counter(
             REPAIR_STRIPES, "stripe repairs finished"
         ).labels(outcome=outcome).inc()
-
-    async def _replay_stripe(self, job: _Job, si: int, targets: List[int]) -> None:
-        """Redo a journaled stripe outcome: re-put payloads, zero reads."""
-        done = job.state.done[si]
-        job.resumed_stripes += 1
-        payloads: Dict[int, np.ndarray] = {}
-        self._check_fence(job.disk)
-        for target, spare, payload in done.writebacks:
-            if payload is None:
-                continue
-            cid = ChunkId(si, target)
-            if not self.server.store.contains(spare, cid):
-                await self.writer.put(spare, cid, payload)
-            job.writebacks.append((si, target, spare))
-            job.chunks_rebuilt += 1
-            payloads[target] = payload
-        job.loss.record(si, done.outcome)
-        job.loss.resumed_stripes += 1
-        fut = self._repair_futures.get(si)
-        if fut is not None and not fut.done():
-            fut.set_result(payloads if done.outcome != LOST else None)
 
     # ----------------------------------------------------------- repair reads
     async def _read_survivor(
@@ -965,7 +858,7 @@ class RepairService:
                 )
             except (LatentSectorError, ChunkNotFoundError) as exc:
                 if isinstance(exc, ChunkChecksumError):
-                    job.loss.checksum_failures += 1
+                    job.stats.checksum_failures += 1
                     self.quarantine_chunk(
                         disk_id, si, shard_idx,
                         source="repair", auto_repair=True,
@@ -1006,13 +899,13 @@ class RepairService:
                 break
             verdict, wasted = policy.decide(duration, attempt)
             if wasted:
-                job.loss.timeouts += 1
+                job.stats.timeouts += 1
                 penalty += wasted
             if verdict == READ_SLOW:
                 raise ShardFault(shard_idx)
             if verdict != READ_RETRY:
                 break  # on time, or forced through at degraded speed
-            job.loss.retries += 1
+            job.stats.retries += 1
             attempt += 1
             # let transient windows close before re-checking the disk
             self.modeled_now = max(self.modeled_now, not_before + penalty)

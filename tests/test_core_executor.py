@@ -11,7 +11,7 @@ from repro.core import (
     PassiveRepair,
     RepairContext,
 )
-from repro.core.scheduler import _disk_id_matrix
+from repro.core.repair_job import _disk_id_matrix
 from repro.ec.stripe import ChunkId
 from repro.errors import StorageError
 from repro.hdss import HDSSConfig, HighDensityStorageServer
@@ -99,17 +99,6 @@ class TestExecutorSemantics:
         plan = FullStripeRepair().build_plan(np.ones((1, 4)), 8)
         with pytest.raises(StorageError):
             DataPathExecutor(server).repair(plan, [0], [[0, 1, 2, 3]])
-
-    def test_write_back_disabled(self, server):
-        server.fail_disk(0)
-        stripe_indices, survivor_ids, L = server.transfer_time_matrix([0])
-        plan = FullStripeRepair().build_plan(L, server.config.memory_chunks)
-        stats = DataPathExecutor(server, write_back=False).repair(
-            plan, stripe_indices, survivor_ids
-        )
-        assert stats.bytes_written == 0
-        assert stats.writebacks == []
-        assert stats.chunks_rebuilt > 0
 
     def test_disk_read_telemetry(self, server):
         server.fail_disk(0)

@@ -18,7 +18,7 @@ from repro import (
     naive_multi_disk_repair,
     repair_single_disk,
 )
-from repro.core.scheduler import _disk_id_matrix
+from repro.core.repair_job import _disk_id_matrix
 from repro.ec.stripe import ChunkId
 from repro.hdss.profiles import BimodalSlowProfile
 

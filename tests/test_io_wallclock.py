@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from repro.core import ActiveSlowerFirstRepair, FullStripeRepair, RepairContext
-from repro.core.scheduler import _disk_id_matrix
+from repro.core.repair_job import _disk_id_matrix
 from repro.errors import ConfigurationError, DiskFailedError
 from repro.hdss import HDSSConfig, HighDensityStorageServer
 from repro.hdss.profiles import UniformProfile

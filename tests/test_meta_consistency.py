@@ -81,22 +81,34 @@ def count_defs(name_pattern):
     }
 
 
+def io_imports(path):
+    """Modules ``path`` imports at run time that a sans-I/O core may not:
+    event loop, threads, clock, store, journal, service. Imports under
+    ``if TYPE_CHECKING:`` name types only and are not followed."""
+    banned = ("asyncio", "threading", "time", "repro.hdss.store",
+              "repro.journal", "repro.service")
+    imported = set()
+    todo = [ast.parse(path.read_text())]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, ast.If) and ast.unparse(node.test) == "TYPE_CHECKING":
+            continue
+        if isinstance(node, ast.Import):
+            imported |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            imported.add(node.module)
+        todo.extend(ast.iter_child_nodes(node))
+    return {
+        mod for mod in imported
+        if any(mod == b or mod.startswith(b + ".") for b in banned)
+    }
+
+
 class TestOneSalvageLadder:
     """The per-stripe repair machine exists once, behind narrow interfaces."""
 
     def test_core_is_sans_io(self):
-        banned = ("asyncio", "threading", "time", "repro.hdss.store",
-                  "repro.journal", "repro.service")
-        imported = set()
-        for node in ast.walk(ast.parse(CORE.read_text())):
-            if isinstance(node, ast.Import):
-                imported |= {alias.name for alias in node.names}
-            elif isinstance(node, ast.ImportFrom):
-                imported.add(node.module)
-        leaked = {
-            mod for mod in imported
-            if any(mod == b or mod.startswith(b + ".") for b in banned)
-        }
+        leaked = io_imports(CORE)
         assert not leaked, f"stripe_repair.py must stay sans-I/O; imports {leaked}"
 
     def test_helpers_defined_once(self):
@@ -132,11 +144,6 @@ class TestOneSalvageLadder:
                 assert "._bad" not in text, f"{path}: reaches into a store's _bad"
 
 
-SERVICE = SRC / "service"
-RIG = SERVICE / "chaos_rig.py"
-BENCH_OVERLOAD = BENCHMARKS / "bench_overload.py"
-
-
 def functions_matching(path, pattern):
     """``file:function`` for every match of ``pattern`` in ``path``, naming
     the innermost function around it (``<module>`` outside any)."""
@@ -155,6 +162,67 @@ def functions_matching(path, pattern):
         name = innermost.name if innermost else "<module>"
         hits.add(f"{path.relative_to(ROOT)}:{name}")
     return hits
+
+
+JOB = SRC / "core" / "repair_job.py"
+
+
+def call_sites(pattern):
+    """``file:function`` of every call matching ``pattern`` in src/ — a
+    ``def`` of the same name is not a call."""
+    hits = set()
+    for path in src_files():
+        hits |= functions_matching(path, rf"(?<!def )\b{pattern}\(")
+    return hits
+
+
+class TestOneRepairJob:
+    """Plan → journal/resume → replay → place → finish exist once, in
+    ``core/repair_job.py``; the drivers keep only how they do I/O."""
+
+    def test_job_core_is_sans_io(self):
+        leaked = io_imports(JOB)
+        assert not leaked, f"repair_job.py must stay sans-I/O; imports {leaked}"
+        assert not re.search(r"\b(monotonic|perf_counter|sleep)\(", JOB.read_text())
+
+    def test_old_copies_are_gone(self):
+        for pattern in (r"_?replay_stripe", r"_?plan_(job|inputs)", "_finish_journal",
+                        "_load_resume_state", "_scrub_surviving", "_journaled_outcome",
+                        "_export_metrics"):
+            assert count_defs(pattern) == {}, pattern
+        assert count_defs("plan_repair") == {"src/repro/core/repair_job.py": 1}
+        assert count_defs("replay_puts") == {"src/repro/core/repair_job.py": 1}
+
+    def test_one_call_site_each(self):
+        assert call_sites(r"\.build_plan") == {
+            "src/repro/core/repair_job.py:plan_repair"
+        }
+        assert call_sites(r"journal\.complete") == {
+            "src/repro/core/repair_job.py:finish"
+        }
+        assert call_sites(r"\.commit_writebacks") == {
+            "src/repro/core/repair_job.py:commit"
+        }
+        assert call_sites("pick_spare") == {"src/repro/core/repair_job.py:place"}
+
+    def test_one_fingerprint_guard_and_one_certified_predicate(self):
+        refusals = set()
+        for path in src_files():
+            refusals |= functions_matching(path, "refusing to resume")
+        assert refusals == {"src/repro/core/repair_job.py:resumed"}
+        for path in (SRC / "core" / "recovery.py", SRC / "service" / "service.py"):
+            text = path.read_text()
+            assert "return certified(self.loss, self.scrub)" in text, path
+            assert "scrub.unpopulated" not in text, path
+
+    def test_the_two_single_valued_options_are_gone(self):
+        assert "write_back" not in (SRC / "core" / "executor.py").read_text()
+        assert "per-disk-reads" not in (SRC / "cli.py").read_text()
+
+
+SERVICE = SRC / "service"
+RIG = SERVICE / "chaos_rig.py"
+BENCH_OVERLOAD = BENCHMARKS / "bench_overload.py"
 
 
 class TestOneChaosRig:
