@@ -19,18 +19,6 @@ While the concurrent repairs run, a foreground reader hammers
 p50/p99 — the user-visible latency the front door protects. Expected:
 near-linear overlap (speedup ≳ 2 is asserted; disjoint channels give
 close to 4).
-
-A second test prices the telemetry plane itself: the same episode runs
-with everything off (NULL tracer, fresh registry) and with everything on
-(recording tracer, event-loop monitor, a mid-flight ``stats`` scrape),
-in back-to-back pairs, taking the median of the per-pair **CPU** ratios
-— tracing costs cycles, process CPU time is deaf to scheduler noise
-that makes sub-second wall clocks lie by ±20% on shared runners, and
-pairing cancels machine drift between episodes. Telemetry cost is per
-*event* while decode cost is per *byte*, so the ratio is measured at
-production chunk size (the episode softens the bench scale divisor)
-where it lands around the ~5% we target; the assertion is deliberately
-looser because CI machines still vary.
 """
 
 from __future__ import annotations
@@ -38,14 +26,11 @@ from __future__ import annotations
 import asyncio
 import time
 
-import pytest
-
 from repro.core import ALGORITHMS
 from repro.hdss.server import HDSSConfig, HighDensityStorageServer
-from repro.obs import EventLoopMonitor, MetricsRegistry, RecordingTracer
-from repro.obs.context import current_registry, use_registry, use_tracer
+from repro.obs.context import current_registry
 from repro.obs.quantiles import QuantileSketch
-from repro.service import RepairService, ServiceConfig, stats_snapshot
+from repro.service import RepairService, ServiceConfig
 from repro.service.service import DEGRADED_READS
 from repro.utils.tables import AsciiTable
 from repro.utils.rng import make_rng
@@ -174,111 +159,3 @@ def test_service_concurrent_repair_throughput(benchmark, results_sink, scale):
     assert service["speedup"] >= 2.0
     assert service["foreground_reads"] == FOREGROUND_READS
     assert service["read_p99_ms"] >= service["read_p50_ms"]
-
-
-# ---------------------------------------------------------------------------
-# Telemetry overhead
-# ---------------------------------------------------------------------------
-def episode_cpu_seconds(scale: int, telemetry: bool) -> "tuple[float, float]":
-    """(CPU, wall) seconds of one concurrent-repair episode.
-
-    Runs at production chunk size — ``max(1, scale // 4)`` instead of the
-    raw bench divisor — because telemetry cost is fixed per event while
-    decode cost grows with the chunk: shrinking chunks inflates the ratio
-    into measuring the tracer against a toy workload.
-    """
-    server = make_server(max(1, scale // 4))
-    for disk in FAILED:
-        server.fail_disk(disk)
-
-    async def run() -> None:
-        service = RepairService(
-            server, ALGORITHMS[ALGORITHM](),
-            ServiceConfig(max_concurrent_stripes=4 * len(FAILED)),
-        )
-        monitor = EventLoopMonitor().start() if telemetry else None
-        tickets = [service.submit_repair(d) for d in FAILED]
-        repairs = asyncio.gather(*(t.wait() for t in tickets))
-
-        async def reader() -> None:
-            rng = make_rng(SEED + 2)
-            for _ in range(FOREGROUND_READS):
-                await service.read_chunk(
-                    int(rng.integers(STRIPES)), int(rng.integers(N))
-                )
-
-        _, results = await asyncio.gather(reader(), repairs)
-        assert all(r.certified for r in results)
-        if telemetry:
-            stats_snapshot(service, monitor)  # exercise the scrape path
-            await monitor.stop()
-        await service.close()
-
-    cpu_started = time.process_time()
-    wall_started = time.monotonic()
-    if telemetry:
-        with use_tracer(RecordingTracer()), use_registry(MetricsRegistry()):
-            asyncio.run(run())
-    else:
-        with use_registry(MetricsRegistry()):
-            asyncio.run(run())
-    return (time.process_time() - cpu_started,
-            time.monotonic() - wall_started)
-
-
-def test_service_telemetry_overhead(results_sink, scale):
-    # Paired design: each round runs both modes back-to-back (alternating
-    # which goes first — the first episode of a pair runs colder) and the
-    # overhead is the median of the per-pair CPU ratios. Adjacent episodes
-    # see nearly the same machine state, so pairing cancels the frequency
-    # and co-tenant drift that makes pooled comparisons of one mode's
-    # median against the other's swing by +-10% either way.
-    repeats = 6
-    cpus: dict[str, list[float]] = {"telemetry-off": [], "telemetry-on": []}
-    walls: dict[str, list[float]] = {"telemetry-off": [], "telemetry-on": []}
-    ratios = []
-    for i in range(repeats):
-        order = (False, True) if i % 2 == 0 else (True, False)
-        pair = {}
-        for on in order:
-            mode = "telemetry-on" if on else "telemetry-off"
-            pair[on], wall = episode_cpu_seconds(scale, on)
-            cpus[mode].append(pair[on])
-            walls[mode].append(wall)
-        ratios.append(pair[True] / pair[False])
-
-    def median(vals: "list[float]") -> float:
-        return sorted(vals)[len(vals) // 2]
-
-    cpu = {mode: median(vals) for mode, vals in cpus.items()}
-    wall = {mode: median(vals) for mode, vals in walls.items()}
-    overhead = median(ratios) - 1.0
-    rows = [
-        {"mode": mode, "cpu_seconds": cpu[mode], "wall_seconds": wall[mode]}
-        for mode in ("telemetry-off", "telemetry-on")
-    ]
-    rows[1]["overhead_ratio"] = overhead
-    rows[1]["pair_ratios"] = [r - 1.0 for r in ratios]
-    table = AsciiTable(
-        ["mode", "median cpu (s)", "median wall (s)", "overhead"],
-        title=f"Telemetry overhead (median of {repeats} paired runs, "
-              f"{len(FAILED)} disks, {FOREGROUND_READS} fg reads)",
-        float_fmt=".4g",
-    )
-    table.add_row(
-        ["telemetry-off", cpu["telemetry-off"], wall["telemetry-off"], "-"]
-    )
-    table.add_row([
-        "telemetry-on", cpu["telemetry-on"], wall["telemetry-on"],
-        f"{overhead:+.1%}",
-    ])
-    emit("Service telemetry overhead", table.render())
-    results_sink(
-        "service_telemetry_overhead", rows,
-        meta={"repeats": repeats, "scale": scale, "target_ratio": 0.05},
-    )
-
-    # Expect ~5% CPU; the gate is looser because CI machines vary. A real
-    # regression (per-event locking, an always-on export) shows up as 2x,
-    # not 1.2x.
-    assert overhead < 0.20, f"telemetry costs {overhead:+.1%} cpu"

@@ -70,10 +70,6 @@ class JournalError(StorageError):
     """The repair journal is missing, malformed, or inconsistent with the run."""
 
 
-class RetryExhaustedError(StorageError):
-    """A read kept timing out and the retry budget (with backoff) ran out."""
-
-
 class DataLossError(StorageError):
     """Fewer than ``k`` readable shards remain for at least one stripe."""
 

@@ -102,23 +102,6 @@ class DataLossReport:
     def count_fault(self, kind: str, n: int = 1) -> None:
         self.faults_injected[kind] = self.faults_injected.get(kind, 0) + n
 
-    def merge(self, other: "DataLossReport") -> "DataLossReport":
-        """Fold another report into this one (multi-phase recoveries)."""
-        self.stripes.update(other.stripes)
-        for kind, n in other.faults_injected.items():
-            self.count_fault(kind, n)
-        self.timeouts += other.timeouts
-        self.retries += other.retries
-        self.hedged_reads += other.hedged_reads
-        self.replans += other.replans
-        self.fresh_restarts += other.fresh_restarts
-        self.salvaged_chunks += other.salvaged_chunks
-        self.reread_chunks += other.reread_chunks
-        self.checksum_failures += other.checksum_failures
-        self.resumed_stripes += other.resumed_stripes
-        self.replayed_chunks += other.replayed_chunks
-        return self
-
     def raise_for_loss(self) -> None:
         """Raise :class:`DataLossError` when any stripe was lost."""
         if self.has_loss:

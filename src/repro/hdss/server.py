@@ -16,7 +16,7 @@ or *data-bearing* (real RS-encoded bytes; end-to-end byte-exact repair).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -465,3 +465,20 @@ class HighDensityStorageServer:
             f"RS({cfg.n},{cfg.k}), chunk={cfg.chunk_size // MiB} MiB, "
             f"c={cfg.memory_chunks}, stripes={len(self.layout)})"
         )
+
+
+def attach_server(
+    shared: ChunkStore,
+    build: Callable[[ChunkStore], HighDensityStorageServer],
+) -> HighDensityStorageServer:
+    """A joining daemon's view of an already provisioned ``shared`` store.
+
+    Provisioning writes data, and re-writing it into a live store would
+    resurrect chunks a peer already failed. So the newcomer runs ``build``
+    (whatever provisions its server) over a throwaway in-memory store —
+    same seed => identical layout, spares and volume sizes — and is then
+    pointed at the shared one.
+    """
+    server = build(InMemoryChunkStore())
+    server.store = shared
+    return server

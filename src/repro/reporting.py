@@ -9,6 +9,7 @@ Usage: ``python -m repro report [--results DIR] [--output FILE]``.
 
 from __future__ import annotations
 
+import itertools
 import json
 from pathlib import Path
 from typing import Any, Dict, List, Optional
@@ -86,13 +87,6 @@ PAPER_CLAIMS = {
         "cost far less than four serial ones (>=2x asserted, ~4-5x measured) "
         "while the front door keeps serving reads (p50/p99 reported)."
     ),
-    "service_telemetry_overhead": (
-        "Repo extension: the live telemetry plane (recording tracer, "
-        "event-loop monitor, mid-flight scrape) is priced against the same "
-        "concurrent-repair episode with everything off — median paired CPU "
-        "ratio, ~5% at production chunk size because tracing costs per event "
-        "while decode costs per byte."
-    ),
     "cluster_failover": (
         "Repo extension: the multi-daemon cluster's kill-the-owner chaos "
         "scenario swept over lease TTLs — takeover latency tracks the "
@@ -139,7 +133,6 @@ TITLES = {
     "vulnerability_order": "Extension — vulnerability-first multi-disk repair ordering",
     "robustness": "Extension — recovery outcomes under injected faults",
     "service_throughput": "Extension — concurrent repair throughput of the service plane",
-    "service_telemetry_overhead": "Extension — CPU cost of the live telemetry plane",
     "cluster_failover": "Extension — cluster failover: takeover latency and foreground p99",
     "overload": "Extension — overload knee: goodput and p99 vs offered load",
     "scrub": "Extension — scrub plane: detection latency and foreground politeness",
@@ -151,7 +144,7 @@ ORDER = [
     "ablation_staleness", "durability", "wallclock", "lrc_comparison",
     "foreground_latency", "ablation_slicing", "wide_stripes",
     "vulnerability_order", "robustness", "service_throughput",
-    "service_telemetry_overhead", "cluster_failover", "overload", "scrub",
+    "cluster_failover", "overload", "scrub",
 ]
 
 
@@ -230,11 +223,17 @@ def extract_preamble(report_path: Path) -> Optional[str]:
 
 
 def _rows_to_markdown(rows: List[Dict[str, Any]]) -> str:
+    """One table per run of rows with the same columns (an artefact may
+    record two kinds of row, e.g. scrub's detection and foreground legs)."""
     if not rows:
         return "_no rows recorded_"
-    headers = list(rows[0].keys())
-    body = [[row.get(h, "") for h in headers] for row in rows]
-    return render_table(headers, body, markdown=True, float_fmt=".3f")
+    return "\n\n".join(
+        render_table(
+            list(headers), [[row[h] for h in headers] for row in group],
+            markdown=True, float_fmt=".3f",
+        )
+        for headers, group in itertools.groupby(rows, key=tuple)
+    )
 
 
 def _quantile_table(prom_path: Path) -> Optional[str]:

@@ -98,10 +98,6 @@ class DiskGate:
         """Total reads (both classes) queued on ``disk_id``."""
         return self._fg_waiting.get(disk_id, 0) + self._bg_waiting.get(disk_id, 0)
 
-    def total_waiting(self) -> int:
-        """Total reads queued across every disk (the controller's backstop)."""
-        return sum(self._fg_waiting.values()) + sum(self._bg_waiting.values())
-
     def depths(self) -> Dict[int, Dict[str, int]]:
         """Live per-disk gate state for the ``stats`` verb / ``hdpsr top``.
 

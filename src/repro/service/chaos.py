@@ -52,7 +52,7 @@ from typing import Dict, Optional
 from repro.errors import ConfigurationError
 from repro.faults.report import EXIT_CRASHED
 from repro.faults.spec import FaultEvent, FaultSchedule
-from repro.hdss.server import HighDensityStorageServer
+from repro.hdss.server import HighDensityStorageServer, attach_server
 from repro.hdss.store import ShardedChunkStore
 from repro.obs.quantiles import QuantileSketch
 from repro.service import chaos_rig as rig
@@ -171,10 +171,12 @@ class ChaosScenario(rig.Episode):
                 root / "store", num_shards=NUM_SHARDS, durable=False
             )
         )
-        geometry = dict(stripes=c.stripes, seed=c.seed)
-        server_a = rig.build_server(shared, **geometry)
+        def build(store) -> HighDensityStorageServer:
+            return rig.build_server(store, stripes=c.stripes, seed=c.seed)
+
+        server_a = build(shared)
         originals = rig.originals_of(server_a)
-        server_b = rig.attach_server(shared, **geometry)
+        server_b = attach_server(shared, build)
         shared.reset()
 
         daemon_a = self._build_daemon("a", server_a, faults=crash_a)

@@ -5,9 +5,9 @@
 each say what to inject, when, and what to assert about it. What they have
 in common lives here, once, and nothing scenario-specific does:
 
-* the fixed geometry and :func:`build_server` / :func:`attach_server` /
-  :func:`build_service` — the one place a chaos server is assembled (the
-  failover and overload tests and the overload and scrub benches included);
+* the fixed geometry and :func:`build_server` / :func:`build_service` — the
+  one place a chaos server is assembled (the service tests and the overload
+  and scrub benches included);
 * :class:`Episode` — the failure ledger, the hard deadline, and the steps
   every scenario takes (``await_until``, ``start_repair``,
   ``wait_certified``, ``finish``). The repair steps go through a plain
@@ -31,12 +31,7 @@ from repro.core import ALGORITHMS
 from repro.ec.stripe import ChunkId
 from repro.errors import ChunkNotFoundError, FencedError, LatentSectorError
 from repro.hdss.server import HDSSConfig, HighDensityStorageServer
-from repro.hdss.store import (
-    ChunkStore,
-    ForwardingChunkStore,
-    InMemoryChunkStore,
-    Key,
-)
+from repro.hdss.store import ChunkStore, ForwardingChunkStore, Key
 from repro.obs.context import current_registry
 from repro.service.netserver import ServiceDaemon
 from repro.service.protocol import ERR_INTERNAL
@@ -76,19 +71,6 @@ def build_server(
         store=store,
     )
     server.provision_stripes(stripes, with_data=True)
-    return server
-
-
-def attach_server(shared: ChunkStore, **geometry) -> HighDensityStorageServer:
-    """A second daemon's view of an already provisioned ``shared`` store.
-
-    Provisioning writes data, so the newcomer provisions into a throwaway
-    store (same seed => identical layout, spares, and volume sizes) and is
-    then pointed at the shared one — the in-process stand-in for a second
-    process opening the same directory tree.
-    """
-    server = build_server(InMemoryChunkStore(), **geometry)
-    server.store = shared
     return server
 
 

@@ -19,7 +19,12 @@ server-side anatomy of each client call, correlated by ``trace_id``.
 from __future__ import annotations
 
 import asyncio
+import os
+import subprocess
+import sys
 import time
+from dataclasses import dataclass
+from pathlib import Path
 from typing import Awaitable, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ReproError
@@ -196,6 +201,62 @@ class ServiceClient:
             await self._writer.wait_closed()
         except (ConnectionResetError, BrokenPipeError):
             pass
+
+    async def __aenter__(self) -> "ServiceClient":
+        return self
+
+    async def __aexit__(self, *exc_info) -> None:
+        await self.close()
+
+
+def write_port_file(path: Path, port: int) -> None:
+    """Publish a bound port at ``path``: temp file + rename, so a reader sees
+    no file or the whole port, never an empty one. Not fsync'd — the file
+    is a rendezvous between live processes, not data."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    tmp.write_text(str(port))
+    os.replace(tmp, path)
+
+
+def spawn_hdpsr(*argv: str, **popen) -> subprocess.Popen:
+    """Start ``hdpsr <argv>`` as a child on this interpreter and this copy of
+    ``repro``, whatever its working directory; ``popen`` goes to
+    :class:`subprocess.Popen`. A daemon launched with ``--port-file`` is
+    found with :func:`wait_for_port_file`."""
+    env = dict(popen.pop("env", os.environ))
+    src = str(Path(__file__).resolve().parents[2])
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    return subprocess.Popen(
+        [sys.executable, "-m", "repro.cli", *argv], env=env, **popen
+    )
+
+
+def wait_for_port_file(
+    path: "str | Path", timeout: float, proc: Optional[subprocess.Popen] = None
+) -> int:
+    """Block until a daemon publishes its port at ``path``; returns it.
+
+    Raises :class:`TimeoutError` after ``timeout`` seconds, and
+    :class:`ServiceError` at once when ``proc`` — the daemon, if the caller
+    launched it — exits without publishing.
+    """
+    path = Path(path)
+    deadline = time.monotonic() + timeout
+    while True:
+        try:
+            return int(path.read_text())
+        except FileNotFoundError:
+            pass
+        if proc is not None and proc.poll() is not None:
+            stderr = proc.stderr.read() if proc.stderr is not None else ""
+            raise ServiceError(
+                f"daemon exited early ({proc.returncode}) without writing "
+                f"{path}: {stderr}", code=ERR_CRASH,
+            )
+        if time.monotonic() > deadline:
+            raise TimeoutError(f"timed out waiting for port file {path}")
+        time.sleep(0.05)
 
 
 class BackoffPolicy:
@@ -374,9 +435,6 @@ class ClusterClient:
         client = self._conns.pop(endpoint, None)
         if client is not None:
             client._writer.close()
-
-    def breaker_state(self, endpoint: str) -> str:
-        return self._breakers[endpoint].state
 
     def retry_budget(self, endpoint: str) -> RetryBudget:
         """The endpoint's retry token bucket (created on first use)."""
@@ -596,26 +654,65 @@ class ClusterClient:
             return protocol.unpack_bytes(reply["data_b64"])
         raise last_exc  # type: ignore[misc]
 
-    async def cluster_status(self) -> Dict[str, dict]:
-        """Per-endpoint ``cluster`` snapshots (errors become ``{"error"}``)."""
-        out: Dict[str, dict] = {}
-        for endpoint in self.endpoints:
-            try:
-                reply = await self._call_endpoint(endpoint, "cluster", {})
-                out[endpoint] = {
-                    k: v for k, v in reply.items() if k not in ("ok", "trace_id")
-                }
-                for shard, meta in (reply.get("leases") or {}).items():
-                    if meta.get("endpoint"):
-                        self.owners[int(shard)] = str(meta["endpoint"])
-            except (ServiceError, OSError) as exc:
-                out[endpoint] = {"error": str(exc)}
-        return out
-
     async def close(self) -> None:
         for endpoint in list(self._conns):
             client = self._conns.pop(endpoint)
             await client.close()
+
+
+@dataclass
+class RepairEpisode:
+    """The frame of a repair-under-load episode, whichever way it is loaded:
+    :meth:`begin` (ping → fail → submit), the driver's reads at
+    :meth:`read_targets`, then :meth:`finish` (wait → report rows → exit
+    code → shutdown). :func:`run_workload` and :func:`run_open_loop` differ
+    only in between."""
+
+    control: ServiceClient
+    num_stripes: int
+    n: int
+    jobs: List[dict]
+
+    @classmethod
+    async def begin(
+        cls, control: ServiceClient, disks: Sequence[int], resume: bool = False
+    ) -> "RepairEpisode":
+        hello = await control.call("ping")
+        # Disks must be failed even when resuming: a restarted daemon holds
+        # fresh Disk objects, and the journaled job only replays reads.
+        already = set(hello.get("failed", []))
+        for disk in disks:
+            if disk not in already:
+                await control.call("fail_disk", disk=disk)
+        jobs = [
+            await control.call("repair", disk=disk, resume=resume)
+            for disk in disks
+        ]
+        return cls(control, int(hello["num_stripes"]), int(hello["n"]), jobs)
+
+    def read_targets(self, seed: int, count: int) -> List[Tuple[int, int]]:
+        """``count`` seeded-random ``(stripe, shard)`` reads over the volume."""
+        rng = make_rng(seed)
+        return [
+            (int(rng.integers(self.num_stripes)), int(rng.integers(self.n)))
+            for _ in range(count)
+        ]
+
+    async def finish(self, shutdown: bool) -> Tuple[List[dict], int]:
+        """Wait every repair out; ``(report rows, exit code)``, the code
+        being the max over repair outcomes (0 clean / 3 data loss)."""
+        summaries = [
+            await self.control.call("wait", job_id=job["job_id"])
+            for job in self.jobs
+        ]
+        repairs = [
+            {k: v for k, v in s.items() if k not in ("ok", "trace_id")}
+            for s in summaries
+        ]
+        if shutdown:
+            await self.control.call("shutdown")
+        exit_code = max((int(s.get("exit_code", 0)) for s in summaries), default=0)
+        return repairs, exit_code
 
 
 async def run_workload(
@@ -627,17 +724,15 @@ async def run_workload(
     read_concurrency: int = 4,
     seed: int = 0,
     resume: bool = False,
-    fail: bool = True,
     shutdown: bool = False,
 ) -> dict:
     """Drive one repair-under-load episode; returns the client-side report.
 
-    Fails each disk in ``disks`` (unless ``fail=False`` or resuming),
-    submits their repairs, then issues ``reads`` seeded-random chunk reads
-    across ``read_concurrency`` connections while the repairs run, and
-    finally waits for every repair. The report's ``exit_code`` is the max
-    over repair outcomes (0 clean / 3 data loss), so callers can exit with
-    it directly.
+    Fails each disk in ``disks``, submits their repairs, then issues
+    ``reads`` seeded-random chunk reads across ``read_concurrency``
+    connections while the repairs run, and finally waits for every repair.
+    The report's ``exit_code`` is the max over repair outcomes (0 clean /
+    3 data loss), so callers can exit with it directly.
 
     The whole episode runs under one freshly minted trace root (unless the
     caller already installed a span context), and the report carries its
@@ -645,115 +740,72 @@ async def run_workload(
     """
     root = current_span() or new_span_context()
     with use_span(root):
-        return await _run_workload(
-            root.trace_id, host, port, disks=disks, reads=reads,
-            read_concurrency=read_concurrency, seed=seed, resume=resume,
-            fail=fail, shutdown=shutdown,
-        )
+        async with await ServiceClient.connect(host, port) as control:
+            episode = await RepairEpisode.begin(control, disks, resume)
+            report = await _closed_loop(
+                episode, host, port, reads=reads,
+                read_concurrency=read_concurrency, seed=seed, shutdown=shutdown,
+            )
+    report["trace_id"] = root.trace_id
+    return report
 
 
-async def _run_workload(
-    trace_id: str,
+async def _closed_loop(
+    episode: RepairEpisode,
     host: str,
     port: int,
     *,
-    disks: Sequence[int],
     reads: int,
     read_concurrency: int,
     seed: int,
-    resume: bool,
-    fail: bool,
     shutdown: bool,
 ) -> dict:
-    control = await ServiceClient.connect(host, port)
+    latencies = QuantileSketch((0.5, 0.9, 0.99))
+    queue: "asyncio.Queue[tuple]" = asyncio.Queue()
+    for target in episode.read_targets(seed, reads):
+        queue.put_nowait(target)
+    read_errors: List[str] = []
+
+    async def reader_loop() -> None:
+        async with await ServiceClient.connect(host, port) as conn:
+            while True:
+                try:
+                    stripe, shard = queue.get_nowait()
+                except asyncio.QueueEmpty:
+                    return
+                started = time.monotonic()
+                try:
+                    await conn.read_chunk(stripe, shard)
+                except ServiceError as exc:
+                    if exc.crashed:
+                        raise
+                    read_errors.append(f"({stripe},{shard}): {exc}")
+                latencies.observe(time.monotonic() - started)
+
+    crashed = False
+    repairs: List[dict] = []
     try:
-        hello = await control.call("ping")
-        num_stripes = int(hello["num_stripes"])
-        n = int(hello["n"])
-
-        # Disks must be failed even when resuming: a restarted daemon holds
-        # fresh Disk objects, and the journaled job only replays reads.
-        if fail:
-            already = set(hello.get("failed", []))
-            for disk in disks:
-                if disk not in already:
-                    await control.call("fail_disk", disk=disk)
-        jobs = [
-            await control.call("repair", disk=disk, resume=resume)
-            for disk in disks
+        workers = [
+            asyncio.create_task(reader_loop())
+            for _ in range(max(1, read_concurrency))
         ]
-
-        latencies = QuantileSketch((0.5, 0.9, 0.99))
-        rng = make_rng(seed)
-        targets = [
-            (int(rng.integers(num_stripes)), int(rng.integers(n)))
-            for _ in range(reads)
-        ]
-        queue: "asyncio.Queue[Optional[tuple]]" = asyncio.Queue()
-        for t in targets:
-            queue.put_nowait(t)
-        read_errors: List[str] = []
-
-        async def reader_loop() -> None:
-            conn = await ServiceClient.connect(host, port)
-            try:
-                while True:
-                    try:
-                        stripe, shard = queue.get_nowait()
-                    except asyncio.QueueEmpty:
-                        return
-                    started = time.monotonic()
-                    try:
-                        await conn.read_chunk(stripe, shard)
-                    except ServiceError as exc:
-                        if exc.crashed:
-                            raise
-                        read_errors.append(f"({stripe},{shard}): {exc}")
-                    latencies.observe(time.monotonic() - started)
-            finally:
-                await conn.close()
-
-        crashed = False
-        summaries: List[dict] = []
-        try:
-            workers = [
-                asyncio.create_task(reader_loop())
-                for _ in range(max(1, read_concurrency))
-            ]
-            await asyncio.gather(*workers)
-            summaries = [
-                (await control.call("wait", job_id=job["job_id"]))
-                for job in jobs
-            ]
-        except ServiceError as exc:
-            # A scripted process_crash killed the daemon mid-workload: the
-            # episode is resumable, report it rather than raising.
-            if not exc.crashed:
-                raise
-            crashed = True
-        exit_code = (
-            EXIT_CRASHED
-            if crashed
-            else max((int(s.get("exit_code", 0)) for s in summaries), default=0)
-        )
-        report: Dict[str, object] = {
-            "trace_id": trace_id,
-            "repairs": [
-                {k: v for k, v in s.items() if k not in ("ok", "trace_id")}
-                for s in summaries
-            ],
-            "crashed": crashed,
-            "reads": latencies.count,
-            "read_errors": read_errors,
-            "read_p50_seconds": latencies.quantile(0.5),
-            "read_p99_seconds": latencies.quantile(0.99),
-            "exit_code": exit_code,
-        }
-        if shutdown and not crashed:
-            await control.call("shutdown")
-        return report
-    finally:
-        await control.close()
+        await asyncio.gather(*workers)
+        repairs, exit_code = await episode.finish(shutdown)
+    except ServiceError as exc:
+        # A scripted process_crash killed the daemon mid-workload: the
+        # episode is resumable, report it rather than raising.
+        if not exc.crashed:
+            raise
+        crashed, exit_code = True, EXIT_CRASHED
+    return {
+        "repairs": repairs,
+        "crashed": crashed,
+        "reads": latencies.count,
+        "read_errors": read_errors,
+        "read_p50_seconds": latencies.quantile(0.5),
+        "read_p99_seconds": latencies.quantile(0.99),
+        "exit_code": exit_code,
+    }
 
 
 Outcome = Tuple[float, "float | str"]
@@ -814,10 +866,8 @@ async def run_open_loop(
     seed: int = 0,
     deadline_ms: Optional[float] = None,
     disks: Sequence[int] = (),
-    fail: bool = True,
     connections: int = 32,
     shutdown: bool = False,
-    shape_kwargs: Optional[dict] = None,
 ) -> dict:
     """Open-loop front-door load: send at the schedule's rate, period.
 
@@ -842,55 +892,34 @@ async def run_open_loop(
     tallies (``overload`` sheds and ``deadline_exceeded`` appear here),
     goodput, and p50/p90/p99 from scheduled-arrival latency.
     """
-    schedule = make_arrivals(
-        shape, rate, duration, seed=seed, **(shape_kwargs or {})
-    )
-    control = await ServiceClient.connect(host, port)
+    schedule = make_arrivals(shape, rate, duration, seed=seed)
     pool: "asyncio.Queue[ServiceClient]" = asyncio.Queue()
     opened: List[ServiceClient] = []
     try:
-        hello = await control.call("ping")
-        num_stripes = int(hello["num_stripes"])
-        n = int(hello["n"])
-        jobs: List[dict] = []
-        if disks:
-            if fail:
-                already = set(hello.get("failed", []))
-                for disk in disks:
-                    if disk not in already:
-                        await control.call("fail_disk", disk=disk)
-            jobs = [await control.call("repair", disk=disk) for disk in disks]
-
-        for _ in range(max(1, connections)):
-            conn = await ServiceClient.connect(host, port)
-            opened.append(conn)
-            pool.put_nowait(conn)
-
-        rng = make_rng(seed + 1)
-        targets = [
-            (int(rng.integers(num_stripes)), int(rng.integers(n)))
-            for _ in range(schedule.count)
-        ]
-
-        async def send(i: int) -> Optional[str]:
-            conn = await pool.get()
-            try:
-                await conn.read_chunk(*targets[i], deadline_ms=deadline_ms)
-            except ServiceError as exc:
-                return exc.code
-            finally:
+        async with await ServiceClient.connect(host, port) as control:
+            episode = await RepairEpisode.begin(control, disks)
+            for _ in range(max(1, connections)):
+                conn = await ServiceClient.connect(host, port)
+                opened.append(conn)
                 pool.put_nowait(conn)
-            return None
+            targets = episode.read_targets(seed + 1, schedule.count)
 
-        started = time.monotonic()
-        outcomes = await pace_open_loop(schedule.times, send)
-        elapsed = time.monotonic() - started
-        latencies, errors = tally_open_loop(outcomes)
+            async def send(i: int) -> Optional[str]:
+                conn = await pool.get()
+                try:
+                    await conn.read_chunk(*targets[i], deadline_ms=deadline_ms)
+                except ServiceError as exc:
+                    return exc.code
+                finally:
+                    pool.put_nowait(conn)
+                return None
 
-        summaries = [
-            (await control.call("wait", job_id=job["job_id"])) for job in jobs
-        ]
-        report: Dict[str, object] = {
+            started = time.monotonic()
+            outcomes = await pace_open_loop(schedule.times, send)
+            elapsed = time.monotonic() - started
+            latencies, errors = tally_open_loop(outcomes)
+            repairs, exit_code = await episode.finish(shutdown)
+        return {
             "shape": schedule.params,
             "offered": schedule.count,
             "offered_rate": schedule.mean_rate,
@@ -902,18 +931,9 @@ async def run_open_loop(
             "read_p99_seconds": latencies.quantile(0.99),
             "elapsed_seconds": elapsed,
             "deadline_ms": deadline_ms,
-            "repairs": [
-                {k: v for k, v in s.items() if k not in ("ok", "trace_id")}
-                for s in summaries
-            ],
-            "exit_code": max(
-                (int(s.get("exit_code", 0)) for s in summaries), default=0
-            ),
+            "repairs": repairs,
+            "exit_code": exit_code,
         }
-        if shutdown:
-            await control.call("shutdown")
-        return report
     finally:
         for conn in opened:
             await conn.close()
-        await control.close()

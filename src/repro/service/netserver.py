@@ -55,6 +55,7 @@ from repro.obs.exporters import prometheus_text
 from repro.obs.runtime import EventLoopMonitor
 from repro.obs.tracer import SpanContext
 from repro.service import protocol
+from repro.service.client import write_port_file
 from repro.service.cluster import ClusterNode
 from repro.service.protocol import (
     ERR_BAD_REQUEST,
@@ -175,8 +176,7 @@ class ServiceDaemon:
         )
         self.port = self._listener.sockets[0].getsockname()[1]
         if self.port_file is not None:
-            self.port_file.parent.mkdir(parents=True, exist_ok=True)
-            self.port_file.write_text(str(self.port))
+            write_port_file(self.port_file, self.port)
         if self.cluster is not None and not self.cluster.config.endpoint:
             # Ephemeral ports are only known after bind; patch the (frozen)
             # config so lease records point clients at the real endpoint.

@@ -242,6 +242,12 @@ class Scrubber:
     def running(self) -> bool:
         return self._task is not None and not self._task.done()
 
+    @property
+    def cycle_open(self) -> bool:
+        """Whether :attr:`cycle` has begun and not finished — after a
+        restart, that the cursor journal left it to be resumed."""
+        return self._begun
+
     def start(self) -> None:
         """Start the continuous scrub loop on the running event loop."""
         if self.running:

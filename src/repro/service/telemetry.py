@@ -35,6 +35,7 @@ from repro.obs.context import current_registry
 from repro.obs.exporters import prometheus_text
 from repro.obs.metrics import MetricsRegistry, Summary
 from repro.obs.runtime import EventLoopMonitor
+from repro.service.client import write_port_file
 from repro.service.service import (
     READ_LATENCY,
     READ_LATENCY_QUANTILES,
@@ -197,8 +198,7 @@ class TelemetryServer:
         )
         self.port = self._listener.sockets[0].getsockname()[1]
         if self.port_file is not None:
-            self.port_file.parent.mkdir(parents=True, exist_ok=True)
-            self.port_file.write_text(str(self.port))
+            write_port_file(self.port_file, self.port)
         return self.port
 
     async def stop(self) -> None:

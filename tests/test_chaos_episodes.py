@@ -13,7 +13,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.obs import MetricsRegistry, use_registry
 from repro.service.chaos import ChaosConfig, run_chaos
 from repro.service.chaos_bitrot import BitrotChaosConfig, run_bitrot_chaos
 from repro.service.chaos_overload import (
@@ -30,10 +29,7 @@ checker = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(checker)
 
 
-@pytest.fixture(autouse=True)
-def _registry():
-    with use_registry(MetricsRegistry()):
-        yield
+pytestmark = pytest.mark.usefixtures("fresh_registry")
 
 
 def failover(root):

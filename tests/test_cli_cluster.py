@@ -8,10 +8,6 @@ tests in ``test_cli_service.py`` do.
 
 import json
 import os
-import subprocess
-import sys
-import time
-from pathlib import Path
 
 import pytest
 
@@ -22,49 +18,6 @@ SERVER_ARGS = [
     "--disk-size", "16KiB", "--memory", "16", "--ros", "0",
     "--placement", "rotating", "--seed", "11", "--no-fsync",
 ]
-START_TIMEOUT = 30.0
-
-
-def _env():
-    env = dict(os.environ)
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-    return env
-
-
-def _wait_port(port_file: Path, proc: subprocess.Popen) -> int:
-    deadline = time.monotonic() + START_TIMEOUT
-    while time.monotonic() < deadline:
-        if proc.poll() is not None:
-            out, err = proc.communicate()
-            raise AssertionError(f"serve exited early ({proc.returncode}): {err}")
-        if port_file.exists() and port_file.read_text().strip():
-            return int(port_file.read_text().strip())
-        time.sleep(0.05)
-    proc.kill()
-    raise AssertionError("serve never wrote its port file")
-
-
-@pytest.fixture
-def serve(tmp_path):
-    procs = []
-
-    def start(*extra):
-        port_file = tmp_path / f"port-{len(procs)}"
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "repro.cli", "serve", *SERVER_ARGS,
-             "--port-file", str(port_file), *extra],
-            env=_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-            text=True,
-        )
-        procs.append(proc)
-        return proc, _wait_port(port_file, proc)
-
-    yield start
-    for proc in procs:
-        if proc.poll() is None:
-            proc.kill()
-        proc.communicate()
 
 
 class TestChaosCommand:
@@ -141,3 +94,40 @@ class TestTopEndpoint:
             "top", "--endpoint", "127.0.0.1:1", "--once", "--json",
         ])
         assert code == 1
+
+
+class ClosedPipe:
+    """A stdout whose reader went away (``hdpsr top --once | head``): every
+    write raises, over a real descriptor with nobody on the other end."""
+
+    def __init__(self):
+        reader, self.fd = os.pipe()
+        os.close(reader)
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        pass
+
+    def fileno(self):
+        return self.fd
+
+
+class TestClosedStdout:
+    """A closed pipe is a clean exit — no traceback — from every command
+    that prints a daemon snapshot, not only single-daemon ``top``."""
+
+    @pytest.mark.parametrize("command", [
+        lambda port: ["top", "--port", str(port), "--once"],
+        lambda port: ["top", "--endpoint", f"127.0.0.1:{port}", "--once"],
+        lambda port: ["scrub", "--port", str(port)],
+    ], ids=["top", "top-endpoint", "scrub"])
+    def test_exits_zero(self, serve, monkeypatch, command):
+        _, port = serve()
+        pipe = ClosedPipe()
+        monkeypatch.setattr("sys.stdout", pipe)
+        try:
+            assert main(command(port)) == 0
+        finally:
+            os.close(pipe.fd)

@@ -7,72 +7,34 @@ and hammering the front door, and — for the crash leg — a scripted
 incarnation resuming from the journal.
 """
 
+import importlib.util
 import json
-import os
 import subprocess
-import sys
-import time
 from pathlib import Path
 
 import pytest
+
+from repro.service.client import spawn_hdpsr
+
+from tests.conftest import START_TIMEOUT
 
 SERVER_ARGS = [
     "--num-disks", "12", "--chunk-size", "32KiB", "--disk-size", "128KiB",
     "--placement", "rotating", "--seed", "7",
 ]
-START_TIMEOUT = 30.0
-
-
-def _env():
-    env = dict(os.environ)
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-    return env
-
-
-def _spawn_serve(*extra):
-    return subprocess.Popen(
-        [sys.executable, "-m", "repro.cli", "serve", *SERVER_ARGS, *extra],
-        env=_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
-    )
-
-
-def _wait_port(port_file: Path, proc: subprocess.Popen) -> int:
-    deadline = time.monotonic() + START_TIMEOUT
-    while time.monotonic() < deadline:
-        if proc.poll() is not None:
-            out, err = proc.communicate()
-            raise AssertionError(f"serve exited early ({proc.returncode}): {err}")
-        if port_file.exists() and port_file.read_text().strip():
-            return int(port_file.read_text().strip())
-        time.sleep(0.05)
-    proc.kill()
-    raise AssertionError("serve never wrote its port file")
 
 
 def _run_client(port: int, *extra) -> subprocess.CompletedProcess:
-    return subprocess.run(
-        [sys.executable, "-m", "repro.cli", "client", "--port", str(port),
-         "--reads", "40", "--json", *extra],
-        env=_env(), capture_output=True, text=True, timeout=START_TIMEOUT * 2,
+    proc = spawn_hdpsr(
+        "client", "--port", str(port), "--reads", "40", "--json", *extra,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
     )
-
-
-@pytest.fixture
-def serve(tmp_path):
-    procs = []
-
-    def start(*extra):
-        port_file = tmp_path / f"port-{len(procs)}"
-        proc = _spawn_serve("--port-file", str(port_file), *extra)
-        procs.append(proc)
-        return proc, _wait_port(port_file, proc)
-
-    yield start
-    for proc in procs:
-        if proc.poll() is None:
-            proc.kill()
-        proc.communicate()
+    try:
+        out, err = proc.communicate(timeout=START_TIMEOUT * 2)
+    except subprocess.TimeoutExpired:
+        proc.kill()
+        raise
+    return subprocess.CompletedProcess(proc.args, proc.returncode, out, err)
 
 
 class TestServeClientSmoke:
@@ -123,3 +85,18 @@ class TestServeClientSmoke:
         (repair,) = report["repairs"]
         assert repair["certified"] and not report["crashed"]
         assert proc2.wait(timeout=START_TIMEOUT) == 0
+
+
+class TestCISmokes:
+    """The multi-process smokes CI runs, run here the way CI runs them:
+    ``tools/<script>.py``'s ``main(workdir)`` launches its own daemons and
+    exits 0 when every check held."""
+
+    @pytest.mark.parametrize("script", ["smoke_telemetry", "smoke_cluster_handoff"])
+    def test_smoke_passes(self, script, tmp_path):
+        spec = importlib.util.spec_from_file_location(
+            script, Path(__file__).parent.parent / "tools" / f"{script}.py"
+        )
+        smoke = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(smoke)
+        assert smoke.main(tmp_path / "work") == 0

@@ -14,13 +14,12 @@ import time
 
 import pytest
 
-from repro.core import ALGORITHMS
 from repro.errors import ReproError
 from repro.faults.service import ServiceFaultInjector
 from repro.faults.spec import FaultEvent, FaultSchedule
-from repro.hdss.server import HDSSConfig, HighDensityStorageServer
-from repro.obs import MetricsRegistry, use_registry
 from repro.service import protocol
+from repro.service.chaos_rig import build_server as make_server
+from repro.service.chaos_rig import build_service as make_service
 from repro.service.client import (
     BREAKER_CLOSED,
     BREAKER_HALF_OPEN,
@@ -33,46 +32,11 @@ from repro.service.client import (
     parse_endpoint,
 )
 from repro.service.cluster import ClusterConfig, ClusterNode
-from repro.service.netserver import ServiceDaemon
-from repro.service.service import RepairService
+
+from tests.conftest import start_daemon, stop_daemon
 
 
-@pytest.fixture(autouse=True)
-def _registry():
-    with use_registry(MetricsRegistry()):
-        yield
-
-
-def make_server(seed=11):
-    config = HDSSConfig(
-        num_disks=12, n=5, k=3, chunk_size=2048, memory_chunks=16,
-        spares=3, seed=seed, placement="rotating",
-    )
-    server = HighDensityStorageServer(config, store=None)
-    server.provision_stripes(12, with_data=True)
-    return server
-
-
-def make_service(server):
-    return RepairService(server, ALGORITHMS["hd-psr-ap"]())
-
-
-async def start_daemon(service, **kwargs):
-    daemon = ServiceDaemon(service, **kwargs)
-    port = await daemon.start()
-    task = asyncio.create_task(daemon.serve_until_stopped())
-    return daemon, port, task
-
-
-async def stop_daemon(daemon, task, port):
-    from repro.service.client import ServiceClient
-
-    control = await ServiceClient.connect("127.0.0.1", port)
-    try:
-        await control.call("shutdown")
-    finally:
-        await control.close()
-    await task
+pytestmark = pytest.mark.usefixtures("fresh_registry")
 
 
 # --------------------------------------------------------------- taxonomy
@@ -263,7 +227,7 @@ class TestClientUnderWireFaults:
                 assert chaos.exhausted
             finally:
                 await client.close()
-                await stop_daemon(daemon, task, port)
+                await stop_daemon(port, task)
 
         asyncio.run(run())
 
@@ -288,7 +252,7 @@ class TestClientUnderWireFaults:
                 assert chaos.applied == {"partial_frame": 1}
             finally:
                 await client.close()
-                await stop_daemon(daemon, task, port)
+                await stop_daemon(port, task)
 
         asyncio.run(run())
 
@@ -317,8 +281,8 @@ class TestClientUnderWireFaults:
                 assert elapsed < 0.5, "hedge did not bound the slow peer"
             finally:
                 await client.close()
-                await stop_daemon(daemon_a, task_a, port_a)
-                await stop_daemon(daemon_b, task_b, port_b)
+                await stop_daemon(port_a, task_a)
+                await stop_daemon(port_b, task_b)
 
         asyncio.run(run())
 
@@ -348,7 +312,7 @@ class TestClientUnderWireFaults:
             finally:
                 for c in clients:
                     await c.close()
-                await stop_daemon(daemon, task, port)
+                await stop_daemon(port, task)
 
         asyncio.run(run())
 
@@ -366,7 +330,7 @@ class TestClientUnderWireFaults:
                 assert client.retry_count == 0
             finally:
                 await client.close()
-                await stop_daemon(daemon, task, port)
+                await stop_daemon(port, task)
 
         asyncio.run(run())
 
@@ -421,7 +385,7 @@ class TestNotOwnerRedirect:
                 await control.call("wait", job_id=reply["job_id"])
             finally:
                 await client.close()
-                await stop_daemon(daemon_a, task_a, port_a)
-                await stop_daemon(daemon_b, task_b, port_b)
+                await stop_daemon(port_a, task_a)
+                await stop_daemon(port_b, task_b)
 
         asyncio.run(run())

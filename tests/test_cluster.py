@@ -8,7 +8,6 @@ lease expiry, failover, and fencing are exercised without sleeping.
 import pytest
 
 from repro.errors import FencedError, LeaseError
-from repro.obs import MetricsRegistry, use_registry
 from repro.service.cluster import (
     LEASE_RECORD,
     ClusterClock,
@@ -20,10 +19,7 @@ from repro.service.cluster import (
 )
 
 
-@pytest.fixture(autouse=True)
-def _registry():
-    with use_registry(MetricsRegistry()):
-        yield
+pytestmark = pytest.mark.usefixtures("fresh_registry")
 
 
 def manual_clock(start=100.0):

@@ -21,19 +21,16 @@ import pytest
 from repro.errors import FencedError
 from repro.faults.injector import SimulatedCrash
 from repro.faults.spec import FaultEvent, FaultSchedule
+from repro.hdss.server import attach_server
 from repro.hdss.store import ShardedChunkStore
-from repro.obs import MetricsRegistry, use_registry
 from repro.service import chaos_rig as rig
-from repro.service.chaos_rig import attach_server, build_server as make_server
+from repro.service.chaos_rig import build_server as make_server
 from repro.service.cluster import ClusterClock, ClusterConfig, ClusterNode
 
 DISK = 3
 
 
-@pytest.fixture(autouse=True)
-def _registry():
-    with use_registry(MetricsRegistry()):
-        yield
+pytestmark = pytest.mark.usefixtures("fresh_registry")
 
 
 def make_service(server, journal_root, faults=None, fence=None):
@@ -90,7 +87,7 @@ def crash_then_handoff(tmp_path, crash_at):
         server_a.fail_disk(DISK)
         await crash_repair(service_a)
 
-        server_b = attach_server(store)
+        server_b = attach_server(store, make_server)
         server_b.fail_disk(DISK, destroy_data=False)
         service_b = make_service(server_b, journal)
         result = await finish_repair(service_b)
@@ -135,7 +132,7 @@ class TestCrashTimingMatrix:
             server_a.fail_disk(DISK)
             await crash_repair(service_a)
 
-            server_b = attach_server(store)
+            server_b = attach_server(store, make_server)
             server_b.fail_disk(DISK, destroy_data=False)
             # The schedule is the external fault script: the survivor's
             # copy repeats the crash it already survived (swallowed via
@@ -149,7 +146,7 @@ class TestCrashTimingMatrix:
             )
             await crash_repair(service_b, resume=True)
 
-            server_c = attach_server(store)
+            server_c = attach_server(store, make_server)
             server_c.fail_disk(DISK, destroy_data=False)
             service_c = make_service(server_c, journal)
             result = await finish_repair(service_c)

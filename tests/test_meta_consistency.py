@@ -165,6 +165,7 @@ def functions_matching(path, pattern):
 
 
 JOB = SRC / "core" / "repair_job.py"
+CLI = SRC / "commands"
 
 
 def call_sites(pattern):
@@ -217,7 +218,8 @@ class TestOneRepairJob:
 
     def test_the_two_single_valued_options_are_gone(self):
         assert "write_back" not in (SRC / "core" / "executor.py").read_text()
-        assert "per-disk-reads" not in (SRC / "cli.py").read_text()
+        for path in CLI.glob("*.py"):
+            assert "per-disk-reads" not in path.read_text(), path
 
 
 SERVICE = SRC / "service"
@@ -287,6 +289,9 @@ class TestOneChaosRig:
             assert "hdpsr_chaos_runs_total" not in text, path
         for path in (ROOT / "tests" / "test_cluster_failover.py",
                      ROOT / "tests" / "test_overload.py",
+                     ROOT / "tests" / "test_service.py",
+                     ROOT / "tests" / "test_service_telemetry.py",
+                     ROOT / "tests" / "test_client_retry.py",
                      BENCH_OVERLOAD, BENCHMARKS / "bench_scrub.py"):
             assert "HDSSConfig(" not in path.read_text(), path
 
@@ -311,13 +316,98 @@ class TestOneChaosRig:
             assert count_defs(name) == {"src/repro/service/chaos_rig.py": 1}
 
     def test_daemon_does_not_import_its_chaos_harness(self):
-        probe = (
-            "import sys, repro.service, repro.cli; repro.cli.build_parser(); "
-            "print(sorted(m for m in sys.modules "
-            "if m.startswith('repro.service.chaos')))"
+        loaded = loaded_repro_modules(
+            "import repro.service, repro.cli; repro.cli.build_parser()"
         )
-        out = subprocess.run(
-            [sys.executable, "-c", probe], capture_output=True, text=True,
-            env={"PYTHONPATH": str(ROOT / "src")}, check=True,
-        )
-        assert out.stdout.strip() == "[]"
+        assert not [m for m in loaded if m.startswith("repro.service.chaos")]
+
+
+def loaded_repro_modules(statement):
+    """The ``repro.*`` modules in ``sys.modules`` after ``statement`` runs
+    in a fresh interpreter."""
+    probe = (
+        f"import sys; {statement}; "
+        "print(' '.join(sorted(m for m in sys.modules if m.startswith('repro'))))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True,
+        env={"PYTHONPATH": str(ROOT / "src")}, check=True,
+    )
+    return out.stdout.split()
+
+
+class TestOneOperatorPlane:
+    """What stands between a person (or CI, or a test) and a running daemon
+    — find it, ask it one thing, keep asking, run hardened, attach — exists
+    once, under the per-command CLI modules."""
+
+    def test_one_definition_each(self):
+        for name, home in {
+            "write_port_file": "src/repro/service/client.py",
+            "wait_for_port_file": "src/repro/service/client.py",
+            "_show": "src/repro/commands/clients.py",
+            "_run_hardened": "src/repro/commands/paper.py",
+            "attach_server": "src/repro/hdss/server.py",
+            "build_server": "src/repro/commands/flags.py",
+            "add_endpoint_args": "src/repro/commands/flags.py",
+            "add_algorithm_arg": "src/repro/commands/flags.py",
+        }.items():
+            found = count_defs(name)
+            found.pop("src/repro/service/chaos_rig.py", None)  # its own build_server
+            assert found == {home: 1}, name
+
+    def test_the_cli_is_split_by_command(self):
+        """``cli.py`` stays a file (``benchmarks/e2e/run.py`` looks for it)
+        but only assembles the parser; the commands are beside it."""
+        for path in [SRC / "cli.py", *CLI.glob("*.py")]:
+            assert len(path.read_text().splitlines()) <= 500, path
+        assert "add_argument(" not in (SRC / "cli.py").read_text()
+
+    def test_port_files_are_written_and_awaited_in_one_place(self):
+        for path in src_files():
+            assert "write_text(str(self.port))" not in path.read_text(), path
+        waiter = re.compile(r"def (_wait_port|_resolve_port|wait_file)\(")
+        for path in [*src_files(), *(ROOT / "tests").glob("*.py"),
+                     *(ROOT / "tools").glob("*.py")]:
+            if path != Path(__file__):
+                assert not waiter.search(path.read_text()), path
+
+    def test_one_server_from_args_builder(self):
+        builders = set()
+        for path in CLI.glob("*.py"):
+            builders |= functions_matching(path, r"build_exp_server\(")
+        assert builders == {"src/repro/commands/flags.py:build_server"}
+
+    def test_one_shots_use_the_context_manager(self):
+        by_hand = re.compile(r"\.connect\([^\n]*\)\n\s*try:")
+        for path in CLI.glob("*.py"):
+            assert not by_hand.search(path.read_text()), (
+                f"{path}: use `async with await ServiceClient.connect(...)`"
+            )
+
+    def test_one_refresh_loop_and_one_scheme_list(self):
+        loops, schemes = set(), set()
+        for path in CLI.glob("*.py"):
+            loops |= functions_matching(path, r"while True:")
+            schemes |= functions_matching(path, r"list\(ALGORITHMS\) if")
+        assert loops == {"src/repro/commands/clients.py:_show"}
+        assert schemes == {"src/repro/commands/flags.py:algorithms_of"}
+
+    def test_ci_runs_scripts_not_heredocs(self):
+        text = (ROOT / ".github" / "workflows" / "ci.yml").read_text()
+        assert "python - <<" not in text
+        assert len(text.splitlines()) < 200
+
+    def test_building_the_parser_loads_no_service_code(self):
+        """``hdpsr serve`` imports ``repro.service`` when dispatched, not
+        when its flags are declared — every other command starts without
+        the daemon loaded."""
+        loaded = loaded_repro_modules("import repro.cli; repro.cli.build_parser()")
+        assert not [m for m in loaded if m.startswith("repro.service")]
+        library = loaded_repro_modules("import repro")
+        assert set(loaded) - set(library) == {
+            "repro.cli", "repro.commands", "repro.commands.chaos",
+            "repro.commands.clients", "repro.commands.flags",
+            "repro.commands.paper", "repro.commands.serve",
+            "repro.commands.trace",
+        }

@@ -22,7 +22,6 @@ from repro.errors import (
     OverloadError,
 )
 from repro.hdss.store import InMemoryChunkStore
-from repro.obs import MetricsRegistry, use_registry
 from repro.service import client as client_module
 from repro.service.chaos_rig import (
     SlowStore,
@@ -36,7 +35,6 @@ from repro.service.client import (
     run_open_loop,
     tally_open_loop,
 )
-from repro.service.netserver import ServiceDaemon
 from repro.service.overload import (
     CLASS_DEGRADED,
     CLASS_READ,
@@ -52,11 +50,10 @@ from repro.service.overload import (
 )
 from repro.service.protocol import ERR_DEADLINE, ERR_OVERLOAD
 
+from tests.conftest import start_daemon, stop_daemon
 
-@pytest.fixture(autouse=True)
-def _registry():
-    with use_registry(MetricsRegistry()):
-        yield
+
+pytestmark = pytest.mark.usefixtures("fresh_registry")
 
 
 class FakeClock:
@@ -301,22 +298,6 @@ class TestRetryBudget:
 
 
 # ----------------------------------------------------- daemon-backed layers
-async def start_daemon(service, **kwargs):
-    daemon = ServiceDaemon(service, **kwargs)
-    port = await daemon.start()
-    task = asyncio.create_task(daemon.serve_until_stopped())
-    return daemon, port, task
-
-
-async def stop_daemon(port, task):
-    control = await ServiceClient.connect("127.0.0.1", port)
-    try:
-        await control.call("shutdown")
-    finally:
-        await control.close()
-    await task
-
-
 class TestDeadlinePropagation:
     """Two-hop deadline propagation: client → daemon admission → gate."""
 

@@ -11,21 +11,14 @@ import time
 import numpy as np
 import pytest
 
-from repro.core import ALGORITHMS
 from repro.ec.stripe import ChunkId
 from repro.errors import ConfigurationError
 from repro.faults import apply_corruption
 from repro.faults.spec import FaultEvent
-from repro.hdss.server import HDSSConfig, HighDensityStorageServer
 from repro.hdss.store import ShardedChunkStore
 from repro.journal.wal import list_segments
-from repro.obs import MetricsRegistry, use_registry
-from repro.service import (
-    RepairService,
-    ScrubConfig,
-    Scrubber,
-    ServiceConfig,
-)
+from repro.service import ScrubConfig, Scrubber
+from repro.service.chaos_rig import build_server, build_service
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.netserver import ServiceDaemon
 from repro.service.overload import (
@@ -37,10 +30,7 @@ from repro.service.protocol import ERR_CORRUPT
 from repro.utils import checksum
 
 
-@pytest.fixture(autouse=True)
-def _registry():
-    with use_registry(MetricsRegistry()):
-        yield
+pytestmark = pytest.mark.usefixtures("fresh_registry")
 
 
 STRIPES = 10
@@ -50,14 +40,8 @@ def make_service(tmp_path, **cfg):
     store = ShardedChunkStore.from_root(
         tmp_path / "store", num_shards=2, durable=False
     )
-    config = HDSSConfig(
-        num_disks=12, n=5, k=3, chunk_size=1024, memory_chunks=16,
-        spares=3, seed=11, placement="rotating",
-    )
-    server = HighDensityStorageServer(config, store=store)
-    server.provision_stripes(STRIPES, with_data=True)
-    return RepairService(
-        server, ALGORITHMS["hd-psr-ap"](), ServiceConfig(**cfg) if cfg else None
+    return build_service(
+        build_server(store, stripes=STRIPES, chunk_size=1024), **cfg
     )
 
 

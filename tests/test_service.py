@@ -20,7 +20,6 @@ from repro.errors import (
 )
 from repro.faults.injector import SimulatedCrash
 from repro.faults.spec import FaultEvent, FaultSchedule
-from repro.hdss.server import HDSSConfig, HighDensityStorageServer
 from repro.faults.report import EXIT_DATA_LOSS, LOST
 from repro.hdss.store import FaultyChunkStore, InMemoryChunkStore, ShardedChunkStore
 from repro.obs import MetricsRegistry, use_registry
@@ -30,27 +29,10 @@ from repro.service import (
     RepairService,
     ServiceConfig,
 )
+from repro.service.chaos_rig import build_server as make_server
+from repro.service.chaos_rig import build_service as make_service
+from repro.service.chaos_rig import originals_of
 from repro.service.service import DEGRADED_READS
-
-
-def make_server(store=None, seed=11):
-    config = HDSSConfig(
-        num_disks=12, n=5, k=3, chunk_size=2048, memory_chunks=16,
-        spares=3, seed=seed, placement="rotating",
-    )
-    server = HighDensityStorageServer(config, store=store)
-    server.provision_stripes(12, with_data=True)
-    return server
-
-
-def make_service(server, **cfg):
-    return RepairService(
-        server, ALGORITHMS["hd-psr-ap"](), ServiceConfig(**cfg) if cfg else None
-    )
-
-
-def originals_of(server):
-    return {si: server.read_object(si) for si in range(len(server.layout))}
 
 
 def assert_all_objects_intact(server, originals):

@@ -11,8 +11,6 @@ import json
 
 import pytest
 
-from repro.core import ALGORITHMS
-from repro.hdss.server import HDSSConfig, HighDensityStorageServer
 from repro.obs import (
     EventLoopMonitor,
     MetricsRegistry,
@@ -24,33 +22,14 @@ from repro.obs import (
     use_span,
     use_tracer,
 )
-from repro.service import (
-    RepairService,
-    ServiceClient,
-    ServiceConfig,
-    ServiceDaemon,
-    TelemetryServer,
-    stats_snapshot,
-)
+from repro.service import ServiceClient, TelemetryServer, stats_snapshot
 from repro.service import protocol
+from repro.service.chaos_rig import build_server as make_server
+from repro.service.chaos_rig import build_service as make_service
 from repro.service.netserver import OPS
 from repro.service.protocol import MAX_REQUEST_BYTES, ProtocolError
 
-
-def make_server(seed=11):
-    config = HDSSConfig(
-        num_disks=12, n=5, k=3, chunk_size=2048, memory_chunks=16,
-        spares=3, seed=seed, placement="rotating",
-    )
-    server = HighDensityStorageServer(config, store=None)
-    server.provision_stripes(12, with_data=True)
-    return server
-
-
-def make_service(server, **cfg):
-    return RepairService(
-        server, ALGORITHMS["hd-psr-ap"](), ServiceConfig(**cfg) if cfg else None
-    )
+from tests.conftest import start_daemon
 
 
 def lost_chunk_of(server, disk_id):
@@ -60,13 +39,6 @@ def lost_chunk_of(server, disk_id):
             if disk == disk_id:
                 return si, shard
     raise AssertionError(f"disk {disk_id} holds no chunks")
-
-
-async def start_daemon(service, **kwargs):
-    daemon = ServiceDaemon(service, **kwargs)
-    port = await daemon.start()
-    task = asyncio.create_task(daemon.serve_until_stopped())
-    return daemon, port, task
 
 
 async def http_get(port, path):
@@ -546,7 +518,7 @@ class TestEventLoopMonitor:
 # ---------------------------------------------------------------------------
 class TestTopRendering:
     def test_render_top_frame(self):
-        from repro.cli import _render_top
+        from repro.commands.clients import _render_top
 
         frame = _render_top({
             "jobs": [{
@@ -574,7 +546,7 @@ class TestTopRendering:
         assert "failed disks: 3" in frame
 
     def test_render_top_idle_daemon(self):
-        from repro.cli import _render_top
+        from repro.commands.clients import _render_top
 
         frame = _render_top({"jobs": [], "foreground": {}, "gates": {},
                              "journal": {}, "writer_backlog": 0,
