@@ -35,7 +35,7 @@ from repro.service import chaos_rig as rig
 from repro.service.chaos_overload import GATE_WIDTH, OVERLOAD, SERVICE_TIME_S
 from repro.service.client import pace_open_loop, tally_open_loop
 from repro.service.netserver import ServiceDaemon
-from repro.service.overload import _STATE_LEVEL
+from repro.service.overload import STATES
 from repro.service.protocol import ERR_DEADLINE, ERR_OVERLOAD
 from repro.utils.tables import AsciiTable
 from repro.workloads.arrivals import constant_arrivals
@@ -77,7 +77,7 @@ def run_episode(offered_frac: float, control: bool) -> Dict[str, object]:
             nonlocal max_level
             if service.overload is not None:
                 max_level = max(
-                    max_level, _STATE_LEVEL[service.overload.state]
+                    max_level, STATES.index(service.overload.state)
                 )
             return rig.error_code(await call("read", **read))
 

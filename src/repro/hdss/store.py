@@ -12,9 +12,8 @@ a store can also hold the *backup disks* repaired chunks are written to.
 :class:`ShardedChunkStore` composes several backends into one store routed
 by disk id — the scaling seam the asyncio repair service
 (:mod:`repro.service`) builds its per-shard write queues on. All stores
-expose batched :meth:`ChunkStore.get_many`/:meth:`ChunkStore.put_many`;
-the sharded store groups a batch by shard so each backend sees one
-contiguous run of operations.
+expose batched :meth:`ChunkStore.put_many`; the sharded store groups a
+batch by shard so each backend sees one contiguous run of operations.
 """
 
 from __future__ import annotations
@@ -34,21 +33,13 @@ from repro.errors import (
     LatentSectorError,
     StorageError,
 )
+from repro.journal.wal import fsync_dir
 from repro.utils.checksum import crc32c
 
 Key = Tuple[int, ChunkId]
 
 #: Suffix of the per-chunk checksum sidecar files.
 CRC_SUFFIX = ".crc32c"
-
-
-def _fsync_dir(path: Path) -> None:
-    """fsync a directory so a just-renamed entry survives power loss."""
-    fd = os.open(path, os.O_RDONLY)
-    try:
-        os.fsync(fd)
-    finally:
-        os.close(fd)
 
 
 def _write_atomic(
@@ -91,6 +82,12 @@ def _pid_alive(pid: int) -> bool:
 class ChunkStore(abc.ABC):
     """Abstract chunk-addressed byte store."""
 
+    #: Checksum mismatches detected, and crash leftovers (dead-writer tmp
+    #: files, orphan sidecars) swept at open; zero on backends with neither.
+    checksum_failures = 0
+    swept_tmp_files = 0
+    orphan_sidecars = 0
+
     @abc.abstractmethod
     def put(self, disk_id: int, chunk_id: ChunkId, data: np.ndarray) -> None:
         """Write one chunk (uint8 array) to ``disk_id``."""
@@ -132,16 +129,12 @@ class ChunkStore(abc.ABC):
         self.get(disk_id, chunk_id)
         return True
 
-    def get_many(self, keys: Sequence[Key]) -> List[np.ndarray]:
-        """Read a batch of chunks, preserving order.
+    def put_many(self, items: Sequence[Tuple[int, ChunkId, np.ndarray]]) -> None:
+        """Write a batch of chunks (``(disk_id, chunk_id, data)`` triples).
 
-        The base implementation loops :meth:`get`; backends with cheaper
+        The base implementation loops :meth:`put`; backends with cheaper
         batch paths (sharded stores grouping by backend) override it.
         """
-        return [self.get(disk_id, chunk_id) for disk_id, chunk_id in keys]
-
-    def put_many(self, items: Sequence[Tuple[int, ChunkId, np.ndarray]]) -> None:
-        """Write a batch of chunks (``(disk_id, chunk_id, data)`` triples)."""
         for disk_id, chunk_id, data in items:
             self.put(disk_id, chunk_id, data)
 
@@ -198,15 +191,19 @@ class InMemoryChunkStore(ChunkStore):
 class ForwardingChunkStore(ChunkStore):
     """Base of the store decorators: everything goes to ``inner``.
 
-    Forwards **every** :class:`ChunkStore` method — the four with base-class
-    defaults included, so a decorated store keeps its own batched and
-    verify paths — plus, through ``__getattr__``, the backend's extras
-    (``total_chunks``, ``checksum_failures``, ...). Subclasses override
-    only what they change; a new interface method is added here and
-    nowhere else. A subclass whose ``get``/``put`` *does* something (raises,
-    costs time) and wants batches and verifies to go through it re-points
-    them at the looping defaults: ``get_many = ChunkStore.get_many``.
+    Forwards **every** :class:`ChunkStore` method and counter — those with
+    base-class defaults included, so a decorated store keeps its own batched
+    and verify paths — plus, through ``__getattr__``, the backend's extras
+    (``total_chunks``, ...). Subclasses override only what they change; a
+    new interface method is added here and nowhere else. A subclass whose
+    ``put`` *does* something (counts, costs time) and wants batches to go
+    through it re-points them at the looping default:
+    ``put_many = ChunkStore.put_many``.
     """
+
+    checksum_failures = property(lambda self: self.inner.checksum_failures)
+    swept_tmp_files = property(lambda self: self.inner.swept_tmp_files)
+    orphan_sidecars = property(lambda self: self.inner.orphan_sidecars)
 
     def __init__(self, inner: ChunkStore) -> None:
         self.inner = inner
@@ -234,9 +231,6 @@ class ForwardingChunkStore(ChunkStore):
 
     def verify_chunk(self, disk_id: int, chunk_id: ChunkId) -> bool:
         return self.inner.verify_chunk(disk_id, chunk_id)
-
-    def get_many(self, keys: Sequence[Key]) -> List[np.ndarray]:
-        return self.inner.get_many(keys)
 
     def put_many(self, items: Sequence[Tuple[int, ChunkId, np.ndarray]]) -> None:
         self.inner.put_many(items)
@@ -300,8 +294,7 @@ class FaultyChunkStore(ForwardingChunkStore):
         self._bad = {(d, c) for (d, c) in self._bad if d != disk_id}
         return self.inner.drop_disk(disk_id)
 
-    # Batches loop this class's get/put, so the marks apply to them too.
-    get_many = ChunkStore.get_many
+    # Batches loop this class's put, so a rewrite clears the marks there too.
     put_many = ChunkStore.put_many
 
 
@@ -368,20 +361,6 @@ class FileChunkStore(ChunkStore):
                     if not p.with_name(p.name[: -len(CRC_SUFFIX)]).exists():
                         p.unlink(missing_ok=True)
                         self.orphan_sidecars += 1
-        if self.swept_tmp_files or self.orphan_sidecars:
-            from repro.obs.context import current_registry
-
-            registry = current_registry()
-            if self.swept_tmp_files:
-                registry.counter(
-                    "hdpsr_store_swept_tmp_files_total",
-                    "Dead-writer tmp files removed by the startup sweep",
-                ).inc(self.swept_tmp_files)
-            if self.orphan_sidecars:
-                registry.counter(
-                    "hdpsr_store_orphan_sidecars_total",
-                    "Orphan CRC32C sidecars removed by the startup sweep",
-                ).inc(self.orphan_sidecars)
 
     def _disk_dir(self, disk_id: int) -> Path:
         return self.root / f"disk-{disk_id:03d}"
@@ -418,7 +397,7 @@ class FileChunkStore(ChunkStore):
             durable=self.durable,
         )
         if self.durable:
-            _fsync_dir(path.parent)
+            fsync_dir(path.parent)
 
     def _read_expected_crc(self, path: Path) -> Optional[int]:
         sidecar = self._sidecar_path(path)
@@ -523,9 +502,8 @@ class ShardedChunkStore(ChunkStore):
     the layout :class:`repro.service.RepairService` multiplexes concurrent
     repairs over.
 
-    Batch operations (:meth:`get_many` / :meth:`put_many`) group keys by
-    shard and hand each backend one contiguous batch, preserving the
-    caller's result order.
+    :meth:`put_many` groups a batch by shard and hands each backend one
+    contiguous run.
     """
 
     def __init__(self, shards: Sequence[ChunkStore]) -> None:
@@ -560,17 +538,17 @@ class ShardedChunkStore(ChunkStore):
     @property
     def checksum_failures(self) -> int:
         """Checksum mismatches across every shard (file-backed shards only)."""
-        return sum(getattr(s, "checksum_failures", 0) for s in self.shards)
+        return sum(s.checksum_failures for s in self.shards)
 
     @property
     def swept_tmp_files(self) -> int:
         """Dead-writer tmp files swept at startup, across every shard."""
-        return sum(getattr(s, "swept_tmp_files", 0) for s in self.shards)
+        return sum(s.swept_tmp_files for s in self.shards)
 
     @property
     def orphan_sidecars(self) -> int:
         """Orphan sidecars swept at startup, across every shard."""
-        return sum(getattr(s, "orphan_sidecars", 0) for s in self.shards)
+        return sum(s.orphan_sidecars for s in self.shards)
 
     # ------------------------------------------------------------ delegation
     def put(self, disk_id: int, chunk_id: ChunkId, data: np.ndarray) -> None:
@@ -598,17 +576,6 @@ class ShardedChunkStore(ChunkStore):
         return self.shard_for(disk_id).verify_chunk(disk_id, chunk_id)
 
     # --------------------------------------------------------------- batched
-    def get_many(self, keys: Sequence[Key]) -> List[np.ndarray]:
-        by_shard: Dict[int, List[Tuple[int, Key]]] = {}
-        for pos, key in enumerate(keys):
-            by_shard.setdefault(self.shard_of(key[0]), []).append((pos, key))
-        out: List[Optional[np.ndarray]] = [None] * len(keys)
-        for shard_idx, entries in by_shard.items():
-            results = self.shards[shard_idx].get_many([k for _, k in entries])
-            for (pos, _), data in zip(entries, results):
-                out[pos] = data
-        return out  # type: ignore[return-value]
-
     def put_many(self, items: Sequence[Tuple[int, ChunkId, np.ndarray]]) -> None:
         by_shard: Dict[int, List[Tuple[int, ChunkId, np.ndarray]]] = {}
         for item in items:

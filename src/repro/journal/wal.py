@@ -159,7 +159,7 @@ class WALWriter:
             self._fh = open(path, "ab")
             self._fh_bytes = 0
             if self.durable:
-                _fsync_dir(self.root)
+                fsync_dir(self.root)
         return self._fh
 
     def append(self, record: WALRecord) -> None:
@@ -212,7 +212,9 @@ class WALReader:
                 yield from decode_stream(fh)
 
 
-def _fsync_dir(path: Path) -> None:
+def fsync_dir(path: Path) -> None:
+    """fsync a directory so a just-created or just-renamed entry survives
+    power loss (the store's and the lease files' renames use it too)."""
     fd = os.open(path, os.O_RDONLY)
     try:
         os.fsync(fd)

@@ -12,8 +12,10 @@ are simulated seconds from the event kernel, ``"wall"`` timestamps are
 process rows so the two time bases never get visually conflated.
 
 The default tracer is :data:`NULL_TRACER`, whose every method is a no-op —
-instrumented call sites guard hot loops with ``tracer.enabled`` so the
-disabled path costs one attribute read. :class:`RecordingTracer` collects
+``span()`` hands out one shared no-op context manager, so a span body is
+written once, and call sites guard ``complete()`` / ``instant()`` in hot
+loops with ``tracer.enabled`` so the disabled path costs one attribute
+read. :class:`RecordingTracer` collects
 events in memory (thread-safe, globally sequenced) for export via
 :mod:`repro.obs.exporters`.
 
@@ -31,9 +33,9 @@ import contextvars
 import threading
 import time
 import uuid
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional
+from typing import Any, ContextManager, Dict, Iterator, List, Optional
 
 #: Conventional span/instant categories used by the built-in call sites.
 CATEGORIES = ("read", "decode", "round", "stripe", "writeback", "wait",
@@ -162,6 +164,11 @@ class TraceEvent:
         return out
 
 
+#: What the inert tracer's ``span`` hands out: one shared, re-enterable no-op,
+#: so a call site writes ``with tracer.span(...)`` once, whoever is listening.
+_NO_SPAN = nullcontext()
+
+
 class Tracer:
     """Tracer interface; the base class is inert (every method no-ops).
 
@@ -179,11 +186,10 @@ class Tracer:
     def _emit(self, event: TraceEvent) -> None:  # pragma: no cover - inert
         pass
 
-    @contextmanager
     def span(self, category: str, name: str, track: str = "main",
-             **args: Any) -> Iterator[None]:
+             **args: Any) -> ContextManager[None]:
         """Wall-clock span covering the ``with`` body."""
-        yield
+        return _NO_SPAN
 
     def complete(self, category: str, name: str, start: float,
                  duration: float, track: str = "main", domain: str = "sim",

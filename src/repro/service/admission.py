@@ -11,12 +11,12 @@ not taxed by the rebuild.
 Admission wait is recorded per priority class into the ambient metrics
 registry (``hdpsr_service_admission_wait_seconds``), which is how the
 benchmark suite shows what repair pressure does to the front door. The
-gate is also a live scrape surface: per-disk occupancy and queue-depth
-gauges (``hdpsr_service_gate_inflight`` / ``hdpsr_service_gate_waiting``)
-update as reads enter and leave, :meth:`DiskGate.depths` snapshots them
-for the ``stats`` verb, and — when a tracer is recording — every admission
-wait emits a ``wait`` span stamped with the requesting span context, so a
-slow client read shows *which disk's* gate it queued on and for how long.
+gate describes itself once: :meth:`DiskGate.depths` is its per-disk
+occupancy and queue depth right now, which the telemetry plane reads at
+scrape time for the ``stats`` verb and the ``hdpsr_service_gate_*`` gauges
+alike. When a tracer is recording, every admission wait emits a ``wait``
+span stamped with the requesting span context, so a slow client read shows
+*which disk's* gate it queued on and for how long.
 
 The gate is also where overload control taps in. Every admission wait is
 reported to the optional :attr:`DiskGate.controller` (a
@@ -43,10 +43,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
 
 #: Histogram of seconds spent waiting for a read slot, labelled by priority.
 ADMISSION_WAIT = "hdpsr_service_admission_wait_seconds"
-#: Gauge: reads currently holding a slot, per disk.
-GATE_INFLIGHT = "hdpsr_service_gate_inflight"
-#: Gauge: reads currently queued for a slot, per disk and priority.
-GATE_WAITING = "hdpsr_service_gate_waiting"
 
 
 class DiskGate:
@@ -63,10 +59,9 @@ class DiskGate:
         self._sems: Dict[int, asyncio.Semaphore] = {}
         #: Reads currently holding a slot, per disk.
         self._inflight: Dict[int, int] = {}
-        #: Reads currently queued, per (disk, foreground?).
-        self._waiting: Dict[int, int] = {}
+        #: Background reads currently queued, per disk.
         self._bg_waiting: Dict[int, int] = {}
-        #: Foreground reads currently waiting, per disk (priority rule).
+        #: Foreground reads currently queued, per disk (priority rule).
         self._fg_waiting: Dict[int, int] = {}
         #: Set when a disk has no foreground waiters (background may enter).
         self._fg_clear: Dict[int, asyncio.Event] = {}
@@ -86,20 +81,12 @@ class DiskGate:
             event.set()
         return event
 
-    def waiting(self, disk_id: int) -> int:
-        """Foreground reads currently queued on ``disk_id``."""
-        return self._fg_waiting.get(disk_id, 0)
-
-    def inflight(self, disk_id: int) -> int:
-        """Reads currently holding a slot on ``disk_id``."""
-        return self._inflight.get(disk_id, 0)
-
     def queue_depth(self, disk_id: int) -> int:
         """Total reads (both classes) queued on ``disk_id``."""
         return self._fg_waiting.get(disk_id, 0) + self._bg_waiting.get(disk_id, 0)
 
     def depths(self) -> Dict[int, Dict[str, int]]:
-        """Live per-disk gate state for the ``stats`` verb / ``hdpsr top``.
+        """Per-disk gate state right now — the gate's one self-description.
 
         Only disks that have ever seen a read appear; each entry reports
         slot occupancy and queued readers by priority class.
@@ -124,17 +111,6 @@ class DiskGate:
             await event.wait()
         await sem.acquire()
 
-    def _waiting_gauge(self, disk_id: int, foreground: bool):
-        return current_registry().gauge(
-            GATE_WAITING, "reads queued for a per-disk slot"
-        ).labels(disk=str(disk_id),
-                 priority="foreground" if foreground else "background")
-
-    def _inflight_gauge(self, disk_id: int):
-        return current_registry().gauge(
-            GATE_INFLIGHT, "reads holding a per-disk slot"
-        ).labels(disk=str(disk_id))
-
     @contextlib.asynccontextmanager
     async def read(
         self,
@@ -153,9 +129,7 @@ class DiskGate:
         event = self._clear_event(disk_id)
         if deadline is not None:
             deadline.check("gate")
-        waiting_gauge = self._waiting_gauge(disk_id, foreground)
         started = time.monotonic()
-        waiting_gauge.inc()
         if foreground:
             self._fg_waiting[disk_id] = self._fg_waiting.get(disk_id, 0) + 1
             event.clear()
@@ -183,7 +157,6 @@ class DiskGate:
                     event.set()
             else:
                 self._bg_waiting[disk_id] -= 1
-            waiting_gauge.dec()
         waited = time.monotonic() - started
         if self.controller is not None:
             self.controller.observe_wait(disk_id, waited)
@@ -198,11 +171,8 @@ class DiskGate:
                 track="gate", domain="wall", disk=disk_id, priority=priority,
             )
         self._inflight[disk_id] = self._inflight.get(disk_id, 0) + 1
-        inflight_gauge = self._inflight_gauge(disk_id)
-        inflight_gauge.inc()
         try:
             yield
         finally:
             self._inflight[disk_id] -= 1
-            inflight_gauge.dec()
             sem.release()

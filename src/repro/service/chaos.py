@@ -287,7 +287,7 @@ class ChaosScenario(rig.Episode):
                 await control.close()
             await client.close()
             if not task_a.done():
-                daemon_a._stop.set()
+                daemon_a.stop()
             try:
                 report["exit_code_b"] = await asyncio.wait_for(task_b, 10.0)
             except asyncio.TimeoutError:

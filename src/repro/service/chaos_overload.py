@@ -49,11 +49,7 @@ from repro.hdss.store import InMemoryChunkStore
 from repro.service import chaos_rig as rig
 from repro.service.client import pace_open_loop, tally_open_loop
 from repro.service.netserver import ServiceDaemon
-from repro.service.overload import (
-    STATE_HEALTHY,
-    _STATE_LEVEL,
-    OverloadConfig,
-)
+from repro.service.overload import STATE_HEALTHY, STATES, OverloadConfig
 from repro.service.protocol import ERR_DEADLINE, ERR_OVERLOAD
 from repro.workloads.arrivals import flash_crowd_arrivals
 
@@ -220,8 +216,8 @@ class OverloadChaosScenario(rig.Episode):
             "p99_violated": bool(p99 is not None and p99 > c.p99_budget),
             "goodput_pre_per_s": round(pre / c.pre_seconds, 1),
             "goodput_spike_per_s": round(spike / c.spike_seconds, 1),
-            "states_seen": sorted(states_seen, key=_STATE_LEVEL.get),
-            "max_state_level": max(_STATE_LEVEL[s] for s in states_seen),
+            "states_seen": sorted(states_seen, key=STATES.index),
+            "max_state_level": max(STATES.index(s) for s in states_seen),
             "shed_example": shed_example,
             "overload": (
                 service.overload.snapshot() if service.overload is not None else {}

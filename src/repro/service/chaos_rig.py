@@ -165,10 +165,9 @@ class SlowStore(ForwardingChunkStore):
         time.sleep(self.service_time_s)
         return self.inner.get(disk_id, chunk_id)
 
-    # The looping defaults on purpose: a verify or a batch is reads through
-    # :meth:`get`, so each pays the service time like any other.
+    # The looping default on purpose: a verify is a read through
+    # :meth:`get`, so it pays the service time like any other.
     verify_chunk = ChunkStore.verify_chunk
-    get_many = ChunkStore.get_many
 
 
 # ------------------------------------------------------------- the invariants

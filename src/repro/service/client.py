@@ -195,8 +195,12 @@ class ServiceClient:
         without a scrubber."""
         return await self.call("scrub")
 
-    async def close(self) -> None:
+    def close_nowait(self) -> None:
+        """Start closing the connection; do not wait for the peer."""
         self._writer.close()
+
+    async def close(self) -> None:
+        self.close_nowait()
         try:
             await self._writer.wait_closed()
         except (ConnectionResetError, BrokenPipeError):
@@ -434,7 +438,7 @@ class ClusterClient:
     def _drop_conn(self, endpoint: str) -> None:
         client = self._conns.pop(endpoint, None)
         if client is not None:
-            client._writer.close()
+            client.close_nowait()
 
     def retry_budget(self, endpoint: str) -> RetryBudget:
         """The endpoint's retry token bucket (created on first use)."""
@@ -444,14 +448,6 @@ class ClusterClient:
                 ratio=self._budget_ratio, cap=self._budget_cap
             )
         return budget
-
-    def _export_breakers(self) -> None:
-        gauge = current_registry().gauge(
-            "hdpsr_client_breaker_state",
-            "Circuit state per endpoint (0 closed, 1 half-open, 2 open).",
-        )
-        for ep, breaker in self._breakers.items():
-            gauge.labels(endpoint=ep).set(_BREAKER_GAUGE[breaker.state])
 
     def _candidates(self, preferred: Optional[str]) -> List[str]:
         """Endpoints to try, preferred first, breaker-open ones last."""
@@ -488,95 +484,100 @@ class ClusterClient:
         registry = current_registry()
         retry_after_floor = 0.0
         first = True
-        for attempt in range(self.retries + 1):
-            for endpoint in self._candidates(preferred):
-                breaker = self._breakers[endpoint]
-                budget = self.retry_budget(endpoint)
-                if first:
-                    budget.on_request()
-                    first = False
-                elif last_error is not None and last_error.code == ERR_OVERLOAD:
-                    # Overload retries spend the endpoint's token bucket:
-                    # when it runs dry, surface the overload instead of
-                    # amplifying offered load into a browned-out daemon.
-                    # (Crash/redirect retries are failover correctness,
-                    # not load amplification, and stay unmetered.)
-                    if not budget.allow_retry():
-                        self._export_breakers()
-                        raise last_error
-                try:
-                    reply = await self._call_endpoint(endpoint, op, fields)
-                except ServiceError as exc:
-                    last_error = exc
-                    if exc.code == ERR_OVERLOAD and exc.retry_after_ms > 0:
-                        retry_after_floor = max(
-                            retry_after_floor, exc.retry_after_ms / 1000.0
-                        )
-                    if exc.code == ERR_NOT_OWNER and exc.endpoint:
-                        # Redirect: learn the owner, go straight there.
-                        self.redirects += 1
-                        registry.counter(
-                            "hdpsr_client_redirects_total",
-                            "NOT_OWNER redirects followed.",
-                        ).inc()
-                        if exc.shard >= 0:
-                            self.owners[exc.shard] = exc.endpoint
-                        if exc.endpoint not in self.endpoints:
-                            self.endpoints.append(exc.endpoint)
-                            self._breakers.setdefault(
-                                exc.endpoint, CircuitBreaker()
+        try:
+            for attempt in range(self.retries + 1):
+                for endpoint in self._candidates(preferred):
+                    breaker = self._breakers[endpoint]
+                    budget = self.retry_budget(endpoint)
+                    if first:
+                        budget.on_request()
+                        first = False
+                    elif last_error is not None and last_error.code == ERR_OVERLOAD:
+                        # Overload retries spend the endpoint's token bucket:
+                        # when it runs dry, surface the overload instead of
+                        # amplifying offered load into a browned-out daemon.
+                        # (Crash/redirect retries are failover correctness,
+                        # not load amplification, and stay unmetered.)
+                        if not budget.allow_retry():
+                            raise last_error
+                    try:
+                        reply = await self._call_endpoint(endpoint, op, fields)
+                    except ServiceError as exc:
+                        last_error = exc
+                        if exc.code == ERR_OVERLOAD and exc.retry_after_ms > 0:
+                            retry_after_floor = max(
+                                retry_after_floor, exc.retry_after_ms / 1000.0
                             )
-                        preferred = exc.endpoint
-                        break  # inner loop; no backoff for a redirect
-                    if not exc.retryable:
-                        self._export_breakers()
-                        raise
-                    breaker.record_failure()
-                    registry.counter(
-                        "hdpsr_client_retries_total",
-                        "Retryable request failures, by error code.",
-                    ).labels(code=exc.code).inc()
-                    self.retry_count += 1
-                    if exc.crashed:
-                        self._drop_conn(endpoint)
-                        if endpoint == preferred:
-                            # The shard's owner died under us; any other
-                            # endpoint we reach next is a failover.
-                            self.failovers += 1
+                        if exc.code == ERR_NOT_OWNER and exc.endpoint:
+                            # Redirect: learn the owner, go straight there.
+                            self.redirects += 1
                             registry.counter(
-                                "hdpsr_client_failovers_total",
-                                "Requests moved to a different daemon "
-                                "after their target died.",
+                                "hdpsr_client_redirects_total",
+                                "NOT_OWNER redirects followed.",
                             ).inc()
-                            preferred = None
-                    continue  # next endpoint, no sleep yet
-                else:
-                    breaker.record_success()
-                    self._export_breakers()
-                    return reply
-            else:
-                # Every candidate failed this round: back off, then retry.
-                delay = self.backoff.delay(attempt)
-                if retry_after_floor > 0.0:
-                    # The daemon told us how long its standing queue needs
-                    # to drain; sleeping less than that is just another
-                    # doomed request.
-                    if retry_after_floor > delay:
+                            if exc.shard >= 0:
+                                self.owners[exc.shard] = exc.endpoint
+                            if exc.endpoint not in self.endpoints:
+                                self.endpoints.append(exc.endpoint)
+                                self._breakers.setdefault(
+                                    exc.endpoint, CircuitBreaker()
+                                )
+                            preferred = exc.endpoint
+                            break  # inner loop; no backoff for a redirect
+                        if not exc.retryable:
+                            raise
+                        breaker.record_failure()
                         registry.counter(
-                            "hdpsr_client_retry_after_honored_total",
-                            "Backoff sleeps raised to a daemon's "
-                            "retry_after_ms hint.",
-                        ).inc()
-                    delay = max(delay, retry_after_floor)
-                    retry_after_floor = 0.0
-                registry.summary(
-                    "hdpsr_client_backoff_seconds",
-                    "Backoff sleeps between retry rounds.",
-                ).observe(delay)
-                await asyncio.sleep(delay)
-        self._export_breakers()
-        assert last_error is not None
-        raise last_error
+                            "hdpsr_client_retries_total",
+                            "Retryable request failures, by error code.",
+                        ).labels(code=exc.code).inc()
+                        self.retry_count += 1
+                        if exc.crashed:
+                            self._drop_conn(endpoint)
+                            if endpoint == preferred:
+                                # The shard's owner died under us; any other
+                                # endpoint we reach next is a failover.
+                                self.failovers += 1
+                                registry.counter(
+                                    "hdpsr_client_failovers_total",
+                                    "Requests moved to a different daemon "
+                                    "after their target died.",
+                                ).inc()
+                                preferred = None
+                        continue  # next endpoint, no sleep yet
+                    else:
+                        breaker.record_success()
+                        return reply
+                else:
+                    # Every candidate failed this round: back off, then retry.
+                    delay = self.backoff.delay(attempt)
+                    if retry_after_floor > 0.0:
+                        # The daemon told us how long its standing queue needs
+                        # to drain; sleeping less than that is just another
+                        # doomed request.
+                        if retry_after_floor > delay:
+                            registry.counter(
+                                "hdpsr_client_retry_after_honored_total",
+                                "Backoff sleeps raised to a daemon's "
+                                "retry_after_ms hint.",
+                            ).inc()
+                        delay = max(delay, retry_after_floor)
+                        retry_after_floor = 0.0
+                    registry.summary(
+                        "hdpsr_client_backoff_seconds",
+                        "Backoff sleeps between retry rounds.",
+                    ).observe(delay)
+                    await asyncio.sleep(delay)
+            assert last_error is not None
+            raise last_error
+        finally:
+            # Whichever way the call ended, publish where the breakers stand.
+            gauge = registry.gauge(
+                "hdpsr_client_breaker_state",
+                "Circuit state per endpoint (0 closed, 1 half-open, 2 open).",
+            )
+            for ep, breaker in self._breakers.items():
+                gauge.labels(endpoint=ep).set(_BREAKER_GAUGE[breaker.state])
 
     async def _call_endpoint(self, endpoint: str, op: str, fields: dict) -> dict:
         try:

@@ -50,7 +50,7 @@ from pathlib import Path
 from typing import Awaitable, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import FencedError, LeaseError
-from repro.journal.wal import WALRecord, decode_stream, encode_record
+from repro.journal.wal import WALRecord, decode_stream, encode_record, fsync_dir
 from repro.obs.context import current_registry
 from repro.utils.checksum import crc32c
 
@@ -129,14 +129,6 @@ class LeaseRecord:
             raise LeaseError(f"malformed lease record: {meta!r} ({exc})") from None
 
 
-def _fsync_dir(path: Path) -> None:
-    fd = os.open(path, os.O_RDONLY)
-    try:
-        os.fsync(fd)
-    finally:
-        os.close(fd)
-
-
 def _write_record_atomic(path: Path, record: WALRecord, *, durable: bool) -> None:
     """Write one WAL-framed record as the whole file, crash-atomically."""
     tmp = path.parent / f"{path.name}.{os.getpid()}.tmp"
@@ -147,7 +139,7 @@ def _write_record_atomic(path: Path, record: WALRecord, *, durable: bool) -> Non
             os.fsync(fh.fileno())
     os.replace(tmp, path)
     if durable:
-        _fsync_dir(path.parent)
+        fsync_dir(path.parent)
 
 
 def _read_record(path: Path, expected_type: str) -> Optional[WALRecord]:
@@ -497,7 +489,6 @@ class ClusterNode:
             claimed = self._tick_shard(shard, now, live)
             if claimed is not None:
                 claims.append(claimed)
-        self._export_gauges()
         return claims
 
     def _tick_shard(
@@ -637,7 +628,8 @@ class ClusterNode:
 
     # ------------------------------------------------------------------ intro
     def status(self) -> Dict[str, object]:
-        """JSON-able snapshot for the ``cluster`` protocol verb / top."""
+        """JSON-able snapshot for the ``cluster`` protocol verb / top — and
+        what the telemetry plane derives the ``hdpsr_cluster_*`` gauges from."""
         now = self.clock.now()
         leases = {}
         for shard in range(self.config.num_shards):
@@ -666,18 +658,3 @@ class ClusterNode:
     # ---------------------------------------------------------------- metrics
     def _counter(self, name: str, help: str):
         return current_registry().counter(name, help)
-
-    def _export_gauges(self) -> None:
-        registry = current_registry()
-        registry.gauge(
-            "hdpsr_cluster_owned_shards",
-            "Shards this daemon currently holds leases for.",
-        ).set(len(self.held))
-        epoch_gauge = registry.gauge(
-            "hdpsr_cluster_lease_epoch",
-            "Lease epoch this daemon holds, per shard (0 = not held).",
-        )
-        for shard in range(self.config.num_shards):
-            epoch_gauge.labels(shard=str(shard)).set(
-                self.held.get(shard, NO_EPOCH)
-            )

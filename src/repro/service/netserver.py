@@ -10,7 +10,9 @@ telemetry snapshot of :func:`~repro.service.telemetry.stats_snapshot`,
 ``metrics`` returns the registry as Prometheus text over the same socket,
 and an optional :class:`~repro.service.telemetry.TelemetryServer` serves
 the HTTP twins (``/metrics``, ``/healthz`` — readiness flips on inside
-:meth:`serve_until_stopped` and off again when draining). Requests that
+:meth:`serve_until_stopped` and off again when draining). All three take
+the same reading (:meth:`ServiceDaemon.stats`), so the scrape-time gauges
+are as fresh on one as on another. Requests that
 carry a ``trace`` context are dispatched under it, so everything a request
 touches — gate waits, survivor reads, decodes, piggybacks — exports as one
 connected span tree stamped with the client's ``trace_id``.
@@ -33,6 +35,7 @@ lost its framing.
 from __future__ import annotations
 
 import asyncio
+import contextlib
 from pathlib import Path
 from typing import Dict, Optional
 
@@ -149,11 +152,9 @@ class ServiceDaemon:
             if service.fence is None:
                 service.fence = cluster.check_fence
         if telemetry is not None and telemetry.refresh is None:
-            # An HTTP scrape must see the same scrape-time gauges (job
-            # progress, writer backlog) a `stats` call refreshes.
-            telemetry.refresh = lambda: stats_snapshot(
-                service, monitor, cluster, self.scrubber
-            )
+            # An HTTP scrape must see the same scrape-time gauges a
+            # `stats` call sets.
+            telemetry.refresh = self.stats
         self.exit_code = 0
         self.crashed: Optional[SimulatedCrash] = None
         self._stop = asyncio.Event()
@@ -162,6 +163,12 @@ class ServiceDaemon:
         self._conns: "set[asyncio.StreamWriter]" = set()
         self._inflight = 0
         self._handoffs: "list[int]" = []
+
+    def stats(self) -> dict:
+        """The daemon's telemetry snapshot now; taking it sets the gauges."""
+        return stats_snapshot(
+            self.service, self.monitor, self.cluster, self.scrubber
+        )
 
     # --------------------------------------------------------------- lifecycle
     async def start(self) -> int:
@@ -233,12 +240,16 @@ class ServiceDaemon:
             await self.telemetry.stop()
         return self.exit_code
 
+    def stop(self) -> None:
+        """Ask :meth:`serve_until_stopped` to drain and return."""
+        self._stop.set()
+
     def _trip(self, exc: SimulatedCrash) -> None:
         """A scripted crash fired: bring the whole daemon down (exit 4)."""
         if self.crashed is None:
             self.crashed = exc
             self.exit_code = EXIT_CRASHED
-        self._stop.set()
+        self.stop()
 
     def _watch(self, ticket: RepairTicket) -> None:
         def done(task: asyncio.Task) -> None:
@@ -277,7 +288,7 @@ class ServiceDaemon:
                 continue
             if any(
                 t.disk == disk and not t.task.done()
-                for t in self.service._tickets.values()
+                for t in self.service.tickets()
             ):
                 continue  # already repairing this disk locally
             try:
@@ -466,17 +477,12 @@ class ServiceDaemon:
             return reply
         self._inflight += 1
         try:
-            if ctx is not None:
-                with use_span(ctx):
-                    tracer = current_tracer()
-                    if tracer.enabled:
-                        with tracer.span(
-                            "request", f"op:{op}", track="daemon", op=str(op)
-                        ):
-                            reply = await self._dispatch(msg)
-                    else:
-                        reply = await self._dispatch(msg)
-            else:
+            with contextlib.ExitStack() as traced:
+                if ctx is not None:
+                    traced.enter_context(use_span(ctx))
+                    traced.enter_context(current_tracer().span(
+                        "request", f"op:{op}", track="daemon", op=str(op)
+                    ))
                 reply = await self._dispatch(msg)
         except SimulatedCrash as exc:
             self._trip(exc)
@@ -557,12 +563,9 @@ class ServiceDaemon:
                 **extra,
             )
         if op == "stats":
-            return protocol.ok(
-                **stats_snapshot(
-                    service, self.monitor, self.cluster, self.scrubber
-                )
-            )
+            return protocol.ok(**self.stats())
         if op == "metrics":
+            self.stats()  # sets the scrape-time gauges, as HTTP /metrics does
             return protocol.ok(metrics_text=prometheus_text(current_registry()))
         if op == "cluster":
             if self.cluster is None:
@@ -609,14 +612,14 @@ class ServiceDaemon:
                 return protocol.ok(enabled=False)
             return protocol.ok(enabled=True, **self.scrubber.status().to_dict())
         if op == "shutdown":
-            for ticket in service._tickets.values():
+            for ticket in service.tickets():
                 if ticket.done and not ticket.task.cancelled():
                     exc = ticket.task.exception()
                     if exc is None:
                         self.exit_code = max(
                             self.exit_code, ticket.task.result().exit_code
                         )
-            self._stop.set()
+            self.stop()
             return protocol.ok(exit_code=self.exit_code)
         return protocol.error(
             f"unknown op {op!r}", code=ERR_BAD_REQUEST, kind="UnknownOp"

@@ -36,8 +36,9 @@ compose:
   so a browned-out daemon sees offered load amplified by at most
   ``1 + ratio`` instead of a retry storm.
 
-State machine (exported as ``hdpsr_service_overload_state`` 0/1/2 and in
-the ``stats`` verb's ``overload`` section)::
+State machine (the ``stats`` verb's ``overload`` section, from which the
+telemetry plane derives ``hdpsr_service_overload_state`` 0/1/2 at scrape
+time)::
 
               min wait > target                min wait > shed_target
     healthy ───────────────────▶ browned_out ─────────────────────▶ shedding
@@ -69,14 +70,13 @@ CLASS_REPAIR = "repair"
 CLASS_DEGRADED = "degraded"
 CLASS_READ = "read"
 
-#: Daemon overload states, in escalation order.
+#: Daemon overload states; ``STATES`` holds them in escalation order, so a
+#: state's index is its level (0 healthy / 1 browned-out / 2 shedding).
 STATE_HEALTHY = "healthy"
 STATE_BROWNED_OUT = "browned_out"
 STATE_SHEDDING = "shedding"
-_STATE_LEVEL = {STATE_HEALTHY: 0, STATE_BROWNED_OUT: 1, STATE_SHEDDING: 2}
+STATES = (STATE_HEALTHY, STATE_BROWNED_OUT, STATE_SHEDDING)
 
-#: Gauge: the daemon's overload state (0 healthy / 1 browned-out / 2 shedding).
-OVERLOAD_STATE = "hdpsr_service_overload_state"
 #: Counter: requests refused by the controller, by work class.
 SHEDS = "hdpsr_service_sheds_total"
 #: Counter: requests shed because their deadline had already expired, by hop.
@@ -253,7 +253,7 @@ class OverloadController:
         """The daemon-wide overload state (worst disk wins)."""
         self._expire_idle()
         level = max((w.level for w in self._disks.values()), default=0)
-        return [STATE_HEALTHY, STATE_BROWNED_OUT, STATE_SHEDDING][level]
+        return STATES[level]
 
     def _expire_idle(self) -> None:
         now = self._clock()
@@ -271,12 +271,6 @@ class OverloadController:
         current_registry().counter(
             TRANSITIONS, "overload state transitions"
         ).inc()
-
-    def _export_state(self) -> None:
-        current_registry().gauge(
-            OVERLOAD_STATE,
-            "daemon overload state (0 healthy, 1 browned-out, 2 shedding)",
-        ).set(_STATE_LEVEL[self.state])
 
     # ------------------------------------------------------------- inputs
     def observe_wait(self, disk_id: int, waited_seconds: float) -> None:
@@ -312,7 +306,6 @@ class OverloadController:
             self._note_transition()
         win.window_start = now
         win.min_wait = None
-        self._export_state()
 
     # ----------------------------------------------------------- verdicts
     def retry_after_ms(self) -> float:
@@ -421,7 +414,6 @@ class OverloadController:
 
     def snapshot(self) -> dict:
         """The ``overload`` section of the daemon's ``stats`` snapshot."""
-        self._export_state()
         return {
             "state": self.state,
             "sheds": dict(self.sheds),

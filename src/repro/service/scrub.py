@@ -56,12 +56,6 @@ from repro.obs.context import current_registry, current_tracer
 
 __all__ = ["ScrubConfig", "Scrubber", "ScrubStatus"]
 
-#: Gauge: fraction of the current scrub cycle completed (by disk).
-SCRUB_PROGRESS = "hdpsr_scrub_progress"
-#: Gauge: estimated seconds until the current cycle completes.
-SCRUB_ETA = "hdpsr_scrub_eta_seconds"
-#: Gauge: scrubber state (0 stopped, 1 running, 2 parked by shedding).
-SCRUB_STATE = "hdpsr_scrub_state"
 #: Counter: chunks verified by the scrub plane.
 SCRUB_VERIFIED = "hdpsr_scrub_chunks_verified_total"
 #: Counter: completed scrub cycles.
@@ -265,7 +259,6 @@ class Scrubber:
         if self._writer is not None:
             self._writer.close()
             self._writer = None
-        self._export()
 
     async def _run(self) -> None:
         while True:
@@ -305,7 +298,6 @@ class Scrubber:
             self._append(
                 REC_DISK_DONE, commit=True, cycle=self.cycle, disk=disk_id
             )
-            self._export()
         elapsed = time.monotonic() - self._cycle_started
         self.last_cycle_seconds = elapsed
         self.cycles_completed += 1
@@ -326,7 +318,6 @@ class Scrubber:
         self.cycle += 1
         self._begun = False
         self.current_disk = None
-        self._export()
         return verified
 
     async def _scrub_disk(self, disk_id: int) -> None:
@@ -384,14 +375,10 @@ class Scrubber:
                 controller.scrub_throttle() if controller is not None else 1.0
             )
             if throttle is None:  # shedding: park until the daemon recovers
-                if not self.parked:
-                    self.parked = True
-                    self._export()
+                self.parked = True
                 await asyncio.sleep(self.config.park_poll_s)
                 continue
-            if self.parked:
-                self.parked = False
-                self._export()
+            self.parked = False
             if base > 0:
                 await asyncio.sleep(base * throttle)
             return
@@ -415,23 +402,9 @@ class Scrubber:
         elapsed = time.monotonic() - self._cycle_started
         return elapsed / done * (total - done)
 
-    def _export(self) -> None:
-        registry = current_registry()
-        state = 2 if self.parked else (1 if self.running else 0)
-        registry.gauge(
-            SCRUB_STATE, "scrubber state (0 stopped, 1 running, 2 parked)"
-        ).set(state)
-        registry.gauge(
-            SCRUB_PROGRESS, "fraction of the current scrub cycle completed"
-        ).set(self._progress())
-        eta = self._eta_seconds()
-        registry.gauge(
-            SCRUB_ETA, "estimated seconds to finish the current scrub cycle"
-        ).set(eta if eta is not None else 0.0)
-
     def status(self) -> ScrubStatus:
-        """Live snapshot for the ``stats``/``scrub`` verbs and ``top``."""
-        self._export()
+        """Live snapshot for the ``stats``/``scrub`` verbs and ``top`` — and
+        what the telemetry plane derives the ``hdpsr_scrub_*`` gauges from."""
         return ScrubStatus(
             cycle=self.cycle,
             cycles_completed=self.cycles_completed,

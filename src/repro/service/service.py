@@ -102,8 +102,6 @@ CORRUPT_REPAIRED = "hdpsr_service_corrupt_repaired_total"
 DETECTION_LATENCY = "hdpsr_scrub_detection_latency_seconds"
 #: P² summary of wall-clock front-door read latency, labelled by path.
 READ_LATENCY = "hdpsr_service_read_latency_seconds"
-#: Gauge: stripe decodes currently in flight across all jobs.
-INFLIGHT_STRIPES = "hdpsr_service_inflight_stripes"
 
 #: Quantiles tracked for foreground latency (the SLO tail).
 READ_LATENCY_QUANTILES = (0.5, 0.9, 0.99, 0.999)
@@ -310,11 +308,13 @@ class RepairService:
         #: job_id -> supervisor job state, kept after completion for `top`.
         self._jobs: Dict[int, _Job] = {}
         self._next_job = 0
+        #: Stripe decodes in flight right now, across all jobs.
+        self._inflight_stripes = 0
         #: Quarantined chunks: (disk_id, ChunkId) -> wall time of detection.
         #: A quarantined chunk is never served and never used as a decode
         #: survivor until its read-repair lands and re-verifies.
         self.quarantine: Dict[Tuple[int, ChunkId], float] = {}
-        #: Corruption tallies (mirrored into `stats` by the telemetry plane).
+        #: Corruption tallies (reported by :meth:`snapshot`).
         self.corrupt_found = 0
         self.corrupt_repaired = 0
         #: Seed times of injected corruptions (chaos plane stamps these via
@@ -549,14 +549,28 @@ class RepairService:
             raise ConfigurationError(f"no such repair ticket {job_id}")
         return self._tickets[job_id]
 
-    def progress(self) -> List[dict]:
-        """Live progress of every job this service has supervised.
+    def tickets(self) -> List[RepairTicket]:
+        """Every repair submitted so far, in submission order."""
+        return list(self._tickets.values())
+
+    def snapshot(self) -> dict:
+        """The repair plane's state right now (JSON-safe, side-effect free).
 
         Jobs stay listed after completion (with ``done: true``) so
         ``hdpsr top`` keeps showing finished repairs' terminal counts;
         jobs whose planning has not finished yet are not listed.
         """
-        return [self._jobs[jid].progress() for jid in sorted(self._jobs)]
+        return {
+            "modeled_now": self.modeled_now,
+            "failed": self.server.failed_disks(),
+            "jobs": [self._jobs[jid].progress() for jid in sorted(self._jobs)],
+            "inflight_stripes": self._inflight_stripes,
+            "corruption": {
+                "found": self.corrupt_found,
+                "repaired": self.corrupt_repaired,
+                "quarantined": len(self.quarantine),
+            },
+        }
 
     # ---------------------------------------------------------- the job body
     async def _run_repair(
@@ -678,23 +692,16 @@ class RepairService:
         si: int, shards: List[int],
     ) -> None:
         async with sem:
-            inflight = current_registry().gauge(
-                INFLIGHT_STRIPES, "stripe decodes in flight across all jobs"
-            )
-            inflight.inc()
-            tracer = current_tracer()
+            self._inflight_stripes += 1
             try:
-                if tracer.enabled:
-                    with tracer.span(
-                        "stripe", f"stripe-{si}", track="service",
-                        stripe=si, disk=job.disk, job=job.job_id,
-                    ):
-                        await self._repair_stripe(job, sp, si, shards)
-                else:
+                with current_tracer().span(
+                    "stripe", f"stripe-{si}", track="service",
+                    stripe=si, disk=job.disk, job=job.job_id,
+                ):
                     await self._repair_stripe(job, sp, si, shards)
                 job.stripes_done += 1
             finally:
-                inflight.dec()
+                self._inflight_stripes -= 1
 
     # ----------------------------------------------------------- stripe task
     async def _repair_stripe(
@@ -758,14 +765,10 @@ class RepairService:
                     job.count_read(seen, shard_idx, data.size)
                     stripe_clock = max(stripe_clock, end)
             if fed:
-                tracer = current_tracer()
-                if tracer.enabled:
-                    with tracer.span(
-                        "decode", f"stripe-{si}/feed", track="service",
-                        stripe=si, chunks=len(fed),
-                    ):
-                        await asyncio.to_thread(repair.feed, fed)
-                else:
+                with current_tracer().span(
+                    "decode", f"stripe-{si}/feed", track="service",
+                    stripe=si, chunks=len(fed),
+                ):
                     await asyncio.to_thread(repair.feed, fed)
                 if job.journal is not None:
                     self._check_fence(job.disk)
@@ -944,29 +947,30 @@ class RepairService:
         started = time.monotonic()
         if (
             not server.disk(disk_id).is_failed
-            and server.store.contains(disk_id, cid)
+            and server.store.is_readable(disk_id, cid)
             and not self.is_quarantined(disk_id, cid)
         ):
             if self.overload is not None:
                 self.overload.admit(
                     CLASS_READ, queue_depth=self.gate.queue_depth(disk_id)
                 )
-            corrupt = False
+            fault: Optional[LatentSectorError] = None
             async with self.gate.read(disk_id, foreground=True, deadline=deadline):
                 try:
                     data = await asyncio.to_thread(server.store.get, disk_id, cid)
-                except ChunkChecksumError:
-                    # The verified read caught silent corruption before any
-                    # bytes escaped: quarantine, kick off the read-repair,
-                    # and fall through to the degraded path below.
-                    corrupt = True
-            if not corrupt:
+                except LatentSectorError as exc:
+                    # Unreadable sector or failed verify: no bytes escaped,
+                    # so fall through to the degraded path below.
+                    fault = exc
+            if fault is None:
                 self._observe_read(registry, "healthy", started)
                 return data
-            self.quarantine_chunk(
-                disk_id, stripe_index, shard_idx,
-                source="foreground", auto_repair=True,
-            )
+            if isinstance(fault, ChunkChecksumError):
+                # Silent corruption: quarantine and kick off the read-repair.
+                self.quarantine_chunk(
+                    disk_id, stripe_index, shard_idx,
+                    source="foreground", auto_repair=True,
+                )
 
         if self.overload is not None:
             self.overload.admit(CLASS_DEGRADED)
@@ -976,13 +980,10 @@ class RepairService:
         tracer = current_tracer()
         fut = self._repair_futures.get(stripe_index)
         if fut is not None:
-            if tracer.enabled:
-                with tracer.span(
-                    "wait", f"piggyback:{stripe_index}", track="service",
-                    stripe=stripe_index, shard=shard_idx,
-                ):
-                    results = await self._await_piggyback(fut, deadline)
-            else:
+            with tracer.span(
+                "wait", f"piggyback:{stripe_index}", track="service",
+                stripe=stripe_index, shard=shard_idx,
+            ):
                 results = await self._await_piggyback(fut, deadline)
             if results is not None and shard_idx in results:
                 degraded.labels(source="piggyback").inc()
@@ -993,13 +994,10 @@ class RepairService:
             stripe_index, stripe, shard_idx,
             foreground=True, deadline=deadline, source="degraded", auto_repair=True,
         )
-        if tracer.enabled:
-            with tracer.span(
-                "decode", f"degraded:{stripe_index}/{shard_idx}",
-                track="service", stripe=stripe_index, shard=shard_idx,
-            ):
-                data = await decode
-        else:
+        with tracer.span(
+            "decode", f"degraded:{stripe_index}/{shard_idx}",
+            track="service", stripe=stripe_index, shard=shard_idx,
+        ):
             data = await decode
         self._observe_read(registry, "decode", started)
         return data

@@ -10,8 +10,10 @@ off the event loop.
 
 Backpressure is the queue bound: a repair that rebuilds faster than a
 shard can persist blocks in :meth:`put` instead of growing memory without
-limit. Queue depth and per-shard write volume are exported as metrics so
-the service dashboard shows which shard is the write bottleneck.
+limit. :meth:`AsyncShardWriter.snapshot` reports the per-shard queue depths
+(read by the telemetry plane at scrape time) and per-shard write volume is
+counted as batches land, so the service dashboard shows which shard is the
+write bottleneck.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from repro.errors import ConfigurationError, StorageError
 from repro.hdss.store import ChunkStore, ShardedChunkStore
 from repro.obs.context import current_registry, current_tracer
 
-QUEUE_DEPTH = "hdpsr_service_queue_depth"
 SHARD_CHUNKS = "hdpsr_service_shard_chunks_written_total"
 SHARD_BYTES = "hdpsr_service_shard_bytes_written_total"
 
@@ -84,15 +85,16 @@ class AsyncShardWriter:
             )
         return q
 
-    def _depth_gauge(self, shard_idx: int):
-        return current_registry().gauge(
-            QUEUE_DEPTH, "chunks buffered in a shard's write queue"
-        ).labels(shard=str(shard_idx))
-
     # ----------------------------------------------------------------- public
-    def backlog(self) -> int:
-        """Chunks enqueued but not yet persisted, across all shards."""
-        return sum(q.qsize() for q in self._queues.values())
+    def snapshot(self) -> dict:
+        """The writer's state right now: lifetime chunks accepted, chunks
+        enqueued but not yet persisted (``backlog``), and the same per shard."""
+        depths = {shard: q.qsize() for shard, q in sorted(self._queues.items())}
+        return {
+            "chunks_enqueued": self.chunks_enqueued,
+            "backlog": sum(depths.values()),
+            "queue_depths": depths,
+        }
 
     async def put(self, disk_id: int, chunk_id: ChunkId, data: np.ndarray) -> None:
         """Enqueue one chunk write; blocks when the shard queue is full."""
@@ -101,19 +103,14 @@ class AsyncShardWriter:
         self._check_failed()
         shard_idx = self._shard_of(disk_id)
         q = self._queue(shard_idx)
-        tracer = current_tracer()
-        if tracer.enabled:
-            # A span, not an instant: backpressure (a full shard queue)
-            # shows up as enqueue time on the requesting trace.
-            with tracer.span(
-                "writeback", f"enqueue:shard-{shard_idx}", track="writer",
-                shard=shard_idx, stripe=chunk_id.stripe_index,
-            ):
-                await q.put((disk_id, chunk_id, data))
-        else:
+        # A span, not an instant: backpressure (a full shard queue)
+        # shows up as enqueue time on the requesting trace.
+        with current_tracer().span(
+            "writeback", f"enqueue:shard-{shard_idx}", track="writer",
+            shard=shard_idx, stripe=chunk_id.stripe_index,
+        ):
             await q.put((disk_id, chunk_id, data))
         self.chunks_enqueued += 1
-        self._depth_gauge(shard_idx).set(q.qsize())
 
     async def flush(self) -> None:
         """Wait until every enqueued chunk has reached the store."""
@@ -182,7 +179,6 @@ class AsyncShardWriter:
                     q.put_nowait(None)
                     break
                 batch.append(nxt)
-            self._depth_gauge(shard_idx).set(q.qsize())
             try:
                 await asyncio.to_thread(target.put_many, batch)
                 chunks.inc(len(batch))

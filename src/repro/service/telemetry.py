@@ -1,19 +1,32 @@
 """Live scrape surface for the repair daemon: stats, /metrics, /healthz.
 
-Two front doors onto the same ambient metrics registry:
+**How the daemon describes itself.** Every plane has exactly one
+side-effect-free "what is your state now" method returning a JSON-safe dict
+(``RepairService.snapshot``, ``DiskGate.depths``,
+``AsyncShardWriter.snapshot``, ``OverloadController.snapshot``,
+``Scrubber.status``, ``ClusterNode.status``, ``EventLoopMonitor.snapshot``).
+:func:`stats_snapshot` asks each of them once, and everything a scraper
+sees is derived from that one reading:
 
-* :func:`stats_snapshot` builds the structured dict behind the daemon's
-  ``stats`` verb and ``hdpsr top`` — per-job repair progress with ETAs,
-  per-disk gate occupancy/queue depth, shard-writer backlog, event-loop
-  health, journal volume, and foreground read-latency percentiles from
-  the P² summaries. It *reads* live state (gauges are refreshed from the
-  service at snapshot time), so scraping has no steady-state cost.
-* :class:`TelemetryServer` is an optional plain-HTTP listener speaking
-  just enough HTTP/1.0 for ``curl`` and a Prometheus scraper: ``GET
-  /metrics`` renders the registry as text exposition, ``GET /healthz``
-  answers 200 once the daemon is serving (503 while starting or
-  draining) — the readiness flip is driven by
-  :meth:`~repro.service.netserver.ServiceDaemon.serve_until_stopped`.
+* the sections, laid out as the structured dict behind the daemon's
+  ``stats`` verb and ``hdpsr top``;
+* every level-type gauge, set by :func:`export_gauges` from the rows of
+  :data:`GAUGES` (name, help, section, label keys, where in the section).
+  That happens at scrape time — under ``stats``, HTTP ``/metrics`` and the
+  TCP ``metrics`` verb alike — so the request and repair paths write no
+  gauge. Counters, histograms and summaries are written where the event
+  happens.
+
+A new section is one more entry in :func:`stats_snapshot`'s ``sections``
+(``stats`` and ``top --json`` pick it up as is) plus a :data:`GAUGES` row
+per level worth scraping.
+
+:class:`TelemetryServer` is an optional plain-HTTP listener speaking
+just enough HTTP/1.0 for ``curl`` and a Prometheus scraper: ``GET
+/metrics`` renders the registry as text exposition, ``GET /healthz``
+answers 200 once the daemon is serving (503 while starting or
+draining) — the readiness flip is driven by
+:meth:`~repro.service.netserver.ServiceDaemon.serve_until_stopped`.
 
 No HTTP framework: the handler reads one request head, answers, and
 closes, which is all a scrape loop needs and keeps the daemon's
@@ -33,9 +46,11 @@ from repro.journal.journal import (
 )
 from repro.obs.context import current_registry
 from repro.obs.exporters import prometheus_text
-from repro.obs.metrics import MetricsRegistry, Summary
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.runtime import EventLoopMonitor
 from repro.service.client import write_port_file
+from repro.service.cluster import NO_EPOCH
+from repro.service.overload import STATES
 from repro.service.service import (
     READ_LATENCY,
     READ_LATENCY_QUANTILES,
@@ -45,34 +60,87 @@ from repro.utils.checksum import BACKEND as CHECKSUM_BACKEND
 
 #: Gauge: fraction of a repair job's stripes rebuilt, per disk.
 JOB_PROGRESS = "hdpsr_service_job_progress_ratio"
-#: Gauge: stripes rebuilt so far, per repair job.
-JOB_STRIPES_DONE = "hdpsr_service_job_stripes_done"
-#: Gauge: chunks enqueued to the shard writer but not yet persisted.
-WRITER_BACKLOG = "hdpsr_service_writer_backlog"
+
+_PRIORITIES = ("foreground", "background")
+
+#: Every level-type gauge the daemon exports: (name, help, section of
+#: :func:`stats_snapshot`, label keys, read). ``read(section)`` yields ``(label
+#: values, value)`` pairs — or, for an unlabelled gauge, is just the value.
+GAUGES = (
+    (JOB_PROGRESS, "fraction of a repair job's stripes rebuilt",
+     "repair", ("disk", "job"),
+     lambda s: (
+         ((j["disk"], j["job_id"]),
+          j["stripes_done"] / j["stripes_total"] if j["stripes_total"] else 1.0)
+         for j in s["jobs"]
+     )),
+    ("hdpsr_service_job_stripes_done", "stripes rebuilt so far per repair job",
+     "repair", ("disk", "job"),
+     lambda s: (((j["disk"], j["job_id"]), j["stripes_done"]) for j in s["jobs"])),
+    ("hdpsr_service_inflight_stripes", "stripe decodes in flight across all jobs",
+     "repair", (), lambda s: s["inflight_stripes"]),
+    ("hdpsr_service_writer_backlog", "chunks enqueued but not yet persisted",
+     "writer", (), lambda s: s["backlog"]),
+    ("hdpsr_service_queue_depth", "chunks buffered in a shard's write queue",
+     "writer", ("shard",),
+     lambda s: (((shard,), n) for shard, n in s["queue_depths"].items())),
+    ("hdpsr_service_gate_inflight", "reads holding a per-disk slot",
+     "gates", ("disk",),
+     lambda s: (((disk,), g["inflight"]) for disk, g in s.items())),
+    ("hdpsr_service_gate_waiting", "reads queued for a per-disk slot",
+     "gates", ("disk", "priority"),
+     lambda s: (
+         ((disk, p), g["waiting_" + p]) for disk, g in s.items() for p in _PRIORITIES
+     )),
+    ("hdpsr_service_overload_state",
+     "daemon overload state (0 healthy, 1 browned-out, 2 shedding)",
+     "overload", (), lambda s: STATES.index(s["state"])),
+    ("hdpsr_scrub_state", "scrubber state (0 stopped, 1 running, 2 parked)",
+     "scrub", (), lambda s: 2 if s["parked"] else int(s["running"])),
+    ("hdpsr_scrub_progress", "fraction of the current scrub cycle completed",
+     "scrub", (), lambda s: s["progress"]),
+    ("hdpsr_scrub_eta_seconds",
+     "estimated seconds to finish the current scrub cycle",
+     "scrub", (), lambda s: s["eta_seconds"] or 0.0),
+    ("hdpsr_cluster_owned_shards",
+     "Shards this daemon currently holds leases for.",
+     "cluster", (), lambda s: len(s["owned_shards"])),
+    ("hdpsr_cluster_lease_epoch",
+     "Lease epoch this daemon holds, per shard (0 = not held).",
+     "cluster", ("shard",),
+     lambda s: (
+         ((shard,), s["epochs"].get(str(shard), NO_EPOCH))
+         for shard in range(s["num_shards"])
+     )),
+)
 
 
-def _counter_value(registry: MetricsRegistry, name: str) -> float:
-    metric = registry.get(name)
-    if metric is None:
-        return 0.0
-    return float(sum(m.value for _, m in metric._series()))
-
-
-def _read_percentiles(registry: MetricsRegistry) -> Dict[str, Dict[str, float]]:
-    """Foreground latency percentiles per path (healthy/piggyback/decode)."""
-    metric = registry.get(READ_LATENCY)
-    if not isinstance(metric, Summary):
-        return {}
-    out: Dict[str, Dict[str, float]] = {}
-    for labels, series in metric._series():
-        if series.count == 0:
+def export_gauges(registry: MetricsRegistry, sections: Dict[str, object]) -> None:
+    """Set every :data:`GAUGES` row whose section is present."""
+    for name, help, section, keys, read in GAUGES:
+        if section not in sections:
             continue
-        path = dict(labels).get("path", "all")
-        entry = {"count": float(series.count), "sum": float(series.sum)}
-        for q, est in series.quantiles().items():
-            key = "p" + format(q * 100, "g").replace(".", "")
-            entry[key] = est
-        out[path] = entry
+        gauge = registry.gauge(name, help)
+        found = read(sections[section])
+        for labels, level in found if keys else [((), found)]:
+            gauge.labels(**dict(zip(keys, map(str, labels)))).set(level)
+
+
+def _counter_value(metrics: Dict[str, Dict], name: str) -> float:
+    series = metrics.get(name, {}).get("series", ())
+    return float(sum(entry["value"] for entry in series))
+
+
+def _read_percentiles(metrics: Dict[str, Dict]) -> Dict[str, Dict[str, float]]:
+    """Foreground latency percentiles per path (healthy/piggyback/decode)."""
+    out: Dict[str, Dict[str, float]] = {}
+    for series in metrics.get(READ_LATENCY, {}).get("series", ()):
+        if series["count"] == 0:
+            continue
+        entry = {"count": float(series["count"]), "sum": float(series["sum"])}
+        for q, est in series["quantiles"].items():
+            entry["p" + format(float(q) * 100, "g").replace(".", "")] = est
+        out[series["labels"].get("path", "all")] = entry
     return out
 
 
@@ -84,72 +152,51 @@ def stats_snapshot(
 ) -> dict:
     """One coherent telemetry snapshot of a live :class:`RepairService`.
 
-    Refreshes the scrape-time gauges (job progress, writer backlog) as a
-    side effect so an external ``/metrics`` scrape and a ``stats`` call
-    agree on what they saw.
+    Reads every plane once, sets the :data:`GAUGES` from that reading, and
+    returns it as the ``stats`` reply — so a ``stats`` call and a
+    ``/metrics`` scrape agree on what they saw.
     """
     registry = current_registry()
-    jobs = service.progress()
-    progress_gauge = registry.gauge(
-        JOB_PROGRESS, "fraction of a repair job's stripes rebuilt"
-    )
-    done_gauge = registry.gauge(
-        JOB_STRIPES_DONE, "stripes rebuilt so far per repair job"
-    )
-    for job in jobs:
-        labels = {"disk": str(job["disk"]), "job": str(job["job_id"])}
-        total = job["stripes_total"]
-        ratio = job["stripes_done"] / total if total else 1.0
-        progress_gauge.labels(**labels).set(ratio)
-        done_gauge.labels(**labels).set(job["stripes_done"])
-    backlog = service.writer.backlog()
-    registry.gauge(
-        WRITER_BACKLOG, "chunks enqueued but not yet persisted"
-    ).set(backlog)
-    snap = {
-        "modeled_now": service.modeled_now,
-        "chunks_enqueued": service.writer.chunks_enqueued,
-        "writer_backlog": backlog,
-        "failed": service.server.failed_disks(),
-        "jobs": jobs,
+    metrics = registry.snapshot()
+    store = service.server.store
+    sections = {
+        "repair": service.snapshot(),
+        "writer": service.writer.snapshot(),
         "gates": {str(d): v for d, v in service.gate.depths().items()},
-        "foreground": _read_percentiles(registry),
+        "foreground": _read_percentiles(metrics),
         "journal": {
-            "records": _counter_value(registry, JOURNAL_RECORDS),
-            "commits": _counter_value(registry, JOURNAL_COMMITS),
-            "bytes": _counter_value(registry, JOURNAL_BYTES),
+            "records": _counter_value(metrics, JOURNAL_RECORDS),
+            "commits": _counter_value(metrics, JOURNAL_COMMITS),
+            "bytes": _counter_value(metrics, JOURNAL_BYTES),
         },
-        "read_quantiles": list(READ_LATENCY_QUANTILES),
         "store": {
             "checksum_backend": CHECKSUM_BACKEND,
-            "swept_tmp_files": int(
-                getattr(service.server.store, "swept_tmp_files", 0)
-            ),
-            "orphan_sidecars": int(
-                getattr(service.server.store, "orphan_sidecars", 0)
-            ),
-        },
-        "corruption": {
-            "found": service.corrupt_found,
-            "repaired": service.corrupt_repaired,
-            "quarantined": len(service.quarantine),
+            "swept_tmp_files": int(store.swept_tmp_files),
+            "orphan_sidecars": int(store.orphan_sidecars),
         },
     }
     if service.overload is not None:
-        # Refreshing also re-exports the overload-state gauge, so an HTTP
-        # scrape sees the current brownout level without a request shed.
-        snap["overload"] = service.overload.snapshot()
+        sections["overload"] = service.overload.snapshot()
     if monitor is not None:
-        snap["runtime"] = monitor.snapshot()
+        sections["runtime"] = monitor.snapshot()
     if cluster is not None:
-        # Refreshing also re-exports the lease-epoch / owned-shard gauges,
-        # so an HTTP scrape sees current ownership without a heartbeat.
-        cluster._export_gauges()
-        snap["cluster"] = cluster.status()
+        sections["cluster"] = cluster.status()
     if scrubber is not None:
-        # status() re-exports the progress/ETA/state gauges as it reads.
-        snap["scrub"] = scrubber.status().to_dict()
-    return snap
+        sections["scrub"] = scrubber.status().to_dict()
+    export_gauges(registry, sections)
+    # The reply keeps its flat head: the repair and writer sections are
+    # spread over top-level keys, every other section goes out as it is.
+    repair, writer = sections.pop("repair"), sections.pop("writer")
+    return {
+        "modeled_now": repair["modeled_now"],
+        "chunks_enqueued": writer["chunks_enqueued"],
+        "writer_backlog": writer["backlog"],
+        "failed": repair["failed"],
+        "jobs": repair["jobs"],
+        "read_quantiles": list(READ_LATENCY_QUANTILES),
+        "corruption": repair["corruption"],
+        **sections,
+    }
 
 
 class TelemetryServer:
@@ -163,11 +210,10 @@ class TelemetryServer:
         registry: metrics registry to render; defaults to the ambient
             one at scrape time.
 
-    The owning daemon assigns :attr:`refresh` (usually a bound
-    :func:`stats_snapshot`) so an HTTP scrape re-reads the scrape-time
-    gauges — job progress, writer backlog — exactly like a ``stats``
-    call would; without it ``/metrics`` shows them only after the first
-    ``stats``/``top`` request materializes them.
+    The owning daemon assigns :attr:`refresh` (a bound
+    :func:`stats_snapshot`) so an HTTP scrape sets the :data:`GAUGES`
+    exactly like a ``stats`` call would; without it ``/metrics`` shows
+    them only as of the last ``stats``/``top`` request.
     """
 
     def __init__(

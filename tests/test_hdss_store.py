@@ -145,7 +145,7 @@ class TestForwardingDecorators:
         wrapped.put_many([(2, cid, chunk()), (2, ChunkId(0, 2), chunk(fill=9))])
         assert store.contains(2, cid) and (2, cid) in wrapped
         assert wrapped.is_readable(2, cid) and wrapped.verify_chunk(2, cid)
-        got = wrapped.get_many([(2, ChunkId(0, 2)), (2, cid)])
+        got = [wrapped.get(2, ChunkId(0, 2)), wrapped.get(2, cid)]
         assert [int(g[0]) for g in got] == [9, 7]
         assert wrapped.chunks_on_disk(2) == [cid, ChunkId(0, 2)]
         wrapped.delete(2, cid)
@@ -162,17 +162,16 @@ class TestForwardingDecorators:
         calls = []
 
         class Spy(ShardedChunkStore):
-            def get_many(self, keys):
-                calls.append(len(keys))
-                return super().get_many(keys)
+            def put_many(self, items):
+                calls.append(len(items))
+                super().put_many(items)
 
         inner = Spy([InMemoryChunkStore(), InMemoryChunkStore()])
-        inner.put(0, ChunkId(0, 0), chunk())
-        inner.put(1, ChunkId(0, 1), chunk())
-        ForwardingChunkStore(inner).get_many(
-            [(0, ChunkId(0, 0)), (1, ChunkId(0, 1))]
+        ForwardingChunkStore(inner).put_many(
+            [(0, ChunkId(0, 0), chunk()), (1, ChunkId(0, 1), chunk())]
         )
-        assert calls == [2]  # one grouped batch, not two single gets
+        assert calls == [2]  # one grouped batch, not two single puts
+        assert inner.contains(0, ChunkId(0, 0)) and inner.contains(1, ChunkId(0, 1))
 
     def test_sector_marks_apply_to_the_batched_paths(self):
         faulty = FaultyChunkStore(InMemoryChunkStore())
@@ -181,7 +180,7 @@ class TestForwardingDecorators:
         faulty.mark_bad(1, cid)
         assert not faulty.is_readable(1, cid) and faulty.contains(1, cid)
         with pytest.raises(LatentSectorError):
-            faulty.get_many([(1, cid)])
+            faulty.get(1, cid)
         with pytest.raises(LatentSectorError):
             faulty.verify_chunk(1, cid)
         faulty.put_many([(1, cid, chunk(fill=5))])  # a rewrite remaps the sector

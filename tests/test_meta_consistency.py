@@ -411,3 +411,84 @@ class TestOneOperatorPlane:
             "repro.commands.paper", "repro.commands.serve",
             "repro.commands.trace",
         }
+
+
+SERVICE = SRC / "service"
+DOCS = ROOT / "docs"
+
+
+def metric_literals():
+    """Every ``"hdpsr_…"`` string literal under src/."""
+    found = set()
+    for path in src_files():
+        found |= set(re.findall(r'"(hdpsr_[a-z0-9_]+)"', path.read_text()))
+    return found
+
+
+def metrics_in_doc_tables():
+    """Every metric a table row of the three metric docs names in full."""
+    named = set()
+    for doc in ("service.md", "observability.md", "robustness.md"):
+        for line in (DOCS / doc).read_text().splitlines():
+            if line.startswith("|"):
+                named |= set(re.findall(r"`(hdpsr_[a-z0-9_]+)[`{]", line))
+    return named
+
+
+def private_reaches(path):
+    """``line: expr`` for every ``<x>._attr`` in ``path`` where ``<x>`` is
+    not ``self`` / ``cls`` (dunders are everyone's)."""
+    return [
+        f"{node.lineno}: {ast.unparse(node)}"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute)
+        and node.attr.startswith("_") and not node.attr.startswith("__")
+        and ast.unparse(node.value) not in ("self", "cls")
+    ]
+
+
+def spans_forked_on_enabled(path):
+    """Lines of ``if <tracer>.enabled:`` blocks that hold a ``with
+    <tracer>.span(...)`` — a span body written twice."""
+    forked = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.If) and ast.unparse(node.test).endswith(".enabled"):
+            for inner in ast.walk(node):
+                if isinstance(inner, (ast.With, ast.AsyncWith)) and any(
+                    re.search(r"\.span\(", ast.unparse(item.context_expr))
+                    for item in inner.items
+                ):
+                    forked.append(node.lineno)
+    return forked
+
+
+class TestOneSelfDescription:
+    """Each plane reports its live state once; ``stats``, ``top`` and every
+    gauge derive from those snapshots at scrape time, in one exporter."""
+
+    def test_every_series_is_in_a_doc_table_and_every_row_is_a_series(self):
+        code, docs = metric_literals(), metrics_in_doc_tables()
+        assert not code - docs, "exported, but named in no metric table"
+        assert not docs - code, "in a metric table, but not in src/"
+
+    def test_gauges_are_set_by_the_one_exporter(self):
+        sites = {p.name: p.read_text().count(".gauge(") for p in SERVICE.glob("*.py")}
+        assert {name: n for name, n in sites.items() if n} == {
+            "telemetry.py": 1, "client.py": 1,
+        }
+        assert not count_defs(r"_export\w*")
+
+    def test_metrics_are_read_through_the_registry_s_public_face(self):
+        for path in src_files():
+            if path.parent != SRC / "obs":
+                assert "._series(" not in path.read_text(), path
+
+    def test_every_span_body_is_written_once(self):
+        """Guards around ``complete()`` / ``instant()`` in hot loops stay;
+        a ``with tracer.span`` needs none — the inert span is a no-op."""
+        for path in src_files():
+            assert not spans_forked_on_enabled(path), path
+
+    def test_no_plane_reaches_into_another_s_privates(self):
+        for path in SERVICE.glob("*.py"):
+            assert not private_reaches(path), path

@@ -297,6 +297,32 @@ class TestFrontDoor:
         assert np.array_equal(data, expected)
         assert registry.get(DEGRADED_READS).labels(source="decode").value == 1
 
+    @pytest.mark.parametrize("known_bad", [True, False])
+    def test_unreadable_sector_degrades_instead_of_failing(self, known_bad):
+        """A latent sector error on a live disk is served through decode —
+        as its subclass, the CRC mismatch, always was — whether the store
+        says so up front (``is_readable``) or only when read. It is not
+        corruption: nothing is quarantined, nothing read-repaired."""
+        store = FaultyChunkStore(InMemoryChunkStore())
+        server = make_server(store)
+        disk, cid = server.layout[0].disks[0], ChunkId(0, 0)
+        expected = store.get(disk, cid).copy()
+        store.mark_bad(disk, cid)
+        if not known_bad:
+            store.is_readable = store.contains  # the sector dies under the read
+
+        async def run():
+            service = make_service(server)
+            registry = MetricsRegistry()
+            with use_registry(registry):
+                data = await service.read_chunk(0, 0)
+            return data, registry, service
+
+        data, registry, service = asyncio.run(run())
+        assert data.tobytes() == expected.tobytes()
+        assert registry.get(DEGRADED_READS).labels(source="decode").value == 1
+        assert not service.quarantine and service.corrupt_found == 0
+
     def test_degraded_read_piggybacks_on_inflight_repair(self):
         server = make_server()
         originals = originals_of(server)

@@ -96,17 +96,6 @@ class TestContract:
 
 
 class TestBatched:
-    def test_get_many_preserves_caller_order(self, sharded):
-        keys = []
-        for disk in (5, 2, 11, 0, 7, 3):  # deliberately shard-interleaved
-            cid = ChunkId(disk, 0)
-            sharded.put(disk, cid, chunk(fill=disk))
-            keys.append((disk, cid))
-        results = sharded.get_many(keys)
-        assert len(results) == len(keys)
-        for (disk, _), data in zip(keys, results):
-            assert data[0] == disk
-
     def test_put_many_routes_every_item(self, sharded):
         items = [(d, ChunkId(d, 1), chunk(fill=d + 1)) for d in range(10)]
         sharded.put_many(items)
@@ -114,13 +103,7 @@ class TestBatched:
             assert np.array_equal(sharded.get(d, cid), data)
             assert sharded.shards[d % 4].contains(d, cid)
 
-    def test_get_many_missing_key_raises(self, sharded):
-        sharded.put(0, ChunkId(0, 0), chunk())
-        with pytest.raises(ChunkNotFoundError):
-            sharded.get_many([(0, ChunkId(0, 0)), (1, ChunkId(9, 9))])
-
     def test_empty_batches(self, sharded):
-        assert sharded.get_many([]) == []
         sharded.put_many([])  # no-op, no error
 
 

@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Telemetry smoke: a real ``hdpsr serve`` process whose ``/healthz`` flips
 ready, whose ``/metrics`` is scrapeable with counters monotone across a
-repair episode, and whose ``top --once --json`` reports job progress and
-foreground p99.
+repair episode, whose TCP ``metrics`` verb exposes the same series as HTTP
+``/metrics`` without a ``stats`` call to prime either, and whose ``top
+--once --json`` reports job progress and foreground p99.
 
     PYTHONPATH=src python tools/smoke_telemetry.py [WORKDIR]
 
@@ -72,10 +73,26 @@ def main(workdir: Path) -> int:
             return dict(parse_prometheus_text(text))
 
         port = wait_for_port_file(port_file, 15.0, daemon)
-        first = scrape()
+
+        def ask(op: str) -> dict:
+            async def call() -> dict:
+                async with await ServiceClient.connect("127.0.0.1", port) as client:
+                    return await client.call(op)
+
+            return asyncio.run(call())
+
+        def scrape_verb() -> dict:
+            return dict(parse_prometheus_text(ask("metrics")["metrics_text"]))
+
+        first = scrape_verb()
         hdpsr("client", "--port-file", str(port_file), "--reads", "40",
               "--fail", "0", "--json")
-        second = scrape()
+        # Back to back, and no `stats` before either: both doors run the
+        # same scrape-time gauge export, so neither depends on the other
+        # (or on `hdpsr top`) having been asked first.
+        over_tcp, second = scrape_verb(), scrape()
+        tcp_names, names = ({name for name, _ in s} for s in (over_tcp, second))
+        assert tcp_names == names, sorted(tcp_names ^ names)
 
         for required in REQUIRED_SERIES:
             assert series(second, required), f"missing {required}"
@@ -91,11 +108,7 @@ def main(workdir: Path) -> int:
         assert snap["jobs"] and snap["jobs"][0]["done"], snap["jobs"]
         assert "p99" in snap["foreground"]["healthy"], snap["foreground"]
 
-        async def shutdown() -> None:
-            async with await ServiceClient.connect("127.0.0.1", port) as client:
-                await client.call("shutdown")
-
-        asyncio.run(shutdown())
+        ask("shutdown")
         print("telemetry smoke ok:", len(second), "series,",
               int(after), "foreground reads")
         return daemon.wait(timeout=30.0)
