@@ -353,7 +353,7 @@ class DataPathExecutor:
                         repair.feed(fed)
                 for handle in handles:
                     memory.release(handle)
-            if fed and self.journal is not None:
+            if fed and self.journal is not None and repair.checkpoint_due:
                 self.journal.round_commit(
                     global_index, self.clock, repair.decoder.to_state(),
                     outcome=repair.outcome,
@@ -397,9 +397,6 @@ class DataPathExecutor:
                 for target, spare in place(stripe, targets, server.pick_spare):
                     cid = ChunkId(global_index, target)
                     server.store.put(spare, cid, results[target])
-                    # End-to-end: re-read the landed bytes against the
-                    # sidecar before trusting the rebuilt chunk.
-                    server.store.verify_chunk(spare, cid)
                     written.append((target, spare, results[target]))
         for handle in acc_held:
             memory.release(handle)

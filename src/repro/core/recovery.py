@@ -4,7 +4,8 @@
 downstream operator wants: it plans with the chosen HD-PSR scheme,
 predicts the repair time on the simulated timeline, moves the actual bytes
 through the bounded memory, writes rebuilt chunks to spares, commits the
-placement remap, and scrubs the affected stripes to certify the outcome.
+placement remap, and certifies the affected stripes from what the repair
+already verified (see :meth:`~repro.core.repair_job.RepairJob.certify`).
 
 :func:`recover_disks` is the multi-failure counterpart: it unions the
 failed disks' stripe sets and rebuilds every lost chunk of each affected
@@ -54,7 +55,9 @@ class RecoveryResult:
     data_path: DataPathStats
     #: Shards remapped onto spares.
     remapped: int
-    #: Post-recovery scrub of the affected stripes (lost stripes excluded).
+    #: Certification of the affected stripes (lost stripes excluded): what
+    #: :meth:`~repro.core.repair_job.RepairJob.certify` proved in hand, not
+    #: a full parity scrub (that is ``server.scrub``).
     scrub: ScrubReport
     #: Per-stripe fault outcomes; ``None`` when the run was fault-free by
     #: construction (no schedule and no read policy).
@@ -135,8 +138,7 @@ def _recover(
     )
     executor = DataPathExecutor(server, policy=policy, injector=injector, journal=jrnl)
     executor.run(job)
-    kept = job.commit(server)
-    scrub = server.scrub(stripe_indices=kept) if kept else ScrubReport()
+    scrub = job.certify(server, job.commit(server))
     stats = job.finish(jrnl, injector, executor.clock)
     return RecoveryResult(
         outcome=outcome, data_path=stats, remapped=job.remapped, scrub=scrub,

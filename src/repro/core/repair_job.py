@@ -25,8 +25,10 @@ half only.
   guard), :meth:`~RepairJob.open` (``begin`` or ``resume`` record),
   :meth:`~RepairJob.dispatch`, :meth:`~RepairJob.replay_puts` (the one
   write-side redo), :func:`place` (the one spare-placement rule),
-  :meth:`~RepairJob.commit` and :meth:`~RepairJob.finish` (``complete``
-  record, counter fold, metric export).
+  :meth:`~RepairJob.commit`, :meth:`~RepairJob.certify` (the one
+  certification, from what the job already verified) and
+  :meth:`~RepairJob.finish` (``complete`` record, counter fold, metric
+  export).
 
 The journal and the server are handed in by the driver at the points where
 it has decided the effect may happen (after its fence check, on whichever
@@ -39,6 +41,7 @@ from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING,
     Callable,
+    Dict,
     Iterator,
     List,
     Mapping,
@@ -52,15 +55,22 @@ import numpy as np
 
 from repro.core.base import RepairAlgorithm, RepairContext
 from repro.core.plans import RepairPlan, StripePlan
+from repro.core.stripe_repair import readable_shards
 from repro.ec.stripe import ChunkId, Stripe
-from repro.errors import JournalError, StorageError
-from repro.faults.report import LOST, DataLossReport
+from repro.errors import (
+    ChunkNotFoundError,
+    JournalError,
+    LatentSectorError,
+    StorageError,
+)
+from repro.faults.report import LOST, RECOVERED, DataLossReport
 from repro.hdss.prober import ActiveProber
+from repro.hdss.server import ScrubReport
 from repro.obs.context import current_registry
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.faults.injector import FaultInjector
-    from repro.hdss.server import HighDensityStorageServer, ScrubReport
+    from repro.hdss.server import HighDensityStorageServer
     from repro.journal.journal import RepairJournal, RepairState, StripeDone
 
 #: :meth:`RepairJob.dispatch` verdicts.
@@ -217,13 +227,14 @@ def place(
     return placed
 
 
-def certified(loss: Optional[DataLossReport], scrub: "ScrubReport") -> bool:
-    """True when no stripe was lost and every kept one scrubbed clean.
+def certified(loss: Optional[DataLossReport], scrub: ScrubReport) -> bool:
+    """True when no stripe was lost and every kept one certified clean.
 
-    Strict by design: a disk that died *during* the repair leaves its own
-    chunks missing from otherwise-recovered stripes, so those stripes scrub
-    degraded and certification fails — the honest signal that another
-    recovery (for the new disk) is still owed.
+    ``scrub`` is what :meth:`RepairJob.certify` reported. Strict by design:
+    a disk that died *during* the repair leaves its own chunks missing from
+    otherwise-recovered stripes, so those stripes certify degraded and
+    certification fails — the honest signal that another recovery (for the
+    new disk) is still owed.
     """
     if loss is not None and loss.has_loss:
         return False
@@ -415,6 +426,52 @@ class RepairJob:
         loss = self.stats.loss
         lost = set(loss.lost) if loss is not None else set()
         return [si for si in self.stripe_indices if si not in lost]
+
+    def certify(
+        self,
+        server: "HighDensityStorageServer",
+        kept: Sequence[int],
+        vetoed: Optional[Callable[[int, ChunkId], bool]] = None,
+    ) -> ScrubReport:
+        """Certify the ``kept`` stripes from what the job already verified.
+
+        Call after :meth:`commit`, so every shard's home is its current one.
+        A stripe is *degraded* when any shard's home is failed, missing,
+        not ``is_readable`` or ``vetoed(disk, chunk)`` by the driver (the
+        service's quarantine). Otherwise each chunk the job landed for it —
+        replayed ones included — is re-read once with ``verify_chunk``; a
+        failure degrades the stripe, everything else is *clean*. The
+        survivors the decode read were CRC-verified by those very reads and
+        the rebuilt chunk lies on their codeword by construction, so a
+        fault-free stripe re-reads no survivor byte. A stripe that saw a
+        fault (outcome not ``recovered``, in this incarnation or a journaled
+        one) has *every* shard verified: a survivor the ladder gave up on as
+        corrupt stays degraded until it is rewritten.
+
+        The full-stripe parity proof is ``server.scrub`` — the scrub
+        plane's and the chaos proofs' business, not every job's.
+        """
+        landed: Dict[int, Set[int]] = {}
+        for si, target, _spare in self.stats.writebacks:
+            landed.setdefault(si, set()).add(target)
+        loss = self.stats.loss
+        outcomes = loss.stripes if loss is not None else {}
+        report = ScrubReport()
+        for si in kept:
+            stripe = server.layout[si]
+            faulted = outcomes.get(si, RECOVERED) != RECOVERED
+            shards = range(stripe.n) if faulted else sorted(landed.get(si, ()))
+            ok = len(readable_shards(server, si, stripe, skip=vetoed)) == stripe.n
+            if ok:
+                try:
+                    for shard in shards:
+                        server.store.verify_chunk(
+                            stripe.disks[shard], ChunkId(si, shard)
+                        )
+                except (LatentSectorError, ChunkNotFoundError):
+                    ok = False
+            (report.clean if ok else report.degraded).append(si)
+        return report
 
     def finish(
         self,

@@ -261,6 +261,16 @@ class StripeRepair:
         """
         self.decoder.feed(fed)
 
+    @property
+    def checkpoint_due(self) -> bool:
+        """Whether the round just fed is worth a ``round_commit`` record.
+
+        Not when it completed the decoder: the ``stripe_done`` that follows
+        carries the rebuilt payloads and supersedes it, so a crash in that
+        gap resumes from the previous round and re-reads this one.
+        """
+        return not self.decoder.complete
+
     # ----------------------------------------------------------------- ladder
     def on_fault(self, fault: ShardFault, readable: Sequence[int]) -> str:
         """Re-plan around a shard that did not deliver.

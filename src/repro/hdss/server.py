@@ -40,11 +40,20 @@ from repro.utils.validation import check_positive, check_probability
 
 @dataclass
 class ScrubReport:
-    """Outcome of a parity scrub pass."""
+    """Per-stripe verdicts of a verification pass.
 
-    #: Fully present and parity-consistent.
+    Two producers fill it. :meth:`HighDensityStorageServer.scrub` is the
+    parity scrub: every shard re-read, parity re-encoded. A repair job's
+    :meth:`~repro.core.repair_job.RepairJob.certify` reports in the same
+    vocabulary what it proved in hand — every home live and readable, every
+    landed chunk matching its checksum — and never says ``corrupt``.
+    """
+
+    #: Fully present and parity-consistent (scrub); every shard home
+    #: readable and every rebuilt chunk verified (certification).
     clean: List[int] = field(default_factory=list)
-    #: Missing chunks (failed disk / not yet repaired) — cannot verify.
+    #: Missing or unverifiable chunks (failed disk, not yet repaired,
+    #: unreadable sector, failed checksum) — cannot vouch for the stripe.
     degraded: List[int] = field(default_factory=list)
     #: All chunks present but parity disagrees: silent corruption.
     corrupt: List[int] = field(default_factory=list)

@@ -47,7 +47,7 @@ import random
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Optional
+from typing import Dict, List, Optional
 
 from repro.errors import ConfigurationError
 from repro.faults.report import EXIT_CRASHED
@@ -176,6 +176,7 @@ class ChaosScenario(rig.Episode):
 
         server_a = build(shared)
         originals = rig.originals_of(server_a)
+        repaired = server_a.layout.stripe_set(c.failed_disk)
         server_b = attach_server(shared, build)
         shared.reset()
 
@@ -270,7 +271,9 @@ class ChaosScenario(rig.Episode):
             report["foreground"] = await fg_task
             fg_task = None
 
-            await self._verify(report, shared, server_b, originals, daemon_a, daemon_b)
+            await self._verify(
+                report, shared, server_b, originals, repaired, daemon_a, daemon_b
+            )
         finally:
             stop_reads.set()
             if fg_task is not None:
@@ -314,14 +317,19 @@ class ChaosScenario(rig.Episode):
         shared: rig.CountingStore,
         server_b: HighDensityStorageServer,
         originals: Dict[int, bytes],
+        repaired: List[int],
         daemon_a: ServiceDaemon,
         daemon_b: ServiceDaemon,
     ) -> None:
-        """The four promises: identical bytes, no double writes, valid
-        sidecars, and a fenced stale owner."""
+        """The five promises: identical bytes, parity-clean repaired
+        stripes, no double writes, valid sidecars, and a fenced stale
+        owner."""
         disk = self.config.failed_disk
         report["byte_identical"] = self.check(
             await rig.check_byte_identical(server_b.read_object, originals)
+        )
+        report["parity_clean"] = self.check(
+            rig.check_parity_clean(server_b, repaired)
         )
         report["duplicate_writes"] = [
             [d, [cid.stripe_index, cid.shard_index]]

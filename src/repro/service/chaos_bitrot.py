@@ -186,6 +186,7 @@ class BitrotChaosScenario(rig.Episode):
             ServiceDaemon(service, chaos=injector, scrubber=scrubber)
         )
         originals = rig.originals_of(server)
+        repaired = server.layout.stripe_set(c.failed_disk)
         pristine = {
             (disk, si, s): store.get(disk, ChunkId(si, s)).tobytes()
             for disk, si, s in victims
@@ -265,6 +266,9 @@ class BitrotChaosScenario(rig.Episode):
             service.read_object, originals,
             skip=() if scrubber is not None else {si for _, si, _ in victims},
         ))
+        # The victims sit on stripes the repair never touches, so the
+        # repaired ones must be parity-clean with or without the scrub plane.
+        report["parity_clean"] = self.check(rig.check_parity_clean(server, repaired))
 
         if scrubber is not None:
             await scrubber.stop()

@@ -147,6 +147,7 @@ class OverloadChaosScenario(rig.Episode):
         )
         call = rig.in_process(ServiceDaemon(service))
         originals = rig.originals_of(server)
+        repaired = server.layout.stripe_set(c.failed_disk)
         hot_stripe, hot_shard = self._hot_target(server)
         schedule = flash_crowd_arrivals(
             c.base_rate, c.pre_seconds + c.spike_seconds + c.post_seconds,
@@ -230,6 +231,7 @@ class OverloadChaosScenario(rig.Episode):
         report["byte_identical"] = self.check(
             await rig.check_byte_identical(server.read_object, originals)
         )
+        report["parity_clean"] = self.check(rig.check_parity_clean(server, repaired))
 
         if c.control:
             await self._assert_treatment(report, service)

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import asyncio
 import time
+from collections import Counter
 from typing import Awaitable, Callable, Dict, Iterable, List, Optional
 
 import numpy as np
@@ -112,36 +113,45 @@ def error_code(reply: dict) -> Optional[str]:
 
 # -------------------------------------------------------------- the decorators
 class CountingStore(ForwardingChunkStore):
-    """Write-count wrapper proving "no chunk was persisted twice".
+    """Per-chunk op counts: "no chunk was persisted twice", and the
+    repair's read arithmetic (``k`` gets per stripe, one verify per chunk
+    landed).
 
-    Counts each persisted ``(disk, chunk)``. :meth:`reset` is called
-    after provisioning so only repair-plane writes are audited;
-    foreground reads never write, so any key with count > 1 after the
-    scenario is a genuine duplicate write across the two daemons.
+    Counts each persisted, read (``get``) and verified (``verify_chunk``)
+    ``(disk, chunk)``. :meth:`reset` is called after provisioning so only
+    repair-plane traffic is audited; foreground reads never write, so any
+    key with write count > 1 after the scenario is a genuine duplicate
+    write across the two daemons.
     """
 
     def __init__(self, inner: ChunkStore) -> None:
         super().__init__(inner)
-        self.write_counts: Dict[Key, int] = {}
-
-    def _count(self, disk_id: int, chunk_id: ChunkId) -> None:
-        key = (disk_id, chunk_id)
-        self.write_counts[key] = self.write_counts.get(key, 0) + 1
+        self.write_counts: Counter = Counter()
+        self.read_counts: Counter = Counter()
+        self.verify_counts: Counter = Counter()
 
     def reset(self) -> None:
-        self.write_counts.clear()
+        for counts in (self.write_counts, self.read_counts, self.verify_counts):
+            counts.clear()
 
     def duplicates(self) -> List[Key]:
         return sorted(k for k, c in self.write_counts.items() if c > 1)
 
     def put(self, disk_id: int, chunk_id: ChunkId, data: np.ndarray) -> None:
-        self._count(disk_id, chunk_id)
+        self.write_counts[disk_id, chunk_id] += 1
         self.inner.put(disk_id, chunk_id, data)
 
     def put_many(self, items) -> None:
-        for disk_id, chunk_id, _ in items:
-            self._count(disk_id, chunk_id)
+        self.write_counts.update((disk_id, chunk_id) for disk_id, chunk_id, _ in items)
         self.inner.put_many(items)
+
+    def get(self, disk_id: int, chunk_id: ChunkId) -> np.ndarray:
+        self.read_counts[disk_id, chunk_id] += 1
+        return self.inner.get(disk_id, chunk_id)
+
+    def verify_chunk(self, disk_id: int, chunk_id: ChunkId) -> bool:
+        self.verify_counts[disk_id, chunk_id] += 1
+        return self.inner.verify_chunk(disk_id, chunk_id)
 
 
 class SlowStore(ForwardingChunkStore):
@@ -243,6 +253,19 @@ def check_repair_certified(summary: dict, what: str = "repair") -> Optional[str]
     """A repair job's ``wait`` summary says it certified clean."""
     if not summary.get("certified", False):
         return f"{what} did not certify clean"
+    return None
+
+
+def check_parity_clean(
+    server: HighDensityStorageServer, stripes: Iterable[int]
+) -> Optional[str]:
+    """The full-stripe proof a repair job no longer pays for itself: every
+    shard of ``stripes`` re-read and parity re-encoded
+    (:meth:`~repro.hdss.server.HighDensityStorageServer.scrub`), all clean."""
+    stripes = list(stripes)
+    report = server.scrub(stripes)
+    if report.clean != stripes:
+        return f"parity scrub of repaired stripes not clean: {report}"
     return None
 
 

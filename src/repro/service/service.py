@@ -163,6 +163,8 @@ class ServiceRepairResult:
     modeled_seconds: float
     wall_seconds: float
     loss: DataLossReport
+    #: What :meth:`~repro.core.repair_job.RepairJob.certify` proved in hand
+    #: about the kept stripes (not a full parity scrub).
     scrub: ScrubReport
 
     @property
@@ -637,25 +639,24 @@ class RepairService:
         try:
             await asyncio.gather(*tasks)
             await self.writer.flush()
+            self._check_fence(job.disk)
+            scrub = await asyncio.to_thread(
+                job.certify, server, job.commit(server), self.is_quarantined
+            )
+            stats = job.finish(job.journal, self._injector, self.modeled_now)
         except BaseException:
-            # SimulatedCrash (or cancellation): stop cleanly, keep the
-            # journal — a resumed service picks up from the last commit.
-            job.finished = True
+            # SimulatedCrash, cancellation, or a fence lost at the commit
+            # point: stop cleanly and keep the journal — a resumed service
+            # (this one or the new owner) picks up from the last commit.
             for t in tasks:
                 t.cancel()
             await asyncio.gather(*tasks, return_exceptions=True)
-            self._release_stripes(job)
             if job.journal is not None:
                 job.journal.close()
             raise
-
-        self._check_fence(job.disk)
-        kept = job.commit(server)
-        scrub = (
-            await asyncio.to_thread(server.scrub, kept) if kept else ScrubReport()
-        )
-        stats = job.finish(job.journal, self._injector, self.modeled_now)
-        self._release_stripes(job)
+        finally:
+            job.finished = True
+            self._release_stripes(job)
         result = ServiceRepairResult(
             disk=disk_id,
             algorithm=job.plan.algorithm,
@@ -670,7 +671,6 @@ class RepairService:
             loss=stats.loss,
             scrub=scrub,
         )
-        job.finished = True
         current_registry().counter(
             REPAIRS, "repair jobs finished"
         ).labels(outcome="lost" if stats.stripes_lost else "recovered").inc()
@@ -770,7 +770,7 @@ class RepairService:
                     stripe=si, chunks=len(fed),
                 ):
                     await asyncio.to_thread(repair.feed, fed)
-                if job.journal is not None:
+                if job.journal is not None and repair.checkpoint_due:
                     self._check_fence(job.disk)
                     await asyncio.to_thread(
                         job.journal.round_commit,

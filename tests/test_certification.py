@@ -1,0 +1,312 @@
+"""Certification in hand: what a repair job reads, journals and vouches for.
+
+A repair certifies from what it already verified instead of re-reading
+every stripe, and does not journal a round its ``stripe_done`` supersedes.
+Both are written once (``RepairJob.certify``, ``StripeRepair.checkpoint_due``)
+and both drivers — ``recover_disk`` and ``RepairService`` — are held to the
+same arithmetic and the same refusals here:
+
+* the exact counts: ``k`` survivor reads per stripe, one ``verify_chunk`` per
+  chunk landed, no survivor byte read twice, ``rounds - 1`` ``round_commit``
+  records per fault-free stripe;
+* certification still says no: a disk dying mid-repair, a survivor the job
+  found corrupt, a rebuilt chunk torn on its spare (fresh or skipped by a
+  resume's replay) each certify ``degraded``.
+
+The full-stripe parity proof certification used to re-do per job lives in
+``chaos_rig.check_parity_clean`` (every chaos episode, and the 24-seed
+differential in ``test_repair_drivers_agree.py``).
+"""
+
+import asyncio
+from collections import Counter
+
+import pytest
+
+from repro.core import ALGORITHMS, ReadPolicy, recover_disk
+from repro.core.plans import RepairPlan
+from repro.core.repair_job import RepairJob
+from repro.ec.stripe import ChunkId
+from repro.faults.report import REPLANNED
+from repro.faults.spec import FaultEvent, FaultSchedule
+from repro.hdss.server import HDSSConfig, HighDensityStorageServer, attach_server
+from repro.hdss.store import ChunkStore, FileChunkStore, ForwardingChunkStore
+from repro.journal.wal import WALReader
+from repro.service import RepairService, ServiceConfig
+from repro.service import chaos_rig as rig
+from tests.test_repair_drivers_agree import cut_journal
+
+DISK = 3
+K = 6
+DRIVERS = ["recover_disk", "service"]
+
+pytestmark = pytest.mark.usefixtures("fresh_registry")
+
+
+def build(store):
+    """RS(9,6) over 12 disks with ``c = 6``: hd-psr-as plans three rounds
+    a stripe, fsr one."""
+    server = HighDensityStorageServer(
+        HDSSConfig(
+            num_disks=12, n=9, k=K, chunk_size=1024, memory_chunks=6,
+            spares=3, seed=5, placement="rotating",
+        ),
+        store=store,
+    )
+    server.provision_stripes(8, with_data=True)
+    return server
+
+
+def make_server(root, wrap=lambda store: store):
+    """A provisioned file-backed server behind a reset ``CountingStore``."""
+    store = rig.CountingStore(wrap(FileChunkStore(root / "store", durable=False)))
+    server = build(store)
+    store.reset()
+    return server, store
+
+
+def journal_dir(root):
+    return root / "journal" / f"disk-{DISK:03d}"
+
+
+def repair(driver, server, root, algorithm="hd-psr-as", *, resume=False,
+           faults=None, policy=None, setup=None, after=None):
+    """Repair ``DISK`` through ``driver``, journaled under ``root``.
+
+    Service only: ``setup(service)`` runs before the job is submitted and
+    ``await after(service)`` once it finished, before the service closes.
+    """
+    if driver == "recover_disk":
+        return recover_disk(
+            server, ALGORITHMS[algorithm](), DISK, journal=journal_dir(root),
+            resume=resume, faults=faults, policy=policy,
+        )
+
+    async def run():
+        service = RepairService(
+            server, ALGORITHMS[algorithm](),
+            ServiceConfig(
+                journal_root=root / "journal", durable_journal=False, policy=policy,
+            ),
+            faults=faults,
+        )
+        if setup is not None:
+            setup(service)
+        try:
+            result = await service.submit_repair(DISK, resume=resume).wait()
+            if after is not None:
+                await after(service)
+            return result
+        finally:
+            await service.close()
+
+    return asyncio.run(run())
+
+
+def truncate(store, disk, cid):
+    """Tear one chunk on disk: half its bytes under the old sidecar."""
+    path = store._chunk_path(disk, cid)
+    path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+
+
+# ------------------------------------------------------------- the arithmetic
+class TestExactCounts:
+    @pytest.mark.parametrize("algorithm, rounds", [("hd-psr-as", 3), ("fsr", 1)])
+    @pytest.mark.parametrize("driver", DRIVERS)
+    def test_each_repaired_byte_is_read_and_hashed_once(
+        self, tmp_path, driver, algorithm, rounds
+    ):
+        server, store = make_server(tmp_path)
+        stripes = server.layout.stripe_set(DISK)
+        server.fail_disk(DISK)
+        result = repair(driver, server, tmp_path, algorithm)
+        assert result.certified and result.scrub.clean == sorted(stripes)
+
+        # k survivor reads per stripe, none of them twice ...
+        assert sum(store.read_counts.values()) == K * len(stripes)
+        assert set(store.read_counts.values()) == {1}
+        # ... one verify per chunk landed, and of nothing else: no survivor
+        # byte is re-read after the last decode.
+        landed = {
+            (server.layout[si].disks[shard], ChunkId(si, shard)): 1
+            for si in stripes
+            for shard in range(server.config.n)
+            if server.layout[si].disks[shard] >= server.config.num_disks
+        }
+        assert len(landed) == len(stripes)
+        assert store.write_counts == landed
+        assert store.verify_counts == landed
+        assert not set(store.read_counts) & set(store.verify_counts)
+
+        # The journal holds rounds - 1 round_commit records per stripe: the
+        # round that completes the decoder is covered by its stripe_done.
+        records = list(WALReader(journal_dir(tmp_path)))
+        plan = RepairPlan.from_dict(records[0].meta["plan"])
+        assert {sp.num_rounds for sp in plan.stripe_plans} == {rounds}
+        commits = Counter(
+            r.meta["stripe"] for r in records if r.type == "round_commit"
+        )
+        assert commits == ({si: rounds - 1 for si in stripes} if rounds > 1 else {})
+        types = Counter(r.type for r in records)
+        assert types["stripe_done"] == len(stripes) and types["complete"] == 1
+
+
+# -------------------------------------------------- certification still says no
+class TestCertificationStillSaysNo:
+    @pytest.mark.parametrize("driver", DRIVERS)
+    def test_disk_dying_mid_repair_certifies_degraded(self, tmp_path, driver):
+        server, _ = make_server(tmp_path)
+        stripes = server.layout.stripe_set(DISK)
+        dying = 7
+        touched = sorted(si for si in stripes if dying in server.layout[si].disks)
+        assert touched
+        server.fail_disk(DISK)
+        read = server.disk(0).transfer_time(1024, jittered=False)
+        result = repair(
+            driver, server, tmp_path,
+            faults=FaultSchedule([FaultEvent(at=1.5 * read, kind="disk_fail", disk=dying)]),
+        )
+        assert not result.loss.has_loss
+        assert sorted(result.scrub.degraded) == touched
+        assert not result.certified
+        assert rig.check_parity_clean(server, result.scrub.clean) is None
+
+    def corrupt_survivor(self, server, store):
+        """Flip one byte of the first survivor the repair will read."""
+        si = server.layout.stripe_set(DISK)[0]
+        stripe = server.layout[si]
+        shard = next(j for j, d in enumerate(stripe.disks) if d != DISK)
+        disk, cid = stripe.disks[shard], ChunkId(si, shard)
+        original = store.get(disk, cid)
+        path = store._chunk_path(disk, cid)
+        data = bytearray(path.read_bytes())
+        data[0] ^= 0x80
+        path.write_bytes(bytes(data))
+        store.reset()
+        return si, disk, cid, original
+
+    @pytest.mark.parametrize("driver", DRIVERS)
+    def test_corrupt_survivor_degrades_until_rewritten(self, tmp_path, driver):
+        server, store = make_server(tmp_path)
+        si, disk, cid, original = self.corrupt_survivor(server, store)
+        server.fail_disk(DISK)
+        held = []
+
+        def hold_read_repair(service):
+            # Keep the quarantine's background read-repair from racing the
+            # certification; ``rewrite`` runs it once the job has finished.
+            real = service.repair_chunk
+
+            async def later(stripe_index, shard_idx):
+                held.append(real(stripe_index, shard_idx))
+                return False
+
+            service.repair_chunk = later
+
+        async def rewrite(service):
+            assert service.is_quarantined(disk, cid)
+            await asyncio.gather(*held)
+            assert not service.quarantine
+
+        result = repair(
+            driver, server, tmp_path, policy=ReadPolicy(),
+            setup=hold_read_repair, after=rewrite,
+        )
+        assert result.loss.stripes[si] == REPLANNED and result.loss.checksum_failures
+        assert result.scrub.degraded == [si] and not result.certified
+        # The fault-free stripes still verify only what was landed for them.
+        clean = set(result.scrub.clean)
+        assert sorted(
+            cid.stripe_index for _, cid in store.verify_counts
+            if cid.stripe_index in clean
+        ) == sorted(clean)
+
+        # Rewritten (by hand here, by the read-repair in the service), the
+        # same journal certifies — its ``replanned`` outcome is journaled,
+        # so the resumed job verifies every shard of that stripe again.
+        if driver == "recover_disk":
+            server.store.put(disk, cid, original)
+        server_b = attach_server(server.store, build)
+        server_b.fail_disk(DISK, destroy_data=False)
+        store.reset()
+        again = repair(driver, server_b, tmp_path, resume=True)
+        assert again.loss.stripes[si] == REPLANNED
+        assert again.certified
+        assert sum(c.stripe_index == si for _, c in store.verify_counts) == server.config.n
+
+    @pytest.mark.parametrize("driver", DRIVERS)
+    def test_rebuilt_chunk_torn_on_its_spare_certifies_degraded(self, tmp_path, driver):
+        class TearingStore(ForwardingChunkStore):
+            """Truncates one rebuilt chunk right after it lands."""
+
+            victim = None
+
+            def put(self, disk_id, chunk_id, data):
+                self.inner.put(disk_id, chunk_id, data)
+                if chunk_id == self.victim:
+                    truncate(self.inner, disk_id, chunk_id)
+
+            put_many = ChunkStore.put_many
+
+        server, store = make_server(tmp_path, wrap=TearingStore)
+        si = server.layout.stripe_set(DISK)[2]
+        store.inner.victim = ChunkId(si, server.layout[si].disks.index(DISK))
+        server.fail_disk(DISK)
+        result = repair(driver, server, tmp_path)
+        assert not result.loss.has_loss and not result.loss.degraded
+        assert result.scrub.degraded == [si]
+        assert not result.certified
+        assert rig.check_parity_clean(server, result.scrub.clean) is None
+        assert rig.check_parity_clean(server, [si]) is not None
+
+    @pytest.mark.parametrize("driver", DRIVERS)
+    def test_replay_skipping_a_torn_chunk_certifies_degraded(self, tmp_path, driver):
+        server, store = make_server(tmp_path)
+        server.fail_disk(DISK)
+        first = repair(driver, server, tmp_path / "full")
+        assert first.certified
+        # A crash right after the second stripe_done; the durable store
+        # keeps what landed, and one of the two replayed chunks is torn.
+        cut_journal(journal_dir(tmp_path / "full"), journal_dir(tmp_path / "cut"), 2)
+        si, shard, spare = journaled_writebacks(journal_dir(tmp_path / "cut"))[0]
+        torn = (spare, ChunkId(si, shard))
+        truncate(store.inner, *torn)
+
+        server_b = attach_server(store, build)
+        server_b.fail_disk(DISK, destroy_data=False)
+        store.reset()
+        resumed = repair(driver, server_b, tmp_path / "cut", resume=True)
+        assert resumed.loss.resumed_stripes == 2
+        assert resumed.loss.replayed_chunks == 0  # present, so replay skipped both
+        assert torn not in store.write_counts
+        assert resumed.scrub.degraded == [si]
+        assert not resumed.certified
+
+
+def journaled_writebacks(journal):
+    """``(stripe, shard, spare)`` of every ``stripe_done`` in ``journal``."""
+    return [
+        (r.meta["stripe"], wb["shard"], wb["spare"])
+        for r in WALReader(journal) if r.type == "stripe_done"
+        for wb in r.meta["writebacks"]
+    ]
+
+
+# ----------------------------------------------------------- the job, directly
+class TestCertifyUnit:
+    def test_vetoed_shard_degrades_its_stripe_only(self, tmp_path):
+        server, store = make_server(tmp_path)
+        stripes = server.layout.stripe_set(DISK)
+        server.fail_disk(DISK)
+        result = repair("recover_disk", server, tmp_path, "fsr")
+        assert result.certified
+        job = RepairJob(
+            result.outcome.plan, result.outcome.stripe_indices,
+            result.outcome.survivor_ids, [DISK], server.config.fingerprint(),
+        )
+        job.stats.writebacks = list(result.data_path.writebacks)
+        veto = (server.layout[stripes[1]].disks[0], ChunkId(stripes[1], 0))
+        report = job.certify(server, stripes, lambda d, c: (d, c) == veto)
+        assert report.degraded == [stripes[1]]
+        assert report.clean == [si for si in stripes if si != stripes[1]]
+        assert not report.corrupt and not report.unpopulated

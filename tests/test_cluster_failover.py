@@ -200,6 +200,52 @@ class TestEpochFencing:
 
         asyncio.run(run())
 
+    def test_owner_fenced_at_commit_time_leaks_nothing(self, tmp_path):
+        """The lease is lost after the last stripe landed, so the fence
+        fires at the job's tail (commit → certify → finish). The stale
+        owner must let go of everything — claimed stripes, the job's
+        ``stats`` row, the journal handle — and the new owner's resume of
+        the same disk must certify without writing a chunk twice."""
+        async def run():
+            store = shared_store(tmp_path)
+            server_a = make_server(store)
+            originals = rig.originals_of(server_a)
+            store.reset()
+            journal = tmp_path / "journal"
+            lease_lost = False
+
+            def fence(disk):
+                if lease_lost:
+                    raise FencedError("lease lost", held_epoch=1, current_epoch=2)
+
+            service_a = make_service(server_a, journal, fence=fence)
+            flush = service_a.writer.flush
+
+            async def flush_then_lose_the_lease():
+                nonlocal lease_lost
+                await flush()
+                lease_lost = True
+
+            service_a.writer.flush = flush_then_lose_the_lease
+            server_a.fail_disk(DISK)
+            ticket = service_a.submit_repair(DISK)
+            with pytest.raises(FencedError):
+                await ticket.task
+            assert not service_a._claimed and not service_a._repair_futures
+            (job,) = service_a.snapshot()["jobs"]
+            assert job["done"] and job["stripes_done"] == job["stripes_total"]
+            assert service_a._jobs[ticket.job_id].journal._writer._fh is None
+            await service_a.close()
+
+            server_b = attach_server(store, make_server)
+            server_b.fail_disk(DISK, destroy_data=False)
+            result = await finish_repair(make_service(server_b, journal))
+            assert result.resumed_stripes == result.stripes
+            await assert_invariants(store, server_b, originals, result)
+            assert rig.check_parity_clean(server_b, result.scrub.clean) is None
+
+        asyncio.run(run())
+
     def test_revived_stale_owner_rejected_after_handoff(self, tmp_path):
         async def run():
             state = {"t": 0.0}

@@ -216,6 +216,35 @@ class TestOneRepairJob:
             assert "return certified(self.loss, self.scrub)" in text, path
             assert "scrub.unpopulated" not in text, path
 
+    def test_one_certification_and_one_journal_this_round_predicate(self):
+        """A job certifies from what it has in hand, once; the full parity
+        scrub is the scrub plane's and ``chaos_rig.check_parity_clean``'s.
+        Whether a round is worth a ``round_commit`` is the stripe machine's
+        call, taken by both drivers right where they journal."""
+        def uses(pattern):
+            hits = set()
+            for path in src_files():
+                hits |= functions_matching(path, pattern)
+            return hits
+
+        drivers = {
+            "src/repro/core/executor.py:_repair_stripe",
+            "src/repro/service/service.py:_repair_stripe",
+        }
+        assert count_defs("certify") == {"src/repro/core/repair_job.py": 1}
+        assert uses(r"\bjob\.certify\b") == {
+            "src/repro/core/recovery.py:_recover",
+            "src/repro/service/service.py:_run_repair",
+        }
+        for path in (SRC / "core" / "recovery.py", SRC / "service" / "service.py"):
+            assert ".scrub(" not in path.read_text(), path
+        assert call_sites(r"server\.scrub") == {
+            "src/repro/service/chaos_rig.py:check_parity_clean"
+        }
+        assert count_defs("checkpoint_due") == {"src/repro/core/stripe_repair.py": 1}
+        assert uses(r"\.round_commit\b") == drivers
+        assert uses(r"\bif .*\bcheckpoint_due:") == drivers
+
     def test_the_two_single_valued_options_are_gone(self):
         assert "write_back" not in (SRC / "core" / "executor.py").read_text()
         for path in CLI.glob("*.py"):
@@ -312,7 +341,7 @@ class TestOneChaosRig:
     def test_invariants_defined_once(self):
         for name in ("check_byte_identical", "check_no_duplicate_writes",
                      "check_sidecars_verify", "check_stale_owner_fenced",
-                     "check_repair_certified"):
+                     "check_repair_certified", "check_parity_clean"):
             assert count_defs(name) == {"src/repro/service/chaos_rig.py": 1}
 
     def test_daemon_does_not_import_its_chaos_harness(self):

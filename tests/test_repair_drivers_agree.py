@@ -13,6 +13,11 @@ The crash→resume variant journals both runs, cuts both journals after the
 same number of ``stripe_done`` records, and resumes each on a fresh server:
 what the one :class:`~repro.core.repair_job.RepairJob` replays, re-puts and
 records must not depend on which driver performs it.
+
+Every run is also held to the full-stripe parity proof
+(:func:`~repro.service.chaos_rig.check_parity_clean`): what a job certified
+clean from what it had in hand must scrub clean shard by shard, and what it
+called degraded the scrub must call degraded too.
 """
 
 import asyncio
@@ -27,6 +32,7 @@ from repro.hdss.server import HDSSConfig, HighDensityStorageServer
 from repro.hdss.store import FaultyChunkStore, InMemoryChunkStore
 from repro.journal.wal import WALReader, WALWriter
 from repro.service import RepairService, ServiceConfig
+from repro.service.chaos_rig import check_parity_clean
 
 SEEDS = range(24)
 FAILED = 0
@@ -96,6 +102,18 @@ def run_service(server, policy, algorithm, **config):
     return asyncio.run(run())
 
 
+def assert_certification_holds(server, result, seed):
+    """The in-hand certification against the parity scrub it replaced."""
+    failure = check_parity_clean(server, result.scrub.clean)
+    assert failure is None, f"seed {seed}: {failure}"
+    assert not result.scrub.corrupt and not result.scrub.unpopulated
+    full = server.scrub(result.scrub.degraded)
+    assert full.degraded == result.scrub.degraded, f"seed {seed}: {full}"
+    assert set(result.scrub.clean) | set(result.scrub.degraded) == {
+        si for si, outcome in result.loss.stripes.items() if outcome != LOST
+    }
+
+
 def comparable(outcomes, policy):
     """The part of an outcome map that does not depend on read order.
 
@@ -112,7 +130,7 @@ def comparable(outcomes, policy):
 
 
 def test_executor_and_service_agree_on_every_stripe():
-    seen = set()
+    seen, certified = set(), set()
     for seed in SEEDS:
         # single-round plans (fsr) and multi-round ones, each with and
         # without hedging
@@ -157,9 +175,14 @@ def test_executor_and_service_agree_on_every_stripe():
         for key, want in sync_bytes.items():
             assert np.array_equal(want, originals[key]), f"seed {seed}: {key}"
             assert np.array_equal(async_bytes[key], want), f"seed {seed}: {key}"
+        assert_certification_holds(sync_server, sync, seed)
+        assert_certification_holds(async_server, service, seed)
+        certified |= {sync.certified, service.certified}
 
-    # the fault mix is not vacuous: every rung of the ladder was compared
+    # the fault mix is not vacuous: every rung of the ladder was compared,
+    # and certification said both yes and no
     assert seen == {RECOVERED, REPLANNED, LOST}
+    assert certified == {True, False}
 
 
 def cut_journal(source, dest, stripes_done):
@@ -265,6 +288,8 @@ def test_executor_and_service_agree_after_crash_and_resume(tmp_path):
         for key, want in sync_bytes.items():
             assert np.array_equal(want, originals[key]), f"seed {seed}: {key}"
             assert np.array_equal(async_bytes[key], want), f"seed {seed}: {key}"
+        assert_certification_holds(sync_server, sync, seed)
+        assert_certification_holds(async_server, service, seed)
 
     # the replay path and the full record multiset were compared, not skipped
     assert replayed and clean

@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Checksum-corruption smoke: a flipped bit in a survivor chunk must surface
-as a degraded stripe in the DataLossReport, never as an unhandled exception.
+as a degraded stripe in the DataLossReport (and an uncertified repair), never
+as an unhandled exception.
 
     tools/smoke_checksum_corruption.py [STORE_DIR]
 
@@ -38,6 +39,8 @@ def run(root: Path) -> dict:
     result = recover_disk(server, FullStripeRepair(), 0, policy=ReadPolicy())
     assert result.loss.checksum_failures >= 1, result.loss.summary()
     assert not result.loss.has_loss, result.loss.summary()
+    # The corrupt survivor is still on disk: its stripe must not certify.
+    assert result.scrub.degraded == [si] and not result.certified, result.scrub
     return result.loss.summary()
 
 
