@@ -112,7 +112,7 @@ class RepairJournal:
 
     # ------------------------------------------------------------- low level
     def _emit(self, record: WALRecord) -> None:
-        self._writer.append(record)
+        frame_bytes = self._writer.append(record)
         self._writer.commit()
         _counter(
             JOURNAL_RECORDS, "Records appended to the repair journal"
@@ -120,7 +120,7 @@ class RepairJournal:
         _counter(JOURNAL_COMMITS, "fsync'd journal commits").inc()
         _counter(
             JOURNAL_BYTES, "Bytes appended to the repair journal"
-        ).inc(sum(len(b) for b in record.blobs.values()))
+        ).inc(frame_bytes)
         _instant(f"journal.{record.type}", **{
             k: v for k, v in record.meta.items()
             if isinstance(v, (int, float, str, bool))

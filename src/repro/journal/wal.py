@@ -162,14 +162,16 @@ class WALWriter:
                 fsync_dir(self.root)
         return self._fh
 
-    def append(self, record: WALRecord) -> None:
-        """Buffer one record onto the active segment (durable at commit)."""
+    def append(self, record: WALRecord) -> int:
+        """Buffer one record onto the active segment (durable at commit);
+        returns the bytes its frame added (prefix, header and blobs)."""
         frame = encode_record(record)
         with self._lock:
             self._open_segment().write(frame)
             self._fh_bytes += len(frame)
             self.records_written += 1
             self.bytes_written += len(frame)
+        return len(frame)
 
     def _sync(self) -> None:
         if self._fh is not None:

@@ -13,38 +13,52 @@ flag to override it. On-disk sidecars, WAL frames and lease records are
 the same whichever computed them.
 
 The NumPy kernel leans on the CRC register being GF(2)-linear in the
-data. One slicing-by-4 step — four 256-entry lookups, XORed — gives the
-raw register of a 4-byte word started from zero, so one gather and one
-XOR-reduce do it for every word of the buffer at once. A log-tree then
+data. The raw register of a 16-byte row started from zero is the XOR of
+sixteen lookups, one per byte position, each in that position's own
+256-entry table (the byte followed by the zero bytes the rest of the row
+stands for). So sixteen gathers XORed into a running register, one per
+byte column, do it for every row of the buffer at once. A log-tree then
 folds neighbours pairwise: ``left`` advanced through the zero bytes
 ``right`` covers, XOR ``right``. Advancing a register through ``n`` zero
-bytes is again four lookups (for ``n = 4`` in the very table that hashes
-a word), and the table for ``2n`` is the table for ``n`` applied to
+bytes is again four such lookups (for ``n = 4`` in the last four position
+tables), and the table for ``2n`` is the table for ``n`` applied to
 itself, so only spans ``4 * 2**level`` ever exist, whatever lengths
-callers feed in. The incoming ``value`` rides along as one more register
-in front of the first word. Inputs under :data:`_VECTOR_MIN` bytes and the
-sub-word tail stay on a scalar slicing-by-4 loop, where interpreter
-overhead beats NumPy call overhead.
+callers feed in; rows enter the tree at the level whose span is one row.
+The incoming ``value`` rides along as one more register in front of the
+first row. Inputs under :data:`_VECTOR_MIN` bytes and the sub-row tail
+stay on a scalar slicing-by-4 loop, where interpreter overhead beats
+NumPy call overhead.
 
 Two things keep its speed steady from call to call, which the daemon's
-latency and the e2e benchmark's spread bounds both need. Every table a
-step touches is 4 KiB, so the working set lives in L1: a 256-byte row
-with one 256-entry table per byte position measured 9x faster alone,
-but its quarter-MiB table falls out of cache whenever a neighbour
-shares the core, and its speed then wanders against the host's by
-25-55 % more than interpreter-bound code does. (Rows of 8 to 64 bytes
-keep the property and measured 77-292 MB/s; they wait for a benchmark
-that can resolve such a gain: ROADMAP, open item 1.) And one thread
-is in the kernel at a time: NumPy drops the GIL inside every gather, so
-threads hashing side by side hand it back and forth dozens of times a
-chunk (three threads on 16 KiB chunks: 57 000 context switches and half
-a second of system time for work that needs 2 400 and none when they
-take turns, at the same total rate; on 64 KiB chunks the total swung
-between 47 and 67 MB/s from one run to the next).
+latency and the e2e benchmark's spread bounds both need. What a step
+touches lives in L1: a gather reads one 1 KiB table (all sixteen are
+16 KiB), and a step of 1024 rows holds 16 KiB of input, 8 KiB of gather
+indices and 8 KiB of registers, 33 KiB of this box's 48 KiB, however
+large the buffer is. Steps of 4096 rows stream from L2 and are faster
+alone (285 against 215 MB/s at 64 KiB, NumPy's per-call overhead being a
+third of a 1024-row step) and by 14 % end to end at 64 KiB chunks, but
+not steadily: over 16 benchmark runs their rates kept a slope of +0.1 to
++0.4 against the host's own speed and two landed 35-40 % above the
+median, where 15 runs of this one stayed within 12 % of theirs. Gathering
+a whole row at once from one wide table (one ``take`` and an XOR-reduce
+along the row) is the same arithmetic and measured 114 MB/s at 16-byte
+rows, the reduce over a short axis being the slow part; it needs 64-byte
+rows to reach 225, and from 32 bytes up its table and a step's gathered
+copy leave L1 (PR 13's 256-byte rows wandered against the host by
+25-55 %). Column by column, wider rows buy nothing: the work is one
+lookup per byte either way, and 32- and 64-byte rows measured 240 and
+243 MB/s. And one thread is in the kernel at a time: NumPy drops the GIL
+inside every gather, so threads hashing side by side hand it back and
+forth dozens of times a chunk (three threads over 60 MB of 16 KiB
+chunks: 54 000-185 000 context switches, 0.7-2.1 s of system time and
+18-41 MB/s in total without the lock; 900-3 400 switches, under 0.1 s
+and 62-116 MB/s when they take turns).
 
-Measured on the reference sandbox (2 vCPUs): 38-42 MB/s from 16 KiB
-up, against 13-14 MB/s for the scalar loop; the tables take 128 KiB and
-are built on first use in about a millisecond.
+Measured on the reference sandbox (2 vCPUs): 200-220 MB/s at 64 KiB,
+110-130 MB/s at 16 KiB (where the fold's call overhead is half the
+time) and 40 MB/s at 4 KiB, against 13 MB/s for the scalar loop; the
+tables take 140 KiB and are built on first use in about half a
+millisecond.
 """
 
 from __future__ import annotations
@@ -66,57 +80,73 @@ BACKEND = "numpy" if _native_crc32c is None else "native"
 _POLY = 0x82F63B78
 _MASK = 0xFFFFFFFF
 
-#: Below this many bytes the scalar loop wins (measured crossover: 76 us
-#: either way at 1 KiB; the vector kernel's floor is ~40 us of NumPy calls).
-_VECTOR_MIN = 1024
-#: Words gathered per step: 4 KiB of input and 24 KiB of temporaries,
-#: however large the buffer is. Larger steps measured no faster.
-_BLOCK_WORDS = 1024
-#: Fold levels kept: enough for 2**32 words (16 GiB).
+#: Below this many bytes the scalar loop wins (measured crossover: 64 us
+#: either way at 850-900 bytes; the vector kernel's floor is ~60 us of NumPy
+#: calls, most of them in the fold).
+_VECTOR_MIN = 896
+#: Bytes per row of the vector kernel: one table per byte position, 16 KiB
+#: together. Decided once, by measurement (module docstring); not a knob.
+_ROW = 16
+#: Rows hashed per step: 16 KiB of input and 16 KiB of temporaries, however
+#: large the buffer is. Decided with the row width, by the same measurement.
+_STEP_ROWS = 1024
+#: Fold levels kept, and the one rows enter at (its span, ``4 * 2**level``
+#: bytes, is one row): enough for 2**30 rows (16 GiB).
 _LEVELS = 32
-#: ``_OFFSETS[j]`` selects byte ``j``'s 256 entries in a flat 4x256 table.
-_OFFSETS = np.arange(4, dtype=np.uint16) << 8
+_ROW_LEVEL = (_ROW // 4).bit_length() - 1
 
 _KERNEL_LOCK = threading.Lock()
 _SLICING: Optional[List[list]] = None
-_SHIFTS: Optional[Tuple[np.ndarray, ...]] = None
+_TABLES: Optional[Tuple[np.ndarray, Tuple[np.ndarray, ...]]] = None
 
 
 def _advance(
-    shift: np.ndarray, reg_bytes: np.ndarray, out: Optional[np.ndarray] = None
+    table: np.ndarray, columns: np.ndarray, out: Optional[np.ndarray] = None
 ) -> np.ndarray:
-    """Registers pushed through the zero bytes that ``shift`` (a flat 4x256
-    table) stands for; ``reg_bytes`` is their ``(n, 4)`` little-endian
-    uint8 view. With ``shift_tables()[0]`` and a zero start, ``reg_bytes``
-    may as well be data: the result is each word's raw register."""
-    gathered = shift.take(reg_bytes + _OFFSETS, mode="wrap")
-    return np.bitwise_xor.reduce(gathered, axis=1, out=out)
+    """``table[0][columns[:, 0]] ^ table[1][columns[:, 1]] ^ ...``: one
+    256-entry gather per byte column, XORed into a running register.
+
+    With a shift table, ``columns`` is the ``(n, 4+)`` little-endian uint8
+    view of ``n`` registers and the result is each pushed through the zero
+    bytes the table stands for. With the position table and a zero start
+    ``columns`` is data: the result is each row's raw register.
+    """
+    acc = table[0].take(columns[:, 0], out=out, mode="wrap")
+    for j in range(1, len(table)):
+        acc ^= table[j].take(columns[:, j], mode="wrap")
+    return acc
 
 
-def _build_shift_tables() -> Tuple[np.ndarray, ...]:
-    rows = [np.arange(256, dtype="<u4")]
+def _build_tables() -> Tuple[np.ndarray, Tuple[np.ndarray, ...]]:
+    # after[j][b]: the register of byte b followed by j zero bytes.
+    after = [np.arange(256, dtype="<u4")]
     for _ in range(8):
-        rows[0] = (rows[0] >> 1) ^ (_POLY * (rows[0] & 1))
-    for _ in range(3):  # rows[j][b]: byte b, then j zero bytes
-        rows.append(rows[0][rows[-1] & 0xFF] ^ (rows[-1] >> 8))
-    # A register's lowest byte has the most zero bytes still to cross.
-    shifts = [np.concatenate(rows[::-1])]
+        after[0] = (after[0] >> 1) ^ (_POLY * (after[0] & 1))
+    for _ in range(_ROW - 1):
+        after.append(after[0][after[-1] & 0xFF] ^ (after[-1] >> 8))
+    # A row's first byte has the most zero bytes still to cross, and so has
+    # a register's lowest byte: the last four positions are the table that
+    # advances a register 4 zero bytes.
+    position = np.stack(after[::-1])
+    shifts = [position[-4:]]
     while len(shifts) < _LEVELS:
-        shifts.append(_advance(shifts[-1], shifts[-1].view(np.uint8).reshape(-1, 4)))
-    return tuple(shifts)
+        half = shifts[-1]  # applied to itself: twice the span
+        shifts.append(_advance(half, half.view(np.uint8).reshape(-1, 4)).reshape(4, 256))
+    return position, tuple(shifts)
 
 
-def _shift_tables() -> Tuple[np.ndarray, ...]:
-    """``tables[level]`` advances a register ``4 * 2**level`` zero bytes;
-    built on first use.
+def _tables() -> Tuple[np.ndarray, Tuple[np.ndarray, ...]]:
+    """``(position, shifts)``, built on first use: ``position[j][b]`` is
+    byte ``b`` followed by ``_ROW - 1 - j`` zero bytes, and ``shifts[level]``
+    (four such rows) advances a register ``4 * 2**level`` zero bytes.
 
     Built into locals and published with one assignment, so threads racing
     through a cold start at worst build identical tables twice.
     """
-    global _SHIFTS
-    if _SHIFTS is None:
-        _SHIFTS = _build_shift_tables()
-    return _SHIFTS
+    global _TABLES
+    if _TABLES is None:
+        _TABLES = _build_tables()
+    return _TABLES
 
 
 def _slicing_tables() -> List[list]:
@@ -124,7 +154,8 @@ def _slicing_tables() -> List[list]:
     followed by ``j`` zero bytes."""
     global _SLICING
     if _SLICING is None:
-        _SLICING = [row.tolist() for row in _shift_tables()[0].reshape(4, 256)[::-1]]
+        _, shifts = _tables()
+        _SLICING = shifts[0][::-1].tolist()
     return _SLICING
 
 
@@ -156,34 +187,34 @@ def _crc32c_sliced(data, value: int = 0) -> int:
 
 
 def _crc32c_vector(buf: np.ndarray, value: int = 0) -> int:
-    """Word-parallel CRC32C of a uint8 array holding whole 4-byte words."""
-    shifts = _shift_tables()
-    words = buf.reshape(-1, 4)
-    count = words.shape[0]
+    """Row-parallel CRC32C of a uint8 array holding whole ``_ROW``-byte rows."""
+    position, shifts = _tables()
+    rows = buf.reshape(-1, _ROW)
+    count = rows.shape[0]
     with _KERNEL_LOCK:
-        # A power of two with at least one slot ahead of the first word:
+        # A power of two with at least one slot ahead of the first row:
         # the incoming register sits there, and zero registers in front of
-        # it fold to zero, so no word count needs special-casing.
+        # it fold to zero, so no row count needs special-casing.
         regs = np.zeros(1 << count.bit_length(), dtype="<u4")
         regs[-count - 1] = ~value & _MASK
         live = regs[-count:]
-        for start in range(0, count, _BLOCK_WORDS):
-            stop = start + _BLOCK_WORDS
-            _advance(shifts[0], words[start:stop], out=live[start:stop])
-        level = 0
+        for start in range(0, count, _STEP_ROWS):
+            stop = start + _STEP_ROWS
+            _advance(position, rows[start:stop], out=live[start:stop])
+        level = _ROW_LEVEL
         while regs.size > 1:
-            left = regs.view(np.uint8).reshape(-1, 8)[:, :4]
+            # Neighbours pairwise: columns 0-3 of a pair are its left register.
             right = regs[1::2]
-            regs = _advance(shifts[level], left)
+            regs = _advance(shifts[level], regs.view(np.uint8).reshape(-1, 8))
             regs ^= right
             level += 1
     return ~int(regs[0]) & _MASK
 
 
 def _crc32c_numpy(buf: np.ndarray, value: int) -> int:
-    """Whole words of a large enough buffer through the vector kernel, the
+    """Whole rows of a large enough buffer through the vector kernel, the
     rest through the scalar loop."""
-    whole = buf.size & ~3 if buf.size >= _VECTOR_MIN else 0
+    whole = buf.size & -_ROW if buf.size >= _VECTOR_MIN else 0
     if whole:
         value = _crc32c_vector(buf[:whole], value)
     if whole < buf.size:

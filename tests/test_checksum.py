@@ -109,27 +109,32 @@ class TestSlicedEquivalence:
         assert crc32c(data) == _crc32c_bytewise(data)
 
 
-WORD = 4
+ROW = checksum._ROW
 MIN = checksum._VECTOR_MIN
-BLOCK = checksum._BLOCK_WORDS * WORD
+STEP_ROWS = checksum._STEP_ROWS
+STEP = STEP_ROWS * ROW
 
 
 class TestVectorEquivalence:
-    """The word-parallel NumPy path must match the bytewise oracle exactly.
+    """The row-parallel NumPy path must match the bytewise oracle exactly.
 
     ``_crc32c_numpy`` is exercised directly, so these hold whichever
     backend ``crc32c`` itself selected at import.
     """
 
-    # Around the scalar/vector crossover, around word counts on either
-    # side of a power of two (the fold's leading slot), and around the
-    # gather block.
+    # ``m * ROW + d``: around the scalar/vector crossover, around row counts
+    # on either side of a power of two (the fold's leading slot), and around
+    # one and two gather steps. ``d`` leaves a tail of every kind the scalar
+    # loop sees: none, bytes only, one word, a word and a byte. The last
+    # line is where the 4-byte-word kernel had its crossover and its gather
+    # block; those lengths stay pinned.
     BOUNDARIES = sorted(
         {
             n + d
-            for n in (MIN, MIN + 3 * WORD, 2 * MIN - WORD, 2 * MIN, 3 * MIN,
-                      BLOCK - WORD, BLOCK, BLOCK + WORD, 2 * BLOCK, 3 * BLOCK)
-            for d in (-1, 0, 1, 3, 4)
+            for n in (MIN, MIN + 3 * ROW, 2 * MIN - ROW, 2 * MIN, 3 * MIN,
+                      STEP - ROW, STEP, STEP + ROW, 2 * STEP, 2 * STEP + ROW, 3 * STEP,
+                      1024, 1036, 2044, 2048, 3072, 4092, 4096, 4100, 8192, 12288)
+            for d in (-1, 0, 1, 3, 4, 5)
         }
     )
 
@@ -147,20 +152,32 @@ class TestVectorEquivalence:
             buf = np.frombuffer(data, dtype=np.uint8)
             assert _crc32c_numpy(buf, 0) == _crc32c_bytewise(data)
 
-    def test_vector_kernel_alone_on_whole_words(self):
-        for words in (1, 2, 3, 63, 64, 65, 200, 1023, 1024, 1025):
-            data = _random_bytes(words * WORD, seed=words)
+    def test_vector_kernel_alone_on_whole_rows(self):
+        for rows in (1, 2, 3, 63, 64, 65, 200, 1023, 1024, 1025):
+            data = _random_bytes(rows * ROW, seed=rows)
             buf = np.frombuffer(data, dtype=np.uint8)
             assert _crc32c_vector(buf, 12345) == _crc32c_bytewise(data, 12345)
 
+    @pytest.mark.parametrize("value", [1, 0x80000000, 0xDEADBEEF, 0xFFFFFFFF])
+    def test_incoming_value_on_exactly_one_row(self, value):
+        # Two registers, one fold: the value in front, advanced one row.
+        for data in (bytes(ROW), _random_bytes(ROW, seed=value)):
+            buf = np.frombuffer(data, dtype=np.uint8)
+            assert _crc32c_vector(buf, value) == _crc32c_bytewise(data, value)
+
     def test_all_zero_and_all_one_buffers(self):
-        # Zero words leave zero registers: the fold must still advance the
+        # Zero rows leave zero registers: the fold must still advance the
         # incoming value through them.
         for fill in (b"\x00", b"\xff"):
             data = fill * (MIN + 21)
             buf = np.frombuffer(data, dtype=np.uint8)
             for value in (0, 1, 0xFFFFFFFF):
                 assert _crc32c_numpy(buf, value) == _crc32c_bytewise(data, value)
+
+    def test_three_mebibytes_of_zeros(self):
+        data = bytes(3 << 20)
+        buf = np.frombuffer(data, dtype=np.uint8)
+        assert _crc32c_numpy(buf, 7) == _crc32c_bytewise(data, 7)
 
     # Hypothesis draws at most a few KiB of raw bytes per example, so the
     # large cases come from a drawn (length, seed) pair and the small ones
@@ -181,6 +198,28 @@ class TestVectorEquivalence:
         expected = _crc32c_bytewise(data, value)
         assert _crc32c_numpy(whole, value) == expected
         assert _crc32c_numpy(b, _crc32c_numpy(a, value)) == expected
+
+    # Each half is some rows plus an offset, so it lands under _VECTOR_MIN
+    # (scalar loop only), on one gather step or on several, and the split
+    # is never on a row boundary: the second half's rows straddle the
+    # first's.
+    @given(
+        rows_a=st.integers(0, 3 * STEP_ROWS),
+        tail_a=st.integers(1, ROW - 1),
+        rows_b=st.integers(0, 3 * STEP_ROWS),
+        tail_b=st.integers(0, ROW - 1),
+        seed=st.integers(0, 2**32 - 1),
+        value=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_unaligned_split_chains_whichever_path_each_half_takes(
+        self, rows_a, tail_a, rows_b, tail_b, seed, value
+    ):
+        split = rows_a * ROW + tail_a
+        data = _random_bytes(split + rows_b * ROW + tail_b, seed)
+        a = np.frombuffer(data[:split], dtype=np.uint8)
+        b = np.frombuffer(data[split:], dtype=np.uint8)
+        assert _crc32c_numpy(b, _crc32c_numpy(a, value)) == _crc32c_bytewise(data, value)
 
     @given(
         data=st.binary(max_size=2 * MIN),
@@ -238,8 +277,9 @@ class TestTables:
     def test_cold_start_under_64_threads(self, monkeypatch):
         """Every thread races through the lazy table build and must still
         get the right answer (build-then-publish, no half-built table)."""
-        monkeypatch.setattr(checksum, "_SHIFTS", None)
-        monkeypatch.setattr(checksum, "_SLICING", None)
+        lazy = ("_TABLES", "_SLICING")  # every lazily built table
+        for name in lazy:
+            monkeypatch.setattr(checksum, name, None)
         data = _random_bytes(3 * MIN + 77, seed=64)
         buf = np.frombuffer(data, dtype=np.uint8)
         expected = _crc32c_bytewise(data, 7)
@@ -262,6 +302,7 @@ class TestTables:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert results == [expected] * 64
+        assert all(getattr(checksum, name) is not None for name in lazy)
 
     def test_tables_stay_bounded_over_a_thousand_lengths(self):
         data = _random_bytes(70_000, seed=1000)
@@ -269,6 +310,8 @@ class TestTables:
         for length in range(69_000, 70_000):
             _crc32c_numpy(buf[:length], 0)
         _crc32c_numpy(np.zeros(3 << 20, dtype=np.uint8), 0)
-        shifts = checksum._shift_tables()
+        position, shifts = checksum._tables()
         assert len(shifts) <= 32
-        assert sum(s.nbytes for s in shifts) < 1 << 20
+        assert position.nbytes + sum(s.nbytes for s in shifts) < 1 << 20
+        # The leaf's table is what every gather step reads: L1-sized.
+        assert position.nbytes == ROW << 10 <= 32 << 10

@@ -27,8 +27,9 @@ from repro.faults import (
 )
 from repro.hdss import HDSSConfig, HighDensityStorageServer
 from repro.journal import RepairJournal, WALReader, WALRecord, WALWriter
-from repro.journal.journal import journal_exists, load_state
+from repro.journal.journal import JOURNAL_BYTES, journal_exists, load_state
 from repro.journal.wal import list_segments
+from repro.obs import MetricsRegistry, use_registry
 
 CHUNK = 2048
 #: Seconds one fault-free chunk read takes on the default 180 MB/s profile.
@@ -333,6 +334,25 @@ class TestCrashResume:
         assert stats.chunks_read < base.data_path.chunks_read
         assert stats.chunks_read == base.data_path.chunks_read - \
             6 * stats.resumed_stripes
+
+    def test_bytes_counter_is_what_the_segments_hold(self, tmp_path):
+        """`hdpsr_journal_bytes_total` counts whole frames (prefix, JSON
+        header and blobs), so blob-less begin/complete records count too:
+        with nothing pruned it is the size of the journal on disk."""
+        server = make_server()
+        server.fail_disk(0)
+        journal = RepairJournal(tmp_path / "journal")
+        with use_registry(MetricsRegistry()) as registry:
+            result = recover_disk(server, FullStripeRepair(), 0, journal=journal)
+        assert result.certified
+        counted = registry.get(JOURNAL_BYTES).value
+        on_disk = sum(p.stat().st_size for p in list_segments(tmp_path / "journal"))
+        assert counted == on_disk == journal._writer.bytes_written
+        payload = sum(
+            len(blob) for record in WALReader(tmp_path / "journal")
+            for blob in record.blobs.values()
+        )
+        assert 0 < payload < counted
 
     def test_resume_of_complete_journal_reads_nothing(self, tmp_path):
         server = make_server()

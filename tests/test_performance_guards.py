@@ -82,17 +82,19 @@ class TestCodecThroughput:
 
 class TestChecksumThroughput:
     def test_crc32c_bulk_path_beats_scalar_loop(self):
-        """On a 64 KiB chunk the NumPy kernel must be >= 2x the scalar
-        sliced loop timed beside it (measured: 2.9-3.1x, both sides
-        interpreter-bound, so the ratio barely moves with load). A silent
-        fall back to the interpreter loop fails here, not only in the e2e
-        benchmark."""
+        """The NumPy kernel must be >= 5x the scalar sliced loop timed
+        beside it on a 64 KiB chunk and >= 4x on a 16 KiB one (measured:
+        15-16x and 9-10x; the 4-byte-word leaf it replaced read 3x, so a
+        silent fall back to that, or to the interpreter loop, fails here
+        and not only in the e2e benchmark). Same-test ratios: a loaded box
+        moves both sides."""
         rng = np.random.default_rng(2)
-        buf = rng.integers(0, 256, size=64 * 1024, dtype=np.uint8)
-        assert _crc32c_numpy(buf, 0) == _crc32c_sliced(buf)  # also warms the tables
-        scalar = best_of(3, _crc32c_sliced, buf)
-        bulk = best_of(3, _crc32c_numpy, buf, 0)
-        assert bulk * 2.0 <= scalar
+        for size, ratio in ((64 * 1024, 5.0), (16 * 1024, 4.0)):
+            buf = rng.integers(0, 256, size=size, dtype=np.uint8)
+            assert _crc32c_numpy(buf, 0) == _crc32c_sliced(buf)  # also warms the tables
+            scalar = best_of(3, _crc32c_sliced, buf)
+            bulk = best_of(3, _crc32c_numpy, buf, 0)
+            assert bulk * ratio <= scalar, (size, scalar / bulk)
 
 
 class TestSimulatorScaling:
