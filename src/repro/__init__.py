@@ -30,7 +30,6 @@ from repro.ec import ChunkId, LRCCode, PartialDecoder, RSCode, Stripe, StripeLay
 from repro.hdss import (
     ActiveProber,
     BimodalSlowProfile,
-    ChunkMemory,
     Disk,
     DiskState,
     FileChunkStore,
@@ -58,6 +57,7 @@ from repro.core import (
     RepairContext,
     RepairOutcome,
     RepairPlan,
+    SlotLedger,
     StripePlan,
     cooperative_multi_disk_repair,
     execute_plan,
@@ -132,7 +132,6 @@ __all__ = [
     "NormalProfile",
     "LognormalProfile",
     "BimodalSlowProfile",
-    "ChunkMemory",
     "InMemoryChunkStore",
     "FileChunkStore",
     "HDSSConfig",
@@ -157,6 +156,7 @@ __all__ = [
     "naive_multi_disk_repair",
     "cooperative_multi_disk_repair",
     "DataPathExecutor",
+    "SlotLedger",
     "recover_disk",
     "pa_for_pr",
     "pr_for_pa",

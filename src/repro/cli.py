@@ -25,6 +25,7 @@ import sys
 from typing import List, Optional
 
 from repro.commands import chaos, clients, paper, serve, trace
+from repro.errors import ConfigurationError
 from repro.version import __version__
 
 
@@ -59,7 +60,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     if not getattr(args, "func", None):
         parser.print_help()
         return 2
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ConfigurationError as exc:
+        print(f"hdpsr: error: {exc}", file=sys.stderr)  # e.g. --memory 3 at k=6
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -21,6 +21,8 @@ Contents map directly onto §4 of the paper:
   the one ``plan_repair`` (the only caller of ``build_plan``), the
   fingerprint guard, journal replay, spare placement and the job's
   closing tally, under every caller below and :mod:`repro.service`;
+* :mod:`repro.core.slot_ledger` — the ``c``-slot repair memory, counted
+  once, under the executor below, :mod:`repro.io` and :mod:`repro.service`;
 * :mod:`repro.core.executor` — the byte-exact data path (chunks through
   the c-chunk memory, partial decoding, spare-disk write-back);
 * :mod:`repro.core.analysis` — ACWT / TR analytics behind Figures 3-4.
@@ -45,6 +47,7 @@ from repro.core.multi_disk import (
     cooperative_multi_disk_repair,
     naive_multi_disk_repair,
 )
+from repro.core.slot_ledger import SlotLedger
 from repro.core.repair_job import DataPathStats
 from repro.core.executor import DataPathExecutor, ReadPolicy
 from repro.core.recovery import RecoveryResult, recover_disk, recover_disks
@@ -90,6 +93,7 @@ __all__ = [
     "cooperative_multi_disk_repair",
     "DataPathExecutor",
     "DataPathStats",
+    "SlotLedger",
     "ReadPolicy",
     "RecoveryResult",
     "recover_disk",

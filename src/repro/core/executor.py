@@ -1,18 +1,17 @@
 """The byte-exact repair data path.
 
 Timing studies use simulated clocks; this module moves the *actual bytes*:
-surviving chunks flow from the chunk store through the bounded
-:class:`~repro.hdss.memory.ChunkMemory` into a
+surviving chunks flow from the chunk store, under the server's
+:class:`~repro.core.slot_ledger.SlotLedger`, into a
 :class:`~repro.ec.partial.PartialDecoder`, and rebuilt chunks are written
-back to spare disks. The memory enforces the capacity ``c`` — a plan whose
+back to spare disks. The ledger enforces the capacity ``c`` — a plan whose
 rounds over-commit memory fails loudly here, which is how the test suite
 proves every algorithm's plans respect the paper's constraint.
 
 Stripes are processed in the plan's admission order. Concurrency is a
-timing concern (handled by :mod:`repro.sim`); the data path is sequential
-but holds, for each stripe, exactly the peak memory its plan declares
-(round chunks + accumulators), so ``memory.peak_occupancy`` reflects one
-stripe's true footprint.
+timing concern (handled by :mod:`repro.sim`); the data path is sequential,
+so each round finds the memory empty and ``memory.peak`` is the widest
+round read — one stripe's in-flight transfer buffers.
 
 Fault hardening
 ---------------
@@ -222,7 +221,7 @@ class DataPathExecutor:
             there instead of raising.
 
         Raises:
-            MemoryCapacityError: a round + accumulators exceeded ``c``.
+            MemoryCapacityError: a round exceeded ``c``.
             StorageError / ChunkNotFoundError: survivors are unreadable and
                 no fault handling is configured.
         """
@@ -247,7 +246,7 @@ class DataPathExecutor:
         """
         server = self.server
         memory = server.memory
-        if memory.occupancy:
+        if memory.in_use:
             raise StorageError(f"repair memory is not empty: {memory!r}")
         if job.state is not None:
             # Restart where the crashed incarnation stopped; the first
@@ -279,7 +278,7 @@ class DataPathExecutor:
                     job, sp, stripe, global_index, shards, targets, tracer,
                     restored=journaled if how == RESTORE else None,
                 )
-        job.stats.peak_memory_chunks = memory.peak_occupancy
+        job.stats.peak_memory_chunks = memory.peak
 
     # ----------------------------------------------------------- stripe loop
     def _repair_stripe(
@@ -305,54 +304,38 @@ class DataPathExecutor:
         stats = job.stats
         if restored is not None:
             repair = StripeRepair.restore(server.code, restored, sp)
-            seen: Set[int] = set(repair.decoder.fed)
-            multi_round = not repair.decoder.complete
         else:
             repair = StripeRepair.fresh(
                 server.code, shards, targets, sp, server.config.chunk_size
             )
-            seen = set()
-            multi_round = sp.num_rounds > 1
-        acc_held: List[tuple] = []
-
-        def hold_accumulators() -> None:
-            # Accumulators stay resident for the rest of the stripe's repair.
-            if not acc_held:
-                acc_held.extend(("acc", global_index, t) for t in targets)
-                for handle in acc_held:
-                    memory.admit(handle)
+        seen: Set[int] = set(repair.decoder.fed)
 
         def read(shard_idx: int, forced: bool = False) -> np.ndarray:
             return self._read_survivor(
                 stripe, global_index, shard_idx, job, seen, forced=forced
             )
 
-        if multi_round:
-            hold_accumulators()
         round_index = repair.decoder.rounds_fed
         while rnd := repair.next_round():
             fed: Dict[int, np.ndarray] = {}
-            handles: List[tuple] = []
             fault: Optional[ShardFault] = None
-            with tracer.span("round", f"stripe {global_index} round {round_index}",
-                             track="datapath", chunks=len(rnd)):
-                with tracer.span("read", "fetch survivors", track="datapath"):
-                    for shard_idx in rnd:
-                        try:
-                            data = read(shard_idx)
-                        except ShardFault as exc:
-                            fault = exc
-                            break
-                        handle = ("xfer", global_index, shard_idx)
-                        fed[shard_idx] = memory.admit(handle, data)
-                        handles.append(handle)
-                # Salvage everything this round read successfully — fold it
-                # into the accumulators before the handles go away.
-                if fed:
-                    with tracer.span("decode", "partial decode", track="datapath"):
-                        repair.feed(fed)
-                for handle in handles:
-                    memory.release(handle)
+            memory.acquire(len(rnd))
+            try:
+                with tracer.span("round", f"stripe {global_index} round {round_index}",
+                                 track="datapath", chunks=len(rnd)):
+                    with tracer.span("read", "fetch survivors", track="datapath"):
+                        for shard_idx in rnd:
+                            try:
+                                fed[shard_idx] = read(shard_idx)
+                            except ShardFault as exc:
+                                fault = exc
+                                break
+                    # Salvage everything this round read successfully.
+                    if fed:
+                        with tracer.span("decode", "partial decode", track="datapath"):
+                            repair.feed(fed)
+            finally:
+                memory.release(len(rnd))
             if fed and self.journal is not None and repair.checkpoint_due:
                 self.journal.round_commit(
                     global_index, self.clock, repair.decoder.to_state(),
@@ -363,10 +346,6 @@ class DataPathExecutor:
             while fault is not None:
                 if stats.loss is None:
                     raise fault.cause  # plain path: surface the real error
-                # Mid-round fault: make sure decoder state can survive
-                # further rounds before re-planning the remaining reads.
-                if not repair.decoder.complete:
-                    hold_accumulators()
                 shard = fault.shard
                 with tracer.span("replan", f"stripe {global_index} replan",
                                  track="datapath", bad_shard=shard):
@@ -377,20 +356,17 @@ class DataPathExecutor:
                                        readable=len(readable), needed=server.code.k)
                 fault = None
                 if verdict == FORCE:
+                    memory.acquire(1)
                     try:
-                        data = read(shard, forced=True)
+                        repair.feed({shard: read(shard, forced=True)})
                     except ShardFault as exc:
                         fault = exc  # died while waiting; handle as dead
-                    else:
-                        handle = ("xfer", global_index, shard)
-                        repair.feed({shard: memory.admit(handle, data)})
-                        memory.release(handle)
+                    finally:
+                        memory.release(1)
 
         repair.fold_into(stats)
         written: List[Tuple[int, int, np.ndarray]] = []
         if repair.outcome != LOST:
-            # Single-round plans decode in place: the accumulator result
-            # is materialised only after the round's slots are released.
             results = repair.decoder.results()
             with tracer.span("writeback", f"stripe {global_index} writeback",
                              track="datapath", targets=len(targets)):
@@ -398,8 +374,6 @@ class DataPathExecutor:
                     cid = ChunkId(global_index, target)
                     server.store.put(spare, cid, results[target])
                     written.append((target, spare, results[target]))
-        for handle in acc_held:
-            memory.release(handle)
         job.record(global_index, repair.outcome, written)
         if self.journal is not None:
             self.journal.stripe_done(global_index, repair.outcome, self.clock, written)

@@ -7,10 +7,11 @@ rebuilt chunks on spares and close the books. Like the stripe machine it is
 sans-I/O: it imports no event loop, thread, clock, store or journal writer,
 and reads no clock. Drivers *perform* what it says and keep only how they do
 I/O — the sequential :class:`~repro.core.executor.DataPathExecutor` under
-:func:`~repro.core.recovery.recover_disk` (serial clock, ``ChunkMemory``,
-``store.put`` + ``verify_chunk``) and the asyncio
+:func:`~repro.core.recovery.recover_disk` (serial clock, ``store.put`` +
+``verify_chunk``) and the asyncio
 :class:`~repro.service.service.RepairService` (gate, fence, piggyback
-futures, batched shard writer); the timing-plane callers
+futures, batched shard writer), both under the server's one
+:class:`~repro.core.slot_ledger.SlotLedger`; the timing-plane callers
 (:func:`~repro.core.scheduler.repair_single_disk`, the multi-disk phases,
 :func:`~repro.reliability.mttdl.estimate_repair_seconds`) use the planning
 half only.

@@ -8,7 +8,6 @@ Simulates the paper's testbed — a single server packing dozens of disks
 * :mod:`repro.hdss.profiles` — disk/chunk speed distributions, including
   the paper's slow-fraction ("ROS") heterogeneity;
 * :mod:`repro.hdss.store` — chunk data stores (in-memory and file-backed);
-* :mod:`repro.hdss.memory` — the c-chunk repair memory;
 * :mod:`repro.hdss.placement` — stripe placement and per-disk stripe sets;
 * :mod:`repro.hdss.server` — the assembled server: encode volumes, fail
   disks, derive the ``L_{s×k}`` transfer-time matrices repairs consume;
@@ -30,7 +29,6 @@ from repro.hdss.store import (
     InMemoryChunkStore,
     ShardedChunkStore,
 )
-from repro.hdss.memory import ChunkMemory
 from repro.hdss.placement import random_placement, rotating_placement
 from repro.hdss.server import HDSSConfig, HighDensityStorageServer
 from repro.hdss.prober import ActiveProber, PassiveMonitor
@@ -47,7 +45,6 @@ __all__ = [
     "InMemoryChunkStore",
     "FileChunkStore",
     "ShardedChunkStore",
-    "ChunkMemory",
     "rotating_placement",
     "random_placement",
     "HDSSConfig",

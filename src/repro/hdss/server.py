@@ -29,7 +29,6 @@ from repro.errors import (
     StorageError,
 )
 from repro.hdss.disk import Disk
-from repro.hdss.memory import ChunkMemory
 from repro.hdss.placement import random_placement, rotating_placement
 from repro.hdss.profiles import SpeedProfile, UniformProfile, build_disks
 from repro.hdss.store import ChunkStore, InMemoryChunkStore
@@ -165,7 +164,9 @@ class HighDensityStorageServer:
         )
         self.layout = StripeLayout()
         self.store: ChunkStore = store if store is not None else InMemoryChunkStore()
-        self.memory = ChunkMemory(config.memory_chunks, config.chunk_size)
+        # Imported here: repro.core's package import needs this module.
+        from repro.core.slot_ledger import SlotLedger
+        self.memory = SlotLedger(config.memory_chunks)
         self._rng = make_rng(derive_seed(config.seed, "server"))
         self._data_bearing = False
         #: Original sizes of provisioned volumes (for byte-exact join checks).

@@ -9,9 +9,9 @@ Python analogue of the paper's Go prototype:
   HDD behaves under sequential repair reads; heterogeneous/slow disks are
   just different rates;
 * :mod:`repro.io.wallclock` — :class:`WallClockRepairExecutor` runs a
-  repair plan with real threads: stripes repair concurrently under a
-  chunk-slot memory allocator, each round's chunks are fetched in parallel
-  worker threads, and partial sums fold through
+  repair plan with real threads: stripes repair concurrently under the
+  ``c``-slot ledger (:mod:`repro.core.slot_ledger`), each round's chunks
+  are fetched in parallel worker threads, and partial sums fold through
   :class:`~repro.ec.partial.PartialDecoder`. Elapsed wall time is the
   measurement.
 

@@ -1,8 +1,9 @@
 """Threaded wall-clock execution of repair plans.
 
 :class:`WallClockRepairExecutor` is the real-time sibling of the simulated
-executors: stripes repair concurrently on worker threads, a chunk-slot
-allocator enforces the ``c``-chunk memory, each round fetches its chunks
+executors: stripes repair concurrently on worker threads, a
+:class:`~repro.core.slot_ledger.SlotLedger` enforces the ``c``-chunk memory
+(rounds block for their slots), each round fetches its chunks
 in parallel from :class:`~repro.io.pacing.PacedDisk` instances, and
 partial sums fold through the incremental decoder. The returned statistic
 is *measured elapsed wall time* — real parallelism, not a model.
@@ -16,52 +17,16 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Sequence
 
-
 from repro.core.plans import RepairPlan
+from repro.core.slot_ledger import SlotLedger
 from repro.ec.encoder import RSCode
 from repro.ec.partial import PartialDecoder
 from repro.ec.stripe import ChunkId, StripeLayout
-from repro.errors import ConfigurationError, StorageError
+from repro.errors import StorageError
 from repro.hdss.store import ChunkStore
 from repro.io.pacing import PacedDiskArray
 from repro.obs.context import current_registry, current_tracer
 from repro.obs.tracer import NULL_TRACER, Tracer
-
-
-class _SlotAllocator:
-    """Counting allocator with all-or-nothing acquisition.
-
-    ``acquire(n)`` blocks until n slots are free, then takes them all —
-    round-level granularity, matching the simulated slot model. A global
-    condition variable keeps it simple; fairness is best-effort, which is
-    adequate because the stripe-level admission cap bounds waiters.
-    """
-
-    def __init__(self, capacity: int) -> None:
-        if capacity <= 0:
-            raise ConfigurationError(f"capacity must be positive, got {capacity}")
-        self.capacity = capacity
-        self._free = capacity
-        self._cond = threading.Condition()
-        self.peak_in_use = 0
-
-    def acquire(self, count: int) -> None:
-        if count > self.capacity:
-            raise ConfigurationError(
-                f"request for {count} slots exceeds capacity {self.capacity}"
-            )
-        with self._cond:
-            while self._free < count:
-                self._cond.wait()
-            self._free -= count
-            self.peak_in_use = max(self.peak_in_use, self.capacity - self._free)
-
-    def release(self, count: int) -> None:
-        with self._cond:
-            self._free += count
-            if self._free > self.capacity:
-                raise StorageError("slot allocator over-released")
-            self._cond.notify_all()
 
 
 @dataclass
@@ -104,8 +69,22 @@ class WallClockRepairExecutor:
         self.layout = layout
         self.store = store
         self.disks = disks
-        self.memory = _SlotAllocator(memory_chunks)
+        self.memory = SlotLedger(memory_chunks)
+        self._freed = threading.Condition()  # guards memory; notified on release
         self.max_concurrent_stripes = max_concurrent_stripes
+
+    def _acquire(self, count: int) -> None:
+        """Take ``count`` slots, retrying (first-fit) on every release."""
+        with self._freed:
+            if not self.memory.try_acquire(count):
+                with self.memory.parked():
+                    while not self.memory.try_acquire(count):
+                        self._freed.wait()
+
+    def _release(self, count: int) -> None:
+        with self._freed:
+            self.memory.release(count)
+            self._freed.notify_all()
 
     def _repair_stripe(
         self,
@@ -140,7 +119,7 @@ class WallClockRepairExecutor:
             for round_index, rnd in enumerate(sp.rounds):
                 with tracer.span("wait", "memory-acquire", track=track,
                                  slots=len(rnd)):
-                    self.memory.acquire(len(rnd))
+                    self._acquire(len(rnd))
                 try:
                     with tracer.span("round", f"stripe {global_index} round {round_index}",
                                      track=track, chunks=len(rnd)):
@@ -151,7 +130,7 @@ class WallClockRepairExecutor:
                         stats.chunks_read += len(results)
                         stats.bytes_read += sum(int(d.size) for _, d in results)
                 finally:
-                    self.memory.release(len(rnd))
+                    self._release(len(rnd))
             rebuilt = decoder.results()
         with stats_lock:
             for target, buf in rebuilt.items():
@@ -206,7 +185,7 @@ class WallClockRepairExecutor:
                 for future in futures:
                     future.result()  # re-raise worker failures
         stats.elapsed_seconds = time.perf_counter() - start
-        stats.peak_memory_chunks = self.memory.peak_in_use
+        stats.peak_memory_chunks = self.memory.peak
         registry = current_registry()
         registry.counter(
             "hdpsr_wallclock_repairs_total", "Wall-clock repair executions"

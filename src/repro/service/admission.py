@@ -26,6 +26,9 @@ standing queue from a transient burst. Reads carrying a
 :class:`~repro.service.overload.Deadline` stop waiting the moment their
 budget expires — a doomed request must not ride out the queue just to
 occupy a slot its client already gave up on.
+
+:class:`SlotWaiter` is the second admission rule, over chunks not spindles:
+how a round waits on the :class:`~repro.core.slot_ledger.SlotLedger`.
 """
 
 from __future__ import annotations
@@ -33,8 +36,9 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import time
-from typing import TYPE_CHECKING, AsyncIterator, Dict, Optional
+from typing import TYPE_CHECKING, AsyncIterator, Dict, List, Optional
 
+from repro.core.slot_ledger import SlotLedger
 from repro.errors import ConfigurationError, DeadlineExceededError
 from repro.obs.context import current_registry, current_tracer
 
@@ -176,3 +180,32 @@ class DiskGate:
         finally:
             self._inflight[disk_id] -= 1
             sem.release()
+
+
+class SlotWaiter:
+    """The event loop's way to wait on the repair memory: a refused round
+    parks until the next release, which wakes every parked round to retry —
+    first-fit, so a wide FSR round does not bar a narrow HD-PSR one.
+    :meth:`release` never awaits: it runs in ``finally`` blocks under
+    cancellation and ``SimulatedCrash``."""
+
+    def __init__(self, ledger: SlotLedger) -> None:
+        self.ledger = ledger
+        #: One future per parked round, resolved by the next release.
+        self._parked: List["asyncio.Future[None]"] = []
+
+    async def acquire(self, count: int) -> None:
+        if not self.ledger.try_acquire(count):
+            with self.ledger.parked():
+                # No await between a refusal and the parking: no release unseen.
+                while not self.ledger.try_acquire(count):
+                    woken = asyncio.get_running_loop().create_future()
+                    self._parked.append(woken)
+                    await woken
+
+    def release(self, count: int) -> None:
+        self.ledger.release(count)
+        parked, self._parked = self._parked, []
+        for woken in parked:
+            if not woken.done():  # a cancelled round is simply skipped
+                woken.set_result(None)

@@ -321,9 +321,9 @@ class ChaosScenario(rig.Episode):
         daemon_a: ServiceDaemon,
         daemon_b: ServiceDaemon,
     ) -> None:
-        """The five promises: identical bytes, parity-clean repaired
-        stripes, no double writes, valid sidecars, and a fenced stale
-        owner."""
+        """The six promises: identical bytes, parity-clean repaired
+        stripes, no double writes, repair memory given back, valid
+        sidecars, and a fenced stale owner."""
         disk = self.config.failed_disk
         report["byte_identical"] = self.check(
             await rig.check_byte_identical(server_b.read_object, originals)
@@ -336,6 +336,7 @@ class ChaosScenario(rig.Episode):
             for d, cid in shared.duplicates()
         ]
         self.check(rig.check_no_duplicate_writes(shared))
+        self.check_memory(report, daemon_a.service, daemon_b.service)
         rebuilt = sorted(shared.write_counts)
         if self.check(rig.check_sidecars_verify(shared, rebuilt)):
             report["verified_chunks"] = len(rebuilt)

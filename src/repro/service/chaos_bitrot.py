@@ -269,6 +269,7 @@ class BitrotChaosScenario(rig.Episode):
         # The victims sit on stripes the repair never touches, so the
         # repaired ones must be parity-clean with or without the scrub plane.
         report["parity_clean"] = self.check(rig.check_parity_clean(server, repaired))
+        self.check_memory(report, service)
 
         if scrubber is not None:
             await scrubber.stop()

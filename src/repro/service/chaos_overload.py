@@ -232,6 +232,7 @@ class OverloadChaosScenario(rig.Episode):
             await rig.check_byte_identical(server.read_object, originals)
         )
         report["parity_clean"] = self.check(rig.check_parity_clean(server, repaired))
+        self.check_memory(report, service)
 
         if c.control:
             await self._assert_treatment(report, service)

@@ -10,9 +10,9 @@ in common lives here, once, and nothing scenario-specific does:
   and scrub benches included);
 * :class:`Episode` — the failure ledger, the hard deadline, and the steps
   every scenario takes (``await_until``, ``start_repair``,
-  ``wait_certified``, ``finish``). The repair steps go through a plain
-  ``call(op, **fields)``, so the TCP episode and the in-process ones
-  (:func:`in_process`) run the same code;
+  ``wait_certified``, ``check_memory``, ``finish``). The repair steps go
+  through a plain ``call(op, **fields)``, so the TCP episode and the
+  in-process ones (:func:`in_process`) run the same code;
 * the invariants, each a ``check_*`` function returning a failure string
   or ``None`` — written once, so they can be checked across many seeds;
 * the store decorators the scenarios measure with, :class:`CountingStore`
@@ -269,6 +269,15 @@ def check_parity_clean(
     return None
 
 
+def check_memory_released(service: RepairService) -> Optional[str]:
+    """Every chunk slot went back, however its round ended (fed, crashed,
+    fence lost, cancelled), and the memory never held more than ``c``."""
+    memory = service.server.memory
+    if memory.in_use or memory.peak > memory.capacity:
+        return f"repair memory leaked or overran: {memory!r}"
+    return None
+
+
 # ------------------------------------------------------------------ the episode
 class Episode:
     """What every scenario carries: its config, a failure ledger, and one
@@ -341,6 +350,17 @@ class Episode:
             return {}
         self.check(check_repair_certified(reply, what))
         return {k: v for k, v in reply.items() if k not in ("ok", "trace_id")}
+
+    def check_memory(self, report: dict, *services: RepairService) -> None:
+        """:func:`check_memory_released` on each; ``report["memory"]``."""
+        for service in services:
+            self.check(check_memory_released(service))
+        ledgers = [service.server.memory for service in services]
+        report["memory"] = {
+            "peak": max(m.peak for m in ledgers),
+            "capacity": ledgers[0].capacity,
+            "leaked": sum(m.in_use for m in ledgers),
+        }
 
     def finish(self, report: dict) -> dict:
         """The report epilogue: failures, ``passed``, and the one

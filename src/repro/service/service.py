@@ -6,7 +6,9 @@
 
 * ``submit_repair(disk)`` plans that disk's repair with the configured
   HD-PSR scheme and runs each stripe's partial decode as an asyncio task —
-  reads fan out concurrently per round, gated by per-disk semaphores
+  a round first takes ``len(round)`` of the server's ``c`` chunk slots
+  (:class:`~repro.service.admission.SlotWaiter` over ``server.memory``),
+  then its reads fan out concurrently, gated by per-disk semaphores
   (:class:`~repro.service.admission.DiskGate`) so no spindle is swamped,
   and rebuilt chunks stream through the batched
   :class:`~repro.service.sharding.AsyncShardWriter`.
@@ -79,7 +81,7 @@ from repro.faults.spec import FaultSchedule
 from repro.hdss.server import HighDensityStorageServer, ScrubReport
 from repro.journal.journal import RepairJournal, load_state
 from repro.obs.context import current_registry, current_tracer
-from repro.service.admission import DiskGate
+from repro.service.admission import DiskGate, SlotWaiter
 from repro.service.overload import (
     CLASS_DEGRADED,
     CLASS_READ,
@@ -112,10 +114,10 @@ class ServiceConfig:
     """Tuning knobs of one :class:`RepairService`.
 
     Attributes:
-        max_concurrent_stripes: stripes one repair job decodes at once;
-            this (times round width + targets) bounds the service's
-            decode-buffer footprint, taking over the role the repair
-            memory's admission cap plays on the sequential path.
+        max_concurrent_stripes: stripes one repair job decodes at once —
+            the looser of two caps: survivor chunks in flight are bounded
+            by the server's ``c``-slot memory, this bounds the ``t``
+            accumulators per stripe on top of it.
         per_disk_reads: concurrent reads allowed per disk (gate width).
         queue_depth: per-shard write-queue bound (backpressure).
         batch_size: chunks coalesced into one ``put_many``.
@@ -292,6 +294,7 @@ class RepairService:
             else None
         )
         self.gate.controller = self.overload
+        self.memory = SlotWaiter(server.memory)  # every job's rounds wait here
         self.writer = AsyncShardWriter(
             server.store,
             queue_depth=self.config.queue_depth,
@@ -742,41 +745,45 @@ class RepairService:
 
         stripe_clock = self.modeled_now
         while rnd := repair.next_round():
-            # The whole round is in flight at once; the first fault is the
-            # one handled (a second faulted shard is re-read, and re-faults,
-            # on the re-planned rounds).
-            reads = await asyncio.gather(
-                *(
-                    self._read_survivor(job, stripe, si, s, stripe_clock)
-                    for s in rnd
-                ),
-                return_exceptions=True,
-            )
             fed: Dict[int, np.ndarray] = {}
             fault: Optional[ShardFault] = None
-            for shard_idx, res in zip(rnd, reads):
-                if isinstance(res, ShardFault):
-                    fault = fault or res
-                elif isinstance(res, BaseException):
-                    raise res
-                else:
-                    data, end = res
-                    fed[shard_idx] = data
-                    job.count_read(seen, shard_idx, data.size)
-                    stripe_clock = max(stripe_clock, end)
-            if fed:
-                with current_tracer().span(
-                    "decode", f"stripe-{si}/feed", track="service",
-                    stripe=si, chunks=len(fed),
-                ):
-                    await asyncio.to_thread(repair.feed, fed)
-                if job.journal is not None and repair.checkpoint_due:
-                    self._check_fence(job.disk)
-                    await asyncio.to_thread(
-                        job.journal.round_commit,
-                        si, self.modeled_now, repair.decoder.to_state(),
-                        repair.outcome,
-                    )
+            await self.memory.acquire(len(rnd))
+            try:
+                # The whole round is in flight at once; the first fault is
+                # the one handled (a second faulted shard is re-read, and
+                # re-faults, on the re-planned rounds).
+                reads = await asyncio.gather(
+                    *(
+                        self._read_survivor(job, stripe, si, s, stripe_clock)
+                        for s in rnd
+                    ),
+                    return_exceptions=True,
+                )
+                for shard_idx, res in zip(rnd, reads):
+                    if isinstance(res, ShardFault):
+                        fault = fault or res
+                    elif isinstance(res, BaseException):
+                        raise res
+                    else:
+                        data, end = res
+                        fed[shard_idx] = data
+                        job.count_read(seen, shard_idx, data.size)
+                        stripe_clock = max(stripe_clock, end)
+                if fed:
+                    with current_tracer().span(
+                        "decode", f"stripe-{si}/feed", track="service",
+                        stripe=si, chunks=len(fed),
+                    ):
+                        await asyncio.to_thread(repair.feed, fed)
+            finally:
+                self.memory.release(len(rnd))
+            if fed and job.journal is not None and repair.checkpoint_due:
+                self._check_fence(job.disk)
+                await asyncio.to_thread(
+                    job.journal.round_commit,
+                    si, self.modeled_now, repair.decoder.to_state(),
+                    repair.outcome,
+                )
 
             while fault is not None:
                 shard = fault.shard
@@ -787,16 +794,18 @@ class RepairService:
                 fault = None
                 if verdict == FORCE:
                     # No alternative survivor: force the slow read through.
+                    await self.memory.acquire(1)
                     try:
                         data, end = await self._read_survivor(
                             job, stripe, si, shard, stripe_clock, forced=True
                         )
-                    except ShardFault as exc:
-                        fault = exc  # died while waiting; handle as dead
-                    else:
                         job.count_read(seen, shard, data.size)
                         stripe_clock = max(stripe_clock, end)
                         await asyncio.to_thread(repair.feed, {shard: data})
+                    except ShardFault as exc:
+                        fault = exc  # died while waiting; handle as dead
+                    finally:
+                        self.memory.release(1)
 
         repair.fold_into(job.stats)
         outcome = repair.outcome

@@ -2,7 +2,7 @@
 
 **How the daemon describes itself.** Every plane has exactly one
 side-effect-free "what is your state now" method returning a JSON-safe dict
-(``RepairService.snapshot``, ``DiskGate.depths``,
+(``RepairService.snapshot``, ``SlotLedger.snapshot``, ``DiskGate.depths``,
 ``AsyncShardWriter.snapshot``, ``OverloadController.snapshot``,
 ``Scrubber.status``, ``ClusterNode.status``, ``EventLoopMonitor.snapshot``).
 :func:`stats_snapshot` asks each of them once, and everything a scraper
@@ -79,6 +79,10 @@ GAUGES = (
      lambda s: (((j["disk"], j["job_id"]), j["stripes_done"]) for j in s["jobs"])),
     ("hdpsr_service_inflight_stripes", "stripe decodes in flight across all jobs",
      "repair", (), lambda s: s["inflight_stripes"]),
+    ("hdpsr_service_memory_slots_in_use", "chunk slots held by in-flight rounds",
+     "memory", (), lambda s: s["in_use"]),
+    ("hdpsr_service_memory_waiting", "repair rounds parked for chunk slots",
+     "memory", (), lambda s: s["waiting"]),
     ("hdpsr_service_writer_backlog", "chunks enqueued but not yet persisted",
      "writer", (), lambda s: s["backlog"]),
     ("hdpsr_service_queue_depth", "chunks buffered in a shard's write queue",
@@ -161,6 +165,7 @@ def stats_snapshot(
     store = service.server.store
     sections = {
         "repair": service.snapshot(),
+        "memory": service.server.memory.snapshot(),
         "writer": service.writer.snapshot(),
         "gates": {str(d): v for d, v in service.gate.depths().items()},
         "foreground": _read_percentiles(metrics),

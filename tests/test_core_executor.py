@@ -65,7 +65,7 @@ class TestByteExactRepair:
         server.fail_disk(0)
         stats, _ = run_repair(server, algorithm, 0)
         assert stats.peak_memory_chunks <= server.config.memory_chunks
-        assert server.memory.occupancy == 0  # fully drained
+        assert server.memory.in_use == 0  # fully drained
 
     def test_read_accounting(self, server, algorithm):
         server.fail_disk(0)
@@ -133,7 +133,7 @@ class TestExecutorSemantics:
 
     def test_dirty_memory_rejected(self, server):
         server.fail_disk(0)
-        server.memory.admit("leftover")
+        server.memory.try_acquire(1)
         stripe_indices, survivor_ids, L = server.transfer_time_matrix([0])
         plan = FullStripeRepair().build_plan(L, server.config.memory_chunks)
         with pytest.raises(StorageError):

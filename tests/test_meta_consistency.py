@@ -251,6 +251,54 @@ class TestOneRepairJob:
             assert "per-disk-reads" not in path.read_text(), path
 
 
+LEDGER = SRC / "core" / "slot_ledger.py"
+
+
+class TestOneSlotLedger:
+    """``c`` is counted once where the bytes are real: ``core/slot_ledger.py``
+    under the sync executor, the threaded executor and the daemon."""
+
+    def test_ledger_is_sans_io(self):
+        leaked = io_imports(LEDGER)
+        assert not leaked, f"slot_ledger.py must stay sans-I/O; imports {leaked}"
+        assert not re.search(r"\b(monotonic|perf_counter|sleep)\(", LEDGER.read_text())
+
+    def test_old_copies_are_gone(self):
+        assert not (SRC / "hdss" / "memory.py").exists()
+        for path in src_files():
+            assert not re.search(r"ChunkMemory|_SlotAllocator", path.read_text()), path
+
+    def test_no_other_class_keeps_a_slot_count(self):
+        """``sim/`` is exempt by name: ``sim.engine.SlotResource`` is the
+        modeled reference the paper's figures come from (and the unit tests
+        hold the ledger to it)."""
+        counter = re.compile(
+            r"self\.(_free|_?in_use|occupancy|free_slots|peak\w*)\s*[-+]?=(?!=)"
+        )
+        keeps = {
+            str(path.relative_to(ROOT))
+            for package in ("core", "io", "service", "hdss")
+            for path in (SRC / package).rglob("*.py")
+            if counter.search(path.read_text())
+        }
+        assert keeps == {"src/repro/core/slot_ledger.py"}
+        assert counter.search((SRC / "sim" / "engine.py").read_text())
+
+    def test_the_three_drivers_reach_it_the_same_way(self):
+        assert call_sites(r"\.try_acquire") == {
+            "src/repro/core/slot_ledger.py:acquire",
+            "src/repro/io/wallclock.py:_acquire",
+            "src/repro/service/admission.py:acquire",
+        }
+        released_in_finally = re.compile(
+            r"finally:\n\s+(self\.memory\.|memory\.|self\._)release\("
+        )
+        for path, n in ((SRC / "core" / "executor.py", 2),
+                        (SRC / "io" / "wallclock.py", 1),
+                        (SRC / "service" / "service.py", 2)):
+            assert len(released_in_finally.findall(path.read_text())) == n, path
+
+
 SERVICE = SRC / "service"
 RIG = SERVICE / "chaos_rig.py"
 BENCH_OVERLOAD = BENCHMARKS / "bench_overload.py"

@@ -17,7 +17,8 @@ records must not depend on which driver performs it.
 Every run is also held to the full-stripe parity proof
 (:func:`~repro.service.chaos_rig.check_parity_clean`): what a job certified
 clean from what it had in hand must scrub clean shard by shard, and what it
-called degraded the scrub must call degraded too.
+called degraded the scrub must call degraded too. And every run must give
+the repair memory back (:func:`~repro.service.chaos_rig.check_memory_released`).
 """
 
 import asyncio
@@ -32,7 +33,7 @@ from repro.hdss.server import HDSSConfig, HighDensityStorageServer
 from repro.hdss.store import FaultyChunkStore, InMemoryChunkStore
 from repro.journal.wal import WALReader, WALWriter
 from repro.service import RepairService, ServiceConfig
-from repro.service.chaos_rig import check_parity_clean
+from repro.service.chaos_rig import check_memory_released, check_parity_clean
 
 SEEDS = range(24)
 FAILED = 0
@@ -97,6 +98,7 @@ def run_service(server, policy, algorithm, **config):
         )
         result = await service.submit_repair(FAILED, resume=resume).wait()
         await service.close()
+        assert check_memory_released(service) is None
         return result
 
     return asyncio.run(run())
@@ -106,6 +108,7 @@ def assert_certification_holds(server, result, seed):
     """The in-hand certification against the parity scrub it replaced."""
     failure = check_parity_clean(server, result.scrub.clean)
     assert failure is None, f"seed {seed}: {failure}"
+    assert server.memory.in_use == 0, f"seed {seed}: {server.memory!r}"
     assert not result.scrub.corrupt and not result.scrub.unpopulated
     full = server.scrub(result.scrub.degraded)
     assert full.degraded == result.scrub.degraded, f"seed {seed}: {full}"

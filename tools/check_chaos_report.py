@@ -18,8 +18,16 @@ import json
 import sys
 
 
+def check_memory(report: dict) -> None:
+    """No repair round kept a chunk slot, however it ended, and the repair
+    memory never held more than its ``c``."""
+    memory = report["memory"]
+    assert memory["leaked"] == 0 and memory["peak"] <= memory["capacity"], memory
+
+
 def check_failover(report: dict) -> str:
     assert report["passed"], report["failures"]
+    check_memory(report)
     assert report["byte_identical"] and not report["duplicate_writes"]
     assert report["stale_owner_fenced"], report
     return f"chaos scenario ok: takeover {report['takeover_seconds']} s"
@@ -27,6 +35,7 @@ def check_failover(report: dict) -> str:
 
 def check_overload(report: dict) -> str:
     assert report["passed"], report["failures"]
+    check_memory(report)
     assert report["max_state_level"] >= 1, report["states_seen"]
     assert report["recovered_healthy"], report
     sheds = report["sheds"] + report["deadline_expired"]
@@ -55,6 +64,7 @@ def check_overload_control(report: dict) -> str:
 
 def check_bitrot(report: dict) -> str:
     assert report["passed"], report["failures"]
+    check_memory(report)
     assert report["detected"] == report["read_repaired"] >= 1, report
     assert report["byte_identical"], report
     assert report["foreground_read_clean"], report
