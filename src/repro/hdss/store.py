@@ -42,14 +42,15 @@ Key = Tuple[int, ChunkId]
 CRC_SUFFIX = ".crc32c"
 
 
-def _write_atomic(
+def _write_tmp(
     path: Path, payload: "bytes | memoryview", *, durable: bool = True
-) -> None:
-    """Write ``payload`` to ``path`` via a unique fsync'd tmp + rename.
+) -> Path:
+    """Write ``payload`` to a unique (fsync'd) tmp file beside ``path``.
 
-    The tmp name carries the pid and a random token so two concurrent
-    writers of the same path (hedged read racing a write-back) can never
-    tear each other's tmp file; the loser's rename simply lands second.
+    The caller renames it over ``path``. The tmp name carries the pid and a
+    random token so two concurrent writers of the same path (hedged read
+    racing a write-back) can never tear each other's tmp file; the loser's
+    rename simply lands second.
     """
     tmp = path.parent / f"{path.name}.{os.getpid()}.{uuid.uuid4().hex[:8]}.tmp"
     with open(tmp, "wb") as fh:
@@ -57,7 +58,7 @@ def _write_atomic(
         if durable:
             fh.flush()
             os.fsync(fh.fileno())
-    os.replace(tmp, path)
+    return tmp
 
 
 def _tmp_writer_pid(name: str) -> Optional[int]:
@@ -87,6 +88,13 @@ class ChunkStore(abc.ABC):
     checksum_failures = 0
     swept_tmp_files = 0
     orphan_sidecars = 0
+
+    @property
+    @abc.abstractmethod
+    def persistent(self) -> bool:
+        """Whether a ``put`` that returned is still there after this process
+        dies. The repair journal names a chunk on a persistent store and
+        must carry its bytes on a volatile one."""
 
     @abc.abstractmethod
     def put(self, disk_id: int, chunk_id: ChunkId, data: np.ndarray) -> None:
@@ -144,6 +152,8 @@ class ChunkStore(abc.ABC):
 
 class InMemoryChunkStore(ChunkStore):
     """Dict-backed store. Arrays are copied on put/get to avoid aliasing."""
+
+    persistent = False
 
     def __init__(self) -> None:
         self._data: Dict[int, Dict[ChunkId, np.ndarray]] = {}
@@ -204,6 +214,7 @@ class ForwardingChunkStore(ChunkStore):
     checksum_failures = property(lambda self: self.inner.checksum_failures)
     swept_tmp_files = property(lambda self: self.inner.swept_tmp_files)
     orphan_sidecars = property(lambda self: self.inner.orphan_sidecars)
+    persistent = property(lambda self: self.inner.persistent)
 
     def __init__(self, inner: ChunkStore) -> None:
         self.inner = inner
@@ -302,17 +313,21 @@ class FileChunkStore(ChunkStore):
     """Filesystem store: ``root/disk-<id>/s<stripe>.<shard>.chunk``.
 
     The layout mirrors the paper's experiment setup (one mounted directory
-    per disk). Writes are crash-consistent: chunk bytes go to a uniquely
-    named tmp file that is fsync'd before an atomic rename, the parent
-    directory is fsync'd after, and every chunk gets a CRC32C sidecar
-    (``<chunk>.crc32c``) that ``get`` verifies — a torn, stale, or
-    bit-flipped chunk surfaces as :class:`ChunkChecksumError` (a
-    :class:`LatentSectorError`), never as silently wrong bytes.
+    per disk). Writes are crash-consistent: the chunk bytes and their
+    CRC32C sidecar (``<chunk>.crc32c``) each go to a uniquely named tmp
+    file that is fsync'd, then the sidecar is renamed into place, then the
+    chunk, then the parent directory is fsync'd. ``get`` verifies the pair
+    — a torn, stale, or bit-flipped chunk surfaces as
+    :class:`ChunkChecksumError` (a :class:`LatentSectorError`), never as
+    silently wrong bytes.
 
-    A crash can land between the chunk rename and the sidecar rename; the
-    stale sidecar then *fails* verification, which degrades the stripe and
-    triggers a re-repair — the safe direction. Sidecar-less chunks (legacy
-    layouts, foreign tooling) are served unverified.
+    A crash between the two renames leaves a sidecar with no chunk (a first
+    write: the open-time sweep removes it, ``contains`` is false and the
+    chunk is re-repaired) or a new sidecar beside the old chunk (an
+    overwrite: verification *fails*, which degrades the stripe and triggers
+    a re-repair — the safe direction). A chunk put by this store is never
+    visible without its sidecar; sidecar-less chunks (legacy layouts,
+    foreign tooling) are served unverified.
 
     Args:
         root: store directory, created if missing.
@@ -320,6 +335,9 @@ class FileChunkStore(ChunkStore):
             default; simulations that churn thousands of tiny chunks can
             switch it off and keep only the atomic-rename guarantee.
     """
+
+    #: Files outlive the process whether or not they were fsync'd.
+    persistent = True
 
     def __init__(self, root: "str | os.PathLike", durable: bool = True) -> None:
         self.root = Path(root)
@@ -341,11 +359,12 @@ class FileChunkStore(ChunkStore):
         removes sidecars whose chunk rename never happened.
 
         Safe under concurrent writers: tmp names carry the writer's pid
-        (see :func:`_write_atomic`), and tmps whose writer process is still
+        (see :func:`_write_tmp`), and tmps whose writer process is still
         alive are left alone — two stores (or a sharded service's tasks)
         opening the same disk directory must never delete each other's
         in-flight writes. Only tmps from dead pids, or with unparseable
-        legacy names, are garbage.
+        legacy names, are garbage; and a sidecar is an orphan only when no
+        live writer holds a tmp file of its chunk.
         """
         for disk_dir in self.root.glob("disk-*"):
             if not disk_dir.is_dir():
@@ -358,9 +377,22 @@ class FileChunkStore(ChunkStore):
                     p.unlink(missing_ok=True)
                     self.swept_tmp_files += 1
                 elif p.name.endswith(CRC_SUFFIX):
-                    if not p.with_name(p.name[: -len(CRC_SUFFIX)]).exists():
+                    chunk = p.with_name(p.name[: -len(CRC_SUFFIX)])
+                    if chunk.exists() or self._being_written(chunk):
+                        continue
+                    if not chunk.exists():  # did not land while we looked
                         p.unlink(missing_ok=True)
                         self.orphan_sidecars += 1
+
+    @staticmethod
+    def _being_written(chunk: Path) -> bool:
+        """Whether a live writer holds a tmp file of ``chunk`` — it may be
+        between :meth:`put`'s two renames, its sidecar already in place."""
+        for tmp in chunk.parent.glob(f"{chunk.name}.*.tmp"):
+            pid = _tmp_writer_pid(tmp.name)
+            if pid is not None and _pid_alive(pid):
+                return True
+        return False
 
     def _disk_dir(self, disk_id: int) -> Path:
         return self.root / f"disk-{disk_id:03d}"
@@ -390,12 +422,15 @@ class FileChunkStore(ChunkStore):
             raise StorageError(f"chunk {chunk_id} must be 1-D, got shape {arr.shape}")
         path = self._chunk_path(disk_id, chunk_id)
         path.parent.mkdir(parents=True, exist_ok=True)
-        _write_atomic(path, arr.data, durable=self.durable)
-        _write_atomic(
-            self._sidecar_path(path),
-            f"{crc32c(arr):08x}\n".encode("ascii"),
-            durable=self.durable,
+        sidecar = self._sidecar_path(path)
+        tmp_chunk = _write_tmp(path, arr.data, durable=self.durable)
+        tmp_sidecar = _write_tmp(
+            sidecar, f"{crc32c(arr):08x}\n".encode("ascii"), durable=self.durable
         )
+        # Sidecar first, chunk second, back to back: a chunk is never
+        # visible without the sidecar that vouches for it.
+        os.replace(tmp_sidecar, sidecar)
+        os.replace(tmp_chunk, path)
         if self.durable:
             fsync_dir(path.parent)
 
@@ -534,6 +569,11 @@ class ShardedChunkStore(ChunkStore):
 
     def shard_for(self, disk_id: int) -> ChunkStore:
         return self.shards[self.shard_of(disk_id)]
+
+    @property
+    def persistent(self) -> bool:
+        """Only when every shard is: a repair's spares span shards."""
+        return all(s.persistent for s in self.shards)
 
     @property
     def checksum_failures(self) -> int:

@@ -393,6 +393,115 @@ class TestChecksumIntegrity:
         assert not list((tmp_path / "disk-002").glob("*" + CRC_SUFFIX))
 
 
+class TestPutOrdering:
+    """``put`` renames the sidecar, then the chunk: a chunk is never visible
+    without the sidecar that vouches for it, whatever instant a crash picks."""
+
+    def crash_at_second_rename(self, tmp_path, monkeypatch, cid, payload):
+        """``put`` dies between its two renames; returns the store root's
+        disk directory as the crash left it."""
+        import os
+
+        store = FileChunkStore(tmp_path)
+        real, calls = os.replace, []
+
+        def replace(src, dst):
+            calls.append(Path(dst).name)
+            if len(calls) == 2:
+                raise OSError("crashed between the two renames")
+            real(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace)
+        with pytest.raises(OSError):
+            store.put(0, cid, payload)
+        monkeypatch.undo()
+        assert calls == ["s000000.000.chunk" + CRC_SUFFIX, "s000000.000.chunk"]
+        return tmp_path / "disk-000"
+
+    def test_first_write_leaves_an_orphan_sidecar_the_sweep_removes(
+        self, tmp_path, monkeypatch
+    ):
+        cid = ChunkId(0, 0)
+        disk_dir = self.crash_at_second_rename(tmp_path, monkeypatch, cid, chunk())
+        (tmp,) = disk_dir.glob("s000000.000.chunk.*.tmp")
+        # While the writer (this process) lives it may still be between its
+        # renames: a concurrent open must not take the sidecar from under it.
+        racing = FileChunkStore(tmp_path)
+        assert racing.orphan_sidecars == 0 and tmp.exists()
+        assert not racing.contains(0, cid)
+        # The writer is dead: its tmp and the orphan sidecar are garbage.
+        pid = tmp.name.split(".")[-3]
+        tmp.rename(tmp.with_name(tmp.name.replace(f".{pid}.", f".{dead_pid()}.")))
+        reopened = FileChunkStore(tmp_path)
+        assert reopened.orphan_sidecars == 1 and reopened.swept_tmp_files == 1
+        assert not reopened.contains(0, cid)
+        assert not reopened.is_readable(0, cid)
+        assert list(disk_dir.iterdir()) == []
+
+    def test_torn_overwrite_fails_verification_never_serves_unverified(
+        self, tmp_path, monkeypatch
+    ):
+        cid = ChunkId(0, 0)
+        FileChunkStore(tmp_path).put(0, cid, chunk(fill=1))
+        self.crash_at_second_rename(tmp_path, monkeypatch, cid, chunk(fill=2))
+        # new sidecar beside the old chunk: the safe direction
+        with pytest.raises(ChunkChecksumError):
+            FileChunkStore(tmp_path).get(0, cid)
+
+    def test_a_store_the_parent_wrote_still_reads(self, tmp_path):
+        """Same files, same format: a chunk + ``%08x\\n`` sidecar laid down
+        by the previous ``put`` (chunk renamed first), and a sidecar-less
+        legacy chunk, both read back."""
+        from repro.utils.checksum import crc32c
+
+        disk_dir = tmp_path / "disk-000"
+        disk_dir.mkdir()
+        payload = chunk(fill=5)
+        (disk_dir / "s000000.000.chunk").write_bytes(payload.tobytes())
+        (disk_dir / ("s000000.000.chunk" + CRC_SUFFIX)).write_text(
+            f"{crc32c(payload):08x}\n"
+        )
+        (disk_dir / "s000001.002.chunk").write_bytes(payload.tobytes())
+        store = FileChunkStore(tmp_path)
+        assert store.orphan_sidecars == 0
+        assert store.chunks_on_disk(0) == [ChunkId(0, 0), ChunkId(1, 2)]
+        assert np.array_equal(store.get(0, ChunkId(0, 0)), payload)
+        assert store.verify_chunk(0, ChunkId(0, 0))
+        assert np.array_equal(store.get(0, ChunkId(1, 2)), payload)
+
+    def test_same_three_fsyncs_and_one_hash_per_put(self, tmp_path, monkeypatch):
+        import os
+
+        from repro.hdss import store as store_module
+
+        fsyncs, hashes = [], []
+        real_fsync, real_crc = os.fsync, store_module.crc32c
+        monkeypatch.setattr(os, "fsync", lambda fd: (fsyncs.append(fd), real_fsync(fd))[1])
+        monkeypatch.setattr(
+            store_module, "crc32c", lambda *a: (hashes.append(1), real_crc(*a))[1]
+        )
+        FileChunkStore(tmp_path).put(0, ChunkId(0, 0), chunk())
+        assert len(fsyncs) == 3 and len(hashes) == 1
+
+
+class TestPersistence:
+    """``persistent``: does a ``put`` that returned outlive this process?"""
+
+    def test_each_backend_answers_for_itself(self, tmp_path):
+        assert not InMemoryChunkStore().persistent
+        assert FileChunkStore(tmp_path / "a").persistent
+        assert FileChunkStore(tmp_path / "b", durable=False).persistent
+
+    def test_decorators_answer_with_their_inner(self, tmp_path):
+        assert not FaultyChunkStore(InMemoryChunkStore()).persistent
+        assert ForwardingChunkStore(FileChunkStore(tmp_path)).persistent
+
+    def test_sharded_store_is_persistent_only_if_every_shard_is(self, tmp_path):
+        files = [FileChunkStore(tmp_path / str(i)) for i in range(2)]
+        assert ShardedChunkStore(files).persistent
+        assert not ShardedChunkStore(files + [InMemoryChunkStore()]).persistent
+
+
 class TestIntegrityEndToEnd:
     """A corrupted survivor surfaces as a degraded stripe, not a crash."""
 
