@@ -82,9 +82,10 @@ class DataPathExecutor:
         injector: a :class:`~repro.faults.injector.FaultInjector` already
             bound to ``server``; its schedule fires as the logical clock
             advances past event times.
-        journal: a :class:`~repro.journal.journal.RepairJournal` to
-            checkpoint into — the plan at start, the decoder state at
-            every round boundary, rebuilt payloads at stripe completion.
+        journal: a :class:`~repro.journal.journal.RepairJournal` to log
+            progress into — the plan at start, one ``stripe_done`` per
+            finished stripe (naming its rebuilt chunks; carrying them only
+            over a volatile store).
     """
 
     def __init__(
@@ -261,14 +262,15 @@ class DataPathExecutor:
         for sp, global_index, shards in job.rows():
             stripe = server.layout[global_index]
             targets = job.targets(stripe)
-            how, journaled = job.dispatch(global_index)
+            how, journaled = job.dispatch(global_index, server.store.contains)
             if how == REPLAY:
                 # Zero survivor reads, zero decode work: the crashed run's
-                # completed rounds stay paid for.
+                # finished stripes stay paid for.
                 with tracer.span("stripe", f"stripe {global_index} replay",
                                  track="datapath", replayed=True):
                     for spare, cid, payload in job.replay_puts(
-                        global_index, journaled, server.store.contains
+                        global_index, journaled, server.store.contains,
+                        server.config.chunk_size,
                     ):
                         server.store.put(spare, cid, payload)
                 continue
@@ -336,11 +338,6 @@ class DataPathExecutor:
                             repair.feed(fed)
             finally:
                 memory.release(len(rnd))
-            if fed and self.journal is not None and repair.checkpoint_due:
-                self.journal.round_commit(
-                    global_index, self.clock, repair.decoder.to_state(),
-                    outcome=repair.outcome,
-                )
             round_index += 1
 
             while fault is not None:
@@ -376,7 +373,10 @@ class DataPathExecutor:
                     written.append((target, spare, results[target]))
         job.record(global_index, repair.outcome, written)
         if self.journal is not None:
-            self.journal.stripe_done(global_index, repair.outcome, self.clock, written)
+            self.journal.stripe_done(
+                global_index, repair.outcome, self.clock,
+                job.record_writebacks(server.store, written),
+            )
 
 
 __all__ = ["DataPathExecutor", "ReadPolicy"]

@@ -168,11 +168,12 @@ def recover_disk(
     stripes are recorded in ``result.loss`` instead of raising.
 
     ``journal`` (a directory path or open
-    :class:`~repro.journal.journal.RepairJournal`) checkpoints the repair
-    crash-consistently; with ``resume=True`` the journaled plan is reused
-    verbatim — no re-planning, no re-probing — completed stripes are
-    replayed from journaled payloads, and the in-flight stripe continues
-    from its last committed round.
+    :class:`~repro.journal.journal.RepairJournal`) logs the repair's
+    progress crash-consistently; with ``resume=True`` the journaled plan is
+    reused verbatim — no re-planning, no re-probing — completed stripes
+    whose rebuilt chunks are on their spares (or, over a volatile store, in
+    the journal) are replayed without a survivor read, and the stripe that
+    was in flight restarts from the plan.
 
     Raises:
         StorageError: disk healthy / nothing to repair / store is

@@ -24,9 +24,12 @@ half only.
   set, the one :class:`DataPathStats` tally and, when resuming, the
   replayed journal state: :meth:`~RepairJob.resumed` (the one fingerprint
   guard), :meth:`~RepairJob.open` (``begin`` or ``resume`` record),
-  :meth:`~RepairJob.dispatch`, :meth:`~RepairJob.replay_puts` (the one
+  :meth:`~RepairJob.dispatch` (replay a journaled stripe only if its
+  chunks are really there), :meth:`~RepairJob.replay_puts` (the one
   write-side redo), :func:`place` (the one spare-placement rule),
-  :meth:`~RepairJob.commit`, :meth:`~RepairJob.certify` (the one
+  :meth:`~RepairJob.record_writebacks` (what a ``stripe_done`` record
+  carries: the chunk's name on a persistent store, its bytes on a volatile
+  one), :meth:`~RepairJob.commit`, :meth:`~RepairJob.certify` (the one
   certification, from what the job already verified) and
   :meth:`~RepairJob.finish` (``complete`` record, counter fold, metric
   export).
@@ -72,6 +75,7 @@ from repro.obs.context import current_registry
 if TYPE_CHECKING:  # pragma: no cover
     from repro.faults.injector import FaultInjector
     from repro.hdss.server import HighDensityStorageServer
+    from repro.hdss.store import ChunkStore
     from repro.journal.journal import RepairJournal, RepairState, StripeDone
 
 #: :meth:`RepairJob.dispatch` verdicts.
@@ -112,7 +116,8 @@ class DataPathStats:
     checksum_failures: int = 0
     #: Stripes whose terminal outcome was replayed from the journal.
     resumed_stripes: int = 0
-    #: Journaled payloads re-put during replay (no survivor reads).
+    #: Journaled payloads re-put during replay (no survivor reads) — only
+    #: a volatile store's records carry any.
     replayed_chunks: int = 0
     #: Stripes with fewer than k readable shards (recorded, not raised).
     stripes_lost: int = 0
@@ -133,7 +138,7 @@ _LOSS_COUNTERS = (
     ("reread_chunks", "hdpsr_replan_reread_chunks_total", "Chunk reads repeated after faults"),
     ("checksum_failures", None, None),
     ("resumed_stripes", "hdpsr_resume_stripes_replayed_total", "Stripe outcomes replayed from the journal"),
-    ("replayed_chunks", "hdpsr_resume_chunks_redone_total", "Journaled payloads re-put during replay"),
+    ("replayed_chunks", "hdpsr_resume_chunks_redone_total", "Journaled payloads re-put during replay (volatile stores only)"),
 )
 
 
@@ -341,19 +346,36 @@ class RepairJob:
             )
         return targets
 
-    def dispatch(self, si: int) -> Tuple[str, object]:
+    def dispatch(
+        self, si: int, contains: Callable[[int, ChunkId], bool]
+    ) -> Tuple[str, object]:
         """How stripe ``si`` starts, with what the journal holds for it.
 
+        Decided from what is *there*, not from what was promised
+        (``contains(disk, chunk)`` is the store's):
+
         * :data:`REPLAY` + its ``StripeDone`` — it reached a terminal
-          outcome before the crash: :meth:`replay_puts`, no survivor read;
-        * :data:`RESTORE` + its last ``round_commit`` snapshot — continue
-          mid-stripe via ``StripeRepair.restore``;
-        * :data:`FRESH` + ``None`` — start from the plan.
+          outcome before the crash and it is LOST (nothing was rebuilt) or
+          every rebuilt chunk is on its spare or carried in the record:
+          :meth:`replay_puts`, no survivor read;
+        * :data:`RESTORE` + its last ``round_commit`` snapshot — a v1
+          journal's in-flight stripe: continue mid-stripe via
+          ``StripeRepair.restore``;
+        * :data:`FRESH` + ``None`` — start from the plan. Also a journaled
+          stripe whose named chunk never reached its spare (the record
+          outran a write-behind put): re-read, re-put, re-recorded.
         """
         state = self.state
         if state is not None:
-            if si in state.done:
-                return REPLAY, state.done[si]
+            done = state.done.get(si)
+            if done is not None and (
+                done.outcome == LOST
+                or all(
+                    payload is not None or contains(spare, ChunkId(si, target))
+                    for target, spare, payload in done.writebacks
+                )
+            ):
+                return REPLAY, done
             if si in state.inflight:
                 return RESTORE, state.inflight[si]
         return FRESH, None
@@ -363,30 +385,45 @@ class RepairJob:
         si: int,
         done: "StripeDone",
         contains: Callable[[int, ChunkId], bool],
+        chunk_size: int,
     ) -> List[Tuple[int, ChunkId, np.ndarray]]:
         """Redo a journaled stripe outcome without touching any survivor.
 
-        The ``stripe_done`` record carries the rebuilt payloads, so replay
-        is a pure write-side redo. Accounts the stripe and returns the
-        ``(spare, chunk id, payload)`` puts the driver still has to make:
-        only chunks the spare does not already hold (volatile stores lose
-        them across the crash; durable stores make this empty). A LOST
-        stripe has no payloads and replays nothing.
+        :meth:`dispatch` said :data:`REPLAY`, so every rebuilt chunk is on
+        its spare or in the record. Accounts the stripe (a chunk the record
+        only names counts ``chunk_size`` bytes) and returns the ``(spare,
+        chunk id, payload)`` puts the driver still has to make: carried
+        payloads the spare does not hold — a volatile store lost them with
+        the process; a persistent store's records carry none, so this is
+        empty. A LOST stripe landed nothing and replays nothing.
         """
         stats = self.stats
         stats.resumed_stripes += 1
         puts: List[Tuple[int, ChunkId, np.ndarray]] = []
-        landed: List[Tuple[int, int, np.ndarray]] = []
-        for target, spare, payload in done.writebacks:
-            if payload is None:
-                continue
+        landed: List[Tuple[int, int, int]] = []
+        for target, spare, payload in () if done.outcome == LOST else done.writebacks:
             cid = ChunkId(si, target)
-            if not contains(spare, cid):
+            if payload is not None and not contains(spare, cid):
                 puts.append((spare, cid, payload))
                 stats.replayed_chunks += 1
-            landed.append((target, spare, payload))
-        self.record(si, done.outcome, landed)
+            landed.append(
+                (target, spare, chunk_size if payload is None else int(payload.size))
+            )
+        self._account(si, done.outcome, landed)
         return puts
+
+    @staticmethod
+    def record_writebacks(
+        store: "ChunkStore", written: Sequence[Tuple[int, int, np.ndarray]]
+    ) -> List[Tuple[int, int, Optional[np.ndarray]]]:
+        """What ``stripe_done`` journals for the ``(target, spare, payload)``
+        chunks a stripe ``written``: on a persistent store the put is (or
+        will be) on the spare and the record only names it; a volatile
+        store loses it with the process, so the record carries the bytes
+        and replay stays a zero-re-read redo."""
+        if store.persistent:
+            return [(target, spare, None) for target, spare, _ in written]
+        return list(written)
 
     def count_read(self, seen: Set[int], shard: int, nbytes: int) -> None:
         """Account one survivor read; ``seen`` is the stripe's read set."""
@@ -405,15 +442,23 @@ class RepairJob:
     ) -> None:
         """Account stripe ``si``'s terminal outcome and the
         ``(target, spare, payload)`` chunks landed for it."""
+        self._account(
+            si, outcome, [(t, spare, int(p.size)) for t, spare, p in written]
+        )
+
+    def _account(
+        self, si: int, outcome: str, landed: Sequence[Tuple[int, int, int]]
+    ) -> None:
+        """``landed`` is ``(target, spare, bytes)`` per chunk."""
         stats = self.stats
         if outcome == LOST:
             stats.stripes_lost += 1
         else:
             stats.stripes_repaired += 1
-        for target, spare, payload in written:
+        for target, spare, nbytes in landed:
             stats.writebacks.append((si, target, spare))
             stats.chunks_rebuilt += 1
-            stats.bytes_written += int(payload.size)
+            stats.bytes_written += nbytes
         if stats.loss is not None:
             stats.loss.record(si, outcome)
 

@@ -188,8 +188,9 @@ def readable_shards(
 class StripeRepair:
     """The repair of one stripe: decoder, read queue, outcome, counters.
 
-    Build one with :meth:`fresh` (from the stripe's plan) or :meth:`restore`
-    (from a journaled in-flight state).
+    Build one with :meth:`fresh` (from the stripe's plan). Rounds are not
+    journaled: a stripe interrupted mid-decode starts :meth:`fresh` again.
+    :meth:`restore` (from a journaled in-flight state) is v1-compat only.
     """
 
     def __init__(
@@ -234,8 +235,10 @@ class StripeRepair:
     def restore(cls, code, state: Mapping[str, object], plan) -> "StripeRepair":
         """Resume mid-stripe from a journaled ``round_commit`` state.
 
-        The accumulators and remaining-read bookkeeping come straight from
-        the journal; nothing already fed is read again.
+        v1 compatibility: only a journal written before drivers stopped
+        journaling rounds holds one. The accumulators and remaining-read
+        bookkeeping come straight from the journal; nothing already fed is
+        read again.
         """
         state = dict(state)
         outcome = str(state.pop("outcome", RECOVERED))
@@ -260,16 +263,6 @@ class StripeRepair:
         may run on a worker thread while the driver waits.
         """
         self.decoder.feed(fed)
-
-    @property
-    def checkpoint_due(self) -> bool:
-        """Whether the round just fed is worth a ``round_commit`` record.
-
-        Not when it completed the decoder: the ``stripe_done`` that follows
-        carries the rebuilt payloads and supersedes it, so a crash in that
-        gap resumes from the previous round and re-reads this one.
-        """
-        return not self.decoder.complete
 
     # ----------------------------------------------------------------- ladder
     def on_fault(self, fault: ShardFault, readable: Sequence[int]) -> str:

@@ -40,6 +40,11 @@ def decode_matrix_for(code: "RSCode", survivor_ids: Sequence[int]) -> np.ndarray
     return gf_mat_inv(sub)
 
 
+#: Entries one code object memoises before starting over; RS(9,6) has at
+#: most C(9,6) x 9 = 756 sorted ``(survivors, target)`` patterns.
+_MEMO_ENTRIES = 4096
+
+
 def reconstruction_coefficients(
     code: "RSCode", survivor_ids: Sequence[int], target: int
 ) -> Dict[int, int]:
@@ -49,16 +54,29 @@ def reconstruction_coefficients(
     ``shard[target] = XOR coeff * shard[survivor_id]``. This is the form
     the partial decoder consumes: each repair round folds its P_a chunks
     into the accumulator with exactly these scalars (Equation (2)).
+
+    The matrix inversion behind a ``(survivors, target)`` pattern runs once
+    per code object: with rotating placement a disk's stripes share a
+    handful of patterns, and both the repair (on the event-loop thread) and
+    every degraded read ask again per stripe. The dict returned is the
+    caller's own.
     """
-    decode = decode_matrix_for(code, survivor_ids)
-    if not 0 <= target < code.n:
-        raise CodingError(f"target shard {target} out of range [0, {code.n})")
-    if target < code.k:
-        row = decode[target]
-    else:
-        # parity row: (encoding row for target) @ decode
-        row = gf_mat_mul(code.matrix[target][None, :], decode)[0]
-    return {int(sid): int(coeff) for sid, coeff in zip(survivor_ids, row)}
+    memo = code.__dict__.setdefault("_reconstruction_memo", {})
+    key = (tuple(survivor_ids), target)
+    row = memo.get(key)
+    if row is None:
+        decode = decode_matrix_for(code, survivor_ids)
+        if not 0 <= target < code.n:
+            raise CodingError(f"target shard {target} out of range [0, {code.n})")
+        if target < code.k:
+            row = decode[target]
+        else:
+            # parity row: (encoding row for target) @ decode
+            row = gf_mat_mul(code.matrix[target][None, :], decode)[0]
+        if len(memo) >= _MEMO_ENTRIES:
+            memo.clear()
+        row = memo[key] = tuple(int(coeff) for coeff in row)
+    return {int(sid): coeff for sid, coeff in zip(survivor_ids, row)}
 
 
 def reconstruct(

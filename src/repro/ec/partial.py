@@ -243,8 +243,11 @@ class PartialDecoder:
 
     # ----------------------------------------------------------- checkpointing
     def to_state(self) -> Dict[str, object]:
-        """Snapshot the full decoder state for crash-consistent journaling.
+        """Snapshot the full decoder state (v1 journals' ``round_commit``).
 
+        Compat code: no driver snapshots a decoder any more — a stripe
+        interrupted mid-decode restarts from its plan — but the benchmark's
+        ``journal.round_commit_ms`` row and the v1 fixture are built with it.
         Everything needed to resume mid-stripe is captured: the survivor /
         pending / fed bookkeeping, the per-target coefficient tables and
         accumulator rows (both may have been rewritten by :meth:`replan`,
@@ -272,7 +275,8 @@ class PartialDecoder:
 
     @classmethod
     def from_state(cls, code: "RSCode", state: Mapping[str, object]) -> "PartialDecoder":
-        """Rebuild a decoder from :meth:`to_state` output.
+        """Rebuild a decoder from :meth:`to_state` output — how a v1
+        journal's in-flight stripe resumes (``StripeRepair.restore``).
 
         Bypasses ``__init__`` deliberately: after a :meth:`replan` the
         journaled ``survivor_ids`` can exceed ``k`` entries (fed + new

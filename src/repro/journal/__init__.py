@@ -1,17 +1,19 @@
 """Crash-consistent write-ahead repair journal.
 
-``repro.journal`` makes a running repair itself durable: the repair plan,
-per-stripe round progress, serialized partial-sum state, and rebuilt chunk
-payloads are appended to fsync'd segment files, so a repair killed at any
-instant resumes from its last committed round instead of restarting.
+``repro.journal`` makes a running repair resumable: the repair plan and,
+per finished stripe, where its rebuilt chunks were written are appended to
+segment files, so a repair killed at any instant resumes after its last
+finished stripe instead of restarting. It is a progress log, not a second
+copy of the data — only a volatile store's rebuilt payloads travel in it.
 
 Layers:
 
 * :mod:`repro.journal.wal` — framed, CRC32C-checked, append-only segment
   files with torn-tail tolerance;
 * :mod:`repro.journal.journal` — the typed record schema
-  (``begin`` / ``round_commit`` / ``stripe_done`` / ``phase`` /
-  ``resume`` / ``complete``) and the :class:`RepairState` replayer.
+  (``begin`` / ``stripe_done`` / ``phase`` / ``resume`` / ``complete``,
+  plus v1's ``round_commit`` on the read side) and the
+  :class:`RepairState` replayer.
 """
 
 from repro.journal.journal import RepairJournal, RepairState, StripeDone

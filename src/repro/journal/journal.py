@@ -1,6 +1,8 @@
 """Typed repair-journal records and the :class:`RepairState` replayer.
 
-Record types, in the order a healthy run emits them:
+The journal is a *progress log*, not a second copy of the data: the rebuilt
+chunk is already written atomically to its spare, so a stripe's record only
+has to say where. Record types, in the order a healthy run emits them:
 
 ``begin``
     Once per journal: algorithm, serialized :class:`RepairPlan`, stripe
@@ -8,14 +10,12 @@ Record types, in the order a healthy run emits them:
     ``--resume`` can refuse a mismatched server.
 ``phase``
     Multi-disk replan boundary (timing-plane metadata only).
-``round_commit``
-    One repair round of one stripe: the logical clock plus the stripe's
-    full :meth:`PartialDecoder.to_state` snapshot (accumulators as binary
-    blobs). Only the *latest* round_commit per stripe matters on replay.
 ``stripe_done``
-    A stripe reached a terminal outcome. For recovered/replanned stripes
-    the record carries the rebuilt chunk payloads and their spare-disk
-    placement, making replay a pure redo: re-put bytes, zero re-reads.
+    A stripe reached a terminal outcome: the outcome, the logical clock and
+    the ``(shard, spare)`` placement of every rebuilt chunk. On a
+    persistent store (:attr:`~repro.hdss.store.ChunkStore.persistent`) that
+    is all — the record *names* the chunk; on a volatile one it also
+    carries the payloads, so replay can re-put what died with the process.
 ``resume``
     Appended each time a resumed run takes over; counting these tells the
     fault injector how many scripted ``process_crash`` events already
@@ -23,9 +23,20 @@ Record types, in the order a healthy run emits them:
 ``complete``
     The repair finished; a resume of a complete journal is a no-op.
 
-Every checkpoint is one ``append`` + one fsync'd ``commit``, so the
-journal always ends on a record boundary or a torn tail the WAL reader
-clips off.
+``begin``, ``phase``, ``resume`` and ``complete`` are one ``append`` + one
+fsync'd ``commit``. ``stripe_done`` is appended and flushed to the OS, not
+fsync'd: it is a hint whose loss costs one stripe's re-read and an identical
+re-put, never a byte (``docs/robustness.md`` has the argument), and
+``complete``'s fsync makes every record before it durable. Either way the
+journal ends on a record boundary or a torn tail the WAL reader clips off.
+
+v1 compatibility, read side only: ``round_commit`` (one repair round of one
+stripe — the logical clock plus the stripe's full
+:meth:`PartialDecoder.to_state` snapshot, accumulators as binary blobs; only
+the *latest* per stripe matters on replay). No driver writes one any more —
+a stripe interrupted mid-decode restarts from its plan — but a journal
+written before that still resumes mid-stripe through
+:attr:`RepairState.inflight`.
 """
 
 from __future__ import annotations
@@ -45,7 +56,7 @@ FORMAT_VERSION = 1
 
 #: Counter: records appended to the repair journal, labelled by type.
 JOURNAL_RECORDS = "hdpsr_journal_records_total"
-#: Counter: fsync'd journal commits.
+#: Counter: fsync'd journal commits (a flushed ``stripe_done`` is not one).
 JOURNAL_COMMITS = "hdpsr_journal_commits_total"
 #: Counter: bytes appended to the repair journal.
 JOURNAL_BYTES = "hdpsr_journal_bytes_total"
@@ -69,7 +80,8 @@ class StripeDone:
 
     outcome: str
     clock: float
-    #: ``(target_shard, spare_disk, payload)``; payload is None for LOST.
+    #: ``(target_shard, spare_disk, payload)``; the payload is None when
+    #: the record only names the chunk (written over a persistent store).
     writebacks: List[Tuple[int, int, Optional[np.ndarray]]] = field(
         default_factory=list
     )
@@ -89,9 +101,10 @@ class RepairState:
     clock: float = 0.0
     resume_count: int = 0
     completed: bool = False
-    #: stripe global index -> terminal outcome (payloads included).
+    #: stripe global index -> terminal outcome (payloads where carried).
     done: Dict[int, StripeDone] = field(default_factory=dict)
-    #: stripe global index -> latest mid-repair decoder snapshot.
+    #: stripe global index -> latest mid-repair decoder snapshot (only a
+    #: v1 journal's ``round_commit`` records fill this).
     inflight: Dict[int, Dict[str, object]] = field(default_factory=dict)
     phases: List[Dict[str, object]] = field(default_factory=list)
 
@@ -99,9 +112,10 @@ class RepairState:
 class RepairJournal:
     """Write-side API: one instance journals one repair run.
 
-    All methods append exactly one record and commit (fsync) it, so every
-    checkpoint is atomic: a crash leaves either the previous consistent
-    prefix or the new one, never a half-written state.
+    Every method appends exactly one record; all but :meth:`stripe_done`
+    commit (fsync) it, which also makes every earlier record durable. A
+    crash leaves a consistent prefix of the records, never a half-written
+    one.
     """
 
     def __init__(
@@ -111,13 +125,16 @@ class RepairJournal:
         self._writer = WALWriter(self.root, durable=durable)
 
     # ------------------------------------------------------------- low level
-    def _emit(self, record: WALRecord) -> None:
+    def _emit(self, record: WALRecord, *, fsync: bool = True) -> None:
         frame_bytes = self._writer.append(record)
-        self._writer.commit()
+        if fsync:
+            self._writer.commit()
+            _counter(JOURNAL_COMMITS, "fsync'd journal commits").inc()
+        else:
+            self._writer.flush()
         _counter(
             JOURNAL_RECORDS, "Records appended to the repair journal"
         ).labels(type=record.type).inc()
-        _counter(JOURNAL_COMMITS, "fsync'd journal commits").inc()
         _counter(
             JOURNAL_BYTES, "Bytes appended to the repair journal"
         ).inc(frame_bytes)
@@ -165,6 +182,11 @@ class RepairJournal:
         decoder_state: Mapping[str, object],
         outcome: str = "recovered",
     ) -> None:
+        """v1 compatibility: no driver journals rounds any more. Kept so a
+        v1 journal can still be *written* the way the parent wrote it
+        (``tests/data/parent_journal``, the benchmark's
+        ``journal.round_commit_ms`` row); :func:`load_state` reads it back
+        into :attr:`RepairState.inflight`."""
         state = dict(decoder_state)
         acc: Mapping[str, np.ndarray] = state.pop("acc")  # type: ignore[assignment]
         blobs = {
@@ -191,6 +213,9 @@ class RepairJournal:
         clock: float,
         writebacks: Sequence[Tuple[int, int, Optional[np.ndarray]]] = (),
     ) -> None:
+        """Flushed, not fsync'd. ``writebacks`` are what
+        :meth:`RepairJob.record_writebacks` built: a ``None`` payload names
+        the chunk on its spare instead of carrying it."""
         meta_wb = []
         blobs: Dict[str, bytes] = {}
         for target, spare, payload in writebacks:
@@ -209,7 +234,8 @@ class RepairJournal:
                     "writebacks": meta_wb,
                 },
                 blobs=blobs,
-            )
+            ),
+            fsync=False,
         )
 
     def complete(self, **summary: object) -> None:

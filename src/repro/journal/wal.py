@@ -12,16 +12,17 @@ Record frame layout (all integers little-endian):
 ``body``    blen      the blobs' raw bytes, concatenated in header order
 ====================  =====================================================
 
-Chunk payloads and accumulator state travel in the body, so journaling a
-round costs the chunk bytes themselves plus a small JSON header — no
+Whatever chunk bytes a record does carry (a volatile store's rebuilt
+payloads, a v1 ``round_commit``'s accumulators) travel in the body — no
 base64 inflation.
 
 Durability contract: :meth:`WALWriter.commit` flushes and fsyncs the
-active segment; creating a segment fsyncs the journal directory so the
-new name survives power loss. The reader validates each frame's CRC and
-treats the first short or corrupt frame as the log's end (a torn tail
-from a crash mid-append), never as an error — everything before it is
-intact by construction.
+active segment (:meth:`WALWriter.flush` only hands it to the OS: safe
+against the death of the process, not of the machine); creating a segment
+fsyncs the journal directory so the new name survives power loss. The
+reader validates each frame's CRC and treats the first short or corrupt
+frame as the log's end (a torn tail from a crash mid-append), never as an
+error — everything before it is intact by construction.
 """
 
 from __future__ import annotations
@@ -119,10 +120,10 @@ def decode_stream(stream: io.BufferedIOBase) -> Iterator[WALRecord]:
 class WALWriter:
     """Append-only writer over rotated segment files.
 
-    Records accumulate in the OS buffer until :meth:`commit`; a record is
-    durable (and visible to :class:`WALReader`) only after the commit that
-    follows it. Callers batch every record of one checkpoint and commit
-    once.
+    Records accumulate in the process's buffer until :meth:`flush` (visible
+    to :class:`WALReader`, survives this process) or :meth:`commit` (durable:
+    flushed and fsync'd). A commit covers everything appended before it, so
+    callers batch every record of one checkpoint and commit once.
 
     Thread-safe: one lock serialises append, commit, close and the segment
     rotation inside append, so concurrent appenders can never flush or
@@ -178,6 +179,12 @@ class WALWriter:
             self._fh.flush()
             if self.durable:
                 os.fsync(self._fh.fileno())
+
+    def flush(self) -> None:
+        """Hand everything appended so far to the OS, without an fsync."""
+        with self._lock:
+            if self._fh is not None:
+                self._fh.flush()
 
     def commit(self) -> None:
         """Flush and fsync everything appended so far."""

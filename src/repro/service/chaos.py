@@ -17,7 +17,7 @@ seeded end to end and every assertion is checkable in memory afterwards:
    leases are left un-released, exactly as a real SIGKILL leaves them.
 3. Daemon ``b``'s failure detector notices the missed heartbeats, claims
    the expired leases with a bumped epoch, and — via the daemon's journal
-   handoff — resumes ``a``'s repair from its last committed round.
+   handoff — resumes ``a``'s repair after its last finished stripe.
 4. The report then proves the invariants the cluster design promises:
    every object is byte-identical to its pre-failure contents, every
    rebuilt chunk's CRC32C sidecar verifies, **no chunk was persisted

@@ -267,10 +267,10 @@ class ServiceDaemon:
         unfinished per-disk repair journals on this daemon.
 
         This is PR 4's ``--resume`` lifted across daemons: the journals
-        live under the *shared* ``journal_root``, so the survivor replays
-        finished stripes byte-identically from journaled payloads (skipping
-        chunks the dead peer already persisted) and continues in-flight
-        decodes from their last committed round.
+        live under the *shared* ``journal_root``, so the survivor skips
+        every finished stripe whose rebuilt chunk the dead peer persisted
+        and redoes the rest — the in-flight stripes and any whose record
+        outran its write-behind put — from the journaled plan.
         """
         if prev_owner is None:
             return  # initial claim of a never-owned shard: nothing to resume

@@ -26,10 +26,10 @@ parallelism — directly comparable against the single-threaded
 :class:`~repro.core.executor.DataPathExecutor`'s serial clock.
 
 Crash consistency reuses the repair journal unchanged: each job writes
-``begin`` / ``round_commit`` / ``stripe_done`` records into its own
-directory (``journal_root/disk-NNN``), and ``submit_repair(disk,
-resume=True)`` replays finished stripes byte-for-byte and continues
-in-flight decodes from their last committed round.
+``begin`` / ``stripe_done`` records into its own directory
+(``journal_root/disk-NNN``), and ``submit_repair(disk, resume=True)``
+replays every finished stripe whose rebuilt chunks are on their spares (or
+in the record) without a survivor read and redoes the rest from the plan.
 """
 
 from __future__ import annotations
@@ -537,8 +537,8 @@ class RepairService:
 
         With ``resume=True`` the job continues from this disk's journal
         directory (``journal_root/disk-NNN``): the journaled plan is
-        reused verbatim, finished stripes replay from journaled payloads,
-        and in-flight decodes continue from the last committed round.
+        reused verbatim, finished stripes replay without a survivor read,
+        and stripes that were in flight restart from the plan.
         """
         job_id = self._next_job
         self._next_job += 1
@@ -650,7 +650,7 @@ class RepairService:
         except BaseException:
             # SimulatedCrash, cancellation, or a fence lost at the commit
             # point: stop cleanly and keep the journal — a resumed service
-            # (this one or the new owner) picks up from the last commit.
+            # (this one or the new owner) picks up after the last record.
             for t in tasks:
                 t.cancel()
             await asyncio.gather(*tasks, return_exceptions=True)
@@ -714,7 +714,7 @@ class RepairService:
         stripe = server.layout[si]
         targets = job.targets(stripe)
         fut = self._repair_futures.get(si)
-        how, journaled = job.dispatch(si)
+        how, journaled = job.dispatch(si, server.store.contains)
 
         def resolve(payloads: Optional[Dict[int, np.ndarray]]) -> None:
             # Piggybacking degraded reads get the decoded bytes (None: lost).
@@ -725,9 +725,11 @@ class RepairService:
             # Re-put what the spare is missing; zero survivor reads.
             self._check_fence(job.disk)
             for spare, cid, payload in job.replay_puts(
-                si, journaled, server.store.contains
+                si, journaled, server.store.contains, server.config.chunk_size
             ):
                 await self.writer.put(spare, cid, payload)
+            # A record that only names its chunks hands piggybackers {}:
+            # they fall back to their own decode.
             resolve(
                 {t: p for t, _, p in journaled.writebacks if p is not None}
                 if journaled.outcome != LOST
@@ -777,13 +779,6 @@ class RepairService:
                         await asyncio.to_thread(repair.feed, fed)
             finally:
                 self.memory.release(len(rnd))
-            if fed and job.journal is not None and repair.checkpoint_due:
-                self._check_fence(job.disk)
-                await asyncio.to_thread(
-                    job.journal.round_commit,
-                    si, self.modeled_now, repair.decoder.to_state(),
-                    repair.outcome,
-                )
 
             while fault is not None:
                 shard = fault.shard
@@ -826,7 +821,8 @@ class RepairService:
         job.record(si, outcome, written)
         if job.journal is not None:
             await asyncio.to_thread(
-                job.journal.stripe_done, si, outcome, self.modeled_now, written
+                job.journal.stripe_done, si, outcome, self.modeled_now,
+                job.record_writebacks(server.store, written),
             )
         current_registry().counter(
             REPAIR_STRIPES, "stripe repairs finished"

@@ -1,14 +1,14 @@
 """Certification in hand: what a repair job reads, journals and vouches for.
 
 A repair certifies from what it already verified instead of re-reading
-every stripe, and does not journal a round its ``stripe_done`` supersedes.
-Both are written once (``RepairJob.certify``, ``StripeRepair.checkpoint_due``)
-and both drivers — ``recover_disk`` and ``RepairService`` — are held to the
+every stripe, and journals no round: one ``stripe_done`` per stripe, naming
+the rebuilt chunk (``RepairJob.certify``, ``RepairJob.record_writebacks``).
+Both drivers — ``recover_disk`` and ``RepairService`` — are held to the
 same arithmetic and the same refusals here:
 
 * the exact counts: ``k`` survivor reads per stripe, one ``verify_chunk`` per
-  chunk landed, no survivor byte read twice, ``rounds - 1`` ``round_commit``
-  records per fault-free stripe;
+  chunk landed, no survivor byte read twice, no ``round_commit`` record and
+  no chunk byte in the journal of a file-backed repair;
 * certification still says no: a disk dying mid-repair, a survivor the job
   found corrupt, a rebuilt chunk torn on its spare (fresh or skipped by a
   resume's replay) each certify ``degraded``.
@@ -19,6 +19,7 @@ differential in ``test_repair_drivers_agree.py``).
 """
 
 import asyncio
+import struct
 from collections import Counter
 
 import pytest
@@ -57,9 +58,11 @@ def build(store):
     return server
 
 
-def make_server(root, wrap=lambda store: store):
-    """A provisioned file-backed server behind a reset ``CountingStore``."""
-    store = rig.CountingStore(wrap(FileChunkStore(root / "store", durable=False)))
+def make_server(root, wrap=lambda store: store, backend=None):
+    """A provisioned server (file-backed unless given a ``backend``) behind
+    a reset ``CountingStore``."""
+    backend = backend or FileChunkStore(root / "store", durable=False)
+    store = rig.CountingStore(wrap(backend))
     server = build(store)
     store.reset()
     return server, store
@@ -138,17 +141,14 @@ class TestExactCounts:
         assert store.verify_counts == landed
         assert not set(store.read_counts) & set(store.verify_counts)
 
-        # The journal holds rounds - 1 round_commit records per stripe: the
-        # round that completes the decoder is covered by its stripe_done.
+        # The journal holds no round_commit, however many rounds a stripe
+        # takes, and one stripe_done per stripe that carries no chunk byte.
         records = list(WALReader(journal_dir(tmp_path)))
         plan = RepairPlan.from_dict(records[0].meta["plan"])
         assert {sp.num_rounds for sp in plan.stripe_plans} == {rounds}
-        commits = Counter(
-            r.meta["stripe"] for r in records if r.type == "round_commit"
-        )
-        assert commits == ({si: rounds - 1 for si in stripes} if rounds > 1 else {})
         types = Counter(r.type for r in records)
-        assert types["stripe_done"] == len(stripes) and types["complete"] == 1
+        assert types == {"begin": 1, "stripe_done": len(stripes), "complete": 1}
+        assert not any(r.blobs for r in records)
 
 
 # -------------------------------------------------- certification still says no
@@ -290,6 +290,134 @@ def journaled_writebacks(journal):
         for r in WALReader(journal) if r.type == "stripe_done"
         for wb in r.meta["writebacks"]
     ]
+
+
+# ------------------------------------------- replay only what is really there
+def snapshot(server):
+    return {
+        (si, shard): server.store.get(disk, ChunkId(si, shard))
+        for si in range(len(server.layout))
+        for shard, disk in enumerate(server.layout[si].disks)
+    }
+
+
+class TestResumeDecidesFromWhatIsThere:
+    """{record present, absent} x {chunk on its spare, not}, on a store that
+    keeps its chunks and on one that does not, through both drivers: a
+    stripe replays only where its record survived *and* every rebuilt chunk
+    is on its spare or in the record; anything else is redone from the plan
+    with identical bytes."""
+
+    def crashed(self, tmp_path, driver, backend):
+        """A full journaled repair, then what a crash left of it: records
+        for the first two stripes only; of each pair of stripes (recorded,
+        unrecorded) the first kept its rebuilt chunk, the second lost it.
+        Returns ``(store, originals, cells)`` with ``cells[name] = (stripe,
+        spare, chunk id)``."""
+        server, store = make_server(tmp_path, backend=backend)
+        originals = snapshot(server)
+        store.reset()
+        server.fail_disk(DISK)
+        assert repair(driver, server, tmp_path / "full").certified
+        cut_journal(journal_dir(tmp_path / "full"), journal_dir(tmp_path / "cut"), 2)
+        landed = {
+            si: (spare, ChunkId(si, shard))
+            for si, shard, spare in journaled_writebacks(journal_dir(tmp_path / "full"))
+        }
+        recorded = [si for si, _, _ in journaled_writebacks(journal_dir(tmp_path / "cut"))]
+        unrecorded = [si for si in landed if si not in recorded]
+        assert len(recorded) == 2 and len(unrecorded) >= 2
+        cells = {
+            "record+chunk": recorded[0], "record only": recorded[1],
+            "chunk only": unrecorded[0], "neither": unrecorded[1],
+        }
+        for si in [cells["record only"]] + unrecorded[1:]:
+            store.delete(*landed[si])
+        return store, originals, {name: (si, *landed[si]) for name, si in cells.items()}
+
+    @pytest.mark.parametrize("driver", DRIVERS)
+    def test_file_store_records_name_the_chunk(self, tmp_path, driver):
+        store, originals, cells = self.crashed(tmp_path, driver, None)
+        records = list(WALReader(journal_dir(tmp_path / "cut")))
+        assert not any(r.blobs for r in records)  # names, no chunk byte
+        server = attach_server(store, build)
+        server.fail_disk(DISK, destroy_data=False)
+        resumed = repair(driver, server, tmp_path / "cut", resume=True)
+        assert resumed.certified
+        self.assert_cells(
+            store, cells,
+            replayed={"record+chunk"},
+            # first run + the redo; only where no record vouched for a chunk
+            writes={"record+chunk": 1, "record only": 2, "chunk only": 2, "neither": 2},
+        )
+        assert resumed.loss.resumed_stripes == 1
+        assert resumed.loss.replayed_chunks == 0
+        now = snapshot(server)
+        assert all((now[key] == want).all() for key, want in originals.items())
+
+    @pytest.mark.parametrize("driver", DRIVERS)
+    def test_in_memory_store_records_carry_the_chunk(self, tmp_path, driver):
+        from repro.hdss.store import InMemoryChunkStore
+
+        store, originals, cells = self.crashed(tmp_path, driver, InMemoryChunkStore())
+        done = [r for r in WALReader(journal_dir(tmp_path / "cut")) if r.type == "stripe_done"]
+        assert all(len(r.blobs) == 1 for r in done)
+        server = attach_server(store, build)
+        server.fail_disk(DISK, destroy_data=False)
+        resumed = repair(driver, server, tmp_path / "cut", resume=True)
+        assert resumed.certified
+        self.assert_cells(
+            store, cells,
+            replayed={"record+chunk", "record only"},
+            writes={"record+chunk": 1, "record only": 2, "chunk only": 2, "neither": 2},
+        )
+        assert resumed.loss.resumed_stripes == 2
+        assert resumed.loss.replayed_chunks == 1  # re-put from the record
+        now = snapshot(server)
+        assert all((now[key] == want).all() for key, want in originals.items())
+
+    @staticmethod
+    def assert_cells(store, cells, replayed, writes):
+        """Survivor reads per stripe over both incarnations: ``K`` for the
+        first run, ``K`` more only where the resume redid the stripe."""
+        reads = Counter()
+        for (_, cid), n in store.read_counts.items():
+            reads[cid.stripe_index] += n
+        for name, (si, spare, cid) in cells.items():
+            assert reads[si] == (K if name in replayed else 2 * K), name
+            assert store.write_counts[spare, cid] == writes[name], name
+        # no duplicate write where the record survived and the chunk with it
+        kept = cells["record+chunk"][1:]
+        assert kept not in store.duplicates()
+
+    @pytest.mark.parametrize("driver", DRIVERS)
+    def test_lost_tail_every_stripe_fresh(self, tmp_path, driver):
+        """``stripe_done`` is not fsync'd: a machine crash may keep ``begin``
+        alone (plus a torn frame). Every stripe is then redone over the
+        chunks the store kept — certified, byte-identical."""
+        server, store = make_server(tmp_path)
+        originals = snapshot(server)
+        store.reset()
+        stripes = server.layout.stripe_set(DISK)
+        server.fail_disk(DISK)
+        assert repair(driver, server, tmp_path).certified
+        (segment,) = journal_dir(tmp_path).glob("seg-*.wal")
+        raw = segment.read_bytes()
+        _, hlen, blen, _ = struct.unpack("<4sIII", raw[:16])
+        segment.write_bytes(raw[: 16 + hlen + blen + 21])  # begin + a torn frame
+        assert [r.type for r in WALReader(journal_dir(tmp_path))] == ["begin"]
+
+        server_b = attach_server(store, build)
+        server_b.fail_disk(DISK, destroy_data=False)
+        store.reset()
+        resumed = repair(driver, server_b, tmp_path, resume=True)
+        assert resumed.certified and resumed.loss.resumed_stripes == 0
+        assert sum(store.read_counts.values()) == K * len(stripes)
+        assert sorted(store.write_counts.values()) == [1] * len(stripes)
+        now = snapshot(server_b)
+        assert all((now[key] == want).all() for key, want in originals.items())
+        types = Counter(r.type for r in WALReader(journal_dir(tmp_path)))
+        assert types == {"begin": 1, "resume": 1, "stripe_done": len(stripes), "complete": 1}
 
 
 # ----------------------------------------------------------- the job, directly

@@ -99,9 +99,10 @@ def crash_then_handoff(tmp_path, crash_at):
 
 # ------------------------------------------------------------------ matrix
 class TestCrashTimingMatrix:
-    def test_crash_before_first_round_commit(self, tmp_path):
-        # Almost immediately: the journal holds little more than `begin`.
+    def test_crash_before_first_stripe_done(self, tmp_path):
+        # Almost immediately: the journal holds nothing but `begin`.
         result = crash_then_handoff(tmp_path, crash_at=1e-7)
+        assert result.resumed_stripes == 0
         assert result.stripes_repaired == result.stripes
 
     def test_crash_mid_repair_between_commits(self, tmp_path):
@@ -109,9 +110,10 @@ class TestCrashTimingMatrix:
         assert result.resumed_stripes > 0, "crash landed outside the window"
         assert result.stripes_repaired == result.stripes
 
-    def test_crash_late_after_most_round_commits(self, tmp_path):
-        result = crash_then_handoff(tmp_path, crash_at=3.2e-5)
-        assert result.resumed_stripes > 0
+    def test_crash_late_after_most_stripe_dones(self, tmp_path):
+        # In the last stripe's reads: every other stripe has its record.
+        result = crash_then_handoff(tmp_path, crash_at=5e-5)
+        assert result.resumed_stripes == result.stripes - 1
         assert result.stripes_repaired == result.stripes
 
     def test_crash_during_journal_handoff(self, tmp_path):

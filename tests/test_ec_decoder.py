@@ -73,6 +73,93 @@ class TestReconstructionCoefficients:
             reconstruction_coefficients(code, [0, 1, 2, 3], target=6)
 
 
+class TestCoefficientMemo:
+    """Each ``(survivors, target)`` pattern is inverted once per code object."""
+
+    @pytest.fixture
+    def inversions(self, monkeypatch):
+        from repro.ec import decoder
+
+        calls = []
+        real = decoder.gf_mat_inv
+        monkeypatch.setattr(
+            decoder, "gf_mat_inv", lambda m: (calls.append(1), real(m))[1]
+        )
+        return calls
+
+    @staticmethod
+    def uncached(code, survivors, target):
+        decode = decode_matrix_for(code, survivors)
+        row = gf_mat_mul(code.matrix[target][None, :], decode)[0]
+        return {sid: int(c) for sid, c in zip(survivors, row)}
+
+    def test_every_pattern_of_rs_9_6_is_inverted_once_and_right(self, inversions):
+        code = RSCode(9, 6)
+        patterns = [
+            (list(survivors), target)
+            for survivors in combinations(range(9), 6)
+            for target in range(9)
+        ]
+        first = [reconstruction_coefficients(code, s, t) for s, t in patterns]
+        assert len(inversions) == len(patterns) == 84 * 9
+        again = [reconstruction_coefficients(code, s, t) for s, t in patterns]
+        assert len(inversions) == len(patterns)  # all served from the memo
+        del inversions[:]
+        for (survivors, target), got, cached in zip(patterns, first, again):
+            assert got == cached == self.uncached(code, survivors, target)
+
+    def test_the_dict_is_the_callers_own(self, code):
+        coeffs = reconstruction_coefficients(code, [1, 2, 3, 4], 0)
+        want = dict(coeffs)
+        coeffs[1] ^= 0xFF
+        coeffs.pop(2)
+        assert reconstruction_coefficients(code, [1, 2, 3, 4], 0) == want
+
+    def test_survivor_order_is_part_of_the_pattern(self, code):
+        a = reconstruction_coefficients(code, [1, 2, 3, 4], 0)
+        b = reconstruction_coefficients(code, [4, 3, 2, 1], 0)
+        assert a == b and list(a) == [1, 2, 3, 4] and list(b) == [4, 3, 2, 1]
+
+    def test_errors_are_not_memoised_away(self, code):
+        for _ in range(2):
+            with pytest.raises(CodingError):
+                reconstruction_coefficients(code, [0, 1, 2, 3], target=6)
+            with pytest.raises(InsufficientShardsError):
+                reconstruction_coefficients(code, [0, 1, 2], target=4)
+
+    def test_the_memo_is_bounded(self, monkeypatch):
+        from repro.ec import decoder
+
+        monkeypatch.setattr(decoder, "_MEMO_ENTRIES", 4)
+        code = RSCode(6, 4)
+        for survivors in combinations(range(6), 4):
+            reconstruction_coefficients(code, list(survivors), 0)
+            assert len(code._reconstruction_memo) <= 4
+
+    def test_stripes_sharing_a_pattern_share_one_inversion_across_a_replan(
+        self, shards, inversions
+    ):
+        """What the repair does: one decoder per stripe, same survivors and
+        target; then a salvage replan (its own stacked system, not memoised)
+        still lands on the original bytes."""
+        from repro.ec.partial import PartialDecoder
+
+        code = RSCode(6, 4)
+        decoders = [PartialDecoder(code, [1, 2, 3, 4], [0]) for _ in range(5)]
+        assert len(inversions) == 1
+        for pd in decoders:
+            pd.feed({1: shards[1], 2: shards[2]})
+        salvaged = decoders[0].replan([3, 5, 1])  # shard 4 died; 1 is re-read
+        salvaged.feed({s: shards[s] for s in salvaged.pending})
+        assert np.array_equal(salvaged.result(0), shards[0])
+        for pd in decoders[1:]:
+            pd.feed({3: shards[3], 4: shards[4]})
+            assert np.array_equal(pd.result(0), shards[0])
+        restarted = decoders[1].restart([2, 3, 4, 5])
+        restarted.feed({s: shards[s] for s in (2, 3, 4, 5)})
+        assert np.array_equal(restarted.result(0), shards[0])
+
+
 class TestReconstructMDS:
     def test_any_two_erasures(self, code, shards):
         """Exhaustive MDS check: every erasure pattern up to m=2 decodes."""

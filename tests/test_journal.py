@@ -439,14 +439,17 @@ class TestCrashResume:
 
 
 class TestMidStripeResume:
-    """Crash between rounds of one stripe; resume continues mid-stripe.
+    """Crash between rounds of one stripe; resume restarts that stripe.
 
     Needs a genuinely multi-round plan: hd-psr-as at c=8 splits each
     stripe's k=6 reads into rounds of 2, so a crash can land with a stripe
-    partially fed and its accumulator checkpointed in the journal.
+    partially fed. Rounds are not journaled: the journal holds the finished
+    stripes only, and the in-flight one starts from its plan again. (A v1
+    journal that does hold a mid-stripe ``round_commit`` still continues
+    from it: ``tests/data/parent_journal`` in ``test_repair_job.py``.)
     """
 
-    def test_inflight_stripe_continues_from_checkpoint(self, tmp_path):
+    def test_inflight_stripe_restarts_from_its_plan(self, tmp_path):
         crash = FaultSchedule([
             FaultEvent(at=8.5 * READ_SECONDS, kind="process_crash"),
         ])
@@ -460,10 +463,11 @@ class TestMidStripeResume:
         with pytest.raises(SimulatedCrash):
             recover_disk(crash_server, ALGORITHMS["hd-psr-as"](), 0,
                          faults=crash, journal=tmp_path / "journal")
+        # 8.5 reads in: one stripe (k=6) finished, two reads into the next
         state = load_state(tmp_path / "journal")
-        assert state.inflight, "crash time missed the mid-stripe window"
-        snap = next(iter(state.inflight.values()))
-        assert snap["fed"] and snap["pending"]
+        assert len(state.done) == 1 and not state.inflight
+        types = [r.type for r in WALReader(tmp_path / "journal")]
+        assert types == ["begin", "stripe_done"]
 
         resume_server = make_server(memory_chunks=8)
         resume_server.fail_disk(0)
@@ -471,8 +475,9 @@ class TestMidStripeResume:
                                faults=crash, journal=tmp_path / "journal",
                                resume=True)
         assert resumed.certified
-        # the in-flight stripe re-read only its pending survivors
-        assert resumed.data_path.chunks_read < base.data_path.chunks_read
+        # the finished stripe is not read again; the in-flight one is, whole
+        k = resume_server.config.k
+        assert resumed.data_path.chunks_read == base.data_path.chunks_read - k
         for (si, shard, spare) in base.data_path.writebacks:
             rebuilt = resume_server.store.get(spare, ChunkId(si, shard))
             assert np.array_equal(rebuilt, originals[(si, shard)]), (si, shard)

@@ -216,11 +216,12 @@ class TestOneRepairJob:
             assert "return certified(self.loss, self.scrub)" in text, path
             assert "scrub.unpopulated" not in text, path
 
-    def test_one_certification_and_one_journal_this_round_predicate(self):
+    def test_one_certification_and_one_record_per_stripe(self):
         """A job certifies from what it has in hand, once; the full parity
         scrub is the scrub plane's and ``chaos_rig.check_parity_clean``'s.
-        Whether a round is worth a ``round_commit`` is the stripe machine's
-        call, taken by both drivers right where they journal."""
+        Neither driver journals a round or snapshots a decoder — that code
+        is v1-compat, read side only — and both build a stripe's one record
+        through the job's one helper."""
         def uses(pattern):
             hits = set()
             for path in src_files():
@@ -241,9 +242,35 @@ class TestOneRepairJob:
         assert call_sites(r"server\.scrub") == {
             "src/repro/service/chaos_rig.py:check_parity_clean"
         }
-        assert count_defs("checkpoint_due") == {"src/repro/core/stripe_repair.py": 1}
-        assert uses(r"\.round_commit\b") == drivers
-        assert uses(r"\bif .*\bcheckpoint_due:") == drivers
+        assert uses("checkpoint_due") == set()
+        for path in (SRC / "core" / "executor.py", SRC / "service" / "service.py"):
+            assert not re.search(r"round_commit|to_state", path.read_text()), path
+        assert uses(r"\.round_commit\(") == set()
+        assert uses(r"\.stripe_done\b") == drivers
+        assert uses(r"\bjob\.record_writebacks\(") == drivers
+        assert count_defs("record_writebacks") == {"src/repro/core/repair_job.py": 1}
+
+    def test_every_store_says_whether_a_put_outlives_the_process(self):
+        """``persistent`` is abstract on ``ChunkStore``: a backend answers
+        for itself, a decorator with its inner's answer, and a new class
+        that says nothing cannot be instantiated — so it cannot silently
+        journal chunk names over a store that forgets them."""
+        import repro.service.chaos_rig  # noqa: F401 - registers its decorators
+        from repro.hdss.store import ChunkStore, ForwardingChunkStore
+
+        def subclasses(cls):
+            for sub in cls.__subclasses__():
+                yield sub
+                yield from subclasses(sub)
+
+        assert "persistent" in ChunkStore.__abstractmethods__
+        in_src = [c for c in subclasses(ChunkStore) if c.__module__.startswith("repro.")]
+        assert len(in_src) >= 7
+        for cls in in_src:
+            assert "persistent" not in cls.__abstractmethods__, cls
+            owner = next(k for k in cls.__mro__ if "persistent" in vars(k))
+            expected = ForwardingChunkStore if issubclass(cls, ForwardingChunkStore) else cls
+            assert owner is expected, f"{cls.__name__} inherits {owner.__name__}'s answer"
 
     def test_the_two_single_valued_options_are_gone(self):
         assert "write_back" not in (SRC / "core" / "executor.py").read_text()

@@ -112,3 +112,99 @@ class TestSimulatorScaling:
         assert elapsed(
             execute_plan, plan, L, 20, options=ExecutionOptions(model="interval")
         ) < 3.0
+
+
+class TestRepairWritePathCounts:
+    """The repair write path in counts, not timings: what one journaled,
+    fsync'd, file-store repair of ``N`` chunks costs beyond reading the
+    survivors — exact for both drivers, whatever ``N`` is."""
+
+    K, CHUNK = 6, 32 * 1024
+    #: The journal's own fsyncs, per job: the segment's directory entry,
+    #: ``begin``, ``complete`` and the close. None per stripe.
+    JOURNAL_FSYNCS = 4
+
+    def repair(self, tmp_path, driver, stripes, monkeypatch):
+        import asyncio
+        import os
+
+        from repro.core import ALGORITHMS, recover_disk
+        from repro.hdss import store as store_module
+        from repro.hdss.server import HDSSConfig, HighDensityStorageServer
+        from repro.hdss.store import FileChunkStore
+        from repro.journal import wal as wal_module
+        from repro.service import RepairService, ServiceConfig
+
+        server = HighDensityStorageServer(
+            HDSSConfig(
+                num_disks=12, n=9, k=self.K, chunk_size=self.CHUNK,
+                memory_chunks=12, spares=3, seed=5, placement="rotating",
+            ),
+            store=FileChunkStore(tmp_path / "store", durable=True),
+        )
+        server.provision_stripes(stripes, with_data=True)
+        rebuilt = len(server.layout.stripe_set(0))
+        server.fail_disk(0)
+
+        counts = {"fsync": 0, "store_bytes": 0, "wal_bytes": 0, "hashes": 0}
+        real_fsync = os.fsync
+
+        def fsync(fd):
+            counts["fsync"] += 1
+            real_fsync(fd)
+
+        def counting(module, key):
+            real = module.crc32c
+
+            def crc32c(data, *seed):
+                counts[key] += len(data)
+                counts["hashes"] += 1
+                return real(data, *seed)
+
+            monkeypatch.setattr(module, "crc32c", crc32c)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        counting(store_module, "store_bytes")
+        counting(wal_module, "wal_bytes")
+        journal = tmp_path / "journal" / "disk-000"
+        if driver == "recover_disk":
+            result = recover_disk(server, ALGORITHMS["hd-psr-ap"](), 0, journal=journal)
+        else:
+            async def run():
+                service = RepairService(
+                    server, ALGORITHMS["hd-psr-ap"](),
+                    ServiceConfig(journal_root=tmp_path / "journal"),
+                )
+                try:
+                    return await service.submit_repair(0).wait()
+                finally:
+                    await service.close()
+
+            result = asyncio.run(run())
+        monkeypatch.undo()
+        assert result.certified
+        return rebuilt, counts, journal
+
+    def test_fsyncs_hashes_and_journal_bytes_per_rebuilt_chunk(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.journal.wal import WALReader
+
+        for driver in ("recover_disk", "service"):
+            for stripes in (8, 16):
+                root = tmp_path / f"{driver}-{stripes}"
+                n, counts, journal = self.repair(root, driver, stripes, monkeypatch)
+                assert n >= 4
+                rebuilt_bytes = n * self.CHUNK
+                # tmp chunk + tmp sidecar + directory per put; the journal's
+                # fixed few; nothing per round, nothing per record
+                assert counts["fsync"] == 3 * n + self.JOURNAL_FSYNCS, (driver, stripes)
+                # k survivor reads + the put's sidecar + certify's verify
+                assert counts["store_bytes"] == (self.K + 2) * rebuilt_bytes
+                # the journal hashes its record headers and not one chunk byte
+                records = list(WALReader(journal))
+                assert len(records) == n + 2 and not any(r.blobs for r in records)
+                on_disk = sum(p.stat().st_size for p in journal.iterdir())
+                assert counts["wal_bytes"] == on_disk - 16 * len(records)
+                assert counts["hashes"] == (self.K + 2) * n + 2 * len(records)
+                assert on_disk < 0.05 * rebuilt_bytes, (driver, stripes, on_disk)

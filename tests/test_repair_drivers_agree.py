@@ -202,13 +202,10 @@ def cut_journal(source, dest, stripes_done):
 
 
 def record_types(journal, faulted):
-    """Multiset of record types. How many ``round_commit`` records a stripe
-    leaves follows the read order once a read faults mid-round (sequential
-    stop-at-first-fault vs the whole round in flight — kept by design), so
-    they are only counted for runs whose reads all delivered."""
+    """Multiset of record types — the same for both drivers whether or not
+    a read ``faulted``: neither journals a round."""
     types = Counter(record.type for record in WALReader(journal))
-    if faulted:
-        del types["round_commit"]
+    assert "round_commit" not in types
     return types
 
 

@@ -49,6 +49,11 @@ PLAN = RepairPlan(
 PAYLOAD = np.arange(8, dtype=np.uint8)
 
 
+def EMPTY(disk, cid):
+    """``contains`` of a store that holds nothing (it died with the process)."""
+    return False
+
+
 def journaled_state(**fields):
     base = dict(
         algorithm="fsr", plan=PLAN.to_dict(), stripe_indices=[4, 7],
@@ -67,7 +72,7 @@ def fresh_job(**kwargs):
 class TestDispatch:
     def test_fresh_job_starts_every_stripe_from_the_plan(self):
         job = fresh_job()
-        assert job.dispatch(4) == (FRESH, None)
+        assert job.dispatch(4, EMPTY) == (FRESH, None)
         assert job.crashes_survived == 0
 
     def test_resumed_job_replays_restores_or_starts_fresh(self):
@@ -75,10 +80,30 @@ class TestDispatch:
         snapshot = {"outcome": RECOVERED, "fed": [1]}
         state = journaled_state(done={4: done}, inflight={7: snapshot}, resume_count=2)
         job = RepairJob.resumed(state, FINGERPRINT, "j")
-        assert job.dispatch(4) == (REPLAY, done)
-        assert job.dispatch(7) == (RESTORE, snapshot)
-        assert job.dispatch(9) == (FRESH, None)
+        assert job.dispatch(4, EMPTY) == (REPLAY, done)  # carried: re-put
+        assert job.dispatch(7, EMPTY) == (RESTORE, snapshot)
+        assert job.dispatch(9, EMPTY) == (FRESH, None)
         assert job.crashes_survived == 3  # the first run + one per resume
+
+    def test_a_named_chunk_replays_only_if_it_is_on_its_spare(self):
+        """Replay is decided from what is there, not from what was promised:
+        the record outran a write-behind put that never landed."""
+        named = StripeDone(RECOVERED, 0.5, [(0, 12, None)])
+        mixed = StripeDone(REPLANNED, 0.6, [(0, 12, None), (3, 13, PAYLOAD)])
+        lost = StripeDone(LOST, 0.7, [])
+        state = journaled_state(
+            stripe_indices=[4, 7, 9], survivor_ids=[[1, 2, 3], [0, 2, 4], [1, 2, 4]],
+            done={4: named, 7: mixed, 9: lost},
+        )
+        job = RepairJob.resumed(state, FINGERPRINT, "j")
+        held = {(12, ChunkId(4, 0))}
+        contains = lambda disk, cid: (disk, cid) in held  # noqa: E731
+        assert job.dispatch(4, contains) == (REPLAY, named)
+        assert job.dispatch(7, contains) == (FRESH, None)  # its named one is not
+        assert job.dispatch(9, contains) == (REPLAY, lost)
+        assert job.dispatch(4, EMPTY) == (FRESH, None)
+        held.add((12, ChunkId(7, 0)))
+        assert job.dispatch(7, contains) == (REPLAY, mixed)  # (13, 7.3) is carried
 
     def test_rows_follow_the_plans_admission_order(self):
         assert [(sp.stripe_index, si, shards) for sp, si, shards in fresh_job().rows()] == [
@@ -98,7 +123,7 @@ class TestReplayPuts:
         job = fresh_job()
         done = StripeDone(REPLANNED, 0.5, [(0, 12, PAYLOAD), (3, 13, PAYLOAD + 1)])
         held = {(12, ChunkId(4, 0))}
-        puts = job.replay_puts(4, done, lambda disk, cid: (disk, cid) in held)
+        puts = job.replay_puts(4, done, lambda disk, cid: (disk, cid) in held, 8)
         assert [(spare, cid) for spare, cid, _ in puts] == [(13, ChunkId(4, 3))]
         assert np.array_equal(puts[0][2], PAYLOAD + 1)
         stats = job.stats
@@ -112,11 +137,32 @@ class TestReplayPuts:
     def test_lost_stripe_replays_nothing(self):
         job = fresh_job()
         done = StripeDone(LOST, 0.5, [(0, 12, None)])
-        assert job.replay_puts(4, done, lambda disk, cid: False) == []
+        assert job.replay_puts(4, done, EMPTY, 8) == []
         stats = job.stats
         assert (stats.resumed_stripes, stats.replayed_chunks) == (1, 0)
         assert (stats.stripes_lost, stats.chunks_rebuilt, stats.writebacks) == (1, 0, [])
         assert stats.loss.lost == [4]
+
+    def test_named_chunk_is_accounted_at_chunk_size_and_never_re_put(self):
+        job = fresh_job()
+        done = StripeDone(RECOVERED, 0.5, [(0, 12, None), (3, 13, PAYLOAD)])
+        puts = job.replay_puts(4, done, EMPTY, 4096)
+        assert [(spare, cid) for spare, cid, _ in puts] == [(13, ChunkId(4, 3))]
+        stats = job.stats
+        assert (stats.resumed_stripes, stats.replayed_chunks) == (1, 1)
+        assert stats.writebacks == [(4, 0, 12), (4, 3, 13)]  # both certified later
+        assert (stats.chunks_rebuilt, stats.bytes_written) == (2, 4096 + 8)
+
+
+class TestRecordWritebacks:
+    WRITTEN = [(0, 12, PAYLOAD), (3, 13, PAYLOAD + 1)]
+
+    def test_a_persistent_store_is_named_a_volatile_one_carried(self):
+        named = RepairJob.record_writebacks(SimpleNamespace(persistent=True), self.WRITTEN)
+        assert named == [(0, 12, None), (3, 13, None)]
+        carried = RepairJob.record_writebacks(SimpleNamespace(persistent=False), self.WRITTEN)
+        assert carried == self.WRITTEN
+        assert RepairJob.record_writebacks(SimpleNamespace(persistent=True), []) == []
 
 
 class TestPlace:

@@ -93,20 +93,6 @@ class TestConstruction:
         assert repair.next_round() == []
         assert np.array_equal(repair.decoder.result(TARGET), SHARDS[TARGET])
 
-    def test_only_a_round_that_leaves_reads_pending_is_worth_a_checkpoint(self):
-        repair = fresh(TWO_ROUNDS)
-        repair.feed(chunks(repair.next_round()))
-        assert repair.checkpoint_due          # one more round to go
-        repair.feed(chunks(repair.next_round()))
-        assert not repair.checkpoint_due      # stripe_done carries the payload
-        single = fresh()
-        single.feed(chunks(single.next_round()))
-        assert not single.checkpoint_due      # FSR never journals a round
-        faulted = fresh()
-        faulted.next_round()
-        faulted.feed(chunks([1, 2]))          # shard 3 died mid-round
-        assert faulted.checkpoint_due
-
     def test_restored_complete_stripe_has_nothing_to_read(self):
         first = fresh()
         finish(first)
