@@ -401,7 +401,8 @@ class RepairJob:
         stats.resumed_stripes += 1
         puts: List[Tuple[int, ChunkId, np.ndarray]] = []
         landed: List[Tuple[int, int, int]] = []
-        for target, spare, payload in () if done.outcome == LOST else done.writebacks:
+        writebacks = () if done.outcome == LOST else done.writebacks
+        for target, spare, payload in writebacks:
             cid = ChunkId(si, target)
             if payload is not None and not contains(spare, cid):
                 puts.append((spare, cid, payload))

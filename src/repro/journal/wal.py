@@ -174,17 +174,16 @@ class WALWriter:
             self.bytes_written += len(frame)
         return len(frame)
 
-    def _sync(self) -> None:
+    def _sync(self, fsync: bool = True) -> None:
         if self._fh is not None:
             self._fh.flush()
-            if self.durable:
+            if fsync and self.durable:
                 os.fsync(self._fh.fileno())
 
     def flush(self) -> None:
         """Hand everything appended so far to the OS, without an fsync."""
         with self._lock:
-            if self._fh is not None:
-                self._fh.flush()
+            self._sync(fsync=False)
 
     def commit(self) -> None:
         """Flush and fsync everything appended so far."""

@@ -35,7 +35,7 @@ from repro.hdss.store import ChunkStore, FileChunkStore, ForwardingChunkStore
 from repro.journal.wal import WALReader
 from repro.service import RepairService, ServiceConfig
 from repro.service import chaos_rig as rig
-from tests.test_repair_drivers_agree import cut_journal
+from tests.test_repair_drivers_agree import cut_journal, snapshot
 
 DISK = 3
 K = 6
@@ -293,15 +293,12 @@ def journaled_writebacks(journal):
 
 
 # ------------------------------------------- replay only what is really there
-def snapshot(server):
-    return {
-        (si, shard): server.store.get(disk, ChunkId(si, shard))
-        for si in range(len(server.layout))
-        for shard, disk in enumerate(server.layout[si].disks)
-    }
+def assert_byte_identical(server, originals):
+    now = snapshot(server)
+    assert all((now[key] == want).all() for key, want in originals.items())
 
 
-class TestResumeDecidesFromWhatIsThere:
+class TestResumeMatrix:
     """{record present, absent} x {chunk on its spare, not}, on a store that
     keeps its chunks and on one that does not, through both drivers: a
     stripe replays only where its record survived *and* every rebuilt chunk
@@ -336,7 +333,7 @@ class TestResumeDecidesFromWhatIsThere:
         return store, originals, {name: (si, *landed[si]) for name, si in cells.items()}
 
     @pytest.mark.parametrize("driver", DRIVERS)
-    def test_file_store_records_name_the_chunk(self, tmp_path, driver):
+    def test_file_store_names_the_chunk(self, tmp_path, driver):
         store, originals, cells = self.crashed(tmp_path, driver, None)
         records = list(WALReader(journal_dir(tmp_path / "cut")))
         assert not any(r.blobs for r in records)  # names, no chunk byte
@@ -352,11 +349,10 @@ class TestResumeDecidesFromWhatIsThere:
         )
         assert resumed.loss.resumed_stripes == 1
         assert resumed.loss.replayed_chunks == 0
-        now = snapshot(server)
-        assert all((now[key] == want).all() for key, want in originals.items())
+        assert_byte_identical(server, originals)
 
     @pytest.mark.parametrize("driver", DRIVERS)
-    def test_in_memory_store_records_carry_the_chunk(self, tmp_path, driver):
+    def test_memory_store_carries_the_chunk(self, tmp_path, driver):
         from repro.hdss.store import InMemoryChunkStore
 
         store, originals, cells = self.crashed(tmp_path, driver, InMemoryChunkStore())
@@ -373,8 +369,7 @@ class TestResumeDecidesFromWhatIsThere:
         )
         assert resumed.loss.resumed_stripes == 2
         assert resumed.loss.replayed_chunks == 1  # re-put from the record
-        now = snapshot(server)
-        assert all((now[key] == want).all() for key, want in originals.items())
+        assert_byte_identical(server, originals)
 
     @staticmethod
     def assert_cells(store, cells, replayed, writes):
@@ -414,8 +409,7 @@ class TestResumeDecidesFromWhatIsThere:
         assert resumed.certified and resumed.loss.resumed_stripes == 0
         assert sum(store.read_counts.values()) == K * len(stripes)
         assert sorted(store.write_counts.values()) == [1] * len(stripes)
-        now = snapshot(server_b)
-        assert all((now[key] == want).all() for key, want in originals.items())
+        assert_byte_identical(server_b, originals)
         types = Counter(r.type for r in WALReader(journal_dir(tmp_path)))
         assert types == {"begin": 1, "resume": 1, "stripe_done": len(stripes), "complete": 1}
 

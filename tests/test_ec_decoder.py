@@ -136,7 +136,7 @@ class TestCoefficientMemo:
             reconstruction_coefficients(code, list(survivors), 0)
             assert len(code._reconstruction_memo) <= 4
 
-    def test_stripes_sharing_a_pattern_share_one_inversion_across_a_replan(
+    def test_stripes_share_one_inversion_across_a_replan(
         self, shards, inversions
     ):
         """What the repair does: one decoder per stripe, same survivors and

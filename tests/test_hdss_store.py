@@ -438,7 +438,7 @@ class TestPutOrdering:
         assert not reopened.is_readable(0, cid)
         assert list(disk_dir.iterdir()) == []
 
-    def test_torn_overwrite_fails_verification_never_serves_unverified(
+    def test_torn_overwrite_fails_verification(
         self, tmp_path, monkeypatch
     ):
         cid = ChunkId(0, 0)

@@ -250,7 +250,7 @@ class TestOneRepairJob:
         assert uses(r"\bjob\.record_writebacks\(") == drivers
         assert count_defs("record_writebacks") == {"src/repro/core/repair_job.py": 1}
 
-    def test_every_store_says_whether_a_put_outlives_the_process(self):
+    def test_every_store_says_whether_it_is_persistent(self):
         """``persistent`` is abstract on ``ChunkStore``: a backend answers
         for itself, a decorator with its inner's answer, and a new class
         that says nothing cannot be instantiated — so it cannot silently

@@ -114,7 +114,7 @@ class TestSimulatorScaling:
         ) < 3.0
 
 
-class TestRepairWritePathCounts:
+class TestWritePathCounts:
     """The repair write path in counts, not timings: what one journaled,
     fsync'd, file-store repair of ``N`` chunks costs beyond reading the
     survivors — exact for both drivers, whatever ``N`` is."""
@@ -185,7 +185,7 @@ class TestRepairWritePathCounts:
         assert result.certified
         return rebuilt, counts, journal
 
-    def test_fsyncs_hashes_and_journal_bytes_per_rebuilt_chunk(
+    def test_fsyncs_hashes_and_journal_bytes_per_chunk(
         self, tmp_path, monkeypatch
     ):
         from repro.journal.wal import WALReader

@@ -4,6 +4,13 @@ owner) dies on a scripted ``daemon_crash`` mid-repair; daemon ``b``
 attaches to the same store, claims the leases, and finishes the repair
 byte-identically from ``a``'s journal.
 
+Then the machine "goes down" instead of a process: the journal is cut back
+to its fsync'd ``begin`` (``stripe_done`` records are flushed, not fsync'd)
+and one rebuilt chunk's ``put`` is torn between its two renames (sidecar
+in place, chunk not). A third daemon over the same store and journal must
+sweep the orphan sidecar, believe no record, repair every stripe from the
+plan and certify byte-identically.
+
     PYTHONPATH=src python tools/smoke_cluster_handoff.py [WORKDIR]
 
 CI calls this script and ``tests/test_cli_service.py`` imports
@@ -19,10 +26,12 @@ import urllib.request
 from pathlib import Path
 
 from repro.faults import EXIT_CRASHED
+from repro.journal.wal import WALReader, encode_record, list_segments
 from repro.service.client import ServiceClient, spawn_hdpsr, wait_for_port_file
 
 DISK = 3
 SHARDS = 4
+NUM_DISKS = 12
 
 
 async def wait_owner(port: int, deadline: float) -> None:
@@ -37,8 +46,9 @@ async def wait_owner(port: int, deadline: float) -> None:
     sys.exit("daemon a never claimed every shard")
 
 
-async def episode(port_a: int, port_b: int, mport_b: int) -> None:
-    """Drive the handoff and gate recovery on ``b``'s ``/healthz``."""
+async def episode(port_a: int, port_b: int, mport_b: int) -> dict:
+    """Drive the handoff and gate recovery on ``b``'s ``/healthz``; returns
+    every object's bytes as first read."""
     async with await ServiceClient.connect("127.0.0.1", port_a) as a, \
             await ServiceClient.connect("127.0.0.1", port_b) as b:
         hello = await a.call("ping")
@@ -76,6 +86,43 @@ async def episode(port_a: int, port_b: int, mport_b: int) -> None:
     print("cluster failover smoke ok: survivor finished",
           summary["stripes_repaired"], "stripes, resumed",
           summary["resumed_stripes"])
+    return objects
+
+
+def lose_the_tail_and_tear_a_put(journal: Path, store: Path) -> None:
+    """What a machine crash may leave of a finished repair: the journal's
+    fsync'd ``begin`` alone, and one rebuilt chunk whose ``put`` died
+    between renaming its sidecar and renaming the chunk."""
+    first, *rest = list_segments(journal)
+    begin = next(iter(WALReader(journal)))
+    assert begin.type == "begin", begin.type
+    first.write_bytes(encode_record(begin))
+    for segment in rest:
+        segment.unlink()
+    rebuilt = sorted(
+        p for p in store.glob("shard-*/disk-*/s*.chunk")
+        if int(p.parent.name.split("-")[1]) >= NUM_DISKS  # on a spare
+    )
+    rebuilt[0].unlink()  # its .crc32c sidecar stays behind
+
+
+async def lost_tail_episode(port: int, objects: dict) -> None:
+    """Every stripe is redone from the plan: no record survived to replay."""
+    async with await ServiceClient.connect("127.0.0.1", port) as c:
+        stats = await c.call("stats")
+        assert stats["store"]["orphan_sidecars"] == 1, stats["store"]
+        await c.call("fail_disk", disk=DISK)
+        job = await c.call("repair", disk=DISK, resume=True)
+        summary = await c.call("wait", job_id=job["job_id"])
+        assert summary["certified"], summary
+        assert summary["resumed_stripes"] == 0, summary
+        assert summary["stripes_repaired"] == summary["stripes"], summary
+        for si, want in objects.items():
+            got = await c.read_object(si)
+            assert got == want, f"stripe {si} bytes diverged"
+        await c.call("shutdown")
+    print("lost-tail smoke ok: every one of", summary["stripes"],
+          "stripes repaired fresh over a torn put")
 
 
 def main(workdir: Path) -> int:
@@ -84,18 +131,21 @@ def main(workdir: Path) -> int:
     crash.write_text(
         '{"events": [{"at": 2.5e-5, "kind": "daemon_crash", "daemon": 0}]}\n'
     )
+    store, journal = workdir / "cluster-store", workdir / "cluster-journal"
     common = [
-        "--n", "5", "--k", "3", "--num-disks", "12", "--chunk-size", "2KiB",
+        "--n", "5", "--k", "3", "--num-disks", str(NUM_DISKS), "--chunk-size", "2KiB",
         "--disk-size", "16KiB", "--memory", "16", "--ros", "0", "--seed", "11",
-        "--placement", "rotating", "--store", str(workdir / "cluster-store"),
-        "--journal", str(workdir / "cluster-journal"),
-        "--cluster-dir", str(workdir / "cluster-leases"),
-        "--cluster-shards", str(SHARDS), "--lease-ttl", "1.0",
-        "--heartbeat-interval", "0.25", "--no-fsync",
+        "--placement", "rotating", "--store", str(store),
+        "--journal", str(journal), "--no-fsync",
         # One stripe at a time, as in `hdpsr chaos`: with the default four in
         # flight, wall-clock interleaving decides whether any stripe is
         # journaled by the crash instant, and `resumed_stripes > 0` flakes.
         "--max-stripes", "1",
+    ]
+    cluster = [
+        "--cluster-dir", str(workdir / "cluster-leases"),
+        "--cluster-shards", str(SHARDS), "--lease-ttl", "1.0",
+        "--heartbeat-interval", "0.25",
     ]
 
     def serve(node: str, index: int, *extra: str):
@@ -105,18 +155,26 @@ def main(workdir: Path) -> int:
             "--metrics-port-file", str(workdir / f"{node}.mport"), *extra,
         )
 
-    daemons = [serve("a", 0, "--faults", str(crash))]
+    daemons = [serve("a", 0, *cluster, "--faults", str(crash))]
     try:
         deadline = time.monotonic() + 30.0
         port_a = wait_for_port_file(workdir / "a.port", 30.0, daemons[0])
         asyncio.run(wait_owner(port_a, deadline))
-        daemons.append(serve("b", 1, "--attach"))
+        daemons.append(serve("b", 1, *cluster, "--attach"))
         port_b = wait_for_port_file(workdir / "b.port", 30.0, daemons[1])
         mport_b = wait_for_port_file(workdir / "b.mport", 30.0, daemons[1])
-        asyncio.run(episode(port_a, port_b, mport_b))
+        objects = asyncio.run(episode(port_a, port_b, mport_b))
         rc_a, rc_b = (d.wait(timeout=30.0) for d in daemons)
         assert rc_a == EXIT_CRASHED, rc_a  # the scripted kill fired
         assert rc_b == 0, rc_b
+
+        # A lone daemon (no leases to wait out) over what the crash left.
+        lose_the_tail_and_tear_a_put(journal / f"disk-{DISK:03d}", store)
+        daemons.append(serve("c", 2, "--attach"))
+        port_c = wait_for_port_file(workdir / "c.port", 30.0, daemons[2])
+        asyncio.run(lost_tail_episode(port_c, objects))
+        rc_c = daemons[2].wait(timeout=30.0)
+        assert rc_c == 0, rc_c
         return 0
     finally:
         for daemon in daemons:
