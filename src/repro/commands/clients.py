@@ -188,8 +188,6 @@ def _render_top(stats: dict) -> str:
     memory = stats.get("memory", {})
     tail = (f"mem {memory.get('in_use', 0)}/{memory.get('capacity', 0)} "
             f"({memory.get('waiting', 0)} waiting)  "
-            f"writer backlog {stats.get('writer_backlog', 0)}  "
-            f"chunks enqueued {stats.get('chunks_enqueued', 0)}  "
             f"journal {format_bytes(journal.get('bytes', 0))} "
             f"in {int(journal.get('records', 0))} records")
     if runtime:

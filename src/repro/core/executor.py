@@ -365,18 +365,22 @@ class DataPathExecutor:
         written: List[Tuple[int, int, np.ndarray]] = []
         if repair.outcome != LOST:
             results = repair.decoder.results()
-            with tracer.span("writeback", f"stripe {global_index} writeback",
-                             track="datapath", targets=len(targets)):
-                for target, spare in place(stripe, targets, server.pick_spare):
-                    cid = ChunkId(global_index, target)
-                    server.store.put(spare, cid, results[target])
-                    written.append((target, spare, results[target]))
+            written = [
+                (target, spare, results[target])
+                for target, spare in place(stripe, targets, server.pick_spare)
+            ]
         job.record(global_index, repair.outcome, written)
+        # Record, then put — the service's order (docs/robustness.md, rule 4).
         if self.journal is not None:
             self.journal.stripe_done(
                 global_index, repair.outcome, self.clock,
                 job.record_writebacks(server.store, written),
             )
+        if written:
+            with tracer.span("writeback", f"stripe {global_index} writeback",
+                             track="datapath", targets=len(targets)):
+                for target, spare, payload in written:
+                    server.store.put(spare, ChunkId(global_index, target), payload)
 
 
 __all__ = ["DataPathExecutor", "ReadPolicy"]

@@ -10,7 +10,7 @@ I/O — the sequential :class:`~repro.core.executor.DataPathExecutor` under
 :func:`~repro.core.recovery.recover_disk` (serial clock, ``store.put`` +
 ``verify_chunk``) and the asyncio
 :class:`~repro.service.service.RepairService` (gate, fence, piggyback
-futures, batched shard writer), both under the server's one
+futures, puts in worker threads), both under the server's one
 :class:`~repro.core.slot_ledger.SlotLedger`; the timing-plane callers
 (:func:`~repro.core.scheduler.repair_single_disk`, the multi-disk phases,
 :func:`~repro.reliability.mttdl.estimate_repair_seconds`) use the planning
@@ -362,8 +362,9 @@ class RepairJob:
           journal's in-flight stripe: continue mid-stripe via
           ``StripeRepair.restore``;
         * :data:`FRESH` + ``None`` — start from the plan. Also a journaled
-          stripe whose named chunk never reached its spare (the record
-          outran a write-behind put): re-read, re-put, re-recorded.
+          stripe whose named chunk never reached its spare (drivers append
+          the record before the put, and the crash fell in between):
+          re-read, re-put, re-recorded.
         """
         state = self.state
         if state is not None:
@@ -418,8 +419,8 @@ class RepairJob:
         store: "ChunkStore", written: Sequence[Tuple[int, int, np.ndarray]]
     ) -> List[Tuple[int, int, Optional[np.ndarray]]]:
         """What ``stripe_done`` journals for the ``(target, spare, payload)``
-        chunks a stripe ``written``: on a persistent store the put is (or
-        will be) on the spare and the record only names it; a volatile
+        chunks a stripe is about to put: on a persistent store the put
+        will be on the spare and the record only names it; a volatile
         store loses it with the process, so the record carries the bytes
         and replay stays a zero-re-read redo."""
         if store.persistent:
@@ -442,7 +443,7 @@ class RepairJob:
         written: Sequence[Tuple[int, int, np.ndarray]] = (),
     ) -> None:
         """Account stripe ``si``'s terminal outcome and the
-        ``(target, spare, payload)`` chunks landed for it."""
+        ``(target, spare, payload)`` chunks placed for it."""
         self._account(
             si, outcome, [(t, spare, int(p.size)) for t, spare, p in written]
         )

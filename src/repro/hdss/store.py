@@ -10,10 +10,10 @@ Stores address chunks by ``(disk_id, ChunkId)``; the disk id is explicit so
 a store can also hold the *backup disks* repaired chunks are written to.
 
 :class:`ShardedChunkStore` composes several backends into one store routed
-by disk id — the scaling seam the asyncio repair service
-(:mod:`repro.service`) builds its per-shard write queues on. All stores
-expose batched :meth:`ChunkStore.put_many`; the sharded store groups a
-batch by shard so each backend sees one contiguous run of operations.
+by disk id, each shard owning a disjoint set of disk directories.
+
+A write is one :meth:`ChunkStore.put` per chunk; callers that must not
+block (the asyncio repair service) run it in a worker thread.
 """
 
 from __future__ import annotations
@@ -137,15 +137,6 @@ class ChunkStore(abc.ABC):
         self.get(disk_id, chunk_id)
         return True
 
-    def put_many(self, items: Sequence[Tuple[int, ChunkId, np.ndarray]]) -> None:
-        """Write a batch of chunks (``(disk_id, chunk_id, data)`` triples).
-
-        The base implementation loops :meth:`put`; backends with cheaper
-        batch paths (sharded stores grouping by backend) override it.
-        """
-        for disk_id, chunk_id, data in items:
-            self.put(disk_id, chunk_id, data)
-
     def __contains__(self, key: Key) -> bool:
         return self.contains(*key)
 
@@ -202,13 +193,10 @@ class ForwardingChunkStore(ChunkStore):
     """Base of the store decorators: everything goes to ``inner``.
 
     Forwards **every** :class:`ChunkStore` method and counter — those with
-    base-class defaults included, so a decorated store keeps its own batched
-    and verify paths — plus, through ``__getattr__``, the backend's extras
+    base-class defaults included, so a decorated store keeps its own
+    verify path — plus, through ``__getattr__``, the backend's extras
     (``total_chunks``, ...). Subclasses override only what they change; a
-    new interface method is added here and nowhere else. A subclass whose
-    ``put`` *does* something (counts, costs time) and wants batches to go
-    through it re-points them at the looping default:
-    ``put_many = ChunkStore.put_many``.
+    new interface method is added here and nowhere else.
     """
 
     checksum_failures = property(lambda self: self.inner.checksum_failures)
@@ -242,9 +230,6 @@ class ForwardingChunkStore(ChunkStore):
 
     def verify_chunk(self, disk_id: int, chunk_id: ChunkId) -> bool:
         return self.inner.verify_chunk(disk_id, chunk_id)
-
-    def put_many(self, items: Sequence[Tuple[int, ChunkId, np.ndarray]]) -> None:
-        self.inner.put_many(items)
 
     def __getattr__(self, name: str):
         if name == "inner":  # not set yet (copy/unpickle): no recursion
@@ -304,9 +289,6 @@ class FaultyChunkStore(ForwardingChunkStore):
     def drop_disk(self, disk_id: int) -> int:
         self._bad = {(d, c) for (d, c) in self._bad if d != disk_id}
         return self.inner.drop_disk(disk_id)
-
-    # Batches loop this class's put, so a rewrite clears the marks there too.
-    put_many = ChunkStore.put_many
 
 
 class FileChunkStore(ChunkStore):
@@ -532,13 +514,10 @@ class ShardedChunkStore(ChunkStore):
     """One logical store routed across independent backend shards.
 
     Disk ``d`` lives entirely on shard ``d % num_shards``, so every shard
-    owns a disjoint subset of disks (directories, when file-backed) and can
-    be written by its own queue/thread without contending with the others —
+    owns a disjoint subset of disks (directories, when file-backed) and
+    concurrent puts to different shards never touch the same directory —
     the layout :class:`repro.service.RepairService` multiplexes concurrent
     repairs over.
-
-    :meth:`put_many` groups a batch by shard and hands each backend one
-    contiguous run.
     """
 
     def __init__(self, shards: Sequence[ChunkStore]) -> None:
@@ -614,14 +593,6 @@ class ShardedChunkStore(ChunkStore):
 
     def verify_chunk(self, disk_id: int, chunk_id: ChunkId) -> bool:
         return self.shard_for(disk_id).verify_chunk(disk_id, chunk_id)
-
-    # --------------------------------------------------------------- batched
-    def put_many(self, items: Sequence[Tuple[int, ChunkId, np.ndarray]]) -> None:
-        by_shard: Dict[int, List[Tuple[int, ChunkId, np.ndarray]]] = {}
-        for item in items:
-            by_shard.setdefault(self.shard_of(item[0]), []).append(item)
-        for shard_idx, batch in by_shard.items():
-            self.shards[shard_idx].put_many(batch)
 
     def __repr__(self) -> str:
         return f"ShardedChunkStore({len(self.shards)} shards)"

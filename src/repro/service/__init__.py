@@ -6,10 +6,9 @@ client reads while disks rebuild:
 
 * :mod:`repro.service.admission` — per-disk read-concurrency gates with
   foreground-over-background priority and deadline-bounded waits;
-* :mod:`repro.service.sharding` — the bounded, batching async writer in
-  front of a :class:`~repro.hdss.store.ShardedChunkStore`;
 * :mod:`repro.service.service` — :class:`RepairService`: the repair
-  supervisor plus the ``submit_repair`` / ``read_chunk`` front door;
+  supervisor (each stripe journals, then puts its rebuilt chunks) plus
+  the ``submit_repair`` / ``read_chunk`` front door;
 * :mod:`repro.service.protocol` — JSON-lines wire protocol (with
   request-scoped trace propagation, per-request deadlines, and the v4
   error taxonomy);
@@ -71,11 +70,9 @@ from repro.service.service import (
     ServiceRepairResult,
 )
 from repro.service.scrub import ScrubConfig, Scrubber, ScrubStatus
-from repro.service.sharding import AsyncShardWriter
 from repro.service.telemetry import TelemetryServer, stats_snapshot
 
 __all__ = [
-    "AsyncShardWriter",
     "BackoffPolicy",
     "CircuitBreaker",
     "ClusterClient",

@@ -11,10 +11,10 @@ seeded end to end and every assertion is checkable in memory afterwards:
    reads through :class:`~repro.service.client.ClusterClient`.
 2. A scripted ``daemon_crash`` (rewritten to ``process_crash`` on ``a``'s
    modeled clock by :meth:`~repro.faults.spec.FaultSchedule.for_daemon`)
-   kills ``a`` mid-repair. The harness then emulates process death: the
-   writer's queued-but-unpersisted chunks are dropped
-   (:meth:`~repro.service.sharding.AsyncShardWriter.abort`) and ``a``'s
-   leases are left un-released, exactly as a real SIGKILL leaves them.
+   kills ``a`` mid-repair: the crash ends its repair job (every stripe
+   task is cancelled; a put already in its worker thread may still land,
+   its ``stripe_done`` record already appended) and ``a``'s leases are
+   left un-released, exactly as a real SIGKILL leaves them.
 3. Daemon ``b``'s failure detector notices the missed heartbeats, claims
    the expired leases with a bumped epoch, and — via the daemon's journal
    handoff — resumes ``a``'s repair after its last finished stripe.
@@ -30,10 +30,11 @@ Determinism: the crash is placed on the *modeled* repair clock, so it
 fires at the same stripe boundary every run for a given seed; wall-clock
 jitter moves only the takeover latency, never which writes happened.
 The shared store counts writes rather than forbidding overlap because a
-batch already handed to a store thread at crash time may still land —
-the same race a real crash has with the page cache — and the journal
-protocol's answer (skip chunks the dead peer persisted, re-derive the
-rest) is exactly what the duplicate counter validates.
+put already handed to a store thread at crash time may still land — the
+same race a real crash has with the page cache — and the journal
+protocol's answer (the record goes before the put, so a landed chunk is
+replayed, never re-derived; a recorded chunk that never landed is
+re-derived) is exactly what the duplicate counter validates.
 
 The server assembly, the repair steps, the invariant checks and the
 report epilogue are the shared :mod:`~repro.service.chaos_rig`; this
@@ -224,9 +225,8 @@ class ChaosScenario(rig.Episode):
             # The scripted crash fires inside a's modeled repair reads.
             exit_a = await asyncio.wait_for(task_a, timeout=self.remaining())
             t_crash = time.monotonic()
-            # Process death: queued-unpersisted writes vanish with the
-            # daemon; leases stay on disk until the TTL expires.
-            daemon_a.service.writer.abort()
+            # Process death: the crash already ended a's repair job; its
+            # leases stay on disk until the TTL expires.
             report["exit_code_a"] = exit_a
             if exit_a != EXIT_CRASHED:
                 self.fail(

@@ -141,10 +141,6 @@ class CountingStore(ForwardingChunkStore):
         self.write_counts[disk_id, chunk_id] += 1
         self.inner.put(disk_id, chunk_id, data)
 
-    def put_many(self, items) -> None:
-        self.write_counts.update((disk_id, chunk_id) for disk_id, chunk_id, _ in items)
-        self.inner.put_many(items)
-
     def get(self, disk_id: int, chunk_id: ChunkId) -> np.ndarray:
         self.read_counts[disk_id, chunk_id] += 1
         return self.inner.get(disk_id, chunk_id)

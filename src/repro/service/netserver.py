@@ -270,7 +270,7 @@ class ServiceDaemon:
         live under the *shared* ``journal_root``, so the survivor skips
         every finished stripe whose rebuilt chunk the dead peer persisted
         and redoes the rest — the in-flight stripes and any whose record
-        outran its write-behind put — from the journaled plan.
+        was appended but whose put never landed — from the journaled plan.
         """
         if prev_owner is None:
             return  # initial claim of a never-owned shard: nothing to resume

@@ -9,9 +9,11 @@
   a round first takes ``len(round)`` of the server's ``c`` chunk slots
   (:class:`~repro.service.admission.SlotWaiter` over ``server.memory``),
   then its reads fan out concurrently, gated by per-disk semaphores
-  (:class:`~repro.service.admission.DiskGate`) so no spindle is swamped,
-  and rebuilt chunks stream through the batched
-  :class:`~repro.service.sharding.AsyncShardWriter`.
+  (:class:`~repro.service.admission.DiskGate`) so no spindle is swamped.
+  A decoded stripe appends its ``stripe_done`` record and only then puts
+  its rebuilt chunks, awaiting both in a worker thread while it still
+  holds its ``max_concurrent_stripes`` slot — that slot is the write
+  path's only back-pressure, and nothing is queued behind it.
 * ``read_chunk(stripe, shard)`` is the client-facing read path. Reads of
   healthy chunks take a foreground-priority slot on the owning disk; reads
   of *lost* chunks become degraded reads that **piggyback on the in-flight
@@ -89,7 +91,6 @@ from repro.service.overload import (
     OverloadConfig,
     OverloadController,
 )
-from repro.service.sharding import AsyncShardWriter
 
 DEGRADED_READS = "hdpsr_service_degraded_reads_total"
 FOREGROUND_READS = "hdpsr_service_foreground_reads_total"
@@ -119,8 +120,6 @@ class ServiceConfig:
             by the server's ``c``-slot memory, this bounds the ``t``
             accumulators per stripe on top of it.
         per_disk_reads: concurrent reads allowed per disk (gate width).
-        queue_depth: per-shard write-queue bound (backpressure).
-        batch_size: chunks coalesced into one ``put_many``.
         policy: read-hardening knobs applied to modeled repair reads
             (timeouts, retries, hedging), same semantics as the
             sequential executor.
@@ -135,8 +134,6 @@ class ServiceConfig:
 
     max_concurrent_stripes: int = 4
     per_disk_reads: int = 2
-    queue_depth: int = 64
-    batch_size: int = 8
     policy: Optional[ReadPolicy] = None
     journal_root: "str | Path | None" = None
     durable_journal: bool = True
@@ -295,11 +292,6 @@ class RepairService:
         )
         self.gate.controller = self.overload
         self.memory = SlotWaiter(server.memory)  # every job's rounds wait here
-        self.writer = AsyncShardWriter(
-            server.store,
-            queue_depth=self.config.queue_depth,
-            batch_size=self.config.batch_size,
-        )
         self._injector: Optional[FaultInjector] = None
         #: Per-disk modeled channel busy-until times.
         self._channels: Dict[int, float] = {}
@@ -330,10 +322,10 @@ class RepairService:
 
     # ------------------------------------------------------------- lifecycle
     async def close(self) -> None:
-        """Flush writes and stop the shard drain tasks."""
+        """Wait for the background read-repairs. A repair job's puts are
+        awaited by the job itself, so no write is left to flush."""
         if self._chunk_repairs:
             await asyncio.gather(*list(self._chunk_repairs), return_exceptions=True)
-        await self.writer.close()
 
     # --------------------------------------------------------------- fencing
     def _check_fence(self, disk_id: int) -> None:
@@ -587,12 +579,14 @@ class RepairService:
         tracer = current_tracer()
         fingerprint = server.config.fingerprint()
 
+        job: Optional[_Job] = None
         if resume:
             if jdir is None:
                 raise JournalError("resume needs a journal_root in ServiceConfig")
             state = await asyncio.to_thread(load_state, jdir)
             job = _Job.resumed(state, fingerprint, jdir)
             self.modeled_now = max(self.modeled_now, state.clock)
+            stripes = job.stripe_indices
         else:
             if not server.disk(disk_id).is_failed:
                 raise StorageError(
@@ -608,58 +602,61 @@ class RepairService:
                 raise StorageError(
                     f"disk {disk_id} holds no unclaimed stripes; nothing to repair"
                 )
-            # The modeled clock prices reads unjittered, so the plan does too.
-            planned = await asyncio.to_thread(
-                plan_repair, server, self.algorithm, failed_all,
-                stripes=stripes, jittered=False,
-            )
-            job = _Job(
-                planned.plan, planned.stripe_indices, planned.survivor_ids,
-                failed_all, fingerprint,
-            )
-        self._ensure_injector(job.crashes_survived)
-        if jdir is not None:
-            job.journal = RepairJournal(jdir, durable=self.config.durable_journal)
-            job.open(job.journal)
-
-        job.disk = disk_id
-        job.job_id = job_id
-        job.started_wall = started
-        self._jobs[job_id] = job
-
-        job.modeled_start = self.modeled_now
-        loop = asyncio.get_running_loop()
-        for si in job.stripe_indices:
-            if si not in self._repair_futures:
-                self._repair_futures[si] = loop.create_future()
-            self._claimed.add(si)
-
-        sem = asyncio.Semaphore(self.config.max_concurrent_stripes)
-        tasks = [
-            loop.create_task(self._stripe_bounded(sem, job, sp, si, shards))
-            for sp, si, shards in job.rows()
-        ]
+        # Claimed in the step that chose them, before planning yields the
+        # loop: an overlapping submit must already see them taken.
+        self._claim_stripes(stripes)
+        tasks: List[asyncio.Task] = []
         try:
+            if job is None:
+                # The modeled clock prices reads unjittered, so the plan does too.
+                planned = await asyncio.to_thread(
+                    plan_repair, server, self.algorithm, failed_all,
+                    stripes=stripes, jittered=False,
+                )
+                job = _Job(
+                    planned.plan, planned.stripe_indices, planned.survivor_ids,
+                    failed_all, fingerprint,
+                )
+            self._ensure_injector(job.crashes_survived)
+            if jdir is not None:
+                job.journal = RepairJournal(jdir, durable=self.config.durable_journal)
+                job.open(job.journal)
+
+            job.disk = disk_id
+            job.job_id = job_id
+            job.started_wall = started
+            self._jobs[job_id] = job
+            job.modeled_start = self.modeled_now
+
+            sem = asyncio.Semaphore(self.config.max_concurrent_stripes)
+            loop = asyncio.get_running_loop()
+            tasks = [
+                loop.create_task(self._stripe_bounded(sem, job, sp, si, shards))
+                for sp, si, shards in job.rows()
+            ]
+            # Every stripe awaits its own puts: once this returns, every
+            # rebuilt chunk is on its spare.
             await asyncio.gather(*tasks)
-            await self.writer.flush()
             self._check_fence(job.disk)
             scrub = await asyncio.to_thread(
                 job.certify, server, job.commit(server), self.is_quarantined
             )
             stats = job.finish(job.journal, self._injector, self.modeled_now)
         except BaseException:
-            # SimulatedCrash, cancellation, or a fence lost at the commit
-            # point: stop cleanly and keep the journal — a resumed service
-            # (this one or the new owner) picks up after the last record.
+            # SimulatedCrash, cancellation, a failed put or a fence lost at
+            # the commit point: stop cleanly and keep the journal — a
+            # resumed service (this one or the new owner) picks up after
+            # the last record.
             for t in tasks:
                 t.cancel()
             await asyncio.gather(*tasks, return_exceptions=True)
-            if job.journal is not None:
+            if job is not None and job.journal is not None:
                 job.journal.close()
             raise
         finally:
-            job.finished = True
-            self._release_stripes(job)
+            if job is not None:
+                job.finished = True
+            self._release_stripes(stripes)
         result = ServiceRepairResult(
             disk=disk_id,
             algorithm=job.plan.algorithm,
@@ -683,8 +680,17 @@ class RepairService:
         )
         return result
 
-    def _release_stripes(self, job: _Job) -> None:
-        for si in job.stripe_indices:
+    def _claim_stripes(self, stripes: List[int]) -> None:
+        """Own ``stripes``: overlapping repairs skip them, and degraded
+        reads of them wait on their piggyback futures."""
+        loop = asyncio.get_running_loop()
+        for si in stripes:
+            if si not in self._repair_futures:
+                self._repair_futures[si] = loop.create_future()
+            self._claimed.add(si)
+
+    def _release_stripes(self, stripes: List[int]) -> None:
+        for si in stripes:
             fut = self._repair_futures.pop(si, None)
             if fut is not None and not fut.done():
                 fut.set_result(None)  # readers fall back to standalone decode
@@ -727,7 +733,7 @@ class RepairService:
             for spare, cid, payload in job.replay_puts(
                 si, journaled, server.store.contains, server.config.chunk_size
             ):
-                await self.writer.put(spare, cid, payload)
+                await asyncio.to_thread(server.store.put, spare, cid, payload)
             # A record that only names its chunks hands piggybackers {}:
             # they fall back to their own decode.
             resolve(
@@ -815,15 +821,27 @@ class RepairService:
             # read only needs the decoded bytes, not their new home.
             resolve(results)
             self._check_fence(job.disk)
-            for target, spare in place(stripe, targets, server.pick_spare):
-                await self.writer.put(spare, ChunkId(si, target), results[target])
-                written.append((target, spare, results[target]))
+            written = [
+                (target, spare, results[target])
+                for target, spare in place(stripe, targets, server.pick_spare)
+            ]
         job.record(si, outcome, written)
+        # Record, then put (docs/robustness.md, rule 4): a chunk that lands
+        # always has its record, so a crash never leads to an identical
+        # re-put; a record whose chunk never landed resumes FRESH (rule 3).
         if job.journal is not None:
             await asyncio.to_thread(
                 job.journal.stripe_done, si, outcome, self.modeled_now,
                 job.record_writebacks(server.store, written),
             )
+        with current_tracer().span(
+            "writeback", f"stripe-{si}/put", track="service",
+            stripe=si, chunks=len(written),
+        ):
+            for target, spare, payload in written:
+                await asyncio.to_thread(
+                    server.store.put, spare, ChunkId(si, target), payload
+                )
         current_registry().counter(
             REPAIR_STRIPES, "stripe repairs finished"
         ).labels(outcome=outcome).inc()

@@ -3,8 +3,8 @@
 **How the daemon describes itself.** Every plane has exactly one
 side-effect-free "what is your state now" method returning a JSON-safe dict
 (``RepairService.snapshot``, ``SlotLedger.snapshot``, ``DiskGate.depths``,
-``AsyncShardWriter.snapshot``, ``OverloadController.snapshot``,
-``Scrubber.status``, ``ClusterNode.status``, ``EventLoopMonitor.snapshot``).
+``OverloadController.snapshot``, ``Scrubber.status``, ``ClusterNode.status``,
+``EventLoopMonitor.snapshot``).
 :func:`stats_snapshot` asks each of them once, and everything a scraper
 sees is derived from that one reading:
 
@@ -83,11 +83,6 @@ GAUGES = (
      "memory", (), lambda s: s["in_use"]),
     ("hdpsr_service_memory_waiting", "repair rounds parked for chunk slots",
      "memory", (), lambda s: s["waiting"]),
-    ("hdpsr_service_writer_backlog", "chunks enqueued but not yet persisted",
-     "writer", (), lambda s: s["backlog"]),
-    ("hdpsr_service_queue_depth", "chunks buffered in a shard's write queue",
-     "writer", ("shard",),
-     lambda s: (((shard,), n) for shard, n in s["queue_depths"].items())),
     ("hdpsr_service_gate_inflight", "reads holding a per-disk slot",
      "gates", ("disk",),
      lambda s: (((disk,), g["inflight"]) for disk, g in s.items())),
@@ -166,7 +161,6 @@ def stats_snapshot(
     sections = {
         "repair": service.snapshot(),
         "memory": service.server.memory.snapshot(),
-        "writer": service.writer.snapshot(),
         "gates": {str(d): v for d, v in service.gate.depths().items()},
         "foreground": _read_percentiles(metrics),
         "journal": {
@@ -189,13 +183,11 @@ def stats_snapshot(
     if scrubber is not None:
         sections["scrub"] = scrubber.status().to_dict()
     export_gauges(registry, sections)
-    # The reply keeps its flat head: the repair and writer sections are
-    # spread over top-level keys, every other section goes out as it is.
-    repair, writer = sections.pop("repair"), sections.pop("writer")
+    # The reply keeps its flat head: the repair section is spread over
+    # top-level keys, every other section goes out as it is.
+    repair = sections.pop("repair")
     return {
         "modeled_now": repair["modeled_now"],
-        "chunks_enqueued": writer["chunks_enqueued"],
-        "writer_backlog": writer["backlog"],
         "failed": repair["failed"],
         "jobs": repair["jobs"],
         "read_quantiles": list(READ_LATENCY_QUANTILES),

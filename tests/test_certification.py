@@ -31,7 +31,7 @@ from repro.ec.stripe import ChunkId
 from repro.faults.report import REPLANNED
 from repro.faults.spec import FaultEvent, FaultSchedule
 from repro.hdss.server import HDSSConfig, HighDensityStorageServer, attach_server
-from repro.hdss.store import ChunkStore, FileChunkStore, ForwardingChunkStore
+from repro.hdss.store import FileChunkStore, ForwardingChunkStore
 from repro.journal.wal import WALReader
 from repro.service import RepairService, ServiceConfig
 from repro.service import chaos_rig as rig
@@ -245,8 +245,6 @@ class TestCertificationStillSaysNo:
                 self.inner.put(disk_id, chunk_id, data)
                 if chunk_id == self.victim:
                     truncate(self.inner, disk_id, chunk_id)
-
-            put_many = ChunkStore.put_many
 
         server, store = make_server(tmp_path, wrap=TearingStore)
         si = server.layout.stripe_set(DISK)[2]

@@ -47,12 +47,10 @@ def shared_store(tmp_path):
 
 
 async def crash_repair(service, disk=DISK, resume=False):
-    """Run a repair expected to die of a scripted crash; abort the writer
-    afterwards the way a killed process loses its unflushed queue."""
+    """Run a repair expected to die of a scripted crash."""
     ticket = service.submit_repair(disk, resume=resume)
     with pytest.raises(SimulatedCrash):
         await ticket.task
-    service.writer.abort()
 
 
 async def finish_repair(service, disk=DISK):
@@ -214,21 +212,14 @@ class TestEpochFencing:
             originals = rig.originals_of(server_a)
             store.reset()
             journal = tmp_path / "journal"
-            lease_lost = False
 
             def fence(disk):
-                if lease_lost:
+                # The lease is lost once every stripe is done.
+                jobs = service_a.snapshot()["jobs"]
+                if jobs and jobs[0]["stripes_done"] == jobs[0]["stripes_total"]:
                     raise FencedError("lease lost", held_epoch=1, current_epoch=2)
 
             service_a = make_service(server_a, journal, fence=fence)
-            flush = service_a.writer.flush
-
-            async def flush_then_lose_the_lease():
-                nonlocal lease_lost
-                await flush()
-                lease_lost = True
-
-            service_a.writer.flush = flush_then_lose_the_lease
             server_a.fail_disk(DISK)
             ticket = service_a.submit_repair(DISK)
             with pytest.raises(FencedError):

@@ -142,7 +142,8 @@ class TestForwardingDecorators:
     def test_everything_reaches_the_inner_store(self, store):
         wrapped = ForwardingChunkStore(store)
         cid = ChunkId(0, 1)
-        wrapped.put_many([(2, cid, chunk()), (2, ChunkId(0, 2), chunk(fill=9))])
+        wrapped.put(2, cid, chunk())
+        wrapped.put(2, ChunkId(0, 2), chunk(fill=9))
         assert store.contains(2, cid) and (2, cid) in wrapped
         assert wrapped.is_readable(2, cid) and wrapped.verify_chunk(2, cid)
         got = [wrapped.get(2, ChunkId(0, 2)), wrapped.get(2, cid)]
@@ -158,22 +159,7 @@ class TestForwardingDecorators:
         with pytest.raises(AttributeError):
             ForwardingChunkStore(inner).no_such_extra
 
-    def test_batches_keep_the_inner_store_s_batch_path(self):
-        calls = []
-
-        class Spy(ShardedChunkStore):
-            def put_many(self, items):
-                calls.append(len(items))
-                super().put_many(items)
-
-        inner = Spy([InMemoryChunkStore(), InMemoryChunkStore()])
-        ForwardingChunkStore(inner).put_many(
-            [(0, ChunkId(0, 0), chunk()), (1, ChunkId(0, 1), chunk())]
-        )
-        assert calls == [2]  # one grouped batch, not two single puts
-        assert inner.contains(0, ChunkId(0, 0)) and inner.contains(1, ChunkId(0, 1))
-
-    def test_sector_marks_apply_to_the_batched_paths(self):
+    def test_a_rewrite_remaps_a_marked_sector(self):
         faulty = FaultyChunkStore(InMemoryChunkStore())
         cid = ChunkId(3, 0)
         faulty.put(1, cid, chunk())
@@ -183,7 +169,7 @@ class TestForwardingDecorators:
             faulty.get(1, cid)
         with pytest.raises(LatentSectorError):
             faulty.verify_chunk(1, cid)
-        faulty.put_many([(1, cid, chunk(fill=5))])  # a rewrite remaps the sector
+        faulty.put(1, cid, chunk(fill=5))  # a rewrite remaps the sector
         assert faulty.bad_chunks() == [] and int(faulty.get(1, cid)[0]) == 5
 
 

@@ -596,3 +596,76 @@ class TestOneSelfDescription:
     def test_no_plane_reaches_into_another_s_privates(self):
         for path in SERVICE.glob("*.py"):
             assert not private_reaches(path), path
+
+
+def store_puts(node):
+    """Every ``<…>store.put`` attribute under ``node`` (a call's target or
+    an argument handed on)."""
+    return [
+        n for n in ast.walk(node)
+        if isinstance(n, ast.Attribute) and n.attr == "put"
+        and ast.unparse(n.value).endswith("store")
+    ]
+
+
+def repair_stripe_of(path):
+    (fn,) = [
+        n for n in ast.walk(ast.parse(path.read_text()))
+        if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and n.name == "_repair_stripe"
+    ]
+    return fn
+
+
+class TestOneWritePath:
+    """A rebuilt chunk has one write path in both drivers: its stripe
+    appends the ``stripe_done`` record, then puts the chunk and (in the
+    daemon) awaits it off the event loop. No queue, no batch, no knob."""
+
+    def test_the_write_behind_layer_is_gone(self):
+        assert not (SERVICE / "sharding.py").exists()
+        for path in src_files():
+            text = path.read_text()
+            for word in ("AsyncShardWriter", "put_many", "writer_backlog",
+                         "chunks_enqueued", "service/sharding.py",
+                         "service.sharding"):
+                assert word not in text, f"{path}: {word}"
+
+    def test_service_config_keeps_its_six_fields(self):
+        from dataclasses import fields
+
+        from repro.service import ServiceConfig
+
+        assert [f.name for f in fields(ServiceConfig)] == [
+            "max_concurrent_stripes", "per_disk_reads", "policy",
+            "journal_root", "durable_journal", "overload",
+        ]
+
+    def test_every_service_put_is_awaited_in_a_worker_thread(self):
+        tree = ast.parse((SERVICE / "service.py").read_text())
+        threaded = {
+            id(call.args[0]) for call in ast.walk(tree)
+            if isinstance(call, ast.Call) and call.args
+            and ast.unparse(call.func) == "asyncio.to_thread"
+        }
+        puts = store_puts(tree)
+        assert len(puts) == 3  # read-repair, replay, rebuilt chunk
+        assert all(id(put) in threaded for put in puts)
+
+    def test_both_drivers_record_before_they_put(self):
+        """A replayed stripe's re-put already has its record; every other
+        put in ``_repair_stripe`` is of a rebuilt chunk and comes after."""
+        for path in (SRC / "core" / "executor.py", SERVICE / "service.py"):
+            fn = repair_stripe_of(path)
+            records = [
+                n.lineno for n in ast.walk(fn)
+                if isinstance(n, ast.Attribute) and n.attr == "stripe_done"
+            ]
+            replayed = {
+                id(put) for block in ast.walk(fn)
+                if isinstance(block, ast.If) and "REPLAY" in ast.unparse(block.test)
+                for put in store_puts(block)
+            }
+            puts = [n.lineno for n in store_puts(fn) if id(n) not in replayed]
+            assert records and puts, path
+            assert max(records) < min(puts), f"{path}: a put precedes its record"

@@ -5,6 +5,7 @@ its coroutine with ``asyncio.run``.
 """
 
 import asyncio
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -21,14 +22,20 @@ from repro.errors import (
 from repro.faults.injector import SimulatedCrash
 from repro.faults.spec import FaultEvent, FaultSchedule
 from repro.faults.report import EXIT_DATA_LOSS, LOST
-from repro.hdss.store import FaultyChunkStore, InMemoryChunkStore, ShardedChunkStore
+from repro.hdss.server import attach_server
+from repro.hdss.store import (
+    FaultyChunkStore,
+    ForwardingChunkStore,
+    InMemoryChunkStore,
+    ShardedChunkStore,
+)
 from repro.obs import MetricsRegistry, use_registry
 from repro.service import (
-    AsyncShardWriter,
     DiskGate,
     RepairService,
     ServiceConfig,
 )
+from repro.service import chaos_rig as rig
 from repro.service.chaos_rig import build_server as make_server
 from repro.service.chaos_rig import build_service as make_service
 from repro.service.chaos_rig import originals_of
@@ -110,57 +117,128 @@ class TestDiskGate:
 
 
 # ---------------------------------------------------------------------------
-# AsyncShardWriter
+# Write-back: each stripe journals, then awaits its own put
 # ---------------------------------------------------------------------------
-class TestAsyncShardWriter:
-    def test_writes_reach_owning_shards(self, tmp_path):
-        store = ShardedChunkStore.from_root(tmp_path, num_shards=3, durable=False)
+class FirstPutOf(ForwardingChunkStore):
+    """Runs ``hook(land)`` in place of the first put of one stripe's
+    rebuilt chunk (in the put's worker thread); ``land()`` performs it."""
 
+    def __init__(self, inner, stripe, hook):
+        super().__init__(inner)
+        self.stripe = stripe
+        self.hook = hook
+        self.fired = False
+
+    def put(self, disk_id, chunk_id, data):
+        if chunk_id.stripe_index == self.stripe and not self.fired:
+            self.fired = True
+            return self.hook(lambda: self.inner.put(disk_id, chunk_id, data))
+        self.inner.put(disk_id, chunk_id, data)
+
+
+class TestWriteBack:
+    DISK = 0
+
+    def _stores(self, tmp_path):
+        """A provisioned counting file store, its originals, and the stripe
+        whose put the test intercepts."""
+        counting = rig.CountingStore(ShardedChunkStore.from_root(
+            tmp_path / "store", num_shards=4, durable=False
+        ))
+        server = make_server(counting)
+        originals = originals_of(server)
+        counting.reset()
+        return counting, originals, server.layout.stripe_set(self.DISK)[0]
+
+    def _resume(self, counting, journal_root):
+        """A second incarnation over the same store and journal finishes
+        the repair; returns ``(result, server, service)``."""
         async def run():
-            writer = AsyncShardWriter(store, queue_depth=4, batch_size=2)
-            for disk in range(9):
-                await writer.put(disk, ChunkId(disk, 0),
-                                 np.full(64, disk, dtype=np.uint8))
-            await writer.close()
+            server = attach_server(counting, make_server)
+            server.fail_disk(self.DISK, destroy_data=False)
+            service = make_service(
+                server, journal_root=journal_root, max_concurrent_stripes=4
+            )
+            result = await service.submit_repair(self.DISK, resume=True).wait()
+            await service.close()
+            return result, server, service
 
-        asyncio.run(run())
-        for disk in range(9):
-            assert store.shards[disk % 3].contains(disk, ChunkId(disk, 0))
-            assert store.get(disk, ChunkId(disk, 0))[0] == disk
+        return asyncio.run(run())
 
-    def test_drain_error_surfaces_on_flush(self, tmp_path):
-        store = ShardedChunkStore.from_root(tmp_path, num_shards=2, durable=False)
+    def test_a_put_that_lands_after_the_crash_has_its_record(self, tmp_path):
+        """Four stripes in flight; one rebuilt chunk's put is parked in its
+        thread until the job has died, then lands. The record went first,
+        so the resume replays that stripe — no survivor read, no second
+        put. Put-then-record would resume it FRESH and write it twice."""
+        counting, originals, parked_si = self._stores(tmp_path)
+        parked, release = threading.Event(), threading.Event()
 
-        def boom(items):
+        def park(land):
+            parked.set()
+            release.wait(timeout=30)
+            land()
+            raise SimulatedCrash("the process died as the parked chunk landed")
+
+        journal_root = tmp_path / "journal"
+
+        async def crash():
+            server = attach_server(
+                FirstPutOf(counting, parked_si, park), make_server
+            )
+            server.fail_disk(self.DISK)
+            service = make_service(
+                server, journal_root=journal_root, max_concurrent_stripes=4
+            )
+            ticket = service.submit_repair(self.DISK)
+            assert await asyncio.to_thread(parked.wait, 30)
+            ticket.task.cancel()  # the job dies with the put in its thread
+            with pytest.raises(asyncio.CancelledError):
+                await ticket.task
+            release.set()
+            return service
+
+        # asyncio.run joins the worker threads: the parked put has landed.
+        crashed = asyncio.run(crash())
+        assert rig.check_memory_released(crashed) is None
+
+        counting.read_counts.clear()
+        result, server, service = self._resume(counting, journal_root)
+        assert result.certified
+        assert result.resumed_stripes >= 1
+        rereads = [cid for _, cid in counting.read_counts if cid.stripe_index == parked_si]
+        assert rereads == [], "the parked stripe was re-derived, not replayed"
+        assert rig.check_no_duplicate_writes(counting) is None
+        assert rig.check_memory_released(service) is None
+        assert asyncio.run(rig.check_byte_identical(server.read_object, originals)) is None
+
+    def test_failed_put_fails_the_job_and_resumes_certified(self, tmp_path):
+        counting, originals, failing_si = self._stores(tmp_path)
+
+        def disk_full(land):
             raise OSError("disk full")
 
-        store.shards[0].put_many = boom
+        journal_root = tmp_path / "journal"
 
         async def run():
-            writer = AsyncShardWriter(store, batch_size=1)
-            await writer.put(0, ChunkId(0, 0), np.zeros(8, dtype=np.uint8))
-            with pytest.raises(StorageError, match="disk full"):
-                await writer.flush()
+            server = attach_server(
+                FirstPutOf(counting, failing_si, disk_full), make_server
+            )
+            server.fail_disk(self.DISK)
+            service = make_service(
+                server, journal_root=journal_root, max_concurrent_stripes=4
+            )
+            with pytest.raises(OSError, match="disk full"):
+                await service.submit_repair(self.DISK).wait()
+            return service
 
-        asyncio.run(run())
+        failed = asyncio.run(run())
+        assert not failed._claimed and not failed._repair_futures
+        assert rig.check_memory_released(failed) is None
 
-    def test_closed_writer_refuses_puts(self, tmp_path):
-        store = ShardedChunkStore.from_root(tmp_path, num_shards=2, durable=False)
-
-        async def run():
-            writer = AsyncShardWriter(store)
-            await writer.close()
-            with pytest.raises(StorageError):
-                await writer.put(0, ChunkId(0, 0), np.zeros(8, dtype=np.uint8))
-
-        asyncio.run(run())
-
-    def test_rejects_bad_knobs(self, tmp_path):
-        store = ShardedChunkStore.from_root(tmp_path, num_shards=2, durable=False)
-        with pytest.raises(ConfigurationError):
-            AsyncShardWriter(store, queue_depth=0)
-        with pytest.raises(ConfigurationError):
-            AsyncShardWriter(store, batch_size=0)
+        result, server, _ = self._resume(counting, journal_root)
+        assert result.certified
+        assert rig.check_no_duplicate_writes(counting) is None
+        assert asyncio.run(rig.check_byte_identical(server.read_object, originals)) is None
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +304,6 @@ class TestServiceRepair:
         async def run():
             service = make_service(server)
             t0 = service.submit_repair(0)
-            await asyncio.sleep(0.02)  # let job 0 claim its stripes
             t1 = service.submit_repair(1)
             return await asyncio.gather(t0.wait(), t1.wait()), service
 

@@ -210,7 +210,6 @@ class TestScrapeVerbs:
             assert entry["count"] >= 1
             assert "p99" in entry
         assert stats["runtime"]["ticks"] > 0
-        assert stats["writer_backlog"] == 0  # drained by `wait`
 
     def test_stats_refreshes_progress_gauges(self):
         registry = MetricsRegistry()
@@ -535,8 +534,6 @@ class TestTopRendering:
             "journal": {"records": 12, "commits": 12, "bytes": 4096},
             "runtime": {"loop_lag_last_seconds": 0.0003,
                         "loop_lag_p99_seconds": 0.001},
-            "writer_backlog": 5,
-            "chunks_enqueued": 10,
             "failed": [3],
         })
         assert "10/40" in frame and "25.0" in frame
@@ -549,6 +546,5 @@ class TestTopRendering:
         from repro.commands.clients import _render_top
 
         frame = _render_top({"jobs": [], "foreground": {}, "gates": {},
-                             "journal": {}, "writer_backlog": 0,
-                             "chunks_enqueued": 0, "failed": []})
+                             "journal": {}, "failed": []})
         assert "no repair jobs" in frame

@@ -1,4 +1,4 @@
-"""ShardedChunkStore: routing, batching, and delegation semantics."""
+"""ShardedChunkStore: routing and delegation semantics."""
 
 import numpy as np
 import pytest
@@ -93,18 +93,6 @@ class TestContract:
         # memory shards have no counter; the property must still work
         mem = ShardedChunkStore([InMemoryChunkStore()])
         assert mem.checksum_failures == 0
-
-
-class TestBatched:
-    def test_put_many_routes_every_item(self, sharded):
-        items = [(d, ChunkId(d, 1), chunk(fill=d + 1)) for d in range(10)]
-        sharded.put_many(items)
-        for d, cid, data in items:
-            assert np.array_equal(sharded.get(d, cid), data)
-            assert sharded.shards[d % 4].contains(d, cid)
-
-    def test_empty_batches(self, sharded):
-        sharded.put_many([])  # no-op, no error
 
 
 class TestStartupSweep:
