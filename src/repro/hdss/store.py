@@ -96,6 +96,14 @@ class ChunkStore(abc.ABC):
         dies. The repair journal names a chunk on a persistent store and
         must carry its bytes on a volatile one."""
 
+    @property
+    def reads_overlap(self) -> bool:
+        """Whether a ``get`` waits on a device (True) or is this process's
+        own CPU work (False). The repair service reads a round's survivors
+        side by side only when they overlap; otherwise one worker call
+        reads, verifies and folds the whole round."""
+        return False
+
     @abc.abstractmethod
     def put(self, disk_id: int, chunk_id: ChunkId, data: np.ndarray) -> None:
         """Write one chunk (uint8 array) to ``disk_id``."""
@@ -203,6 +211,7 @@ class ForwardingChunkStore(ChunkStore):
     swept_tmp_files = property(lambda self: self.inner.swept_tmp_files)
     orphan_sidecars = property(lambda self: self.inner.orphan_sidecars)
     persistent = property(lambda self: self.inner.persistent)
+    reads_overlap = property(lambda self: self.inner.reads_overlap)
 
     def __init__(self, inner: ChunkStore) -> None:
         self.inner = inner
@@ -311,6 +320,13 @@ class FileChunkStore(ChunkStore):
     visible without its sidecar; sidecar-less chunks (legacy layouts,
     foreign tooling) are served unverified.
 
+    ``reads_overlap`` is False: every read this repo measures is served
+    from the page cache, so a ``get`` is this process's own CPU work (the
+    read syscall and the CRC32C) and a round's reads gain nothing from
+    separate threads. A deployment on spindles, where a cold read waits on
+    the head, would want True — decided by a measurement on such a device,
+    which this repo cannot make yet.
+
     Args:
         root: store directory, created if missing.
         durable: fsync files and directories on the write path. On by
@@ -320,6 +336,7 @@ class FileChunkStore(ChunkStore):
 
     #: Files outlive the process whether or not they were fsync'd.
     persistent = True
+    reads_overlap = False
 
     def __init__(self, root: "str | os.PathLike", durable: bool = True) -> None:
         self.root = Path(root)
@@ -553,6 +570,11 @@ class ShardedChunkStore(ChunkStore):
     def persistent(self) -> bool:
         """Only when every shard is: a repair's spares span shards."""
         return all(s.persistent for s in self.shards)
+
+    @property
+    def reads_overlap(self) -> bool:
+        """When any shard's do: one waiting shard is worth the overlap."""
+        return any(s.reads_overlap for s in self.shards)
 
     @property
     def checksum_failures(self) -> int:

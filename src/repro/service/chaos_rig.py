@@ -154,12 +154,15 @@ class SlowStore(ForwardingChunkStore):
     """Delegating store whose reads cost a fixed wall-clock service time.
 
     The disk-physics stand-in the scenario queues against: each ``get``
-    sleeps ``service_time_s`` (inside the caller's ``to_thread``), so a
-    gate of width ``w`` gives each disk a real capacity of
-    ``w / service_time_s`` reads per second — and offered load beyond it
-    builds a real standing queue with real waits for the controller to
-    measure.
+    sleeps ``service_time_s`` in a worker thread of its own — the store
+    says ``reads_overlap``, so the service reads a round's survivors side
+    by side — and a gate of width ``w`` gives each disk a real capacity of
+    ``w / service_time_s`` reads per second. Offered load beyond it builds
+    a real standing queue with real waits for the controller to measure.
     """
+
+    #: A read waits out its service time: worth a thread of its own.
+    reads_overlap = True
 
     def __init__(self, inner: ChunkStore, service_time_s: float) -> None:
         super().__init__(inner)

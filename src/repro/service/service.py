@@ -8,12 +8,15 @@
   HD-PSR scheme and runs each stripe's partial decode as an asyncio task —
   a round first takes ``len(round)`` of the server's ``c`` chunk slots
   (:class:`~repro.service.admission.SlotWaiter` over ``server.memory``),
-  then its reads fan out concurrently, gated by per-disk semaphores
-  (:class:`~repro.service.admission.DiskGate`) so no spindle is swamped.
-  A decoded stripe appends its ``stripe_done`` record and only then puts
-  its rebuilt chunks, awaiting both in a worker thread while it still
-  holds its ``max_concurrent_stripes`` slot — that slot is the write
-  path's only back-pressure, and nothing is queued behind it.
+  then its disks' per-disk gate slots
+  (:class:`~repro.service.admission.DiskGate`) in ascending disk order, and
+  one worker call reads, CRC-verifies and folds the whole round — or, over
+  a store whose reads overlap (``reads_overlap``), each read gets its own
+  call and one more folds them. A decoded stripe appends its
+  ``stripe_done`` record and only then puts its rebuilt chunks, awaiting
+  both in a worker thread while it still holds its
+  ``max_concurrent_stripes`` slot — that slot is the write path's only
+  back-pressure, and nothing is queued behind it.
 * ``read_chunk(stripe, shard)`` is the client-facing read path. Reads of
   healthy chunks take a foreground-priority slot on the owning disk; reads
   of *lost* chunks become degraded reads that **piggyback on the in-flight
@@ -37,10 +40,11 @@ in the record) without a survivor read and redoes the rest from the plan.
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -108,6 +112,42 @@ READ_LATENCY = "hdpsr_service_read_latency_seconds"
 
 #: Quantiles tracked for foreground latency (the SLO tail).
 READ_LATENCY_QUANTILES = (0.5, 0.9, 0.99, 0.999)
+
+#: One survivor read as a worker call saw it: ``(shard, disk, payload or
+#: the store's unreadable error, started, seconds)``.
+Gotten = Tuple[int, int, object, float, float]
+
+
+def _read_and_fold(
+    store, si: int, reads: Sequence[Tuple[int, int]],
+    decoder: Optional[PartialDecoder], gotten: Sequence[Gotten] = (),
+) -> Tuple[List[Gotten], Optional[Tuple[float, float]]]:
+    """A round's worker-thread body: ``get`` each ``(shard, disk)`` of
+    ``reads`` in turn — the store CRC-verifies every byte — timing each on
+    the monotonic clock, then fold everything that arrived (``gotten`` too:
+    reads earlier calls made) into ``decoder``, when one is given.
+
+    Returns every read and the fold's ``(started, seconds)`` (None when
+    nothing was folded). An unreadable chunk comes back as its error; any
+    other error fails the call.
+    """
+    gotten = list(gotten)
+    for shard, disk_id in reads:
+        started = time.monotonic()
+        try:
+            payload = store.get(disk_id, ChunkId(si, shard))
+        except (LatentSectorError, ChunkNotFoundError) as exc:
+            payload = exc
+        gotten.append((shard, disk_id, payload, started, time.monotonic() - started))
+    arrived = {
+        shard: payload for shard, _, payload, _, _ in gotten
+        if isinstance(payload, np.ndarray)
+    }
+    if decoder is None or not arrived:
+        return gotten, None
+    started = time.monotonic()
+    decoder.feed(arrived)
+    return gotten, (started, time.monotonic() - started)
 
 
 @dataclass(frozen=True)
@@ -459,13 +499,14 @@ class RepairService:
         """Standalone k-survivor decode of one chunk (no repair to join).
 
         Serves both a degraded front-door read (foreground slots, bounded
-        by ``deadline``) and a read-repair (background slots). A survivor
-        that fails its CRC32C verify mid-decode is quarantined (labelled
+        by ``deadline``) and a read-repair (background slots): one round of
+        all ``k`` survivors through :meth:`_read_round`. A survivor that
+        fails its CRC32C verify mid-decode is quarantined (labelled
         ``source``; ``auto_repair`` spawns its own read-repair) and
         surfaced as a structured, retryable
-        :class:`~repro.errors.ChunkQuarantinedError` — never fed into the
-        decode (which would produce a silently wrong answer), and no ladder
-        here: the retry plans around the quarantined survivor.
+        :class:`~repro.errors.ChunkQuarantinedError` — the decode's answer
+        is thrown away (it would be silently wrong), and no ladder here:
+        the retry plans around the quarantined survivor.
         """
         server = self.server
         survivors = readable_shards(
@@ -480,26 +521,21 @@ class RepairService:
         decoder = PartialDecoder(
             server.code, survivors, [shard_idx], chunk_size=server.config.chunk_size
         )
-
-        async def fetch(s: int) -> Tuple[int, np.ndarray]:
-            d = stripe.disks[s]
-            async with self.gate.read(d, foreground=foreground, deadline=deadline):
-                try:
-                    return s, await asyncio.to_thread(
-                        server.store.get, d, ChunkId(stripe_index, s)
-                    )
-                except ChunkChecksumError:
-                    self.quarantine_chunk(
-                        d, stripe_index, s, source=source, auto_repair=auto_repair
-                    )
-                    raise ChunkQuarantinedError(
-                        f"survivor shard {s} of stripe {stripe_index} failed "
-                        f"verification during a {source} decode",
-                        disk=d, stripe=stripe_index, shard=s,
-                    ) from None
-
-        reads = await asyncio.gather(*(fetch(s) for s in survivors))
-        await asyncio.to_thread(decoder.feed, dict(reads))
+        _, faults = await self._read_round(
+            stripe, stripe_index, survivors, decoder,
+            foreground=foreground, deadline=deadline,
+            source=source, auto_repair=auto_repair,
+        )
+        if faults:
+            fault = faults[0]
+            if isinstance(fault.cause, ChunkChecksumError):
+                raise ChunkQuarantinedError(
+                    f"survivor shard {fault.shard} of stripe {stripe_index} "
+                    f"failed verification during a {source} decode",
+                    disk=stripe.disks[fault.shard], stripe=stripe_index,
+                    shard=fault.shard,
+                )
+            raise fault.cause
         return decoder.result(shard_idx)
 
     # ------------------------------------------------------------ fault glue
@@ -752,61 +788,47 @@ class RepairService:
         seen: Set[int] = set(repair.decoder.fed)
 
         stripe_clock = self.modeled_now
-        while rnd := repair.next_round():
-            fed: Dict[int, np.ndarray] = {}
-            fault: Optional[ShardFault] = None
+        rnd, forced = repair.next_round(), False
+        while rnd:
+            ends: Dict[int, float] = {}
+
+            def price(disk_id: int, shard: int) -> None:
+                ends[shard] = self._model_transfer(
+                    job, disk_id, shard, stripe_clock, forced=forced
+                )
+
             await self.memory.acquire(len(rnd))
             try:
-                # The whole round is in flight at once; the first fault is
-                # the one handled (a second faulted shard is re-read, and
-                # re-faults, on the re-planned rounds).
-                reads = await asyncio.gather(
-                    *(
-                        self._read_survivor(job, stripe, si, s, stripe_clock)
-                        for s in rnd
-                    ),
-                    return_exceptions=True,
+                if self.overload is not None:
+                    # Brownout pacing: repair yields spindle time to the
+                    # front door before any client work is refused. Never
+                    # skipped — the rebuild still finishes, just slower.
+                    pause = max(self.overload.repair_pause() for _ in rnd)
+                    if pause > 0.0:
+                        await asyncio.sleep(pause)
+                fed, faults = await self._read_round(
+                    stripe, si, rnd, repair.decoder, price=price
                 )
-                for shard_idx, res in zip(rnd, reads):
-                    if isinstance(res, ShardFault):
-                        fault = fault or res
-                    elif isinstance(res, BaseException):
-                        raise res
-                    else:
-                        data, end = res
-                        fed[shard_idx] = data
-                        job.count_read(seen, shard_idx, data.size)
-                        stripe_clock = max(stripe_clock, end)
-                if fed:
-                    with current_tracer().span(
-                        "decode", f"stripe-{si}/feed", track="service",
-                        stripe=si, chunks=len(fed),
-                    ):
-                        await asyncio.to_thread(repair.feed, fed)
             finally:
                 self.memory.release(len(rnd))
-
-            while fault is not None:
-                shard = fault.shard
-                verdict = repair.on_fault(
-                    fault,
-                    readable_shards(server, si, stripe, skip=self.is_quarantined),
-                )
-                fault = None
-                if verdict == FORCE:
-                    # No alternative survivor: force the slow read through.
-                    await self.memory.acquire(1)
-                    try:
-                        data, end = await self._read_survivor(
-                            job, stripe, si, shard, stripe_clock, forced=True
-                        )
-                        job.count_read(seen, shard, data.size)
-                        stripe_clock = max(stripe_clock, end)
-                        await asyncio.to_thread(repair.feed, {shard: data})
-                    except ShardFault as exc:
-                        fault = exc  # died while waiting; handle as dead
-                    finally:
-                        self.memory.release(1)
+            for shard, data in fed.items():
+                job.count_read(seen, shard, data.size)
+                server.disk(stripe.disks[shard]).record_read(data.size)
+                stripe_clock = max(stripe_clock, ends[shard])
+            job.stats.checksum_failures += sum(
+                isinstance(f.cause, ChunkChecksumError) for f in faults
+            )
+            # The first fault is the one handled: a second faulted shard is
+            # re-read, and re-faults, on the re-planned rounds.
+            if faults and repair.on_fault(
+                faults[0],
+                readable_shards(server, si, stripe, skip=self.is_quarantined),
+            ) == FORCE:
+                # No alternative survivor: force the slow read through (if
+                # it dies meanwhile, the ladder sees a dead shard next).
+                rnd, forced = [faults[0].shard], True
+            else:
+                rnd, forced = repair.next_round(), False
 
         repair.fold_into(job.stats)
         outcome = repair.outcome
@@ -816,7 +838,8 @@ class RepairService:
             if job.journal is not None:
                 self._check_fence(job.disk)
         else:
-            results = await asyncio.to_thread(repair.decoder.results)
+            # The accumulators themselves: no worker call.
+            results = repair.decoder.results()
             # Resolve the piggyback future *before* persisting: a degraded
             # read only needs the decoded bytes, not their new home.
             resolve(results)
@@ -846,58 +869,92 @@ class RepairService:
             REPAIR_STRIPES, "stripe repairs finished"
         ).labels(outcome=outcome).inc()
 
-    # ----------------------------------------------------------- repair reads
-    async def _read_survivor(
+    # --------------------------------------------------------- survivor reads
+    async def _read_round(
         self,
-        job: _Job,
         stripe: Stripe,
         si: int,
-        shard_idx: int,
-        not_before: float,
-        forced: bool = False,
-    ) -> Tuple[np.ndarray, float]:
-        """One gated repair read; returns (payload, modeled end time).
+        shards: Sequence[int],
+        decoder: PartialDecoder,
+        *,
+        foreground: bool = False,
+        deadline: Optional[Deadline] = None,
+        price: Optional[Callable[[int, int], None]] = None,
+        source: str = "repair",
+        auto_repair: bool = True,
+    ) -> Tuple[Dict[int, np.ndarray], List[ShardFault]]:
+        """Read one round of survivors and fold what arrives into ``decoder``.
 
-        Raises :class:`~repro.core.stripe_repair.ShardFault` (dead or slow)
-        exactly like the sequential executor's hardened read, but prices
-        the transfer on the per-disk modeled channel so concurrent reads on
-        *different* disks overlap and reads on the *same* disk serialize.
+        Takes the round's disk-gate slots in ascending disk order — the
+        order every holder of more than one gate uses, so rounds and
+        degraded decodes cannot deadlock — and holds them for the reads.
+        ``price(disk, shard)`` then prices each read in round order (the
+        repair's modeled channel; a :class:`ShardFault` it raises skips
+        that read). One worker call gets, verifies and folds the round.
+        Over a store whose reads overlap (:attr:`ChunkStore.reads_overlap
+        <repro.hdss.store.ChunkStore.reads_overlap>`) each ``get`` has a
+        call of its own, and one more call, after the gates, folds.
+
+        Returns the chunks folded in and the round's faults in round order.
+        A chunk that failed its CRC32C verify is quarantined (labelled
+        ``source``; ``auto_repair`` spawns its read-repair). With a tracer
+        recording, each arrived read emits its ``read`` span (the ``get``
+        alone, never the gate wait) and the fold a ``decode`` span.
         """
-        server = self.server
-        disk_id = stripe.disks[shard_idx]
-        if self.overload is not None:
-            # Brownout pacing: repair yields spindle time to the front
-            # door before any client work is refused. Never skipped — the
-            # rebuild still finishes, just slower while the daemon burns.
-            pause = self.overload.repair_pause()
-            if pause > 0.0:
-                await asyncio.sleep(pause)
-        tracer = current_tracer()
-        read_started = time.monotonic() if tracer.enabled else 0.0
-        async with self.gate.read(disk_id, foreground=False):
-            end = self._model_transfer(
-                job, disk_id, shard_idx, not_before, forced=forced
-            )
-            try:
-                data = await asyncio.to_thread(
-                    server.store.get, disk_id, ChunkId(si, shard_idx)
+        store = self.server.store
+        overlap = store.reads_overlap
+        faults: Dict[int, ShardFault] = {}
+        reads: List[Tuple[int, int]] = []
+        async with contextlib.AsyncExitStack() as gates:
+            for disk_id in sorted(stripe.disks[s] for s in shards):
+                await gates.enter_async_context(self.gate.read(
+                    disk_id, foreground=foreground, deadline=deadline
+                ))
+            for shard in shards:
+                try:
+                    if price is not None:
+                        price(stripe.disks[shard], shard)
+                except ShardFault as fault:
+                    faults[shard] = fault
+                else:
+                    reads.append((shard, stripe.disks[shard]))
+            if overlap:
+                parts = await asyncio.gather(*(
+                    asyncio.to_thread(_read_and_fold, store, si, [read], None)
+                    for read in reads
+                ))
+                gotten = [g for part, _ in parts for g in part]
+            else:
+                gotten, fold = await asyncio.to_thread(
+                    _read_and_fold, store, si, reads, decoder
                 )
-            except (LatentSectorError, ChunkNotFoundError) as exc:
-                if isinstance(exc, ChunkChecksumError):
-                    job.stats.checksum_failures += 1
+        if overlap:  # the fold needs no disk
+            gotten, fold = await asyncio.to_thread(
+                _read_and_fold, store, si, (), decoder, gotten
+            )
+        tracer = current_tracer()
+        fed: Dict[int, np.ndarray] = {}
+        for shard, disk_id, payload, started, seconds in gotten:
+            if not isinstance(payload, np.ndarray):
+                if isinstance(payload, ChunkChecksumError):
                     self.quarantine_chunk(
-                        disk_id, si, shard_idx,
-                        source="repair", auto_repair=True,
+                        disk_id, si, shard, source=source, auto_repair=auto_repair
                     )
-                raise ShardFault(shard_idx, exc) from None
-            server.disk(disk_id).record_read(data.size)
+                faults[shard] = ShardFault(shard, payload)
+                continue
+            fed[shard] = payload
             if tracer.enabled:
                 tracer.complete(
-                    "read", f"survivor:s{si}/{shard_idx}", read_started,
-                    time.monotonic() - read_started, track="service",
-                    domain="wall", stripe=si, shard=shard_idx, disk=disk_id,
+                    "read", f"survivor:s{si}/{shard}", started, seconds,
+                    track="service", domain="wall",
+                    stripe=si, shard=shard, disk=disk_id,
                 )
-            return data, end
+        if fold is not None and tracer.enabled:
+            tracer.complete(
+                "decode", f"stripe-{si}/feed", *fold, track="service",
+                domain="wall", stripe=si, chunks=len(fed),
+            )
+        return fed, [faults[s] for s in shards if s in faults]
 
     def _model_transfer(
         self,

@@ -159,6 +159,17 @@ class TestForwardingDecorators:
         with pytest.raises(AttributeError):
             ForwardingChunkStore(inner).no_such_extra
 
+    def test_reads_overlap_is_forwarded_and_any_shard_decides(self, store):
+        from repro.service.chaos_rig import CountingStore, SlowStore
+
+        slow = SlowStore(InMemoryChunkStore(), 0.0)
+        assert slow.reads_overlap and not store.reads_overlap
+        for decorator in (ForwardingChunkStore, FaultyChunkStore, CountingStore):
+            assert decorator(slow).reads_overlap
+            assert not decorator(store).reads_overlap
+        assert ShardedChunkStore([store, CountingStore(slow)]).reads_overlap
+        assert not ShardedChunkStore([store, InMemoryChunkStore()]).reads_overlap
+
     def test_a_rewrite_remaps_a_marked_sector(self):
         faulty = FaultyChunkStore(InMemoryChunkStore())
         cid = ChunkId(3, 0)

@@ -114,6 +114,122 @@ class TestSimulatorScaling:
         ) < 3.0
 
 
+class TestWorkerHandoffs:
+    """The daemon's thread hand-offs, in counts, not timings: one worker
+    call per repair round (reads, CRC checks and the fold together), one
+    for the stripe's record and one for its put; one per degraded read.
+    Over a store whose reads wait on a device, a round's reads still
+    overlap."""
+
+    @staticmethod
+    def count_handoffs(monkeypatch):
+        """Every ``asyncio.to_thread`` call made from the service module."""
+        import asyncio
+        import sys
+
+        calls = []
+        real = asyncio.to_thread
+
+        def to_thread(fn, *args, **kwargs):
+            if sys._getframe(1).f_globals["__name__"] == "repro.service.service":
+                calls.append(fn)
+            return real(fn, *args, **kwargs)
+
+        monkeypatch.setattr(asyncio, "to_thread", to_thread)
+        return calls
+
+    def test_a_round_is_one_call(self, tmp_path, monkeypatch):
+        """The benchmark's 16 KiB shape, repaired over file shards: per
+        stripe, its rounds plus record plus put; per job, plan and certify."""
+        import asyncio
+
+        from repro.core import ALGORITHMS
+        from repro.hdss.store import ShardedChunkStore
+        from repro.service import RepairService, ServiceConfig
+        from repro.workloads import build_exp_server
+
+        chunk = 16 * 1024
+        server = build_exp_server(
+            n=9, k=6, disk_size=27 * chunk, chunk_size=chunk, num_disks=12,
+            seed=51, placement="rotating", with_data=True,
+            store=ShardedChunkStore.from_root(tmp_path / "store", durable=False),
+        )
+        server.fail_disk(0)
+        service = RepairService(server, ALGORITHMS["hd-psr-ap"](), ServiceConfig(
+            journal_root=tmp_path / "journal", durable_journal=False,
+        ))
+        calls = self.count_handoffs(monkeypatch)
+
+        async def run():
+            result = await service.submit_repair(0).wait()
+            await service.close()
+            return result
+
+        assert asyncio.run(run()).certified
+        rows = list(service._jobs[0].rows())
+        rounds = sum(len(sp.rounds) for sp, _, _ in rows)
+        assert len(rows) == 27
+        assert len(calls) == rounds + 2 * len(rows) + 2 == 110  # was 299
+
+    def test_a_degraded_read_is_one_call(self, monkeypatch):
+        import asyncio
+
+        from repro.service.chaos_rig import build_server, build_service
+
+        server = build_server()
+        si, shard = 0, 1
+        server.fail_disk(server.layout[si].disks[shard])
+        service = build_service(server)
+        calls = self.count_handoffs(monkeypatch)
+        asyncio.run(service.read_chunk(si, shard))
+        assert len(calls) == 1  # was k + 1: one per survivor get, then the fold
+
+    def test_overlapping_reads_keep_a_round_in_flight_together(self):
+        """Over ``SlowStore`` the round's ``get``s are in flight at once —
+        as many as the round is wide; over a store whose reads do not
+        overlap, one call makes them one after another."""
+        import asyncio
+        import threading
+
+        from repro.hdss.store import ForwardingChunkStore, InMemoryChunkStore
+        from repro.service.chaos_rig import SlowStore, build_server, build_service
+
+        class InFlight(ForwardingChunkStore):
+            def __init__(self, inner):
+                super().__init__(inner)
+                self.lock = threading.Lock()
+                self.now = self.peak = 0
+
+            def get(self, disk_id, chunk_id):
+                with self.lock:
+                    self.now += 1
+                    self.peak = max(self.peak, self.now)
+                try:
+                    return self.inner.get(disk_id, chunk_id)
+                finally:
+                    with self.lock:
+                        self.now -= 1
+
+        class Fused(SlowStore):
+            reads_overlap = False
+
+        async def repair(service):
+            return await service.submit_repair(0).wait()
+
+        peaks = {}
+        for slow in (SlowStore, Fused):
+            store = InFlight(slow(InMemoryChunkStore(), 0.05))
+            server = build_server(store)
+            server.fail_disk(0)
+            service = build_service(server, max_concurrent_stripes=1)
+            assert asyncio.run(repair(service)).certified
+            width = max(
+                len(rnd) for sp, _, _ in service._jobs[0].rows() for rnd in sp.rounds
+            )
+            peaks[store.reads_overlap] = store.peak
+        assert width > 1 and peaks == {True: width, False: 1}
+
+
 class TestWritePathCounts:
     """The repair write path in counts, not timings: what one journaled,
     fsync'd, file-store repair of ``N`` chunks costs beyond reading the

@@ -5,6 +5,7 @@ its coroutine with ``asyncio.run``.
 """
 
 import asyncio
+import contextlib
 import threading
 from pathlib import Path
 
@@ -15,6 +16,7 @@ from repro.core import ALGORITHMS, ReadPolicy
 from repro.ec.stripe import ChunkId
 from repro.errors import (
     ConfigurationError,
+    DeadlineExceededError,
     InsufficientShardsError,
     JournalError,
     StorageError,
@@ -39,6 +41,7 @@ from repro.service import chaos_rig as rig
 from repro.service.chaos_rig import build_server as make_server
 from repro.service.chaos_rig import build_service as make_service
 from repro.service.chaos_rig import originals_of
+from repro.service.overload import Deadline
 from repro.service.service import DEGRADED_READS
 
 
@@ -114,6 +117,90 @@ class TestDiskGate:
     def test_rejects_zero_width(self):
         with pytest.raises(ConfigurationError):
             DiskGate(width=0)
+
+
+class OrderedGate(DiskGate):
+    """A :class:`DiskGate` that records each task's acquisitions: taking
+    a disk at or below one the task already holds is a violation, and
+    ``multi`` counts acquisitions made while holding another gate."""
+
+    def __init__(self, width):
+        super().__init__(width)
+        self.held = {}
+        self.violations = []
+        self.multi = 0
+
+    @contextlib.asynccontextmanager
+    async def read(self, disk_id, foreground=False, deadline=None):
+        async with super().read(disk_id, foreground=foreground, deadline=deadline):
+            held = self.held.setdefault(asyncio.current_task(), [])
+            if held:
+                self.multi += 1
+                if max(held) >= disk_id:
+                    self.violations.append((list(held), disk_id))
+            held.append(disk_id)
+            try:
+                yield
+            finally:
+                held.remove(disk_id)
+
+
+class TestRoundsHoldingGates:
+    def test_rounds_and_degraded_decodes_do_not_deadlock(self):
+        """One slot per disk, four stripes a job, two jobs on disjoint
+        stripe sets and a stream of deadline-bound degraded reads, all at
+        once: rounds and degraded decodes each hold several gates, taken
+        in ascending disk order, so everything finishes. Reads of disk 3's
+        chunks off both jobs' stripes decode on their own; the rest
+        piggyback."""
+        server = make_server(stripes=24)
+        originals = originals_of(server)
+        layout = server.layout
+        jobs = (0, 6)
+        assert not set(layout.stripe_set(0)) & set(layout.stripe_set(6))
+        claimed = set(layout.stripe_set(0)) | set(layout.stripe_set(6))
+        lost = [
+            (si, layout[si].shard_on_disk(d))
+            for d in (*jobs, 3) for si in layout.stripe_set(d)
+        ]
+        assert any(si not in claimed for si, _ in lost)
+        want = {
+            (si, s): server.store.get(layout[si].disks[s], ChunkId(si, s)).copy()
+            for si, s in lost
+        }
+        for disk in (*jobs, 3):
+            server.fail_disk(disk)
+
+        async def read(si, shard, budget_ms):
+            try:
+                data = await service.read_chunk(
+                    si, shard, deadline=Deadline.from_budget_ms(budget_ms)
+                )
+            except DeadlineExceededError:
+                return None
+            assert np.array_equal(data, want[si, shard]), (si, shard)
+            return data
+
+        async def run():
+            tickets = [service.submit_repair(d) for d in jobs]
+            reads = [
+                read(si, shard, budget_ms)
+                for budget_ms in (5, 50, 5000) for si, shard in lost
+            ]
+            done = await asyncio.wait_for(
+                asyncio.gather(*reads, *(t.wait() for t in tickets)), timeout=120
+            )
+            await service.close()
+            return done[len(reads):], [r for r in done[: len(reads)] if r is not None]
+
+        service = make_service(server, per_disk_reads=1, max_concurrent_stripes=4)
+        service.gate = OrderedGate(1)
+        results, served = asyncio.run(run())
+        assert all(result.certified for result in results)
+        assert served, "no degraded read got through"
+        assert service.gate.multi > 0 and service.gate.violations == []
+        assert rig.check_memory_released(service) is None
+        assert asyncio.run(rig.check_byte_identical(server.read_object, originals)) is None
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ from repro.obs import (
 )
 from repro.service import ServiceClient, TelemetryServer, stats_snapshot
 from repro.service import protocol
+from repro.service.chaos_rig import NUM_DISKS
 from repro.service.chaos_rig import build_server as make_server
 from repro.service.chaos_rig import build_service as make_service
 from repro.service.netserver import OPS
@@ -105,6 +106,49 @@ class TestTracePropagation:
                 cursor = by_span[parent].args
             else:
                 pytest.fail(f"{event.name} has no parent chain to the root")
+
+    def test_survivor_read_span_does_not_contain_a_gate_wait(self):
+        """The gate emits its own ``wait`` span; the survivor's ``read``
+        span times the ``get`` alone, so a slow gate is counted once.
+        Every live disk's single gate slot is held until a repair round
+        queues behind one, then for a known interval more."""
+        tracer = RecordingTracer()
+        hold = 0.05
+
+        async def run():
+            server = make_server()
+            service = make_service(server, per_disk_reads=1)
+            server.fail_disk(0)
+            release = asyncio.Event()
+
+            async def blocker(disk):
+                async with service.gate.read(disk):
+                    await release.wait()
+
+            blockers = [asyncio.create_task(blocker(d)) for d in range(1, NUM_DISKS)]
+            await asyncio.sleep(0)  # every blocker takes its slot
+            ticket = service.submit_repair(0)
+            while not any(
+                row["waiting_background"] for row in service.gate.depths().values()
+            ):
+                await asyncio.sleep(0.001)
+            await asyncio.sleep(hold)
+            release.set()
+            await asyncio.gather(*blockers)
+            result = await ticket.wait()
+            await service.close()
+            return result
+
+        with use_tracer(tracer):
+            assert asyncio.run(asyncio.wait_for(run(), timeout=60)).certified
+        reads = [e for e in tracer.spans("read") if e.name.startswith("survivor:")]
+        waits = [e for e in tracer.spans("wait") if e.name.startswith("gate:")]
+        assert reads and any(w.duration >= hold for w in waits)
+        for read in reads:
+            for wait in waits:
+                if wait.args["disk"] == read.args["disk"]:
+                    inside = read.ts <= wait.ts and wait.end <= read.end
+                    assert not inside, (read, wait)
 
     def test_trace_exports_to_chrome_trace_with_ids(self):
         tracer = RecordingTracer()
