@@ -191,9 +191,11 @@ def add_chaos(sub) -> None:
                    help="provisioned stripes (scenario size)")
     p.add_argument("--disk", type=int, default=3,
                    help="disk failed and repaired on the doomed daemon")
-    p.add_argument("--crash-at", type=float, default=2.5e-5,
-                   help="modeled second the owner daemon dies at "
-                        "(mid-repair at the default geometry)")
+    p.add_argument("--crash-at", type=float, default=7.4e-5,
+                   help="read-clock second the owner daemon dies at: "
+                        "seconds of priced repair reads, one read "
+                        "~1.14e-5 s at the default geometry (default: "
+                        "6.5 reads, mid-repair)")
     p.add_argument("--lease-ttl", type=float, default=0.6)
     p.add_argument("--heartbeat-interval", type=float, default=0.15)
     p.add_argument("--p99-budget", type=float, default=None,

@@ -45,14 +45,13 @@ def _print_closed_loop(report: dict) -> None:
               "the client with --resume", file=sys.stderr)
         return
     table = AsciiTable(
-        ["disk", "stripes", "lost", "chunks", "modeled s", "wall s", "certified"],
+        ["disk", "stripes", "lost", "chunks", "wall s", "certified"],
         title="service repairs",
     )
     for row in report["repairs"]:
         table.add_row([
             row["disk"], row["stripes"], row["stripes_lost"],
-            row["chunks_rebuilt"], f"{row['modeled_seconds']:.4g}",
-            f"{row['wall_seconds']:.3f}", row["certified"],
+            row["chunks_rebuilt"], f"{row['wall_seconds']:.3f}", row["certified"],
         ])
     print(table.render())
     print(f"foreground reads: {report['reads']}  "

@@ -15,8 +15,9 @@ Contents map directly onto §4 of the paper:
 * :mod:`repro.core.multi_disk` — naive vs cooperative multi-disk repair
   (§4.4);
 * :mod:`repro.core.stripe_repair` — one stripe's repair as a sans-I/O
-  state machine (round queue, salvage ladder, read-policy decisions),
-  driven by the executor below and by :mod:`repro.service`;
+  state machine (round queue, salvage ladder, read-policy decisions) and
+  the one serial read clock, driven by the executor below and by
+  :mod:`repro.service`;
 * :mod:`repro.core.repair_job` — one repair *job* as a sans-I/O object:
   the one ``plan_repair`` (the only caller of ``build_plan``), the
   fingerprint guard, journal replay, spare placement and the job's

@@ -16,27 +16,21 @@ round read — one stripe's in-flight transfer buffers.
 Fault hardening
 ---------------
 
-The executor keeps a *logical clock*: every modeled read advances it by the
-disk's (unjittered) transfer time. A :class:`~repro.faults.injector.FaultInjector`
-bound to the executor fires schedule events as the clock passes them — at
-read boundaries, so reads are atomic. What happens when a pending survivor
-dies or crawls mid-stripe — salvage the partial sums, restart from scratch,
-or record the stripe as *lost* in a
+Every survivor read is priced, before it is issued, on the executor's
+:class:`~repro.core.stripe_repair.ReadClock` — the same serial logical clock
+the daemon prices its reads on. The clock applies the :class:`ReadPolicy`
+(timeouts with capped backoff, retries, hedging, and the forced read that
+waits transient windows out) and fires a bound
+:class:`~repro.faults.injector.FaultInjector`'s schedule at read boundaries.
+What happens when a pending survivor dies or crawls mid-stripe — salvage
+the partial sums, restart from scratch, or record the stripe as *lost* in a
 :class:`~repro.faults.report.DataLossReport`, never an unhandled exception —
 is decided by the one :class:`~repro.core.stripe_repair.StripeRepair`
-machine; this module only performs its reads, prices them on the clock and
-accounts memory.
-
-A :class:`ReadPolicy` adds per-read timeouts with capped exponential
-backoff (timeouts advance the clock, which lets transient slow/hang windows
-expire) and optional hedged reads: a read that keeps timing out is re-planned
-onto a different survivor. Timeouts alone never lose data — when no
-alternative survivor exists the read is forced through at degraded speed.
+machine; this module only performs its reads and accounts memory.
 """
 
 from __future__ import annotations
 
-import math
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -45,8 +39,7 @@ from repro.core.plans import RepairPlan, StripePlan
 from repro.core.repair_job import REPLAY, RESTORE, DataPathStats, RepairJob, place
 from repro.core.stripe_repair import (
     FORCE,
-    READ_RETRY,
-    READ_SLOW,
+    ReadClock,
     ReadPolicy,
     ShardFault,
     StripeRepair,
@@ -56,7 +49,6 @@ from repro.ec.stripe import ChunkId, Stripe
 from repro.errors import (
     ChunkChecksumError,
     ChunkNotFoundError,
-    DiskFailedError,
     LatentSectorError,
     StorageError,
 )
@@ -96,24 +88,14 @@ class DataPathExecutor:
         journal: Optional["RepairJournal"] = None,
     ) -> None:
         self.server = server
-        self.policy = policy
-        self.injector = injector
         self.journal = journal
         if injector is not None:
             injector.attach()
-        #: Logical repair clock, seconds of modeled transfer + backoff.
-        self.clock = 0.0
+        #: The logical repair clock every survivor read is priced on; it
+        #: holds the policy and the injector.
+        self.clock = ReadClock(server, policy, injector)
 
     # ------------------------------------------------------------------ reads
-    def _advance_faults(self) -> None:
-        if self.injector is not None:
-            self.injector.advance(self.clock)
-
-    def _transfer_seconds(self, disk, size: int) -> float:
-        # Unjittered so the clock is a pure function of state — jitter would
-        # consume RNG draws and perturb runs that share the server.
-        return disk.transfer_time(size, jittered=False)
-
     def _read_survivor(
         self,
         stripe: Stripe,
@@ -123,78 +105,26 @@ class DataPathExecutor:
         seen: Set[int],
         forced: bool = False,
     ) -> np.ndarray:
-        """One hardened survivor read; advances the clock.
-
-        ``forced`` reads with no timeout, waiting out transient windows —
-        the last resort for a slow shard no other survivor can replace.
+        """One hardened survivor read: price it on the clock, then get it.
 
         Raises:
-            ShardFault: dead — disk failed (also while we waited), chunk
-                missing or latent sector error; slow — the policy's retries
-                are exhausted and hedging is enabled.
+            ShardFault: dead — disk failed (also while a forced read
+                waited), chunk missing or latent sector error; slow — the
+                policy's retries are exhausted and hedging is enabled.
         """
         server = self.server
         stats = job.stats
         disk_id = stripe.disks[shard_idx]
-        policy = self.policy
-        attempt = 0
-        while True:
-            self._advance_faults()
-            disk = server.disk(disk_id)
-            if disk.is_failed:
-                raise ShardFault(shard_idx, DiskFailedError(f"disk {disk_id} failed"))
-            duration = self._transfer_seconds(disk, server.config.chunk_size)
-            if forced or policy is None:
-                break
-            verdict, penalty = policy.decide(duration, attempt)
-            if penalty:
-                stats.timeouts += 1
-                self.clock += penalty
-            if verdict == READ_SLOW:
-                raise ShardFault(shard_idx)
-            if verdict == READ_RETRY:
-                stats.retries += 1
-                attempt += 1
-                continue
-            forced = verdict == FORCE
-            break
-        if forced:
-            duration = self._wait_out(disk_id)
-            if duration is None:
-                raise ShardFault(shard_idx, DiskFailedError(f"disk {disk_id} failed"))
+        self.clock.price(disk_id, shard_idx, stats, forced=forced)
         try:
             data = server.store.get(disk_id, ChunkId(global_index, shard_idx))
         except (LatentSectorError, ChunkNotFoundError) as exc:
             if isinstance(exc, ChunkChecksumError):
                 stats.checksum_failures += 1
             raise ShardFault(shard_idx, exc) from None
-        self.clock += duration
-        disk.record_read(data.size)
+        server.disk(disk_id).record_read(data.size)
         job.count_read(seen, shard_idx, data.size)
         return data
-
-    def _wait_out(self, disk_id: int) -> Optional[float]:
-        """Forced read: wait for transient windows to close, then price it.
-
-        The last resort when retries are exhausted and hedging is off (or
-        impossible): block until the disk answers. Returns the final read
-        duration, or ``None`` if the disk failed while we waited.
-        """
-        server = self.server
-        while True:
-            disk = server.disk(disk_id)
-            if disk.is_failed:
-                return None
-            duration = self._transfer_seconds(disk, server.config.chunk_size)
-            horizon = (
-                self.injector.next_change_time()
-                if self.injector is not None
-                else math.inf
-            )
-            if not disk.is_slow or horizon <= self.clock or math.isinf(horizon):
-                return duration
-            self.clock = horizon
-            self._advance_faults()
 
     # ----------------------------------------------------------------- repair
     def repair(
@@ -226,18 +156,18 @@ class DataPathExecutor:
             StorageError / ChunkNotFoundError: survivors are unreadable and
                 no fault handling is configured.
         """
-        server = self.server
+        server, clock = self.server, self.clock
         failed = failed_disks if failed_disks is not None else server.failed_disks()
         job = RepairJob(
             plan, stripe_indices, survivor_ids, failed, server.config.fingerprint(),
             hardened=(
-                self.policy is not None
-                or self.injector is not None
+                clock.policy is not None
+                or clock.injector is not None
                 or self.journal is not None
             ),
         )
         self.run(job)
-        return job.finish(None, self.injector, self.clock)
+        return job.finish(None, clock.injector, clock.now)
 
     def run(self, job: RepairJob) -> None:
         """Move ``job``'s bytes: every stripe replayed, continued or repaired.
@@ -251,10 +181,10 @@ class DataPathExecutor:
             raise StorageError(f"repair memory is not empty: {memory!r}")
         if job.state is not None:
             # Restart where the crashed incarnation stopped; the first
-            # _advance_faults() then re-applies every event the previous
-            # run already survived (scripted crashes are skipped by the
+            # priced read then re-applies every event the previous run
+            # already survived (scripted crashes are skipped by the
             # injector's skip budget).
-            self.clock = job.state.clock
+            self.clock.now = job.state.clock
         tracer = current_tracer()
         if self.journal is not None:
             job.open(self.journal)
@@ -373,7 +303,7 @@ class DataPathExecutor:
         # Record, then put — the service's order (docs/robustness.md, rule 4).
         if self.journal is not None:
             self.journal.stripe_done(
-                global_index, repair.outcome, self.clock,
+                global_index, repair.outcome, self.clock.now,
                 job.record_writebacks(server.store, written),
             )
         if written:

@@ -139,7 +139,7 @@ def _recover(
     executor = DataPathExecutor(server, policy=policy, injector=injector, journal=jrnl)
     executor.run(job)
     scrub = job.certify(server, job.commit(server))
-    stats = job.finish(jrnl, injector, executor.clock)
+    stats = job.finish(jrnl, injector, executor.clock.now)
     return RecoveryResult(
         outcome=outcome, data_path=stats, remapped=job.remapped, scrub=scrub,
         loss=stats.loss,

@@ -23,21 +23,26 @@ The ladder (:meth:`StripeRepair.on_fault`):
    never raised.
 
 :class:`ReadPolicy` carries the timeout / retry / hedge decision as one pure
-function of ``(duration, attempt)``; what a timeout *costs* (a serial clock,
-a per-disk channel) is the driver's business.
+function of ``(duration, attempt)``. What a read, a timeout or a wait
+*costs* is :class:`ReadClock`'s: one serial logical clock that both drivers
+price every survivor read on, and that a fault schedule fires against.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Callable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Callable, List, Mapping, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from repro.ec.partial import PartialDecoder
 from repro.ec.stripe import ChunkId, Stripe
-from repro.errors import CodingError, ConfigurationError
+from repro.errors import CodingError, ConfigurationError, DiskFailedError
 from repro.faults.report import LOST, RECOVERED, REPLANNED
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.faults.injector import FaultInjector
 
 #: :meth:`ReadPolicy.decide` verdicts.
 READ_OK = "ok"
@@ -146,6 +151,90 @@ class ShardFault(Exception):
     @property
     def dead(self) -> bool:
         return self.cause is not None
+
+
+class ReadClock:
+    """The one serial logical clock survivor reads are priced on.
+
+    Both drivers own one and call only :meth:`price`. ``now`` is the running
+    sum of every priced read, timeout and wait, in seconds of unjittered
+    transfer time, so it is a pure function of server state and read order.
+    An ``injector`` (a :class:`~repro.faults.injector.FaultInjector` bound
+    to ``server``) fires its schedule as ``now`` passes event times: an
+    event at ``t`` fires as the first read priced at or after ``t`` is
+    issued, so a timed fault lands at the same read in both drivers.
+
+    Args:
+        server: whose disks are priced (their state, not their bytes).
+        policy: read-hardening knobs; ``None`` reads without timeouts.
+        injector: fault schedule to fire as the clock advances.
+    """
+
+    def __init__(
+        self,
+        server,
+        policy: Optional[ReadPolicy] = None,
+        injector: Optional["FaultInjector"] = None,
+    ) -> None:
+        self.server = server
+        self.policy = policy
+        self.injector = injector
+        #: Seconds of priced transfer, timeouts, backoff and waits.
+        self.now = 0.0
+
+    def price(self, disk_id: int, shard: int, stats, forced: bool = False) -> float:
+        """Price one survivor read of ``shard`` on ``disk_id``; return its
+        duration, already charged to :attr:`now` — the read is issued next.
+
+        Timeouts and retries count into ``stats``. A read whose retries are
+        spent with hedging off — or one the caller ``forced`` (a slow shard
+        no other survivor can replace) — waits transient windows out: the
+        clock jumps to the schedule's next change until the disk answers.
+
+        Raises:
+            ShardFault: dead — the disk failed (also while we waited); slow
+                — the policy's retries are exhausted and hedging is enabled.
+            SimulatedCrash: a scripted ``process_crash`` came due.
+        """
+        server, policy, injector = self.server, self.policy, self.injector
+        size = server.config.chunk_size
+        attempt = 0
+        while True:
+            if injector is not None:
+                injector.advance(self.now)
+            disk = server.disk(disk_id)
+            if disk.is_failed:
+                raise ShardFault(shard, DiskFailedError(f"disk {disk_id} failed"))
+            # Unjittered so the clock is a pure function of state — jitter
+            # would consume RNG draws and perturb runs that share the server.
+            duration = disk.transfer_time(size, jittered=False)
+            if forced or policy is None:
+                break
+            verdict, penalty = policy.decide(duration, attempt)
+            if penalty:
+                stats.timeouts += 1
+                self.now += penalty
+            if verdict == READ_SLOW:
+                raise ShardFault(shard)
+            if verdict == READ_RETRY:
+                stats.retries += 1
+                attempt += 1
+                continue
+            forced = verdict == FORCE
+            break
+        while forced:
+            # Timeouts alone never lose data: block until the disk answers.
+            disk = server.disk(disk_id)
+            if disk.is_failed:
+                raise ShardFault(shard, DiskFailedError(f"disk {disk_id} failed"))
+            duration = disk.transfer_time(size, jittered=False)
+            horizon = injector.next_change_time() if injector is not None else math.inf
+            if not disk.is_slow or horizon <= self.now or math.isinf(horizon):
+                break
+            self.now = horizon
+            injector.advance(self.now)
+        self.now += duration
+        return duration
 
 
 def rounds_of(shard_ids: Sequence[int], per_round: int) -> List[List[int]]:

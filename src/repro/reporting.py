@@ -81,13 +81,6 @@ PAPER_CLAIMS = {
         "after a casualty stay well below a full re-repair; unrecoverable stripes "
         "are reported, never raised."
     ),
-    "service_throughput": (
-        "Repo extension: the asyncio repair service overlaps concurrent disk "
-        "repairs over per-disk modeled channels — four disjoint-disk repairs "
-        "cost far less than four serial ones (>=2x asserted; ~3.3x measured with "
-        "the jobs sharing the server's c = 24 chunk slots, ~4.5x before --memory "
-        "bound the daemon) while the front door keeps serving reads (p50/p99)."
-    ),
     "cluster_failover": (
         "Repo extension: the multi-daemon cluster's kill-the-owner chaos "
         "scenario swept over lease TTLs — takeover latency tracks the "
@@ -133,7 +126,6 @@ TITLES = {
     "wide_stripes": "Extension — wide-stripe (k up to 128) regime",
     "vulnerability_order": "Extension — vulnerability-first multi-disk repair ordering",
     "robustness": "Extension — recovery outcomes under injected faults",
-    "service_throughput": "Extension — concurrent repair throughput of the service plane",
     "cluster_failover": "Extension — cluster failover: takeover latency and foreground p99",
     "overload": "Extension — overload knee: goodput and p99 vs offered load",
     "scrub": "Extension — scrub plane: detection latency and foreground politeness",
@@ -144,8 +136,8 @@ ORDER = [
     "ablation_memory", "ablation_ros", "ablation_ap_model", "ablation_threshold",
     "ablation_staleness", "durability", "wallclock", "lrc_comparison",
     "foreground_latency", "ablation_slicing", "wide_stripes",
-    "vulnerability_order", "robustness", "service_throughput",
-    "cluster_failover", "overload", "scrub",
+    "vulnerability_order", "robustness", "cluster_failover", "overload",
+    "scrub",
 ]
 
 

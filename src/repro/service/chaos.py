@@ -10,7 +10,7 @@ seeded end to end and every assertion is checkable in memory afterwards:
    and submits its repair to ``a`` while hammering hedged foreground
    reads through :class:`~repro.service.client.ClusterClient`.
 2. A scripted ``daemon_crash`` (rewritten to ``process_crash`` on ``a``'s
-   modeled clock by :meth:`~repro.faults.spec.FaultSchedule.for_daemon`)
+   read clock by :meth:`~repro.faults.spec.FaultSchedule.for_daemon`)
    kills ``a`` mid-repair: the crash ends its repair job (every stripe
    task is cancelled; a put already in its worker thread may still land,
    its ``stripe_done`` record already appended) and ``a``'s leases are
@@ -26,8 +26,8 @@ seeded end to end and every assertion is checkable in memory afterwards:
    p99 stayed bounded through the takeover, and the revived stale owner
    is fenced at the commit point (its held epoch lost to ``b``'s).
 
-Determinism: the crash is placed on the *modeled* repair clock, so it
-fires at the same stripe boundary every run for a given seed; wall-clock
+Determinism: the crash is placed on the serial repair read clock, so it
+fires at the same read every run for a given seed; wall-clock
 jitter moves only the takeover latency, never which writes happened.
 The shared store counts writes rather than forbidding overlap because a
 put already handed to a store thread at crash time may still land — the
@@ -76,9 +76,11 @@ class ChaosConfig:
 
     Attributes:
         root: scratch directory (store/journal/cluster live under it).
-        crash_at: modeled-clock second at which daemon ``a`` dies; modeled
-            repair reads run at microsecond scale, so the default lands
-            mid-repair with some stripes journaled and some in flight.
+        crash_at: read-clock second at which daemon ``a`` dies. One repair
+            read costs 2 KiB / 180 MB/s ≈ 1.14e-5 s and each of the failed
+            disk's stripes is one round of three reads, so the default —
+            6.5 reads — fires at the third stripe's second read: two
+            stripes journaled, one in flight.
         failed_disk: disk the client fails and repairs (on daemon ``a``).
         lease_ttl / heartbeat_interval: failure-detector timing; the TTL
             bounds the takeover latency the report measures.
@@ -92,7 +94,7 @@ class ChaosConfig:
     seed: int = 11
     stripes: int = 12
     failed_disk: int = 3
-    crash_at: float = 2.5e-5
+    crash_at: float = 7.4e-5
     lease_ttl: float = 0.6
     heartbeat_interval: float = 0.15
     p99_budget: float = 2.0
@@ -162,7 +164,7 @@ class ChaosScenario(rig.Episode):
         c = self.config
         root = Path(c.root)
         # ``daemon_crash`` on daemon 0 becomes a ``process_crash`` on a's
-        # modeled clock; b's share of the schedule is empty.
+        # read clock; b's share of the schedule is empty.
         crash_a, _ = FaultSchedule(
             [FaultEvent(at=c.crash_at, kind="daemon_crash", daemon=0)]
         ).for_daemon(0)
@@ -222,7 +224,7 @@ class ChaosScenario(rig.Episode):
                 self._foreground(client, server_a, stop_reads, sketch)
             )
 
-            # The scripted crash fires inside a's modeled repair reads.
+            # The scripted crash fires as one of a's repair reads is priced.
             exit_a = await asyncio.wait_for(task_a, timeout=self.remaining())
             t_crash = time.monotonic()
             # Process death: the crash already ended a's repair job; its

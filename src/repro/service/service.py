@@ -24,11 +24,12 @@
   its decoded payloads, so a client read of a dying stripe costs zero
   extra survivor reads once the repair has decoded it.
 
-The service keeps the library's *modeled* clock alongside wall time: every
-repair read advances a per-disk channel to ``busy-until + transfer_time``,
-so ``modeled_now`` is the aggregate repair makespan with true cross-disk
-parallelism — directly comparable against the single-threaded
-:class:`~repro.core.executor.DataPathExecutor`'s serial clock.
+Every repair read is priced, before it is issued, on :attr:`RepairService.clock`
+— a :class:`~repro.core.stripe_repair.ReadClock`, the serial logical clock
+the sequential :class:`~repro.core.executor.DataPathExecutor` prices on
+too. It is the fault clock, not a measure of the daemon's speed: a fault's
+``at`` means seconds of priced reads, so a timed fault lands at the same
+read in both drivers.
 
 Crash consistency reuses the repair journal unchanged: each job writes
 ``begin`` / ``stripe_done`` records into its own directory
@@ -44,7 +45,7 @@ import contextlib
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -53,6 +54,7 @@ from repro.core.plans import StripePlan
 from repro.core.repair_job import (
     REPLAY,
     RESTORE,
+    DataPathStats,
     RepairJob,
     certified,
     place,
@@ -60,8 +62,7 @@ from repro.core.repair_job import (
 )
 from repro.core.stripe_repair import (
     FORCE,
-    READ_RETRY,
-    READ_SLOW,
+    ReadClock,
     ReadPolicy,
     ShardFault,
     StripeRepair,
@@ -75,7 +76,6 @@ from repro.errors import (
     ChunkQuarantinedError,
     CodingError,
     ConfigurationError,
-    DiskFailedError,
     InsufficientShardsError,
     JournalError,
     LatentSectorError,
@@ -160,9 +160,9 @@ class ServiceConfig:
             by the server's ``c``-slot memory, this bounds the ``t``
             accumulators per stripe on top of it.
         per_disk_reads: concurrent reads allowed per disk (gate width).
-        policy: read-hardening knobs applied to modeled repair reads
-            (timeouts, retries, hedging), same semantics as the
-            sequential executor.
+        policy: read-hardening knobs applied to repair reads as the read
+            clock prices them (timeouts, retries, hedging) — the
+            sequential executor's, applied the same way.
         journal_root: directory holding one journal per repaired disk
             (``journal_root/disk-NNN``); ``None`` disables journaling.
         durable_journal: fsync journal commits (tests turn this off).
@@ -198,8 +198,6 @@ class ServiceRepairResult:
     chunks_rebuilt: int
     resumed_stripes: int
     remapped: int
-    #: Modeled seconds this job occupied on the shared disk channels.
-    modeled_seconds: float
     wall_seconds: float
     loss: DataLossReport
     #: What :meth:`~repro.core.repair_job.RepairJob.certify` proved in hand
@@ -225,7 +223,6 @@ class ServiceRepairResult:
             "chunks_rebuilt": self.chunks_rebuilt,
             "resumed_stripes": self.resumed_stripes,
             "remapped": self.remapped,
-            "modeled_seconds": self.modeled_seconds,
             "wall_seconds": self.wall_seconds,
             "certified": self.certified,
             "exit_code": self.exit_code,
@@ -250,12 +247,11 @@ class RepairTicket:
 
 class _Job(RepairJob):
     """One :class:`~repro.core.repair_job.RepairJob` plus the supervisor's
-    own bookkeeping: which disk, which journal, the modeled start, and the
-    live-telemetry fields read by :meth:`RepairService.progress`."""
+    own bookkeeping: which disk, which journal, and the live-telemetry
+    fields read by :meth:`RepairService.progress`."""
 
     disk: int = -1
     journal: Optional[RepairJournal] = None
-    modeled_start: float = 0.0
     job_id: int = -1
     started_wall: float = 0.0
     stripes_done: int = 0
@@ -298,9 +294,9 @@ class RepairService:
         server: the storage server (ideally store-sharded) to operate.
         algorithm: repair scheme used to plan every submitted repair.
         config: service knobs; defaults are test-friendly.
-        faults: optional fault schedule, applied on the modeled clock
-            exactly as on the sequential path (one injector per service —
-            the schedule is server-wide, not per-job).
+        faults: optional fault schedule, fired on :attr:`clock` exactly as
+            on the sequential path (one injector per service — the
+            schedule is server-wide, not per-job).
         fence: optional ownership fence, called with the repaired disk id
             immediately before every durable effect (journal commits,
             chunk write-backs, spare remapping). Cluster daemons install
@@ -332,11 +328,10 @@ class RepairService:
         )
         self.gate.controller = self.overload
         self.memory = SlotWaiter(server.memory)  # every job's rounds wait here
-        self._injector: Optional[FaultInjector] = None
-        #: Per-disk modeled channel busy-until times.
-        self._channels: Dict[int, float] = {}
-        #: Max modeled end time seen anywhere (aggregate makespan).
-        self.modeled_now = 0.0
+        #: The serial logical clock every repair read is priced on, shared
+        #: by all jobs; it holds the one fault injector (the schedule is
+        #: server-wide), bound by the first job that needs it.
+        self.clock = ReadClock(server, self.config.policy)
         #: stripe index -> future of {target_shard: payload} (or None=lost).
         self._repair_futures: Dict[int, "asyncio.Future"] = {}
         #: Stripes owned by an active job (overlapping repairs skip them).
@@ -539,19 +534,16 @@ class RepairService:
         return decoder.result(shard_idx)
 
     # ------------------------------------------------------------ fault glue
-    def _ensure_injector(self, skip_crashes: int) -> Optional[FaultInjector]:
+    def _ensure_injector(self, skip_crashes: int) -> None:
         if self.faults is None:
-            return None
-        if self._injector is None:
-            self._injector = FaultInjector(
+            return
+        injector = self.clock.injector
+        if injector is None:
+            self.clock.injector = FaultInjector(
                 self.server, self.faults, skip_crashes=skip_crashes
-            )
-            self._injector.attach()
+            ).attach()
         else:
-            self._injector.skip_crashes = max(
-                self._injector.skip_crashes, skip_crashes
-            )
-        return self._injector
+            injector.skip_crashes = max(injector.skip_crashes, skip_crashes)
 
     # ---------------------------------------------------------------- journals
     def _journal_dir(self, disk_id: int) -> Optional[Path]:
@@ -594,7 +586,6 @@ class RepairService:
         jobs whose planning has not finished yet are not listed.
         """
         return {
-            "modeled_now": self.modeled_now,
             "failed": self.server.failed_disks(),
             "jobs": [self._jobs[jid].progress() for jid in sorted(self._jobs)],
             "inflight_stripes": self._inflight_stripes,
@@ -621,7 +612,7 @@ class RepairService:
                 raise JournalError("resume needs a journal_root in ServiceConfig")
             state = await asyncio.to_thread(load_state, jdir)
             job = _Job.resumed(state, fingerprint, jdir)
-            self.modeled_now = max(self.modeled_now, state.clock)
+            self.clock.now = max(self.clock.now, state.clock)
             stripes = job.stripe_indices
         else:
             if not server.disk(disk_id).is_failed:
@@ -644,7 +635,7 @@ class RepairService:
         tasks: List[asyncio.Task] = []
         try:
             if job is None:
-                # The modeled clock prices reads unjittered, so the plan does too.
+                # The read clock prices reads unjittered, so the plan does too.
                 planned = await asyncio.to_thread(
                     plan_repair, server, self.algorithm, failed_all,
                     stripes=stripes, jittered=False,
@@ -662,7 +653,6 @@ class RepairService:
             job.job_id = job_id
             job.started_wall = started
             self._jobs[job_id] = job
-            job.modeled_start = self.modeled_now
 
             sem = asyncio.Semaphore(self.config.max_concurrent_stripes)
             loop = asyncio.get_running_loop()
@@ -677,7 +667,7 @@ class RepairService:
             scrub = await asyncio.to_thread(
                 job.certify, server, job.commit(server), self.is_quarantined
             )
-            stats = job.finish(job.journal, self._injector, self.modeled_now)
+            stats = job.finish(job.journal, self.clock.injector, self.clock.now)
         except BaseException:
             # SimulatedCrash, cancellation, a failed put or a fence lost at
             # the commit point: stop cleanly and keep the journal — a
@@ -702,7 +692,6 @@ class RepairService:
             chunks_rebuilt=stats.chunks_rebuilt,
             resumed_stripes=stats.resumed_stripes,
             remapped=job.remapped,
-            modeled_seconds=self.modeled_now - job.modeled_start,
             wall_seconds=time.monotonic() - started,
             loss=stats.loss,
             scrub=scrub,
@@ -787,16 +776,8 @@ class RepairService:
             )
         seen: Set[int] = set(repair.decoder.fed)
 
-        stripe_clock = self.modeled_now
         rnd, forced = repair.next_round(), False
         while rnd:
-            ends: Dict[int, float] = {}
-
-            def price(disk_id: int, shard: int) -> None:
-                ends[shard] = self._model_transfer(
-                    job, disk_id, shard, stripe_clock, forced=forced
-                )
-
             await self.memory.acquire(len(rnd))
             try:
                 if self.overload is not None:
@@ -807,14 +788,13 @@ class RepairService:
                     if pause > 0.0:
                         await asyncio.sleep(pause)
                 fed, faults = await self._read_round(
-                    stripe, si, rnd, repair.decoder, price=price
+                    stripe, si, rnd, repair.decoder, stats=job.stats, forced=forced
                 )
             finally:
                 self.memory.release(len(rnd))
             for shard, data in fed.items():
                 job.count_read(seen, shard, data.size)
                 server.disk(stripe.disks[shard]).record_read(data.size)
-                stripe_clock = max(stripe_clock, ends[shard])
             job.stats.checksum_failures += sum(
                 isinstance(f.cause, ChunkChecksumError) for f in faults
             )
@@ -854,7 +834,7 @@ class RepairService:
         # re-put; a record whose chunk never landed resumes FRESH (rule 3).
         if job.journal is not None:
             await asyncio.to_thread(
-                job.journal.stripe_done, si, outcome, self.modeled_now,
+                job.journal.stripe_done, si, outcome, self.clock.now,
                 job.record_writebacks(server.store, written),
             )
         with current_tracer().span(
@@ -879,7 +859,8 @@ class RepairService:
         *,
         foreground: bool = False,
         deadline: Optional[Deadline] = None,
-        price: Optional[Callable[[int, int], None]] = None,
+        stats: Optional[DataPathStats] = None,
+        forced: bool = False,
         source: str = "repair",
         auto_repair: bool = True,
     ) -> Tuple[Dict[int, np.ndarray], List[ShardFault]]:
@@ -888,9 +869,12 @@ class RepairService:
         Takes the round's disk-gate slots in ascending disk order — the
         order every holder of more than one gate uses, so rounds and
         degraded decodes cannot deadlock — and holds them for the reads.
-        ``price(disk, shard)`` then prices each read in round order (the
-        repair's modeled channel; a :class:`ShardFault` it raises skips
-        that read). One worker call gets, verifies and folds the round.
+        A repair round (``stats`` given) then prices each read in round
+        order on :attr:`clock` (``forced`` as :meth:`ReadClock.price
+        <repro.core.stripe_repair.ReadClock.price>` takes it; a
+        :class:`ShardFault` it raises skips that read); degraded decodes
+        and read-repairs are not priced. One worker call gets, verifies
+        and folds the round.
         Over a store whose reads overlap (:attr:`ChunkStore.reads_overlap
         <repro.hdss.store.ChunkStore.reads_overlap>`) each ``get`` has a
         call of its own, and one more call, after the gates, folds.
@@ -912,8 +896,8 @@ class RepairService:
                 ))
             for shard in shards:
                 try:
-                    if price is not None:
-                        price(stripe.disks[shard], shard)
+                    if stats is not None:
+                        self.clock.price(stripe.disks[shard], shard, stats, forced)
                 except ShardFault as fault:
                     faults[shard] = fault
                 else:
@@ -955,48 +939,6 @@ class RepairService:
                 domain="wall", stripe=si, chunks=len(fed),
             )
         return fed, [faults[s] for s in shards if s in faults]
-
-    def _model_transfer(
-        self,
-        job: _Job,
-        disk_id: int,
-        shard_idx: int,
-        not_before: float,
-        forced: bool = False,
-    ) -> float:
-        """Advance the disk's modeled channel by one chunk transfer."""
-        server = self.server
-        policy = self.config.policy
-        penalty = 0.0
-        attempt = 0
-        while True:
-            if self._injector is not None:
-                self._injector.advance(self.modeled_now)  # may raise SimulatedCrash
-            disk = server.disk(disk_id)
-            if disk.is_failed:
-                raise ShardFault(
-                    shard_idx, DiskFailedError(f"disk {disk_id} failed")
-                )
-            duration = disk.transfer_time(server.config.chunk_size, jittered=False)
-            if policy is None or forced:
-                break
-            verdict, wasted = policy.decide(duration, attempt)
-            if wasted:
-                job.stats.timeouts += 1
-                penalty += wasted
-            if verdict == READ_SLOW:
-                raise ShardFault(shard_idx)
-            if verdict != READ_RETRY:
-                break  # on time, or forced through at degraded speed
-            job.stats.retries += 1
-            attempt += 1
-            # let transient windows close before re-checking the disk
-            self.modeled_now = max(self.modeled_now, not_before + penalty)
-        start = max(self._channels.get(disk_id, 0.0), not_before)
-        end = start + penalty + duration
-        self._channels[disk_id] = end
-        self.modeled_now = max(self.modeled_now, end)
-        return end
 
     # ------------------------------------------------------------ front door
     async def read_chunk(

@@ -187,7 +187,6 @@ def stats_snapshot(
     # top-level keys, every other section goes out as it is.
     repair = sections.pop("repair")
     return {
-        "modeled_now": repair["modeled_now"],
         "failed": repair["failed"],
         "jobs": repair["jobs"],
         "read_quantiles": list(READ_LATENCY_QUANTILES),

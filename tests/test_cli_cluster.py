@@ -86,7 +86,7 @@ class TestTopEndpoint:
         code = main(["top", "--port", str(port), "--once", "--json"])
         assert code == 0
         stats = json.loads(capsys.readouterr().out)
-        for key in ("jobs", "foreground", "memory", "modeled_now"):
+        for key in ("jobs", "foreground", "memory", "failed"):
             assert key in stats
 
     def test_all_endpoints_down_exits_one(self, capsys):

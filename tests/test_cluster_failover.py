@@ -28,6 +28,12 @@ from repro.service.chaos_rig import build_server as make_server
 from repro.service.cluster import ClusterClock, ClusterConfig, ClusterNode
 
 DISK = 3
+#: Seconds one survivor read costs on the chaos geometry's read clock (2 KiB
+#: at the default 180 MB/s). Each of disk 3's five stripes is one round of
+#: three reads, and read ``j`` (0-based) is priced at ``j * READ_SECONDS``,
+#: so a crash at ``6.5 * READ_SECONDS`` fires as read 7 is priced, with
+#: two stripes done.
+READ_SECONDS = 2048 / 180e6
 
 
 pytestmark = pytest.mark.usefixtures("fresh_registry")
@@ -70,7 +76,7 @@ async def assert_invariants(store, server, originals, result):
 
 
 def crash_then_handoff(tmp_path, crash_at):
-    """One matrix cell: owner crashes at ``crash_at`` (modeled seconds),
+    """One matrix cell: owner crashes at ``crash_at`` (read-clock seconds),
     a survivor resumes from the shared journal. Returns (result, store)."""
     async def run():
         store = shared_store(tmp_path)
@@ -99,18 +105,18 @@ def crash_then_handoff(tmp_path, crash_at):
 class TestCrashTimingMatrix:
     def test_crash_before_first_stripe_done(self, tmp_path):
         # Almost immediately: the journal holds nothing but `begin`.
-        result = crash_then_handoff(tmp_path, crash_at=1e-7)
+        result = crash_then_handoff(tmp_path, crash_at=0.5 * READ_SECONDS)
         assert result.resumed_stripes == 0
         assert result.stripes_repaired == result.stripes
 
     def test_crash_mid_repair_between_commits(self, tmp_path):
-        result = crash_then_handoff(tmp_path, crash_at=2.5e-5)
+        result = crash_then_handoff(tmp_path, crash_at=6.5 * READ_SECONDS)
         assert result.resumed_stripes > 0, "crash landed outside the window"
         assert result.stripes_repaired == result.stripes
 
     def test_crash_late_after_most_stripe_dones(self, tmp_path):
         # In the last stripe's reads: every other stripe has its record.
-        result = crash_then_handoff(tmp_path, crash_at=5e-5)
+        result = crash_then_handoff(tmp_path, crash_at=12.5 * READ_SECONDS)
         assert result.resumed_stripes == result.stripes - 1
         assert result.stripes_repaired == result.stripes
 
@@ -126,7 +132,7 @@ class TestCrashTimingMatrix:
             service_a = make_service(
                 server_a, journal,
                 faults=FaultSchedule(
-                    [FaultEvent(at=2e-5, kind="process_crash")]
+                    [FaultEvent(at=4.5 * READ_SECONDS, kind="process_crash")]
                 ),
             )
             server_a.fail_disk(DISK)
@@ -140,8 +146,8 @@ class TestCrashTimingMatrix:
             service_b = make_service(
                 server_b, journal,
                 faults=FaultSchedule([
-                    FaultEvent(at=2e-5, kind="process_crash"),
-                    FaultEvent(at=2.8e-5, kind="process_crash"),
+                    FaultEvent(at=4.5 * READ_SECONDS, kind="process_crash"),
+                    FaultEvent(at=7.5 * READ_SECONDS, kind="process_crash"),
                 ]),
             )
             await crash_repair(service_b, resume=True)

@@ -278,6 +278,44 @@ class TestOneRepairJob:
             assert "per-disk-reads" not in path.read_text(), path
 
 
+class TestOneReadClock:
+    """A survivor read is priced once, on one serial logical clock that
+    both drivers own a copy of: ``ReadClock.price`` in the stripe core.
+    ``sim/`` is exempt by name — its timing plane is the paper's figures."""
+
+    PRICE = {"src/repro/core/stripe_repair.py:price"}
+
+    def calls_outside_sim(self, pattern):
+        hits = set()
+        for path in src_files():
+            if SRC / "sim" not in path.parents:
+                hits |= functions_matching(path, rf"(?<!def ){pattern}\(")
+        return hits
+
+    def test_only_the_clock_prices_a_read(self):
+        for pattern in (r"\.decide", r"injector\.advance", r"next_change_time"):
+            assert self.calls_outside_sim(pattern) == self.PRICE, pattern
+
+    def test_each_driver_owns_one_clock(self):
+        assert count_defs("price") == {"src/repro/core/stripe_repair.py": 1}
+        assert call_sites("ReadClock") == {
+            "src/repro/core/executor.py:__init__",
+            "src/repro/service/service.py:__init__",
+        }
+
+    def test_the_second_clock_is_gone(self):
+        gone = re.compile(
+            r"_model_transfer|_channels\b|modeled_now|_wait_out|_advance_faults"
+        )
+        for path in src_files():
+            assert not gone.search(path.read_text()), path
+
+    def test_the_clock_stays_sans_io(self):
+        leaked = io_imports(CORE)
+        assert not leaked, f"stripe_repair.py must stay sans-I/O; imports {leaked}"
+        assert not re.search(r"\b(monotonic|perf_counter|sleep)\(", CORE.read_text())
+
+
 LEDGER = SRC / "core" / "slot_ledger.py"
 
 

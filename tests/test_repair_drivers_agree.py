@@ -1,13 +1,16 @@
 """Differential test: the two drivers of the one StripeRepair core agree.
 
 Two identically seeded servers get the same *state-based* faults up front
-(an extra failed disk, latent-bad chunks, permanently degraded disks — not
-time-triggered events: the sequential executor's serial clock and the
-service's per-disk channels differ by design, so a timed fault would land
-at different points of the two runs). ``recover_disk`` repairs one,
-``RepairService`` the other, under the same ``ReadPolicy``; every stripe
-must end in the same outcome and every rebuilt chunk must be the original
-bytes on both.
+(an extra failed disk, latent-bad chunks, permanently degraded disks).
+``recover_disk`` repairs one, ``RepairService`` the other, under the same
+``ReadPolicy``; every stripe must end in the same outcome and every rebuilt
+chunk must be the original bytes on both.
+
+Both drivers price every survivor read on one serial
+:class:`~repro.core.stripe_repair.ReadClock`, so a *timed* fault lands at
+the same read of the two runs: the timed variant kills a survivor disk at a
+seed-chosen read ordinal, with the service one stripe at a time, and holds
+the two to the same outcome map.
 
 The crash→resume variant journals both runs, cuts both journals after the
 same number of ``stripe_done`` records, and resumes each on a fresh server:
@@ -29,6 +32,7 @@ import numpy as np
 from repro.core import ALGORITHMS, ReadPolicy, recover_disk
 from repro.ec.stripe import ChunkId
 from repro.faults.report import LOST, RECOVERED, REPLANNED
+from repro.faults.spec import FaultEvent, FaultSchedule
 from repro.hdss.server import HDSSConfig, HighDensityStorageServer
 from repro.hdss.store import FaultyChunkStore, InMemoryChunkStore
 from repro.journal.wal import WALReader, WALWriter
@@ -91,10 +95,12 @@ def rebuilt_chunks(server, lost):
 
 def run_service(server, policy, algorithm, **config):
     resume = config.pop("resume", False)
+    faults = config.pop("faults", None)
 
     async def run():
         service = RepairService(
-            server, ALGORITHMS[algorithm](), ServiceConfig(policy=policy, **config)
+            server, ALGORITHMS[algorithm](), ServiceConfig(policy=policy, **config),
+            faults=faults,
         )
         result = await service.submit_repair(FAILED, resume=resume).wait()
         await service.close()
@@ -293,3 +299,71 @@ def test_executor_and_service_agree_after_crash_and_resume(tmp_path):
 
     # the replay path and the full record multiset were compared, not skipped
     assert replayed and clean
+
+
+def test_executor_and_service_agree_under_a_timed_fault():
+    """One survivor disk dies at a seed-chosen read: both drivers price
+    reads on the same serial clock, so the fault lands at the same read.
+
+    The read is a stripe's first: one stripe at a time, each reading ``k``
+    chunks, read ``k * s`` opens stripe ``s`` in both drivers. Mid-round
+    the drivers differ by design, as under hedging: the sequential driver
+    already holds the round's earlier reads, the service has them in
+    flight, so a victim read earlier in the same round is fed on one and
+    re-planned around on the other.
+    """
+    seen = set()
+    for seed in SEEDS:
+        algorithm = ("hd-psr-ap", "fsr")[seed // 2 % 2]
+        rng = np.random.default_rng(seed)
+        pristine = make_server(seed)
+        originals = snapshot(pristine)
+        stripes = pristine.layout.stripe_set(FAILED)
+        survivors = sorted(
+            {d for si in stripes for d in pristine.layout[si].disks} - {FAILED}
+        )
+        victim = int(rng.choice(survivors))
+        # Fires as read k * s is priced: stripe s's first, never stripe 0's.
+        ordinal = pristine.config.k * int(rng.integers(1, len(stripes))) - 1
+        healthy_read = pristine.disk(FAILED).transfer_time(512, jittered=False)
+        schedule = FaultSchedule([FaultEvent(
+            at=(ordinal + 0.5) * healthy_read, kind="disk_fail", disk=victim,
+        )])
+        policy = ReadPolicy(
+            timeout_seconds=2 * healthy_read, max_retries=1, hedge=seed % 2 == 1
+        )
+        sync_server, async_server = make_server(seed), make_server(seed)
+        sync_server.fail_disk(FAILED)
+        async_server.fail_disk(FAILED)
+        lost_shards = {si: pristine.layout[si].lost_shards([FAILED]) for si in stripes}
+
+        sync = recover_disk(
+            sync_server, ALGORITHMS[algorithm](), FAILED,
+            faults=schedule, policy=policy,
+        )
+        service = run_service(
+            async_server, policy, algorithm, faults=schedule,
+            max_concurrent_stripes=1,
+        )
+
+        assert sync.loss.faults_injected == {"disk_fail": 1}, f"seed {seed}"
+        assert service.loss.faults_injected == {"disk_fail": 1}, f"seed {seed}"
+        sync_outcomes = {si: sync.loss.stripes[si] for si in stripes}
+        assert comparable(sync_outcomes, policy) == comparable(
+            service.loss.stripes, policy
+        ), f"seed {seed}: outcome maps differ"
+        seen |= set(service.loss.stripes.values())
+
+        rebuilt = [
+            (si, shard)
+            for si in stripes if service.loss.stripes[si] != LOST
+            for shard in lost_shards[si]
+        ]
+        sync_bytes = rebuilt_chunks(sync_server, rebuilt)
+        async_bytes = rebuilt_chunks(async_server, rebuilt)
+        for key, want in sync_bytes.items():
+            assert np.array_equal(want, originals[key]), f"seed {seed}: {key}"
+            assert np.array_equal(async_bytes[key], want), f"seed {seed}: {key}"
+
+    # the fault cost some stripe a re-plan, and left others untouched
+    assert {RECOVERED, REPLANNED} <= seen

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.core import ALGORITHMS, ReadPolicy
+from repro.core import ALGORITHMS, ReadPolicy, recover_disk
 from repro.ec.stripe import ChunkId
 from repro.errors import (
     ConfigurationError,
@@ -43,6 +43,12 @@ from repro.service.chaos_rig import build_service as make_service
 from repro.service.chaos_rig import originals_of
 from repro.service.overload import Deadline
 from repro.service.service import DEGRADED_READS
+
+#: Seconds one survivor read costs on the chaos geometry's read clock (2 KiB
+#: at the default 180 MB/s): read ``j`` (0-based) is priced at
+#: ``j * READ_SECONDS``, so a timed fault at ``4.5 * READ_SECONDS`` fires as
+#: read 5 is priced.
+READ_SECONDS = 2048 / 180e6
 
 
 def assert_all_objects_intact(server, originals):
@@ -354,9 +360,9 @@ class TestServiceRepair:
         assert result.exit_code == 0
         assert_all_objects_intact(server, originals)
 
-    def test_concurrent_disjoint_repairs_overlap_modeled_time(self):
+    def test_concurrent_disjoint_repairs_both_certify_byte_identical(self):
         # Rotating placement, 12 disks, n=5: disks 0 and 6 hold disjoint
-        # stripe sets, so their repairs share no disk channels.
+        # stripe sets, so the two concurrent repairs share no stripe.
         server = make_server()
         originals = originals_of(server)
         assert not set(server.layout.stripe_set(0)) & set(server.layout.stripe_set(6))
@@ -368,15 +374,11 @@ class TestServiceRepair:
             t0 = service.submit_repair(0)
             t6 = service.submit_repair(6)
             results = await asyncio.gather(t0.wait(), t6.wait())
-            makespan = service.modeled_now
             await service.close()
-            return results, makespan
+            return results
 
-        (r0, r6), makespan = asyncio.run(run())
+        r0, r6 = asyncio.run(run())
         assert r0.certified and r6.certified
-        # Concurrent jobs on disjoint disks overlap: the aggregate modeled
-        # makespan beats the serial sum of the two jobs.
-        assert makespan < r0.modeled_seconds + r6.modeled_seconds
         assert_all_objects_intact(server, originals)
 
     def test_overlapping_failures_claim_each_stripe_once(self):
@@ -559,10 +561,12 @@ class TestServiceFaults:
         server = make_server()
         originals = originals_of(server)
         server.fail_disk(0)
-        # Fail a survivor of disk 0's stripes partway through the modeled
-        # repair; the decodes must replan onto other survivors.
+        # Fail a survivor of disk 0's stripes as the second read is priced;
+        # the decodes must replan onto other survivors.
         victim = server.layout[server.layout.stripe_set(0)[0]].disks[1]
-        schedule = FaultSchedule([FaultEvent(at=1e-5, kind="disk_fail", disk=victim)])
+        schedule = FaultSchedule(
+            [FaultEvent(at=0.5 * READ_SECONDS, kind="disk_fail", disk=victim)]
+        )
 
         async def run():
             service = RepairService(
@@ -608,6 +612,44 @@ class TestServiceFaults:
         assert result.loss.hedged_reads + result.loss.replans >= 1
         assert_all_objects_intact(server, originals)
 
+    def test_forced_read_waits_the_hang_out_like_the_executor(self):
+        # A hung survivor whose retries are spent, with hedging off, is
+        # forced: it waits the 0.5 s window out. Priced at the hung speed
+        # instead, one read would cost hours of clock and every later timed
+        # fault would fire at the very next read. Both drivers share one
+        # read clock, so one stripe at a time they end on the same second.
+        def setup():
+            server = make_server()
+            server.fail_disk(0)
+            victim = server.layout[server.layout.stripe_set(0)[0]].disks[1]
+            schedule = FaultSchedule(
+                [FaultEvent(at=0.0, kind="hang", disk=victim, duration=0.5)]
+            )
+            return server, schedule
+
+        policy = ReadPolicy(
+            timeout_seconds=2 * READ_SECONDS, max_retries=0, hedge=False
+        )
+        server, schedule = setup()
+        sync = recover_disk(
+            server, ALGORITHMS["hd-psr-ap"](), 0, faults=schedule, policy=policy
+        )
+        server, schedule = setup()
+
+        async def run():
+            service = make_service(
+                server, faults=schedule, policy=policy, max_concurrent_stripes=1
+            )
+            result = await service.submit_repair(0).wait()
+            await service.close()
+            return service, result
+
+        service, result = asyncio.run(run())
+        assert result.certified and sync.certified
+        assert result.loss.timeouts == sync.loss.timeouts == 1
+        assert 0.5 < service.clock.now < 0.501
+        assert service.clock.now == sync.data_path.modeled_seconds
+
     def test_shard_dying_in_a_forced_read_loses_one_stripe_not_the_job(self):
         # A slow survivor whose hedge has no alternative is force-read; when
         # that forced read then hits a latent sector error the shard is
@@ -648,7 +690,9 @@ class TestServiceFaults:
     def test_process_crash_escapes_ticket(self, tmp_path):
         server = make_server()
         server.fail_disk(0)
-        schedule = FaultSchedule([FaultEvent(at=1e-5, kind="process_crash")])
+        schedule = FaultSchedule(
+            [FaultEvent(at=0.5 * READ_SECONDS, kind="process_crash")]
+        )
 
         async def run():
             service = RepairService(
@@ -689,11 +733,13 @@ class TestServiceResume:
         originals = originals_of(server)
         server.fail_disk(0)
         journal_root = tmp_path / "journal"
-        schedule = FaultSchedule([FaultEvent(at=2e-5, kind="process_crash")])
+        schedule = FaultSchedule(
+            [FaultEvent(at=4.5 * READ_SECONDS, kind="process_crash")]
+        )
 
         async def crash_run():
-            # One stripe at a time so early stripes reach stripe_done (and
-            # are journaled) before the modeled clock hits the crash.
+            # One stripe at a time so the first stripe (reads 0-2) reaches
+            # stripe_done (and is journaled) before the crash at read 5.
             service = RepairService(
                 server, ALGORITHMS["hd-psr-ap"](),
                 ServiceConfig(journal_root=journal_root, durable_journal=False,
@@ -731,7 +777,9 @@ class TestServiceResume:
         server = make_server(seed=5)
         server.fail_disk(0)
         journal_root = tmp_path / "journal"
-        schedule = FaultSchedule([FaultEvent(at=2e-5, kind="process_crash")])
+        schedule = FaultSchedule(
+            [FaultEvent(at=4.5 * READ_SECONDS, kind="process_crash")]
+        )
 
         async def crash_run():
             service = RepairService(

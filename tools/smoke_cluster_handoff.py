@@ -128,8 +128,10 @@ async def lost_tail_episode(port: int, objects: dict) -> None:
 def main(workdir: Path) -> int:
     workdir.mkdir(parents=True, exist_ok=True)
     crash = workdir / "daemon-crash.json"
+    # `hdpsr chaos`'s default crash point: 6.5 reads of 2 KiB on the read
+    # clock, the third stripe's second read, with two stripes journaled.
     crash.write_text(
-        '{"events": [{"at": 2.5e-5, "kind": "daemon_crash", "daemon": 0}]}\n'
+        '{"events": [{"at": 7.4e-5, "kind": "daemon_crash", "daemon": 0}]}\n'
     )
     store, journal = workdir / "cluster-store", workdir / "cluster-journal"
     common = [
