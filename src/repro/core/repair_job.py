@@ -112,7 +112,7 @@ class DataPathStats:
     salvaged_chunks: int = 0
     #: Chunk reads issued more than once for the same stripe.
     reread_chunks: int = 0
-    #: Chunk reads rejected by CRC32C sidecar verification.
+    #: Chunk reads rejected by sidecar verification.
     checksum_failures: int = 0
     #: Stripes whose terminal outcome was replayed from the journal.
     resumed_stripes: int = 0
@@ -489,7 +489,7 @@ class RepairJob:
         service's quarantine). Otherwise each chunk the job landed for it —
         replayed ones included — is re-read once with ``verify_chunk``; a
         failure degrades the stripe, everything else is *clean*. The
-        survivors the decode read were CRC-verified by those very reads and
+        survivors the decode read were verified by those very reads and
         the rebuilt chunk lies on their codeword by construction, so a
         fault-free stripe re-reads no survivor byte. A stripe that saw a
         fault (outcome not ``recovered``, in this incarnation or a journaled

@@ -145,7 +145,7 @@ def apply_corruption(store, event: FaultEvent):
     """Mutate the victim chunk's stored bytes per ``event.kind``.
 
     Writes *beneath* the store's checksum layer — straight into the chunk
-    file, leaving the CRC32C sidecar stale — which is the whole point:
+    file, leaving the digest sidecar stale — which is the whole point:
     the corruption is silent until a verify (foreground read or scrub)
     touches it. Needs a file-backed store (:class:`FileChunkStore` or a
     :class:`ShardedChunkStore` over them); sharded stores are descended

@@ -37,7 +37,7 @@ of a repair cluster rather than a disk; ``daemon`` selects which one:
 
 Silent-corruption kinds (also service-plane; ``at`` is a request
 ordinal, ``stripe``/``shard`` name the victim chunk on ``disk``). They
-mutate stored bytes *beneath* the checksum layer — the CRC32C sidecar is
+mutate stored bytes *beneath* the checksum layer — the digest sidecar is
 left stale on purpose — so only a verify (foreground read or the scrub
 plane) can catch them:
 
@@ -69,7 +69,7 @@ FAULT_KINDS = ("disk_fail", "sector_error", "slow", "hang", "process_crash")
 #: 0-based *request ordinal* on that daemon, which keeps injection
 #: deterministic regardless of wall-clock scheduling.
 #: Silent-corruption kinds: mutate one stored chunk's bytes beneath the
-#: checksum layer, leaving the CRC32C sidecar stale. ``at`` is a request
+#: checksum layer, leaving the digest sidecar stale. ``at`` is a request
 #: ordinal (fired through the wire injector); ``stripe``/``shard``/``disk``
 #: name the victim chunk.
 CORRUPTION_FAULT_KINDS = ("bitrot", "torn_write", "misdirected_write")

@@ -19,7 +19,9 @@ block (the asyncio repair service) run it in a worker thread.
 from __future__ import annotations
 
 import abc
+import hashlib
 import os
+import string
 import uuid
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
@@ -38,8 +40,32 @@ from repro.utils.checksum import crc32c
 
 Key = Tuple[int, ChunkId]
 
-#: Suffix of the per-chunk checksum sidecar files.
+#: Suffix of the per-chunk digest sidecar files (a historical name; see
+#: :class:`FileChunkStore`).
 CRC_SUFFIX = ".crc32c"
+
+
+def _is_crc_sidecar(sidecar: str) -> bool:
+    """Eight hex digits: a CRC32C sidecar, the format ``put`` wrote before
+    SHA-256, in any case (``int(text, 16)`` read it)."""
+    return len(sidecar) == 8 and all(c in string.hexdigits for c in sidecar)
+
+
+def sidecar_digest(
+    payload: "bytes | np.ndarray", sidecar: Optional[str] = None
+) -> str:
+    """The hex digest ``payload`` must carry, in ``sidecar``'s format.
+
+    New sidecars (``sidecar`` None, or anything but eight hex digits) hold
+    the lowercase SHA-256 hexdigest: ``hashlib`` hashes in C and releases
+    the GIL for buffers over 2 KiB, and a 256-bit digest misses a given
+    corruption with probability 2**-256 whatever the error pattern. An
+    eight-digit sidecar is a CRC32C the earlier format wrote, answered as
+    ``%08x`` of ``payload``'s CRC32C.
+    """
+    if sidecar is not None and _is_crc_sidecar(sidecar):
+        return f"{crc32c(payload):08x}"
+    return hashlib.sha256(payload).hexdigest()
 
 
 def _write_tmp(
@@ -305,12 +331,17 @@ class FileChunkStore(ChunkStore):
 
     The layout mirrors the paper's experiment setup (one mounted directory
     per disk). Writes are crash-consistent: the chunk bytes and their
-    CRC32C sidecar (``<chunk>.crc32c``) each go to a uniquely named tmp
+    digest sidecar (``<chunk>.crc32c``) each go to a uniquely named tmp
     file that is fsync'd, then the sidecar is renamed into place, then the
     chunk, then the parent directory is fsync'd. ``get`` verifies the pair
     — a torn, stale, or bit-flipped chunk surfaces as
     :class:`ChunkChecksumError` (a :class:`LatentSectorError`), never as
     silently wrong bytes.
+
+    The ``.crc32c`` suffix is the layout's historical name. ``put`` writes
+    a SHA-256 hexdigest (64 hex digits); a sidecar of 8 hex digits is a
+    CRC32C an earlier ``put`` wrote, still verified as such and replaced
+    by SHA-256 on the chunk's next ``put``. See :func:`sidecar_digest`.
 
     A crash between the two renames leaves a sidecar with no chunk (a first
     write: the open-time sweep removes it, ``contains`` is false and the
@@ -322,7 +353,7 @@ class FileChunkStore(ChunkStore):
 
     ``reads_overlap`` is False: every read this repo measures is served
     from the page cache, so a ``get`` is this process's own CPU work (the
-    read syscall and the CRC32C) and a round's reads gain nothing from
+    read syscall and the digest) and a round's reads gain nothing from
     separate threads. A deployment on spindles, where a cold read waits on
     the head, would want True — decided by a measurement on such a device,
     which this repo cannot make yet.
@@ -424,7 +455,7 @@ class FileChunkStore(ChunkStore):
         sidecar = self._sidecar_path(path)
         tmp_chunk = _write_tmp(path, arr.data, durable=self.durable)
         tmp_sidecar = _write_tmp(
-            sidecar, f"{crc32c(arr):08x}\n".encode("ascii"), durable=self.durable
+            sidecar, f"{sidecar_digest(arr)}\n".encode("ascii"), durable=self.durable
         )
         # Sidecar first, chunk second, back to back: a chunk is never
         # visible without the sidecar that vouches for it.
@@ -433,16 +464,14 @@ class FileChunkStore(ChunkStore):
         if self.durable:
             fsync_dir(path.parent)
 
-    def _read_expected_crc(self, path: Path) -> Optional[int]:
-        sidecar = self._sidecar_path(path)
+    def _read_sidecar(self, path: Path) -> Optional[str]:
+        """The digest ``path``'s sidecar holds, stripped; a CRC32C one as
+        ``%08x`` of ``int(text, 16)``, whatever case it was written in."""
         try:
-            text = sidecar.read_text().strip()
+            text = self._sidecar_path(path).read_text(errors="replace").strip()
         except OSError:
             return None  # no sidecar: legacy chunk, served unverified
-        try:
-            return int(text, 16)
-        except ValueError:
-            return -1  # unparseable sidecar counts as a mismatch
+        return f"{int(text, 16):08x}" if _is_crc_sidecar(text) else text
 
     def _checksum_failed(self, disk_id: int, chunk_id: ChunkId) -> None:
         self.checksum_failures += 1
@@ -450,10 +479,10 @@ class FileChunkStore(ChunkStore):
 
         current_registry().counter(
             "hdpsr_checksum_failures_total",
-            "Chunk reads whose bytes disagreed with their CRC32C sidecar",
+            "Chunk reads whose bytes disagreed with their digest sidecar",
         ).inc()
         raise ChunkChecksumError(
-            f"chunk {chunk_id} on disk {disk_id} failed CRC32C verification"
+            f"chunk {chunk_id} on disk {disk_id} failed digest verification"
         )
 
     def _read_verified(self, disk_id: int, chunk_id: ChunkId) -> bytes:
@@ -473,8 +502,8 @@ class FileChunkStore(ChunkStore):
                 raise ChunkNotFoundError(
                     f"chunk {chunk_id} not on disk {disk_id}"
                 ) from None
-            expected = self._read_expected_crc(path)
-            if expected is None or crc32c(payload) == expected:
+            expected = self._read_sidecar(path)
+            if expected is None or sidecar_digest(payload, expected) == expected:
                 return payload
         self._checksum_failed(disk_id, chunk_id)
         raise AssertionError("unreachable")  # pragma: no cover

@@ -20,7 +20,7 @@ seeded end to end and every assertion is checkable in memory afterwards:
    handoff — resumes ``a``'s repair after its last finished stripe.
 4. The report then proves the invariants the cluster design promises:
    every object is byte-identical to its pre-failure contents, every
-   rebuilt chunk's CRC32C sidecar verifies, **no chunk was persisted
+   rebuilt chunk's digest sidecar verifies, **no chunk was persisted
    twice** (a :class:`~repro.service.chaos_rig.CountingStore` wraps the
    shared store), foreground
    p99 stayed bounded through the takeover, and the revived stale owner

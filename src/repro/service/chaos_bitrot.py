@@ -5,7 +5,7 @@ proof the scrub plane exists to earn. One :class:`ServiceDaemon` (driven
 in-process through
 :meth:`~repro.service.netserver.ServiceDaemon.handle_request`) fronts a
 *file-backed* sharded store — corruption has to land on real bytes with
-real CRC32C sidecars — while a disk repair runs. The episode:
+real digest sidecars — while a disk repair runs. The episode:
 
 1. Fail one disk and submit its repair.
 2. Mid-repair, fire one corruption event of each kind (``bitrot``,

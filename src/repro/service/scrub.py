@@ -5,7 +5,8 @@ until something *reads* the bytes, and the worst possible moment to find
 it is mid-repair, when the corrupt chunk was supposed to be a survivor.
 :class:`Scrubber` closes that window: a background task that continuously
 walks every disk of the service's chunk store, re-reading each chunk
-against its CRC32C sidecar, quarantining anything that fails and
+against its digest sidecar (SHA-256, or an earlier ``put``'s CRC32C; see
+:func:`repro.hdss.store.sidecar_digest`), quarantining anything that fails and
 synthesizing a single-chunk read-repair through the service's decode path
 (:meth:`~repro.service.service.RepairService.repair_chunk`).
 

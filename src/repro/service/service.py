@@ -10,7 +10,7 @@
   (:class:`~repro.service.admission.SlotWaiter` over ``server.memory``),
   then its disks' per-disk gate slots
   (:class:`~repro.service.admission.DiskGate`) in ascending disk order, and
-  one worker call reads, CRC-verifies and folds the whole round — or, over
+  one worker call reads, verifies and folds the whole round — or, over
   a store whose reads overlap (``reads_overlap``), each read gets its own
   call and one more folds them. A decoded stripe appends its
   ``stripe_done`` record and only then puts its rebuilt chunks, awaiting
@@ -123,7 +123,7 @@ def _read_and_fold(
     decoder: Optional[PartialDecoder], gotten: Sequence[Gotten] = (),
 ) -> Tuple[List[Gotten], Optional[Tuple[float, float]]]:
     """A round's worker-thread body: ``get`` each ``(shard, disk)`` of
-    ``reads`` in turn — the store CRC-verifies every byte — timing each on
+    ``reads`` in turn — the store verifies every byte — timing each on
     the monotonic clock, then fold everything that arrived (``gotten`` too:
     reads earlier calls made) into ``decoder``, when one is given.
 
@@ -446,7 +446,7 @@ class RepairService:
         The single-chunk partial-stripe repair behind quarantine: decode
         the target from k readable, un-quarantined survivors (background
         gate slots — a read-repair never takes a slot a foreground read is
-        waiting on), ``put`` the result (which writes a fresh CRC32C
+        waiting on), ``put`` the result (which writes a fresh digest
         sidecar atomically), re-verify the bytes on disk, then lift the
         quarantine. Byte identity is structural: the decode reproduces
         exactly the shard the encoder originally wrote.
@@ -496,7 +496,7 @@ class RepairService:
         Serves both a degraded front-door read (foreground slots, bounded
         by ``deadline``) and a read-repair (background slots): one round of
         all ``k`` survivors through :meth:`_read_round`. A survivor that
-        fails its CRC32C verify mid-decode is quarantined (labelled
+        fails its sidecar verify mid-decode is quarantined (labelled
         ``source``; ``auto_repair`` spawns its own read-repair) and
         surfaced as a structured, retryable
         :class:`~repro.errors.ChunkQuarantinedError` — the decode's answer
@@ -880,7 +880,7 @@ class RepairService:
         call of its own, and one more call, after the gates, folds.
 
         Returns the chunks folded in and the round's faults in round order.
-        A chunk that failed its CRC32C verify is quarantined (labelled
+        A chunk that failed its sidecar verify is quarantined (labelled
         ``source``; ``auto_repair`` spawns its read-repair). With a tracer
         recording, each arrived read emits its ``read`` span (the ``get``
         alone, never the gate wait) and the fold a ``decode`` span.

@@ -1,15 +1,18 @@
-"""CRC32C (Castagnoli) checksums for chunk integrity and the repair journal.
+"""CRC32C (Castagnoli) checksums for the repair journal and its neighbours.
 
 CRC32C is the polynomial used by iSCSI, ext4 metadata, and most storage
-systems that pair data with sidecar checksums — it detects the burst and
-bit-flip corruption patterns disks actually produce. Every chunk read
-verifies a sidecar and every journal frame carries one, so this is the
-hottest loop of the repair service.
+systems that frame records with a checksum — it detects the burst and
+bit-flip corruption patterns disks actually produce. It frames every WAL
+record and lease record, scores the cluster's hash ring, and checks the
+8-hex-digit chunk sidecars an earlier ``FileChunkStore.put`` wrote. New
+chunk sidecars hold a SHA-256 digest instead
+(:func:`repro.hdss.store.sidecar_digest`), so chunk bytes no longer pass
+through this module.
 
 Backend selection happens once, at import: a native ``crc32c`` module
 (the optional ``fast`` extra) is used when importable, otherwise the
 NumPy kernel below. :data:`BACKEND` names the one in use; there is no
-flag to override it. On-disk sidecars, WAL frames and lease records are
+flag to override it. WAL frames, lease records and CRC32C sidecars are
 the same whichever computed them.
 
 The NumPy kernel leans on the CRC register being GF(2)-linear in the

@@ -1,10 +1,14 @@
 """Chunk stores: in-memory and file-backed backends, identical contract."""
 
+import hashlib
 import importlib.util
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.ec.stripe import ChunkId
 from repro.errors import (
@@ -21,6 +25,7 @@ from repro.hdss.store import (
     InMemoryChunkStore,
     ShardedChunkStore,
 )
+from repro.utils.checksum import crc32c
 
 
 @pytest.fixture(params=["memory", "file"])
@@ -309,11 +314,11 @@ class TestFileSpecific:
                 super().__init__(root)
                 self.misreads = 1
 
-            def _read_expected_crc(self, path):
+            def _read_sidecar(self, path):
                 if self.misreads:
                     self.misreads -= 1
-                    return 0xDEADBEEF  # raced: stale sidecar bytes
-                return super()._read_expected_crc(path)
+                    return "deadbeef"  # raced: stale sidecar bytes
+                return super()._read_sidecar(path)
 
         store = FlakySidecar(tmp_path)
         store.put(0, ChunkId(0, 0), chunk())
@@ -327,8 +332,8 @@ class TestChecksumIntegrity:
         store = FileChunkStore(tmp_path)
         store.put(7, ChunkId(12, 3), chunk())
         sidecar = tmp_path / "disk-007" / ("s000012.003.chunk" + CRC_SUFFIX)
-        assert sidecar.exists()
-        int(sidecar.read_text().strip(), 16)  # hex crc, parseable
+        sha256 = hashlib.sha256(chunk().tobytes()).hexdigest()
+        assert sidecar.read_text() == sha256 + "\n"
 
     def test_bit_flip_detected_on_get(self, tmp_path):
         store = FileChunkStore(tmp_path)
@@ -388,6 +393,116 @@ class TestChecksumIntegrity:
             store.put(2, ChunkId(0, j), chunk())
         assert store.drop_disk(2) == 3
         assert not list((tmp_path / "disk-002").glob("*" + CRC_SUFFIX))
+
+
+CID = ChunkId(0, 0)
+
+
+def lay_down(root, payload, kind, sidecar_text=None):
+    """Chunk ``CID`` on disk 0 with a ``kind`` sidecar: ``"sha256"`` as
+    ``put`` writes it, ``"crc32c"`` as the earlier format's ``put`` did
+    (``%08x\\n``, or ``sidecar_text``). Returns (chunk path, sidecar path)."""
+    disk_dir = Path(root) / "disk-000"
+    path = disk_dir / "s000000.000.chunk"
+    if kind == "sha256":
+        FileChunkStore(root, durable=False).put(0, CID, payload)
+    else:
+        disk_dir.mkdir(parents=True, exist_ok=True)
+        path.write_bytes(payload.tobytes())
+        text = f"{crc32c(payload):08x}\n" if sidecar_text is None else sidecar_text
+        (disk_dir / (path.name + CRC_SUFFIX)).write_text(text)
+    return path, disk_dir / (path.name + CRC_SUFFIX)
+
+
+class TestSidecarFormats:
+    """New sidecars hold SHA-256; an 8-hex-digit one is an earlier ``put``'s
+    CRC32C and is verified as one, never passed unchecked."""
+
+    def test_bit_flip_in_a_crc32c_sidecar_chunk_is_detected(self, tmp_path):
+        path, _ = lay_down(tmp_path, chunk(fill=9), "crc32c")
+        store = FileChunkStore(tmp_path)
+        assert store.verify_chunk(0, CID)
+        data = bytearray(path.read_bytes())
+        data[5] ^= 0x01
+        path.write_bytes(bytes(data))
+        with pytest.raises(ChunkChecksumError):
+            store.get(0, CID)
+        with pytest.raises(ChunkChecksumError):
+            store.verify_chunk(0, CID)
+        assert store.checksum_failures == 2
+
+    def test_put_over_a_crc32c_sidecar_chunk_rewrites_it_as_sha256(self, tmp_path):
+        _, sidecar = lay_down(tmp_path, chunk(fill=1), "crc32c")
+        store = FileChunkStore(tmp_path)
+        store.put(0, CID, chunk(fill=2))
+        sha256 = hashlib.sha256(chunk(fill=2).tobytes()).hexdigest()
+        assert sidecar.read_text() == sha256 + "\n"
+        assert store.verify_chunk(0, CID) and store.get(0, CID)[0] == 2
+
+    @pytest.mark.parametrize("style", [
+        lambda t: t.upper() + "\n",
+        lambda t: f"  {t} \n",
+        lambda t: f"\t{t.upper()}\r\n",
+    ], ids=["upper", "padded", "upper-padded"])
+    def test_crc32c_sidecar_in_any_case_or_padding_still_verifies(
+        self, tmp_path, style
+    ):
+        """``int(text, 16)`` read these before; a string compare would not."""
+        payload = np.arange(64, dtype=np.uint8)
+        text = f"{crc32c(payload):08x}"
+        assert any(c.isalpha() for c in text)  # upper-casing changes it
+        lay_down(tmp_path, payload, "crc32c", style(text))
+        store = FileChunkStore(tmp_path)
+        assert np.array_equal(store.get(0, CID), payload)
+        assert store.verify_chunk(0, CID)
+
+    @pytest.mark.parametrize("cut", [
+        lambda sha, crc: sha[:-1],
+        lambda sha, crc: sha + "0",
+        lambda sha, crc: crc + "0",
+        lambda sha, crc: crc[1:],
+    ], ids=["63", "65", "9", "7"])
+    def test_a_sidecar_of_another_length_is_a_mismatch(self, tmp_path, cut):
+        payload = chunk()
+        sha = hashlib.sha256(payload.tobytes()).hexdigest()
+        lay_down(tmp_path, payload, "crc32c", cut(sha, f"{crc32c(payload):08x}"))
+        with pytest.raises(ChunkChecksumError):
+            FileChunkStore(tmp_path).get(0, CID)
+
+    def test_a_binary_sidecar_is_a_mismatch_not_a_decode_error(self, tmp_path):
+        _, sidecar = lay_down(tmp_path, chunk(), "sha256")
+        sidecar.write_bytes(b"\xff\xfe" * 4)  # eight bytes, not UTF-8
+        with pytest.raises(ChunkChecksumError):
+            FileChunkStore(tmp_path).verify_chunk(0, CID)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        size=st.sampled_from([0, 1, 15, 16 * 1024 + 3]),
+        kind=st.sampled_from(["sha256", "crc32c"]),
+        data=st.data(),
+    )
+    def test_any_flipped_bit_or_changed_digit_is_caught(self, size, kind, data):
+        payload = np.random.default_rng(size).integers(0, 256, size, dtype=np.uint8)
+        with tempfile.TemporaryDirectory() as root:
+            path, sidecar = lay_down(root, payload, kind)
+            assert FileChunkStore(root).verify_chunk(0, CID)
+            text = sidecar.read_text()
+            if size and data.draw(st.booleans(), label="flip a chunk bit"):
+                bit = data.draw(st.integers(0, 8 * size - 1), label="bit")
+                raw = bytearray(path.read_bytes())
+                raw[bit // 8] ^= 1 << (bit % 8)
+                path.write_bytes(bytes(raw))
+            else:
+                i = data.draw(st.integers(0, len(text.strip()) - 1), label="digit")
+                new = data.draw(st.sampled_from(
+                    [c for c in "0123456789abcdef" if c != text[i]]
+                ), label="to")
+                sidecar.write_text(text[:i] + new + text[i + 1:])
+            store = FileChunkStore(root)
+            with pytest.raises(ChunkChecksumError):
+                store.get(0, CID)
+            with pytest.raises(ChunkChecksumError):
+                store.verify_chunk(0, CID)
 
 
 class TestPutOrdering:
@@ -472,10 +587,11 @@ class TestPutOrdering:
         from repro.hdss import store as store_module
 
         fsyncs, hashes = [], []
-        real_fsync, real_crc = os.fsync, store_module.crc32c
+        real_fsync, real_digest = os.fsync, store_module.sidecar_digest
         monkeypatch.setattr(os, "fsync", lambda fd: (fsyncs.append(fd), real_fsync(fd))[1])
         monkeypatch.setattr(
-            store_module, "crc32c", lambda *a: (hashes.append(1), real_crc(*a))[1]
+            store_module, "sidecar_digest",
+            lambda *a: (hashes.append(1), real_digest(*a))[1],
         )
         FileChunkStore(tmp_path).put(0, ChunkId(0, 0), chunk())
         assert len(fsyncs) == 3 and len(hashes) == 1

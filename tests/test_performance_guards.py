@@ -116,7 +116,7 @@ class TestSimulatorScaling:
 
 class TestWorkerHandoffs:
     """The daemon's thread hand-offs, in counts, not timings: one worker
-    call per repair round (reads, CRC checks and the fold together), one
+    call per repair round (reads, sidecar checks and the fold together), one
     for the stripe's record and one for its put; one per degraded read.
     Over a store whose reads wait on a device, a round's reads still
     overlap."""
@@ -262,26 +262,26 @@ class TestWritePathCounts:
         rebuilt = len(server.layout.stripe_set(0))
         server.fail_disk(0)
 
-        counts = {"fsync": 0, "store_bytes": 0, "wal_bytes": 0, "hashes": 0}
+        counts = {"fsync": 0, "store": 0, "store_bytes": 0, "wal": 0, "wal_bytes": 0}
         real_fsync = os.fsync
 
         def fsync(fd):
             counts["fsync"] += 1
             real_fsync(fd)
 
-        def counting(module, key):
-            real = module.crc32c
+        def counting(module, name, key):
+            real = getattr(module, name)
 
-            def crc32c(data, *seed):
-                counts[key] += len(data)
-                counts["hashes"] += 1
-                return real(data, *seed)
+            def hashed(data, *rest):
+                counts[key + "_bytes"] += len(data)
+                counts[key] += 1
+                return real(data, *rest)
 
-            monkeypatch.setattr(module, "crc32c", crc32c)
+            monkeypatch.setattr(module, name, hashed)
 
         monkeypatch.setattr(os, "fsync", fsync)
-        counting(store_module, "store_bytes")
-        counting(wal_module, "wal_bytes")
+        counting(store_module, "sidecar_digest", "store")
+        counting(wal_module, "crc32c", "wal")
         journal = tmp_path / "journal" / "disk-000"
         if driver == "recover_disk":
             result = recover_disk(server, ALGORITHMS["hd-psr-ap"](), 0, journal=journal)
@@ -317,10 +317,11 @@ class TestWritePathCounts:
                 assert counts["fsync"] == 3 * n + self.JOURNAL_FSYNCS, (driver, stripes)
                 # k survivor reads + the put's sidecar + certify's verify
                 assert counts["store_bytes"] == (self.K + 2) * rebuilt_bytes
+                assert counts["store"] == (self.K + 2) * n
                 # the journal hashes its record headers and not one chunk byte
                 records = list(WALReader(journal))
                 assert len(records) == n + 2 and not any(r.blobs for r in records)
                 on_disk = sum(p.stat().st_size for p in journal.iterdir())
                 assert counts["wal_bytes"] == on_disk - 16 * len(records)
-                assert counts["hashes"] == (self.K + 2) * n + 2 * len(records)
+                assert counts["wal"] == 2 * len(records)
                 assert on_disk < 0.05 * rebuilt_bytes, (driver, stripes, on_disk)
