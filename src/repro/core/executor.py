@@ -36,7 +36,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from repro.core.plans import RepairPlan, StripePlan
-from repro.core.repair_job import REPLAY, RESTORE, DataPathStats, RepairJob, place
+from repro.core.repair_job import DataPathStats, RepairJob, place
 from repro.core.stripe_repair import (
     FORCE,
     ReadClock,
@@ -170,7 +170,7 @@ class DataPathExecutor:
         return job.finish(None, clock.injector, clock.now)
 
     def run(self, job: RepairJob) -> None:
-        """Move ``job``'s bytes: every stripe replayed, continued or repaired.
+        """Move ``job``'s bytes: every stripe replayed or repaired.
 
         Opens the job's journal bracket; committing the placement,
         certification and :meth:`RepairJob.finish` are the caller's.
@@ -192,14 +192,14 @@ class DataPathExecutor:
         for sp, global_index, shards in job.rows():
             stripe = server.layout[global_index]
             targets = job.targets(stripe)
-            how, journaled = job.dispatch(global_index, server.store.contains)
-            if how == REPLAY:
+            done = job.replayable(global_index, server.store.contains)
+            if done is not None:
                 # Zero survivor reads, zero decode work: the crashed run's
                 # finished stripes stay paid for.
                 with tracer.span("stripe", f"stripe {global_index} replay",
                                  track="datapath", replayed=True):
                     for spare, cid, payload in job.replay_puts(
-                        global_index, journaled, server.store.contains,
+                        global_index, done, server.store.contains,
                         server.config.chunk_size,
                     ):
                         server.store.put(spare, cid, payload)
@@ -207,8 +207,7 @@ class DataPathExecutor:
             with tracer.span("stripe", f"stripe {global_index}",
                              track="datapath", rounds=sp.num_rounds):
                 self._repair_stripe(
-                    job, sp, stripe, global_index, shards, targets, tracer,
-                    restored=journaled if how == RESTORE else None,
+                    job, sp, stripe, global_index, shards, targets, tracer
                 )
         job.stats.peak_memory_chunks = memory.peak
 
@@ -222,7 +221,6 @@ class DataPathExecutor:
         shards: List[int],
         targets: List[int],
         tracer,
-        restored: Optional[Dict[str, object]] = None,
     ) -> None:
         """Drive one stripe's :class:`StripeRepair`: read, fold, write back.
 
@@ -234,20 +232,17 @@ class DataPathExecutor:
         server = self.server
         memory = server.memory
         stats = job.stats
-        if restored is not None:
-            repair = StripeRepair.restore(server.code, restored, sp)
-        else:
-            repair = StripeRepair.fresh(
-                server.code, shards, targets, sp, server.config.chunk_size
-            )
-        seen: Set[int] = set(repair.decoder.fed)
+        repair = StripeRepair.fresh(
+            server.code, shards, targets, sp, server.config.chunk_size
+        )
+        seen: Set[int] = set()
 
         def read(shard_idx: int, forced: bool = False) -> np.ndarray:
             return self._read_survivor(
                 stripe, global_index, shard_idx, job, seen, forced=forced
             )
 
-        round_index = repair.decoder.rounds_fed
+        round_index = 0
         while rnd := repair.next_round():
             fed: Dict[int, np.ndarray] = {}
             fault: Optional[ShardFault] = None

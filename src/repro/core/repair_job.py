@@ -24,9 +24,10 @@ half only.
   set, the one :class:`DataPathStats` tally and, when resuming, the
   replayed journal state: :meth:`~RepairJob.resumed` (the one fingerprint
   guard), :meth:`~RepairJob.open` (``begin`` or ``resume`` record),
-  :meth:`~RepairJob.dispatch` (replay a journaled stripe only if its
-  chunks are really there), :meth:`~RepairJob.replay_puts` (the one
-  write-side redo), :func:`place` (the one spare-placement rule),
+  :meth:`~RepairJob.replayable` (replay a journaled stripe only if its
+  chunks are really there; every other stripe starts fresh),
+  :meth:`~RepairJob.replay_puts` (the one write-side redo), :func:`place`
+  (the one spare-placement rule),
   :meth:`~RepairJob.record_writebacks` (what a ``stripe_done`` record
   carries: the chunk's name on a persistent store, its bytes on a volatile
   one), :meth:`~RepairJob.commit`, :meth:`~RepairJob.certify` (the one
@@ -77,11 +78,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.hdss.server import HighDensityStorageServer
     from repro.hdss.store import ChunkStore
     from repro.journal.journal import RepairJournal, RepairState, StripeDone
-
-#: :meth:`RepairJob.dispatch` verdicts.
-REPLAY = "replay"
-RESTORE = "restore"
-FRESH = "fresh"
 
 
 @dataclass
@@ -346,40 +342,32 @@ class RepairJob:
             )
         return targets
 
-    def dispatch(
+    def replayable(
         self, si: int, contains: Callable[[int, ChunkId], bool]
-    ) -> Tuple[str, object]:
-        """How stripe ``si`` starts, with what the journal holds for it.
+    ) -> "Optional[StripeDone]":
+        """The journaled outcome to replay for stripe ``si``, or ``None`` to
+        start it fresh from its plan.
 
         Decided from what is *there*, not from what was promised
-        (``contains(disk, chunk)`` is the store's):
-
-        * :data:`REPLAY` + its ``StripeDone`` — it reached a terminal
-          outcome before the crash and it is LOST (nothing was rebuilt) or
-          every rebuilt chunk is on its spare or carried in the record:
-          :meth:`replay_puts`, no survivor read;
-        * :data:`RESTORE` + its last ``round_commit`` snapshot — a v1
-          journal's in-flight stripe: continue mid-stripe via
-          ``StripeRepair.restore``;
-        * :data:`FRESH` + ``None`` — start from the plan. Also a journaled
-          stripe whose named chunk never reached its spare (drivers append
-          the record before the put, and the crash fell in between):
-          re-read, re-put, re-recorded.
+        (``contains(disk, chunk)`` is the store's): a stripe replays — with
+        :meth:`replay_puts`, no survivor read — iff it reached a terminal
+        outcome before the crash and it is LOST (nothing was rebuilt) or
+        every rebuilt chunk is on its spare or carried in the record. Any
+        other stripe starts fresh: one the crash caught mid-decode, and one
+        whose named chunk never reached its spare (drivers append the
+        record before the put, and the crash fell in between) — re-read,
+        re-put, re-recorded.
         """
-        state = self.state
-        if state is not None:
-            done = state.done.get(si)
-            if done is not None and (
-                done.outcome == LOST
-                or all(
-                    payload is not None or contains(spare, ChunkId(si, target))
-                    for target, spare, payload in done.writebacks
-                )
-            ):
-                return REPLAY, done
-            if si in state.inflight:
-                return RESTORE, state.inflight[si]
-        return FRESH, None
+        done = self.state.done.get(si) if self.state is not None else None
+        if done is not None and (
+            done.outcome == LOST
+            or all(
+                payload is not None or contains(spare, ChunkId(si, target))
+                for target, spare, payload in done.writebacks
+            )
+        ):
+            return done
+        return None
 
     def replay_puts(
         self,
@@ -390,7 +378,7 @@ class RepairJob:
     ) -> List[Tuple[int, ChunkId, np.ndarray]]:
         """Redo a journaled stripe outcome without touching any survivor.
 
-        :meth:`dispatch` said :data:`REPLAY`, so every rebuilt chunk is on
+        :meth:`replayable` returned ``done``, so every rebuilt chunk is on
         its spare or in the record. Accounts the stripe (a chunk the record
         only names counts ``chunk_size`` bytes) and returns the ``(spare,
         chunk id, payload)`` puts the driver still has to make: carried

@@ -279,17 +279,14 @@ class StripeRepair:
 
     Build one with :meth:`fresh` (from the stripe's plan). Rounds are not
     journaled: a stripe interrupted mid-decode starts :meth:`fresh` again.
-    :meth:`restore` (from a journaled in-flight state) is v1-compat only.
     """
 
-    def __init__(
-        self, decoder: PartialDecoder, queue: List[List[int]], outcome: str, plan
-    ) -> None:
+    def __init__(self, decoder: PartialDecoder, queue: List[List[int]], plan) -> None:
         self.decoder = decoder
         #: Rounds (of shard ids) still to read, in order.
         self.queue = queue
         #: RECOVERED until a fault re-plans (REPLANNED) or defeats (LOST) it.
-        self.outcome = outcome
+        self.outcome = RECOVERED
         # Post-failure rounds must fit alongside the accumulators even when
         # the original plan was single-round (its budget had no acc slots).
         self.per_round = max(1, plan.peak_memory_chunks() - len(decoder.targets))
@@ -318,22 +315,7 @@ class StripeRepair:
         """
         decoder = PartialDecoder(code, shards, targets, chunk_size=chunk_size)
         queue = [[shards[col] for col in rnd] for rnd in plan.rounds]
-        return cls(decoder, queue, RECOVERED, plan)
-
-    @classmethod
-    def restore(cls, code, state: Mapping[str, object], plan) -> "StripeRepair":
-        """Resume mid-stripe from a journaled ``round_commit`` state.
-
-        v1 compatibility: only a journal written before drivers stopped
-        journaling rounds holds one. The accumulators and remaining-read
-        bookkeeping come straight from the journal; nothing already fed is
-        read again.
-        """
-        state = dict(state)
-        outcome = str(state.pop("outcome", RECOVERED))
-        self = cls(PartialDecoder.from_state(code, state), [], outcome, plan)
-        self.queue = rounds_of(self.decoder.pending, self.per_round)
-        return self
+        return cls(decoder, queue, plan)
 
     # ----------------------------------------------------------------- rounds
     def next_round(self) -> List[int]:

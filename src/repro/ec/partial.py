@@ -243,18 +243,15 @@ class PartialDecoder:
 
     # ----------------------------------------------------------- checkpointing
     def to_state(self) -> Dict[str, object]:
-        """Snapshot the full decoder state (v1 journals' ``round_commit``).
+        """Snapshot the full decoder state (a v1 journal's ``round_commit``).
 
-        Compat code: no driver snapshots a decoder any more — a stripe
-        interrupted mid-decode restarts from its plan — but the benchmark's
-        ``journal.round_commit_ms`` row and the v1 fixture are built with it.
-        Everything needed to resume mid-stripe is captured: the survivor /
+        Nothing restores one: a stripe interrupted mid-decode restarts from
+        its plan, and no driver calls this. It stays because the
+        benchmark's ``journal.round_commit_ms`` row builds its record with
+        it, and goes when that row does. The snapshot holds the survivor /
         pending / fed bookkeeping, the per-target coefficient tables and
-        accumulator rows (both may have been rewritten by :meth:`replan`,
-        so they cannot be recomputed from the constructor arguments), and
-        the accumulator chunks themselves. Accumulators are returned as
-        uint8 arrays under ``"acc"`` so the journal can frame them as raw
-        binary blobs instead of inflating them through JSON.
+        accumulator rows, and the accumulator chunks as uint8 arrays under
+        ``"acc"`` (the journal frames them as raw binary blobs).
         """
         return {
             "survivor_ids": list(self.survivor_ids),
@@ -272,39 +269,6 @@ class PartialDecoder:
             },
             "acc": {str(t): a.copy() for t, a in self._acc.items()},
         }
-
-    @classmethod
-    def from_state(cls, code: "RSCode", state: Mapping[str, object]) -> "PartialDecoder":
-        """Rebuild a decoder from :meth:`to_state` output — how a v1
-        journal's in-flight stripe resumes (``StripeRepair.restore``).
-
-        Bypasses ``__init__`` deliberately: after a :meth:`replan` the
-        journaled ``survivor_ids`` can exceed ``k`` entries (fed + new
-        reads) and the coefficient tables are the re-mixed ones, neither of
-        which the constructor's recomputation path can represent.
-        """
-        pd = cls.__new__(cls)
-        pd.code = code
-        pd.survivor_ids = [int(s) for s in state["survivor_ids"]]  # type: ignore[union-attr]
-        pd.targets = [int(t) for t in state["targets"]]  # type: ignore[union-attr]
-        size = state["chunk_size"]
-        pd._chunk_size = None if size is None else int(size)  # type: ignore[arg-type]
-        pd._pending = {int(s) for s in state["pending"]}  # type: ignore[union-attr]
-        pd._fed = [int(s) for s in state["fed"]]  # type: ignore[union-attr]
-        pd._fed_count = int(state["fed_count"])  # type: ignore[arg-type]
-        pd._coeffs = {
-            int(t): {int(s): int(c) for s, c in m.items()}
-            for t, m in state["coeffs"].items()  # type: ignore[union-attr]
-        }
-        pd._rows = {
-            int(t): np.asarray(row, dtype=np.uint8).copy()
-            for t, row in state["rows"].items()  # type: ignore[union-attr]
-        }
-        pd._acc = {
-            int(t): np.asarray(a, dtype=np.uint8).copy()
-            for t, a in state["acc"].items()  # type: ignore[union-attr]
-        }
-        return pd
 
     # ---------------------------------------------------------------- result
     def result(self, target: int) -> np.ndarray:

@@ -11,9 +11,9 @@ Layers:
 * :mod:`repro.journal.wal` — framed, CRC32C-checked, append-only segment
   files with torn-tail tolerance;
 * :mod:`repro.journal.journal` — the typed record schema
-  (``begin`` / ``stripe_done`` / ``phase`` / ``resume`` / ``complete``,
-  plus v1's ``round_commit`` on the read side) and the
-  :class:`RepairState` replayer.
+  (``begin`` / ``stripe_done`` / ``phase`` / ``resume`` / ``complete``;
+  ``phase`` and v1's ``round_commit`` are written or tolerated, never
+  replayed) and the :class:`RepairState` replayer.
 """
 
 from repro.journal.journal import RepairJournal, RepairState, StripeDone

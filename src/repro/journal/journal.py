@@ -30,13 +30,12 @@ re-put, never a byte (``docs/robustness.md`` has the argument), and
 ``complete``'s fsync makes every record before it durable. Either way the
 journal ends on a record boundary or a torn tail the WAL reader clips off.
 
-v1 compatibility, read side only: ``round_commit`` (one repair round of one
-stripe — the logical clock plus the stripe's full
-:meth:`PartialDecoder.to_state` snapshot, accumulators as binary blobs; only
-the *latest* per stripe matters on replay). No driver writes one any more —
-a stripe interrupted mid-decode restarts from its plan — but a journal
-written before that still resumes mid-stripe through
-:attr:`RepairState.inflight`.
+:func:`load_state` parses only what a resume reads: ``begin``,
+``stripe_done``, ``resume`` and ``complete``. ``phase`` is written as audit
+metadata and not replayed. ``round_commit`` (one repair round of one
+stripe, which no driver writes any more but a v1 journal may hold) is
+tolerated and not replayed either — its clock still counts — so a stripe
+without a ``stripe_done`` restarts from its plan.
 """
 
 from __future__ import annotations
@@ -103,10 +102,6 @@ class RepairState:
     completed: bool = False
     #: stripe global index -> terminal outcome (payloads where carried).
     done: Dict[int, StripeDone] = field(default_factory=dict)
-    #: stripe global index -> latest mid-repair decoder snapshot (only a
-    #: v1 journal's ``round_commit`` records fill this).
-    inflight: Dict[int, Dict[str, object]] = field(default_factory=dict)
-    phases: List[Dict[str, object]] = field(default_factory=list)
 
 
 class RepairJournal:
@@ -182,11 +177,10 @@ class RepairJournal:
         decoder_state: Mapping[str, object],
         outcome: str = "recovered",
     ) -> None:
-        """v1 compatibility: no driver journals rounds any more. Kept so a
-        v1 journal can still be *written* the way the parent wrote it
-        (``tests/data/parent_journal``, the benchmark's
-        ``journal.round_commit_ms`` row); :func:`load_state` reads it back
-        into :attr:`RepairState.inflight`."""
+        """v1 compatibility, write side only: no driver journals rounds and
+        :func:`load_state` skips these records. Kept because the
+        benchmark's ``journal.round_commit_ms`` row and its trace hook bind
+        it by name; it goes when those do."""
         state = dict(decoder_state)
         acc: Mapping[str, np.ndarray] = state.pop("acc")  # type: ignore[assignment]
         blobs = {
@@ -287,18 +281,6 @@ def load_state(root: "str | os.PathLike") -> RepairState:
             state.clock = max(state.clock, float(clock))
         if record.type == "resume":
             state.resume_count += 1
-        elif record.type == "phase":
-            state.phases.append(dict(meta))
-        elif record.type == "round_commit":
-            stripe = int(meta["stripe"])  # type: ignore[arg-type]
-            decoder = dict(meta["decoder"])  # type: ignore[arg-type]
-            decoder["outcome"] = str(meta.get("outcome", "recovered"))
-            decoder["acc"] = {
-                name.split(":", 1)[1]: np.frombuffer(blob, dtype=np.uint8).copy()
-                for name, blob in record.blobs.items()
-                if name.startswith("acc:")
-            }
-            state.inflight[stripe] = decoder
         elif record.type == "stripe_done":
             stripe = int(meta["stripe"])  # type: ignore[arg-type]
             writebacks: List[Tuple[int, int, Optional[np.ndarray]]] = []
@@ -316,7 +298,6 @@ def load_state(root: "str | os.PathLike") -> RepairState:
                 clock=float(meta["clock"]),  # type: ignore[arg-type]
                 writebacks=writebacks,
             )
-            state.inflight.pop(stripe, None)
         elif record.type == "complete":
             state.completed = True
     if state is None:

@@ -13,8 +13,7 @@ Record frame layout (all integers little-endian):
 ====================  =====================================================
 
 Whatever chunk bytes a record does carry (a volatile store's rebuilt
-payloads, a v1 ``round_commit``'s accumulators) travel in the body — no
-base64 inflation.
+payloads) travel in the body — no base64 inflation.
 
 Durability contract: :meth:`WALWriter.commit` flushes and fsyncs the
 active segment (:meth:`WALWriter.flush` only hands it to the OS: safe

@@ -52,8 +52,6 @@ import numpy as np
 from repro.core.base import RepairAlgorithm
 from repro.core.plans import StripePlan
 from repro.core.repair_job import (
-    REPLAY,
-    RESTORE,
     DataPathStats,
     RepairJob,
     certified,
@@ -745,36 +743,33 @@ class RepairService:
         stripe = server.layout[si]
         targets = job.targets(stripe)
         fut = self._repair_futures.get(si)
-        how, journaled = job.dispatch(si, server.store.contains)
+        done = job.replayable(si, server.store.contains)
 
         def resolve(payloads: Optional[Dict[int, np.ndarray]]) -> None:
             # Piggybacking degraded reads get the decoded bytes (None: lost).
             if fut is not None and not fut.done():
                 fut.set_result(payloads)
 
-        if how == REPLAY:
+        if done is not None:
             # Re-put what the spare is missing; zero survivor reads.
             self._check_fence(job.disk)
             for spare, cid, payload in job.replay_puts(
-                si, journaled, server.store.contains, server.config.chunk_size
+                si, done, server.store.contains, server.config.chunk_size
             ):
                 await asyncio.to_thread(server.store.put, spare, cid, payload)
             # A record that only names its chunks hands piggybackers {}:
             # they fall back to their own decode.
             resolve(
-                {t: p for t, _, p in journaled.writebacks if p is not None}
-                if journaled.outcome != LOST
+                {t: p for t, _, p in done.writebacks if p is not None}
+                if done.outcome != LOST
                 else None
             )
             return
 
-        if how == RESTORE:
-            repair = StripeRepair.restore(server.code, journaled, sp)
-        else:
-            repair = StripeRepair.fresh(
-                server.code, shards, targets, sp, server.config.chunk_size
-            )
-        seen: Set[int] = set(repair.decoder.fed)
+        repair = StripeRepair.fresh(
+            server.code, shards, targets, sp, server.config.chunk_size
+        )
+        seen: Set[int] = set()
 
         rnd, forced = repair.next_round(), False
         while rnd:
@@ -831,7 +826,7 @@ class RepairService:
         job.record(si, outcome, written)
         # Record, then put (docs/robustness.md, rule 4): a chunk that lands
         # always has its record, so a crash never leads to an identical
-        # re-put; a record whose chunk never landed resumes FRESH (rule 3).
+        # re-put; a record whose chunk never landed starts fresh (rule 3).
         if job.journal is not None:
             await asyncio.to_thread(
                 job.journal.stripe_done, si, outcome, self.clock.now,

@@ -169,50 +169,31 @@ class TestWAL:
         assert writer.records_written == writer.commits == workers * per_worker
 
 
-# -------------------------------------------------- decoder state round-trip
+# -------------------------------------------------- v1 round_commit framing
 class TestDecoderState:
-    def test_state_roundtrip_mid_repair(self):
-        code = RSCode(9, 6)
-        rng = np.random.default_rng(11)
-        message = rng.integers(0, 256, size=(6, CHUNK), dtype=np.uint8)
-        shards = code.encode(message)
-
-        survivors, targets = [0, 1, 2, 3, 5, 7], [4, 8]
-        ref = PartialDecoder(code, survivors, targets)
-        ref.feed({j: shards[j] for j in survivors})
-
-        pd = PartialDecoder(code, survivors, targets)
-        pd.feed({0: shards[0], 1: shards[1]})
-        restored = PartialDecoder.from_state(code, pd.to_state())
-        assert restored.fed == pd.fed
-        assert restored.pending == pd.pending
-        assert restored.rounds_fed == pd.rounds_fed
-        restored.feed({j: shards[j] for j in [2, 3, 5, 7]})
-        for t in targets:
-            assert np.array_equal(restored.result(t), ref.result(t))
-
     def test_state_survives_json_and_blob_split(self, tmp_path):
-        """The exact path the journal takes: acc as blobs, rest as JSON."""
+        """What ``round_commit`` writes (only the benchmark still does):
+        the accumulators as raw blobs, the rest of the snapshot as JSON."""
         code = RSCode(9, 6)
         shards = code.encode(
             np.random.default_rng(3).integers(0, 256, (6, 64), dtype=np.uint8)
         )
         pd = PartialDecoder(code, [0, 1, 2, 3, 4, 5], [6])
         pd.feed({0: shards[0], 1: shards[1], 2: shards[2]})
+        snapshot = pd.to_state()
 
         journal = RepairJournal(tmp_path, durable=False)
         journal.begin(algorithm="fsr", plan={}, stripe_indices=[0],
                       survivor_ids=[[0, 1, 2, 3, 4, 5]], failed_disks=[0],
                       fingerprint={})
-        journal.round_commit(0, 0.5, pd.to_state())
+        journal.round_commit(0, 0.5, snapshot)
         journal.close()
 
-        state = load_state(tmp_path)
-        snap = dict(state.inflight[0])
-        snap.pop("outcome")
-        restored = PartialDecoder.from_state(code, snap)
-        restored.feed({j: shards[j] for j in [3, 4, 5]})
-        assert np.array_equal(restored.result(6), shards[6])
+        acc = snapshot.pop("acc")
+        _, record = WALReader(tmp_path)
+        assert record.type == "round_commit"
+        assert record.blobs == {"acc:6": acc["6"].tobytes()}
+        assert record.meta["decoder"] == json.loads(json.dumps(snapshot))
 
 
 # ------------------------------------------------------------ journal replay
@@ -257,18 +238,24 @@ class TestJournalReplay:
         assert np.array_equal(payload, np.arange(8, dtype=np.uint8))
         assert state.done[7].writebacks[0][2] is None
 
-    def test_stripe_done_clears_inflight(self, tmp_path):
+    def test_round_commit_and_phase_records_are_not_replayed(self, tmp_path):
+        """A resume reads only the terminal outcomes: a stripe with rounds
+        but no ``stripe_done`` starts from its plan. Only the clock counts
+        a skipped ``round_commit``."""
         code = RSCode(9, 6)
         pd = PartialDecoder(code, [0, 1, 2, 3, 4, 5], [6], chunk_size=8)
         pd.feed({0: np.zeros(8, dtype=np.uint8)})
         with RepairJournal(tmp_path, durable=False) as journal:
-            journal.begin(algorithm="fsr", plan={}, stripe_indices=[0],
-                          survivor_ids=[[0]], failed_disks=[0], fingerprint={})
+            journal.begin(algorithm="fsr", plan={}, stripe_indices=[0, 1],
+                          survivor_ids=[[0], [0]], failed_disks=[0], fingerprint={})
+            journal.phase(kind="initial", start=0.0, duration=1.0)
             journal.round_commit(0, 0.1, pd.to_state())
             journal.stripe_done(0, "recovered", 0.2)
+            journal.round_commit(1, 0.3, pd.to_state())
         state = load_state(tmp_path)
-        assert state.inflight == {}
-        assert 0 in state.done
+        assert list(state.done) == [0]
+        assert state.clock == 0.3
+        assert not hasattr(state, "inflight") and not hasattr(state, "phases")
 
 
 # ------------------------------------------------------------- crash/resume
@@ -444,9 +431,9 @@ class TestMidStripeResume:
     Needs a genuinely multi-round plan: hd-psr-as at c=8 splits each
     stripe's k=6 reads into rounds of 2, so a crash can land with a stripe
     partially fed. Rounds are not journaled: the journal holds the finished
-    stripes only, and the in-flight one starts from its plan again. (A v1
-    journal that does hold a mid-stripe ``round_commit`` still continues
-    from it: ``tests/data/parent_journal`` in ``test_repair_job.py``.)
+    stripes only, and the in-flight one starts from its plan again. So does
+    a v1 journal's in-flight stripe, whose ``round_commit`` records a resume
+    skips: ``tests/data/parent_journal`` in ``test_repair_job.py``.
     """
 
     def test_inflight_stripe_restarts_from_its_plan(self, tmp_path):
@@ -465,7 +452,7 @@ class TestMidStripeResume:
                          faults=crash, journal=tmp_path / "journal")
         # 8.5 reads in: one stripe (k=6) finished, two reads into the next
         state = load_state(tmp_path / "journal")
-        assert len(state.done) == 1 and not state.inflight
+        assert len(state.done) == 1
         types = [r.type for r in WALReader(tmp_path / "journal")]
         assert types == ["begin", "stripe_done"]
 

@@ -6,11 +6,14 @@ canonical experiment ids stay in sync.
 """
 
 import ast
+import importlib
+import importlib.util
 import inspect
 import re
 import subprocess
 import sys
 import textwrap
+from dataclasses import fields
 from pathlib import Path
 
 
@@ -219,9 +222,9 @@ class TestOneRepairJob:
     def test_one_certification_and_one_record_per_stripe(self):
         """A job certifies from what it has in hand, once; the full parity
         scrub is the scrub plane's and ``chaos_rig.check_parity_clean``'s.
-        Neither driver journals a round or snapshots a decoder — that code
-        is v1-compat, read side only — and both build a stripe's one record
-        through the job's one helper."""
+        Neither driver journals a round or snapshots a decoder — only the
+        benchmark still does — and both build a stripe's one record through
+        the job's one helper."""
         def uses(pattern):
             hits = set()
             for path in src_files():
@@ -694,6 +697,12 @@ class TestOneWritePath:
     def test_both_drivers_record_before_they_put(self):
         """A replayed stripe's re-put already has its record; every other
         put in ``_repair_stripe`` is of a rebuilt chunk and comes after."""
+        def replays(block):
+            return isinstance(block, ast.If) and any(
+                isinstance(n, ast.Attribute) and n.attr == "replay_puts"
+                for stmt in block.body for n in ast.walk(stmt)
+            )
+
         for path in (SRC / "core" / "executor.py", SERVICE / "service.py"):
             fn = repair_stripe_of(path)
             records = [
@@ -701,10 +710,86 @@ class TestOneWritePath:
                 if isinstance(n, ast.Attribute) and n.attr == "stripe_done"
             ]
             replayed = {
-                id(put) for block in ast.walk(fn)
-                if isinstance(block, ast.If) and "REPLAY" in ast.unparse(block.test)
-                for put in store_puts(block)
+                id(put) for block in ast.walk(fn) if replays(block)
+                for stmt in block.body for put in store_puts(stmt)
             }
             puts = [n.lineno for n in store_puts(fn) if id(n) not in replayed]
             assert records and puts, path
             assert max(records) < min(puts), f"{path}: a put precedes its record"
+
+
+E2E = BENCHMARKS / "e2e"
+
+
+def load_traced_serve():
+    """``benchmarks/e2e/traced_serve.py`` as a module, nothing patched:
+    importing it only defines :data:`HOOKS`; ``install()`` is not called."""
+    spec = importlib.util.spec_from_file_location(
+        "traced_serve", E2E / "traced_serve.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestOneWayToStartAStripe:
+    """A stripe is replayed from its ``stripe_done`` record or starts fresh
+    from its plan. The v1 mid-stripe resume is gone from every layer; the
+    two functions it leaves behind are the benchmark's alone."""
+
+    DRIVERS = {
+        "src/repro/core/executor.py:_repair_stripe",
+        "src/repro/service/service.py:_repair_stripe",
+    }
+
+    def test_the_mid_stripe_resume_is_gone(self):
+        from repro.journal.journal import RepairState
+
+        assert {"inflight", "phases"}.isdisjoint(f.name for f in fields(RepairState))
+        for path in src_files():
+            text = path.read_text()
+            for word in ("from_state", "def restore", "RESTORE",
+                         "RepairState.inflight", ".dispatch("):
+                assert word not in text, f"{path}: {word}"
+
+    def test_one_way_to_build_and_one_resume_decision(self):
+        assert call_sites(r"StripeRepair\.\w+") == call_sites(r"StripeRepair\.fresh")
+        assert call_sites(r"StripeRepair\.fresh") == self.DRIVERS
+        assert call_sites(r"\.replayable") == {
+            "src/repro/core/executor.py:run",
+            "src/repro/service/service.py:_repair_stripe",
+        }
+
+    def test_the_benchmarks_bindings_are_defined_once_and_never_called(self):
+        assert count_defs("to_state") == {"src/repro/ec/partial.py": 1}
+        assert count_defs("round_commit") == {"src/repro/journal/journal.py": 1}
+        assert call_sites(r"\.to_state") == set()
+        assert call_sites(r"\.round_commit") == set()
+        outside = sorted(BENCHMARKS.rglob("*.py")) + sorted((ROOT / "tools").rglob("*.py"))
+        for name, binders in (("to_state", {"layers.py"}),
+                              ("round_commit", {"layers.py", "traced_serve.py"})):
+            found = {
+                str(p.relative_to(ROOT)) for p in outside
+                if re.search(rf"\b{name}\b", p.read_text())
+            }
+            assert found == {f"benchmarks/e2e/{b}" for b in binders}, name
+
+
+class TestBenchmarkBindings:
+    """The e2e benchmark's trace hooks name ``src/`` functions as strings.
+    A hook whose target is gone is only *counted* there
+    (``trace.missing_hooks``) and its per-layer rows read 0, so a refactor
+    that renames one fails here instead."""
+
+    def test_every_trace_hook_resolves_but_the_known_one(self):
+        unresolved = set()
+        for module_name, path, _span, _nbytes in load_traced_serve().HOOKS:
+            try:
+                owner = importlib.import_module(module_name)
+                for part in path.split("."):
+                    owner = getattr(owner, part)
+            except (ImportError, AttributeError):
+                unresolved.add(f"{module_name}:{path}")
+        # put_many went with the write-behind layer; the benchmark still
+        # counts it as its one missing hook.
+        assert unresolved == {"repro.hdss.store:FileChunkStore.put_many"}

@@ -17,15 +17,7 @@ import pytest
 
 from repro.core import ALGORITHMS, ReadPolicy, recover_disk
 from repro.core.plans import RepairPlan, StripePlan
-from repro.core.repair_job import (
-    FRESH,
-    REPLAY,
-    RESTORE,
-    RepairJob,
-    certified,
-    place,
-    plan_repair,
-)
+from repro.core.repair_job import RepairJob, certified, place, plan_repair
 from repro.ec.stripe import ChunkId, Stripe
 from repro.errors import JournalError, StorageError
 from repro.faults.report import LOST, RECOVERED, REPLANNED, DataLossReport
@@ -72,17 +64,15 @@ def fresh_job(**kwargs):
 class TestDispatch:
     def test_fresh_job_starts_every_stripe_from_the_plan(self):
         job = fresh_job()
-        assert job.dispatch(4, EMPTY) == (FRESH, None)
+        assert job.replayable(4, EMPTY) is None
         assert job.crashes_survived == 0
 
-    def test_resumed_job_replays_restores_or_starts_fresh(self):
+    def test_resumed_job_replays_or_starts_fresh(self):
         done = StripeDone(RECOVERED, 0.5, [(0, 12, PAYLOAD)])
-        snapshot = {"outcome": RECOVERED, "fed": [1]}
-        state = journaled_state(done={4: done}, inflight={7: snapshot}, resume_count=2)
+        state = journaled_state(done={4: done}, resume_count=2)
         job = RepairJob.resumed(state, FINGERPRINT, "j")
-        assert job.dispatch(4, EMPTY) == (REPLAY, done)  # carried: re-put
-        assert job.dispatch(7, EMPTY) == (RESTORE, snapshot)
-        assert job.dispatch(9, EMPTY) == (FRESH, None)
+        assert job.replayable(4, EMPTY) is done  # carried: re-put
+        assert job.replayable(7, EMPTY) is None  # no record: from its plan
         assert job.crashes_survived == 3  # the first run + one per resume
 
     def test_a_named_chunk_replays_only_if_it_is_on_its_spare(self):
@@ -98,12 +88,12 @@ class TestDispatch:
         job = RepairJob.resumed(state, FINGERPRINT, "j")
         held = {(12, ChunkId(4, 0))}
         contains = lambda disk, cid: (disk, cid) in held  # noqa: E731
-        assert job.dispatch(4, contains) == (REPLAY, named)
-        assert job.dispatch(7, contains) == (FRESH, None)  # its named one is not
-        assert job.dispatch(9, contains) == (REPLAY, lost)
-        assert job.dispatch(4, EMPTY) == (FRESH, None)
+        assert job.replayable(4, contains) is named
+        assert job.replayable(7, contains) is None  # its named one is not
+        assert job.replayable(9, contains) is lost
+        assert job.replayable(4, EMPTY) is None
         held.add((12, ChunkId(7, 0)))
-        assert job.dispatch(7, contains) == (REPLAY, mixed)  # (13, 7.3) is carried
+        assert job.replayable(7, contains) is mixed  # (13, 7.3) is carried
 
     def test_rows_follow_the_plans_admission_order(self):
         assert [(sp.stripe_index, si, shards) for sp, si, shards in fresh_job().rows()] == [
@@ -365,9 +355,12 @@ class TestParentJournalStillResumes:
     def test_fixture_is_a_crashed_version_1_journal(self):
         records = list(WALReader(PARENT_JOURNAL / "disk-000"))
         assert records[0].meta["version"] == FORMAT_VERSION == 1
+        rounds = {r.meta["stripe"] for r in records if r.type == "round_commit"}
+        assert rounds == {7, 8, 10}
         state = load_state(PARENT_JOURNAL / "disk-000")
         assert state.algorithm == "hd-psr-ap"
-        assert sorted(state.done) == [7, 10] and sorted(state.inflight) == [8]
+        # stripe 8's round_commit is skipped: it restarts from its plan
+        assert sorted(state.done) == [7, 10]
         assert not state.completed
 
     @pytest.mark.parametrize("driver", ["recover_disk", "service"])
@@ -377,18 +370,23 @@ class TestParentJournalStillResumes:
         originals = originals_of(server)
         lost = {si: server.layout[si].disks.index(0) for si in server.layout.stripe_set(0)}
         server.fail_disk(0)
-        if driver == "recover_disk":
-            result = recover_disk(
-                server, ALGORITHMS["hd-psr-ap"](), 0,
-                journal=tmp_path / "journal" / "disk-000", resume=True,
-            )
-            resumed = result.data_path.resumed_stripes
-        else:
-            result = run_service(server, tmp_path / "journal")
-            resumed = result.resumed_stripes
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            if driver == "recover_disk":
+                result = recover_disk(
+                    server, ALGORITHMS["hd-psr-ap"](), 0,
+                    journal=tmp_path / "journal" / "disk-000", resume=True,
+                )
+                resumed = result.data_path.resumed_stripes
+            else:
+                result = run_service(server, tmp_path / "journal")
+                resumed = result.resumed_stripes
         assert result.certified
         assert resumed == result.loss.resumed_stripes == 2
         assert result.loss.replayed_chunks == 2  # the in-memory spare held neither
+        # k = 4 reads of 64 B for each of the 4 stripes not replayed,
+        # in-flight stripe 8 included: it starts from its plan
+        assert registry.get("hdpsr_datapath_bytes_read_total").value == 16 * 64
         for si, shard in lost.items():
             home = server.layout[si].disks[shard]
             assert home >= server.config.num_disks  # remapped onto a spare

@@ -79,28 +79,6 @@ class TestConstruction:
         assert counters(repair) == (0, 0, 0, 0)
         assert np.array_equal(repair.decoder.result(TARGET), SHARDS[TARGET])
 
-    def test_restored_continues_from_the_journaled_round(self):
-        first = fresh(TWO_ROUNDS)
-        first.feed(chunks(first.next_round()))
-        state = first.decoder.to_state()
-        state["outcome"] = REPLANNED  # what round_commit journals alongside
-
-        repair = StripeRepair.restore(CODE, state, TWO_ROUNDS)
-        assert repair.outcome == REPLANNED
-        assert repair.decoder.fed == [1]
-        assert repair.next_round() == [2, 3]  # nothing fed is read again
-        repair.feed(chunks([2, 3]))
-        assert repair.next_round() == []
-        assert np.array_equal(repair.decoder.result(TARGET), SHARDS[TARGET])
-
-    def test_restored_complete_stripe_has_nothing_to_read(self):
-        first = fresh()
-        finish(first)
-        repair = StripeRepair.restore(CODE, first.decoder.to_state(), ONE_ROUND)
-        assert repair.outcome == RECOVERED  # pre-outcome journals default
-        assert repair.next_round() == []
-        assert np.array_equal(repair.decoder.result(TARGET), SHARDS[TARGET])
-
 
 class TestLadder:
     def test_salvage_keeps_the_fed_chunks(self):
