@@ -12,11 +12,15 @@ pins down:
   fraction of the time a lazy one needs, and each find ends in a
   byte-identical read-repair either way.
 
-* **Scrub never mugs the foreground.** Every verify takes a *background*
-  gate slot, so a diurnal open-loop read workload sees (nearly) the same
-  tail latency whether the scrubber is hammering the store at full rate
-  or switched off entirely. The p99 comparison on/off is the politeness
-  assertion.
+* **Scrub never mugs the foreground.** The scrubber verifies a disk in
+  runs, each one worker call under one *background* gate slot: a run
+  lasts until the next pause is due (one chunk at ``interval_ms > 0``,
+  the whole disk at 0), and ends early at the next chunk boundary once
+  any read queues on that disk's gate, and at the first chunk that fails
+  its verify. So a diurnal open-loop read workload sees (nearly) the
+  same tail latency whether the scrubber is hammering the store at full
+  rate or switched off entirely. The p99 comparison on/off is the
+  politeness assertion.
 
 Latency is measured from the *scheduled* arrival (no coordinated
 omission), and the scrub-on episode must also complete at least one full

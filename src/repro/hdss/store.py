@@ -87,6 +87,21 @@ def _write_tmp(
     return tmp
 
 
+def _read_file(name: str) -> np.ndarray:
+    """A file's bytes in one fresh uint8 array: an unbuffered open, one
+    ``fstat`` and ``readinto`` the array itself — no ``bytes`` in between.
+    A file cut short under the read yields what was there."""
+    with open(name, "rb", buffering=0) as fh:
+        buf = np.empty(os.fstat(fh.fileno()).st_size, dtype=np.uint8)
+        view, got = memoryview(buf), 0
+        while got < len(buf):
+            n = fh.readinto(view[got:])
+            if not n:
+                return buf[:got]
+            got += n
+    return buf
+
+
 def _tmp_writer_pid(name: str) -> Optional[int]:
     """Writer pid encoded in a tmp-file name, or None for legacy names."""
     parts = name[: -len(".tmp")].rsplit(".", 2)
@@ -379,6 +394,9 @@ class FileChunkStore(ChunkStore):
         self.swept_tmp_files = 0
         #: Orphan sidecars (no chunk beside them) removed by the sweep.
         self.orphan_sidecars = 0
+        #: Per disk, its directory as a string ending in a separator: a
+        #: read names its chunk's file without building a ``Path``.
+        self._dir_names: Dict[int, str] = {}
         self._sweep_stale()
 
     def _sweep_stale(self) -> None:
@@ -427,8 +445,16 @@ class FileChunkStore(ChunkStore):
     def _disk_dir(self, disk_id: int) -> Path:
         return self.root / f"disk-{disk_id:03d}"
 
+    def _chunk_name(self, disk_id: int, chunk_id: ChunkId) -> str:
+        """The one function that names a chunk's file."""
+        base = self._dir_names.get(disk_id)
+        if base is None:
+            base = os.path.join(self._disk_dir(disk_id), "")
+            self._dir_names[disk_id] = base
+        return f"{base}s{chunk_id.stripe_index:06d}.{chunk_id.shard_index:03d}.chunk"
+
     def _chunk_path(self, disk_id: int, chunk_id: ChunkId) -> Path:
-        return self._disk_dir(disk_id) / f"s{chunk_id.stripe_index:06d}.{chunk_id.shard_index:03d}.chunk"
+        return Path(self._chunk_name(disk_id, chunk_id))
 
     @staticmethod
     def _parse_name(name: str) -> Optional[ChunkId]:
@@ -464,11 +490,13 @@ class FileChunkStore(ChunkStore):
         if self.durable:
             fsync_dir(path.parent)
 
-    def _read_sidecar(self, path: Path) -> Optional[str]:
-        """The digest ``path``'s sidecar holds, stripped; a CRC32C one as
-        ``%08x`` of ``int(text, 16)``, whatever case it was written in."""
+    def _read_sidecar(self, name: str) -> Optional[str]:
+        """The digest chunk file ``name``'s sidecar holds, stripped; a
+        CRC32C one as ``%08x`` of ``int(text, 16)``, whatever case it was
+        written in."""
         try:
-            text = self._sidecar_path(path).read_text(errors="replace").strip()
+            with open(name + CRC_SUFFIX, "rb") as fh:
+                text = fh.read().decode("utf-8", errors="replace").strip()
         except OSError:
             return None  # no sidecar: legacy chunk, served unverified
         return f"{int(text, 16):08x}" if _is_crc_sidecar(text) else text
@@ -485,7 +513,7 @@ class FileChunkStore(ChunkStore):
             f"chunk {chunk_id} on disk {disk_id} failed digest verification"
         )
 
-    def _read_verified(self, disk_id: int, chunk_id: ChunkId) -> bytes:
+    def _read_verified(self, disk_id: int, chunk_id: ChunkId) -> np.ndarray:
         """Read payload + sidecar as a consistent pair, or raise.
 
         A concurrent ``put`` replaces the chunk file and its sidecar with
@@ -494,23 +522,22 @@ class FileChunkStore(ChunkStore):
         re-read once — the second pass sees the settled pair — and only a
         *stable* mismatch counts as corruption.
         """
-        path = self._chunk_path(disk_id, chunk_id)
+        name = self._chunk_name(disk_id, chunk_id)
         for attempt in (0, 1):
             try:
-                payload = path.read_bytes()
+                payload = _read_file(name)
             except FileNotFoundError:
                 raise ChunkNotFoundError(
                     f"chunk {chunk_id} not on disk {disk_id}"
                 ) from None
-            expected = self._read_sidecar(path)
+            expected = self._read_sidecar(name)
             if expected is None or sidecar_digest(payload, expected) == expected:
                 return payload
         self._checksum_failed(disk_id, chunk_id)
         raise AssertionError("unreachable")  # pragma: no cover
 
     def get(self, disk_id: int, chunk_id: ChunkId) -> np.ndarray:
-        payload = self._read_verified(disk_id, chunk_id)
-        return np.frombuffer(payload, dtype=np.uint8).copy()
+        return self._read_verified(disk_id, chunk_id)
 
     def verify_chunk(self, disk_id: int, chunk_id: ChunkId) -> bool:
         """Re-read one chunk and check it against its sidecar.

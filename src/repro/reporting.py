@@ -100,8 +100,9 @@ PAPER_CLAIMS = {
         "silent-corruption detection latency tracks the inter-verify pause "
         "(every rotted chunk quarantined and read-repaired byte-identically "
         "at every rate), and a diurnal foreground workload sees the same "
-        "p99 with the scrubber at full rate as with it off, because every "
-        "verify takes a background gate slot."
+        "p99 with the scrubber at full rate as with it off, because each "
+        "run of verifies holds one background gate slot and yields it at "
+        "the next chunk once a read queues on the disk."
     ),
 }
 

@@ -86,7 +86,11 @@ class DiskGate:
         return event
 
     def queue_depth(self, disk_id: int) -> int:
-        """Total reads (both classes) queued on ``disk_id``."""
+        """Total reads (both classes) queued on ``disk_id``.
+
+        Safe to read from a worker thread: it only reads two counters the
+        event loop updates. The scrub plane's runs poll it between chunks
+        to yield the disk to a queued read."""
         return self._fg_waiting.get(disk_id, 0) + self._bg_waiting.get(disk_id, 0)
 
     def depths(self) -> Dict[int, Dict[str, int]]:

@@ -15,17 +15,24 @@ Three properties make it a polite tenant of a loaded daemon:
 * **Crash-resumable cursor.** The scrub position is journaled through
   :mod:`repro.journal` WAL records (``scrub_cycle_begin`` /
   ``scrub_disk_done`` / ``scrub_cycle_done``, one fsync'd commit per
-  finished disk). A restarted daemon replays the cursor and resumes the
-  interrupted cycle at the first unfinished disk — it never rescans disks
-  the previous process already certified.
+  finished disk). Records are appended on the event loop and committed in
+  a worker thread, so no cursor fsync stalls a front-door read. A
+  restarted daemon replays the cursor and resumes the interrupted cycle at
+  the first unfinished disk — it never rescans disks the previous process
+  already certified.
 
 * **Overload-aware pacing.** Scrub is the cheapest work class of the
   brownout plane (:data:`~repro.service.overload.CLASS_SCRUB`): while the
   daemon is ``browned_out`` the inter-verify pause stretches by
   ``scrub_brownout_factor``; while ``shedding`` the scrubber parks
-  entirely and polls for recovery. Every verify takes a *background* gate
-  slot, so a scrub read can never hold a spindle a foreground or repair
-  read is waiting on.
+  entirely and polls for recovery. The walk verifies a disk in *runs*:
+  one worker call under one *background* gate slot verifies chunk after
+  chunk until the next pause is due — one chunk when ``interval_ms > 0``,
+  the whole disk when it is 0. A run also ends at the next chunk boundary
+  once any read queues on that disk's gate, and at the first chunk that
+  fails its verify, so a scrub read never holds a spindle a foreground or
+  repair read waits on for longer than one verify, and quarantine and
+  read-repair happen before the disk's next chunk is read.
 
 * **Quarantine-and-repair.** A failed verify immediately quarantines the
   chunk (it will never be served, and never used as a decode survivor),
@@ -39,11 +46,13 @@ Three properties make it a polite tenant of a loaded daemon:
 from __future__ import annotations
 
 import asyncio
+import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Set
+from typing import List, Optional, Set, Tuple
 
+from repro.ec.stripe import ChunkId
 from repro.errors import (
     ChunkChecksumError,
     ChunkNotFoundError,
@@ -68,15 +77,26 @@ REC_DISK_DONE = "scrub_disk_done"
 REC_CYCLE_DONE = "scrub_cycle_done"
 
 
+def _commit_cursor(writer: WALWriter, prune: bool) -> None:
+    """One cursor commit, run in a worker thread. ``prune`` follows a
+    ``cycle_done``: everything a future replay needs (the close of this
+    cycle) lives in the newest segment, so prior segments are pure
+    history."""
+    writer.commit()
+    if prune:
+        for seg in list_segments(writer.root)[:-1]:
+            seg.unlink(missing_ok=True)
+
+
 @dataclass(frozen=True)
 class ScrubConfig:
     """Tuning knobs of one :class:`Scrubber`.
 
     Attributes:
         interval_ms: healthy-state pause between chunk verifies — the
-            scrub rate knob (0 = as fast as the gate admits). Stretched
-            by the overload controller's ``scrub_brownout_factor`` while
-            browned out.
+            scrub rate knob (0 = as fast as the gate admits, a disk in one
+            run). Stretched by the overload controller's
+            ``scrub_brownout_factor`` while browned out.
         cycle_pause_s: idle pause between the end of one full cycle and
             the start of the next.
         park_poll_s: how often a parked (shedding) scrubber re-checks the
@@ -168,6 +188,9 @@ class Scrubber:
         self._cycle_started: Optional[float] = None
         self._task: Optional[asyncio.Task] = None
         self._writer: Optional[WALWriter] = None
+        #: The latest cursor commit's worker call, which :meth:`stop`
+        #: waits out before it closes the writer.
+        self._committing: Optional[asyncio.Future] = None
         if self.config.journal_root is not None:
             root = Path(self.config.journal_root)
             self._replay_cursor(root)
@@ -212,25 +235,21 @@ class Scrubber:
         else:
             self.cycle = completed + 1
 
-    def _append(self, rtype: str, commit: bool = False, **meta) -> None:
+    def _append(self, rtype: str, **meta) -> None:
+        if self._writer is not None:
+            self._writer.append(WALRecord(type=rtype, meta=meta))
+
+    async def _commit(self, prune: bool = False) -> None:
+        """fsync the records appended so far in a worker thread — and,
+        with ``prune``, drop the older segments there too. Shielded: a
+        cancelled cycle lets its commit finish, and :meth:`stop` waits it
+        out before it closes the writer."""
         if self._writer is None:
             return
-        self._writer.append(WALRecord(type=rtype, meta=meta))
-        if commit:
-            self._writer.commit()
-
-    def _prune_journal(self) -> None:
-        """Drop cursor segments older than the current one.
-
-        Called right after a ``cycle_done`` commit: everything a future
-        replay needs (the close of this cycle) lives in the newest
-        segment, so prior segments are pure history.
-        """
-        if self._writer is None:
-            return
-        segments = list_segments(self._writer.root)
-        for seg in segments[:-1]:
-            seg.unlink(missing_ok=True)
+        self._committing = asyncio.ensure_future(
+            asyncio.to_thread(_commit_cursor, self._writer, prune)
+        )
+        await asyncio.shield(self._committing)
 
     # -------------------------------------------------------------- lifecycle
     @property
@@ -252,11 +271,15 @@ class Scrubber:
         )
 
     async def stop(self) -> None:
-        """Cancel the loop, wait it out, and close the cursor journal."""
+        """Cancel the loop, wait it and its last cursor commit out, and
+        close the cursor journal."""
         if self._task is not None:
             self._task.cancel()
             await asyncio.gather(self._task, return_exceptions=True)
             self._task = None
+        if self._committing is not None:
+            await asyncio.gather(self._committing, return_exceptions=True)
+            self._committing = None
         if self._writer is not None:
             self._writer.close()
             self._writer = None
@@ -283,8 +306,9 @@ class Scrubber:
         service = self.service
         if not self._begun:
             self._done_disks = set()
-            self._append(REC_CYCLE_BEGIN, commit=True, cycle=self.cycle)
+            self._append(REC_CYCLE_BEGIN, cycle=self.cycle)
             self._begun = True
+            await self._commit()
         self._cycle_started = time.monotonic()
         self.cycle_chunks = 0
         disks = list(range(len(service.server.disks)))
@@ -296,18 +320,17 @@ class Scrubber:
             if not service.server.disk(disk_id).is_failed:
                 await self._scrub_disk(disk_id)
             self._done_disks.add(disk_id)
-            self._append(
-                REC_DISK_DONE, commit=True, cycle=self.cycle, disk=disk_id
-            )
+            self._append(REC_DISK_DONE, cycle=self.cycle, disk=disk_id)
+            await self._commit()
         elapsed = time.monotonic() - self._cycle_started
-        self.last_cycle_seconds = elapsed
-        self.cycles_completed += 1
         self._append(
-            REC_CYCLE_DONE, commit=True,
+            REC_CYCLE_DONE,
             cycle=self.cycle, chunks=self.cycle_chunks,
             seconds=round(elapsed, 6),
         )
-        self._prune_journal()
+        await self._commit(prune=True)
+        self.last_cycle_seconds = elapsed
+        self.cycles_completed += 1
         current_registry().counter(
             SCRUB_CYCLES, "completed scrub cycles"
         ).inc()
@@ -322,29 +345,71 @@ class Scrubber:
         return verified
 
     async def _scrub_disk(self, disk_id: int) -> None:
+        """Verify one disk run by run, each run one worker call under one
+        background gate slot (see the module docstring for where a run
+        ends). Paced, the disk is listed in a call of its own; unpaced,
+        the first run lists it."""
         service = self.service
-        store = service.server.store
-        chunks = await asyncio.to_thread(store.chunks_on_disk, disk_id)
-        verified_counter = current_registry().counter(
-            SCRUB_VERIFIED, "chunks verified by the scrub plane"
-        )
-        for cid in chunks:
+        chunks: Optional[List[ChunkId]] = None
+        if self.config.interval_ms > 0:
+            chunks = await asyncio.to_thread(
+                service.server.store.chunks_on_disk, disk_id
+            )
+        pos = 0
+        while chunks is None or pos < len(chunks):
             await self._pace()
-            if service.is_quarantined(disk_id, cid):
-                continue  # already caught; its read-repair is pending
-            corrupt = False
+            halt = threading.Event()
             async with service.gate.read(disk_id, foreground=False):
                 try:
-                    await asyncio.to_thread(store.verify_chunk, disk_id, cid)
-                except ChunkChecksumError:
-                    corrupt = True
+                    chunks, pos, corrupt = await asyncio.to_thread(
+                        self._verify_run, disk_id, chunks, pos, halt
+                    )
+                finally:
+                    halt.set()  # a cancelled run stops at its next chunk
+            if corrupt is not None:
+                await self._handle_corrupt(disk_id, corrupt)
+
+    def _verify_run(
+        self,
+        disk_id: int,
+        chunks: Optional[List[ChunkId]],
+        pos: int,
+        halt: threading.Event,
+    ) -> Tuple[List[ChunkId], int, Optional[ChunkId]]:
+        """One run, in a worker thread: verify ``chunks[pos:]`` in order
+        (listing the disk first when ``chunks`` is None), one
+        ``verify_chunk`` a chunk. Returns the list, the position the next
+        run starts at, and the chunk that failed its verify, if one did."""
+        service = self.service
+        store = service.server.store
+        if chunks is None:
+            chunks = store.chunks_on_disk(disk_id)
+        one_chunk = self.config.interval_ms > 0
+        counter = current_registry().counter(
+            SCRUB_VERIFIED, "chunks verified by the scrub plane"
+        )
+        while pos < len(chunks):
+            cid = chunks[pos]
+            pos += 1
+            # A quarantined chunk is already caught: its read-repair is pending.
+            if not service.is_quarantined(disk_id, cid):
+                try:
+                    store.verify_chunk(disk_id, cid)
                 except ChunkNotFoundError:
-                    continue  # deleted/moved underneath us: not our problem
-            self.chunks_verified += 1
-            self.cycle_chunks += 1
-            verified_counter.inc()
-            if corrupt:
-                await self._handle_corrupt(disk_id, cid)
+                    pass  # deleted/moved underneath us: not our problem
+                except ChunkChecksumError:
+                    self._count_verified(counter)
+                    return chunks, pos, cid
+                else:
+                    self._count_verified(counter)
+            if one_chunk or halt.is_set() or service.gate.queue_depth(disk_id):
+                break
+        return chunks, pos, None
+
+    def _count_verified(self, counter) -> None:
+        self.chunks_verified += 1
+        self.cycle_chunks += 1
+        counter.inc()
 
     async def _handle_corrupt(self, disk_id: int, cid) -> None:
         service = self.service

@@ -189,21 +189,14 @@ class TestForwardingDecorators:
         assert faulty.bad_chunks() == [] and int(faulty.get(1, cid)[0]) == 5
 
 
-class _VanishingPath(type(Path())):
-    """A chunk path whose file is deleted after any existence check and
-    before its bytes are read — ``drop_disk``/``delete`` racing a ``get``."""
-
-    def read_bytes(self):
-        self.unlink()
-        return super().read_bytes()
-
-    def exists(self):
-        return True  # the answer from just before the file went away
-
-
 class _RacingStore(FileChunkStore):
-    def _chunk_path(self, disk_id, chunk_id):
-        return _VanishingPath(super()._chunk_path(disk_id, chunk_id))
+    """A store whose chunk file is deleted once its name is known and
+    before it is opened — ``drop_disk``/``delete`` racing a ``get``."""
+
+    def _chunk_name(self, disk_id, chunk_id):
+        name = super()._chunk_name(disk_id, chunk_id)
+        Path(name).unlink(missing_ok=True)
+        return name
 
 
 class TestFileSpecific:

@@ -122,8 +122,8 @@ class TestWorkerHandoffs:
     overlap."""
 
     @staticmethod
-    def count_handoffs(monkeypatch):
-        """Every ``asyncio.to_thread`` call made from the service module."""
+    def count_handoffs(monkeypatch, module="repro.service.service"):
+        """Every ``asyncio.to_thread`` call made from ``module``."""
         import asyncio
         import sys
 
@@ -131,7 +131,7 @@ class TestWorkerHandoffs:
         real = asyncio.to_thread
 
         def to_thread(fn, *args, **kwargs):
-            if sys._getframe(1).f_globals["__name__"] == "repro.service.service":
+            if sys._getframe(1).f_globals["__name__"] == module:
                 calls.append(fn)
             return real(fn, *args, **kwargs)
 
@@ -228,6 +228,54 @@ class TestWorkerHandoffs:
             )
             peaks[store.reads_overlap] = store.peak
         assert width > 1 and peaks == {True: width, False: 1}
+
+
+class TestScrubHandoffs:
+    """The scrub walk's thread hand-offs, in counts: one clean cycle over
+    the chaos geometry (15 disks, 50 chunks) on durable-off file shards.
+    Before runs, the walk paid one call per chunk plus one listing per
+    disk at any pace: chunks + disks = 65. Unpaced, a disk is now one
+    call; paced, a run is one chunk, as before."""
+
+    DISKS, CHUNKS = 15, 50
+
+    def cycle(self, tmp_path, monkeypatch, interval_ms, journal=False):
+        import asyncio
+
+        from repro.hdss.store import ShardedChunkStore
+        from repro.service import ScrubConfig, Scrubber
+        from repro.service.chaos_rig import build_server, build_service
+
+        store = ShardedChunkStore.from_root(tmp_path / "store", durable=False)
+        service = build_service(build_server(store, stripes=10, chunk_size=1024))
+        scrub = Scrubber(service, ScrubConfig(
+            interval_ms=interval_ms, cycle_pause_s=0.0,
+            journal_root=tmp_path / "cursor" if journal else None,
+            durable_journal=False,
+        ))
+        calls = TestWorkerHandoffs.count_handoffs(monkeypatch, "repro.service.scrub")
+
+        async def run():
+            verified = await scrub.run_cycle()
+            await scrub.stop()
+            await service.close()
+            return verified
+
+        assert asyncio.run(run()) == self.CHUNKS
+        assert len(service.server.disks) == self.DISKS
+        return calls
+
+    def test_an_unpaced_disk_is_one_call(self, tmp_path, monkeypatch):
+        assert len(self.cycle(tmp_path, monkeypatch, 0.0)) == self.DISKS
+
+    def test_a_paced_run_is_one_chunk(self, tmp_path, monkeypatch):
+        calls = self.cycle(tmp_path, monkeypatch, 0.01)
+        assert len(calls) == self.CHUNKS + self.DISKS
+
+    def test_each_cursor_commit_is_one_call(self, tmp_path, monkeypatch):
+        """``cycle_begin``, one ``disk_done`` a disk, ``cycle_done``."""
+        calls = self.cycle(tmp_path, monkeypatch, 0.0, journal=True)
+        assert len(calls) == self.DISKS + (self.DISKS + 2)
 
 
 class TestWritePathCounts:

@@ -6,19 +6,20 @@ its coroutine with ``asyncio.run``.
 """
 
 import asyncio
+import threading
 import time
 
 import numpy as np
 import pytest
 
 from repro.ec.stripe import ChunkId
-from repro.errors import ConfigurationError
+from repro.errors import ChunkChecksumError, ConfigurationError
 from repro.faults import apply_corruption
 from repro.faults.spec import FaultEvent
-from repro.hdss.store import ShardedChunkStore
-from repro.journal.wal import list_segments
+from repro.hdss.store import InMemoryChunkStore, ShardedChunkStore
+from repro.journal.wal import WALWriter, list_segments
 from repro.service import ScrubConfig, Scrubber
-from repro.service.chaos_rig import build_server, build_service
+from repro.service.chaos_rig import SlowStore, build_server, build_service
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.netserver import ServiceDaemon
 from repro.service.overload import (
@@ -220,6 +221,64 @@ class TestScrubCursor:
 
         asyncio.run(run())
 
+    def test_cursor_commits_run_off_the_event_loop(self, tmp_path, monkeypatch):
+        threads = []
+        real = WALWriter.commit
+
+        def commit(writer):
+            threads.append(threading.get_ident())
+            real(writer)
+
+        monkeypatch.setattr(WALWriter, "commit", commit)
+
+        async def run():
+            service = make_service(tmp_path)
+            scrub = Scrubber(service, fast_config(
+                journal_root=tmp_path / "cursor", durable_journal=False,
+            ))
+            await scrub.run_cycle()
+            commits = list(threads)
+            await scrub.stop()
+            await service.close()
+            return threading.get_ident(), commits, len(service.server.disks)
+
+        loop_thread, commits, disks = asyncio.run(run())
+        # cycle_begin, one disk_done a disk, cycle_done: each committed
+        assert len(commits) == disks + 2
+        assert loop_thread not in commits
+
+    def test_stop_waits_out_an_in_flight_commit(self, tmp_path, monkeypatch):
+        committing = threading.Event()
+        closed_mid_commit = []
+        real_commit, real_close = WALWriter.commit, WALWriter.close
+
+        def commit(writer):
+            committing.set()
+            time.sleep(0.05)
+            real_commit(writer)
+            committing.clear()
+
+        def close(writer):
+            closed_mid_commit.append(committing.is_set())
+            real_close(writer)
+
+        monkeypatch.setattr(WALWriter, "commit", commit)
+        monkeypatch.setattr(WALWriter, "close", close)
+
+        async def run():
+            service = make_service(tmp_path)
+            scrub = Scrubber(service, fast_config(
+                journal_root=tmp_path / "cursor", durable_journal=False,
+            ))
+            scrub.start()
+            while not committing.is_set():
+                await asyncio.sleep(0.001)
+            await scrub.stop()
+            await service.close()
+
+        asyncio.run(run())
+        assert closed_mid_commit[0] is False
+
     def test_journal_pruned_to_newest_segment(self, tmp_path):
         root = tmp_path / "cursor"
 
@@ -278,6 +337,85 @@ class TestScrubPacing:
             await service.close()
 
         asyncio.run(run())
+
+
+class RottenStore(SlowStore):
+    """A 5 ms-a-read store with one chunk that fails its verify until it
+    is rewritten. Every read of that chunk's disk logs what the scrubber
+    had caught and repaired by then."""
+
+    def __init__(self, disk, cid):
+        super().__init__(InMemoryChunkStore(), 0.005)
+        self.disk, self.cid, self.rotten = disk, cid, True
+        self.scrub = None
+        self.log = []
+
+    def get(self, disk_id, chunk_id):
+        data = super().get(disk_id, chunk_id)
+        if disk_id == self.disk:
+            self.log.append(
+                (chunk_id, self.scrub.corrupt_found, self.scrub.repaired)
+            )
+            if chunk_id == self.cid and self.rotten:
+                raise ChunkChecksumError(f"chunk {chunk_id} rotted")
+        return data
+
+    def put(self, disk_id, chunk_id, data):
+        if (disk_id, chunk_id) == (self.disk, self.cid):
+            self.rotten = False
+        super().put(disk_id, chunk_id, data)
+
+
+class TestScrubRuns:
+    """Unpaced, a disk is verified in one run under one gate slot, cut
+    short by a queued read and by a corrupt chunk (5 ms a verify, ten
+    chunks a disk)."""
+
+    STRIPES = 24
+
+    def test_a_queued_read_is_admitted_after_at_most_one_more_verify(self):
+        async def run():
+            store = SlowStore(InMemoryChunkStore(), 0.005)
+            service = build_service(
+                build_server(store, stripes=self.STRIPES), per_disk_reads=1
+            )
+            scrub = Scrubber(service, fast_config())
+            task = asyncio.get_running_loop().create_task(scrub.run_cycle())
+            while store.reads < 2:  # two verifies into disk 0's run
+                await asyncio.sleep(0.001)
+            assert scrub.current_disk == 0
+            assert service.gate.depths()[0]["inflight"] == 1  # the run's slot
+            before = store.reads
+            async with service.gate.read(0, foreground=True):
+                admitted = store.reads
+            task.cancel()
+            await asyncio.gather(task, return_exceptions=True)
+            await scrub.stop()
+            await service.close()
+            return len(store.chunks_on_disk(0)), before, admitted
+
+        per_disk, before, admitted = asyncio.run(run())
+        assert per_disk - before >= 5  # a run left to finish would hog it
+        assert admitted - before <= 1
+
+    def test_a_corrupt_chunk_is_quarantined_before_the_next_verify(self):
+        async def run():
+            server = build_server(RottenStore(0, None), stripes=self.STRIPES)
+            store = server.store
+            chunks = store.chunks_on_disk(0)
+            store.cid = chunks[len(chunks) // 2]  # mid-disk
+            service = build_service(server)
+            scrub = store.scrub = Scrubber(service, fast_config())
+            await scrub.run_cycle()
+            await service.close()
+            return store.cid, store.log, scrub
+
+        cid, log, scrub = asyncio.run(run())
+        assert scrub.corrupt_found == 1 and scrub.repaired == 1
+        rotted = [i for i, (c, _, _) in enumerate(log) if c == cid][0]
+        after = [row for row in log[rotted:] if row[0] != cid][0]
+        # the disk's next verify ran after the quarantine and read-repair
+        assert after[0] > cid and after[1:] == (1, 1)
 
 
 # ------------------------------------------------------------ daemon verb
