@@ -37,7 +37,7 @@ class LatentSectorError(StorageError):
 
 
 class ChunkChecksumError(LatentSectorError):
-    """A stored chunk's bytes disagree with its digest sidecar.
+    """A stored chunk's bytes disagree with its digest.
 
     Subclasses :class:`LatentSectorError` on purpose: silent corruption is
     handled exactly like an unreadable sector — the shard is treated as

@@ -56,7 +56,7 @@ class DataLossReport:
     salvaged_chunks: int = 0
     #: Chunks read more than once because salvage was not possible.
     reread_chunks: int = 0
-    #: Chunk reads that failed their sidecar verify (silent corruption).
+    #: Chunk reads that failed their digest verify (silent corruption).
     checksum_failures: int = 0
     #: Stripes whose terminal outcome was replayed from the journal.
     resumed_stripes: int = 0

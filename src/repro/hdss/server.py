@@ -207,7 +207,7 @@ class HighDensityStorageServer:
 
         Metadata-only provisioning is O(s) and lets scheduling studies use
         disk-scale stripe counts; ``with_data=True`` RS-encodes random bytes
-        so repairs can be verified byte-for-byte.
+        so repairs can be verified byte-for-byte, and syncs the store once.
         """
         if len(self.layout) != 0:
             raise StorageError("server already provisioned")
@@ -229,6 +229,7 @@ class HighDensityStorageServer:
                 self.volume_sizes[stripe.index] = raw.size
                 for shard_idx, shard in enumerate(shards):
                     self.store.put(stripe.disks[shard_idx], ChunkId(stripe.index, shard_idx), shard)
+            self.store.sync()
 
     def write_object(self, data: bytes) -> Stripe:
         """Append one object as a new stripe (split + encode + place).
@@ -251,6 +252,7 @@ class HighDensityStorageServer:
         self._data_bearing = True
         for shard_idx, shard in enumerate(shards):
             self.store.put(disks[shard_idx], ChunkId(index, shard_idx), shard)
+        self.store.sync()
         return stripe
 
     def read_object(self, stripe_index: int) -> bytes:

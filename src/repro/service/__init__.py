@@ -27,7 +27,7 @@ client reads while disks rebuild:
   epoch fencing (:class:`ClusterNode`);
 * :mod:`repro.service.scrub` — the online scrub plane: a crash-resumable
   background :class:`Scrubber` that verifies every chunk against its
-  digest sidecar, quarantines silent corruption, and read-repairs it
+  digest, quarantines silent corruption, and read-repairs it
   through the partial-stripe decode path;
 * :mod:`repro.service.telemetry` — the live scrape surface: the ``stats``
   snapshot builder and the HTTP ``/metrics`` + ``/healthz`` listener.

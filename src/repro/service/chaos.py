@@ -20,7 +20,7 @@ seeded end to end and every assertion is checkable in memory afterwards:
    handoff — resumes ``a``'s repair after its last finished stripe.
 4. The report then proves the invariants the cluster design promises:
    every object is byte-identical to its pre-failure contents, every
-   rebuilt chunk's digest sidecar verifies, **no chunk was persisted
+   rebuilt chunk's digest verifies, **no chunk was persisted
    twice** (a :class:`~repro.service.chaos_rig.CountingStore` wraps the
    shared store), foreground
    p99 stayed bounded through the takeover, and the revived stale owner
@@ -325,7 +325,7 @@ class ChaosScenario(rig.Episode):
     ) -> None:
         """The six promises: identical bytes, parity-clean repaired
         stripes, no double writes, repair memory given back, valid
-        sidecars, and a fenced stale owner."""
+        digests, and a fenced stale owner."""
         disk = self.config.failed_disk
         report["byte_identical"] = self.check(
             await rig.check_byte_identical(server_b.read_object, originals)

@@ -5,7 +5,7 @@ proof the scrub plane exists to earn. One :class:`ServiceDaemon` (driven
 in-process through
 :meth:`~repro.service.netserver.ServiceDaemon.handle_request`) fronts a
 *file-backed* sharded store — corruption has to land on real bytes with
-real digest sidecars — while a disk repair runs. The episode:
+real chunk digests — while a disk repair runs. The episode:
 
 1. Fail one disk and submit its repair.
 2. Mid-repair, fire one corruption event of each kind (``bitrot``,
@@ -18,7 +18,7 @@ real digest sidecars — while a disk repair runs. The episode:
    is byte-identical to the original payload, never the rotted bytes.
 4. Let the scrubber finish one full cycle after seeding and assert every
    corrupt chunk was detected, quarantined, and read-repaired
-   byte-identically with a fresh sidecar (``verify_chunk`` passes).
+   byte-identically with a fresh digest (``verify_chunk`` passes).
 5. Brown the daemon out (synthetic flash-crowd gate waits walk the
    controller to ``shedding``) and assert the scrubber parks — zero
    verifies while shed — then recovers and makes progress again once
@@ -309,7 +309,7 @@ class BitrotChaosScenario(rig.Episode):
             time.monotonic() - seeded_at, 3
         )
 
-        # Every victim: detected, repaired byte-identically, sidecar fresh.
+        # Every victim: detected, repaired byte-identically, digest fresh.
         rotten = set(rig.bad_sidecars(
             store, [(disk, ChunkId(si, s)) for disk, si, s in victims]
         ))
@@ -319,7 +319,7 @@ class BitrotChaosScenario(rig.Episode):
             if service.is_quarantined(disk, cid):
                 still_bad.append((disk, si, s, "still quarantined"))
             elif (disk, cid) in rotten:
-                still_bad.append((disk, si, s, "sidecar mismatch"))
+                still_bad.append((disk, si, s, "digest mismatch"))
             elif store.get(disk, cid).tobytes() != pristine[(disk, si, s)]:
                 still_bad.append((disk, si, s, "bytes differ"))
         if still_bad:

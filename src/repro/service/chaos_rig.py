@@ -216,7 +216,7 @@ def check_no_duplicate_writes(store: CountingStore) -> Optional[str]:
 
 
 def bad_sidecars(store: ChunkStore, keys: Iterable[Key]) -> List[Key]:
-    """The ``keys`` whose bytes disagree with their digest sidecar (or are
+    """The ``keys`` whose bytes disagree with their digest (or are
     unreadable, or gone) when re-read end to end."""
     bad = []
     for disk, cid in keys:
@@ -230,10 +230,10 @@ def bad_sidecars(store: ChunkStore, keys: Iterable[Key]) -> List[Key]:
 
 
 def check_sidecars_verify(store: ChunkStore, keys: Iterable[Key]) -> Optional[str]:
-    """Every chunk in ``keys`` passes an end-to-end sidecar verify."""
+    """Every chunk in ``keys`` passes an end-to-end digest verify."""
     bad = bad_sidecars(store, keys)
     if bad:
-        return f"digest sidecar mismatch on rebuilt chunks: {bad}"
+        return f"digest mismatch on rebuilt chunks: {bad}"
     return None
 
 

@@ -65,7 +65,7 @@ wait); once expired, the request is answered with the non-retryable
 has already given up, so doing the work would be pure queue pollution.
 
 **Silent corruption (v5).** A chunk whose bytes disagree with their
-digest sidecar — or one the scrub plane has already quarantined — is
+digest — or one the scrub plane has already quarantined — is
 answered with the ``corrupt_chunk`` code carrying ``disk``/``stripe``/
 ``shard``. The code is *retryable*: quarantine immediately triggers a
 single-chunk read-repair through the decode path, so a retry lands after
@@ -120,7 +120,7 @@ ERR_INTERNAL = "internal"
 #: outages. Responses carry ``hop`` (where it expired) and
 #: ``overshoot_ms``.
 ERR_DEADLINE = "deadline_exceeded"
-#: The addressed chunk failed its sidecar verify (or is quarantined while
+#: The addressed chunk failed its digest verify (or is quarantined while
 #: its read-repair is in flight). Retryable: detection quarantines the
 #: chunk and synthesizes a single-chunk repair, so a later attempt reads
 #: the verified replacement. Responses carry ``disk``/``stripe``/``shard``.

@@ -5,8 +5,8 @@ until something *reads* the bytes, and the worst possible moment to find
 it is mid-repair, when the corrupt chunk was supposed to be a survivor.
 :class:`Scrubber` closes that window: a background task that continuously
 walks every disk of the service's chunk store, re-reading each chunk
-against its digest sidecar (SHA-256, or an earlier ``put``'s CRC32C; see
-:func:`repro.hdss.store.sidecar_digest`), quarantining anything that fails and
+against its SHA-256 digest (or a legacy sidecar; see
+:class:`repro.hdss.store.FileChunkStore`), quarantining anything that fails and
 synthesizing a single-chunk read-repair through the service's decode path
 (:meth:`~repro.service.service.RepairService.repair_chunk`).
 
@@ -37,7 +37,7 @@ Three properties make it a polite tenant of a loaded daemon:
 * **Quarantine-and-repair.** A failed verify immediately quarantines the
   chunk (it will never be served, and never used as a decode survivor),
   then decodes a replacement from k clean survivors, writes it back with
-  a fresh sidecar, re-verifies the bytes on disk, and lifts the
+  a fresh digest, re-verifies the bytes on disk, and lifts the
   quarantine. Zero corrupt bytes ever cross the front door: detection by
   any path (scrub, foreground, degraded decode, repair read) happens
   *before* payload bytes escape the store.

@@ -444,10 +444,11 @@ class RepairService:
         The single-chunk partial-stripe repair behind quarantine: decode
         the target from k readable, un-quarantined survivors (background
         gate slots — a read-repair never takes a slot a foreground read is
-        waiting on), ``put`` the result (which writes a fresh digest
-        sidecar atomically), re-verify the bytes on disk, then lift the
-        quarantine. Byte identity is structural: the decode reproduces
-        exactly the shard the encoder originally wrote.
+        waiting on), ``put`` the result (one file carrying its own digest,
+        renamed in atomically), sync the store and re-verify the bytes on
+        disk in one worker call, then lift the quarantine. Byte identity is
+        structural: the decode reproduces exactly the shard the encoder
+        originally wrote.
 
         Raises :class:`InsufficientShardsError` when fewer than k clean
         survivors remain and :class:`ChunkQuarantinedError` when a
@@ -466,7 +467,7 @@ class RepairService:
         )
         self._check_fence(disk_id)
         await asyncio.to_thread(server.store.put, disk_id, cid, data)
-        await asyncio.to_thread(server.store.verify_chunk, disk_id, cid)
+        await asyncio.to_thread(self._sync_and_verify, disk_id, cid)
         self.quarantine.pop((disk_id, cid), None)
         self.corrupt_repaired += 1
         current_registry().counter(
@@ -477,6 +478,12 @@ class RepairService:
             disk=disk_id, stripe=stripe_index, shard=shard_idx,
         )
         return True
+
+    def _sync_and_verify(self, disk_id: int, cid: ChunkId) -> None:
+        """A read-repair's commit point: the put's rename made durable,
+        then the bytes on disk re-verified."""
+        self.server.store.sync()
+        self.server.store.verify_chunk(disk_id, cid)
 
     async def _decode_chunk(
         self,
@@ -494,7 +501,7 @@ class RepairService:
         Serves both a degraded front-door read (foreground slots, bounded
         by ``deadline``) and a read-repair (background slots): one round of
         all ``k`` survivors through :meth:`_read_round`. A survivor that
-        fails its sidecar verify mid-decode is quarantined (labelled
+        fails its digest verify mid-decode is quarantined (labelled
         ``source``; ``auto_repair`` spawns its own read-repair) and
         surfaced as a structured, retryable
         :class:`~repro.errors.ChunkQuarantinedError` — the decode's answer
@@ -875,7 +882,7 @@ class RepairService:
         call of its own, and one more call, after the gates, folds.
 
         Returns the chunks folded in and the round's faults in round order.
-        A chunk that failed its sidecar verify is quarantined (labelled
+        A chunk that failed its digest verify is quarantined (labelled
         ``source``; ``auto_repair`` spawns its read-repair). With a tracer
         recording, each arrived read emits its ``read`` span (the ``get``
         alone, never the gate wait) and the fold a ``decode`` span.

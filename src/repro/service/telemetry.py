@@ -169,8 +169,8 @@ def stats_snapshot(
             "bytes": _counter_value(metrics, JOURNAL_BYTES),
         },
         "store": {
-            # The CRC32C backend (WAL and lease frames, earlier sidecars);
-            # new chunk sidecars are SHA-256 whatever it says.
+            # The CRC32C backend (WAL and lease frames, legacy sidecars);
+            # chunk files carry SHA-256 whatever it says.
             "checksum_backend": CHECKSUM_BACKEND,
             "swept_tmp_files": int(store.swept_tmp_files),
             "orphan_sidecars": int(store.orphan_sidecars),

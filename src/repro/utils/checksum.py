@@ -4,9 +4,9 @@ CRC32C is the polynomial used by iSCSI, ext4 metadata, and most storage
 systems that frame records with a checksum — it detects the burst and
 bit-flip corruption patterns disks actually produce. It frames every WAL
 record and lease record, scores the cluster's hash ring, and checks the
-8-hex-digit chunk sidecars an earlier ``FileChunkStore.put`` wrote. New
-chunk sidecars hold a SHA-256 digest instead
-(:func:`repro.hdss.store.sidecar_digest`), so chunk bytes no longer pass
+8-hex-digit chunk sidecars of the store's earlier layout. Chunk files
+carry a SHA-256 digest in their trailer instead
+(:func:`repro.hdss.store.chunk_digest`), so chunk bytes no longer pass
 through this module.
 
 Backend selection happens once, at import: a native ``crc32c`` module

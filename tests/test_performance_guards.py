@@ -116,7 +116,7 @@ class TestSimulatorScaling:
 
 class TestWorkerHandoffs:
     """The daemon's thread hand-offs, in counts, not timings: one worker
-    call per repair round (reads, sidecar checks and the fold together), one
+    call per repair round (reads, digest checks and the fold together), one
     for the stripe's record and one for its put; one per degraded read.
     Over a store whose reads wait on a device, a round's reads still
     overlap."""
@@ -281,7 +281,8 @@ class TestScrubHandoffs:
 class TestWritePathCounts:
     """The repair write path in counts, not timings: what one journaled,
     fsync'd, file-store repair of ``N`` chunks costs beyond reading the
-    survivors — exact for both drivers, whatever ``N`` is."""
+    survivors — exact for both drivers, whatever ``N`` is: one fsync per
+    put, one per spare directory the job wrote to, the journal's few."""
 
     K, CHUNK = 6, 32 * 1024
     #: The journal's own fsyncs, per job: the segment's directory entry,
@@ -328,7 +329,7 @@ class TestWritePathCounts:
             monkeypatch.setattr(module, name, hashed)
 
         monkeypatch.setattr(os, "fsync", fsync)
-        counting(store_module, "sidecar_digest", "store")
+        counting(store_module, "chunk_digest", "store")
         counting(wal_module, "crc32c", "wal")
         journal = tmp_path / "journal" / "disk-000"
         if driver == "recover_disk":
@@ -347,6 +348,10 @@ class TestWritePathCounts:
             result = asyncio.run(run())
         monkeypatch.undo()
         assert result.certified
+        counts["dirs"] = sum(
+            (tmp_path / "store" / f"disk-{spare:03d}").is_dir()
+            for spare in server.spare_disk_ids
+        )
         return rebuilt, counts, journal
 
     def test_fsyncs_hashes_and_journal_bytes_per_chunk(
@@ -360,10 +365,14 @@ class TestWritePathCounts:
                 n, counts, journal = self.repair(root, driver, stripes, monkeypatch)
                 assert n >= 4
                 rebuilt_bytes = n * self.CHUNK
-                # tmp chunk + tmp sidecar + directory per put; the journal's
-                # fixed few; nothing per round, nothing per record
-                assert counts["fsync"] == 3 * n + self.JOURNAL_FSYNCS, (driver, stripes)
-                # k survivor reads + the put's sidecar + certify's verify
+                # the chunk file per put; each spare directory once, at the
+                # job's sync; the journal's fixed few; nothing per round,
+                # nothing per record
+                assert 1 <= counts["dirs"] <= 3
+                assert counts["fsync"] == n + counts["dirs"] + self.JOURNAL_FSYNCS, (
+                    driver, stripes,
+                )
+                # k survivor reads + the put's trailer + certify's verify
                 assert counts["store_bytes"] == (self.K + 2) * rebuilt_bytes
                 assert counts["store"] == (self.K + 2) * n
                 # the journal hashes its record headers and not one chunk byte

@@ -6,10 +6,11 @@ byte-identically from ``a``'s journal.
 
 Then the machine "goes down" instead of a process: the journal is cut back
 to its fsync'd ``begin`` (``stripe_done`` records are flushed, not fsync'd)
-and one rebuilt chunk's ``put`` is torn between its two renames (sidecar
-in place, chunk not). A third daemon over the same store and journal must
-sweep the orphan sidecar, believe no record, repair every stripe from the
-plan and certify byte-identically.
+and one rebuilt chunk loses its rename, which only the job's directory
+sync before ``complete`` makes durable (the chunk is absent, its dead
+writer's tmp file left behind). A third daemon over the same store and
+journal must sweep the tmp, believe no record, repair every stripe from
+the plan and certify byte-identically.
 
     PYTHONPATH=src python tools/smoke_cluster_handoff.py [WORKDIR]
 
@@ -89,10 +90,11 @@ async def episode(port_a: int, port_b: int, mport_b: int) -> dict:
     return objects
 
 
-def lose_the_tail_and_tear_a_put(journal: Path, store: Path) -> None:
-    """What a machine crash may leave of a finished repair: the journal's
-    fsync'd ``begin`` alone, and one rebuilt chunk whose ``put`` died
-    between renaming its sidecar and renaming the chunk."""
+def lose_the_tail_and_a_rename(journal: Path, store: Path, writer_pid: int) -> None:
+    """What a power cut may leave of a repair before its ``complete``: the
+    journal's fsync'd ``begin`` alone, and one rebuilt chunk whose rename
+    never reached the disk — back under a tmp name carrying a writer pid,
+    ``writer_pid``, that is no longer alive."""
     first, *rest = list_segments(journal)
     begin = next(iter(WALReader(journal)))
     assert begin.type == "begin", begin.type
@@ -103,14 +105,15 @@ def lose_the_tail_and_tear_a_put(journal: Path, store: Path) -> None:
         p for p in store.glob("shard-*/disk-*/s*.chunk")
         if int(p.parent.name.split("-")[1]) >= NUM_DISKS  # on a spare
     )
-    rebuilt[0].unlink()  # its .crc32c sidecar stays behind
+    victim = rebuilt[0]
+    victim.rename(victim.with_name(f"{victim.name}.{writer_pid}.deadbeef.tmp"))
 
 
 async def lost_tail_episode(port: int, objects: dict) -> None:
     """Every stripe is redone from the plan: no record survived to replay."""
     async with await ServiceClient.connect("127.0.0.1", port) as c:
         stats = await c.call("stats")
-        assert stats["store"]["orphan_sidecars"] == 1, stats["store"]
+        assert stats["store"]["swept_tmp_files"] == 1, stats["store"]
         await c.call("fail_disk", disk=DISK)
         job = await c.call("repair", disk=DISK, resume=True)
         summary = await c.call("wait", job_id=job["job_id"])
@@ -122,7 +125,7 @@ async def lost_tail_episode(port: int, objects: dict) -> None:
             assert got == want, f"stripe {si} bytes diverged"
         await c.call("shutdown")
     print("lost-tail smoke ok: every one of", summary["stripes"],
-          "stripes repaired fresh over a torn put")
+          "stripes repaired fresh over a lost rename")
 
 
 def main(workdir: Path) -> int:
@@ -171,7 +174,9 @@ def main(workdir: Path) -> int:
         assert rc_b == 0, rc_b
 
         # A lone daemon (no leases to wait out) over what the crash left.
-        lose_the_tail_and_tear_a_put(journal / f"disk-{DISK:03d}", store)
+        lose_the_tail_and_a_rename(
+            journal / f"disk-{DISK:03d}", store, daemons[1].pid
+        )
         daemons.append(serve("c", 2, "--attach"))
         port_c = wait_for_port_file(workdir / "c.port", 30.0, daemons[2])
         asyncio.run(lost_tail_episode(port_c, objects))
