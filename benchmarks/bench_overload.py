@@ -58,7 +58,7 @@ def run_episode(offered_frac: float, control: bool) -> Dict[str, object]:
 
     async def episode() -> Dict[str, object]:
         server = rig.build_server(
-            rig.SlowStore(InMemoryChunkStore(), SERVICE_TIME_S),
+            rig.PacedStore(InMemoryChunkStore(), latency_s=SERVICE_TIME_S),
             stripes=4, seed=SEED,
         )
         service = rig.build_service(

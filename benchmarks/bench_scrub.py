@@ -150,7 +150,8 @@ def run_foreground_episode(tmp_path, scrub_on: bool) -> Dict[str, object]:
 
     async def episode() -> Dict[str, object]:
         store = ShardedChunkStore(
-            [rig.SlowStore(InMemoryChunkStore(), SERVICE_TIME_S) for _ in range(2)]
+            [rig.PacedStore(InMemoryChunkStore(), latency_s=SERVICE_TIME_S)
+             for _ in range(2)]
         )
         service = _make_service(tmp_path / f"fg-{scrub_on}", store=store)
         scrub = None

@@ -68,9 +68,6 @@ from repro.core import (
     repair_single_disk,
 )
 
-# Wall-clock I/O
-from repro.io import PacedDisk, PacedDiskArray, WallClockRepairExecutor
-
 # Observability
 from repro.obs import (
     MetricsRegistry,
@@ -160,10 +157,6 @@ __all__ = [
     "recover_disk",
     "pa_for_pr",
     "pr_for_pa",
-    # io
-    "PacedDisk",
-    "PacedDiskArray",
-    "WallClockRepairExecutor",
     # obs
     "MetricsRegistry",
     "RecordingTracer",

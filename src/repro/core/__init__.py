@@ -23,7 +23,7 @@ Contents map directly onto §4 of the paper:
   fingerprint guard, journal replay, spare placement and the job's
   closing tally, under every caller below and :mod:`repro.service`;
 * :mod:`repro.core.slot_ledger` — the ``c``-slot repair memory, counted
-  once, under the executor below, :mod:`repro.io` and :mod:`repro.service`;
+  once, under the executor below and :mod:`repro.service`;
 * :mod:`repro.core.executor` — the byte-exact data path (chunks through
   the c-chunk memory, partial decoding, spare-disk write-back);
 * :mod:`repro.core.analysis` — ACWT / TR analytics behind Figures 3-4.

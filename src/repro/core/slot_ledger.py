@@ -7,8 +7,8 @@ them once the chunks are folded in; accumulators are not charged
 resident bound). The ledger only counts — it never blocks, locks or reads a
 clock. It is ``server.memory``; :class:`~repro.core.executor.DataPathExecutor`
 uses it bare (:meth:`SlotLedger.acquire` raises on a refusal), while
-:mod:`repro.io.wallclock` and :mod:`repro.service` park a refused round and
-retry first-fit on every release.
+:mod:`repro.service` parks a refused round and retries first-fit on every
+release. Those two are the real-bytes drivers.
 """
 
 from __future__ import annotations

@@ -416,6 +416,8 @@ class FileChunkStore(ChunkStore):
         #: read builds no ``Path``), and the disks whose directory exists.
         self._dir_names: Dict[int, str] = {}
         self._made_dirs: Set[int] = set()
+        #: Disks whose directory entry a root fsync has made durable.
+        self._rooted: Set[int] = set()
         #: Disks put to since the last :meth:`sync`. The sync lock is held
         #: across the fsyncs: a sync covers every put returned before it.
         self._dirty: Set[int] = set()
@@ -500,20 +502,28 @@ class FileChunkStore(ChunkStore):
 
     def sync(self, disks: Iterable[int] = ()) -> None:
         """fsync each disk directory a ``put`` renamed into since the last
-        sync, and each of ``disks``, once. An fsync error fails the
-        caller's commit point and leaves the put marks for the next sync."""
+        sync, and each of ``disks``, once — after one fsync of the store
+        root when any of those directories, or any a ``put`` created, is
+        new since the last one, so the directory itself survives too. An
+        fsync error fails the caller's commit point and leaves every mark
+        for the next sync."""
         if not self.durable:
             return
+        disks = set(disks)
         with self._sync_lock:
             with self._dirty_lock:
                 dirty, self._dirty = self._dirty, set()
+            unrooted = (self._made_dirs | disks) - self._rooted
             try:
-                for disk_id in sorted(dirty.union(disks)):
+                if unrooted:
+                    fsync_dir(self.root)
+                for disk_id in sorted(dirty | disks):
                     fsync_dir(self._disk_dir(disk_id))
             except BaseException:
                 with self._dirty_lock:
                     self._dirty |= dirty
                 raise
+            self._rooted |= unrooted
 
     def _read_sidecar(self, name: str) -> Optional[str]:
         """Chunk file ``name``'s legacy sidecar text, stripped, or None."""

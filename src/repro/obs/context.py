@@ -1,7 +1,7 @@
 """Trace/metrics context threading, plus request-scoped span propagation.
 
 Call sites deep in the stack (the plan executors, the data path, the
-wall-clock workers) fetch their tracer and registry from here instead of
+repair daemon) fetch their tracer and registry from here instead of
 taking extra parameters, so enabling observability is a wrapper at the
 entry point:
 
@@ -11,10 +11,11 @@ entry point:
     write_chrome_trace(tracer, "out.json")
 
 Backed by :mod:`contextvars`, so nested scopes restore cleanly and
-``asyncio``-style contexts are isolated. Worker threads spawned inside a
-scope do **not** inherit the context variable automatically — thread-using
-call sites (:mod:`repro.io.wallclock`) capture ``current_tracer()`` once
-on the submitting thread and pass it down explicitly.
+``asyncio``-style contexts are isolated. A bare thread pool's workers do
+**not** inherit the context variable — such a call site captures
+``current_tracer()`` once on the submitting thread and passes it down;
+``asyncio.to_thread``, the repair daemon's one way into a worker thread,
+copies the caller's context with the call.
 
 **Span propagation.** A :class:`SpanContext` identifies one request
 (``trace_id``) and one position in its call tree (``span_id`` /

@@ -48,8 +48,10 @@ PAPER_CLAIMS = {
         "the coincident-failure window, improving 10-year loss probability and MTTDL."
     ),
     "wallclock": (
-        "Repo extension: the headline comparison re-measured with real threads and "
-        "rate-paced disks (actual elapsed seconds, not a simulated clock)."
+        "Repo extension: the headline comparison re-measured through the repair "
+        "daemon (RepairService) over rate-paced disks serving one read at a time; "
+        "actual elapsed seconds of each job, its certify re-read included, not a "
+        "simulated clock (median and [min, max] of five alternating repetitions)."
     ),
     "lrc_comparison": (
         "Related-work comparison (paper section 6): LRC cuts repair I/O at a capacity "
@@ -120,7 +122,7 @@ TITLES = {
     "ablation_threshold": "Ablation — slow-threshold sensitivity",
     "ablation_staleness": "Ablation — probe staleness (active vs passive)",
     "durability": "Extension — durability consequence of repair speed",
-    "wallclock": "Extension — wall-clock repair with real threads",
+    "wallclock": "Extension — wall-clock repair: the daemon over paced disks",
     "lrc_comparison": "Related work — LRC vs RS under FSR/HD-PSR scheduling",
     "foreground_latency": "Extension — degraded-read latency during repair",
     "ablation_slicing": "Related work — slice-level pipelining (RP) vs HD-PSR",

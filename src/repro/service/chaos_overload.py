@@ -135,7 +135,7 @@ class OverloadChaosScenario(rig.Episode):
     async def run(self) -> dict:
         c = self.config
         server = rig.build_server(
-            rig.SlowStore(InMemoryChunkStore(), SERVICE_TIME_S),
+            rig.PacedStore(InMemoryChunkStore(), latency_s=SERVICE_TIME_S),
             stripes=c.stripes, seed=c.seed,
         )
         service = rig.build_service(

@@ -16,7 +16,8 @@ in common lives here, once, and nothing scenario-specific does:
 * the invariants, each a ``check_*`` function returning a failure string
   or ``None`` — written once, so they can be checked across many seeds;
 * the store decorators the scenarios measure with, :class:`CountingStore`
-  and :class:`SlowStore`.
+  and :class:`PacedStore` (also the paced disks ``bench_wallclock.py``
+  runs the daemon over).
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from __future__ import annotations
 import asyncio
 import time
 from collections import Counter
-from typing import Awaitable, Callable, Dict, Iterable, List, Optional
+from typing import Awaitable, Callable, Dict, Iterable, List, Mapping, Optional
 
 import numpy as np
 
@@ -37,6 +38,7 @@ from repro.obs.context import current_registry
 from repro.service.netserver import ServiceDaemon
 from repro.service.protocol import ERR_INTERNAL
 from repro.service.service import RepairService, ServiceConfig
+from repro.utils.validation import check_positive
 
 #: ``call(op, **fields)`` → the daemon's reply dict. A TCP client raises on
 #: a refusal; the in-process one returns the ``ok: false`` reply.
@@ -150,29 +152,45 @@ class CountingStore(ForwardingChunkStore):
         return self.inner.verify_chunk(disk_id, chunk_id)
 
 
-class SlowStore(ForwardingChunkStore):
-    """Delegating store whose reads cost a fixed wall-clock service time.
+class PacedStore(ForwardingChunkStore):
+    """Delegating store whose reads cost a real wall-clock service time.
 
-    The disk-physics stand-in the scenario queues against: each ``get``
-    sleeps ``service_time_s`` in a worker thread of its own — the store
-    says ``reads_overlap``, so the service reads a round's survivors side
-    by side — and a gate of width ``w`` gives each disk a real capacity of
-    ``w / service_time_s`` reads per second. Offered load beyond it builds
-    a real standing queue with real waits for the controller to measure.
+    The one device model that sleeps: a ``get`` on disk ``d`` sleeps
+    ``latency_s + nbytes / rates[d]`` in a worker thread of its own (a
+    disk missing from ``rates`` costs ``latency_s`` only). The store says
+    ``reads_overlap``, so the service reads a round's survivors side by
+    side. How many reads a disk serves at once is the service's
+    :class:`~repro.service.admission.DiskGate`, not this store's: a gate
+    of width ``w`` gives a disk of service time ``s`` a real capacity of
+    ``w / s`` reads per second, and width 1 is a spindle serving one
+    request at a time. Offered load beyond it builds a real standing
+    queue with real waits for the controller to measure.
     """
 
     #: A read waits out its service time: worth a thread of its own.
     reads_overlap = True
 
-    def __init__(self, inner: ChunkStore, service_time_s: float) -> None:
+    def __init__(
+        self,
+        inner: ChunkStore,
+        latency_s: float = 0.0,
+        rates: Optional[Mapping[int, float]] = None,
+    ) -> None:
         super().__init__(inner)
-        self.service_time_s = service_time_s
+        self.latency_s = latency_s
+        #: Bytes per second, per disk id.
+        self.rates: Dict[int, float] = {
+            disk_id: check_positive(f"rates[{disk_id}]", rate)
+            for disk_id, rate in (rates or {}).items()
+        }
         self.reads = 0
 
     def get(self, disk_id: int, chunk_id: ChunkId) -> np.ndarray:
         self.reads += 1
-        time.sleep(self.service_time_s)
-        return self.inner.get(disk_id, chunk_id)
+        data = self.inner.get(disk_id, chunk_id)
+        rate = self.rates.get(disk_id)
+        time.sleep(self.latency_s + (data.nbytes / rate if rate else 0.0))
+        return data
 
     # The looping default on purpose: a verify is a read through
     # :meth:`get`, so it pays the service time like any other.

@@ -314,8 +314,9 @@ def simulate_slot_schedule(
         disk_contention: when True, each chunk transfer must additionally
             hold its source disk (chunks with ``disk=None`` skip this) —
             a disk serves one request at a time, so concurrent reads to
-            the same spindle queue (FIFO). Matches the wall-clock
-            :class:`~repro.io.pacing.PacedDisk` semantics; without it,
+            the same spindle queue (FIFO). Matches a gate of width 1
+            (``per_disk_reads=1``) over
+            :class:`~repro.service.chaos_rig.PacedStore`; without it,
             disks have infinite internal parallelism (the paper's
             L-matrix abstraction).
 

@@ -1,8 +1,6 @@
-"""SlotLedger: the one ``c``-slot rule, its two waiters, and its modeled twin."""
+"""SlotLedger: the one ``c``-slot rule, its waiter, and its modeled twin."""
 
 import asyncio
-import sys
-import threading
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +8,6 @@ from hypothesis import strategies as st
 
 from repro.core.slot_ledger import SlotLedger
 from repro.errors import ConfigurationError, MemoryCapacityError, StorageError
-from repro.io.wallclock import WallClockRepairExecutor
 from repro.service.admission import SlotWaiter
 from repro.sim.engine import Engine, SlotResource
 
@@ -113,41 +110,8 @@ workloads = st.integers(1, 6).flatmap(
 
 
 class TestWaiters:
-    """Random acquire/release interleavings through both blocking adapters:
+    """Random acquire/release interleavings through the blocking adapter:
     never above ``c``, no lost wake-up (everyone finishes), nothing leaked."""
-
-    @given(workloads)
-    @settings(max_examples=25, deadline=None)
-    def test_threads(self, workload):
-        capacity, workers = workload
-        # Only the executor's waiter is driven: it needs no code or disks.
-        executor = WallClockRepairExecutor(None, None, None, None, capacity)
-        ledger = executor.memory
-        over = []
-
-        def work(widths):
-            for n in widths:
-                executor._acquire(n)
-                try:
-                    if ledger.in_use > capacity:
-                        over.append(ledger.in_use)
-                finally:
-                    executor._release(n)
-
-        threads = [threading.Thread(target=work, args=(w,)) for w in workers]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=20)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads), "a waiter was never woken"
-        assert not over
-        assert ledger.peak <= capacity
-        assert (ledger.in_use, ledger.waiting) == (0, 0)
 
     @given(workloads, st.randoms(use_true_random=False))
     @settings(max_examples=50, deadline=None)

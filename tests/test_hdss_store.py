@@ -14,6 +14,7 @@ from repro.ec.stripe import ChunkId
 from repro.errors import (
     ChunkChecksumError,
     ChunkNotFoundError,
+    ConfigurationError,
     LatentSectorError,
     StorageError,
 )
@@ -144,6 +145,45 @@ class TestInMemorySpecific:
         assert store.get(0, ChunkId(0, 0))[0] == 1
 
 
+class TestPacedStore:
+    """The one device model that sleeps, decided on the durations it asks
+    to sleep — never on how long the sleeps took."""
+
+    @pytest.fixture
+    def slept(self, monkeypatch):
+        from repro.service import chaos_rig
+
+        durations = []
+        monkeypatch.setattr(chaos_rig.time, "sleep", durations.append)
+        return durations
+
+    @staticmethod
+    def paced(**pacing):
+        from repro.service.chaos_rig import PacedStore
+
+        inner = InMemoryChunkStore()
+        for disk in (0, 1):
+            inner.put(disk, ChunkId(0, disk), chunk(size=1000))
+        return PacedStore(inner, **pacing)
+
+    def test_a_read_pays_latency_plus_its_bytes_at_the_disk_s_rate(self, slept):
+        store = self.paced(latency_s=0.002, rates={0: 250_000.0})
+        assert store.get(0, ChunkId(0, 0)).size == 1000
+        store.get(1, ChunkId(0, 1))  # disk 1 has no rate: latency only
+        assert slept == [pytest.approx(0.002 + 1000 / 250_000.0), 0.002]
+        assert store.reads == 2
+
+    def test_a_verify_is_one_paced_read(self, slept):
+        store = self.paced(rates={0: 1e6})
+        assert store.verify_chunk(0, ChunkId(0, 0))
+        assert slept == [pytest.approx(1000 / 1e6)] and store.reads == 1
+
+    def test_a_rate_must_be_positive(self):
+        for bad in (0.0, -1.0):
+            with pytest.raises(ConfigurationError):
+                self.paced(rates={0: bad})
+
+
 class TestForwardingDecorators:
     def test_everything_reaches_the_inner_store(self, store):
         wrapped = ForwardingChunkStore(store)
@@ -166,14 +206,17 @@ class TestForwardingDecorators:
             ForwardingChunkStore(inner).no_such_extra
 
     def test_reads_overlap_is_forwarded_and_any_shard_decides(self, store):
-        from repro.service.chaos_rig import CountingStore, SlowStore
+        from repro.service.chaos_rig import CountingStore, PacedStore
 
-        slow = SlowStore(InMemoryChunkStore(), 0.0)
-        assert slow.reads_overlap and not store.reads_overlap
-        for decorator in (ForwardingChunkStore, FaultyChunkStore, CountingStore):
-            assert decorator(slow).reads_overlap
-            assert not decorator(store).reads_overlap
-        assert ShardedChunkStore([store, CountingStore(slow)]).reads_overlap
+        for paced in (
+            PacedStore(InMemoryChunkStore(), latency_s=0.0),
+            PacedStore(InMemoryChunkStore(), rates={0: 1e6}),
+        ):
+            assert paced.reads_overlap and not store.reads_overlap
+            for decorator in (ForwardingChunkStore, FaultyChunkStore, CountingStore):
+                assert decorator(paced).reads_overlap
+                assert not decorator(store).reads_overlap
+            assert ShardedChunkStore([store, CountingStore(paced)]).reads_overlap
         assert not ShardedChunkStore([store, InMemoryChunkStore()]).reads_overlap
 
     def test_a_rewrite_remaps_a_marked_sector(self):
@@ -694,25 +737,38 @@ class TestPutOrdering:
             store_module, "chunk_digest",
             lambda *a: (hashes.append(1), real_digest(*a))[1],
         )
+        dirs = []
+        real_fsync_dir = store_module.fsync_dir
+        monkeypatch.setattr(
+            store_module, "fsync_dir",
+            lambda path: (dirs.append(path.name), real_fsync_dir(path))[1],
+        )
         store = FileChunkStore(tmp_path)
         for disk, stripe in ((0, 0), (0, 1), (3, 0)):
             store.put(disk, ChunkId(stripe, 0), chunk())
         assert len(fsyncs) == 3 and len(hashes) == 3
         store.sync()
-        assert len(fsyncs) == 3 + 2  # disk-000 and disk-003, once each
+        # the root once for its two new directories, then each directory
+        assert len(fsyncs) == 3 + 1 + 2
+        assert dirs == [tmp_path.name, "disk-000", "disk-003"]
+        store.put(3, ChunkId(1, 0), chunk())
         store.sync()
-        assert len(fsyncs) == 5  # nothing dirty since
+        assert len(fsyncs) == 6 + 1 + 1  # no new directory: no root fsync
+        assert dirs[3:] == ["disk-003"]
+        store.sync()
+        assert len(fsyncs) == 8  # nothing dirty since
         quiet = FileChunkStore(tmp_path / "quiet", durable=False)
         quiet.put(0, ChunkId(0, 0), chunk())
         quiet.sync()
-        assert len(fsyncs) == 5
+        assert len(fsyncs) == 8
 
     def test_sync_names_disks_and_keeps_marks_an_fsync_failed(
         self, tmp_path, monkeypatch
     ):
         """``sync(disks)`` fsyncs those directories with no put of its own
-        (a resumed job's spares, filled by a dead process); a failed fsync
-        leaves every put mark for the next sync."""
+        (a resumed job's spares, filled by a dead process), and the root
+        for their entries; a failed fsync leaves every mark — the root's
+        too — for the next sync."""
         from repro.hdss import store as store_module
 
         writer = FileChunkStore(tmp_path)
@@ -720,6 +776,7 @@ class TestPutOrdering:
         store = FileChunkStore(tmp_path)
         store.put(0, CID, chunk())
         store.put(1, CID, chunk())
+        root = tmp_path.name
         synced, failing = [], {"disk-001"}
         real_fsync_dir = store_module.fsync_dir
 
@@ -732,12 +789,12 @@ class TestPutOrdering:
         monkeypatch.setattr(store_module, "fsync_dir", fsync_dir)
         with pytest.raises(OSError):
             store.sync()
-        assert synced == ["disk-000"]
+        assert synced == [root, "disk-000"]
         failing.clear()
         store.sync([2])
-        assert synced == ["disk-000", "disk-000", "disk-001", "disk-002"]
+        assert synced[2:] == [root, "disk-000", "disk-001", "disk-002"]
         store.sync()
-        assert len(synced) == 4  # nothing dirty since
+        assert len(synced) == 6  # nothing dirty since
 
     def test_sharded_sync_routes_named_disks_to_their_shards(
         self, tmp_path, monkeypatch

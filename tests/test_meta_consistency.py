@@ -324,7 +324,7 @@ LEDGER = SRC / "core" / "slot_ledger.py"
 
 class TestOneSlotLedger:
     """``c`` is counted once where the bytes are real: ``core/slot_ledger.py``
-    under the sync executor, the threaded executor and the daemon."""
+    under the sync executor and the daemon."""
 
     def test_ledger_is_sans_io(self):
         leaked = io_imports(LEDGER)
@@ -345,25 +345,23 @@ class TestOneSlotLedger:
         )
         keeps = {
             str(path.relative_to(ROOT))
-            for package in ("core", "io", "service", "hdss")
+            for package in ("core", "service", "hdss")
             for path in (SRC / package).rglob("*.py")
             if counter.search(path.read_text())
         }
         assert keeps == {"src/repro/core/slot_ledger.py"}
         assert counter.search((SRC / "sim" / "engine.py").read_text())
 
-    def test_the_three_drivers_reach_it_the_same_way(self):
+    def test_the_two_drivers_reach_it_the_same_way(self):
         assert call_sites(r"\.try_acquire") == {
             "src/repro/core/slot_ledger.py:acquire",
-            "src/repro/io/wallclock.py:_acquire",
             "src/repro/service/admission.py:acquire",
         }
         released_in_finally = re.compile(
-            r"finally:\n\s+(self\.memory\.|memory\.|self\._)release\("
+            r"finally:\n\s+(self\.memory\.|memory\.)release\("
         )
         # The daemon's forced read is a one-shard round: one release site.
         for path, n in ((SRC / "core" / "executor.py", 2),
-                        (SRC / "io" / "wallclock.py", 1),
                         (SRC / "service" / "service.py", 1)):
             assert len(released_in_finally.findall(path.read_text())) == n, path
 
@@ -407,9 +405,9 @@ class TestOneChaosRig:
         there: ``return self.inner.<same name>(<same args>)`` alone is the
         base class's job."""
         from repro.hdss.store import FaultyChunkStore
-        from repro.service.chaos_rig import CountingStore, SlowStore
+        from repro.service.chaos_rig import CountingStore, PacedStore
 
-        for cls in (FaultyChunkStore, CountingStore, SlowStore):
+        for cls in (FaultyChunkStore, CountingStore, PacedStore):
             for name, member in vars(cls).items():
                 if not inspect.isfunction(member) or name == "__init__":
                     continue
@@ -453,7 +451,7 @@ class TestOneChaosRig:
         hits = set()
         for path in SERVICE.glob("chaos*.py"):
             hits |= functions_matching(path, r"time\.sleep\(")
-        assert hits == {"src/repro/service/chaos_rig.py:get"}  # SlowStore.get
+        assert hits == {"src/repro/service/chaos_rig.py:get"}  # PacedStore.get
 
     def test_invariants_defined_once(self):
         for name in ("check_byte_identical", "check_no_duplicate_writes",

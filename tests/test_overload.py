@@ -24,7 +24,7 @@ from repro.errors import (
 from repro.hdss.store import InMemoryChunkStore
 from repro.service import client as client_module
 from repro.service.chaos_rig import (
-    SlowStore,
+    PacedStore,
     build_server as make_server,
     build_service,
 )
@@ -307,7 +307,7 @@ class TestDeadlinePropagation:
             # concurrent reads of one chunk queue 50 ms apart, so a 75 ms
             # budget admits the first two and kills the rest *at the gate*
             # (they were alive at admission).
-            store = SlowStore(InMemoryChunkStore(), service_time_s=0.05)
+            store = PacedStore(InMemoryChunkStore(), latency_s=0.05)
             service = build_service(make_server(store), per_disk_reads=1)
             daemon, port, task = await start_daemon(service)
             conns = [
@@ -348,7 +348,7 @@ class TestDeadlinePropagation:
 
     def test_deadline_tallied_by_controller_when_enabled(self):
         async def run():
-            store = SlowStore(InMemoryChunkStore(), service_time_s=0.05)
+            store = PacedStore(InMemoryChunkStore(), latency_s=0.05)
             service = build_service(
                 make_server(store), per_disk_reads=1, overload=OverloadConfig()
             )

@@ -185,14 +185,14 @@ class TestWorkerHandoffs:
         assert len(calls) == 1  # was k + 1: one per survivor get, then the fold
 
     def test_overlapping_reads_keep_a_round_in_flight_together(self):
-        """Over ``SlowStore`` the round's ``get``s are in flight at once —
+        """Over ``PacedStore`` the round's ``get``s are in flight at once —
         as many as the round is wide; over a store whose reads do not
         overlap, one call makes them one after another."""
         import asyncio
         import threading
 
         from repro.hdss.store import ForwardingChunkStore, InMemoryChunkStore
-        from repro.service.chaos_rig import SlowStore, build_server, build_service
+        from repro.service.chaos_rig import PacedStore, build_server, build_service
 
         class InFlight(ForwardingChunkStore):
             def __init__(self, inner):
@@ -210,15 +210,15 @@ class TestWorkerHandoffs:
                     with self.lock:
                         self.now -= 1
 
-        class Fused(SlowStore):
+        class Fused(PacedStore):
             reads_overlap = False
 
         async def repair(service):
             return await service.submit_repair(0).wait()
 
         peaks = {}
-        for slow in (SlowStore, Fused):
-            store = InFlight(slow(InMemoryChunkStore(), 0.05))
+        for slow in (PacedStore, Fused):
+            store = InFlight(slow(InMemoryChunkStore(), latency_s=0.05))
             server = build_server(store)
             server.fail_disk(0)
             service = build_service(server, max_concurrent_stripes=1)
@@ -282,7 +282,8 @@ class TestWritePathCounts:
     """The repair write path in counts, not timings: what one journaled,
     fsync'd, file-store repair of ``N`` chunks costs beyond reading the
     survivors — exact for both drivers, whatever ``N`` is: one fsync per
-    put, one per spare directory the job wrote to, the journal's few."""
+    put, one per spare directory the job wrote to, one of the store root
+    for those directories' entries (they are new), the journal's few."""
 
     K, CHUNK = 6, 32 * 1024
     #: The journal's own fsyncs, per job: the segment's directory entry,
@@ -365,11 +366,11 @@ class TestWritePathCounts:
                 n, counts, journal = self.repair(root, driver, stripes, monkeypatch)
                 assert n >= 4
                 rebuilt_bytes = n * self.CHUNK
-                # the chunk file per put; each spare directory once, at the
-                # job's sync; the journal's fixed few; nothing per round,
-                # nothing per record
+                # the chunk file per put; each spare directory once, and the
+                # root once for them, at the job's sync; the journal's fixed
+                # few; nothing per round, nothing per record
                 assert 1 <= counts["dirs"] <= 3
-                assert counts["fsync"] == n + counts["dirs"] + self.JOURNAL_FSYNCS, (
+                assert counts["fsync"] == n + counts["dirs"] + 1 + self.JOURNAL_FSYNCS, (
                     driver, stripes,
                 )
                 # k survivor reads + the put's trailer + certify's verify

@@ -19,7 +19,7 @@ from repro.faults import FaultEvent, FaultSchedule, SimulatedCrash
 from repro.faults.report import REPLANNED
 from repro.hdss.store import FaultyChunkStore, ForwardingChunkStore, InMemoryChunkStore
 from repro.service import RepairService, ServiceConfig
-from repro.service.chaos_rig import SlowStore, check_memory_released
+from repro.service.chaos_rig import PacedStore, check_memory_released
 from repro.workloads import build_exp_server
 
 K, C, FAILED = 6, 12, 0
@@ -119,7 +119,7 @@ def serve_repair(algorithm):
     """One repair through ``RepairService`` with four stripes allowed in
     flight; returns (service, the plan's round widths, the store)."""
     # 2 ms a read, so concurrent stripes' rounds really overlap in the store.
-    store = StripesReading(SlowStore(InMemoryChunkStore(), 0.002))
+    store = StripesReading(PacedStore(InMemoryChunkStore(), latency_s=0.002))
     server, _ = make_server(store)
 
     async def run():

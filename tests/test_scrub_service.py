@@ -19,7 +19,7 @@ from repro.faults.spec import FaultEvent
 from repro.hdss.store import InMemoryChunkStore, ShardedChunkStore
 from repro.journal.wal import WALWriter, list_segments
 from repro.service import ScrubConfig, Scrubber
-from repro.service.chaos_rig import SlowStore, build_server, build_service
+from repro.service.chaos_rig import PacedStore, build_server, build_service
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.netserver import ServiceDaemon
 from repro.service.overload import (
@@ -339,13 +339,13 @@ class TestScrubPacing:
         asyncio.run(run())
 
 
-class RottenStore(SlowStore):
+class RottenStore(PacedStore):
     """A 5 ms-a-read store with one chunk that fails its verify until it
     is rewritten. Every read of that chunk's disk logs what the scrubber
     had caught and repaired by then."""
 
     def __init__(self, disk, cid):
-        super().__init__(InMemoryChunkStore(), 0.005)
+        super().__init__(InMemoryChunkStore(), latency_s=0.005)
         self.disk, self.cid, self.rotten = disk, cid, True
         self.scrub = None
         self.log = []
@@ -375,7 +375,7 @@ class TestScrubRuns:
 
     def test_a_queued_read_is_admitted_after_at_most_one_more_verify(self):
         async def run():
-            store = SlowStore(InMemoryChunkStore(), 0.005)
+            store = PacedStore(InMemoryChunkStore(), latency_s=0.005)
             service = build_service(
                 build_server(store, stripes=self.STRIPES), per_disk_reads=1
             )

@@ -34,9 +34,11 @@ because all schemes process the same stripe population.
 | Exp 3: repair time grows with chunk size, HD-PSR keeps winning | reproduced (~36-44% best reduction across 8-256 MiB) | shape reproduced |
 | Exp 4: selection time falls with chunk size; AS << AP | reproduced | shape reproduced |
 | Exp 5: cooperative repair up to 52.5% faster at 3 failures | ~0% (1 disk) -> ~19% (2) -> ~32% (3), monotone | shape reproduced; magnitude tracks stripe-set overlap, which grows with disk fill |
+| Headline on a real clock (repo extension): HD-PSR repairs faster than FSR | through the repair daemon over paced disks, 226 stripes, median of 5: PA -32.6%, AS -26.8%, AP +9.6% | AS and PA reproduced; AP loses. Each AP round pairs one slow-disk chunk with a fast one, and the daemon holds a round's disk gates and memory slots until its slowest read ends, so AP's rounds queue at the four slow disks' gates: a traced run blames `DiskGate` waits, 14.6 s summed against FSR's 3.8 s (ROADMAP item 2 (d)) |
 
 Beyond the paper, the repo adds measured extensions: durability (MTTDL)
-consequences, a real-thread wall-clock rerun of the headline comparison,
+consequences, a wall-clock rerun of the headline comparison through the
+repair daemon over paced disks,
 an LRC related-work composition study, degraded-read latency under repair,
 and a probe-staleness ablation of the active-vs-passive design choice —
 all recorded below.
