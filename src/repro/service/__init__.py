@@ -9,7 +9,8 @@ client reads while disks rebuild:
 * :mod:`repro.service.service` — :class:`RepairService`: the repair
   supervisor (each stripe journals, then puts its rebuilt chunks) plus
   the ``submit_repair`` / ``read_chunk`` front door;
-* :mod:`repro.service.protocol` — JSON-lines wire protocol (with
+* :mod:`repro.service.protocol` — the wire protocol: JSON-line control
+  messages, chunk bodies as raw bytes after a JSON header line (with
   request-scoped trace propagation, per-request deadlines, and the v4
   error taxonomy);
 * :mod:`repro.service.overload` — deadline-aware admission control:

@@ -51,7 +51,7 @@ from repro.hdss.store import ShardedChunkStore
 from repro.service import chaos_rig as rig
 from repro.service.netserver import ServiceDaemon
 from repro.service.overload import STATE_HEALTHY, STATE_SHEDDING, OverloadConfig
-from repro.service.protocol import unpack_bytes
+from repro.service.protocol import reply_body
 from repro.service.scrub import ScrubConfig, Scrubber
 from repro.service.service import RepairService
 
@@ -229,7 +229,7 @@ class BitrotChaosScenario(rig.Episode):
         _, first_si, first_s = victims[0]
         reply = await call("read", stripe=first_si, shard=first_s)
         clean = bool(reply.get("ok")) and (
-            unpack_bytes(reply["data_b64"]) == pristine[victims[0]]
+            bytes(reply_body(reply)) == pristine[victims[0]]
         )
         if not reply.get("ok"):
             self.fail(f"foreground read of corrupt chunk failed: {reply}")

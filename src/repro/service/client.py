@@ -1,13 +1,15 @@
 """The ``hdpsr client`` workload driver.
 
-:class:`ServiceClient` is a thin async JSON-lines client for one daemon
-connection. :func:`run_workload` is the benchmark/smoke driver: it fails
-disks, submits their repairs, and — while the repairs run — hammers the
-front door with seeded random chunk reads from several concurrent
-connections, measuring *wall-clock* user latency into a
-:class:`~repro.obs.quantiles.QuantileSketch`. The report carries repair
-summaries plus foreground p50/p99, which is the paper-style "user latency
-during recovery" number the service exists to protect.
+:class:`ServiceClient` is a thin async client for one daemon connection
+(JSON-line requests; chunk bodies come back raw, see
+:mod:`repro.service.protocol`). :func:`run_workload` is the
+benchmark/smoke driver: it fails disks, submits their repairs, and —
+while the repairs run — hammers the front door with seeded random chunk
+reads from several concurrent connections, measuring *wall-clock* user
+latency into a :class:`~repro.obs.quantiles.QuantileSketch`. The report
+carries repair summaries plus foreground p50/p99, which is the
+paper-style "user latency during recovery" number the service exists to
+protect.
 
 Every request minted by :meth:`ServiceClient.call` carries the ambient
 span context on the wire (``trace``): install one with
@@ -120,6 +122,9 @@ class ServiceClient:
     async def call(self, op: str, **fields) -> dict:
         """One request/response round trip (serialized per connection).
 
+        A ``read``/``read_object`` reply carries its raw body as
+        ``reply["data"]`` (:class:`bytes`).
+
         When a span context is installed (:func:`use_span`), a per-call
         child span is minted and sent as the request's ``trace`` field —
         the daemon re-installs it, so its spans parent onto this call.
@@ -140,7 +145,12 @@ class ServiceClient:
             async with self._lock:
                 self._writer.write(protocol.encode_message(msg))
                 await self._writer.drain()
-                reply = await protocol.read_message(self._reader)
+                reply = await protocol.read_reply(self._reader)
+        except protocol.ProtocolError as exc:
+            if exc.fatal:
+                # Framing lost: no later reply on this stream can be trusted.
+                self.close_nowait()
+            raise
         except (ConnectionResetError, BrokenPipeError):
             # A dying daemon may RST instead of FIN; same meaning here.
             raise ServiceError(
@@ -173,7 +183,7 @@ class ServiceClient:
         if deadline_ms is not None:
             fields["deadline_ms"] = float(deadline_ms)
         reply = await self.call("read", **fields)
-        return protocol.unpack_bytes(reply["data_b64"])
+        return protocol.reply_body(reply)
 
     async def read_object(
         self, stripe: int, deadline_ms: Optional[float] = None
@@ -182,7 +192,7 @@ class ServiceClient:
         if deadline_ms is not None:
             fields["deadline_ms"] = float(deadline_ms)
         reply = await self.call("read_object", **fields)
-        return protocol.unpack_bytes(reply["data_b64"])
+        return protocol.reply_body(reply)
 
     async def cluster(self) -> dict:
         """The daemon's cluster/ownership snapshot (v3 ``cluster`` op)."""
@@ -607,7 +617,7 @@ class ClusterClient:
         fields = {"stripe": int(stripe), "shard": int(shard_index)}
         if self.hedge_after is None or len(candidates) < 2:
             reply = await self._call_with_retry("read", fields, None)
-            return protocol.unpack_bytes(reply["data_b64"])
+            return protocol.reply_body(reply)
         primary = asyncio.create_task(
             self._call_endpoint(candidates[0], "read", fields)
         )
@@ -616,13 +626,13 @@ class ClusterClient:
             try:
                 reply = primary.result()
                 self._breakers[candidates[0]].record_success()
-                return protocol.unpack_bytes(reply["data_b64"])
+                return protocol.reply_body(reply)
             except ServiceError as exc:
                 if not exc.retryable:
                     raise
                 self._breakers[candidates[0]].record_failure()
                 reply = await self._call_with_retry("read", fields, None)
-                return protocol.unpack_bytes(reply["data_b64"])
+                return protocol.reply_body(reply)
         # Primary is slow (dying daemon, slow_peer fault): hedge.
         self.hedged_reads += 1
         current_registry().counter(
@@ -648,11 +658,11 @@ class ClusterClient:
                             await p
                         except (ServiceError, asyncio.CancelledError):
                             pass
-                    return protocol.unpack_bytes(task.result()["data_b64"])
+                    return protocol.reply_body(task.result())
                 last_exc = exc
         if isinstance(last_exc, ServiceError) and last_exc.retryable:
             reply = await self._call_with_retry("read", fields, None)
-            return protocol.unpack_bytes(reply["data_b64"])
+            return protocol.reply_body(reply)
         raise last_exc  # type: ignore[misc]
 
     async def close(self) -> None:

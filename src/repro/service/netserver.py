@@ -1,9 +1,10 @@
 """The ``hdpsr serve`` daemon: a :class:`RepairService` behind a socket.
 
 :class:`ServiceDaemon` owns one :class:`~repro.service.service.RepairService`
-and speaks the JSON-lines protocol of :mod:`repro.service.protocol` on a
-TCP listener. Clients fail disks, submit repairs, and read chunks/objects
-through the front door while repairs run.
+and speaks the protocol of :mod:`repro.service.protocol` on a TCP
+listener: JSON-line requests and replies, chunk bodies raw after their
+reply's header line. Clients fail disks, submit repairs, and read
+chunks/objects through the front door while repairs run.
 
 The daemon is also the scrape plane: ``stats`` returns the structured
 telemetry snapshot of :func:`~repro.service.telemetry.stats_snapshot`,
@@ -338,7 +339,7 @@ class ServiceDaemon:
                         reader, max_bytes=MAX_REQUEST_BYTES
                     )
                 except protocol.ProtocolError as exc:
-                    writer.write(protocol.encode_message(
+                    writer.writelines(protocol.frame_reply(
                         protocol.error(
                             str(exc), code=ERR_PROTOCOL, kind="ProtocolError"
                         )
@@ -369,12 +370,12 @@ class ServiceDaemon:
                         break
                     if verdict.partial:
                         reply = await self._serve_one(msg)
-                        frame = protocol.encode_message(reply)
+                        frame = b"".join(protocol.frame_reply(reply))
                         writer.write(frame[: max(1, len(frame) // 2)])
                         await writer.drain()
-                        break  # hang up with the frame torn
+                        break  # hang up with the frame torn (header or body)
                 reply = await self._serve_one(msg)
-                writer.write(protocol.encode_message(reply))
+                writer.writelines(protocol.frame_reply(reply))
                 await writer.drain()
         except (ConnectionResetError, BrokenPipeError, asyncio.CancelledError):
             pass
@@ -443,6 +444,8 @@ class ServiceDaemon:
         socket. The wire injector is still consulted, but only verdicts
         that make sense without a socket apply: corruption and clock
         skew land, delays are honoured, resets/torn frames are ignored.
+        A ``read``/``read_object`` reply carries its body as a
+        :class:`memoryview` under ``data``.
         """
         if self.chaos is not None:
             verdict = self.chaos.on_request()
@@ -601,12 +604,12 @@ class ServiceDaemon:
                 int(msg["stripe"]), int(msg["shard"]),
                 deadline=self._deadline_of(msg),
             )
-            return protocol.ok(data_b64=protocol.pack_bytes(data.tobytes()))
+            return protocol.ok(data=memoryview(data))
         if op == "read_object":
             payload = await service.read_object(
                 int(msg["stripe"]), deadline=self._deadline_of(msg)
             )
-            return protocol.ok(data_b64=protocol.pack_bytes(payload))
+            return protocol.ok(data=memoryview(payload))
         if op == "scrub":
             if self.scrubber is None:
                 return protocol.ok(enabled=False)

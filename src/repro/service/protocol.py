@@ -1,10 +1,21 @@
-"""JSON-lines wire protocol between ``hdpsr serve`` and ``hdpsr client``.
+"""Wire protocol between ``hdpsr serve`` and ``hdpsr client``.
 
-One request or response per line, UTF-8 JSON, newline-terminated. Every
-request carries an ``op``; every response carries ``ok`` (and ``error``
-when ``ok`` is false). Chunk payloads travel base64-encoded under
-``data_b64`` — small enough at the chunk sizes the service targets, and it
-keeps the protocol greppable and curl-able.
+Control messages are JSON lines: one request or response per line, UTF-8
+JSON, newline-terminated. Every request carries an ``op``; every response
+carries ``ok`` (and ``error`` when ``ok`` is false). Blank lines between
+frames are skipped. Keeping control messages JSON keeps them greppable and
+curl-able.
+
+**Chunk bodies (v6).** A successful ``read`` or ``read_object`` reply is
+one JSON header line carrying ``"nbytes": N``, followed by exactly N raw
+payload bytes — no base64, and no JSON scan of the body on either side.
+:func:`frame_reply` is the one place a reply becomes wire bytes (the
+header, then the body when the reply has one) and :func:`read_reply` the
+one place a client reads one back: it checks ``nbytes`` (a negative,
+non-integer or over-:data:`MAX_MESSAGE_BYTES` count is a *fatal*
+:class:`ProtocolError`), reads the body, and hands it back as
+``reply["data"]``. A body cut short by a dying peer reads as EOF, like a
+torn header. Requests and every other reply stay plain JSON lines.
 
 Requests may carry a ``trace`` object (``{"trace_id", "span_id"}``, see
 :class:`~repro.obs.tracer.SpanContext`): the daemon re-installs it so the
@@ -39,7 +50,8 @@ Operations (client -> server):
 **Robustness.** Malformed input never kills a connection task silently:
 non-JSON lines and non-object payloads raise a recoverable
 :class:`ProtocolError` the daemon answers with a structured error
-response; frames longer than the reader's cap (requests are bounded by
+response, and a blank line is skipped, not read as end of stream;
+frames longer than the reader's cap (requests are bounded by
 :data:`MAX_REQUEST_BYTES` server-side) raise a *fatal* one — the daemon
 answers, then closes, because a byte stream that overran its framing
 cannot be resynchronized.
@@ -79,13 +91,14 @@ from __future__ import annotations
 import asyncio
 import base64
 import json
-from typing import Optional
+from typing import List, Optional
 
 from repro.errors import ReproError
 
-PROTOCOL_VERSION = 5
+PROTOCOL_VERSION = 6
 
-#: Upper bound on one encoded message (guards the line reader).
+#: Upper bound on one encoded message (guards the line reader) and on
+#: one reply body.
 MAX_MESSAGE_BYTES = 64 * 1024 * 1024
 
 #: Upper bound on one *request* frame: requests are tiny control messages,
@@ -106,7 +119,7 @@ ERR_NOT_OWNER = "not_owner"
 #: The daemon lost its lease mid-operation (epoch fencing). Not retryable
 #: *here*; the new owner has or will finish the work.
 ERR_FENCED = "fenced"
-#: The request itself is malformed (unknown op, bad types, bad base64).
+#: The request itself is malformed (unknown op, bad types).
 ERR_BAD_REQUEST = "bad_request"
 #: Wire-level framing violation (see :class:`ProtocolError`).
 ERR_PROTOCOL = "protocol"
@@ -126,7 +139,7 @@ ERR_DEADLINE = "deadline_exceeded"
 #: the verified replacement. Responses carry ``disk``/``stripe``/``shard``.
 ERR_CORRUPT = "corrupt_chunk"
 
-#: All error codes a v5 daemon may emit.
+#: All error codes a daemon may emit.
 ERROR_CODES = (
     ERR_CRASH, ERR_OVERLOAD, ERR_NOT_OWNER, ERR_FENCED,
     ERR_BAD_REQUEST, ERR_PROTOCOL, ERR_NOT_FOUND, ERR_INTERNAL,
@@ -174,32 +187,82 @@ def decode_message(line: bytes) -> dict:
 async def read_message(
     reader, max_bytes: int = MAX_MESSAGE_BYTES
 ) -> Optional[dict]:
-    """Read one frame from an ``asyncio.StreamReader``; None on EOF.
+    """Read one JSON frame from an ``asyncio.StreamReader``; None on EOF.
 
-    Raises :class:`ProtocolError` for malformed frames; the error is
-    ``fatal`` when the stream overran its limit without a newline (the
-    reader can no longer find a frame boundary) or a complete frame
-    exceeded ``max_bytes``.
+    Blank lines are skipped. Raises :class:`ProtocolError` for malformed
+    frames; the error is ``fatal`` when the stream overran its limit
+    without a newline (the reader can no longer find a frame boundary) or
+    a complete frame exceeded ``max_bytes``.
     """
+    while True:
+        try:
+            line = await reader.readuntil(b"\n")
+        except asyncio.IncompleteReadError:
+            return None
+        except asyncio.LimitOverrunError as exc:
+            raise ProtocolError(
+                f"frame overran the stream limit ({exc.consumed} bytes buffered "
+                "with no newline)", fatal=True,
+            ) from None
+        except EOFError:
+            return None
+        if len(line) > max_bytes:
+            raise ProtocolError(
+                f"message of {len(line)} bytes exceeds the {max_bytes}-byte cap",
+                fatal=True,
+            )
+        if line.strip():
+            return decode_message(line)
+
+
+def frame_reply(reply: dict) -> List["bytes | memoryview"]:
+    """The wire frame of one reply: ``[header]``, or ``[header, body]``
+    when the reply carries a chunk body under ``data`` (any buffer)."""
+    if "data" not in reply:
+        return [encode_message(reply)]
+    body = memoryview(reply["data"])
+    header = {key: value for key, value in reply.items() if key != "data"}
+    header["nbytes"] = body.nbytes
+    return [encode_message(header), body]
+
+
+async def read_reply(reader) -> Optional[dict]:
+    """Read one reply written by :func:`frame_reply`; None on EOF.
+
+    A header naming ``nbytes`` is followed by that many raw bytes, which
+    come back as ``reply["data"]``. A body cut short reads as EOF; a bad
+    ``nbytes`` is a fatal :class:`ProtocolError` (the stream cannot be
+    resynchronized past a body of unknown length).
+    """
+    reply = await read_message(reader)
+    if reply is None or "nbytes" not in reply:
+        return reply
+    nbytes = reply.pop("nbytes")
+    if type(nbytes) is not int or not 0 <= nbytes <= MAX_MESSAGE_BYTES:
+        raise ProtocolError(
+            f"bad body length nbytes={nbytes!r} (want an integer in "
+            f"[0, {MAX_MESSAGE_BYTES}])", fatal=True,
+        )
     try:
-        line = await reader.readuntil(b"\n")
+        reply["data"] = await reader.readexactly(nbytes)
     except asyncio.IncompleteReadError:
         return None
-    except asyncio.LimitOverrunError as exc:
+    return reply
+
+
+def reply_body(reply: dict) -> bytes:
+    """The chunk body of a ``read``/``read_object`` reply.
+
+    Raises :class:`ProtocolError` when the reply names no body — what a
+    daemon older than v6 answers.
+    """
+    try:
+        return reply["data"]
+    except KeyError:
         raise ProtocolError(
-            f"frame overran the stream limit ({exc.consumed} bytes buffered "
-            "with no newline)", fatal=True,
+            f"reply carries no body (no nbytes header): the daemon does not "
+            f"speak protocol v{PROTOCOL_VERSION} (fields: {sorted(reply)})"
         ) from None
-    except EOFError:
-        return None
-    if len(line) > max_bytes:
-        raise ProtocolError(
-            f"message of {len(line)} bytes exceeds the {max_bytes}-byte cap",
-            fatal=True,
-        )
-    if not line.strip():
-        return None
-    return decode_message(line)
 
 
 def ok(**fields) -> dict:
@@ -224,6 +287,7 @@ def error(message: str, code: str = ERR_INTERNAL, **fields) -> dict:
     return out
 
 
+# Only the e2e benchmark's layer table calls these two; no reply carries base64.
 def pack_bytes(data: bytes) -> str:
     return base64.b64encode(bytes(data)).decode("ascii")
 

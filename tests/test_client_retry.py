@@ -10,6 +10,8 @@ coroutines with ``asyncio.run``.
 """
 
 import asyncio
+import base64
+import itertools
 import time
 
 import pytest
@@ -20,6 +22,7 @@ from repro.faults.spec import FaultEvent, FaultSchedule
 from repro.service import protocol
 from repro.service.chaos_rig import build_server as make_server
 from repro.service.chaos_rig import build_service as make_service
+from repro.service.chaos_rig import originals_of
 from repro.service.client import (
     BREAKER_CLOSED,
     BREAKER_HALF_OPEN,
@@ -387,5 +390,134 @@ class TestNotOwnerRedirect:
                 await client.close()
                 await stop_daemon(port_a, task_a)
                 await stop_daemon(port_b, task_b)
+
+        asyncio.run(run())
+
+
+# ------------------------------------------------------------ body framing
+BODY = bytes(range(256)) * 8
+HEADER, _ = protocol.frame_reply(protocol.ok(data=BODY))
+FULL = b"".join(protocol.frame_reply(protocol.ok(data=BODY)))
+#: Where a dying daemon may cut a read reply.
+TEARS = {
+    "header": len(HEADER) // 2,
+    "boundary": len(HEADER),
+    "body": len(HEADER) + len(BODY) // 2,
+}
+
+
+async def scripted_daemon(frames):
+    """A fake daemon: its i-th connection reads one request, writes
+    ``frames[i]`` (the last one once they run out), then hangs up."""
+    conns = itertools.count()
+
+    async def answer(reader, writer):
+        frame = frames[min(next(conns), len(frames) - 1)]
+        await reader.readline()
+        writer.write(frame)
+        await writer.drain()
+        writer.close()
+
+    server = await asyncio.start_server(answer, "127.0.0.1", 0)
+    return server, server.sockets[0].getsockname()[1]
+
+
+class TestBodyFraming:
+    """Protocol v6: a read reply is a JSON header naming ``nbytes``, then
+    that many raw bytes."""
+
+    @pytest.mark.parametrize("tear", sorted(TEARS))
+    def test_a_torn_reply_is_a_crash_retried_to_the_right_bytes(self, tear):
+        async def run():
+            torn = FULL[: TEARS[tear]]
+            server, port = await scripted_daemon([torn, torn, FULL])
+            try:
+                async with await ServiceClient.connect("127.0.0.1", port) as one:
+                    with pytest.raises(ServiceError) as err:
+                        await one.read_chunk(0, 0)
+                client = ClusterClient(
+                    [f"127.0.0.1:{port}"], hedge_after=None,
+                    backoff=BackoffPolicy(base=0.005, cap=0.01),
+                )
+                try:
+                    data = await client.read_chunk(0, 0)
+                finally:
+                    await client.close()
+            finally:
+                server.close()
+                await server.wait_closed()
+            return err.value, data, client.retry_count
+
+        err, data, retries = asyncio.run(run())
+        assert err.code == protocol.ERR_CRASH and err.retryable
+        assert data == BODY
+        assert retries == 1
+
+    def test_a_bad_body_length_drops_the_connection(self):
+        async def run():
+            bad = protocol.encode_message({"ok": True, "nbytes": -1}) + BODY
+            server, port = await scripted_daemon([bad])
+            try:
+                async with await ServiceClient.connect("127.0.0.1", port) as client:
+                    with pytest.raises(protocol.ProtocolError) as err:
+                        await client.read_chunk(0, 0)
+                    assert err.value.fatal
+                    with pytest.raises(ServiceError) as lost:
+                        await client.call("ping")
+                    assert lost.value.crashed
+            finally:
+                server.close()
+                await server.wait_closed()
+
+        asyncio.run(run())
+
+    def test_a_v5_base64_reply_names_the_protocol_version(self):
+        async def run():
+            v5 = protocol.encode_message(
+                protocol.ok(data_b64=base64.b64encode(BODY).decode())
+            )
+            server, port = await scripted_daemon([v5])
+            try:
+                async with await ServiceClient.connect("127.0.0.1", port) as client:
+                    with pytest.raises(protocol.ProtocolError) as err:
+                        await client.read_chunk(0, 0)
+            finally:
+                server.close()
+                await server.wait_closed()
+            return err.value
+
+        err = asyncio.run(run())
+        assert not isinstance(err, KeyError)
+        assert f"v{protocol.PROTOCOL_VERSION}" in str(err) and not err.fatal
+
+    def test_reads_over_the_wire_are_byte_identical(self):
+        """A v6 daemon's healthy, degraded and whole-object replies carry
+        exactly the bytes the service returns in-process."""
+        async def run():
+            server = make_server()
+            service = make_service(server)
+            originals = originals_of(server)
+            stripe = server.layout[0]
+            daemon, port, task = await start_daemon(service)
+            try:
+                async with await ServiceClient.connect("127.0.0.1", port) as client:
+                    ping = await client.call("ping")
+                    assert ping["version"] == protocol.PROTOCOL_VERSION == 6
+                    healthy = []
+                    for shard in range(stripe.n):
+                        data = await client.read_chunk(0, shard)
+                        assert type(data) is bytes
+                        assert data == (await service.read_chunk(0, shard)).tobytes()
+                        healthy.append(data)
+                    await client.call("fail_disk", disk=stripe.disks[1])
+                    assert server.disk(stripe.disks[1]).is_failed
+                    degraded = await client.read_chunk(0, 1)
+                    assert degraded == healthy[1]
+                    assert degraded == (await service.read_chunk(0, 1)).tobytes()
+                    for si, original in originals.items():
+                        payload = await client.read_object(si)
+                        assert payload == original == await service.read_object(si)
+            finally:
+                await stop_daemon(port, task)
 
         asyncio.run(run())

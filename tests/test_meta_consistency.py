@@ -716,6 +716,47 @@ class TestOneWritePath:
             assert max(records) < min(puts), f"{path}: a put precedes its record"
 
 
+class TestOneBodyFrame:
+    """Protocol v6: a chunk body crosses the wire raw after its reply's
+    JSON header. The daemon writes every reply through one framing
+    function and the client reads every reply back through one reader;
+    base64 is left to the benchmark's layer table."""
+
+    PROTOCOL = "src/repro/service/protocol.py"
+
+    def test_no_base64_body_remains(self):
+        for path in src_files():
+            assert "data_b64" not in path.read_text(), path
+        assert call_sites(r"(?:un)?pack_bytes") == set()
+        assert count_defs(r"(?:un)?pack_bytes") == {self.PROTOCOL: 2}
+
+    def test_every_reply_goes_through_the_one_frame(self):
+        assert call_sites(r"(?:protocol\.)?frame_reply") == {
+            "src/repro/service/netserver.py:_handle"
+        }
+        assert call_sites(r"(?:protocol\.)?read_reply") == {
+            "src/repro/service/client.py:call"
+        }
+        netserver = SRC / "service" / "netserver.py"
+        assert functions_matching(netserver, r"\bencode_message\(") == set()
+        assert functions_matching(netserver, r"\.write(lines)?\(") == {
+            "src/repro/service/netserver.py:_handle"
+        }
+        named = {
+            f"{path.relative_to(ROOT)}:{func.name}"
+            for path in src_files()
+            for func in ast.walk(ast.parse(path.read_text()))
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and any(
+                isinstance(node, ast.Constant) and node.value == "nbytes"
+                for node in ast.walk(func)
+            )
+        }
+        assert named == {
+            f"{self.PROTOCOL}:frame_reply", f"{self.PROTOCOL}:read_reply"
+        }
+
+
 E2E = BENCHMARKS / "e2e"
 
 

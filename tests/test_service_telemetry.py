@@ -488,20 +488,81 @@ class TestProtocolHardening:
 
         asyncio.run(run())
 
+    @staticmethod
+    def _fed(data: bytes) -> asyncio.StreamReader:
+        reader = asyncio.StreamReader()
+        reader.feed_data(data)
+        reader.feed_eof()
+        return reader
+
     def test_read_message_cap_is_fatal(self):
         async def run():
-            async def feed(writer_data):
-                reader = asyncio.StreamReader()
-                reader.feed_data(writer_data)
-                reader.feed_eof()
-                return reader
-
-            reader = await feed(b"x" * 128 + b"\n")
+            reader = self._fed(b"x" * 128 + b"\n")
             with pytest.raises(ProtocolError) as exc_info:
                 await protocol.read_message(reader, max_bytes=64)
             assert exc_info.value.fatal
 
         asyncio.run(run())
+
+    def test_blank_line_does_not_hang_up(self):
+        async def run():
+            daemon, port, task = await self._daemon()
+            reader, writer = await self._raw(port)
+            writer.write(b"\n")
+            await writer.drain()
+            writer.write(b" \r\n" + protocol.encode_message({"op": "ping"}))
+            await writer.drain()
+            reply = await protocol.read_message(reader)
+            assert reply["ok"] is True
+            assert reply["version"] == protocol.PROTOCOL_VERSION
+            writer.write(protocol.encode_message({"op": "shutdown"}))
+            await writer.drain()
+            assert (await protocol.read_message(reader))["ok"] is True
+            writer.close()
+            await task
+
+        asyncio.run(run())
+
+    def test_read_message_skips_blank_lines_until_eof(self):
+        async def run():
+            frame = protocol.encode_message({"op": "ping"})
+            assert await protocol.read_message(self._fed(b"\n\n" + frame)) == {
+                "op": "ping"
+            }
+            assert await protocol.read_message(self._fed(b"\n \n")) is None
+
+        asyncio.run(run())
+
+    def test_a_body_reply_round_trips(self):
+        async def run():
+            body = bytes(range(256)) * 3
+            frame = protocol.frame_reply(protocol.ok(data=memoryview(body), x=1))
+            assert len(frame) == 2 and bytes(frame[1]) == body
+            reader = self._fed(b"".join(frame) + protocol.encode_message({"ok": True}))
+            assert await protocol.read_reply(reader) == {"ok": True, "x": 1, "data": body}
+            assert await protocol.read_reply(reader) == {"ok": True}
+            assert await protocol.read_reply(reader) is None
+
+        asyncio.run(run())
+
+    @pytest.mark.parametrize(
+        "nbytes", [-1, 1.5, "8", True, None, protocol.MAX_MESSAGE_BYTES + 1]
+    )
+    def test_a_bad_body_length_is_fatal(self, nbytes):
+        async def run():
+            header = protocol.encode_message({"ok": True, "nbytes": nbytes})
+            with pytest.raises(ProtocolError) as exc_info:
+                await protocol.read_reply(self._fed(header + b"\0" * 16))
+            return exc_info.value
+
+        assert asyncio.run(run()).fatal
+
+    def test_a_short_body_reads_as_eof(self):
+        async def run():
+            header = protocol.encode_message({"ok": True, "nbytes": 16})
+            return await protocol.read_reply(self._fed(header + b"\0" * 15))
+
+        assert asyncio.run(run()) is None
 
     def test_protocol_error_fatal_flag_default(self):
         assert ProtocolError("x").fatal is False
