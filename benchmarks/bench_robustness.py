@@ -17,8 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.core import FullStripeRepair, recover_disk, recover_disks
-from repro.core.executor import ReadPolicy
+from repro.core import FullStripeRepair, ReadPolicy, recover_disk, recover_disks
 from repro.faults import FaultEvent, FaultSchedule
 from repro.hdss import HDSSConfig, HighDensityStorageServer
 from repro.reporting import loss_report_rows

@@ -9,7 +9,8 @@ per chunk — and walks the full durability story end to end:
 3. serve degraded reads while the disk is down;
 4. repair with HD-PSR-AS through the bounded c-chunk repair memory,
    feeding partial stripe rounds into the incremental decoder;
-5. verify every rebuilt chunk byte-for-byte and every object end to end.
+5. commit the placement remap, then verify every stripe with a full
+   scrub and every object end to end.
 
 Run:  python examples/filestore_durability.py [workdir]
 """
@@ -24,10 +25,10 @@ import numpy as np
 
 from repro import (
     ActiveSlowerFirstRepair,
-    DataPathExecutor,
     FileChunkStore,
     HDSSConfig,
     HighDensityStorageServer,
+    recover_disk,
 )
 from repro.utils import AsciiTable, format_bytes
 
@@ -70,10 +71,10 @@ def main() -> None:
         assert server.read_object(idx) == data
     print("Degraded reads: all objects still readable (decode on the fly).")
 
-    # 4. repair through the bounded memory
-    stripe_indices, survivor_ids, L = server.transfer_time_matrix([victim])
-    plan = ActiveSlowerFirstRepair().build_plan(L, config.memory_chunks)
-    stats = DataPathExecutor(server).repair(plan, stripe_indices, survivor_ids)
+    # 4. repair through the bounded memory; recover_disk also commits the
+    #    placement remap and certifies what it rebuilt
+    result = recover_disk(server, ActiveSlowerFirstRepair(), victim)
+    stats = result.data_path
 
     table = AsciiTable(["metric", "value"], title="Repair data path")
     table.add_row(["stripes repaired", stats.stripes_repaired])
@@ -86,10 +87,11 @@ def main() -> None:
     print()
     print(table.render())
 
-    # 5. commit the placement remap and certify with a scrub
+    # 5. check the remap and certify every stripe with a full scrub
     assert stats.chunks_rebuilt == len(lost_chunks)
     assert stats.peak_memory_chunks <= config.memory_chunks
-    remapped = server.commit_writebacks(stats.writebacks)
+    assert result.certified
+    remapped = result.remapped
     scrub = server.scrub()
     assert scrub.healthy, (scrub.degraded, scrub.corrupt)
     for idx, data in objects.items():

@@ -48,7 +48,6 @@ from repro.core import (
     ALGORITHMS,
     ActivePreliminaryRepair,
     ActiveSlowerFirstRepair,
-    DataPathExecutor,
     ExecutionOptions,
     FullStripeRepair,
     MultiDiskOutcome,
@@ -152,7 +151,6 @@ __all__ = [
     "MultiDiskOutcome",
     "naive_multi_disk_repair",
     "cooperative_multi_disk_repair",
-    "DataPathExecutor",
     "SlotLedger",
     "recover_disk",
     "pa_for_pr",

@@ -16,16 +16,16 @@ Contents map directly onto §4 of the paper:
   (§4.4);
 * :mod:`repro.core.stripe_repair` — one stripe's repair as a sans-I/O
   state machine (round queue, salvage ladder, read-policy decisions) and
-  the one serial read clock, driven by the executor below and by
-  :mod:`repro.service`;
+  the one serial read clock, driven by :mod:`repro.service`;
 * :mod:`repro.core.repair_job` — one repair *job* as a sans-I/O object:
   the one ``plan_repair`` (the only caller of ``build_plan``), the
   fingerprint guard, journal replay, spare placement and the job's
   closing tally, under every caller below and :mod:`repro.service`;
 * :mod:`repro.core.slot_ledger` — the ``c``-slot repair memory, counted
-  once, under the executor below and :mod:`repro.service`;
-* :mod:`repro.core.executor` — the byte-exact data path (chunks through
-  the c-chunk memory, partial decoding, spare-disk write-back);
+  once, under :mod:`repro.service`;
+* :mod:`repro.core.recovery` — ``recover_disk`` / ``recover_disks``: plan
+  or resume a job, then move its bytes through the daemon's job body (the
+  c-chunk memory, partial decoding, spare-disk write-back);
 * :mod:`repro.core.analysis` — ACWT / TR analytics behind Figures 3-4.
 """
 
@@ -50,7 +50,7 @@ from repro.core.multi_disk import (
 )
 from repro.core.slot_ledger import SlotLedger
 from repro.core.repair_job import DataPathStats
-from repro.core.executor import DataPathExecutor, ReadPolicy
+from repro.core.stripe_repair import ReadPolicy
 from repro.core.recovery import RecoveryResult, recover_disk, recover_disks
 from repro.core.analysis import (
     acwt_curve_vs_pa,
@@ -92,7 +92,6 @@ __all__ = [
     "MultiDiskOutcome",
     "naive_multi_disk_repair",
     "cooperative_multi_disk_repair",
-    "DataPathExecutor",
     "DataPathStats",
     "SlotLedger",
     "ReadPolicy",

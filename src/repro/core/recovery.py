@@ -12,31 +12,35 @@ failed disks' stripe sets and rebuilds every lost chunk of each affected
 stripe from a single k-survivor read (cooperative repair, §4.4) on the
 byte-exact plane.
 
-Both accept a :class:`~repro.faults.spec.FaultSchedule` (``faults=``) and a
-:class:`~repro.core.executor.ReadPolicy` (``policy=``); with either set the
-data path runs hardened — mid-repair failures are re-planned around, slow
-disks are retried or hedged, and unrecoverable stripes land in
-``result.loss`` instead of raising.
+Both move the bytes through the repair daemon's own job body,
+:meth:`~repro.service.service.RepairService.run_job`, on a private service
+with one stripe in flight. Both accept a
+:class:`~repro.faults.spec.FaultSchedule` (``faults=``) and a
+:class:`~repro.core.stripe_repair.ReadPolicy` (``policy=``); with either
+set the data path runs hardened — mid-repair failures are re-planned
+around, slow disks are retried or hedged, and unrecoverable stripes land in
+``result.loss`` instead of raising. A survivor that fails its digest is
+quarantined and read-repaired before the call returns, as in the daemon.
 """
 
 from __future__ import annotations
 
+import asyncio
 import os
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 from repro.core.base import RepairAlgorithm, RepairContext
-from repro.core.executor import DataPathExecutor, ReadPolicy
-from repro.core.repair_job import DataPathStats, RepairJob, certified, plan_repair
+from repro.core.repair_job import DataPathStats, certified, plan_repair
 from repro.core.scheduler import (
     ExecutionOptions,
     RepairOutcome,
     repair_single_disk,
     simulate,
 )
+from repro.core.stripe_repair import ReadPolicy
 from repro.ec.stripe import ChunkId
 from repro.errors import JournalError, StorageError
-from repro.faults.injector import FaultInjector
 from repro.faults.report import DataLossReport
 from repro.faults.spec import FaultSchedule
 from repro.hdss.prober import ActiveProber
@@ -86,6 +90,7 @@ class RecoveryResult:
 
 def _recover(
     server: HighDensityStorageServer,
+    algorithm: RepairAlgorithm,
     failed: Sequence[int],
     plan_outcome,
     faults: Optional[FaultSchedule],
@@ -93,12 +98,18 @@ def _recover(
     journal: "str | os.PathLike | RepairJournal | None",
     resume: bool,
 ) -> RecoveryResult:
-    """The one recovery: plan or resume, move the bytes, commit, certify.
+    """The one recovery: plan or resume, then run the job as the daemon does.
 
     ``plan_outcome()`` plans a fresh run on the timing plane; a resumed run
     reuses the journaled plan verbatim and reports a zeroed timing-plane
-    report — simulated repair time belongs to the run that planned it.
+    report — simulated repair time belongs to the run that planned it. The
+    job runs on a private :class:`~repro.service.service.RepairService`,
+    one stripe in flight, so its reads, faults and salvage ladder are the
+    daemon's own.
     """
+    # Imported here: building the CLI parser must not load the service.
+    from repro.service.service import RepairService, ServiceConfig, ServiceJob
+
     jrnl = (
         journal
         if journal is None or isinstance(journal, RepairJournal)
@@ -108,7 +119,7 @@ def _recover(
     if resume:
         if jrnl is None:
             raise JournalError("resume=True needs a journal directory")
-        job = RepairJob.resumed(load_state(jrnl.root), fingerprint, jrnl.root)
+        job = ServiceJob.resumed(load_state(jrnl.root), fingerprint, jrnl.root)
         outcome = RepairOutcome(
             algorithm=job.plan.algorithm,
             plan=job.plan,
@@ -118,11 +129,12 @@ def _recover(
         )
     else:
         outcome = plan_outcome()
-        job = RepairJob(
+        job = ServiceJob(
             outcome.plan, outcome.stripe_indices, outcome.survivor_ids,
             failed, fingerprint,
             hardened=bool(faults) or policy is not None or jrnl is not None,
         )
+    job.journal = jrnl
     # The data path needs actual survivor bytes, not metadata-only stripes.
     sample = server.layout[job.stripe_indices[0]]
     shard = job.survivor_ids[0][0]
@@ -131,15 +143,23 @@ def _recover(
             "server holds no chunk bytes; provision with with_data=True "
             "(or use repair_single_disk for timing-only studies)"
         )
-    injector = (
-        FaultInjector(server, faults, skip_crashes=job.crashes_survived)
-        if faults
-        else None
+    if server.memory.in_use:
+        raise StorageError(f"repair memory is not empty: {server.memory!r}")
+    service = RepairService(
+        server, algorithm,
+        ServiceConfig(policy=policy, max_concurrent_stripes=1),
+        faults=faults or None,
     )
-    executor = DataPathExecutor(server, policy=policy, injector=injector, journal=jrnl)
-    executor.run(job)
-    scrub = job.certify(server, job.commit(server))
-    stats = job.finish(jrnl, injector, executor.clock.now)
+
+    async def run() -> ScrubReport:
+        try:
+            return await service.run_job(job)
+        finally:
+            await service.close()
+
+    scrub = asyncio.run(run())
+    stats = job.stats
+    stats.peak_memory_chunks = server.memory.peak
     return RecoveryResult(
         outcome=outcome, data_path=stats, remapped=job.remapped, scrub=scrub,
         loss=stats.loss,
@@ -182,7 +202,7 @@ def recover_disk(
             to a different server configuration.
     """
     return _recover(
-        server, server.failed_disks(),
+        server, algorithm, server.failed_disks(),
         lambda: repair_single_disk(
             server, algorithm, failed_disk, options=options, context=context
         ),
@@ -214,7 +234,7 @@ def recover_disks(
 
     ``faults``/``policy`` harden the run exactly as in :func:`recover_disk`
     — the scripted "second disk dies mid-round" scenario goes through here:
-    the injector really fails the disk, the executor salvages each stripe's
+    the injector really fails the disk, the repair salvages each stripe's
     accumulated partial sums via ``PartialDecoder.replan``, and stripes
     left with fewer than k readable shards are reported in ``result.loss``.
 
@@ -229,7 +249,7 @@ def recover_disks(
         if not server.disk(d).is_failed:
             raise StorageError(f"disk {d} is healthy; fail it before repairing")
     return _recover(
-        server, failed,
+        server, algorithm, failed,
         lambda: simulate(
             plan_repair(
                 server, algorithm, failed, select=select,

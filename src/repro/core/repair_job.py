@@ -5,13 +5,12 @@ module is the *job* around the stripes — what HD-PSR actually schedules:
 assemble ``L_{s×k}``, let the scheme pick ``P_a``, run the stripes, land the
 rebuilt chunks on spares and close the books. Like the stripe machine it is
 sans-I/O: it imports no event loop, thread, clock, store or journal writer,
-and reads no clock. Drivers *perform* what it says and keep only how they do
-I/O — the sequential :class:`~repro.core.executor.DataPathExecutor` under
-:func:`~repro.core.recovery.recover_disk` (serial clock, ``store.put`` +
-``verify_chunk``) and the asyncio
-:class:`~repro.service.service.RepairService` (gate, fence, piggyback
-futures, puts in worker threads), both under the server's one
-:class:`~repro.core.slot_ledger.SlotLedger`; the timing-plane callers
+and reads no clock. One driver *performs* what it says and keeps only how it
+does I/O — the asyncio :class:`~repro.service.service.RepairService` (gate,
+fence, piggyback futures, puts in worker threads, under the server's one
+:class:`~repro.core.slot_ledger.SlotLedger`), whose
+:meth:`~repro.service.service.RepairService.run_job` also runs the jobs
+:func:`~repro.core.recovery.recover_disk` plans; the timing-plane callers
 (:func:`~repro.core.scheduler.repair_single_disk`, the multi-disk phases,
 :func:`~repro.reliability.mttdl.estimate_repair_seconds`) use the planning
 half only.

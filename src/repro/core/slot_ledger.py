@@ -5,10 +5,10 @@ round takes ``len(round)`` slots all-or-nothing before its reads and returns
 them once the chunks are folded in; accumulators are not charged
 (``docs/algorithms.md``, "Execution semantics", has the reasoning and the
 resident bound). The ledger only counts — it never blocks, locks or reads a
-clock. It is ``server.memory``; :class:`~repro.core.executor.DataPathExecutor`
-uses it bare (:meth:`SlotLedger.acquire` raises on a refusal), while
-:mod:`repro.service` parks a refused round and retries first-fit on every
-release. Those two are the real-bytes drivers.
+clock. It is ``server.memory``; the real-bytes driver, :mod:`repro.service`
+(under the daemon and :func:`~repro.core.recovery.recover_disk` alike),
+parks a refused round and retries first-fit on every release.
+:meth:`SlotLedger.acquire` is the bare ledger's: a refusal raises.
 """
 
 from __future__ import annotations

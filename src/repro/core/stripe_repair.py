@@ -6,9 +6,9 @@ in — and when a survivor dies mid-stripe, keep the sums and re-plan the
 remaining reads. :class:`StripeRepair` is that machine and nothing else. It
 owns the stripe's :class:`~repro.ec.partial.PartialDecoder`, the queue of
 rounds still to read, the outcome and the ladder counters; it performs no
-read, takes no lock and never looks at a clock. Two drivers *perform* what
-it says — the sequential :class:`~repro.core.executor.DataPathExecutor`
-and the asyncio :class:`~repro.service.service.RepairService` — and each
+read, takes no lock and never looks at a clock. One driver *performs* what
+it says — the asyncio :class:`~repro.service.service.RepairService`, under
+the daemon and under :func:`~repro.core.recovery.recover_disk` alike — and
 keeps only what is genuinely its own: how a round is read, how time is
 priced, memory accounting, journaling, fencing and quarantine.
 
@@ -24,8 +24,8 @@ The ladder (:meth:`StripeRepair.on_fault`):
 
 :class:`ReadPolicy` carries the timeout / retry / hedge decision as one pure
 function of ``(duration, attempt)``. What a read, a timeout or a wait
-*costs* is :class:`ReadClock`'s: one serial logical clock that both drivers
-price every survivor read on, and that a fault schedule fires against.
+*costs* is :class:`ReadClock`'s: one serial logical clock the driver prices
+every survivor read on, and that a fault schedule fires against.
 """
 
 from __future__ import annotations
@@ -156,29 +156,24 @@ class ShardFault(Exception):
 class ReadClock:
     """The one serial logical clock survivor reads are priced on.
 
-    Both drivers own one and call only :meth:`price`. ``now`` is the running
+    The driver prices every read with :meth:`price`. ``now`` is the running
     sum of every priced read, timeout and wait, in seconds of unjittered
     transfer time, so it is a pure function of server state and read order.
     An ``injector`` (a :class:`~repro.faults.injector.FaultInjector` bound
     to ``server``) fires its schedule as ``now`` passes event times: an
     event at ``t`` fires as the first read priced at or after ``t`` is
-    issued, so a timed fault lands at the same read in both drivers.
+    issued, so a timed fault lands at the same read on every run.
 
     Args:
         server: whose disks are priced (their state, not their bytes).
         policy: read-hardening knobs; ``None`` reads without timeouts.
-        injector: fault schedule to fire as the clock advances.
     """
 
-    def __init__(
-        self,
-        server,
-        policy: Optional[ReadPolicy] = None,
-        injector: Optional["FaultInjector"] = None,
-    ) -> None:
+    def __init__(self, server, policy: Optional[ReadPolicy] = None) -> None:
         self.server = server
         self.policy = policy
-        self.injector = injector
+        #: The fault schedule to fire as the clock advances; the driver binds it.
+        self.injector: Optional["FaultInjector"] = None
         #: Seconds of priced transfer, timeouts, backoff and waits.
         self.now = 0.0
 
@@ -235,6 +230,14 @@ class ReadClock:
             injector.advance(self.now)
         self.now += duration
         return duration
+
+    def due(self) -> bool:
+        """Whether the injector's next change is at or before :attr:`now`:
+        the next :meth:`price` fires it. A driver holding priced reads it
+        has not issued yet issues them first, so the change lands between
+        reads, never under one already priced."""
+        injector = self.injector
+        return injector is not None and injector.next_change_time() <= self.now
 
 
 def rounds_of(shard_ids: Sequence[int], per_round: int) -> List[List[int]]:

@@ -2,7 +2,7 @@
 
 :class:`FaultInjector` is the byte-exact side. It binds a schedule to a
 :class:`~repro.hdss.server.HighDensityStorageServer` and, as the data-path
-executor advances its logical clock past event times, really fails disks,
+driver advances its logical clock past event times, really fails disks,
 really poisons chunks, and really collapses bandwidth — so every downstream
 consequence (``DiskFailedError`` on read, decode re-planning, data loss) is
 exercised for real rather than signaled by a flag.
@@ -51,7 +51,7 @@ class FaultInjector:
 
     Usage: construct, call :meth:`attach` once (wraps the server's store so
     sector errors can be injected), then call :meth:`advance` with the
-    executor's logical clock after every modeled transfer. ``advance``
+    driver's logical clock after every modeled transfer. ``advance``
     returns the events that just fired so the caller can react (re-plan,
     retry) immediately.
     """
@@ -91,7 +91,7 @@ class FaultInjector:
     def next_change_time(self) -> float:
         """Earliest future time at which state will change (``inf`` if none).
 
-        Lets the executor's timeout loop wait *just* long enough for a hang
+        Lets the read clock's forced read wait *just* long enough for a hang
         window to close instead of guessing.
         """
         times = [e.at for e in self._pending[self._next :]]

@@ -409,7 +409,7 @@ class HighDensityStorageServer:
         """Remap repaired shards to their spare disks (placement commit).
 
         ``writebacks`` are the ``(stripe_index, shard_index, spare_disk)``
-        records a :class:`~repro.core.executor.DataPathExecutor` produced.
+        records a repair job produced (``DataPathStats.writebacks``).
         After committing, the layout references the spares, so degraded
         reads and scrubs see a fully healthy stripe again.
 

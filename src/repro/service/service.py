@@ -25,11 +25,12 @@
   extra survivor reads once the repair has decoded it.
 
 Every repair read is priced, before it is issued, on :attr:`RepairService.clock`
-— a :class:`~repro.core.stripe_repair.ReadClock`, the serial logical clock
-the sequential :class:`~repro.core.executor.DataPathExecutor` prices on
-too. It is the fault clock, not a measure of the daemon's speed: a fault's
+— a :class:`~repro.core.stripe_repair.ReadClock`, one serial logical clock.
+It is the fault clock, not a measure of the daemon's speed: a fault's
 ``at`` means seconds of priced reads, so a timed fault lands at the same
-read in both drivers.
+read whenever the stripes run one at a time. :meth:`RepairService.run_job`
+is the one real-bytes job body: ``submit_repair`` and
+:func:`~repro.core.recovery.recover_disk` both run their jobs through it.
 
 Crash consistency reuses the repair journal unchanged: each job writes
 ``begin`` / ``stripe_done`` records into its own directory
@@ -125,9 +126,10 @@ def _read_and_fold(
     the monotonic clock, then fold everything that arrived (``gotten`` too:
     reads earlier calls made) into ``decoder``, when one is given.
 
-    Returns every read and the fold's ``(started, seconds)`` (None when
-    nothing was folded). An unreadable chunk comes back as its error; any
-    other error fails the call.
+    Returns the reads kept and the fold's ``(started, seconds)`` (None when
+    nothing was folded). An unreadable chunk comes back as its error and
+    ends the round: nothing after it is read, or kept when an overlapping
+    store already had it in flight. Any other error fails the call.
     """
     gotten = list(gotten)
     for shard, disk_id in reads:
@@ -137,6 +139,12 @@ def _read_and_fold(
         except (LatentSectorError, ChunkNotFoundError) as exc:
             payload = exc
         gotten.append((shard, disk_id, payload, started, time.monotonic() - started))
+        if not isinstance(payload, np.ndarray):
+            break
+    for i, (_, _, payload, _, _) in enumerate(gotten):
+        if not isinstance(payload, np.ndarray):
+            del gotten[i + 1:]  # overlapping reads after it were in flight
+            break
     arrived = {
         shard: payload for shard, _, payload, _, _ in gotten
         if isinstance(payload, np.ndarray)
@@ -159,8 +167,7 @@ class ServiceConfig:
             accumulators per stripe on top of it.
         per_disk_reads: concurrent reads allowed per disk (gate width).
         policy: read-hardening knobs applied to repair reads as the read
-            clock prices them (timeouts, retries, hedging) — the
-            sequential executor's, applied the same way.
+            clock prices them (timeouts, retries, hedging).
         journal_root: directory holding one journal per repaired disk
             (``journal_root/disk-NNN``); ``None`` disables journaling.
         durable_journal: fsync journal commits (tests turn this off).
@@ -243,10 +250,10 @@ class RepairTicket:
         return await self.task
 
 
-class _Job(RepairJob):
+class ServiceJob(RepairJob):
     """One :class:`~repro.core.repair_job.RepairJob` plus the supervisor's
     own bookkeeping: which disk, which journal, and the live-telemetry
-    fields read by :meth:`RepairService.progress`."""
+    fields read by :meth:`RepairService.snapshot`."""
 
     disk: int = -1
     journal: Optional[RepairJournal] = None
@@ -292,9 +299,9 @@ class RepairService:
         server: the storage server (ideally store-sharded) to operate.
         algorithm: repair scheme used to plan every submitted repair.
         config: service knobs; defaults are test-friendly.
-        faults: optional fault schedule, fired on :attr:`clock` exactly as
-            on the sequential path (one injector per service — the
-            schedule is server-wide, not per-job).
+        faults: optional fault schedule, fired on :attr:`clock` (one
+            injector per service — the schedule is server-wide, not
+            per-job).
         fence: optional ownership fence, called with the repaired disk id
             immediately before every durable effect (journal commits,
             chunk write-backs, spare remapping). Cluster daemons install
@@ -336,7 +343,7 @@ class RepairService:
         self._claimed: set = set()
         self._tickets: Dict[int, RepairTicket] = {}
         #: job_id -> supervisor job state, kept after completion for `top`.
-        self._jobs: Dict[int, _Job] = {}
+        self._jobs: Dict[int, ServiceJob] = {}
         self._next_job = 0
         #: Stripe decodes in flight right now, across all jobs.
         self._inflight_stripes = 0
@@ -608,16 +615,14 @@ class RepairService:
         started = time.monotonic()
         server = self.server
         jdir = self._journal_dir(disk_id)
-        tracer = current_tracer()
         fingerprint = server.config.fingerprint()
 
-        job: Optional[_Job] = None
+        job: Optional[ServiceJob] = None
         if resume:
             if jdir is None:
                 raise JournalError("resume needs a journal_root in ServiceConfig")
             state = await asyncio.to_thread(load_state, jdir)
-            job = _Job.resumed(state, fingerprint, jdir)
-            self.clock.now = max(self.clock.now, state.clock)
+            job = ServiceJob.resumed(state, fingerprint, jdir)
             stripes = job.stripe_indices
         else:
             if not server.disk(disk_id).is_failed:
@@ -637,7 +642,6 @@ class RepairService:
         # Claimed in the step that chose them, before planning yields the
         # loop: an overlapping submit must already see them taken.
         self._claim_stripes(stripes)
-        tasks: List[asyncio.Task] = []
         try:
             if job is None:
                 # The read clock prices reads unjittered, so the plan does too.
@@ -645,49 +649,20 @@ class RepairService:
                     plan_repair, server, self.algorithm, failed_all,
                     stripes=stripes, jittered=False,
                 )
-                job = _Job(
+                job = ServiceJob(
                     planned.plan, planned.stripe_indices, planned.survivor_ids,
                     failed_all, fingerprint,
                 )
-            self._ensure_injector(job.crashes_survived)
             if jdir is not None:
                 job.journal = RepairJournal(jdir, durable=self.config.durable_journal)
-                job.open(job.journal)
-
             job.disk = disk_id
             job.job_id = job_id
             job.started_wall = started
             self._jobs[job_id] = job
-
-            sem = asyncio.Semaphore(self.config.max_concurrent_stripes)
-            loop = asyncio.get_running_loop()
-            tasks = [
-                loop.create_task(self._stripe_bounded(sem, job, sp, si, shards))
-                for sp, si, shards in job.rows()
-            ]
-            # Every stripe awaits its own puts: once this returns, every
-            # rebuilt chunk is on its spare.
-            await asyncio.gather(*tasks)
-            self._check_fence(job.disk)
-            scrub = await asyncio.to_thread(
-                job.certify, server, job.commit(server), self.is_quarantined
-            )
-            stats = job.finish(job.journal, self.clock.injector, self.clock.now)
-        except BaseException:
-            # SimulatedCrash, cancellation, a failed put or a fence lost at
-            # the commit point: stop cleanly and keep the journal — a
-            # resumed service (this one or the new owner) picks up after
-            # the last record.
-            for t in tasks:
-                t.cancel()
-            await asyncio.gather(*tasks, return_exceptions=True)
-            if job is not None and job.journal is not None:
-                job.journal.close()
-            raise
+            scrub = await self.run_job(job)
         finally:
-            if job is not None:
-                job.finished = True
             self._release_stripes(stripes)
+        stats = job.stats
         result = ServiceRepairResult(
             disk=disk_id,
             algorithm=job.plan.algorithm,
@@ -704,11 +679,56 @@ class RepairService:
         current_registry().counter(
             REPAIRS, "repair jobs finished"
         ).labels(outcome="lost" if stats.stripes_lost else "recovered").inc()
-        tracer.instant(
+        current_tracer().instant(
             "service", f"repair disk {disk_id} done",
             stripes=result.stripes, lost=result.stripes_lost,
         )
         return result
+
+    async def run_job(self, job: ServiceJob) -> ScrubReport:
+        """Run a planned or resumed job to its end — open its journal,
+        repair every stripe, fence, commit, certify, finish — and return
+        what :meth:`~repro.core.repair_job.RepairJob.certify` proved. The
+        caller claims the stripes; ``job.stats`` holds the tally."""
+        server = self.server
+        if job.state is not None:
+            # Restart where the crashed incarnation stopped; the first
+            # priced read then re-applies every event it already survived
+            # (scripted crashes are skipped by the injector's skip budget).
+            self.clock.now = max(self.clock.now, job.state.clock)
+        self._ensure_injector(job.crashes_survived)
+        tasks: List[asyncio.Task] = []
+        try:
+            if job.journal is not None:
+                job.open(job.journal)
+            sem = asyncio.Semaphore(self.config.max_concurrent_stripes)
+            loop = asyncio.get_running_loop()
+            tasks = [
+                loop.create_task(self._stripe_bounded(sem, job, sp, si, shards))
+                for sp, si, shards in job.rows()
+            ]
+            # Every stripe awaits its own puts: once this returns, every
+            # rebuilt chunk is on its spare.
+            await asyncio.gather(*tasks)
+            self._check_fence(job.disk)
+            scrub = await asyncio.to_thread(
+                job.certify, server, job.commit(server), self.is_quarantined
+            )
+            job.finish(job.journal, self.clock.injector, self.clock.now)
+        except BaseException:
+            # SimulatedCrash, cancellation, a failed put or a fence lost at
+            # the commit point: stop cleanly and keep the journal — a
+            # resumed service (this one or the new owner) picks up after
+            # the last record.
+            for t in tasks:
+                t.cancel()
+            await asyncio.gather(*tasks, return_exceptions=True)
+            if job.journal is not None:
+                job.journal.close()
+            raise
+        finally:
+            job.finished = True
+        return scrub
 
     def _claim_stripes(self, stripes: List[int]) -> None:
         """Own ``stripes``: overlapping repairs skip them, and degraded
@@ -727,7 +747,7 @@ class RepairService:
             self._claimed.discard(si)
 
     async def _stripe_bounded(
-        self, sem: asyncio.Semaphore, job: _Job, sp: StripePlan,
+        self, sem: asyncio.Semaphore, job: ServiceJob, sp: StripePlan,
         si: int, shards: List[int],
     ) -> None:
         async with sem:
@@ -744,7 +764,7 @@ class RepairService:
 
     # ----------------------------------------------------------- stripe task
     async def _repair_stripe(
-        self, job: _Job, sp: StripePlan, si: int, shards: List[int]
+        self, job: ServiceJob, sp: StripePlan, si: int, shards: List[int]
     ) -> None:
         server = self.server
         stripe = server.layout[si]
@@ -800,6 +820,8 @@ class RepairService:
             job.stats.checksum_failures += sum(
                 isinstance(f.cause, ChunkChecksumError) for f in faults
             )
+            if faults and job.stats.loss is None:
+                raise faults[0].cause  # not hardened: surface the real error
             # The first fault is the one handled: a second faulted shard is
             # re-read, and re-faults, on the re-planned rounds.
             if faults and repair.on_fault(
@@ -873,10 +895,12 @@ class RepairService:
         degraded decodes cannot deadlock — and holds them for the reads.
         A repair round (``stats`` given) then prices each read in round
         order on :attr:`clock` (``forced`` as :meth:`ReadClock.price
-        <repro.core.stripe_repair.ReadClock.price>` takes it; a
-        :class:`ShardFault` it raises skips that read); degraded decodes
-        and read-repairs are not priced. One worker call gets, verifies
-        and folds the round.
+        <repro.core.stripe_repair.ReadClock.price>` takes it; a slow
+        :class:`ShardFault` skips that read, a dead one or an unreadable
+        chunk ends the round); degraded decodes and read-repairs are not
+        priced. One worker call gets, verifies and folds the round — first
+        getting the reads already priced when a fault falls due
+        (:meth:`ReadClock.due <repro.core.stripe_repair.ReadClock.due>`).
         Over a store whose reads overlap (:attr:`ChunkStore.reads_overlap
         <repro.hdss.store.ChunkStore.reads_overlap>`) each ``get`` has a
         call of its own, and one more call, after the gates, folds.
@@ -891,28 +915,38 @@ class RepairService:
         overlap = store.reads_overlap
         faults: Dict[int, ShardFault] = {}
         reads: List[Tuple[int, int]] = []
+        gotten: List[Gotten] = []
         async with contextlib.AsyncExitStack() as gates:
             for disk_id in sorted(stripe.disks[s] for s in shards):
                 await gates.enter_async_context(self.gate.read(
                     disk_id, foreground=foreground, deadline=deadline
                 ))
             for shard in shards:
-                try:
-                    if stats is not None:
+                if stats is not None:
+                    if reads and self.clock.due():
+                        gotten, _ = await asyncio.to_thread(
+                            _read_and_fold, store, si, reads, None, gotten
+                        )
+                        reads = []
+                        if not isinstance(gotten[-1][2], np.ndarray):
+                            break
+                    try:
                         self.clock.price(stripe.disks[shard], shard, stats, forced)
-                except ShardFault as fault:
-                    faults[shard] = fault
-                else:
-                    reads.append((shard, stripe.disks[shard]))
+                    except ShardFault as fault:
+                        faults[shard] = fault
+                        if fault.dead:
+                            break
+                        continue
+                reads.append((shard, stripe.disks[shard]))
             if overlap:
                 parts = await asyncio.gather(*(
                     asyncio.to_thread(_read_and_fold, store, si, [read], None)
                     for read in reads
                 ))
-                gotten = [g for part, _ in parts for g in part]
+                gotten += [g for part, _ in parts for g in part]
             else:
                 gotten, fold = await asyncio.to_thread(
-                    _read_and_fold, store, si, reads, decoder
+                    _read_and_fold, store, si, reads, decoder, gotten
                 )
         if overlap:  # the fold needs no disk
             gotten, fold = await asyncio.to_thread(

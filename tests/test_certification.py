@@ -3,21 +3,24 @@
 A repair certifies from what it already verified instead of re-reading
 every stripe, and journals no round: one ``stripe_done`` per stripe, naming
 the rebuilt chunk (``RepairJob.certify``, ``RepairJob.record_writebacks``).
-Both drivers — ``recover_disk`` and ``RepairService`` — are held to the
-same arithmetic and the same refusals here:
+There is one real-bytes driver, ``RepairService.run_job``; both of its
+entry points — ``recover_disk`` (a job planned on the timing plane, run on
+a private service) and ``submit_repair`` (planned, claimed and journaled by
+the daemon) — are held to the same arithmetic and the same refusals here:
 
 * the exact counts: ``k`` survivor reads per stripe, one ``verify_chunk`` per
   chunk landed, no survivor byte read twice, no ``round_commit`` record and
   no chunk byte in the journal of a file-backed repair;
 * certification still says no: a disk dying mid-repair, a survivor the job
-  found corrupt, a rebuilt chunk torn on its spare (fresh or skipped by a
-  resume's replay) each certify ``degraded``;
+  found corrupt (until its read-repair rewrites it), a rebuilt chunk torn on
+  its spare (fresh or skipped by a resume's replay) each certify
+  ``degraded``;
 * a power cut before the job's one ``store.sync()`` loses every rename
   since the last one: each lost chunk starts fresh, never replayed.
 
 The full-stripe parity proof certification used to re-do per job lives in
 ``chaos_rig.check_parity_clean`` (every chaos episode, and the 24-seed
-differential in ``test_repair_drivers_agree.py``).
+properties in ``test_repair_drivers_agree.py``).
 """
 
 import asyncio
@@ -43,7 +46,8 @@ from tests.test_repair_drivers_agree import cut_journal, snapshot
 
 DISK = 3
 K = 6
-DRIVERS = ["recover_disk", "service"]
+#: The driver's two entry points: ``recover_disk`` and ``submit_repair``.
+ENTRY_POINTS = ["recover_disk", "service"]
 
 pytestmark = pytest.mark.usefixtures("fresh_registry")
 
@@ -119,7 +123,7 @@ def truncate(store, disk, cid):
 # ------------------------------------------------------------- the arithmetic
 class TestExactCounts:
     @pytest.mark.parametrize("algorithm, rounds", [("hd-psr-as", 3), ("fsr", 1)])
-    @pytest.mark.parametrize("driver", DRIVERS)
+    @pytest.mark.parametrize("driver", ENTRY_POINTS)
     def test_each_repaired_byte_is_read_and_hashed_once(
         self, tmp_path, driver, algorithm, rounds
     ):
@@ -157,7 +161,7 @@ class TestExactCounts:
 
 # -------------------------------------------------- certification still says no
 class TestCertificationStillSaysNo:
-    @pytest.mark.parametrize("driver", DRIVERS)
+    @pytest.mark.parametrize("driver", ENTRY_POINTS)
     def test_disk_dying_mid_repair_certifies_degraded(self, tmp_path, driver):
         server, _ = make_server(tmp_path)
         stripes = server.layout.stripe_set(DISK)
@@ -189,7 +193,7 @@ class TestCertificationStillSaysNo:
         store.reset()
         return si, disk, cid, original
 
-    @pytest.mark.parametrize("driver", DRIVERS)
+    @pytest.mark.parametrize("driver", ENTRY_POINTS)
     def test_corrupt_survivor_degrades_until_rewritten(self, tmp_path, driver):
         server, store = make_server(tmp_path)
         si, disk, cid, original = self.corrupt_survivor(server, store)
@@ -217,19 +221,22 @@ class TestCertificationStillSaysNo:
             setup=hold_read_repair, after=rewrite,
         )
         assert result.loss.stripes[si] == REPLANNED and result.loss.checksum_failures
-        assert result.scrub.degraded == [si] and not result.certified
-        # The fault-free stripes still verify only what was landed for them.
-        clean = set(result.scrub.clean)
-        assert sorted(
-            cid.stripe_index for _, cid in store.verify_counts
-            if cid.stripe_index in clean
-        ) == sorted(clean)
+        if driver == "service":
+            # Held back: the corrupt survivor is still there at certify.
+            assert result.scrub.degraded == [si] and not result.certified
+            # The fault-free stripes still verify only what was landed for them.
+            clean = set(result.scrub.clean)
+            assert sorted(
+                cid.stripe_index for _, cid in store.verify_counts
+                if cid.stripe_index in clean
+            ) == sorted(clean)
+        # recover_disk's own service read-repairs the survivor before it
+        # returns; the held service did once ``rewrite`` let it run.
+        assert (server.store.get(disk, cid) == original).all()
 
-        # Rewritten (by hand here, by the read-repair in the service), the
-        # same journal certifies — its ``replanned`` outcome is journaled,
-        # so the resumed job verifies every shard of that stripe again.
-        if driver == "recover_disk":
-            server.store.put(disk, cid, original)
+        # Rewritten, the same journal certifies — its ``replanned`` outcome
+        # is journaled, so the resumed job verifies every shard of that
+        # stripe again.
         server_b = attach_server(server.store, build)
         server_b.fail_disk(DISK, destroy_data=False)
         store.reset()
@@ -238,7 +245,7 @@ class TestCertificationStillSaysNo:
         assert again.certified
         assert sum(c.stripe_index == si for _, c in store.verify_counts) == server.config.n
 
-    @pytest.mark.parametrize("driver", DRIVERS)
+    @pytest.mark.parametrize("driver", ENTRY_POINTS)
     def test_rebuilt_chunk_torn_on_its_spare_certifies_degraded(self, tmp_path, driver):
         class TearingStore(ForwardingChunkStore):
             """Truncates one rebuilt chunk right after it lands."""
@@ -261,7 +268,7 @@ class TestCertificationStillSaysNo:
         assert rig.check_parity_clean(server, result.scrub.clean) is None
         assert rig.check_parity_clean(server, [si]) is not None
 
-    @pytest.mark.parametrize("driver", DRIVERS)
+    @pytest.mark.parametrize("driver", ENTRY_POINTS)
     def test_replay_skipping_a_torn_chunk_certifies_degraded(self, tmp_path, driver):
         server, store = make_server(tmp_path)
         server.fail_disk(DISK)
@@ -302,7 +309,7 @@ def assert_byte_identical(server, originals):
 
 class TestResumeMatrix:
     """{record present, absent} x {chunk on its spare, not}, on a store that
-    keeps its chunks and on one that does not, through both drivers: a
+    keeps its chunks and on one that does not, through both entry points: a
     stripe replays only where its record survived *and* every rebuilt chunk
     is on its spare or in the record; anything else is redone from the plan
     with identical bytes."""
@@ -334,7 +341,7 @@ class TestResumeMatrix:
             store.delete(*landed[si])
         return store, originals, {name: (si, *landed[si]) for name, si in cells.items()}
 
-    @pytest.mark.parametrize("driver", DRIVERS)
+    @pytest.mark.parametrize("driver", ENTRY_POINTS)
     def test_file_store_names_the_chunk(self, tmp_path, driver):
         store, originals, cells = self.crashed(tmp_path, driver, None)
         records = list(WALReader(journal_dir(tmp_path / "cut")))
@@ -353,7 +360,7 @@ class TestResumeMatrix:
         assert resumed.loss.replayed_chunks == 0
         assert_byte_identical(server, originals)
 
-    @pytest.mark.parametrize("driver", DRIVERS)
+    @pytest.mark.parametrize("driver", ENTRY_POINTS)
     def test_memory_store_carries_the_chunk(self, tmp_path, driver):
         from repro.hdss.store import InMemoryChunkStore
 
@@ -387,7 +394,7 @@ class TestResumeMatrix:
         kept = cells["record+chunk"][1:]
         assert kept not in store.duplicates()
 
-    @pytest.mark.parametrize("driver", DRIVERS)
+    @pytest.mark.parametrize("driver", ENTRY_POINTS)
     def test_lost_tail_every_stripe_fresh(self, tmp_path, driver):
         """``stripe_done`` is not fsync'd: a machine crash may keep ``begin``
         alone (plus a torn frame). Every stripe is then redone over the
@@ -466,14 +473,14 @@ class PowerCutStore(ForwardingChunkStore):
 
 class TestPowerCutMatrix:
     """{crash after 0, 1, half, all of the job's puts} x {its stripe_done
-    records kept, lost} through both drivers: the cut reverts every rename
+    records kept, lost} through both entry points: the cut reverts every rename
     since the last sync, so no rebuilt chunk is left and every stripe —
     record or not — starts fresh, never replayed, and ends certified and
     byte-identical."""
 
     @pytest.mark.parametrize("records", ["kept", "lost"])
     @pytest.mark.parametrize("when", ["none", "one", "half", "all"])
-    @pytest.mark.parametrize("driver", DRIVERS)
+    @pytest.mark.parametrize("driver", ENTRY_POINTS)
     def test_lost_renames_start_fresh(self, tmp_path, driver, when, records):
         server, store = make_server(
             tmp_path, wrap=lambda backend: PowerCutStore(backend)
@@ -513,7 +520,7 @@ class TestPowerCutMatrix:
         assert not power.unsynced  # the resumed job synced before complete
         assert_byte_identical(server_b, originals)
 
-    @pytest.mark.parametrize("driver", DRIVERS)
+    @pytest.mark.parametrize("driver", ENTRY_POINTS)
     def test_a_new_store_syncs_the_spares_it_replays(
         self, tmp_path, driver, monkeypatch
     ):

@@ -1,4 +1,4 @@
-"""DataPathExecutor: byte-exact repair through the bounded memory."""
+"""recover_disk / recover_disks: byte-exact repair through the bounded memory."""
 
 import numpy as np
 import pytest
@@ -6,12 +6,11 @@ import pytest
 from repro.core import (
     ActivePreliminaryRepair,
     ActiveSlowerFirstRepair,
-    DataPathExecutor,
     FullStripeRepair,
     PassiveRepair,
-    RepairContext,
+    recover_disk,
+    recover_disks,
 )
-from repro.core.repair_job import _disk_id_matrix
 from repro.ec.stripe import ChunkId
 from repro.errors import StorageError
 from repro.hdss import HDSSConfig, HighDensityStorageServer
@@ -36,14 +35,9 @@ def snapshot_disk(server, disk_id):
     }
 
 
-def run_repair(server, algorithm, failed_disk, context=None):
-    stripe_indices, survivor_ids, L = server.transfer_time_matrix([failed_disk])
-    ctx = context or RepairContext()
-    ctx.disk_ids = _disk_id_matrix(server, stripe_indices, survivor_ids)
-    plan = algorithm.build_plan(L, server.config.memory_chunks, context=ctx)
-    executor = DataPathExecutor(server)
-    stats = executor.repair(plan, stripe_indices, survivor_ids)
-    return stats, stripe_indices
+def run_repair(server, algorithm, failed_disk):
+    result = recover_disk(server, algorithm, failed_disk)
+    return result.data_path, result.outcome.stripe_indices
 
 
 @pytest.mark.parametrize(
@@ -95,10 +89,10 @@ class TestExecutorSemantics:
         assert stats.peak_memory_chunks < srv.config.k
 
     def test_no_failed_disks_rejected(self, server):
-        stripe_indices, survivor_ids, L = server.transfer_time_matrix([])
-        plan = FullStripeRepair().build_plan(np.ones((1, 4)), 8)
         with pytest.raises(StorageError):
-            DataPathExecutor(server).repair(plan, [0], [[0, 1, 2, 3]])
+            recover_disks(server, FullStripeRepair(), [])
+        with pytest.raises(StorageError):
+            recover_disks(server, FullStripeRepair(), [0])  # disk 0 is healthy
 
     def test_disk_read_telemetry(self, server):
         server.fail_disk(0)
@@ -119,13 +113,7 @@ class TestExecutorSemantics:
         lost1 = snapshot_disk(srv, 1)
         srv.fail_disk(0)
         srv.fail_disk(1)
-        stripe_indices = srv.stripes_needing_repair([0, 1])
-        survivor_ids = [
-            srv.survivor_shards(srv.layout[si], [0, 1]) for si in stripe_indices
-        ]
-        L = np.ones((len(stripe_indices), 4))
-        plan = FullStripeRepair().build_plan(L, srv.config.memory_chunks)
-        stats = DataPathExecutor(srv).repair(plan, stripe_indices, survivor_ids)
+        stats = recover_disks(srv, FullStripeRepair(), [0, 1]).data_path
         rebuilt = {(s, t): spare for (s, t, spare) in stats.writebacks}
         for cid, data in {**lost0, **lost1}.items():
             spare = rebuilt[(cid.stripe_index, cid.shard_index)]
@@ -134,7 +122,5 @@ class TestExecutorSemantics:
     def test_dirty_memory_rejected(self, server):
         server.fail_disk(0)
         server.memory.try_acquire(1)
-        stripe_indices, survivor_ids, L = server.transfer_time_matrix([0])
-        plan = FullStripeRepair().build_plan(L, server.config.memory_chunks)
-        with pytest.raises(StorageError):
-            DataPathExecutor(server).repair(plan, stripe_indices, survivor_ids)
+        with pytest.raises(StorageError, match="memory is not empty"):
+            recover_disk(server, FullStripeRepair(), 0)

@@ -6,19 +6,17 @@ import pytest
 from repro import (
     ActivePreliminaryRepair,
     ActiveSlowerFirstRepair,
-    DataPathExecutor,
     FileChunkStore,
     FullStripeRepair,
     HDSSConfig,
     HighDensityStorageServer,
     PassiveRepair,
-    RepairContext,
     build_exp_server,
     cooperative_multi_disk_repair,
     naive_multi_disk_repair,
+    recover_disk,
     repair_single_disk,
 )
-from repro.core.repair_job import _disk_id_matrix
 from repro.ec.stripe import ChunkId
 from repro.hdss.profiles import BimodalSlowProfile
 
@@ -73,9 +71,7 @@ class TestObjectDurability:
         server.fail_disk(victim)
 
         # repair through the data path
-        stripe_indices, survivor_ids, L = server.transfer_time_matrix([victim])
-        plan = FullStripeRepair().build_plan(L, server.config.memory_chunks)
-        DataPathExecutor(server).repair(plan, stripe_indices, survivor_ids)
+        recover_disk(server, FullStripeRepair(), victim)
 
         # every object still reads back exactly (degraded or repaired)
         for idx, data in objects.items():
@@ -102,9 +98,7 @@ class TestFileStoreEndToEnd:
         server.fail_disk(victim)
         assert server.store.chunks_on_disk(victim) == []
 
-        stripe_indices, survivor_ids, L = server.transfer_time_matrix([victim])
-        plan = ActiveSlowerFirstRepair().build_plan(L, server.config.memory_chunks)
-        stats = DataPathExecutor(server).repair(plan, stripe_indices, survivor_ids)
+        stats = recover_disk(server, ActiveSlowerFirstRepair(), victim).data_path
 
         assert stats.chunks_rebuilt == len(lost)
         for (si, shard, spare) in stats.writebacks:
@@ -137,16 +131,12 @@ class TestMultiDiskStory:
 
 class TestConsistencyAcrossRuns:
     def test_timing_and_data_paths_agree_on_reads(self):
-        """The timing outcome and the byte executor count the same work."""
+        """The timing outcome and the byte-moving repair count the same work."""
         server = build_exp_server(
             n=6, k=4, disk_size="2MiB", chunk_size="256KiB", num_disks=12,
             ros=0.2, seed=23, with_data=True,
         )
         server.fail_disk(0)
         outcome = repair_single_disk(server, PassiveRepair(), 0)
-
-        stripe_indices, survivor_ids, L = server.transfer_time_matrix([0])
-        ctx = RepairContext(disk_ids=_disk_id_matrix(server, stripe_indices, survivor_ids))
-        plan = PassiveRepair().build_plan(L, server.config.memory_chunks, context=ctx)
-        stats = DataPathExecutor(server).repair(plan, stripe_indices, survivor_ids)
+        stats = recover_disk(server, PassiveRepair(), 0).data_path
         assert stats.chunks_read == outcome.chunks_read

@@ -134,9 +134,23 @@ class TestOneSalvageLadder:
 
     def test_drivers_do_no_policy_arithmetic(self):
         fields = re.compile(r"\.(timeout_seconds|max_retries|backoff|hedge|hedge_threshold_seconds)\b")
-        for path in (SRC / "core" / "executor.py", SRC / "service" / "service.py"):
+        for path in (SRC / "core" / "recovery.py", SRC / "service" / "service.py"):
             found = fields.findall(path.read_text())
             assert not found, f"{path}: reads ReadPolicy fields {found}; use decide()"
+
+    def test_one_real_bytes_driver(self):
+        """``recover_disk`` runs the daemon's job body; the sequential
+        executor and every mention of it are gone."""
+        assert not (SRC / "core" / "executor.py").exists()
+        name = "DataPath" + "Executor"
+        trees = [SRC, ROOT / "tests", ROOT / "tools", ROOT / "benchmarks",
+                 ROOT / "examples", ROOT / "docs"]
+        files = [p for tree in trees for p in tree.rglob("*") if p.suffix in (".py", ".md")]
+        files += [ROOT / "README.md", ROOT / "DESIGN.md"]
+        named = [str(p.relative_to(ROOT)) for p in files if name in p.read_text()]
+        assert named == []
+        assert call_sites(r"\.run_job") == {"src/repro/core/recovery.py:run",
+                                            "src/repro/service/service.py:_run_repair"}
 
     def test_stores_answer_for_themselves(self):
         probe = re.compile(r"""getattr\([^,()]+,\s*["'](verify_chunk|_bad)["']""")
@@ -231,22 +245,16 @@ class TestOneRepairJob:
                 hits |= functions_matching(path, pattern)
             return hits
 
-        drivers = {
-            "src/repro/core/executor.py:_repair_stripe",
-            "src/repro/service/service.py:_repair_stripe",
-        }
+        drivers = {"src/repro/service/service.py:_repair_stripe"}
         assert count_defs("certify") == {"src/repro/core/repair_job.py": 1}
-        assert uses(r"\bjob\.certify\b") == {
-            "src/repro/core/recovery.py:_recover",
-            "src/repro/service/service.py:_run_repair",
-        }
+        assert uses(r"\bjob\.certify\b") == {"src/repro/service/service.py:run_job"}
         for path in (SRC / "core" / "recovery.py", SRC / "service" / "service.py"):
             assert ".scrub(" not in path.read_text(), path
         assert call_sites(r"server\.scrub") == {
             "src/repro/service/chaos_rig.py:check_parity_clean"
         }
         assert uses("checkpoint_due") == set()
-        for path in (SRC / "core" / "executor.py", SRC / "service" / "service.py"):
+        for path in (SRC / "core" / "recovery.py", SRC / "service" / "service.py"):
             assert not re.search(r"round_commit|to_state", path.read_text()), path
         assert uses(r"\.round_commit\(") == set()
         assert uses(r"\.stripe_done\b") == drivers
@@ -276,15 +284,17 @@ class TestOneRepairJob:
             assert owner is expected, f"{cls.__name__} inherits {owner.__name__}'s answer"
 
     def test_the_two_single_valued_options_are_gone(self):
-        assert "write_back" not in (SRC / "core" / "executor.py").read_text()
+        for path in src_files():
+            assert not re.search(r"\bwrite_back\b", path.read_text()), path
         for path in CLI.glob("*.py"):
             assert "per-disk-reads" not in path.read_text(), path
 
 
 class TestOneReadClock:
     """A survivor read is priced once, on one serial logical clock that
-    both drivers own a copy of: ``ReadClock.price`` in the stripe core.
-    ``sim/`` is exempt by name — its timing plane is the paper's figures."""
+    the driver owns: ``ReadClock.price`` in the stripe core (``due`` only
+    asks whether the next price will fire a fault). ``sim/`` is exempt by
+    name — its timing plane is the paper's figures."""
 
     PRICE = {"src/repro/core/stripe_repair.py:price"}
 
@@ -296,15 +306,15 @@ class TestOneReadClock:
         return hits
 
     def test_only_the_clock_prices_a_read(self):
-        for pattern in (r"\.decide", r"injector\.advance", r"next_change_time"):
+        for pattern in (r"\.decide", r"injector\.advance"):
             assert self.calls_outside_sim(pattern) == self.PRICE, pattern
+        assert self.calls_outside_sim(r"next_change_time") == self.PRICE | {
+            "src/repro/core/stripe_repair.py:due"
+        }
 
     def test_each_driver_owns_one_clock(self):
         assert count_defs("price") == {"src/repro/core/stripe_repair.py": 1}
-        assert call_sites("ReadClock") == {
-            "src/repro/core/executor.py:__init__",
-            "src/repro/service/service.py:__init__",
-        }
+        assert call_sites("ReadClock") == {"src/repro/service/service.py:__init__"}
 
     def test_the_second_clock_is_gone(self):
         gone = re.compile(
@@ -324,7 +334,7 @@ LEDGER = SRC / "core" / "slot_ledger.py"
 
 class TestOneSlotLedger:
     """``c`` is counted once where the bytes are real: ``core/slot_ledger.py``
-    under the sync executor and the daemon."""
+    under the daemon's job body (which ``recover_disk`` runs too)."""
 
     def test_ledger_is_sans_io(self):
         leaked = io_imports(LEDGER)
@@ -361,9 +371,11 @@ class TestOneSlotLedger:
             r"finally:\n\s+(self\.memory\.|memory\.)release\("
         )
         # The daemon's forced read is a one-shard round: one release site.
-        for path, n in ((SRC / "core" / "executor.py", 2),
-                        (SRC / "service" / "service.py", 1)):
-            assert len(released_in_finally.findall(path.read_text())) == n, path
+        service = SRC / "service" / "service.py"
+        assert len(released_in_finally.findall(service.read_text())) == 1
+        assert call_sites(r"(self\.)?memory\.acquire") == {
+            "src/repro/service/service.py:_repair_stripe"
+        }
 
 
 SERVICE = SRC / "service"
@@ -658,9 +670,9 @@ def repair_stripe_of(path):
 
 
 class TestOneWritePath:
-    """A rebuilt chunk has one write path in both drivers: its stripe
-    appends the ``stripe_done`` record, then puts the chunk and (in the
-    daemon) awaits it off the event loop. No queue, no batch, no knob."""
+    """A rebuilt chunk has one write path: its stripe appends the
+    ``stripe_done`` record, then puts the chunk and awaits it off the event
+    loop. No queue, no batch, no knob."""
 
     def test_the_write_behind_layer_is_gone(self):
         assert not (SERVICE / "sharding.py").exists()
@@ -701,7 +713,7 @@ class TestOneWritePath:
                 for stmt in block.body for n in ast.walk(stmt)
             )
 
-        for path in (SRC / "core" / "executor.py", SERVICE / "service.py"):
+        for path in (SERVICE / "service.py",):
             fn = repair_stripe_of(path)
             records = [
                 n.lineno for n in ast.walk(fn)
@@ -776,10 +788,7 @@ class TestOneWayToStartAStripe:
     from its plan. The v1 mid-stripe resume is gone from every layer; the
     two functions it leaves behind are the benchmark's alone."""
 
-    DRIVERS = {
-        "src/repro/core/executor.py:_repair_stripe",
-        "src/repro/service/service.py:_repair_stripe",
-    }
+    DRIVERS = {"src/repro/service/service.py:_repair_stripe"}
 
     def test_the_mid_stripe_resume_is_gone(self):
         from repro.journal.journal import RepairState
@@ -794,10 +803,7 @@ class TestOneWayToStartAStripe:
     def test_one_way_to_build_and_one_resume_decision(self):
         assert call_sites(r"StripeRepair\.\w+") == call_sites(r"StripeRepair\.fresh")
         assert call_sites(r"StripeRepair\.fresh") == self.DRIVERS
-        assert call_sites(r"\.replayable") == {
-            "src/repro/core/executor.py:run",
-            "src/repro/service/service.py:_repair_stripe",
-        }
+        assert call_sites(r"\.replayable") == self.DRIVERS
 
     def test_the_benchmarks_bindings_are_defined_once_and_never_called(self):
         assert count_defs("to_state") == {"src/repro/ec/partial.py": 1}

@@ -12,8 +12,7 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.core import ALGORITHMS, repair_single_disk
-from repro.core.executor import DataPathExecutor
+from repro.core import ALGORITHMS, recover_disk, repair_single_disk
 from repro.core.multi_disk import naive_multi_disk_repair
 from repro.core.scheduler import ExecutionOptions
 from repro.obs import (
@@ -99,17 +98,22 @@ class TestSchedulerTracing:
 
 class TestDataPathTracing:
     def test_executor_emits_rounds_and_writebacks(self, small_server, traced):
+        """``recover_disk`` runs the daemon's job body, so its spans are
+        the service track's: one ``stripe`` span a stripe, a ``read`` per
+        survivor read, a ``decode`` per round folded, a ``writeback`` per
+        stripe rebuilt."""
         tracer, registry = traced
         small_server.fail_disk(0)
-        out = repair_single_disk(small_server, ALGORITHMS["fsr"](), 0)
-        tracer.clear()
-        stats = DataPathExecutor(small_server).repair(
-            out.plan, out.stripe_indices, out.survivor_ids
-        )
-        datapath_rounds = [e for e in tracer.spans("round")
-                           if e.track == "datapath"]
-        assert len(datapath_rounds) == out.plan.total_rounds()
-        assert len(tracer.spans("writeback")) == stats.stripes_repaired
+        result = recover_disk(small_server, ALGORITHMS["fsr"](), 0)
+        stats, out = result.data_path, result.outcome
+
+        def service(kind):
+            return [e for e in tracer.spans(kind) if e.track == "service"]
+
+        assert len(service("stripe")) == len(out.stripe_indices)
+        assert len(service("read")) == stats.chunks_read
+        assert len(service("decode")) == out.plan.total_rounds()
+        assert len(service("writeback")) == stats.stripes_repaired
         snap = registry.snapshot()
         read = snap["hdpsr_datapath_bytes_read_total"]["series"][0]["value"]
         assert read == stats.bytes_read

@@ -281,7 +281,7 @@ class TestScrubHandoffs:
 class TestWritePathCounts:
     """The repair write path in counts, not timings: what one journaled,
     fsync'd, file-store repair of ``N`` chunks costs beyond reading the
-    survivors — exact for both drivers, whatever ``N`` is: one fsync per
+    survivors — exact for both entry points, whatever ``N`` is: one fsync per
     put, one per spare directory the job wrote to, one of the store root
     for those directories' entries (they are new), the journal's few."""
 

@@ -1,7 +1,7 @@
 """Hardened recovery: mid-repair failures, retries, hedging, data loss.
 
 The acceptance scenario from the robustness milestone lives here: a second
-disk dies mid-round during a cooperative multi-disk repair, the executor
+disk dies mid-round during a cooperative multi-disk repair, the repair
 salvages the accumulated partial sums instead of restarting every stripe,
 and two identically-seeded runs produce byte-identical outcomes.
 """
@@ -9,8 +9,7 @@ and two identically-seeded runs produce byte-identical outcomes.
 import numpy as np
 import pytest
 
-from repro.core import ALGORITHMS, FullStripeRepair, recover_disk, recover_disks
-from repro.core.executor import ReadPolicy
+from repro.core import ALGORITHMS, FullStripeRepair, ReadPolicy, recover_disk, recover_disks
 from repro.ec.stripe import ChunkId
 from repro.errors import StorageError
 from repro.faults import DataLossReport, FaultEvent, FaultSchedule

@@ -1,27 +1,28 @@
-"""Differential test: the two drivers of the one StripeRepair core agree.
+"""Properties of the one real-bytes repair driver, over 24 seeds.
 
-Two identically seeded servers get the same *state-based* faults up front
-(an extra failed disk, latent-bad chunks, permanently degraded disks).
-``recover_disk`` repairs one, ``RepairService`` the other, under the same
-``ReadPolicy``; every stripe must end in the same outcome and every rebuilt
-chunk must be the original bytes on both.
+``recover_disk`` runs its job through ``RepairService.run_job`` — the
+daemon's own job body, on a private service with one stripe in flight — so
+there is one driver left to hold to its invariants, not two to compare:
 
-Both drivers price every survivor read on one serial
-:class:`~repro.core.stripe_repair.ReadClock`, so a *timed* fault lands at
-the same read of the two runs: the timed variant kills a survivor disk at a
-seed-chosen read ordinal, with the service one stripe at a time, and holds
-the two to the same outcome map.
-
-The crash→resume variant journals both runs, cuts both journals after the
-same number of ``stripe_done`` records, and resumes each on a fresh server:
-what the one :class:`~repro.core.repair_job.RepairJob` replays, re-puts and
-records must not depend on which driver performs it.
+* *state faults* (an extra failed disk, latent-bad chunks, permanently
+  degraded disks, set up front): every rebuilt chunk is the original
+  bytes, every rung of the salvage ladder is reached, and certification
+  says both yes and no;
+* *crash → resume*: a journal cut after N ``stripe_done`` records and
+  resumed on a fresh server ends where the uninterrupted run of the same
+  seed ended — the same outcome map, the same bytes, N stripes replayed
+  and the same journal plus one ``resume`` record;
+* *a timed fault*: a survivor disk dies at a seed-chosen read ordinal — any
+  read, mid-round included — and both entry points, ``recover_disk`` and
+  ``submit_repair`` one stripe at a time, price every read on one serial
+  :class:`~repro.core.stripe_repair.ReadClock`, so they agree on every
+  stripe's outcome, every ladder counter and every byte.
 
 Every run is also held to the full-stripe parity proof
 (:func:`~repro.service.chaos_rig.check_parity_clean`): what a job certified
 clean from what it had in hand must scrub clean shard by shard, and what it
 called degraded the scrub must call degraded too. And every run must give
-the repair memory back (:func:`~repro.service.chaos_rig.check_memory_released`).
+the repair memory back.
 """
 
 import asyncio
@@ -41,6 +42,9 @@ from repro.service.chaos_rig import check_memory_released, check_parity_clean
 
 SEEDS = range(24)
 FAILED = 0
+#: The ladder's counters, as ``DataLossReport`` fields.
+COUNTERS = ("timeouts", "retries", "hedged_reads", "replans", "fresh_restarts",
+            "salvaged_chunks", "reread_chunks")
 
 
 def make_server(seed):
@@ -123,72 +127,44 @@ def assert_certification_holds(server, result, seed):
     }
 
 
-def comparable(outcomes, policy):
-    """The part of an outcome map that does not depend on read order.
-
-    A dead shard always costs a re-plan, and a stripe is lost exactly when
-    fewer than k shards are readable — the same on both drivers. Whether a
-    *hedge* finds a feasible salvage depends on what the round had already
-    fed when the slow read gave up: the sequential driver stops at the
-    first fault, the service has the whole round in flight. That difference
-    is kept by design, so under hedging only lost / rebuilt must agree.
-    """
-    if not policy.hedge:
-        return outcomes
-    return {si: LOST if o == LOST else "rebuilt" for si, o in outcomes.items()}
+def algorithm_of(seed):
+    """Single-round plans (fsr) and multi-round ones, each with and without
+    hedging."""
+    return ("hd-psr-ap", "fsr")[seed // 2 % 2]
 
 
-def test_executor_and_service_agree_on_every_stripe():
+def policy_of(server, seed):
+    healthy_read = server.disk(FAILED).transfer_time(512, jittered=False)
+    return ReadPolicy(
+        timeout_seconds=2 * healthy_read, max_retries=1, hedge=seed % 2 == 1
+    )
+
+
+def assert_original_bytes(server, result, originals, seed):
+    """Every chunk the run rebuilt is the shard the encoder wrote."""
+    for si, shard, spare in result.data_path.writebacks:
+        got = server.store.get(spare, ChunkId(si, shard))
+        assert np.array_equal(got, originals[(si, shard)]), f"seed {seed}: {si}/{shard}"
+
+
+def test_state_faults_rebuild_the_original_bytes():
     seen, certified = set(), set()
     for seed in SEEDS:
-        # single-round plans (fsr) and multi-round ones, each with and
-        # without hedging
-        algorithm = ("hd-psr-ap", "fsr")[seed // 2 % 2]
-        sync_server, async_server = make_server(seed), make_server(seed)
-        originals = snapshot(sync_server)
-        healthy_read = sync_server.disk(FAILED).transfer_time(512, jittered=False)
-        policy = ReadPolicy(
-            timeout_seconds=2 * healthy_read, max_retries=1, hedge=seed % 2 == 1
+        server = make_server(seed)
+        originals = snapshot(server)
+        policy = policy_of(server, seed)
+        apply_faults(server, seed)
+        result = recover_disk(
+            server, ALGORITHMS[algorithm_of(seed)](), FAILED, policy=policy
         )
-        apply_faults(sync_server, seed)
-        apply_faults(async_server, seed)
-        failed = sync_server.failed_disks()
-        assert failed == async_server.failed_disks()
-        lost_shards = {
-            si: sync_server.layout[si].lost_shards(failed)
-            for si in sync_server.layout.stripe_set(FAILED)
-        }
+        lost = {si for si, outcome in result.loss.stripes.items() if outcome == LOST}
+        assert not {si for si, _, _ in result.data_path.writebacks} & lost
+        assert_original_bytes(server, result, originals, seed)
+        assert_certification_holds(server, result, seed)
+        seen |= set(result.loss.stripes.values())
+        certified.add(result.certified)
 
-        sync = recover_disk(
-            sync_server, ALGORITHMS[algorithm](), FAILED, policy=policy
-        )
-        service = run_service(async_server, policy, algorithm)
-
-        # The service repairs the failed disk's stripe set; recover_disk
-        # also takes the stripes only the extra failed disk touches.
-        stripes = sorted(service.loss.stripes)
-        assert stripes == sorted(lost_shards)
-        sync_outcomes = {si: sync.loss.stripes[si] for si in stripes}
-        assert comparable(sync_outcomes, policy) == comparable(
-            service.loss.stripes, policy
-        ), f"seed {seed}: outcome maps differ"
-        seen |= set(service.loss.stripes.values())
-
-        rebuilt = [
-            (si, shard)
-            for si in stripes if service.loss.stripes[si] != LOST
-            for shard in lost_shards[si]
-        ]
-        sync_bytes = rebuilt_chunks(sync_server, rebuilt)
-        async_bytes = rebuilt_chunks(async_server, rebuilt)
-        for key, want in sync_bytes.items():
-            assert np.array_equal(want, originals[key]), f"seed {seed}: {key}"
-            assert np.array_equal(async_bytes[key], want), f"seed {seed}: {key}"
-        assert_certification_holds(sync_server, sync, seed)
-        assert_certification_holds(async_server, service, seed)
-        certified |= {sync.certified, service.certified}
-
-    # the fault mix is not vacuous: every rung of the ladder was compared,
+    # the fault mix is not vacuous: every rung of the ladder was reached,
     # and certification said both yes and no
     assert seen == {RECOVERED, REPLANNED, LOST}
     assert certified == {True, False}
@@ -207,114 +183,73 @@ def cut_journal(source, dest, stripes_done):
     writer.close()
 
 
-def record_types(journal, faulted):
-    """Multiset of record types — the same for both drivers whether or not
-    a read ``faulted``: neither journals a round."""
+def record_types(journal):
+    """Multiset of record types; a job never journals a round."""
     types = Counter(record.type for record in WALReader(journal))
     assert "round_commit" not in types
     return types
 
 
-def test_executor_and_service_agree_after_crash_and_resume(tmp_path):
-    replayed = clean = 0
+def test_a_resumed_run_matches_an_uninterrupted_one(tmp_path):
+    replayed = 0
     for seed in SEEDS:
-        algorithm = ("hd-psr-ap", "fsr")[seed // 2 % 2]
-        pristine = make_server(seed)
-        originals = snapshot(pristine)
-        healthy_read = pristine.disk(FAILED).transfer_time(512, jittered=False)
-        policy = ReadPolicy(
-            timeout_seconds=2 * healthy_read, max_retries=1, hedge=seed % 2 == 1
-        )
+        algorithm = ALGORITHMS[algorithm_of(seed)]
 
         def faulted():
-            # No second failed disk: both drivers then cover the same
-            # stripes, so their journals are comparable record for record.
             server = make_server(seed)
-            apply_faults(server, seed, second_failure=False)
+            apply_faults(server, seed)
             return server
 
-        lost_shards = {
-            si: pristine.layout[si].lost_shards([FAILED])
-            for si in pristine.layout.stripe_set(FAILED)
-        }
+        pristine = make_server(seed)
+        originals = snapshot(pristine)
+        policy = policy_of(pristine, seed)
         cut = 1 + seed % 3
-        sync_root, async_root = tmp_path / f"sync-{seed}", tmp_path / f"async-{seed}"
+        full_dir, cut_dir = tmp_path / f"full-{seed}", tmp_path / f"cut-{seed}"
 
-        # First incarnations, journaled; one stripe at a time in the
-        # service so both journals list stripes in the plan's order.
-        recover_disk(
-            faulted(), ALGORITHMS[algorithm](), FAILED, policy=policy,
-            journal=sync_root / "full",
+        full_server = faulted()
+        full = recover_disk(
+            full_server, algorithm(), FAILED, policy=policy, journal=full_dir
         )
-        run_service(
-            faulted(), policy, algorithm, journal_root=async_root / "full",
-            durable_journal=False, max_concurrent_stripes=1,
-        )
-        cut_journal(sync_root / "full", sync_root / "cut", cut)
-        cut_journal(
-            async_root / "full" / "disk-000", async_root / "cut" / "disk-000", cut
-        )
+        cut_journal(full_dir, cut_dir, cut)
+        cut_stripes = {
+            r.meta["stripe"] for r in WALReader(cut_dir) if r.type == "stripe_done"
+        }
 
-        # Second incarnations: fresh servers (the volatile store lost the
-        # rebuilt chunks), each resuming its own driver's journal.
-        sync_server, async_server = faulted(), faulted()
-        sync = recover_disk(
-            sync_server, ALGORITHMS[algorithm](), FAILED, policy=policy,
-            journal=sync_root / "cut", resume=True,
-        )
-        service = run_service(
-            async_server, policy, algorithm, journal_root=async_root / "cut",
-            durable_journal=False, resume=True,
+        # A fresh server: the volatile store lost the rebuilt chunks, so
+        # the replay re-puts each cut stripe's chunks from its record.
+        server = faulted()
+        resumed = recover_disk(
+            server, algorithm(), FAILED, policy=policy, journal=cut_dir, resume=True
         )
 
-        assert comparable(sync.loss.stripes, policy) == comparable(
-            service.loss.stripes, policy
-        ), f"seed {seed}: outcome maps differ"
-        assert sync.loss.resumed_stripes == service.loss.resumed_stripes == cut
-        assert service.resumed_stripes == cut
-        assert sync.loss.replayed_chunks == service.loss.replayed_chunks, (
-            f"seed {seed}: replayed_chunks differ"
+        assert resumed.loss.stripes == full.loss.stripes, f"seed {seed}"
+        assert resumed.loss.resumed_stripes == cut, f"seed {seed}"
+        assert resumed.loss.replayed_chunks == sum(
+            si in cut_stripes for si, _, _ in full.data_path.writebacks
+        ), f"seed {seed}"
+        assert sorted(resumed.data_path.writebacks) == sorted(
+            full.data_path.writebacks
+        ), f"seed {seed}"
+        assert record_types(cut_dir) == record_types(full_dir) + Counter(resume=1), (
+            f"seed {seed}"
         )
-        replayed += service.loss.replayed_chunks
-        faulted_reads = any(
-            loss.degraded or loss.timeouts for loss in (sync.loss, service.loss)
-        )
-        clean += not faulted_reads
-        assert record_types(sync_root / "cut", faulted_reads) == record_types(
-            async_root / "cut" / "disk-000", faulted_reads
-        ), f"seed {seed}: journals differ in record types"
+        replayed += resumed.loss.replayed_chunks
+        assert_original_bytes(server, resumed, originals, seed)
+        assert_certification_holds(full_server, full, seed)
+        assert_certification_holds(server, resumed, seed)
 
-        rebuilt = [
-            (si, shard)
-            for si, outcome in service.loss.stripes.items() if outcome != LOST
-            for shard in lost_shards[si]
-        ]
-        sync_bytes = rebuilt_chunks(sync_server, rebuilt)
-        async_bytes = rebuilt_chunks(async_server, rebuilt)
-        for key, want in sync_bytes.items():
-            assert np.array_equal(want, originals[key]), f"seed {seed}: {key}"
-            assert np.array_equal(async_bytes[key], want), f"seed {seed}: {key}"
-        assert_certification_holds(sync_server, sync, seed)
-        assert_certification_holds(async_server, service, seed)
-
-    # the replay path and the full record multiset were compared, not skipped
-    assert replayed and clean
+    # the replay path was taken, not skipped
+    assert replayed
 
 
-def test_executor_and_service_agree_under_a_timed_fault():
-    """One survivor disk dies at a seed-chosen read: both drivers price
-    reads on the same serial clock, so the fault lands at the same read.
-
-    The read is a stripe's first: one stripe at a time, each reading ``k``
-    chunks, read ``k * s`` opens stripe ``s`` in both drivers. Mid-round
-    the drivers differ by design, as under hedging: the sequential driver
-    already holds the round's earlier reads, the service has them in
-    flight, so a victim read earlier in the same round is fed on one and
-    re-planned around on the other.
-    """
+def test_both_entry_points_agree_under_a_timed_fault():
+    """One survivor disk dies at a seed-chosen read ordinal — any read of
+    any round. Both entry points run one stripe at a time on the one read
+    clock, so the fault lands at the same read, between two reads, and
+    every stripe, counter and byte agrees."""
     seen = set()
     for seed in SEEDS:
-        algorithm = ("hd-psr-ap", "fsr")[seed // 2 % 2]
+        algorithm = algorithm_of(seed)
         rng = np.random.default_rng(seed)
         pristine = make_server(seed)
         originals = snapshot(pristine)
@@ -323,19 +258,16 @@ def test_executor_and_service_agree_under_a_timed_fault():
             {d for si in stripes for d in pristine.layout[si].disks} - {FAILED}
         )
         victim = int(rng.choice(survivors))
-        # Fires as read k * s is priced: stripe s's first, never stripe 0's.
-        ordinal = pristine.config.k * int(rng.integers(1, len(stripes))) - 1
+        # Fires as read ``ordinal + 1`` is priced: any read but the first.
+        ordinal = int(rng.integers(0, pristine.config.k * len(stripes) - 1))
         healthy_read = pristine.disk(FAILED).transfer_time(512, jittered=False)
         schedule = FaultSchedule([FaultEvent(
             at=(ordinal + 0.5) * healthy_read, kind="disk_fail", disk=victim,
         )])
-        policy = ReadPolicy(
-            timeout_seconds=2 * healthy_read, max_retries=1, hedge=seed % 2 == 1
-        )
+        policy = policy_of(pristine, seed)
         sync_server, async_server = make_server(seed), make_server(seed)
         sync_server.fail_disk(FAILED)
         async_server.fail_disk(FAILED)
-        lost_shards = {si: pristine.layout[si].lost_shards([FAILED]) for si in stripes}
 
         sync = recover_disk(
             sync_server, ALGORITHMS[algorithm](), FAILED,
@@ -348,16 +280,15 @@ def test_executor_and_service_agree_under_a_timed_fault():
 
         assert sync.loss.faults_injected == {"disk_fail": 1}, f"seed {seed}"
         assert service.loss.faults_injected == {"disk_fail": 1}, f"seed {seed}"
-        sync_outcomes = {si: sync.loss.stripes[si] for si in stripes}
-        assert comparable(sync_outcomes, policy) == comparable(
-            service.loss.stripes, policy
-        ), f"seed {seed}: outcome maps differ"
+        assert sync.loss.stripes == service.loss.stripes, f"seed {seed}"
+        for name in COUNTERS:
+            assert getattr(sync.loss, name) == getattr(service.loss, name), (
+                f"seed {seed}: {name}"
+            )
         seen |= set(service.loss.stripes.values())
 
         rebuilt = [
-            (si, shard)
-            for si in stripes if service.loss.stripes[si] != LOST
-            for shard in lost_shards[si]
+            (si, shard) for si, shard, _ in sync.data_path.writebacks
         ]
         sync_bytes = rebuilt_chunks(sync_server, rebuilt)
         async_bytes = rebuilt_chunks(async_server, rebuilt)

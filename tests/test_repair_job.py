@@ -1,9 +1,9 @@
-"""The sans-I/O repair-job core alone, then the same job under both drivers.
+"""The sans-I/O repair-job core alone, then the same job through both entry points.
 
 The unit cases hand :class:`RepairJob` plain dicts and lambdas where a driver
 would hand it a store, a spare picker or a journal; the driver cases resume
 one journal written by the *parent* commit through ``recover_disk`` and
-through ``RepairService``, and check the two satellites that fall out of
+through ``RepairService.submit_repair``, and check the two satellites that fall out of
 having one ``finish``: the daemon's metrics and the refusal text.
 """
 

@@ -51,38 +51,34 @@ class TestScrub:
         assert report.healthy
 
     def test_repair_restores_health(self, small_server):
-        """Fail, repair through the data path, scrub: degraded stripes have
-        their rebuilt chunks on spares (the original placement stays
-        degraded until chunks are migrated back, which scrub reflects)."""
-        from repro.core import DataPathExecutor, FullStripeRepair
+        """Fail, scrub, repair through the data path, scrub again: the
+        failure degrades exactly the failed disk's stripes, and the repair
+        lands every lost chunk on a spare and remaps placement onto it."""
+        from repro.core import FullStripeRepair, recover_disk
 
         small_server.fail_disk(0)
-        stripe_indices, survivor_ids, L = small_server.transfer_time_matrix([0])
-        plan = FullStripeRepair().build_plan(L, small_server.config.memory_chunks)
-        stats = DataPathExecutor(small_server).repair(plan, stripe_indices, survivor_ids)
+        stripes = small_server.layout.stripe_set(0)
         report = small_server.scrub()
-        # placement still points at the dead disk -> degraded, not corrupt
-        assert set(report.degraded) == set(stripe_indices)
+        # placement points at the dead disk -> degraded, not corrupt
+        assert set(report.degraded) == set(stripes)
         assert not report.corrupt
-        # but every lost chunk exists, byte-exact, on a spare
+        result = recover_disk(small_server, FullStripeRepair(), 0)
+        stats = result.data_path
+        # every lost chunk exists, byte-exact, on a spare ...
         for (si, shard, spare) in stats.writebacks:
             assert small_server.store.contains(spare, ChunkId(si, shard))
-        # committing the writebacks remaps placement -> healthy again
-        remapped = small_server.commit_writebacks(stats.writebacks)
-        assert remapped == len(stats.writebacks)
+        # ... and placement was remapped onto it -> healthy again
+        assert result.remapped == len(stats.writebacks)
         final = small_server.scrub()
         assert final.healthy
         assert len(final.clean) == 20
 
     def test_commit_updates_stripe_sets(self, small_server):
-        from repro.core import DataPathExecutor, FullStripeRepair
+        from repro.core import FullStripeRepair, recover_disk
 
         small_server.fail_disk(0)
         before = small_server.layout.stripe_set(0)
-        stripe_indices, survivor_ids, L = small_server.transfer_time_matrix([0])
-        plan = FullStripeRepair().build_plan(L, small_server.config.memory_chunks)
-        stats = DataPathExecutor(small_server).repair(plan, stripe_indices, survivor_ids)
-        small_server.commit_writebacks(stats.writebacks)
+        stats = recover_disk(small_server, FullStripeRepair(), 0).data_path
         assert small_server.layout.stripe_set(0) == []
         spares_used = {w[2] for w in stats.writebacks}
         for spare in spares_used:

@@ -23,7 +23,8 @@ from repro.errors import (
 )
 from repro.faults.injector import SimulatedCrash
 from repro.faults.spec import FaultEvent, FaultSchedule
-from repro.faults.report import EXIT_DATA_LOSS, LOST
+from repro.core.repair_job import plan_repair
+from repro.faults.report import EXIT_DATA_LOSS, LOST, RECOVERED, REPLANNED
 from repro.hdss.server import attach_server
 from repro.hdss.store import (
     FaultyChunkStore,
@@ -582,6 +583,59 @@ class TestServiceFaults:
         assert result.loss.replans + result.loss.fresh_restarts >= 1
         assert_all_objects_intact(server, originals)
 
+    @staticmethod
+    def fsr_round_disks(server):
+        """The disks of the one stripe's FSR round, in read order, and each
+        read's price on the read clock."""
+        planned = plan_repair(server, ALGORITHMS["fsr"](), [0], jittered=False)
+        (sp,) = planned.plan.stripe_plans
+        (rnd,) = sp.rounds
+        stripe = server.layout[planned.stripe_indices[sp.stripe_index]]
+        shards = planned.survivor_ids[sp.stripe_index]
+        disks = [stripe.disks[shards[col]] for col in rnd]
+        size = server.config.chunk_size
+        return disks, [server.disk(d).transfer_time(size, jittered=False) for d in disks]
+
+    def repair_one_stripe(self, schedule_of):
+        """Repair the one stripe of a one-stripe server with FSR under
+        ``schedule_of(round disks, read prices)``; return the job's loss."""
+        server = make_server(stripes=1)
+        server.fail_disk(0)
+        schedule = schedule_of(*self.fsr_round_disks(server))
+
+        async def run():
+            service = RepairService(
+                server, ALGORITHMS["fsr"](), ServiceConfig(), faults=schedule
+            )
+            result = await service.submit_repair(0).wait()
+            await service.close()
+            return result
+
+        loss = asyncio.run(run()).loss
+        assert loss.faults_injected == {"disk_fail": 1}
+        return loss
+
+    def test_a_disk_failing_after_its_read_leaves_the_stripe_recovered(self):
+        # Read 1's disk dies between reads 1 and 2: read 1 already has its
+        # bytes, so the fault lands between reads and the stripe never sees
+        # it. A round priced whole before any get would fail read 1's get.
+        loss = self.repair_one_stripe(lambda disks, prices: FaultSchedule([
+            FaultEvent(at=prices[0] + 0.5 * prices[1], kind="disk_fail", disk=disks[1])
+        ]))
+        assert loss.stripes == {0: RECOVERED}
+        assert (loss.replans, loss.reread_chunks) == (0, 0)
+
+    def test_a_dead_survivor_ends_its_rounds_reads(self):
+        # Read 1's disk dies as read 1 is priced: the round stops there, so
+        # only read 0 is folded and the salvage reads the k - 1 shards it
+        # needs from the two not yet read — k reads, none twice. Folding
+        # read 2 too would leave the salvage a re-read.
+        loss = self.repair_one_stripe(lambda disks, prices: FaultSchedule([
+            FaultEvent(at=0.5 * prices[0], kind="disk_fail", disk=disks[1])
+        ]))
+        assert loss.stripes == {0: REPLANNED}
+        assert (loss.replans, loss.salvaged_chunks, loss.reread_chunks) == (1, 1, 0)
+
     def test_slow_fault_with_hedging_policy(self):
         server = make_server()
         originals = originals_of(server)
@@ -616,8 +670,8 @@ class TestServiceFaults:
         # A hung survivor whose retries are spent, with hedging off, is
         # forced: it waits the 0.5 s window out. Priced at the hung speed
         # instead, one read would cost hours of clock and every later timed
-        # fault would fire at the very next read. Both drivers share one
-        # read clock, so one stripe at a time they end on the same second.
+        # fault would fire at the very next read. recover_disk runs the
+        # same job body, so one stripe at a time they end on the same second.
         def setup():
             server = make_server()
             server.fail_disk(0)

@@ -1,7 +1,9 @@
 #!/usr/bin/env python3
-"""Checksum-corruption smoke: a flipped bit in a survivor chunk must surface
-as a degraded stripe in the DataLossReport (and an uncertified repair), never
-as an unhandled exception.
+"""Checksum-corruption smoke: a flipped bit in a survivor chunk must be
+caught by the repair's read, replanned around and read-repaired — the
+stripe ``replanned`` in the DataLossReport, nothing lost, and the chunk its
+original bytes again when ``recover_disk`` returns — never an unhandled
+exception.
 
     tools/smoke_checksum_corruption.py [STORE_DIR]
 
@@ -14,15 +16,17 @@ from __future__ import annotations
 import sys
 from pathlib import Path
 
-from repro.core import FullStripeRepair, recover_disk
-from repro.core.executor import ReadPolicy
+from repro.core import FullStripeRepair, ReadPolicy, recover_disk
+from repro.ec.stripe import ChunkId
+from repro.faults.report import REPLANNED
 from repro.hdss import HDSSConfig, HighDensityStorageServer
 from repro.hdss.store import FileChunkStore
 
 
 def run(root: Path) -> dict:
     """Corrupt one survivor of a failed disk's first stripe under ``root``,
-    recover the disk, and return the loss summary."""
+    recover the disk, check the survivor was read-repaired, and return the
+    loss summary."""
     cfg = HDSSConfig(num_disks=12, n=9, k=6, chunk_size=4096,
                      memory_chunks=12, spares=3, seed=7)
     server = HighDensityStorageServer(cfg, store=FileChunkStore(root))
@@ -31,16 +35,21 @@ def run(root: Path) -> dict:
     si = server.layout.stripe_set(0)[0]
     stripe = server.layout[si]
     shard = next(j for j, d in enumerate(stripe.disks) if d != 0)
-    path = (root / f"disk-{stripe.disks[shard]:03d}"
-            / f"s{si:06d}.{shard:03d}.chunk")
+    disk, cid = stripe.disks[shard], ChunkId(si, shard)
+    original = server.store.get(disk, cid)
+    path = root / f"disk-{disk:03d}" / f"s{si:06d}.{shard:03d}.chunk"
     data = bytearray(path.read_bytes())
     data[0] ^= 0x80
     path.write_bytes(bytes(data))
     result = recover_disk(server, FullStripeRepair(), 0, policy=ReadPolicy())
     assert result.loss.checksum_failures >= 1, result.loss.summary()
     assert not result.loss.has_loss, result.loss.summary()
-    # The corrupt survivor is still on disk: its stripe must not certify.
-    assert result.scrub.degraded == [si] and not result.certified, result.scrub
+    assert result.loss.stripes[si] == REPLANNED, result.loss.stripes
+    # The read that caught it quarantined the survivor and rewrote it.
+    server.store.verify_chunk(disk, cid)
+    assert (server.store.get(disk, cid) == original).all()
+    full = server.scrub([si])
+    assert full.clean == [si] and full.healthy, full
     return result.loss.summary()
 
 
