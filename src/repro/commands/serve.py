@@ -190,7 +190,7 @@ def add_serve(sub) -> None:
                    help="skip fsync in store and journal (tests/CI)")
     p.add_argument("--scrub", action="store_true",
                    help="run the background scrub plane: continuously "
-                        "verify every chunk against its digest sidecar, "
+                        "verify every chunk against the SHA-256 in its trailer, "
                         "quarantine + read-repair silent corruption")
     p.add_argument("--scrub-interval-ms", type=float, default=20.0,
                    help="pause between chunk verifies (the scrub rate "

@@ -14,12 +14,12 @@ Three properties make it a polite tenant of a loaded daemon:
 
 * **Crash-resumable cursor.** The scrub position is journaled through
   :mod:`repro.journal` WAL records (``scrub_cycle_begin`` /
-  ``scrub_disk_done`` / ``scrub_cycle_done``, one fsync'd commit per
-  finished disk). Records are appended on the event loop and committed in
-  a worker thread, so no cursor fsync stalls a front-door read. A
-  restarted daemon replays the cursor and resumes the interrupted cycle at
-  the first unfinished disk — it never rescans disks the previous process
-  already certified.
+  ``scrub_disk_done`` / ``scrub_cycle_done``). It is a progress log: each
+  record is flushed as it is appended, and ``cycle_done`` is the cycle's
+  one commit, fsync'd in a worker thread. A restarted daemon resumes the
+  interrupted cycle at the first unfinished disk; if a power cut dropped
+  the unsynced tail it re-verifies those disks — it never skips a disk
+  without a whole ``disk_done``.
 
 * **Overload-aware pacing.** Scrub is the cheapest work class of the
   brownout plane (:data:`~repro.service.overload.CLASS_SCRUB`): while the
@@ -77,15 +77,14 @@ REC_DISK_DONE = "scrub_disk_done"
 REC_CYCLE_DONE = "scrub_cycle_done"
 
 
-def _commit_cursor(writer: WALWriter, prune: bool) -> None:
-    """One cursor commit, run in a worker thread. ``prune`` follows a
-    ``cycle_done``: everything a future replay needs (the close of this
-    cycle) lives in the newest segment, so prior segments are pure
-    history."""
+def _commit_cursor(writer: WALWriter) -> None:
+    """A cycle's one cursor commit, run in a worker thread: fsync through
+    its ``cycle_done``, then prune — everything a future replay needs (the
+    close of this cycle) lives in the newest segment, so prior segments
+    are pure history."""
     writer.commit()
-    if prune:
-        for seg in list_segments(writer.root)[:-1]:
-            seg.unlink(missing_ok=True)
+    for seg in list_segments(writer.root)[:-1]:
+        seg.unlink(missing_ok=True)
 
 
 @dataclass(frozen=True)
@@ -236,18 +235,20 @@ class Scrubber:
             self.cycle = completed + 1
 
     def _append(self, rtype: str, **meta) -> None:
+        """Append one record and hand it to the OS: it survives a kill."""
         if self._writer is not None:
             self._writer.append(WALRecord(type=rtype, meta=meta))
+            self._writer.flush()
 
-    async def _commit(self, prune: bool = False) -> None:
-        """fsync the records appended so far in a worker thread — and,
-        with ``prune``, drop the older segments there too. Shielded: a
-        cancelled cycle lets its commit finish, and :meth:`stop` waits it
-        out before it closes the writer."""
+    async def _commit(self) -> None:
+        """fsync the records appended so far and drop the older segments,
+        in a worker thread. Shielded: a cancelled cycle lets its commit
+        finish, and :meth:`stop` waits it out before it closes the
+        writer."""
         if self._writer is None:
             return
         self._committing = asyncio.ensure_future(
-            asyncio.to_thread(_commit_cursor, self._writer, prune)
+            asyncio.to_thread(_commit_cursor, self._writer)
         )
         await asyncio.shield(self._committing)
 
@@ -308,8 +309,8 @@ class Scrubber:
             self._done_disks = set()
             self._append(REC_CYCLE_BEGIN, cycle=self.cycle)
             self._begun = True
-            await self._commit()
         self._cycle_started = time.monotonic()
+        self._inherited_disks = len(self._done_disks)
         self.cycle_chunks = 0
         disks = list(range(len(service.server.disks)))
         self._disks_total = len(disks)
@@ -321,14 +322,13 @@ class Scrubber:
                 await self._scrub_disk(disk_id)
             self._done_disks.add(disk_id)
             self._append(REC_DISK_DONE, cycle=self.cycle, disk=disk_id)
-            await self._commit()
         elapsed = time.monotonic() - self._cycle_started
         self._append(
             REC_CYCLE_DONE,
             cycle=self.cycle, chunks=self.cycle_chunks,
             seconds=round(elapsed, 6),
         )
-        await self._commit(prune=True)
+        await self._commit()
         self.last_cycle_seconds = elapsed
         self.cycles_completed += 1
         current_registry().counter(
@@ -451,6 +451,9 @@ class Scrubber:
 
     # -------------------------------------------------------------- reporting
     _disks_total = 0
+    #: Disks of this cycle a predecessor finished: they took none of the
+    #: elapsed time the ETA extrapolates from.
+    _inherited_disks = 0
 
     def _progress(self) -> float:
         total = self._disks_total or len(self.service.server.disks)
@@ -462,11 +465,12 @@ class Scrubber:
         if self._cycle_started is None or not self._begun:
             return None
         done = len(self._done_disks)
+        ran = done - self._inherited_disks
         total = self._disks_total or len(self.service.server.disks)
-        if not done or done >= total:
+        if not ran or done >= total:
             return None
         elapsed = time.monotonic() - self._cycle_started
-        return elapsed / done * (total - done)
+        return elapsed / ran * (total - done)
 
     def status(self) -> ScrubStatus:
         """Live snapshot for the ``stats``/``scrub`` verbs and ``top`` — and

@@ -92,7 +92,9 @@ class TestCISmokes:
     ``tools/<script>.py``'s ``main(workdir)`` launches its own daemons and
     exits 0 when every check held."""
 
-    @pytest.mark.parametrize("script", ["smoke_telemetry", "smoke_cluster_handoff"])
+    @pytest.mark.parametrize(
+        "script", ["smoke_telemetry", "smoke_cluster_handoff", "smoke_scrub_resume"]
+    )
     def test_smoke_passes(self, script, tmp_path):
         spec = importlib.util.spec_from_file_location(
             script, Path(__file__).parent.parent / "tools" / f"{script}.py"

@@ -273,9 +273,10 @@ class TestScrubHandoffs:
         assert len(calls) == self.CHUNKS + self.DISKS
 
     def test_each_cursor_commit_is_one_call(self, tmp_path, monkeypatch):
-        """``cycle_begin``, one ``disk_done`` a disk, ``cycle_done``."""
+        """The cycle's one commit, at ``cycle_done``: ``cycle_begin`` and
+        each ``disk_done`` are flushed on the loop, with no call."""
         calls = self.cycle(tmp_path, monkeypatch, 0.0, journal=True)
-        assert len(calls) == self.DISKS + (self.DISKS + 2)
+        assert len(calls) == self.DISKS + 1
 
 
 class TestWritePathCounts:

@@ -6,6 +6,7 @@ its coroutine with ``asyncio.run``.
 """
 
 import asyncio
+import io
 import threading
 import time
 
@@ -17,7 +18,13 @@ from repro.errors import ChunkChecksumError, ConfigurationError
 from repro.faults import apply_corruption
 from repro.faults.spec import FaultEvent
 from repro.hdss.store import InMemoryChunkStore, ShardedChunkStore
-from repro.journal.wal import WALWriter, list_segments
+from repro.journal.wal import (
+    WALReader,
+    WALRecord,
+    WALWriter,
+    decode_stream,
+    list_segments,
+)
 from repro.service import ScrubConfig, Scrubber
 from repro.service.chaos_rig import PacedStore, build_server, build_service
 from repro.service.client import ServiceClient, ServiceError
@@ -28,6 +35,7 @@ from repro.service.overload import (
     OverloadConfig,
 )
 from repro.service.protocol import ERR_CORRUPT
+from repro.service.scrub import REC_CYCLE_BEGIN, REC_CYCLE_DONE, REC_DISK_DONE
 from repro.utils import checksum
 
 
@@ -70,6 +78,35 @@ def total_chunks(service):
     return sum(
         len(store.chunks_on_disk(d)) for d in range(len(service.server.disks))
     )
+
+
+def stall_at(scrub, stalled_disk):
+    """Make ``scrub``'s walk hang on entering ``stalled_disk`` until the
+    returned event is set."""
+    real, stall = scrub._scrub_disk, asyncio.Event()
+
+    async def scrub_disk(disk_id):
+        if disk_id == stalled_disk:
+            await stall.wait()
+        await real(disk_id)
+
+    scrub._scrub_disk = scrub_disk
+    return stall
+
+
+async def reached(scrub, disk, timeout=30.0):
+    """Wait until ``scrub``'s walk is on ``disk``."""
+    deadline = time.monotonic() + timeout
+    while scrub.current_disk != disk:
+        assert time.monotonic() < deadline, f"scrub never reached disk {disk}"
+        await asyncio.sleep(0.001)
+
+
+def recorded_disks(records, cycle):
+    return {
+        r.meta["disk"] for r in records
+        if r.type == REC_DISK_DONE and r.meta["cycle"] == cycle
+    }
 
 
 # ----------------------------------------------------------------- config
@@ -222,30 +259,131 @@ class TestScrubCursor:
         asyncio.run(run())
 
     def test_cursor_commits_run_off_the_event_loop(self, tmp_path, monkeypatch):
-        threads = []
+        """One commit a cycle (its ``cycle_done``), in a worker thread; each
+        ``disk_done`` is flushed, so a fresh reader sees it as soon as the
+        walk has moved past its disk."""
+        root = tmp_path / "cursor"
+        threads, unread = [], []
         real = WALWriter.commit
+        service = make_service(tmp_path)
+        disks = len(service.server.disks)
+        scrub = Scrubber(service, fast_config(
+            journal_root=root, durable_journal=False,
+        ))
+
+        def check_recorded(upto):
+            missing = set(range(upto)) - recorded_disks(WALReader(root), scrub.cycle)
+            unread.extend(sorted(missing))
 
         def commit(writer):
             threads.append(threading.get_ident())
+            check_recorded(disks)  # before the cycle's fsync
             real(writer)
 
         monkeypatch.setattr(WALWriter, "commit", commit)
+        real_scrub_disk = scrub._scrub_disk
+
+        async def scrub_disk(disk_id):
+            check_recorded(disk_id)
+            await real_scrub_disk(disk_id)
+
+        scrub._scrub_disk = scrub_disk
 
         async def run():
-            service = make_service(tmp_path)
-            scrub = Scrubber(service, fast_config(
-                journal_root=tmp_path / "cursor", durable_journal=False,
-            ))
-            await scrub.run_cycle()
+            for _ in range(2):
+                await scrub.run_cycle()
             commits = list(threads)
             await scrub.stop()
             await service.close()
-            return threading.get_ident(), commits, len(service.server.disks)
+            return threading.get_ident(), commits
 
-        loop_thread, commits, disks = asyncio.run(run())
-        # cycle_begin, one disk_done a disk, cycle_done: each committed
-        assert len(commits) == disks + 2
+        loop_thread, commits = asyncio.run(run())
+        assert len(commits) == 2
         assert loop_thread not in commits
+        assert unread == []
+
+    def test_power_cut_believes_only_whole_records(self, tmp_path):
+        """Cut the cursor of 2½ fsync'd cycles at every byte: the successor
+        believes a ``disk_done`` only if its frame is whole, starts no
+        cycle past the last whole ``cycle_done``, and its ``run_cycle``
+        verifies every chunk on every disk it does not believe."""
+        root = tmp_path / "cursor"
+
+        async def write():
+            service = make_service(tmp_path / "written")
+            a = Scrubber(
+                service, fast_config(journal_root=root, durable_journal=True)
+            )
+            await a.run_cycle()
+            await a.run_cycle()
+            stall_at(a, 8)
+            task = asyncio.get_running_loop().create_task(a.run_cycle())
+            await reached(a, 8)
+            task.cancel()  # killed half way through cycle 3
+            await asyncio.gather(task, return_exceptions=True)
+            await a.stop()
+            await service.close()
+
+        asyncio.run(write())
+        [segment] = list_segments(root)
+        log = segment.read_bytes()
+        frames = []  # (end offset, record) of every frame
+        stream = io.BytesIO(log)
+        for record in decode_stream(stream):
+            frames.append((stream.tell(), record))
+        assert [r.type for _, r in frames].count(REC_CYCLE_DONE) == 2
+        assert len(recorded_disks([r for _, r in frames], 3)) == 8
+
+        async def check():
+            service = make_service(tmp_path / "checked")
+            store = service.server.store
+            all_disks = range(len(service.server.disks))
+            on_disk = {d: set(store.chunks_on_disk(d)) for d in all_disks}
+            verified = set()
+            real_verify = store.verify_chunk
+
+            def verify_chunk(disk_id, chunk_id):
+                verified.add((disk_id, chunk_id))
+                return real_verify(disk_id, chunk_id)
+
+            store.verify_chunk = verify_chunk
+            cut = tmp_path / "cut"
+            cycled = set()
+            for length in range(len(log) + 1):
+                for old in list_segments(cut) if cut.exists() else []:
+                    old.unlink()
+                cut.mkdir(exist_ok=True)
+                (cut / segment.name).write_bytes(log[:length])
+                whole = [r for end, r in frames if end <= length]
+                closed = max(
+                    (r.meta["cycle"] for r in whole if r.type == REC_CYCLE_DONE),
+                    default=0,
+                )
+                b = Scrubber(
+                    service, fast_config(journal_root=cut, durable_journal=False)
+                )
+                assert b.cycle == closed + 1, length
+                assert b._done_disks == recorded_disks(whole, b.cycle), length
+                # replay state is all run_cycle depends on: run each once
+                state = (b.cycle, frozenset(b._done_disks))
+                if state not in cycled:
+                    cycled.add(state)
+                    verified.clear()
+                    await b.run_cycle()
+                    owed = {
+                        (d, cid) for d in all_disks if d not in state[1]
+                        for cid in on_disk[d]
+                    }
+                    assert owed <= verified, length
+                await b.stop()
+            await service.close()
+            return cycled
+
+        cycled = asyncio.run(check())
+        # every cut point of cycle 3's half: begin lost, then 0..8 disks
+        assert {(3, n) for n in range(9)} <= {
+            (c, len(d)) for c, d in cycled
+        }
 
     def test_stop_waits_out_an_in_flight_commit(self, tmp_path, monkeypatch):
         committing = threading.Event()
@@ -294,6 +432,45 @@ class TestScrubCursor:
             await service.close()
 
         asyncio.run(run())
+
+
+# -------------------------------------------------------------------- eta
+class TestScrubEta:
+    def test_a_resumed_cycle_extrapolates_from_its_own_disks(self, tmp_path):
+        """Resumed with 8 of 15 disks done, the ETA divides this
+        incarnation's elapsed time by the disks *it* finished — not by the
+        predecessor's too."""
+        root = tmp_path / "cursor"
+        with WALWriter(root, durable=False) as writer:
+            writer.append(WALRecord(type=REC_CYCLE_BEGIN, meta={"cycle": 1}))
+            for disk in range(8):
+                writer.append(WALRecord(
+                    type=REC_DISK_DONE, meta={"cycle": 1, "disk": disk},
+                ))
+
+        async def run():
+            service = make_service(tmp_path)
+            scrub = Scrubber(
+                service, fast_config(journal_root=root, durable_journal=False)
+            )
+            assert len(scrub._done_disks) == 8 and scrub.resumed_cycles == 1
+            stall = stall_at(scrub, 9)
+            task = asyncio.get_running_loop().create_task(scrub.run_cycle())
+            await reached(scrub, 9)
+            # this incarnation finished one disk (8) in 10 s
+            scrub._cycle_started = time.monotonic() - 10.0
+            status = scrub.status()
+            stall.set()
+            await task
+            after = scrub.status()
+            await scrub.stop()
+            await service.close()
+            return status, after
+
+        status, after = asyncio.run(run())
+        assert (status.disks_total, status.disks_done) == (15, 9)
+        assert status.eta_seconds == pytest.approx(10.0 * 6, rel=0.05)
+        assert after.eta_seconds is None
 
 
 # ----------------------------------------------------------------- pacing
