@@ -25,7 +25,7 @@ import numpy as np
 
 from repro.errors import CodingError
 from repro.ec.decoder import reconstruction_coefficients
-from repro.gf import gf_mat_inv, gf_mat_mul, gf_mul, gf_mul_add_scalar
+from repro.gf import gf_mat_inv, gf_mat_mul, gf_mul_add_scalar, gf_mul_scalar
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.ec.encoder import RSCode
@@ -116,9 +116,17 @@ class PartialDecoder:
         Args:
             shards: mapping of survivor shard index -> chunk buffer. Each
                 survivor may be fed exactly once over the decoder lifetime.
+
+        Raises:
+            CodingError: if any shard is undeclared, already fed, not 1-D
+                or of the wrong size. Every shard is checked before any is
+                folded, so a rejected round leaves the decoder unchanged
+                and can be retried.
         """
         if not shards:
             raise CodingError("feed() called with no shards")
+        size = self._chunk_size
+        arrays: Dict[int, np.ndarray] = {}
         for sid, buf in shards.items():
             if sid not in self._pending:
                 if sid in self.survivor_ids:
@@ -127,22 +135,21 @@ class PartialDecoder:
             arr = np.asarray(buf, dtype=np.uint8)
             if arr.ndim != 1:
                 raise CodingError(f"shard {sid} must be 1-D, got shape {arr.shape}")
-            if self._chunk_size is None:
-                self._chunk_size = arr.size
-            elif arr.size != self._chunk_size:
-                raise CodingError(
-                    f"shard {sid} has {arr.size} bytes, expected {self._chunk_size}"
-                )
+            if size is None:
+                size = arr.size
+            elif arr.size != size:
+                raise CodingError(f"shard {sid} has {arr.size} bytes, expected {size}")
+            arrays[sid] = arr
+        self._chunk_size = size
+        for sid, arr in arrays.items():
             for target in self.targets:
                 acc = self._acc.get(target)
                 if acc is None:
-                    acc = np.zeros(self._chunk_size, dtype=np.uint8)
+                    acc = np.zeros(size, dtype=np.uint8)
                     self._acc[target] = acc
                 coeff = self._coeffs[target][sid]
                 gf_mul_add_scalar(acc, coeff, arr)
-                self._rows[target] ^= gf_mul(
-                    np.uint8(coeff), self.code.matrix[sid].astype(np.uint8)
-                )
+                self._rows[target] ^= gf_mul_scalar(coeff, self.code.matrix[sid])
             self._pending.discard(sid)
             self._fed.append(sid)
         self._fed_count += 1
@@ -211,7 +218,7 @@ class PartialDecoder:
                 self._acc[target] = acc
             row = np.zeros(k, dtype=np.uint8)
             for j, src in enumerate(self.targets):
-                row ^= gf_mul(y[j], old_rows[src])
+                row ^= gf_mul_scalar(int(y[j]), old_rows[src])
             self._rows[target] = row
             self._coeffs[target] = {r: int(y[t + idx]) for idx, r in enumerate(reads)}
         self._pending = set(reads)

@@ -2,8 +2,9 @@
 
 Pure-NumPy implementation of the field the Golang ``reedsolomon`` library
 uses: GF(2^8) with the primitive polynomial ``x^8 + x^4 + x^3 + x^2 + 1``
-(0x11D). Multiplication and division are exp/log table lookups, vectorised
-over whole chunk buffers so the data path has no Python-level inner loops.
+(0x11D). Element multiplication and division are exp/log table lookups; a
+whole chunk times one scalar is a ``bytes.translate`` through that scalar's
+256-byte product table, so the data path has no Python-level inner loops.
 """
 
 from repro.gf.tables import (

@@ -1,15 +1,16 @@
 """Vectorised GF(2^8) element and buffer arithmetic.
 
 Every function accepts scalars or ``uint8`` NumPy arrays and broadcasts like
-normal NumPy ufuncs. Addition is XOR; multiplication/division go through the
-log/exp tables with explicit zero masking. The chunk-sized operations
-(:func:`gf_mul_scalar`, :func:`gf_mul_add_scalar`) are the RS codec's hot
-path and never loop in Python.
+normal NumPy ufuncs. Addition is XOR; element multiplication/division go
+through the log/exp tables with explicit zero masking. The chunk-sized
+operations (:func:`gf_mul_scalar`, :func:`gf_mul_add_scalar`) are the RS
+codec's hot path: one ``bytes.translate`` through the scalar's 256-byte
+product table, with no Python loop and no index array.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Union
+from typing import Union
 
 import numpy as np
 
@@ -17,30 +18,28 @@ from repro.gf.tables import FIELD_SIZE, GROUP_ORDER, _EXP, _LOG
 
 ArrayLike = Union[int, np.ndarray]
 
-#: Memoised per-scalar product rows: _PRODUCT_TABLES[c][x] == c * x.
-#: At most 256 rows of 256 bytes (64 KiB); rows build lazily and are
-#: immutable, so concurrent duplicate construction is harmless.
-_PRODUCT_TABLES: Dict[int, np.ndarray] = {}
+
+def _product_tables() -> "tuple[bytes, ...]":
+    """``tables[c][x] == c * x``: 256 immutable rows of 256 bytes (64 KiB)."""
+    log = _LOG[1:]
+    rows = np.zeros((FIELD_SIZE, FIELD_SIZE), dtype=np.uint8)
+    rows[1:, 1:] = _EXP[log[:, None] + log[None, :]]
+    return tuple(row.tobytes() for row in rows)
 
 
-def gf_product_table(coeff: int) -> np.ndarray:
-    """The 256-entry row ``table[x] == coeff * x`` in GF(2^8).
+_PRODUCT_TABLES = _product_tables()
 
-    Chunk-scalar multiplication with this row is a *single* ``np.take``
-    gather — no log/exp double lookup, no zero masking (the row already
-    maps 0 to 0). The row is read-only and cached per scalar.
+
+def gf_product_table(coeff: int) -> bytes:
+    """The 256-byte row ``table[x] == coeff * x`` in GF(2^8).
+
+    Chunk-scalar multiplication with this row is a *single*
+    ``bytes.translate`` — no log/exp double lookup, no zero masking (the
+    row already maps 0 to 0), and no 8-byte index per chunk byte.
     """
-    table = _PRODUCT_TABLES.get(coeff)
-    if table is None:
-        if not 0 <= int(coeff) <= 255:
-            raise ValueError(f"coefficient {coeff} outside GF(2^8)")
-        table = np.zeros(FIELD_SIZE, dtype=np.uint8)
-        if coeff:
-            nz = np.arange(1, FIELD_SIZE)
-            table[1:] = _EXP[_LOG[nz] + int(_LOG[coeff])]
-        table.flags.writeable = False
-        _PRODUCT_TABLES[int(coeff)] = table
-    return table
+    if not 0 <= int(coeff) <= 255:
+        raise ValueError(f"coefficient {coeff} outside GF(2^8)")
+    return _PRODUCT_TABLES[int(coeff)]
 
 
 def _as_u8(x: ArrayLike) -> np.ndarray:
@@ -119,26 +118,26 @@ def gf_inv(a: ArrayLike) -> np.ndarray:
 def gf_mul_scalar(coeff: int, buf: np.ndarray) -> np.ndarray:
     """Multiply a whole uint8 buffer by one field scalar (vectorised).
 
-    This is the per-chunk kernel of RS encode/decode: ``coeff * buf`` for a
-    64 MiB chunk is one gather through the scalar's cached 256-entry
-    product row (:func:`gf_product_table`).
+    This is the per-chunk kernel of RS encode/decode: ``coeff * buf`` is
+    one copy of ``buf`` translated through the scalar's product row
+    (:func:`gf_product_table`). The result is a fresh, writable array.
     """
     buf8 = _as_u8(buf)
-    if not 0 <= int(coeff) <= 255:
-        raise ValueError(f"coefficient {coeff} outside GF(2^8)")
+    table = gf_product_table(coeff)
     if coeff == 0:
         return np.zeros_like(buf8)
     if coeff == 1:
         return buf8.copy()
-    return np.take(gf_product_table(coeff), buf8)
+    out = bytearray(buf8.data).translate(table)
+    return np.frombuffer(out, dtype=np.uint8).reshape(buf8.shape)
 
 
 def gf_mul_add_scalar(acc: np.ndarray, coeff: int, buf: np.ndarray) -> np.ndarray:
     """In-place fused multiply-add: ``acc ^= coeff * buf``; returns ``acc``.
 
-    ``acc`` must be a writable uint8 array of the same shape as ``buf``.
-    This is the partial-stripe-repair accumulator update (Equation (2) of
-    the paper evaluated incrementally, one surviving chunk at a time).
+    ``acc`` must be a writable uint8 array shaped like ``buf`` (it may be
+    ``buf``): the partial-stripe-repair accumulator update, Equation (2)
+    of the paper evaluated incrementally, one surviving chunk at a time.
     """
     if acc.dtype != np.uint8:
         raise ValueError("accumulator must be uint8")
@@ -146,8 +145,9 @@ def gf_mul_add_scalar(acc: np.ndarray, coeff: int, buf: np.ndarray) -> np.ndarra
         raise ValueError(f"shape mismatch: acc {acc.shape} vs buf {np.shape(buf)}")
     if coeff == 0:
         return acc
-    if coeff == 1:
-        np.bitwise_xor(acc, _as_u8(buf), out=acc)
-        return acc
-    np.bitwise_xor(acc, np.take(gf_product_table(coeff), _as_u8(buf)), out=acc)
+    term = _as_u8(buf)
+    if coeff != 1:
+        product = term.tobytes().translate(gf_product_table(coeff))
+        term = np.frombuffer(product, dtype=np.uint8).reshape(acc.shape)
+    np.bitwise_xor(acc, term, out=acc)
     return acc

@@ -125,6 +125,33 @@ class TestErrors:
         with pytest.raises(CodingError):
             pd.feed({0: np.zeros((2, 2), dtype=np.uint8)})
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {2: np.zeros(32, dtype=np.uint8)},  # wrong size
+            {2: np.zeros((2, 64), dtype=np.uint8)},  # not 1-D
+            {1: np.zeros(128, dtype=np.uint8)},  # not a declared survivor
+        ],
+    )
+    def test_rejected_round_folds_nothing(self, code, shards, bad):
+        """A round with one bad shard changes nothing, so it can be retried."""
+        pd = PartialDecoder(code, SURVIVORS, TARGETS)
+        with pytest.raises(CodingError):
+            pd.feed({0: shards[0], **bad})
+        assert pd.pending == SURVIVORS and pd.fed == [] and pd.rounds_fed == 0
+        assert pd.memory_chunks_held() == 0
+        pd.feed({0: shards[0], 2: shards[2]})
+        pd.feed({j: shards[j] for j in SURVIVORS[2:]})
+        for t in TARGETS:
+            assert np.array_equal(pd.result(t), shards[t])
+
+    def test_rejected_round_keeps_learned_chunk_size(self, code, shards):
+        pd = PartialDecoder(code, SURVIVORS, [1])
+        with pytest.raises(CodingError):
+            pd.feed({0: shards[0][:32], 2: shards[2]})
+        pd.feed({j: shards[j] for j in SURVIVORS})
+        assert np.array_equal(pd.result(1), shards[1])
+
     def test_result_for_non_target(self, code, shards):
         pd = PartialDecoder(code, SURVIVORS, [1])
         pd.feed({j: shards[j] for j in SURVIVORS})

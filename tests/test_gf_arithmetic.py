@@ -1,5 +1,7 @@
 """GF(2^8) arithmetic: exhaustive identities plus hypothesis field axioms."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,6 +19,8 @@ from repro.gf import (
     gf_sub,
     log_table,
 )
+from repro.ec import PartialDecoder, RSCode
+from repro.gf.arithmetic import gf_product_table
 
 ALL = np.arange(256, dtype=np.uint8)
 NONZERO = ALL[1:]
@@ -187,6 +191,79 @@ class TestBufferKernels:
     def test_mul_add_scalar_wrong_dtype(self):
         with pytest.raises(ValueError):
             gf_mul_add_scalar(np.zeros(4, dtype=np.uint16), 1, np.zeros(4, dtype=np.uint8))
+
+
+class TestChunkKernelsExhaustive:
+    """The chunk kernels against the element-wise ``gf_mul`` reference,
+    for every coefficient and every byte value, plus the buffer shapes and
+    aliasing the codec relies on. Run alone with
+    ``PYTHONPATH=src python -m pytest -q tests/test_gf_arithmetic.py -k Exhaustive``.
+    """
+
+    @pytest.mark.parametrize("coeff", range(256))
+    def test_both_kernels_equal_gf_mul(self, coeff):
+        expected = gf_mul(coeff, ALL)
+        assert np.array_equal(gf_mul_scalar(coeff, ALL), expected)
+        acc = ALL[::-1].copy()
+        assert np.array_equal(gf_mul_add_scalar(acc, coeff, ALL), ALL[::-1] ^ expected)
+
+    @pytest.mark.parametrize("coeff", [0, 1, 2, 0x8E, 255])
+    def test_acc_may_alias_buf(self, coeff):
+        acc = ALL.copy()
+        gf_mul_add_scalar(acc, coeff, acc)
+        assert np.array_equal(acc, ALL ^ gf_mul(coeff, ALL))
+
+    @pytest.mark.parametrize("coeff", [1, 3, 0xA7])
+    def test_non_contiguous_buf(self, coeff):
+        strided = np.repeat(ALL, 2)[::2]
+        transposed = ALL.reshape(16, 16).T
+        for buf in (strided, transposed):
+            assert not buf.flags.c_contiguous
+            assert np.array_equal(gf_mul_scalar(coeff, buf), gf_mul(coeff, buf))
+            acc = np.zeros(buf.shape, dtype=np.uint8)
+            gf_mul_add_scalar(acc, coeff, buf)
+            assert np.array_equal(acc, gf_mul(coeff, buf))
+
+    @pytest.mark.parametrize("coeff", [0, 1, 2, 0x53])
+    def test_mul_scalar_returns_fresh_writable_array(self, coeff):
+        buf = ALL.copy()
+        out = gf_mul_scalar(coeff, buf)
+        assert out.flags.writeable
+        assert not np.shares_memory(out, buf)
+        table = np.frombuffer(gf_product_table(coeff), dtype=np.uint8)
+        assert not np.shares_memory(out, table)
+        out[:] = 0x5A
+        assert np.array_equal(buf, ALL)
+        assert np.array_equal(gf_mul_scalar(coeff, ALL), gf_mul(coeff, ALL))
+
+    @pytest.mark.parametrize("coeff", [256, -1])
+    def test_coefficient_outside_field_rejected(self, coeff):
+        with pytest.raises(ValueError):
+            gf_mul_scalar(coeff, ALL)
+        with pytest.raises(ValueError):
+            gf_mul_add_scalar(ALL.copy(), coeff, ALL)
+
+
+class TestGoldenBytes:
+    """SHA-256 of codec output, recorded before the chunk kernel moved from
+    ``np.take`` to ``bytes.translate``: a kernel swap must not move a byte."""
+
+    PARITY = "a3e8e544516aabfdc58a589783bcc65fdef29a233cf0cc094216c58d52ad37d2"
+    REBUILD = "102ef36567d54d472e8d70ce4e6fd39ba92a2ad3f335baccfd4ffa5462c79146"
+
+    def test_rs_parity_and_partial_rebuild(self):
+        rng = np.random.default_rng(38)
+        code = RSCode(9, 6)
+        data = [rng.integers(0, 256, size=4096, dtype=np.uint8) for _ in range(6)]
+        shards = code.encode(data)
+        parity = b"".join(s.tobytes() for s in shards[6:])
+        assert hashlib.sha256(parity).hexdigest() == self.PARITY
+        pd = PartialDecoder(code, survivor_ids=[0, 1, 3, 4, 6, 8], targets=[2, 7])
+        pd.feed({0: shards[0], 3: shards[3], 8: shards[8]})
+        pd.feed({1: shards[1], 4: shards[4], 6: shards[6]})
+        out = pd.results()
+        rebuilt = out[2].tobytes() + out[7].tobytes()
+        assert hashlib.sha256(rebuilt).hexdigest() == self.REBUILD
 
 
 class TestFieldAxiomsHypothesis:

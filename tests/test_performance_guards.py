@@ -6,6 +6,7 @@ benchmark.
 """
 
 import time
+import tracemalloc
 
 import numpy as np
 
@@ -30,10 +31,11 @@ def best_of(n, fn, *args, **kwargs):
 def gather_baseline(buf: np.ndarray) -> float:
     """Measured cost of one raw 256-entry ``np.take`` gather over ``buf``.
 
-    The GF chunk kernels are a constant number of such gathers, so
-    bounding them as a *ratio* of this baseline calibrates the guard to
-    the host instead of hard-coding wall-clock seconds (which fails on
-    slow or heavily loaded CI machines).
+    The GF chunk kernels do one pass of per-byte table lookups over
+    ``buf`` (a ``bytes.translate``) plus a copy and an XOR, so bounding
+    them as a *ratio* of this baseline calibrates the guard to the host
+    instead of hard-coding wall-clock seconds (which fails on slow or
+    heavily loaded CI machines).
     """
     table = np.arange(256, dtype=np.uint8)
     return best_of(3, np.take, table, buf)
@@ -57,9 +59,9 @@ class TestCodecThroughput:
     a loaded CI box moves the baseline and the kernel together, while an
     accidental Python loop (thousands of times slower) still fails."""
 
-    # One gather for the multiply, gather+xor for the FMA; 10x covers
-    # allocation of the output buffer plus scheduler noise. The absolute
-    # floor absorbs timer jitter when the baseline itself is microscopic.
+    # One translate (plus a copy) for the multiply, translate+xor for the
+    # FMA; 10x covers the copies plus scheduler noise. The absolute floor
+    # absorbs timer jitter when the baseline itself is microscopic.
     RATIO = 10.0
     FLOOR_SECONDS = 0.25
 
@@ -78,6 +80,29 @@ class TestCodecThroughput:
         baseline = gather_baseline(buf)
         t = best_of(3, gf_mul_add_scalar, acc, 99, buf)
         assert t < max(self.RATIO * baseline, self.FLOOR_SECONDS)
+
+
+class TestCodecMemory:
+    """The chunk kernels allocate about two buffers' worth, not an 8-byte
+    index per byte: an ``np.take`` gather over ``buf`` peaked at 9x."""
+
+    LIMIT = 3.0
+
+    def _peak_ratio(self, fn, *args):
+        tracemalloc.start()
+        try:
+            fn(*args)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return peak / args[-1].nbytes
+
+    def test_kernels_peak_under_three_buffers(self):
+        rng = np.random.default_rng(4)
+        buf = rng.integers(0, 256, size=16 * MiB, dtype=np.uint8)
+        acc = rng.integers(0, 256, size=16 * MiB, dtype=np.uint8)
+        assert self._peak_ratio(gf_mul_add_scalar, acc, 0x1D, buf) <= self.LIMIT
+        assert self._peak_ratio(gf_mul_scalar, 0x1D, buf) <= self.LIMIT
 
 
 class TestChecksumThroughput:
