@@ -86,15 +86,17 @@ def run_scenarios():
             faults=crash, journal=Path(tmp) / "journal", resume=True,
         )
 
-    # the acceptance scenario: disk 4 dies two reads into a cooperative
-    # two-disk repair; partial sums already folded must be salvaged
+    # the acceptance scenario: disk 7 dies two reads into a cooperative
+    # two-disk repair, under a stripe that has yet to read it; partial sums
+    # already folded must be salvaged (a stripe that starts later has lost
+    # the disk's chunk already and rebuilds it with the rest)
     server = make_server()
     server.fail_disk(0)
     server.fail_disk(1)
     results["mid-repair casualty"] = recover_disks(
         server, FullStripeRepair(), [0, 1],
         faults=FaultSchedule([
-            FaultEvent(at=2 * READ_SECONDS, kind="disk_fail", disk=4),
+            FaultEvent(at=2 * READ_SECONDS, kind="disk_fail", disk=7),
         ]),
     )
 

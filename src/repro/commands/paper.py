@@ -71,9 +71,10 @@ def _report_hardened(name: str, result) -> int:
         print(f"DATA LOSS: {len(loss.lost)} stripe(s) unrecoverable: "
               f"{loss.lost[:8]}{'...' if len(loss.lost) > 8 else ''}",
               file=sys.stderr)
-    elif loss.degraded:
+    elif loss.degraded or not result.certified:
         print(f"warning: recovery degraded — {len(loss.replanned)} stripe(s) "
-              f"re-planned, {loss.fresh_restarts} restart(s)", file=sys.stderr)
+              f"re-planned, {loss.fresh_restarts} restart(s), "
+              f"{len(result.scrub.degraded)} not certified", file=sys.stderr)
     return loss.exit_code
 
 

@@ -20,7 +20,7 @@ with one stripe in flight. Both accept a
 set the data path runs hardened — mid-repair failures are re-planned
 around, slow disks are retried or hedged, and unrecoverable stripes land in
 ``result.loss`` instead of raising. A survivor that fails its digest is
-quarantined and read-repaired before the call returns, as in the daemon.
+quarantined and rewritten by its stripe's own pass, as in the daemon.
 """
 
 from __future__ import annotations
@@ -151,13 +151,7 @@ def _recover(
         faults=faults or None,
     )
 
-    async def run() -> ScrubReport:
-        try:
-            return await service.run_job(job)
-        finally:
-            await service.close()
-
-    scrub = asyncio.run(run())
+    scrub = asyncio.run(service.run_job(job))
     stats = job.stats
     stats.peak_memory_chunks = server.memory.peak
     return RecoveryResult(

@@ -152,12 +152,13 @@ class BitrotChaosScenario(rig.Episode):
     async def run(self) -> dict:
         c = self.config
         root = Path(c.root)
-        store = ShardedChunkStore.from_root(
+        store = rig.CountingStore(ShardedChunkStore.from_root(
             root / "store", num_shards=NUM_SHARDS, durable=False
-        )
+        ))
         server = rig.build_server(
             store, stripes=c.stripes, seed=c.seed, chunk_size=CHUNK_SIZE
         )
+        store.reset()
         service = rig.build_service(
             server,
             max_concurrent_stripes=2,
@@ -280,6 +281,10 @@ class BitrotChaosScenario(rig.Episode):
             "repaired": service.corrupt_repaired,
             "quarantined": len(service.quarantine),
         }
+        # Each rebuilt chunk, the repair's or a read-repair's, lands once.
+        report["duplicate_writes"] = [
+            [disk, cid.stripe_index, cid.shard_index] for disk, cid in store.duplicates()
+        ]
         return self.finish(report)
 
     # ------------------------------------------------------------ assertions

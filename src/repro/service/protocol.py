@@ -80,7 +80,7 @@ has already given up, so doing the work would be pure queue pollution.
 digest — or one the scrub plane has already quarantined — is
 answered with the ``corrupt_chunk`` code carrying ``disk``/``stripe``/
 ``shard``. The code is *retryable*: quarantine immediately triggers a
-single-chunk read-repair through the decode path, so a retry lands after
+read-repair of the chunk's stripe, so a retry lands after
 the verified replacement (or degrades through decode meanwhile). The
 daemon never serves bytes that failed a verify. Scrub deployments add a
 ``scrub`` op returning the scrubber's live cursor/progress snapshot.

@@ -149,8 +149,9 @@ class TestOneSalvageLadder:
         files += [ROOT / "README.md", ROOT / "DESIGN.md"]
         named = [str(p.relative_to(ROOT)) for p in files if name in p.read_text()]
         assert named == []
-        assert call_sites(r"\.run_job") == {"src/repro/core/recovery.py:run",
-                                            "src/repro/service/service.py:_run_repair"}
+        assert call_sites(r"\.run_job") == {"src/repro/core/recovery.py:_recover",
+                                            "src/repro/service/service.py:_run_repair",
+                                            "src/repro/service/service.py:repair_chunk"}
 
     def test_stores_answer_for_themselves(self):
         probe = re.compile(r"""getattr\([^,()]+,\s*["'](verify_chunk|_bad)["']""")
@@ -701,7 +702,7 @@ class TestOneWritePath:
             and ast.unparse(call.func) == "asyncio.to_thread"
         }
         puts = store_puts(tree)
-        assert len(puts) == 3  # read-repair, replay, rebuilt chunk
+        assert len(puts) == 2  # replay, rebuilt chunk
         assert all(id(put) in threaded for put in puts)
 
     def test_both_drivers_record_before_they_put(self):
@@ -726,6 +727,36 @@ class TestOneWritePath:
             puts = [n.lineno for n in store_puts(fn) if id(n) not in replayed]
             assert records and puts, path
             assert max(records) < min(puts), f"{path}: a put precedes its record"
+
+
+class TestOneWayToRebuildAChunk:
+    """Only a stripe rebuilds a chunk. Its targets are whatever it has lost
+    when it starts or re-plans — a failed disk's chunk or a quarantined
+    one — and a read-repair is that stripe run as a one-stripe job. A
+    degraded front-door read decodes but never writes."""
+
+    def test_one_decode_of_a_lone_chunk_and_it_serves_reads(self):
+        assert call_sites("_decode_chunk") == {
+            "src/repro/service/service.py:read_chunk"
+        }
+
+    def test_the_service_puts_only_from_the_stripe_task(self):
+        tree = ast.parse((SERVICE / "service.py").read_text())
+        owners = {
+            func.name for func in ast.walk(tree)
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and store_puts(func)
+        }
+        assert owners == {"_repair_stripe"}
+
+    def test_the_old_paths_are_gone(self):
+        for name in ("_sync_and_verify", "_auto_repair_chunk", "targets"):
+            assert count_defs(name) == {}, name  # targets: RepairJob.targets
+        for path in src_files():
+            text = path.read_text()
+            assert not re.search(
+                r"\b(_sync_and_verify|_auto_repair_chunk|job\.targets)\b", text
+            ), path
 
 
 class TestOneBodyFrame:

@@ -70,8 +70,11 @@ class TestFaultFree:
 class TestMidRepairCasualty:
     """The scripted scenario: a second disk dies during cooperative repair."""
 
+    # Disk 7 dies under a stripe that has yet to read it: that stripe
+    # salvages its partial sums. (Every stripe that starts later has lost
+    # the disk's chunk already and rebuilds it with the rest, no salvage.)
     SCHEDULE = FaultSchedule([
-        FaultEvent(at=2 * READ_SECONDS, kind="disk_fail", disk=4),
+        FaultEvent(at=2 * READ_SECONDS, kind="disk_fail", disk=7),
     ])
 
     def run_once(self, algo="fsr"):

@@ -959,26 +959,29 @@ class TestSilentCorruptionFrontDoor:
         asyncio.run(run())
 
     def test_repair_read_quarantines_corrupt_survivor(self, tmp_path):
-        """repair_chunk hitting a second rotted chunk quarantines it too
-        and fails retryably instead of decoding garbage."""
-        from repro.errors import ChunkQuarantinedError
+        """repair_chunk hitting a second rotted chunk quarantines it too,
+        and the same pass rebuilds both instead of decoding garbage."""
 
         async def run():
             service = self._file_service(tmp_path)
+            store = service.server.store
             disk_a, pristine_a = self._corrupt(service, 4, 0)
-            service.quarantine_chunk(4, 4, 0, source="test", auto_repair=False)
-            # rot every other data/parity shard but k-1 so the first
-            # repair attempt must touch a corrupt survivor
-            stripe = service.server.layout[4]
-            disk_b, _ = self._corrupt(service, 4, 1)
-            with pytest.raises(ChunkQuarantinedError):
-                await service.repair_chunk(4, 0)
-            assert service.is_quarantined(disk_b, ChunkId(4, 1))
-            # both rotted chunks now known: each repairs from the clean rest
+            service.quarantine_chunk(disk_a, 4, 0, source="test", auto_repair=False)
+            # shard 1 is the first clean-looking survivor the read-repair reads
+            disk_b, pristine_b = self._corrupt(service, 4, 1)
             assert await service.repair_chunk(4, 0)
-            assert await service.repair_chunk(4, 1)
-            assert np.array_equal(service.server.store.get(disk_a, ChunkId(4, 0)), pristine_a)
+            assert service.corrupt_found == service.corrupt_repaired == 2
             assert len(service.quarantine) == 0
+            for disk, shard, pristine in ((disk_a, 0, pristine_a), (disk_b, 1, pristine_b)):
+                assert store.verify_chunk(disk, ChunkId(4, shard))
+                assert np.array_equal(store.get(disk, ChunkId(4, shard)), pristine)
+            # nothing is left to rebuild: the second call reads nothing
+            def no_read(*_):
+                raise AssertionError("repair_chunk read a rebuilt stripe")
+
+            store.get = no_read
+            assert await service.repair_chunk(4, 1)
+            assert service.corrupt_repaired == 2
             await service.close()
 
         asyncio.run(run())

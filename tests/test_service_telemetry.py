@@ -302,6 +302,25 @@ class TestScrapeVerbs:
 # ---------------------------------------------------------------------------
 # HTTP listener: /metrics + /healthz readiness
 # ---------------------------------------------------------------------------
+class TestJobProgress:
+    def test_resumed_job_eta_extrapolates_from_decoded_stripes_only(self):
+        """A stripe replayed from the journal costs no read, so a resumed
+        job's ETA comes from the stripes this incarnation decoded."""
+        import time
+
+        from repro.core.plans import RepairPlan, StripePlan
+        from repro.service.service import ServiceJob
+
+        plan = RepairPlan("fsr", [StripePlan(i, [[0, 1, 2]]) for i in range(4)])
+        job = ServiceJob(plan, [0, 1, 2, 3], [[1, 2, 3]] * 4, [0], {})
+        job.started_wall = time.monotonic() - 2.0
+        job.stats.resumed_stripes = 2
+        job.stripes_done = 2  # replayed only: nothing to extrapolate from
+        assert job.progress()["eta_seconds"] is None
+        job.stripes_done = 3  # one stripe decoded in 2 s, one left
+        assert 2.0 <= job.progress()["eta_seconds"] < 3.0
+
+
 class TestTelemetryServer:
     def test_healthz_flips_with_daemon_lifecycle(self):
         registry = MetricsRegistry()

@@ -69,6 +69,8 @@ def check_bitrot(report: dict) -> str:
     assert report["byte_identical"], report
     assert report["foreground_read_clean"], report
     assert report["repair"]["certified"], report["repair"]
+    # every rebuilt chunk persisted once: no second decode of one stripe
+    assert report["duplicate_writes"] == [], report["duplicate_writes"]
     return (
         f"bitrot chaos ok: {report['detected']} detected, "
         f"{report['read_repaired']} read-repaired in "
