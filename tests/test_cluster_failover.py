@@ -18,6 +18,7 @@ import asyncio
 
 import pytest
 
+from repro.ec.stripe import ChunkId
 from repro.errors import FencedError
 from repro.faults.injector import SimulatedCrash
 from repro.faults.spec import FaultEvent, FaultSchedule
@@ -274,5 +275,53 @@ class TestEpochFencing:
             assert all(e == 2 for e in b.held.values())
             a_tick = a.tick()
             assert a_tick == []  # revival does not steal leases back
+
+        asyncio.run(run())
+
+
+class TestReadRepairAcrossShards:
+    def test_a_read_repair_never_writes_a_peers_shard(self, tmp_path):
+        """Node a read-repairs its own chunk on a stripe that also holds a
+        failed disk of a shard node b owns. The stripe rebuilds both, but a
+        writes only its own chunk, at home: b's chunk, and where it goes,
+        are b's to decide."""
+        async def run():
+            state = {"t": 100.0}
+            cfg = dict(
+                root=tmp_path / "cluster", num_shards=4,
+                lease_ttl=2.0, heartbeat_interval=0.5, durable=False,
+            )
+            a, b = (
+                ClusterNode(
+                    ClusterConfig(node_id=name, endpoint=f"{name}:1", **cfg),
+                    clock=ClusterClock(base=lambda: state["t"]),
+                )
+                for name in "ab"
+            )
+            # Both nodes live before either claims: the ring splits the shards.
+            b.store.publish_node("b", "b:1", state["t"] + 2.0, state["t"])
+            a.tick()
+            b.tick()
+            assert a.held and b.held
+
+            store = shared_store(tmp_path)
+            server = make_server(store)
+            si = 0
+            disks = server.layout[si].disks
+            peer_disk = next(d for d in disks if b.owns_disk(d))
+            shard = next(j for j, d in enumerate(disks) if a.owns_disk(d))
+            own = (disks[shard], ChunkId(si, shard))
+            original = store.get(*own)
+            store.reset()
+            service = make_service(server, tmp_path / "journal", fence=a.check_fence)
+            service.quarantine_chunk(own[0], si, shard, source="test")
+            server.fail_disk(peer_disk)
+
+            assert await service.repair_chunk(si, shard)
+            assert store.write_counts == {own: 1}
+            assert (store.get(*own) == original).all()
+            assert not service.quarantine
+            assert peer_disk in server.layout[si].disks  # b's chunk: untouched
+            await service.close()
 
         asyncio.run(run())

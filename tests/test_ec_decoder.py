@@ -149,13 +149,13 @@ class TestCoefficientMemo:
         assert len(inversions) == 1
         for pd in decoders:
             pd.feed({1: shards[1], 2: shards[2]})
-        salvaged = decoders[0].replan([3, 5, 1])  # shard 4 died; 1 is re-read
+        salvaged = decoders[0].replan([3, 5, 1], [0])  # shard 4 died; 1 is re-read
         salvaged.feed({s: shards[s] for s in salvaged.pending})
         assert np.array_equal(salvaged.result(0), shards[0])
         for pd in decoders[1:]:
             pd.feed({3: shards[3], 4: shards[4]})
             assert np.array_equal(pd.result(0), shards[0])
-        restarted = decoders[1].restart([2, 3, 4, 5])
+        restarted = decoders[1].restart([2, 3, 4, 5], [0])
         restarted.feed({s: shards[s] for s in (2, 3, 4, 5)})
         assert np.array_equal(restarted.result(0), shards[0])
 

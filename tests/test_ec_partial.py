@@ -165,55 +165,67 @@ class TestErrors:
 
 class TestReplan:
     def test_salvages_fed_rounds(self, code, shards):
-        """Swap a dead pending survivor mid-decode; fed chunks are kept."""
-        # Two targets leave shard 7 as a fresh replacement read.
+        """Swap a dead pending survivor mid-decode; fed chunks are kept.
+        With ``[1, 4, 5]`` the dead shard joins the targets: a new target
+        is rebuilt over the same system, ``k - t`` reads for the old ``t``."""
+        for targets in ([1, 4], [1, 4, 5]):
+            # Two targets leave shard 7 as a fresh replacement read.
+            pd = PartialDecoder(code, SURVIVORS, [1, 4])
+            pd.feed({j: shards[j] for j in [0, 2, 3]})
+            # pending survivor 5 "dies": keep still-alive 6 and 8, bring in
+            # fresh shard 7. The fed chunks stay folded into the accumulators.
+            pd.replan([6, 8, 7, 0], targets)
+            assert pd.pending == [0, 6, 7, 8]
+            assert pd.targets == targets and 5 not in pd.survivor_ids
+            pd.feed({j: shards[j] for j in [6, 8, 7, 0]})
+            for t in targets:
+                assert np.array_equal(pd.result(t), shards[t])
+
+    def test_restart_takes_the_grown_targets(self, code, shards):
         pd = PartialDecoder(code, SURVIVORS, [1, 4])
-        pd.feed({j: shards[j] for j in [0, 2, 3]})
-        # pending survivor 5 "dies": keep still-alive 6 and 8, bring in
-        # fresh shard 7. The fed chunks stay folded into the accumulators.
-        pd.replan([6, 8, 7, 0])
-        assert pd.pending == [0, 6, 7, 8]
-        pd.feed({j: shards[j] for j in [6, 8, 7, 0]})
-        for t in (1, 4):
+        pd.feed({0: shards[0]})
+        pd.restart([0, 2, 3, 6, 7, 8], [1, 4, 5])
+        pd.feed({j: shards[j] for j in pd.pending})
+        for t in (1, 4, 5):
             assert np.array_equal(pd.result(t), shards[t])
 
     def test_replan_wrong_read_count(self, code, shards):
         pd = PartialDecoder(code, SURVIVORS, TARGETS)
         pd.feed({j: shards[j] for j in [0, 2, 3]})
         with pytest.raises(CodingError):
-            pd.replan([6, 8])
+            pd.replan([6, 8], TARGETS)
 
     def test_replan_duplicate_reads(self, code, shards):
         pd = PartialDecoder(code, SURVIVORS, TARGETS)
         pd.feed({j: shards[j] for j in [0, 2, 3]})
         with pytest.raises(CodingError):
-            pd.replan([6, 6, 8])
+            pd.replan([6, 6, 8], TARGETS)
 
     def test_replan_target_rejected(self, code, shards):
         pd = PartialDecoder(code, SURVIVORS, TARGETS)
         pd.feed({j: shards[j] for j in [0, 2, 3]})
         with pytest.raises(CodingError):
-            pd.replan([6, 8, 1])  # 1 is a repair target
+            pd.replan([6, 8, 1], TARGETS)  # 1 is a repair target
 
     def test_replan_out_of_range(self, code, shards):
         pd = PartialDecoder(code, SURVIVORS, TARGETS)
         pd.feed({j: shards[j] for j in [0, 2, 3]})
         with pytest.raises(CodingError):
-            pd.replan([6, 8, 9])
+            pd.replan([6, 8, 9], TARGETS)
 
     def test_replan_before_enough_fed_is_singular(self, code, shards):
         """With fewer than t fed chunks the accumulator rows are dependent."""
         pd = PartialDecoder(code, SURVIVORS, TARGETS)  # t = 3 targets
         pd.feed({0: shards[0]})  # only 1 fed < 3
         with pytest.raises(CodingError):
-            pd.replan([2, 3, 5])
+            pd.replan([2, 3, 5], TARGETS)
 
     def test_replan_all_fed_rereads_singular(self, code, shards):
         """Re-reading every fed shard duplicates rows -> singular."""
         pd = PartialDecoder(code, SURVIVORS, TARGETS)
         pd.feed({j: shards[j] for j in [0, 2, 3]})
         with pytest.raises(CodingError):
-            pd.replan([0, 2, 3])
+            pd.replan([0, 2, 3], TARGETS)
 
     def test_replan_mixed_reread_allowed(self, code, shards):
         """Re-reading a fed shard is fine when enough rounds are banked.
@@ -224,7 +236,7 @@ class TestReplan:
         """
         pd = PartialDecoder(code, SURVIVORS, [1, 4])  # t = 2
         pd.feed({j: shards[j] for j in [0, 2, 3]})    # 3 fed >= t + 1 re-read
-        pd.replan([6, 8, 5, 0])  # keep 6/8/5, re-read 0
+        pd.replan([6, 8, 5, 0], [1, 4])  # keep 6/8/5, re-read 0
         pd.feed({j: shards[j] for j in [6, 8, 5, 0]})
         for t in (1, 4):
             assert np.array_equal(pd.result(t), shards[t])
@@ -241,12 +253,12 @@ class TestReplan:
         # survivor 5 died; candidates avoiding it all fail
         for reads in ([6, 8, 0], [6, 8, 2], [6, 8, 3]):
             with pytest.raises(CodingError):
-                pd.replan(reads)
+                pd.replan(reads, TARGETS)
 
     def test_restart_discards_everything(self, code, shards):
         pd = PartialDecoder(code, SURVIVORS, TARGETS)
         pd.feed({j: shards[j] for j in [0, 2, 3]})
-        pd.restart([0, 2, 3, 5, 6, 8])
+        pd.restart([0, 2, 3, 5, 6, 8], TARGETS)
         assert pd.pending == [0, 2, 3, 5, 6, 8]
         assert pd.fed == []
         pd.feed({j: shards[j] for j in [0, 2, 3, 5, 6, 8]})
@@ -256,7 +268,7 @@ class TestReplan:
     def test_restart_rejects_targets_as_survivors(self, code):
         pd = PartialDecoder(code, SURVIVORS, TARGETS)
         with pytest.raises(CodingError):
-            pd.restart([0, 2, 3, 5, 6, 1])
+            pd.restart([0, 2, 3, 5, 6, 1], TARGETS)
 
     @given(seed=st.integers(0, 2**31 - 1), fed_count=st.integers(2, 5))
     @settings(max_examples=30, deadline=None)
@@ -280,7 +292,7 @@ class TestReplan:
         alive_pending = survivors[fed_count + 1:]
         need = 6 - len(targets)
         replacement = (alive_pending + spares + fed)[:need]
-        pd.replan(replacement)
+        pd.replan(replacement, targets)
         assert dead not in pd.pending
         pd.feed({j: shards[j] for j in pd.pending})
         for t in targets:

@@ -176,6 +176,33 @@ class TestScrubCycle:
 
         asyncio.run(run())
 
+    def test_a_read_repair_that_cannot_place_leaves_the_scrub_running(self, tmp_path):
+        """A failed disk, no spare left, and a corrupt survivor on one of
+        its stripes: the read-repair's stripe job has nowhere to put the
+        failed disk's chunk. It fails as a whole — nothing is written, the
+        chunk stays quarantined — and the scrub loop keeps running."""
+        async def run():
+            service = make_service(tmp_path)
+            server = service.server
+            server.fail_disk(0)
+            for spare in server.spare_disk_ids:
+                server.fail_disk(spare)
+            si = server.layout.stripe_set(0)[0]
+            shard = next(j for j, d in enumerate(server.layout[si].disks) if d != 0)
+            disk, _ = corrupt(service, si, shard)
+            scrub = Scrubber(service, fast_config())
+            scrub.start()
+            assert await scrub.wait_cycles(2, timeout=10.0)
+            assert scrub.running
+            assert (scrub.corrupt_found, scrub.repaired, scrub.repair_failures) == (1, 0, 1)
+            assert service.is_quarantined(disk, ChunkId(si, shard))
+            with pytest.raises(ChunkChecksumError):
+                server.store.get(disk, ChunkId(si, shard))
+            await scrub.stop()
+            await service.close()
+
+        asyncio.run(run())
+
     def test_failed_disk_is_skipped(self, tmp_path):
         async def run():
             service = make_service(tmp_path)

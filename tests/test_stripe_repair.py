@@ -40,7 +40,7 @@ TWO_ROUNDS = StripePlan(0, [[0], [1, 2]], accumulator_chunks=1)
 
 
 def fresh(plan=ONE_ROUND):
-    return StripeRepair.fresh(CODE, SURVIVORS, [TARGET], plan, SIZE)
+    return StripeRepair.fresh(CODE, SURVIVORS, [TARGET], plan, SIZE, [1, 2, 3, 4])
 
 
 def chunks(ids):
@@ -79,46 +79,73 @@ class TestConstruction:
         assert counters(repair) == (0, 0, 0, 0)
         assert np.array_equal(repair.decoder.result(TARGET), SHARDS[TARGET])
 
+    def test_a_lost_plan_survivor_is_swapped_in_its_column(self):
+        """Shard 2 was lost after the plan: the stripe rebuilds it too, and
+        reads the next readable shard in its place."""
+        repair = StripeRepair.fresh(CODE, SURVIVORS, [0, 2], TWO_ROUNDS, SIZE, [1, 3, 4])
+        assert repair.queue == [[1], [4, 3]]
+        assert repair.decoder.targets == [0, 2]
+        while rnd := repair.next_round():
+            repair.feed(chunks(rnd))
+        for target in (0, 2):
+            assert np.array_equal(repair.decoder.result(target), SHARDS[target])
+
+    def test_too_few_readable_at_start_is_lost_before_any_read(self):
+        repair = StripeRepair.fresh(CODE, SURVIVORS, [0, 2, 3], ONE_ROUND, SIZE, [1, 4])
+        assert repair.outcome == LOST
+        assert repair.next_round() == []
+
 
 class TestLadder:
     def test_salvage_keeps_the_fed_chunks(self):
-        repair = fresh(TWO_ROUNDS)
-        repair.feed(chunks(repair.next_round()))          # shard 1 is in
-        assert repair.next_round() == [2, 3]
-        repair.feed(chunks([2]))                          # 2 read, 3 died
-        assert repair.on_fault(dead(3), readable=[1, 2, 4]) == CONTINUE
-        assert repair.outcome == REPLANNED
-        assert counters(repair) == (1, 0, 2, 0)
-        assert 3 not in repair.decoder.pending
-        assert np.array_equal(finish(repair), SHARDS[TARGET])
+        # With [0, 3], shard 3 is lost itself (its disk died, or it was
+        # quarantined): the same pass rebuilds it too.
+        for lost in ([TARGET], [TARGET, 3]):
+            repair = fresh(TWO_ROUNDS)
+            repair.feed(chunks(repair.next_round()))          # shard 1 is in
+            assert repair.next_round() == [2, 3]
+            repair.feed(chunks([2]))                          # 2 read, 3 died
+            assert repair.on_fault(dead(3), readable=[1, 2, 4], lost=lost) == CONTINUE
+            assert repair.outcome == REPLANNED
+            assert counters(repair) == (1, 0, 2, 0)
+            assert 3 not in repair.decoder.pending
+            assert repair.decoder.targets == lost
+            finish(repair)
+            for target in lost:
+                assert np.array_equal(repair.decoder.result(target), SHARDS[target])
 
     def test_rounds_after_a_replan_are_filtered_to_pending(self):
         repair = fresh(TWO_ROUNDS)
         repair.feed(chunks(repair.next_round()))
         repair.next_round()
         repair.feed(chunks([3]))
-        repair.on_fault(dead(2), readable=[1, 3, 4])
+        repair.on_fault(dead(2), readable=[1, 3, 4], lost=[TARGET])
         # a stale round naming an already-fed shard must not re-read it
         repair.queue.insert(0, [3])
         rnd = repair.next_round()
         assert rnd and set(rnd) <= set(repair.decoder.pending)
 
     def test_singular_salvage_restarts_from_scratch(self):
-        repair = fresh()
-        assert repair.next_round() == [1, 2, 3]
-        # first read of the stripe dies: no partial sums to salvage
-        assert repair.on_fault(dead(1), readable=[2, 3, 4]) == CONTINUE
-        assert repair.outcome == REPLANNED
-        assert counters(repair) == (0, 1, 0, 0)
-        assert repair.decoder.fed == []
-        # re-planned rounds leave room for the accumulator: 3 - 1 = 2 wide
-        assert repair.queue == [[2, 3], [4]]
-        assert np.array_equal(finish(repair), SHARDS[TARGET])
+        # With [0, 1] the dead shard is lost itself: the restart rebuilds it.
+        for lost in ([TARGET], [TARGET, 1]):
+            repair = fresh()
+            assert repair.next_round() == [1, 2, 3]
+            # first read of the stripe dies: no partial sums to salvage
+            assert repair.on_fault(dead(1), readable=[2, 3, 4], lost=lost) == CONTINUE
+            assert repair.outcome == REPLANNED
+            assert counters(repair) == (0, 1, 0, 0)
+            assert repair.decoder.fed == []
+            assert repair.decoder.targets == lost
+            # re-planned rounds leave room for the accumulator: 3 - 1 = 2 wide
+            assert repair.queue == [[2, 3], [4]]
+            finish(repair)
+            for target in lost:
+                assert np.array_equal(repair.decoder.result(target), SHARDS[target])
 
     def test_fewer_than_k_readable_is_lost(self):
         repair = fresh()
         repair.next_round()
-        assert repair.on_fault(dead(1), readable=[2, 3]) == LOST
+        assert repair.on_fault(dead(1), readable=[2, 3], lost=[TARGET]) == LOST
         assert repair.outcome == LOST
         assert repair.next_round() == []
         assert counters(repair) == (0, 0, 0, 0)
@@ -128,9 +155,9 @@ class TestLadder:
         repair.next_round()
         # a store that only learns of corruption by reading still lists the
         # dead shards as readable; the ladder must not bounce between them
-        assert repair.on_fault(dead(1), readable=[1, 2, 3, 4]) == CONTINUE
+        assert repair.on_fault(dead(1), readable=[1, 2, 3, 4], lost=[TARGET]) == CONTINUE
         repair.feed(chunks([2, 3]))
-        assert repair.on_fault(dead(4), readable=[1, 2, 3, 4]) == LOST
+        assert repair.on_fault(dead(4), readable=[1, 2, 3, 4], lost=[TARGET]) == LOST
 
     def test_a_hedge_never_returns_to_a_shard_it_gave_up_on(self):
         repair = fresh(TWO_ROUNDS)
@@ -138,14 +165,14 @@ class TestLadder:
         repair.next_round()
         # 2 is slow: hedged onto 4. Then 4 is slow as well: going back to 2
         # would ping-pong between two permanently slow disks forever.
-        assert repair.on_fault(ShardFault(2), readable=[1, 3, 2, 4]) == CONTINUE
+        assert repair.on_fault(ShardFault(2), readable=[1, 3, 2, 4], lost=[TARGET]) == CONTINUE
         assert 4 in repair.decoder.pending
         repair.next_round()
-        assert repair.on_fault(ShardFault(4), readable=[1, 3, 2, 4]) == FORCE
+        assert repair.on_fault(ShardFault(4), readable=[1, 3, 2, 4], lost=[TARGET]) == FORCE
         assert repair.hedged_reads == 1
         # a slow shard still has the data: once 3 dies it is a survivor again
         repair.feed(chunks([4]))
-        assert repair.on_fault(dead(3), readable=[1, 2, 4]) == CONTINUE
+        assert repair.on_fault(dead(3), readable=[1, 2, 4], lost=[TARGET]) == CONTINUE
         assert 2 in repair.decoder.pending
 
     def test_slow_with_an_alternative_is_hedged(self):
@@ -154,7 +181,7 @@ class TestLadder:
         assert repair.next_round() == [2, 3]
         slow = ShardFault(2)
         assert not slow.dead
-        assert repair.on_fault(slow, readable=[1, 3, 4, 2]) == CONTINUE
+        assert repair.on_fault(slow, readable=[1, 3, 4, 2], lost=[TARGET]) == CONTINUE
         assert repair.outcome == REPLANNED
         assert counters(repair) == (1, 0, 1, 1)
         assert repair.decoder.pending == [3, 4]
@@ -164,7 +191,7 @@ class TestLadder:
         repair = fresh()
         repair.next_round()
         repair.feed(chunks([2, 3]))  # a concurrent driver read the rest
-        assert repair.on_fault(ShardFault(1), readable=[2, 3, 1]) == FORCE
+        assert repair.on_fault(ShardFault(1), readable=[2, 3, 1], lost=[TARGET]) == FORCE
         assert repair.outcome == RECOVERED
         assert counters(repair) == (0, 0, 0, 0)
         repair.feed(chunks([1]))     # the driver forces the read through
@@ -174,7 +201,7 @@ class TestLadder:
     def test_forced_shard_leaves_the_rest_of_its_round_queued(self):
         repair = fresh()
         repair.next_round()          # a sequential driver stopped at shard 1
-        assert repair.on_fault(ShardFault(1), readable=[2, 3, 1]) == FORCE
+        assert repair.on_fault(ShardFault(1), readable=[2, 3, 1], lost=[TARGET]) == FORCE
         repair.feed(chunks([1]))
         assert repair.next_round() == [2, 3]
 
@@ -183,7 +210,7 @@ class TestLadder:
         repair.next_round()
         # nothing fed, so salvage is singular; a restart on [2, 3, 4] would
         # be possible, but a slow disk still has the data
-        assert repair.on_fault(ShardFault(1), readable=[2, 3, 4, 1]) == FORCE
+        assert repair.on_fault(ShardFault(1), readable=[2, 3, 4, 1], lost=[TARGET]) == FORCE
         assert repair.fresh_restarts == 0
         assert repair.decoder.pending == [1, 2, 3]
 
@@ -191,14 +218,14 @@ class TestLadder:
         repair = fresh()
         repair.next_round()
         repair.feed(chunks([2, 3]))
-        assert repair.on_fault(ShardFault(1), readable=[2, 3, 1]) == FORCE
-        assert repair.on_fault(dead(1), readable=[2, 3]) == LOST
+        assert repair.on_fault(ShardFault(1), readable=[2, 3, 1], lost=[TARGET]) == FORCE
+        assert repair.on_fault(dead(1), readable=[2, 3], lost=[TARGET]) == LOST
 
     def test_counters_fold_into_a_stats_sink(self):
         repair = fresh(TWO_ROUNDS)
         repair.feed(chunks(repair.next_round()))
         repair.next_round()
-        repair.on_fault(ShardFault(2), readable=[1, 3, 4])
+        repair.on_fault(ShardFault(2), readable=[1, 3, 4], lost=[TARGET])
         sink = SimpleNamespace(replans=5, fresh_restarts=0, salvaged_chunks=1,
                                hedged_reads=0)
         repair.fold_into(sink)
