@@ -169,7 +169,7 @@ def add_serve(sub) -> None:
     p.add_argument("--shards", type=int, default=4,
                    help="shard count for --store (default 4)")
     p.add_argument("--max-stripes", type=int, default=4,
-                   help="concurrent stripe decodes per repair job")
+                   help="stripe passes the daemon runs at once, across all repairs")
     p.add_argument("--gate-width", type=int, default=2,
                    help="concurrent reads allowed per disk (the DiskGate "
                         "width; default 2)")

@@ -6,9 +6,10 @@ assemble ``L_{s×k}``, let the scheme pick ``P_a``, run the stripes, land the
 rebuilt chunks and close the books. The stripe is the unit of repair: a
 stripe's targets are whatever it has lost when it starts or re-plans (a
 failed disk's chunk, a quarantined one), never a set fixed at plan time —
-so a disk job and a one-chunk read-repair are the same job. Like the stripe
-machine it is sans-I/O: it imports no event loop, thread, clock, store or
-journal writer. One driver *performs* what it says — the asyncio
+so a disk job and a one-chunk read-repair are the same job, and a stripe's
+rebuilt chunks are homed where they landed as the stripe ends. Like the
+stripe machine it is sans-I/O: it imports no event loop, thread, clock,
+store or journal writer. One driver *performs* what it says — the asyncio
 :class:`~repro.service.service.RepairService`, whose
 :meth:`~repro.service.service.RepairService.run_job` also runs the jobs
 :func:`~repro.core.recovery.recover_disk` plans; the timing-plane callers
@@ -26,12 +27,15 @@ half only.
   :class:`DataPathStats` tally and, when resuming, the replayed journal
   state: :meth:`~RepairJob.resumed` (the one fingerprint guard),
   :meth:`~RepairJob.open` (``begin`` or ``resume`` record),
-  :meth:`~RepairJob.journaled` and :meth:`~RepairJob.replayable` (replay
-  a journaled stripe only if the chunks the driver found landed cover
-  it; every other stripe starts fresh),
+  :meth:`~RepairJob.journaled`, :meth:`~RepairJob.drop_superseded` (a
+  recorded chunk another pass rebuilt since is not the job's any more)
+  and :meth:`~RepairJob.replayable` (replay a journaled stripe only if
+  the chunks the driver found landed cover it; every other stripe starts
+  fresh),
   :meth:`~RepairJob.replay_puts` (the one write-side redo),
   :meth:`~RepairJob.record_writebacks` (a chunk's name in a persistent
   store's ``stripe_done``, its bytes in a volatile one's),
+  :meth:`~RepairJob.remap` (a stripe's placement commit),
   :meth:`~RepairJob.commit`, :meth:`~RepairJob.certify` (the job's one
   ``store.sync``, then the one certification, from what the job already
   verified) and :meth:`~RepairJob.finish` (``complete`` record, counter
@@ -43,7 +47,7 @@ it has decided the effect may happen; the job never holds either.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import (
     TYPE_CHECKING,
     Callable,
@@ -284,7 +288,7 @@ class RepairJob:
         #: The crashed incarnation's journal, replayed (``None`` when fresh).
         self.state = state
         self.stats = DataPathStats(loss=DataLossReport() if hardened else None)
-        #: Shards remapped onto spares by :meth:`commit`.
+        #: Shards remapped onto spares by :meth:`remap`.
         self.remapped = 0
         #: ``(stripe, target)`` of every rebuilt chunk :meth:`certify`
         #: re-read intact — the chunks a driver may vouch for one by one.
@@ -369,6 +373,19 @@ class RepairJob:
             for target, _spare, payload in done.writebacks
         )
 
+    @staticmethod
+    def drop_superseded(
+        done: "StripeDone", lost: Collection[int], homes: Sequence[int]
+    ) -> "StripeDone":
+        """``done`` without the spare writebacks another pass has superseded:
+        a target no longer ``lost`` and homed (``homes``) on another disk
+        than the record's was rebuilt since. Its recorded chunk stays where
+        it landed, never put, homed or counted again."""
+        return replace(done, writebacks=[
+            (target, disk, payload) for target, disk, payload in done.writebacks
+            if target in lost or disk == homes[target]
+        ])
+
     def replay_puts(
         self,
         si: int,
@@ -452,13 +469,20 @@ class RepairJob:
         if stats.loss is not None:
             stats.loss.record(si, outcome)
 
-    # ------------------------------------------------------------------- tail
-    def commit(self, server: "HighDensityStorageServer") -> List[int]:
-        """Remap every rebuilt shard onto its spare (placement commit).
+    def remap(
+        self, server: "HighDensityStorageServer", si: int,
+        placed: Sequence[Tuple[int, int]],
+    ) -> None:
+        """Home stripe ``si``'s rebuilt ``(target, disk)`` shards where they
+        landed (placement commit), once their puts returned — at the end of
+        the stripe, so no later pass sees them lost."""
+        self.remapped += server.commit_writebacks(
+            [(si, target, disk) for target, disk in placed]
+        )
 
-        Returns the stripes to certify: all the job covered but the lost.
-        """
-        self.remapped = server.commit_writebacks(self.stats.writebacks)
+    # ------------------------------------------------------------------- tail
+    def commit(self) -> List[int]:
+        """The stripes to certify: all the job covered but the lost."""
         loss = self.stats.loss
         lost = set(loss.lost) if loss is not None else set()
         return [si for si in self.stripe_indices if si not in lost]
@@ -476,6 +500,7 @@ class RepairJob:
         server: "HighDensityStorageServer",
         kept: Sequence[int],
         vetoed: Callable[[int, ChunkId], bool],
+        unverified: Collection[Tuple[int, int]] = (),
     ) -> ScrubReport:
         """Make the job's puts durable, then certify the ``kept`` stripes
         from what the job already verified.
@@ -484,10 +509,12 @@ class RepairJob:
         vouches for the chunks; the service runs this whole method in one
         worker call.
 
-        Call after :meth:`commit`, so every shard's home is its current one.
+        Call after every stripe's :meth:`remap`, so every home is current.
         Each chunk the job landed — replayed ones included — is re-read
-        once with ``verify_chunk``; one that passes joins :attr:`verified`,
-        one that fails degrades its stripe. A stripe is also *degraded*
+        once with ``verify_chunk``, and so is each ``(stripe, shard)`` of
+        ``unverified``: a chunk another job landed and no certify has
+        verified yet. One that passes joins :attr:`verified`, one that
+        fails degrades its stripe. A stripe is also *degraded*
         when any shard's home is failed, missing, not ``is_readable`` or
         ``vetoed(disk, chunk)`` by the driver (the service's quarantine) —
         a vetoed chunk the job rewrote is judged by its verify instead.
@@ -507,6 +534,9 @@ class RepairJob:
             landed.setdefault(si, set()).add(target)
         loss = self.stats.loss
         outcomes = loss.stripes if loss is not None else {}
+        others: Dict[int, Set[int]] = {}
+        for si, shard in unverified:
+            others.setdefault(si, set()).add(shard)
         report = ScrubReport()
 
         def intact(si: int, shard: int) -> bool:
@@ -522,13 +552,14 @@ class RepairJob:
             rewritten = landed.get(si, set())
             ok = len(readable_shards(server, si, stripe, skip=lambda d, c: (
                 vetoed(d, c) and c.shard_index not in rewritten))) == stripe.n
-            for shard in sorted(rewritten):
+            checked = rewritten | others.get(si, set())
+            for shard in sorted(checked):
                 if intact(si, shard):
                     self.verified.add((si, shard))
                 else:
                     ok = False
             if ok and outcomes.get(si, RECOVERED) != RECOVERED:
-                ok = all(intact(si, s) for s in range(stripe.n) if s not in rewritten)
+                ok = all(intact(si, s) for s in range(stripe.n) if s not in checked)
             (report.clean if ok else report.degraded).append(si)
         return report
 

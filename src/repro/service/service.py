@@ -1,27 +1,28 @@
-"""The asyncio repair service: concurrent repairs + a foreground front door.
+"""The asyncio repair service: one stripe queue, and a front door beside it.
 
 :class:`RepairService` multiplexes many repairs over one
 :class:`~repro.hdss.server.HighDensityStorageServer` whose chunk store is
 (usually) a :class:`~repro.hdss.store.ShardedChunkStore`. Only a stripe
-rebuilds a chunk: a stripe task of a job :meth:`RepairService.run_job`
-runs, whose targets are what the stripe has lost when it starts or
-re-plans (:meth:`RepairService.lost_shards`: failed disks + quarantine).
+rebuilds a chunk: a :class:`StripePass` from the service's one queue,
+started once fewer than ``max_concurrent_stripes`` passes run and none of its
+stripe does, holding the stripe until its chunks landed and are remapped.
+Its targets are what the stripe has lost when it starts or re-plans
+(:meth:`RepairService.lost_shards`: failed disks + quarantine).
 
-* ``submit_repair(disk)`` plans that disk's repair with the configured
-  HD-PSR scheme and runs each stripe's partial decode as an asyncio task:
+* ``submit_repair(disk)`` plans every stripe the disk touches with the
+  configured HD-PSR scheme and queues one pass per plan row, at the back:
   a round takes ``len(round)`` of the server's ``c`` chunk slots
   (:class:`~repro.service.admission.SlotWaiter`), then its disks' gate
   slots (:meth:`RepairService._read_round`). A decoded stripe appends its
   ``stripe_done`` record, then puts its rebuilt chunks while it still holds
-  its ``max_concurrent_stripes`` slot — the write path's only back-pressure.
+  its pool slot — the write path's only back-pressure.
 * ``repair_chunk(stripe, shard)``, the read-repair of a quarantined chunk,
-  waits until no job or read-repair holds the stripe and runs it as a
-  one-stripe job; a disk job that lists the stripe meanwhile waits it out.
+  queues a one-stripe job at the front.
 * ``read_chunk(stripe, shard)`` is the client-facing read path. Reads of
   healthy chunks take a foreground-priority slot on the owning disk; reads
-  of *lost* chunks become degraded reads that **piggyback on the in-flight
-  repair** (every stripe a job owns exposes a future resolving to its
-  decoded payloads) or decode on their own, never writing.
+  of *lost* chunks become degraded reads that **piggyback** on the stripe's
+  running or queued pass (its ``decoded`` future resolves before its puts)
+  or decode on their own, never writing.
 
 Every repair read is priced, before it is issued, on :attr:`RepairService.clock`
 — a :class:`~repro.core.stripe_repair.ReadClock`, one serial logical clock.
@@ -31,9 +32,9 @@ read whenever the stripes run one at a time. ``submit_repair``,
 ``repair_chunk`` and :func:`~repro.core.recovery.recover_disk` all run
 their jobs through :meth:`RepairService.run_job`, the one job body.
 
-Crash consistency reuses the repair journal unchanged: each disk job writes
-``begin`` / ``stripe_done`` records into its own directory
-(``journal_root/disk-NNN``), and ``submit_repair(disk, resume=True)``
+Crash consistency reuses the repair journal unchanged: a disk's one live
+job writes ``begin`` and a ``stripe_done`` per stripe it lists into its own
+directory (``journal_root/disk-NNN``), and ``submit_repair(disk, resume=True)``
 replays every finished stripe whose rebuilt chunks landed (or are in the
 record) without a survivor read and redoes the rest from the plan.
 """
@@ -43,7 +44,7 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -118,15 +119,6 @@ READ_LATENCY_QUANTILES = (0.5, 0.9, 0.99, 0.999)
 Gotten = Tuple[int, int, object, float, float]
 
 
-async def _unheld(si: int, *holders: Dict[int, "asyncio.Future"]) -> None:
-    """Return once no map in ``holders`` holds stripe ``si``."""
-    while True:
-        held = next((h[si] for h in holders if si in h), None)
-        if held is None:
-            return
-        await asyncio.shield(held)
-
-
 def _read_and_fold(
     store, si: int, reads: Sequence[Tuple[int, int]],
     decoder: Optional[PartialDecoder], gotten: Sequence[Gotten] = (),
@@ -171,10 +163,11 @@ class ServiceConfig:
     """Tuning knobs of one :class:`RepairService`.
 
     Attributes:
-        max_concurrent_stripes: stripes one repair job decodes at once —
-            the looser of two caps: survivor chunks in flight are bounded
-            by the server's ``c``-slot memory, this bounds the ``t``
-            accumulators per stripe on top of it.
+        max_concurrent_stripes: stripe passes the whole service runs at
+            once, across every job and read-repair — the looser of two
+            caps: survivor chunks in flight are bounded by the server's
+            ``c``-slot memory, this bounds the ``t`` accumulators per
+            stripe on top of it.
         per_disk_reads: concurrent reads allowed per disk (gate width).
         policy: read-hardening knobs applied to repair reads as the read
             clock prices them (timeouts, retries, hedging).
@@ -229,19 +222,9 @@ class ServiceRepairResult:
         return self.loss.exit_code
 
     def summary(self) -> dict:
-        return {
-            "disk": self.disk,
-            "algorithm": self.algorithm,
-            "stripes": self.stripes,
-            "stripes_repaired": self.stripes_repaired,
-            "stripes_lost": self.stripes_lost,
-            "chunks_rebuilt": self.chunks_rebuilt,
-            "resumed_stripes": self.resumed_stripes,
-            "remapped": self.remapped,
-            "wall_seconds": self.wall_seconds,
-            "certified": self.certified,
-            "exit_code": self.exit_code,
-        }
+        """The JSON-safe fields (all but ``loss`` and ``scrub``), then the verdict."""
+        row = {f.name: getattr(self, f.name) for f in fields(self) if f.name not in ("loss", "scrub")}
+        return {**row, "certified": self.certified, "exit_code": self.exit_code}
 
 
 @dataclass
@@ -272,6 +255,11 @@ class ServiceJob(RepairJob):
     stripes_done: int = 0
     finished: bool = False
 
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        #: Quarantine keys its in-place rewrites lifted as they landed.
+        self.lifted: Set[Tuple[int, ChunkId]] = set()
+
     def progress(self) -> dict:
         """One job's live progress row (JSON-safe, served by ``stats``)."""
         total = len(self.stripe_indices)
@@ -301,6 +289,21 @@ class ServiceJob(RepairJob):
             "eta_seconds": eta,
             "done": self.finished,
         }
+
+
+@dataclass(eq=False)
+class StripePass:
+    """One entry of the stripe queue: ``job``'s plan row for stripe ``si``.
+    ``turn`` resolves once the pool has room and no other pass of ``si``
+    runs; the pass then holds ``si`` until its chunks landed and are homed."""
+
+    job: ServiceJob
+    sp: StripePlan
+    si: int
+    shards: List[int]
+    #: ``{target: payload}`` (``None``: lost), set before the puts.
+    decoded: "asyncio.Future"
+    turn: "asyncio.Future"
 
 
 class RepairService:
@@ -349,23 +352,22 @@ class RepairService:
         #: by all jobs; it holds the one fault injector (the schedule is
         #: server-wide), bound by the first job that needs it.
         self.clock = ReadClock(server, self.config.policy)
-        #: stripe index -> future of {target_shard: payload} (or None=lost).
-        self._repair_futures: Dict[int, "asyncio.Future"] = {}
-        #: Stripes owned by an active job -> a future resolved at release.
-        self._claimed: Dict[int, "asyncio.Future"] = {}
-        #: Stripes a read-repair holds -> a future resolved at release. Kept
-        #: apart: a disk job waits them out instead of skipping the stripe.
-        self._read_repairs: Dict[int, "asyncio.Future"] = {}
+        #: The stripe queue: passes waiting for the pool, in start order.
+        self._queue: List[StripePass] = []
+        #: stripe index -> its one running pass (the pool's occupants).
+        self._running: Dict[int, StripePass] = {}
         self._tickets: Dict[int, RepairTicket] = {}
         #: job_id -> supervisor job state, kept after completion for `top`.
         self._jobs: Dict[int, ServiceJob] = {}
         self._next_job = 0
-        #: Stripe decodes in flight right now, across all jobs.
-        self._inflight_stripes = 0
         #: Quarantined chunks: (disk_id, ChunkId) -> wall time of detection.
         #: A quarantined chunk is lost (:meth:`lost_shards`): never served,
-        #: never a decode survivor, until a job rewrites and certifies it.
+        #: never a decode survivor, until a pass rewrites it.
         self.quarantine: Dict[Tuple[int, ChunkId], float] = {}
+        #: Rebuilt chunks no certify has verified since a pass landed them:
+        #: (stripe, shard) -> the job whose pass landed it last. Every
+        #: job's certify verifies those on its stripes, not only its own.
+        self._unverified: Dict[Tuple[int, int], ServiceJob] = {}
         #: Corruption tallies (reported by :meth:`snapshot`).
         self.corrupt_found = 0
         self.corrupt_repaired = 0
@@ -398,7 +400,8 @@ class RepairService:
 
     # ------------------------------------------------- quarantine & read-repair
     def is_quarantined(self, disk_id: int, chunk_id: ChunkId) -> bool:
-        """Whether a chunk is blocked from being served (failed verify)."""
+        """Whether a chunk is blocked from being served (failed verify, and
+        no pass has rewritten it since)."""
         return (disk_id, chunk_id) in self.quarantine
 
     def note_corruption_seeded(
@@ -458,11 +461,10 @@ class RepairService:
         return True
 
     async def repair_chunk(self, stripe_index: int, shard_idx: int) -> bool:
-        """The read-repair behind quarantine: once no job and no other
-        read-repair holds the stripe, hold it and run it as a one-stripe
-        job through :meth:`run_job` (background gate slots), which rebuilds
-        everything the stripe has lost in one pass. True once the chunk is
-        no longer lost — with no read when a job already rewrote it. False
+        """The read-repair behind quarantine: a one-stripe job through
+        :meth:`run_job` (background gate slots), queued at the front, whose
+        pass rebuilds everything the stripe has lost. True once the chunk is
+        no longer lost — with no read when a pass already rewrote it. False
         when it still is: fewer than ``k`` clean survivors, a rewrite that
         failed its verify, or a job that failed (no spare left for a chunk
         on a failed disk, a failed put, a lost fence). The chunk then stays
@@ -471,7 +473,6 @@ class RepairService:
         stripe = self.server.layout[stripe_index]
         if not 0 <= shard_idx < stripe.n:
             raise ConfigurationError(f"stripe has no shard {shard_idx}")
-        await _unheld(stripe_index, self._claimed, self._read_repairs)
         survivors = readable_shards(
             self.server, stripe_index, stripe, skip=self.is_quarantined
         )[: stripe.k]
@@ -483,14 +484,11 @@ class RepairService:
                 self.server.config.fingerprint(),
             )
             job.disk = stripe.disks[shard_idx]
-            self._read_repairs[stripe_index] = asyncio.get_running_loop().create_future()
             try:
-                await self.run_job(job)
+                await self.run_job(job, front=True)
                 error = "the rewrite did not certify"
             except (StorageError, CodingError, ClusterError) as exc:
                 error = repr(exc)
-            finally:
-                self._read_repairs.pop(stripe_index).set_result(None)
         if shard_idx not in self.lost_shards(stripe_index):
             return True
         current_tracer().instant(
@@ -504,7 +502,7 @@ class RepairService:
         disks = self.server.disks
         return [
             shard for shard, d in enumerate(self.server.layout[si].disks)
-            if disks[d].is_failed or (d, ChunkId(si, shard)) in self.quarantine
+            if disks[d].is_failed or self.is_quarantined(d, ChunkId(si, shard))
         ]
 
     def _landed(self, si: int, writebacks) -> Set[int]:
@@ -588,11 +586,17 @@ class RepairService:
     def submit_repair(self, disk_id: int, resume: bool = False) -> RepairTicket:
         """Start repairing ``disk_id`` in the background; returns a ticket.
 
-        With ``resume=True`` the job continues from this disk's journal
-        directory (``journal_root/disk-NNN``): the journaled plan is
-        reused verbatim, finished stripes replay without a survivor read,
-        and stripes that were in flight restart from the plan.
+        The job lists every stripe the disk touches; a pass that finds
+        nothing lost records ``recovered`` with no read. With
+        ``resume=True`` it continues from the disk's journal directory
+        (``journal_root/disk-NNN``): the journaled plan is reused verbatim,
+        finished stripes replay without a survivor read, and stripes that
+        were in flight restart from the plan. A disk whose job is still
+        live is refused (``StorageError``): two jobs never share a journal.
         """
+        live = [t.job_id for t in self._tickets.values() if t.disk == disk_id and not t.done]
+        if live:
+            raise StorageError(f"disk {disk_id} already has live repair job {live[0]}")
         job_id = self._next_job
         self._next_job += 1
         task = asyncio.get_running_loop().create_task(
@@ -617,11 +621,12 @@ class RepairService:
         Jobs stay listed after completion (with ``done: true``) so
         ``hdpsr top`` keeps showing finished repairs' terminal counts;
         jobs whose planning has not finished yet are not listed.
+        ``inflight_stripes`` counts the running stripe passes.
         """
         return {
             "failed": self.server.failed_disks(),
             "jobs": [self._jobs[jid].progress() for jid in sorted(self._jobs)],
-            "inflight_stripes": self._inflight_stripes,
+            "inflight_stripes": len(self._running),
             "corruption": {
                 "found": self.corrupt_found,
                 "repaired": self.corrupt_repaired,
@@ -637,54 +642,33 @@ class RepairService:
         server = self.server
         jdir = self._journal_dir(disk_id)
         fingerprint = server.config.fingerprint()
-
-        job: Optional[ServiceJob] = None
         if resume:
             if jdir is None:
                 raise JournalError("resume needs a journal_root in ServiceConfig")
             state = await asyncio.to_thread(load_state, jdir)
             job = ServiceJob.resumed(state, fingerprint, jdir)
-            stripes = job.stripe_indices
         else:
             if not server.disk(disk_id).is_failed:
                 raise StorageError(
                     f"disk {disk_id} is healthy; fail it before submitting a repair"
                 )
-            failed_all = server.failed_disks()
-            stripes = [
-                si
-                for si in server.stripes_needing_repair([disk_id])
-                if si not in self._claimed
-            ]
-            if not stripes:
-                raise StorageError(
-                    f"disk {disk_id} holds no unclaimed stripes; nothing to repair"
-                )
-        # Claimed in the step that chose them, before planning yields the
-        # loop: an overlapping submit must already see them taken.
-        self._claim_stripes(stripes)
-        try:
-            for si in stripes:  # a read-repair holding one finishes first
-                await _unheld(si, self._read_repairs)
-            if job is None:
-                # The read clock prices reads unjittered, so the plan does too.
-                planned = await asyncio.to_thread(
-                    plan_repair, server, self.algorithm, failed_all,
-                    stripes=stripes, jittered=False,
-                )
-                job = ServiceJob(
-                    planned.plan, planned.stripe_indices, planned.survivor_ids,
-                    failed_all, fingerprint,
-                )
-            if jdir is not None:
-                job.journal = RepairJournal(jdir, durable=self.config.durable_journal)
-            job.disk = disk_id
-            job.job_id = job_id
-            job.started_wall = started
-            self._jobs[job_id] = job
-            scrub = await self.run_job(job)
-        finally:
-            self._release_stripes(stripes)
+            failed = server.failed_disks()
+            # The read clock prices reads unjittered, so the plan does too.
+            planned = await asyncio.to_thread(
+                plan_repair, server, self.algorithm, failed,
+                stripes=server.stripes_needing_repair([disk_id]), jittered=False,
+            )
+            job = ServiceJob(
+                planned.plan, planned.stripe_indices, planned.survivor_ids,
+                failed, fingerprint,
+            )
+        if jdir is not None:
+            job.journal = RepairJournal(jdir, durable=self.config.durable_journal)
+        job.disk = disk_id
+        job.job_id = job_id
+        job.started_wall = started
+        self._jobs[job_id] = job
+        scrub = await self.run_job(job)
         stats = job.stats
         result = ServiceRepairResult(
             disk=disk_id,
@@ -708,11 +692,11 @@ class RepairService:
         )
         return result
 
-    async def run_job(self, job: ServiceJob) -> ScrubReport:
-        """Run a planned or resumed job to its end — open its journal,
-        repair every stripe, fence, commit, certify, finish — and return
-        what :meth:`~repro.core.repair_job.RepairJob.certify` proved. The
-        caller claims the stripes; ``job.stats`` holds the tally."""
+    async def run_job(self, job: ServiceJob, front: bool = False) -> ScrubReport:
+        """Run a planned or resumed job to its end — open its journal, queue
+        a pass per plan row (at the back, or ``front``), await them, fence,
+        certify, finish — and return what certify proved; ``job.stats``
+        holds the tally. A pass's error fails this job only."""
         server = self.server
         if job.state is not None:
             # Restart where the crashed incarnation stopped; the first
@@ -724,23 +708,29 @@ class RepairService:
         try:
             if job.journal is not None:
                 job.open(job.journal)
-            sem = asyncio.Semaphore(self.config.max_concurrent_stripes)
             loop = asyncio.get_running_loop()
-            tasks = [
-                loop.create_task(self._stripe_bounded(sem, job, sp, si, shards))
+            passes = [
+                StripePass(job, sp, si, shards, loop.create_future(), loop.create_future())
                 for sp, si, shards in job.rows()
             ]
-            # Every stripe awaits its own puts: once this returns, every
-            # rebuilt chunk has landed.
+            at = 0 if front else len(self._queue)
+            self._queue[at:at] = passes
+            tasks = [loop.create_task(self._run_pass(p)) for p in passes]
+            for entry, task in zip(passes, tasks):
+                task.add_done_callback(lambda _, entry=entry: self._end(entry))
+            self._dispatch()
+            # Once this returns, every rebuilt chunk has landed and is homed.
             await asyncio.gather(*tasks)
             self._check_fence(job.disk)
             scrub = await asyncio.to_thread(
-                job.certify, server, job.commit(server), self.is_quarantined
+                job.certify, server, job.commit(), self.is_quarantined,
+                set(self._unverified),
             )
-            # A quarantine lifts only once certify verified the rewrite.
-            for si, target, disk_id in job.stats.writebacks:
-                key = (disk_id, ChunkId(si, target))
-                if (si, target) in job.verified and self.quarantine.pop(key, None) is not None:
+            for key in job.verified:
+                if self._unverified.get(key) is job:
+                    del self._unverified[key]
+            for _, cid in job.lifted:
+                if (cid.stripe_index, cid.shard_index) in job.verified:
                     self.corrupt_repaired += 1
                     current_registry().counter(
                         CORRUPT_REPAIRED, "quarantined chunks replaced by verified read-repair"
@@ -759,51 +749,71 @@ class RepairService:
             raise
         finally:
             job.finished = True
+            # A rewrite certify did not verify is quarantined again, unless
+            # a later pass has landed it since (that pass's job judges it).
+            for disk_id, cid in job.lifted:
+                if self._unverified.get((cid.stripe_index, cid.shard_index)) is job:
+                    self.quarantine.setdefault((disk_id, cid), time.monotonic())
         return scrub
 
-    def _claim_stripes(self, stripes: List[int]) -> None:
-        """Own ``stripes``: overlapping repairs skip them, read-repairs await
-        their release, and degraded reads of them their piggyback futures."""
-        loop = asyncio.get_running_loop()
-        for si in stripes:
-            self._repair_futures.setdefault(si, loop.create_future())
-            self._claimed.setdefault(si, loop.create_future())
+    # ------------------------------------------------------------ the queue
+    def _dispatch(self) -> None:
+        """Start waiting passes, front first, while fewer than
+        ``max_concurrent_stripes`` run; one whose stripe runs waits, slotless."""
+        for entry in list(self._queue):
+            if len(self._running) >= self.config.max_concurrent_stripes:
+                return
+            if entry.si in self._running or entry.turn.done():  # done: cancelled
+                continue
+            self._queue.remove(entry)
+            self._running[entry.si] = entry
+            entry.turn.set_result(None)
 
-    def _release_stripes(self, stripes: List[int]) -> None:
-        for si in stripes:
-            for owned in (self._repair_futures, self._claimed):
-                fut = owned.pop(si, None)
-                if fut is not None and not fut.done():
-                    fut.set_result(None)  # readers fall back to their own decode
+    async def _run_pass(self, entry: StripePass) -> None:
+        await entry.turn
+        with current_tracer().span(
+            "stripe", f"stripe-{entry.si}", track="service",
+            stripe=entry.si, disk=entry.job.disk, job=entry.job.job_id,
+        ):
+            await self._repair_stripe(entry)
+        entry.job.stripes_done += 1
 
-    async def _stripe_bounded(
-        self, sem: asyncio.Semaphore, job: ServiceJob, sp: StripePlan,
-        si: int, shards: List[int],
-    ) -> None:
-        async with sem:
-            self._inflight_stripes += 1
-            try:
-                with current_tracer().span(
-                    "stripe", f"stripe-{si}", track="service",
-                    stripe=si, disk=job.disk, job=job.job_id,
-                ):
-                    await self._repair_stripe(job, sp, si, shards)
-                job.stripes_done += 1
-            finally:
-                self._inflight_stripes -= 1
+    def _end(self, entry: StripePass) -> None:
+        """A pass's task is done — run, failed, or cancelled, even before
+        its first step: free its slot, or take it off the queue."""
+        if self._running.get(entry.si) is entry:
+            del self._running[entry.si]
+        else:
+            self._queue.remove(entry)
+        if not entry.decoded.done():
+            entry.decoded.set_result(None)  # readers fall back to their own decode
+        self._dispatch()
 
-    # ----------------------------------------------------------- stripe task
-    async def _repair_stripe(
-        self, job: ServiceJob, sp: StripePlan, si: int, shards: List[int]
-    ) -> None:
+    def _pass_of(self, si: int) -> Optional[StripePass]:
+        """Stripe ``si``'s running pass, else its first queued one."""
+        return self._running.get(si) or next((p for p in self._queue if p.si == si), None)
+
+    def _land(self, job: ServiceJob, si: int, placed: Sequence[Tuple[int, int]]) -> None:
+        """Home stripe ``si``'s landed ``(target, disk)`` chunks where they
+        landed, each fenced on its home disk as its put was, and unverified
+        until a certify verifies it. One rewritten in place leaves quarantine
+        now (every ``get`` verifies) and goes back at its job's end unless
+        verified."""
+        stripe = self.server.layout[si]
+        for target, _ in placed:
+            self._check_fence(stripe.disks[target])
+        job.remap(self.server, si, placed)
+        for target, disk_id in placed:
+            self._unverified[si, target] = job
+            key = (disk_id, ChunkId(si, target))
+            if self.quarantine.pop(key, None) is not None:
+                job.lifted.add(key)
+
+    # ----------------------------------------------------------- stripe pass
+    async def _repair_stripe(self, entry: StripePass) -> None:
+        job, sp, si, shards = entry.job, entry.sp, entry.si, entry.shards
         server = self.server
         stripe = server.layout[si]
-        fut = self._repair_futures.get(si)
-
-        def resolve(payloads: Optional[Dict[int, np.ndarray]]) -> None:
-            # Piggybacking degraded reads get the decoded bytes (None: lost).
-            if fut is not None and not fut.done():
-                fut.set_result(payloads)
 
         done = job.journaled(si)
         if done is not None:
@@ -813,6 +823,7 @@ class RepairService:
                     # The record outlived the quarantine: quarantined again
                     # until a replayed put or a fresh start rewrites it.
                     self.quarantine_chunk(disk_id, si, target, "resume")
+            done = job.drop_superseded(done, self.lost_shards(si), stripe.disks)
             if not job.replayable(done, landed):
                 done = None
         if done is not None:
@@ -823,85 +834,75 @@ class RepairService:
             ):
                 self._check_fence(stripe.disks[cid.shard_index])
                 await asyncio.to_thread(server.store.put, spare, cid, payload)
+            replayed = () if done.outcome == LOST else done.writebacks
+            self._land(job, si, [(t, disk_id) for t, disk_id, _ in replayed])
             # A record that only names its chunks hands piggybackers {}:
             # they fall back to their own decode.
-            resolve(
-                {t: p for t, _, p in done.writebacks if p is not None}
-                if done.outcome != LOST
-                else None
-            )
+            entry.decoded.set_result(None if done.outcome == LOST else {
+                t: p for t, _, p in replayed if p is not None
+            })
             return
 
         lost = self.lost_shards(si)  # the targets, whatever lost them
-        if not lost:  # a read-repair rebuilt it while this job waited
-            job.record(si, RECOVERED)
-            resolve({})
-            return
-        repair = StripeRepair.fresh(
-            server.code, shards, lost, sp, server.config.chunk_size,
-            readable_shards(server, si, stripe, skip=self.is_quarantined)
-            if set(lost) & set(shards) else (),  # the store is asked only to swap one
-        )
-        seen: Set[int] = set()
-
-        rnd, forced = repair.next_round(), False
-        while rnd:
-            await self.memory.acquire(len(rnd))
-            try:
-                if self.overload is not None:
-                    # Brownout pacing: repair yields spindle time to the
-                    # front door before any client work is refused. Never
-                    # skipped — the rebuild still finishes, just slower.
-                    pause = max(self.overload.repair_pause() for _ in rnd)
-                    if pause > 0.0:
-                        await asyncio.sleep(pause)
-                fed, faults = await self._read_round(
-                    stripe, si, rnd, repair.decoder, stats=job.stats, forced=forced
-                )
-            finally:
-                self.memory.release(len(rnd))
-            for shard, data in fed.items():
-                job.count_read(seen, shard, data.size)
-                server.disk(stripe.disks[shard]).record_read(data.size)
-            job.stats.checksum_failures += sum(
-                isinstance(f.cause, ChunkChecksumError) for f in faults
+        outcome, results = RECOVERED, {}  # nothing lost: another pass rebuilt it
+        if lost:
+            repair = StripeRepair.fresh(
+                server.code, shards, lost, sp, server.config.chunk_size,
+                readable_shards(server, si, stripe, skip=self.is_quarantined)
+                if set(lost) & set(shards) else (),  # the store is asked only to swap one
             )
-            if faults and job.stats.loss is None:
-                raise faults[0].cause  # not hardened: surface the real error
-            # The first fault is the one handled: a second faulted shard is
-            # re-read, and re-faults, on the re-planned rounds.
-            if faults and repair.on_fault(
-                faults[0],
-                readable_shards(server, si, stripe, skip=self.is_quarantined),
-                self.lost_shards(si),
-            ) == FORCE:
-                # No alternative survivor: force the slow read through (if
-                # it dies meanwhile, the ladder sees a dead shard next).
-                rnd, forced = [faults[0].shard], True
-            else:
-                rnd, forced = repair.next_round(), False
-
-        repair.fold_into(job.stats)
-        outcome = repair.outcome
-        written: List[Tuple[int, int, np.ndarray]] = []
-        if outcome == LOST:
-            resolve(None)
-            if job.journal is not None:
-                self._check_fence(job.disk)
-        else:
+            seen: Set[int] = set()
+            rnd, forced = repair.next_round(), False
+            while rnd:
+                await self.memory.acquire(len(rnd))
+                try:
+                    if self.overload is not None:
+                        # Brownout pacing: repair yields spindle time to the
+                        # front door before any client work is refused. Never
+                        # skipped — the rebuild still finishes, just slower.
+                        pause = max(self.overload.repair_pause() for _ in rnd)
+                        if pause > 0.0:
+                            await asyncio.sleep(pause)
+                    fed, faults = await self._read_round(
+                        stripe, si, rnd, repair.decoder, stats=job.stats, forced=forced
+                    )
+                finally:
+                    self.memory.release(len(rnd))
+                for shard, data in fed.items():
+                    job.count_read(seen, shard, data.size)
+                    server.disk(stripe.disks[shard]).record_read(data.size)
+                job.stats.checksum_failures += sum(
+                    isinstance(f.cause, ChunkChecksumError) for f in faults
+                )
+                if faults and job.stats.loss is None:
+                    raise faults[0].cause  # not hardened: surface the real error
+                # The first fault is the one handled: a second faulted shard
+                # is re-read, and re-faults, on the re-planned rounds.
+                if faults and repair.on_fault(
+                    faults[0],
+                    readable_shards(server, si, stripe, skip=self.is_quarantined),
+                    self.lost_shards(si),
+                ) == FORCE:
+                    # No alternative survivor: force the slow read through
+                    # (if it dies meanwhile, the ladder sees a dead shard).
+                    rnd, forced = [faults[0].shard], True
+                else:
+                    rnd, forced = repair.next_round(), False
+            repair.fold_into(job.stats)
+            outcome = repair.outcome
             # The accumulators themselves: no worker call.
-            results = repair.decoder.results()
-            # Resolve the piggyback future *before* persisting: a degraded
-            # read only needs the decoded bytes, not their new home.
-            resolve(results)
+            results = None if outcome == LOST else repair.decoder.results()
+        # Resolve the piggyback future *before* persisting: a degraded read
+        # only needs the decoded bytes, not their new home.
+        entry.decoded.set_result(results)
+        if results or job.journal is not None:
             self._check_fence(job.disk)
-            # A target on a shard this node does not own is its owner's.
-            owned = [t for t in repair.decoder.targets if self._owns(stripe.disks[t])]
-            failed = set(server.failed_disks())
-            written = [
-                (target, disk_id, results[target]) for target, disk_id
-                in place(stripe, owned, server.pick_spare, failed)
-            ]
+        # A target on a shard this node does not own is its owner's.
+        owned = [t for t in results or () if self._owns(stripe.disks[t])]
+        written = [
+            (target, disk_id, results[target]) for target, disk_id
+            in place(stripe, owned, server.pick_spare, set(server.failed_disks()))
+        ]
         job.record(si, outcome, written)
         # Record, then put (docs/robustness.md, rule 4): a chunk that lands
         # always has its record, so a crash never leads to an identical
@@ -919,6 +920,7 @@ class RepairService:
                 await asyncio.to_thread(
                     server.store.put, spare, ChunkId(si, target), payload
                 )
+        self._land(job, si, [(target, spare) for target, spare, _ in written])
         current_registry().counter(
             REPAIR_STRIPES, "stripe repairs finished"
         ).labels(outcome=outcome).inc()
@@ -939,26 +941,22 @@ class RepairService:
         a repair round (``stats`` given, background gate slots) or, without
         ``stats``, a degraded read's decode (foreground slots, unpriced).
 
-        Takes the round's disk-gate slots in ascending disk order — the
-        order every holder of more than one gate uses, so rounds and
-        degraded decodes cannot deadlock — and holds them for the reads. A
-        repair round then prices each read in round order on :attr:`clock`
-        (``forced`` as :meth:`ReadClock.price
-        <repro.core.stripe_repair.ReadClock.price>` takes it; a slow
+        Takes the round's disk-gate slots in ascending disk order (as every
+        holder of more than one gate does, so nothing deadlocks) and holds
+        them for the reads. A repair round prices each read in round order
+        on :attr:`clock` (``forced`` as ``ReadClock.price`` takes it; a slow
         :class:`ShardFault` skips that read, a dead one or an unreadable
         chunk ends the round). One worker call gets, verifies and folds the
-        round — first getting the reads already priced when a fault falls
-        due (:meth:`ReadClock.due <repro.core.stripe_repair.ReadClock.due>`).
-        Over a store whose reads overlap (:attr:`ChunkStore.reads_overlap
-        <repro.hdss.store.ChunkStore.reads_overlap>`) each ``get`` has a
-        call of its own, and one more call, after the gates, folds.
+        round, first getting the reads already priced when a fault falls
+        due (``ReadClock.due``). Over a store whose reads overlap
+        (``ChunkStore.reads_overlap``) each ``get`` has a call of its own,
+        and one more call, after the gates, folds.
 
         Returns the chunks folded in and the round's faults in round order.
         A chunk that failed its digest verify is quarantined: a degraded
         decode spawns its read-repair, a repair round leaves it to its
-        stripe's re-plan. With a tracer recording, each arrived read emits
-        its ``read`` span (the ``get`` alone, never the gate wait) and the
-        fold a ``decode`` span.
+        stripe's re-plan. A recording tracer gets a ``read`` span per
+        arrived read (the ``get`` alone) and a ``decode`` span for the fold.
         """
         store = self.server.store
         overlap = store.reads_overlap
@@ -1088,13 +1086,13 @@ class RepairService:
             DEGRADED_READS, "front-door reads of lost chunks"
         )
         tracer = current_tracer()
-        fut = self._repair_futures.get(stripe_index)
-        if fut is not None:
+        entry = self._pass_of(stripe_index)
+        if entry is not None:
             with tracer.span(
                 "wait", f"piggyback:{stripe_index}", track="service",
                 stripe=stripe_index, shard=shard_idx,
             ):
-                results = await self._await_piggyback(fut, deadline)
+                results = await self._await_piggyback(entry.decoded, deadline)
             if results is not None and shard_idx in results:
                 degraded.labels(source="piggyback").inc()
                 self._observe_read(registry, "piggyback", started)

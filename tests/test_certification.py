@@ -5,8 +5,9 @@ every stripe, and journals no round: one ``stripe_done`` per stripe, naming
 the rebuilt chunk (``RepairJob.certify``, ``RepairJob.record_writebacks``).
 There is one real-bytes driver, ``RepairService.run_job``; both of its
 entry points — ``recover_disk`` (a job planned on the timing plane, run on
-a private service) and ``submit_repair`` (planned, claimed and journaled by
-the daemon) — are held to the same arithmetic and the same refusals here:
+a private service) and ``submit_repair`` (planned and journaled by the
+daemon, its stripes queued as passes) — are held to the same arithmetic
+and the same refusals here:
 
 * the exact counts: ``k`` survivor reads per stripe, one ``verify_chunk`` per
   chunk landed, no survivor byte read twice, no ``round_commit`` record and
@@ -16,7 +17,11 @@ the daemon) — are held to the same arithmetic and the same refusals here:
   costs no extra read, a survivor the job finds corrupt is rewritten by the
   same pass (no read-repair of its own), a disk that fails between two
   stripes joins every stripe that starts after it, and one that fails
-  while a read-repair holds a stripe is rebuilt once, after it;
+  while a read-repair's pass runs is rebuilt once, after it;
+* one stripe queue for the whole service: a stripe is held only while its
+  pass runs, so a later job rebuilds what a stripe lost after an earlier
+  job finished it, two jobs never run more passes than the pool, and a
+  crashed pass leaves its stripe to the next job's;
 * certification still says no: the stripes a disk dying mid-repair finds
   already finished, a rebuilt chunk torn on its spare (fresh or skipped by
   a resume's replay) each certify ``degraded``, and a resumed job never
@@ -41,6 +46,7 @@ from repro.core.plans import RepairPlan
 from repro.core.repair_job import RepairJob
 from repro.ec.stripe import ChunkId
 from repro.faults.injector import SimulatedCrash
+from repro.errors import StorageError
 from repro.faults.report import REPLANNED
 from repro.faults.spec import FaultEvent
 from repro.hdss.server import HDSSConfig, HighDensityStorageServer, attach_server
@@ -48,6 +54,7 @@ from repro.hdss.store import FileChunkStore, ForwardingChunkStore
 from repro.journal.wal import WALReader
 from repro.service import RepairService, ServiceConfig
 from repro.service import chaos_rig as rig
+from repro.service.scrub import ScrubConfig, Scrubber
 from tests.test_repair_drivers_agree import cut_journal, snapshot
 
 DISK = 3
@@ -231,15 +238,42 @@ class TestOnePassPerStripe:
         assert writes_on(store, si) == 2 and store.write_counts[disk, cid] == 1
 
 
+class DiesAfterAPutOn(ForwardingChunkStore):
+    """Fails ``dying`` as the first rebuilt chunk of a stripe touching every
+    disk of ``trigger`` lands; remembers every stripe landed before."""
+
+    def __init__(self, inner, dying, trigger):
+        super().__init__(inner)
+        self.dying, self.trigger = dying, set(trigger)
+        self.server = None
+        self.landed = set()
+
+    def put(self, disk_id, chunk_id, data):
+        self.inner.put(disk_id, chunk_id, data)
+        if self.server is None or self.server.disk(self.dying).is_failed:
+            return  # provisioning, or already dead
+        si = chunk_id.stripe_index
+        self.landed.add(si)
+        if self.trigger <= set(self.server.layout[si].disks):
+            self.server.fail_disk(self.dying)
+
+
 class TestStaggeredFailures:
     """Chaos geometry, one stripe in flight: fail disk 0 and submit its
-    repair; once one stripe is done, fail disk 1 and submit. Every stripe
-    job 0 starts after that has lost both chunks and rebuilds both in its
-    one pass, so only the stripes it had finished stay homed on disk 1."""
+    repair; disk 1 fails right after the first put on a stripe that touches
+    both, and its repair is submitted then. Every stripe job 0 starts after
+    that has lost both chunks and rebuilds both in its one pass; job 1 lists
+    every stripe disk 1 touches, so the disk-1 chunks of the stripes job 0
+    had finished are rebuilt too, and the rest record ``recovered`` with no
+    read. Nothing stays homed on either dead disk."""
 
-    def test_only_stripes_finished_before_the_second_failure_stay_on_it(self, tmp_path):
-        store = rig.CountingStore(FileChunkStore(tmp_path / "store", durable=False))
+    def test_every_stripe_either_failure_touches_is_rehomed(self, tmp_path):
+        dies = DiesAfterAPutOn(
+            FileChunkStore(tmp_path / "store", durable=False), dying=1, trigger=(0, 1)
+        )
+        store = rig.CountingStore(dies)
         server = rig.build_server(store)
+        dies.server = server
         store.reset()
         on_0, on_1 = (set(server.layout.stripe_set(d)) for d in (0, 1))
 
@@ -247,35 +281,38 @@ class TestStaggeredFailures:
             service = rig.build_service(server, max_concurrent_stripes=1)
             server.fail_disk(0)
             first = service.submit_repair(0)
-            while first.job_id not in service._jobs or not service._jobs[first.job_id].stripes_done:
+            while not server.disk(1).is_failed:
+                assert not first.done
                 await asyncio.sleep(0)
-            finished = set(service._jobs[first.job_id].stats.loss.stripes)
-            server.fail_disk(1)
+            finished = set(dies.landed)
             second = service.submit_repair(1)
             results = await asyncio.gather(first.wait(), second.wait())
             await service.close()
             return finished, results
 
         finished, (job0, job1) = asyncio.run(run())
-        assert len(finished) == 1
-        left = sorted(finished & on_1)
-        assert [si for si in range(len(server.layout)) if 1 in server.layout[si].disks] == left
-        assert sorted(job0.scrub.degraded) == left and job0.certified == (not left)
-        assert job1.certified and job1.stripes == len(on_1 - on_0)
-        # every stripe read once, k survivors for all its lost chunks
-        assert sum(store.read_counts.values()) == rig.K * len(on_0 | on_1)
+        again = finished & on_1  # the disk-1 chunks job 1 still owes
+        assert again and finished & on_0 == finished
+        assert [si for si in range(len(server.layout))
+                if {0, 1} & set(server.layout[si].disks)] == []
+        assert job1.certified and job1.stripes == len(on_1)
+        assert set(job0.scrub.degraded) <= again
+        # every stripe read once for all it lost, and the finished ones
+        # touching disk 1 once more: k survivors a pass
+        assert sum(store.read_counts.values()) == rig.K * (len(on_0 | on_1) + len(again))
         assert store.duplicates() == []
 
 
 class TestReadRepairHoldsItsStripe:
     @pytest.mark.parametrize("started", [False, True])
     def test_a_disk_failing_meanwhile_is_rebuilt_once(self, tmp_path, started):
-        """A read-repair holds stripe 0 when a disk of the stripe it does
-        not read fails — before its stripe took its lost set, or after.
-        The disk's job waits the read-repair out (it does not skip the
-        stripe), then rebuilds whatever is still lost: the dead disk's
-        chunk, or nothing when the read-repair already took it. Nothing
-        stays homed on the dead disk, and no chunk is written twice."""
+        """A read-repair's pass runs on stripe 0 when a disk of the stripe
+        it does not read fails — before the pass took its lost set, or
+        after. The disk's job runs its other stripes meanwhile; its pass of
+        stripe 0 waits for the read-repair's, then rebuilds whatever is
+        still lost: the dead disk's chunk, or nothing when the read-repair
+        already took it. Nothing stays homed on the dead disk, and no chunk
+        is written twice."""
         store = rig.CountingStore(FileChunkStore(tmp_path / "store", durable=False))
         server = rig.build_server(store)
         si, shard = 0, 0
@@ -283,24 +320,31 @@ class TestReadRepairHoldsItsStripe:
         dying = disks[-1]  # the read-repair reads shards 1..k
         disk, cid = disks[shard], ChunkId(si, shard)
         original = store.get(disk, cid)
+        stripes = set(server.layout.stripe_set(dying))
         store.reset()
 
         async def run():
             service = rig.build_service(server)
+            cap = service.config.max_concurrent_stripes
             service.quarantine_chunk(disk, si, shard, source="test")
             await service.memory.acquire(rig.MEMORY_CHUNKS)  # parks its round
             read_repair = asyncio.get_running_loop().create_task(
                 service.repair_chunk(si, shard)
             )
-            while si not in service._read_repairs or (
+            while si not in service._running or (
                 started and not service.memory._parked
             ):
+                assert not read_repair.done()
                 await asyncio.sleep(0)
             server.fail_disk(dying)
             ticket = service.submit_repair(dying)
-            for _ in range(20):
+            while len(service._running) < min(cap, len(stripes)):
+                assert not ticket.done
                 await asyncio.sleep(0)
-            assert not service._jobs  # not planned: waiting on stripe 0
+            job = service._jobs[ticket.job_id]
+            assert service._running[si].job is not job  # the read-repair's
+            assert [p.si for p in service._queue if p.job is job][:1] == [si]
+            assert {p.si for p in service._running.values() if p.job is job} <= stripes - {si}
             service.memory.release(rig.MEMORY_CHUNKS)
             repaired = await read_repair
             result = await ticket.wait()
@@ -315,6 +359,338 @@ class TestReadRepairHoldsItsStripe:
         assert store.write_counts[disk, cid] == 1
         assert (store.get(disk, cid) == original).all()
         assert store.duplicates() == []
+
+
+class CrashOnFirst(ForwardingChunkStore):
+    """The first ``op`` of stripe ``si`` — a ``get``, or a ``put`` once it
+    landed — blocks until :attr:`go` is set, then raises
+    :class:`SimulatedCrash`: a process dying mid-pass, before its reads or
+    after its put and before the pass homes the chunk. ``op`` is None
+    (nothing armed) while the server is provisioned."""
+
+    def __init__(self, inner, si, op):
+        super().__init__(inner)
+        self.si, self.op = si, op
+        self.entered, self.go = threading.Event(), threading.Event()
+
+    def _crash(self, op, chunk_id):
+        if op == self.op and chunk_id.stripe_index == self.si and not self.entered.is_set():
+            self.entered.set()
+            assert self.go.wait(30)
+            raise SimulatedCrash(FaultEvent(at=0.0, kind="process_crash"))
+
+    def get(self, disk_id, chunk_id):
+        self._crash("get", chunk_id)
+        return self.inner.get(disk_id, chunk_id)
+
+    def put(self, disk_id, chunk_id, data):
+        self.inner.put(disk_id, chunk_id, data)
+        self._crash("put", chunk_id)
+
+
+class TearsOnPut(ForwardingChunkStore):
+    """Truncates ``victim`` — a ``(disk, chunk)``, or a chunk on any disk —
+    the first time it lands."""
+
+    def __init__(self, inner, victim=None):
+        super().__init__(inner)
+        self.victim = victim
+
+    def put(self, disk_id, chunk_id, data):
+        self.inner.put(disk_id, chunk_id, data)
+        if self.victim in (chunk_id, (disk_id, chunk_id)):
+            self.victim = None
+            truncate(self.inner, disk_id, chunk_id)
+
+
+class TestOneStripeQueue:
+    """One queue of stripe passes for the whole service, drained by one
+    pool of ``max_concurrent_stripes``: a stripe is held only while its
+    pass runs, and one disk has at most one live job."""
+
+    @staticmethod
+    def setup(tmp_path, wrap=lambda store: store):
+        store = rig.CountingStore(wrap(FileChunkStore(tmp_path / "store", durable=False)))
+        server = rig.build_server(store)
+        store.reset()
+        return server, store
+
+    def test_two_jobs_never_run_more_passes_than_the_pool(self, tmp_path):
+        server, store = self.setup(tmp_path)
+
+        async def run():
+            service = rig.build_service(server, max_concurrent_stripes=2)
+            repair_stripe, active, peak = service._repair_stripe, [0], [0]
+
+            async def counted(*args):
+                active[0] += 1
+                peak[0] = max(peak[0], active[0])
+                try:
+                    return await repair_stripe(*args)
+                finally:
+                    active[0] -= 1
+
+            service._repair_stripe = counted
+            server.fail_disk(0)
+            server.fail_disk(6)
+            tickets = [service.submit_repair(0), service.submit_repair(6)]
+            results = await asyncio.gather(*(t.wait() for t in tickets))
+            await service.close()
+            return results, peak[0]
+
+        results, peak = asyncio.run(run())
+        assert peak == 2
+        assert all(r.certified for r in results)
+        assert store.duplicates() == []
+
+    def test_a_read_repair_of_a_finished_stripe_does_not_wait_out_the_job(self, tmp_path):
+        server, store = self.setup(tmp_path)
+
+        async def run():
+            service = rig.build_service(server, max_concurrent_stripes=1)
+            server.fail_disk(0)
+            ticket = service.submit_repair(0)
+            while ticket.job_id not in service._jobs or not service._jobs[ticket.job_id].stripes_done:
+                assert not ticket.done
+                await asyncio.sleep(0)
+            job = service._jobs[ticket.job_id]
+            si = next(iter(job.stats.loss.stripes))  # the first one finished
+            disk = server.layout[si].disks[0]
+            service.quarantine_chunk(disk, si, 0, source="test")
+            repaired = await service.repair_chunk(si, 0)
+            done_then = job.stripes_done
+            result = await ticket.wait()
+            await service.close()
+            return repaired, done_then, result, service
+
+        repaired, done_then, result, service = asyncio.run(run())
+        assert repaired and done_then < result.stripes
+        assert result.certified and not service.quarantine
+        assert store.duplicates() == []
+
+    def test_a_second_job_for_a_disk_with_a_live_one_is_refused(self, tmp_path):
+        server, _ = self.setup(tmp_path)
+
+        async def run():
+            service = rig.build_service(server)
+            server.fail_disk(0)
+            first = service.submit_repair(0)
+            with pytest.raises(StorageError, match=f"live repair job {first.job_id}"):
+                service.submit_repair(0)
+            assert (await first.wait()).certified
+            await service.close()
+
+        asyncio.run(run())
+
+    def test_a_job_cancelled_before_its_passes_start_leaves_none_behind(self, tmp_path):
+        """Cancelled once its passes are queued, before any took a step:
+        none stays queued or holds the pool, and the next job runs."""
+        server, store = self.setup(tmp_path)
+
+        async def run():
+            service = rig.build_service(server, max_concurrent_stripes=1)
+            server.fail_disk(0)
+            ticket = service.submit_repair(0)
+            while not service._running:
+                assert not ticket.done
+                await asyncio.sleep(0)
+            ticket.task.cancel()
+            with pytest.raises(asyncio.CancelledError):
+                await ticket.wait()
+            assert not service._queue and not service._running
+            result = await service.submit_repair(0).wait()
+            await service.close()
+            return result
+
+        assert asyncio.run(run()).certified
+        assert store.duplicates() == []
+
+    def test_a_crashed_pass_leaves_its_stripe_to_the_next_job(self, tmp_path):
+        """Job 1's pass of stripe ``s`` waits while job 0's runs, with a
+        pool slot free; job 0's pass dies of a crash, and job 1 rebuilds
+        both lost chunks. Job 0 resumed records ``s`` recovered with no
+        read: one ``stripe_done`` per stripe it lists, and no chunk is
+        written twice."""
+        probe = rig.build_server()
+        shared = sorted(set(probe.layout.stripe_set(0)) & set(probe.layout.stripe_set(1)))
+        s = shared[0]
+        crash = {}
+        server, store = self.setup(
+            tmp_path, lambda inner: crash.setdefault("store", CrashOnFirst(inner, s, "get"))
+        )
+        journal_root = tmp_path / "journal"
+
+        async def run():
+            service = rig.build_service(
+                server, max_concurrent_stripes=2, journal_root=journal_root,
+                durable_journal=False,
+            )
+            server.fail_disk(0)
+            server.fail_disk(1)
+            first = service.submit_repair(0)
+            while not crash["store"].entered.is_set():
+                assert not first.done
+                await asyncio.sleep(0)
+            second = service.submit_repair(1)
+            # Everything else drains through the free slot; job 1's pass of
+            # s waits in the queue while job 0's pass of s runs.
+            while [(p.si, p.job.job_id) for p in service._queue] != [(s, second.job_id)] \
+                    or list(service._running) != [s]:
+                assert not (first.done or second.done)
+                await asyncio.sleep(0)
+            assert service._running[s].job.job_id == first.job_id
+            crash["store"].go.set()
+            with pytest.raises(SimulatedCrash):
+                await first.wait()
+            result1 = await second.wait()
+            store.read_counts.clear()
+            resumed = await service.submit_repair(0, resume=True).wait()
+            await service.close()
+            return result1, resumed
+
+        result1, resumed = asyncio.run(run())
+        assert result1.certified and resumed.certified
+        assert sum(store.read_counts.values()) == 0  # replayed or recovered
+        assert store.duplicates() == []
+        records = list(WALReader(tmp_path / "journal" / "disk-000"))
+        done = Counter(r.meta["stripe"] for r in records if r.type == "stripe_done")
+        assert sorted(done) == sorted(resumed.loss.stripes) and set(done.values()) == {1}
+        (last,) = [r for r in records if r.type == "stripe_done" and r.meta["stripe"] == s]
+        assert last.meta["outcome"] == "recovered" and not last.meta.get("writebacks")
+        assert not [si for si in range(len(server.layout))
+                    if {0, 1} & set(server.layout[si].disks)]
+
+    def test_a_chunk_landed_by_a_crashed_pass_is_not_homed_again(self, tmp_path):
+        """Job 0 repairs disk 1; its pass of stripe ``s`` dies once its put
+        landed on a spare, before the pass homed the chunk. Disk 0 fails
+        meanwhile, and job 1's pass of ``s`` rebuilds both chunks, disk 1's
+        on another spare. Resumed job 0 finds its journaled chunk on its
+        spare but leaves it there: that target was rebuilt since, so the
+        stripe keeps job 1's homes and no stripe has two shards on a disk."""
+        s = 0
+        server, store = self.setup(tmp_path, lambda inner: CrashOnFirst(inner, s, None))
+        assert server.layout[s].disks[:2] == (0, 1)  # disk 0's shard places first
+        crash = {"store": store.inner}
+        crash["store"].op = "put"
+        target = server.layout[s].disks.index(1)
+
+        async def run():
+            service = rig.build_service(
+                server, max_concurrent_stripes=2, journal_root=tmp_path / "journal",
+            )
+            server.fail_disk(1)
+            first = service.submit_repair(1)
+            while not crash["store"].entered.is_set():
+                assert not first.done
+                await asyncio.sleep(0)
+            server.fail_disk(0)
+            second = service.submit_repair(0)
+            while [(p.si, p.job.job_id) for p in service._queue] != [(s, second.job_id)] \
+                    or list(service._running) != [s]:
+                assert not (first.done or second.done)
+                await asyncio.sleep(0)
+            crash["store"].go.set()
+            with pytest.raises(SimulatedCrash):
+                await first.wait()
+            result1 = await second.wait()
+            store.read_counts.clear()
+            resumed = await service.submit_repair(1, resume=True).wait()
+            await service.close()
+            return result1, resumed
+
+        result1, resumed = asyncio.run(run())
+        (spare,) = [sp for si, shard, sp in journaled_writebacks(tmp_path / "journal" / "disk-001")
+                    if si == s and shard == target]
+        assert store.write_counts[spare, ChunkId(s, target)] == 1  # left where it landed
+        assert server.layout[s].disks[target] != spare
+        assert result1.certified and resumed.certified
+        assert sum(store.read_counts.values()) == 0  # replayed or recovered
+        assert store.duplicates() == []
+        for si in range(len(server.layout)):
+            disks = server.layout[si].disks
+            assert len(set(disks)) == len(disks) and not {0, 1} & set(disks)
+
+    def test_a_chunk_torn_by_another_jobs_pass_certifies_for_neither(self, tmp_path):
+        """Disks 0 and 1 fail. The first pass of a stripe they share
+        rebuilds both chunks, and disk 1's tears on its spare; the other
+        job's pass finds nothing lost. Its certify still verifies that
+        chunk, so neither job certifies the stripe clean, whichever
+        certifies first."""
+        server, store = self.setup(tmp_path, TearsOnPut)
+        s = sorted(set(server.layout.stripe_set(0)) & set(server.layout.stripe_set(1)))[0]
+        store.inner.victim = ChunkId(s, server.layout[s].disks.index(1))
+
+        async def run():
+            service = rig.build_service(server, max_concurrent_stripes=1)
+            server.fail_disk(0)
+            server.fail_disk(1)
+            first = service.submit_repair(0)
+            while not service._running:
+                assert not first.done
+                await asyncio.sleep(0)
+            second = service.submit_repair(1)
+            results = await asyncio.gather(first.wait(), second.wait())
+            await service.close()
+            return results
+
+        for result in asyncio.run(run()):
+            assert result.scrub.degraded == [s] and not result.certified
+        assert rig.check_parity_clean(server, [s]) is not None
+        assert store.duplicates() == []
+
+    def test_a_rewrite_torn_before_its_job_ends_is_caught_again(self, tmp_path):
+        """A quarantined survivor's in-place rewrite tears as it lands, and
+        so leaves quarantine. The scrub runs before the job's certify: it
+        finds the rewrite corrupt, quarantines it anew and its read-repair
+        really rebuilds it — ``k`` more reads and a second put, not a
+        repaired count with no read — and the job then certifies."""
+
+        class HoldsTheFirstVerify(TearsOnPut):
+            """The first ``verify_chunk`` — the job's certify — waits for
+            :attr:`go`."""
+
+            def __init__(self, inner):
+                super().__init__(inner)
+                self.held, self.go = threading.Event(), threading.Event()
+
+            def verify_chunk(self, disk_id, chunk_id):
+                if not self.held.is_set():
+                    self.held.set()
+                    assert self.go.wait(30)
+                return self.inner.verify_chunk(disk_id, chunk_id)
+
+        server, store = make_server(tmp_path, wrap=HoldsTheFirstVerify)
+        si = server.layout.stripe_set(DISK)[0]
+        shard = next(j for j, d in enumerate(server.layout[si].disks) if d != DISK)
+        disk, cid = server.layout[si].disks[shard], ChunkId(si, shard)
+        original = store.get(disk, cid)
+        store.reset()
+        store.inner.victim = (disk, cid)
+        server.fail_disk(DISK)
+
+        async def run():
+            service = RepairService(
+                server, ALGORITHMS["hd-psr-as"](), ServiceConfig(durable_journal=False)
+            )
+            service.quarantine_chunk(disk, si, shard, source="test")
+            ticket = service.submit_repair(DISK)
+            while not store.inner.held.is_set():
+                assert not ticket.done
+                await asyncio.sleep(0)
+            assert not service.is_quarantined(disk, cid)  # landed: scrubbed again
+            scrub = Scrubber(service, ScrubConfig(interval_ms=0.0, cycle_pause_s=0.0))
+            await scrub.run_cycle()
+            store.inner.go.set()
+            result = await ticket.wait()
+            await service.close()
+            return scrub, result, service
+
+        scrub, result, service = asyncio.run(run())
+        assert (scrub.corrupt_found, scrub.repaired, scrub.repair_failures) == (1, 1, 0)
+        assert reads_on(store, si) == 2 * K and store.write_counts[disk, cid] == 2
+        assert (store.inner.get(disk, cid) == original).all()
+        assert result.certified and not service.quarantine
+        assert service.corrupt_found == service.corrupt_repaired == 2
 
 
 # -------------------------------------------------- certification still says no

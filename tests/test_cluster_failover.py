@@ -210,7 +210,8 @@ class TestEpochFencing:
     def test_owner_fenced_at_commit_time_leaks_nothing(self, tmp_path):
         """The lease is lost after the last stripe landed, so the fence
         fires at the job's tail (commit → certify → finish). The stale
-        owner must let go of everything — claimed stripes, the job's
+        owner must let go of everything — queued and running stripe
+        passes, the job's
         ``stats`` row, the journal handle — and the new owner's resume of
         the same disk must certify without writing a chunk twice."""
         async def run():
@@ -231,7 +232,7 @@ class TestEpochFencing:
             ticket = service_a.submit_repair(DISK)
             with pytest.raises(FencedError):
                 await ticket.task
-            assert not service_a._claimed and not service_a._repair_futures
+            assert not service_a._queue and not service_a._running
             (job,) = service_a.snapshot()["jobs"]
             assert job["done"] and job["stripes_done"] == job["stripes_total"]
             assert service_a._jobs[ticket.job_id].journal._writer._fh is None

@@ -220,7 +220,7 @@ class TestOneRepairJob:
             "src/repro/core/repair_job.py:finish"
         }
         assert call_sites(r"\.commit_writebacks") == {
-            "src/repro/core/repair_job.py:commit"
+            "src/repro/core/repair_job.py:remap"
         }
         assert call_sites("pick_spare") == {"src/repro/core/repair_job.py:place"}
 
@@ -748,6 +748,24 @@ class TestOneWayToRebuildAChunk:
             and store_puts(func)
         }
         assert owners == {"_repair_stripe"}
+
+    def test_one_queue_coordinates_the_stripes(self):
+        """Every stripe pass, a disk job's or a read-repair's, goes through
+        the service's one queue and pool: no claim held for a job's life,
+        no read-repair hold, no piggyback map, no semaphore per job."""
+        gone = ("_claimed", "_read_repairs", "_repair_futures", "_unheld",
+                "_claim_stripes", "_release_stripes", "_stripe_bounded")
+        for path in src_files():
+            text = path.read_text()
+            for name in gone:
+                assert not re.search(rf"\b{name}\b", text), f"{path}: {name}"
+        service = (SERVICE / "service.py").read_text()
+        (run_job,) = [
+            fn for fn in ast.walk(ast.parse(service))
+            if isinstance(fn, ast.AsyncFunctionDef) and fn.name == "run_job"
+        ]
+        assert "Semaphore" not in ast.unparse(run_job)
+        assert "Semaphore" not in service
 
     def test_the_old_paths_are_gone(self):
         for name in ("_sync_and_verify", "_auto_repair_chunk", "targets"):

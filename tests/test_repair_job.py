@@ -221,9 +221,11 @@ class TestTail:
         job.record(4, RECOVERED, [(0, 12, PAYLOAD)])
         job.record(7, LOST)
         job.stats.replans = 2
-        server = SimpleNamespace(commit_writebacks=lambda wb: len(wb))
-        assert job.commit(server) == [4]
-        assert job.remapped == 1
+        remapped = []
+        server = SimpleNamespace(commit_writebacks=lambda wb: remapped.extend(wb) or len(wb))
+        job.remap(server, 4, [(0, 12)])  # at the stripe's end, not here
+        assert remapped == [(4, 0, 12)] and job.remapped == 1
+        assert job.commit() == [4]
         calls, journal = self.journal()
         injector = SimpleNamespace(applied={"disk_fail": 1})
         registry = MetricsRegistry()

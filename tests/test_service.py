@@ -61,9 +61,18 @@ def assert_all_objects_intact(server, originals):
 # DiskGate
 # ---------------------------------------------------------------------------
 class TestDiskGate:
+    """Sequenced by events and ``sleep(0)`` turns, never by the wall clock."""
+
+    @staticmethod
+    async def turns(n=20):
+        """Let every ready task run ``n`` loop turns."""
+        for _ in range(n):
+            await asyncio.sleep(0)
+
     def test_width_bounds_concurrency(self):
         async def run():
             gate = DiskGate(width=2)
+            release = asyncio.Event()
             active = 0
             peak = 0
 
@@ -72,10 +81,14 @@ class TestDiskGate:
                 async with gate.read(3):
                     active += 1
                     peak = max(peak, active)
-                    await asyncio.sleep(0.005)
+                    await release.wait()
                     active -= 1
 
-            await asyncio.gather(*(reader() for _ in range(8)))
+            readers = [asyncio.ensure_future(reader()) for _ in range(8)]
+            await self.turns()
+            assert active == 2 and gate.depths()[3]["waiting_background"] == 6
+            release.set()
+            await asyncio.gather(*readers)
             return peak
 
         assert asyncio.run(run()) == 2
@@ -83,40 +96,51 @@ class TestDiskGate:
     def test_different_disks_do_not_interfere(self):
         async def run():
             gate = DiskGate(width=1)
-            order = []
+            release = asyncio.Event()
+            inside = []
 
             async def reader(disk):
                 async with gate.read(disk):
-                    order.append(disk)
-                    await asyncio.sleep(0.01)
+                    inside.append(disk)
+                    await release.wait()
 
-            await asyncio.wait_for(
-                asyncio.gather(*(reader(d) for d in range(6))), timeout=0.05
-            )
-            return order
+            readers = [asyncio.ensure_future(reader(d)) for d in range(6)]
+            await self.turns()
+            held = sorted(inside)  # every disk's one slot, all at once
+            release.set()
+            await asyncio.gather(*readers)
+            return held
 
-        assert sorted(asyncio.run(run())) == list(range(6))
+        assert asyncio.run(run()) == list(range(6))
 
     def test_foreground_parks_background(self):
         async def run():
             gate = DiskGate(width=1)
+            release = asyncio.Event()
             log = []
+
+            def waiting(kind):
+                return gate.depths().get(0, {}).get(f"waiting_{kind}", 0)
 
             async def holder():
                 async with gate.read(0):
-                    await asyncio.sleep(0.02)
+                    await release.wait()
 
             async def background():
-                await asyncio.sleep(0.005)  # let fg queue first
+                while not waiting("foreground"):  # let fg queue first
+                    await asyncio.sleep(0)
                 async with gate.read(0, foreground=False):
                     log.append("bg")
 
             async def foreground():
-                await asyncio.sleep(0.001)
                 async with gate.read(0, foreground=True):
                     log.append("fg")
 
-            await asyncio.gather(holder(), background(), foreground())
+            tasks = [asyncio.ensure_future(f()) for f in (holder, background, foreground)]
+            while not waiting("background"):
+                await asyncio.sleep(0)
+            release.set()
+            await asyncio.gather(*tasks)
             return log
 
         assert asyncio.run(run()) == ["fg", "bg"]
@@ -326,7 +350,7 @@ class TestWriteBack:
             return service
 
         failed = asyncio.run(run())
-        assert not failed._claimed and not failed._repair_futures
+        assert not failed._queue and not failed._running  # no pass left behind
         assert rig.check_memory_released(failed) is None
 
         result, server, _ = self._resume(counting, journal_root)
@@ -383,11 +407,16 @@ class TestServiceRepair:
         assert_all_objects_intact(server, originals)
 
     def test_overlapping_failures_claim_each_stripe_once(self):
-        server = make_server()
+        """Each job lists every stripe its disk touches; a stripe both
+        touch is rebuilt by whichever pass runs first — both lost chunks,
+        ``k`` reads — and the other job's pass records it with no read."""
+        store = rig.CountingStore(InMemoryChunkStore())
+        server = make_server(store)
         originals = originals_of(server)
+        store.reset()
         # Capture before repair: after writeback the stripes no longer
         # reference disks 0/1, so stripes_touching would come back empty.
-        touched = set(server.layout.stripes_touching([0, 1]))
+        on_0, on_1 = (set(server.layout.stripe_set(d)) for d in (0, 1))
         server.fail_disk(0)
         server.fail_disk(1)
 
@@ -398,11 +427,13 @@ class TestServiceRepair:
             return await asyncio.gather(t0.wait(), t1.wait()), service
 
         (r0, r1), service = asyncio.run(run())
-        repaired_0 = set(r0.loss.stripes)
-        repaired_1 = set(r1.loss.stripes)
-        assert not repaired_0 & repaired_1, "a stripe was repaired twice"
-        assert repaired_0 | repaired_1 == touched
+        assert set(r0.loss.stripes) == on_0 and set(r1.loss.stripes) == on_1
+        assert on_0 & on_1, "the geometry has no shared stripe"
+        assert r0.chunks_rebuilt + r1.chunks_rebuilt == len(on_0) + len(on_1)
+        assert sum(store.read_counts.values()) == rig.K * len(on_0 | on_1)
+        assert store.duplicates() == []
         assert not r0.loss.has_loss and not r1.loss.has_loss
+        assert r0.certified and r1.certified
         assert_all_objects_intact(server, originals)
 
     def test_submit_on_healthy_disk_fails(self):
@@ -504,11 +535,11 @@ class TestFrontDoor:
             with use_registry(registry):
                 service = make_service(server)
                 ticket = service.submit_repair(0)
-                # Wait for the job to register its piggyback futures, then
-                # read the lost chunk *while the repair is in flight*.
-                while si not in service._repair_futures:
+                # Wait for the job to queue the stripe's pass, then read
+                # the lost chunk *while the repair is in flight*.
+                while service._pass_of(si) is None:
                     assert not ticket.done
-                    await asyncio.sleep(0.001)
+                    await asyncio.sleep(0)
                 data = await service.read_chunk(si, shard)
                 result = await ticket.wait()
                 await service.close()
