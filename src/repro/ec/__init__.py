@@ -16,7 +16,6 @@ from repro.ec.encoder import RSCode
 from repro.ec.decoder import decode_matrix_for, reconstruct
 from repro.ec.lrc import LRCCode
 from repro.ec.partial import PartialDecoder
-from repro.ec.wide import WideRSCode
 
 __all__ = [
     "ChunkId",
@@ -24,7 +23,6 @@ __all__ = [
     "StripeLayout",
     "RSCode",
     "LRCCode",
-    "WideRSCode",
     "decode_matrix_for",
     "reconstruct",
     "PartialDecoder",

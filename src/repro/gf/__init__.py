@@ -24,7 +24,6 @@ from repro.gf.arithmetic import (
     gf_mul_scalar,
     gf_mul_add_scalar,
 )
-from repro.gf.bigfield import GF256, GF65536, BinaryField
 from repro.gf.matrix import (
     gf_identity,
     gf_independent_rows,
@@ -51,9 +50,6 @@ __all__ = [
     "gf_inv",
     "gf_mul_scalar",
     "gf_mul_add_scalar",
-    "BinaryField",
-    "GF256",
-    "GF65536",
     "gf_identity",
     "gf_independent_rows",
     "gf_mat_mul",

@@ -43,10 +43,11 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
+import functools
 import time
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -110,6 +111,9 @@ CORRUPT_REPAIRED = "hdpsr_service_corrupt_repaired_total"
 DETECTION_LATENCY = "hdpsr_scrub_detection_latency_seconds"
 #: P² summary of wall-clock front-door read latency, labelled by path.
 READ_LATENCY = "hdpsr_service_read_latency_seconds"
+#: Counter: chunk reads, by the thread that made them — ``loop`` (a
+#: ``get_cached`` that answered) or ``worker`` (a ``get``).
+CHUNK_READS = "hdpsr_service_chunk_reads_total"
 
 #: Quantiles tracked for foreground latency (the SLO tail).
 READ_LATENCY_QUANTILES = (0.5, 0.9, 0.99, 0.999)
@@ -117,6 +121,12 @@ READ_LATENCY_QUANTILES = (0.5, 0.9, 0.99, 0.999)
 #: One survivor read as a worker call saw it: ``(shard, disk, payload or
 #: the store's unreadable error, started, seconds)``.
 Gotten = Tuple[int, int, object, float, float]
+
+
+def _chunk_reads(path: str):
+    return current_registry().counter(
+        CHUNK_READS, "service chunk reads, by thread (loop or worker)"
+    ).labels(path=path)
 
 
 def _read_and_fold(
@@ -135,6 +145,7 @@ def _read_and_fold(
     """
     gotten = list(gotten)
     for shard, disk_id in reads:
+        _chunk_reads("worker").inc()
         started = time.monotonic()
         try:
             payload = store.get(disk_id, ChunkId(si, shard))
@@ -156,6 +167,44 @@ def _read_and_fold(
     started = time.monotonic()
     decoder.feed(arrived)
     return gotten, (started, time.monotonic() - started)
+
+
+def _record_then_put(
+    store, si: int, record: Optional[Callable[[], None]],
+    written: Sequence[Tuple[int, int, np.ndarray]],
+) -> None:
+    """A finished stripe's worker-thread body: its journal ``record``, when
+    it has one, then a ``put`` of each rebuilt ``(target, spare, payload)``."""
+    if record is not None:
+        record()
+    for target, spare, payload in written:
+        store.put(spare, ChunkId(si, target), payload)
+
+
+async def _get_and_fold(
+    store, si: int, reads: Sequence[Tuple[int, int]],
+    decoder: Optional[PartialDecoder], gotten: Sequence[Gotten] = (),
+) -> Tuple[List[Gotten], Optional[Tuple[float, float]]]:
+    """:func:`_read_and_fold`, page cache first: each read in turn is a
+    ``store.get_cached`` on the event loop. The first that answers None,
+    and every read after it, go with the fold to one worker call; when all
+    of them answered, the fold runs on the loop too.
+
+    Each cached read ends its loop step (``sleep(0)``), so other tasks and
+    the loop's own timers run between a round's reads rather than behind
+    the whole round."""
+    gotten = list(gotten)
+    for i, (shard, disk_id) in enumerate(reads):
+        started = time.monotonic()
+        payload = store.get_cached(disk_id, ChunkId(si, shard))
+        if payload is None:
+            return await asyncio.to_thread(
+                _read_and_fold, store, si, reads[i:], decoder, gotten
+            )
+        _chunk_reads("loop").inc()
+        gotten.append((shard, disk_id, payload, started, time.monotonic() - started))
+        await asyncio.sleep(0)
+    return _read_and_fold(store, si, (), decoder, gotten)
 
 
 @dataclass(frozen=True)
@@ -904,22 +953,20 @@ class RepairService:
             in place(stripe, owned, server.pick_spare, set(server.failed_disks()))
         ]
         job.record(si, outcome, written)
-        # Record, then put (docs/robustness.md, rule 4): a chunk that lands
-        # always has its record, so a crash never leads to an identical
-        # re-put; a record whose chunk never landed starts fresh (rule 3).
-        if job.journal is not None:
-            await asyncio.to_thread(
-                job.journal.stripe_done, si, outcome, self.clock.now,
-                job.record_writebacks(server.store, written),
-            )
+        # Record, then put (docs/robustness.md, rule 4), in one worker call:
+        # a chunk that lands always has its record, so a crash never leads
+        # to an identical re-put; a record whose chunk never landed starts
+        # fresh (rule 3).
+        record = None if job.journal is None else functools.partial(
+            job.journal.stripe_done, si, outcome, self.clock.now,
+            job.record_writebacks(server.store, written),
+        )
         with current_tracer().span(
             "writeback", f"stripe-{si}/put", track="service",
             stripe=si, chunks=len(written),
         ):
-            for target, spare, payload in written:
-                await asyncio.to_thread(
-                    server.store.put, spare, ChunkId(si, target), payload
-                )
+            if record is not None or written:
+                await asyncio.to_thread(_record_then_put, server.store, si, record, written)
         self._land(job, si, [(target, spare) for target, spare, _ in written])
         current_registry().counter(
             REPAIR_STRIPES, "stripe repairs finished"
@@ -946,9 +993,12 @@ class RepairService:
         them for the reads. A repair round prices each read in round order
         on :attr:`clock` (``forced`` as ``ReadClock.price`` takes it; a slow
         :class:`ShardFault` skips that read, a dead one or an unreadable
-        chunk ends the round). One worker call gets, verifies and folds the
-        round, first getting the reads already priced when a fault falls
-        due (``ReadClock.due``). Over a store whose reads overlap
+        chunk ends the round). Each read is first a ``get_cached`` on the
+        loop; the first it cannot answer, and the rest, go to one worker
+        call that gets, verifies and folds the round, and when all were
+        answered the fold runs on the loop (:func:`_get_and_fold`: none, or
+        one hand-off). The reads already priced are got first when a fault
+        falls due (``ReadClock.due``). Over a store whose reads overlap
         (``ChunkStore.reads_overlap``) each ``get`` has a call of its own,
         and one more call, after the gates, folds.
 
@@ -972,9 +1022,7 @@ class RepairService:
             for shard in shards:
                 if stats is not None:
                     if reads and self.clock.due():
-                        gotten, _ = await asyncio.to_thread(
-                            _read_and_fold, store, si, reads, None, gotten
-                        )
+                        gotten, _ = await _get_and_fold(store, si, reads, None, gotten)
                         reads = []
                         if not isinstance(gotten[-1][2], np.ndarray):
                             break
@@ -993,9 +1041,7 @@ class RepairService:
                 ))
                 gotten += [g for part, _ in parts for g in part]
             else:
-                gotten, fold = await asyncio.to_thread(
-                    _read_and_fold, store, si, reads, decoder, gotten
-                )
+                gotten, fold = await _get_and_fold(store, si, reads, decoder, gotten)
         if overlap:  # the fold needs no disk
             gotten, fold = await asyncio.to_thread(
                 _read_and_fold, store, si, (), decoder, gotten
@@ -1062,18 +1108,19 @@ class RepairService:
                 self.overload.admit(
                     CLASS_READ, queue_depth=self.gate.queue_depth(disk_id)
                 )
-            fault: Optional[LatentSectorError] = None
             async with self.gate.read(disk_id, foreground=True, deadline=deadline):
-                try:
-                    data = await asyncio.to_thread(server.store.get, disk_id, cid)
-                except LatentSectorError as exc:
-                    # Unreadable sector or failed verify: no bytes escaped,
-                    # so fall through to the degraded path below.
-                    fault = exc
-            if fault is None:
+                gotten, _ = await _get_and_fold(
+                    server.store, stripe_index, [(shard_idx, disk_id)], None
+                )
+            data = gotten[0][2]
+            if isinstance(data, np.ndarray):
                 self._observe_read(registry, "healthy", started)
                 return data
-            if isinstance(fault, ChunkChecksumError):
+            if not isinstance(data, LatentSectorError):
+                raise data
+            # Unreadable sector or failed verify: no bytes escaped, so fall
+            # through to the degraded path below.
+            if isinstance(data, ChunkChecksumError):
                 # Silent corruption: quarantine and kick off the read-repair.
                 self.quarantine_chunk(
                     disk_id, stripe_index, shard_idx,

@@ -416,6 +416,82 @@ class TestFileSpecific:
         assert store.checksum_failures == 0
 
 
+class TestGetCached:
+    """``get_cached``: a read that cannot block answers only verified bytes
+    of a small chunk already in the page cache; every other case is None,
+    with no side effect, and leaves the caller to ``get``."""
+
+    def test_a_cached_chunk_reads_as_its_get(self, tmp_path):
+        store = FileChunkStore(tmp_path)
+        data = np.arange(4096, dtype=np.uint8)
+        store.put(0, CID, data)
+        assert np.array_equal(store.get_cached(0, CID), data)
+        assert np.array_equal(store.get(0, CID), data)
+
+    def test_missing_corrupt_and_legacy_chunks_are_none(self, tmp_path):
+        store = FileChunkStore(tmp_path)
+        assert store.get_cached(0, CID) is None  # missing
+        store.put(0, CID, chunk(4096))
+        path = tmp_path / "disk-000" / "s000000.000.chunk"
+        raw = bytearray(path.read_bytes())
+        raw[7] ^= 0x10
+        path.write_bytes(bytes(raw))
+        assert store.get_cached(0, CID) is None
+        assert store.checksum_failures == 0  # only the get counts and raises
+        with pytest.raises(ChunkChecksumError):
+            store.get(0, CID)
+        assert store.checksum_failures == 1
+        legacy = tmp_path / "legacy"
+        lay_down(legacy, chunk(), "sha256")
+        assert FileChunkStore(legacy).get_cached(0, CID) is None
+        assert np.array_equal(FileChunkStore(legacy).get(0, CID), chunk())
+
+    def test_a_chunk_above_the_bound_is_none(self, tmp_path):
+        from repro.hdss.store import CACHED_READ_MAX_BYTES
+
+        store = FileChunkStore(tmp_path)
+        store.put(0, CID, chunk(CACHED_READ_MAX_BYTES))
+        store.put(0, ChunkId(1, 0), chunk(CACHED_READ_MAX_BYTES + 1))
+        assert store.get_cached(0, CID) is not None
+        assert store.get_cached(0, ChunkId(1, 0)) is None
+
+    def test_a_read_that_would_block_or_come_up_short_is_none(
+        self, tmp_path, monkeypatch
+    ):
+        import os
+
+        import repro.hdss.store as store_module
+
+        store = FileChunkStore(tmp_path)
+        store.put(0, CID, chunk(4096))
+        real = os.preadv
+
+        def short(fd, buffers, offset, flags):
+            return real(fd, [memoryview(buffers[0])[:-1]], offset, flags)
+
+        def would_block(*args):
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "preadv", short)
+        assert store.get_cached(0, CID) is None
+        monkeypatch.setattr(os, "preadv", would_block)
+        assert store.get_cached(0, CID) is None
+        monkeypatch.setattr(os, "preadv", real)
+        monkeypatch.setattr(store_module, "_RWF_NOWAIT", None)
+        assert store.get_cached(0, CID) is None  # no RWF_NOWAIT here
+        assert np.array_equal(store.get(0, CID), chunk(4096))
+
+    def test_decorators_answer_none_and_shards_delegate(self, tmp_path):
+        inner = FileChunkStore(tmp_path / "a")
+        inner.put(0, CID, chunk())
+        assert FaultyChunkStore(inner).get_cached(0, CID) is None
+        assert ForwardingChunkStore(inner).get_cached(0, CID) is None
+        assert InMemoryChunkStore().get_cached(0, CID) is None
+        sharded = ShardedChunkStore([inner, FileChunkStore(tmp_path / "b")])
+        assert np.array_equal(sharded.get_cached(0, CID), chunk())
+        assert sharded.get_cached(1, CID) is None
+
+
 class TestChecksumIntegrity:
     def test_digest_trailer_written_with_chunk(self, tmp_path):
         """One file: the payload, then magic, stripe, shard and length, then

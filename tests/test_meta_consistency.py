@@ -661,19 +661,22 @@ def store_puts(node):
     ]
 
 
-def repair_stripe_of(path):
+def function_named(tree, name):
     (fn,) = [
-        n for n in ast.walk(ast.parse(path.read_text()))
-        if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))
-        and n.name == "_repair_stripe"
+        n for n in ast.walk(tree)
+        if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef)) and n.name == name
     ]
     return fn
 
 
+def repair_stripe_of(path):
+    return function_named(ast.parse(path.read_text()), "_repair_stripe")
+
+
 class TestOneWritePath:
     """A rebuilt chunk has one write path: its stripe appends the
-    ``stripe_done`` record, then puts the chunk and awaits it off the event
-    loop. No queue, no batch, no knob."""
+    ``stripe_done`` record, then puts its chunks, in one call it awaits off
+    the event loop (``_record_then_put``). No queue, no batch, no knob."""
 
     def test_the_write_behind_layer_is_gone(self):
         assert not (SERVICE / "sharding.py").exists()
@@ -695,6 +698,9 @@ class TestOneWritePath:
         ]
 
     def test_every_service_put_is_awaited_in_a_worker_thread(self):
+        """A replayed chunk's put is handed to ``asyncio.to_thread`` itself;
+        a rebuilt chunk's is made in ``_record_then_put``, which is named
+        nowhere but as the body of a ``to_thread`` call."""
         tree = ast.parse((SERVICE / "service.py").read_text())
         threaded = {
             id(call.args[0]) for call in ast.walk(tree)
@@ -703,11 +709,19 @@ class TestOneWritePath:
         }
         puts = store_puts(tree)
         assert len(puts) == 2  # replay, rebuilt chunk
-        assert all(id(put) in threaded for put in puts)
+        in_body = {id(put) for put in store_puts(function_named(tree, "_record_then_put"))}
+        assert len(in_body) == 1
+        assert all(id(put) in threaded | in_body for put in puts)
+        bodies = [
+            n for n in ast.walk(tree)
+            if isinstance(n, ast.Name) and n.id == "_record_then_put"
+        ]
+        assert bodies and all(id(n) in threaded for n in bodies)
 
     def test_both_drivers_record_before_they_put(self):
         """A replayed stripe's re-put already has its record; every other
-        put in ``_repair_stripe`` is of a rebuilt chunk and comes after."""
+        put in ``_repair_stripe`` is of a rebuilt chunk and comes after, in
+        ``_record_then_put``, which runs the record before its puts."""
         def replays(block):
             return isinstance(block, ast.If) and any(
                 isinstance(n, ast.Attribute) and n.attr == "replay_puts"
@@ -725,8 +739,20 @@ class TestOneWritePath:
                 for stmt in block.body for put in store_puts(stmt)
             }
             puts = [n.lineno for n in store_puts(fn) if id(n) not in replayed]
+            puts += [
+                n.lineno for n in ast.walk(fn)
+                if isinstance(n, ast.Name) and n.id == "_record_then_put"
+            ]
             assert records and puts, path
             assert max(records) < min(puts), f"{path}: a put precedes its record"
+        body = function_named(ast.parse((SERVICE / "service.py").read_text()),
+                              "_record_then_put")
+        recorded = [
+            n.lineno for n in ast.walk(body)
+            if isinstance(n, ast.Call) and ast.unparse(n.func) == "record"
+        ]
+        (put,) = store_puts(body)
+        assert recorded and max(recorded) < put.lineno, "a put precedes its record"
 
 
 class TestOneWayToRebuildAChunk:
@@ -747,7 +773,12 @@ class TestOneWayToRebuildAChunk:
             if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
             and store_puts(func)
         }
-        assert owners == {"_repair_stripe"}
+        assert owners == {"_repair_stripe", "_record_then_put"}
+        assert call_sites("_record_then_put") == set()  # only to_thread runs it
+        assert functions_matching(SERVICE / "service.py", r"\b_record_then_put\b") == {
+            "src/repro/service/service.py:_repair_stripe",
+            "src/repro/service/service.py:_record_then_put",  # its def
+        }
 
     def test_one_queue_coordinates_the_stripes(self):
         """Every stripe pass, a disk job's or a read-repair's, goes through

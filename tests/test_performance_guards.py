@@ -11,6 +11,7 @@ import tracemalloc
 import numpy as np
 
 from repro.core import ActivePreliminaryRepair, ActiveSlowerFirstRepair, FullStripeRepair, execute_plan
+from repro.ec.stripe import ChunkId
 from repro.gf import gf_mul_add_scalar, gf_mul_scalar
 from repro.utils.checksum import _crc32c_numpy, _crc32c_sliced
 from repro.utils.units import MiB
@@ -140,11 +141,13 @@ class TestSimulatorScaling:
 
 
 class TestWorkerHandoffs:
-    """The daemon's thread hand-offs, in counts, not timings: one worker
-    call per repair round (reads, digest checks and the fold together), one
-    for the stripe's record and one for its put; one per degraded read.
-    Over a store whose reads wait on a device, a round's reads still
-    overlap."""
+    """The daemon's thread hand-offs, in counts, not timings. A chunk read
+    the page cache answers (``get_cached``) runs on the event loop, and so
+    does the fold of a round whose reads all did; any other round is one
+    worker call (reads, digest checks and the fold together). A stripe's
+    record and its puts are one call. A degraded read over a store with no
+    cached read is one call. Over a store whose reads wait on a device, a
+    round's reads still overlap."""
 
     @staticmethod
     def count_handoffs(monkeypatch, module="repro.service.service"):
@@ -164,8 +167,9 @@ class TestWorkerHandoffs:
         return calls
 
     def test_a_round_is_one_call(self, tmp_path, monkeypatch):
-        """The benchmark's 16 KiB shape, repaired over file shards: per
-        stripe, its rounds plus record plus put; per job, plan and certify."""
+        """The benchmark's 16 KiB shape, repaired over file shards, every
+        chunk in the page cache: per stripe, one call for its record and
+        its puts; per job, plan and certify. The rounds make none."""
         import asyncio
 
         from repro.core import ALGORITHMS
@@ -192,9 +196,8 @@ class TestWorkerHandoffs:
 
         assert asyncio.run(run()).certified
         rows = list(service._jobs[0].rows())
-        rounds = sum(len(sp.rounds) for sp, _, _ in rows)
         assert len(rows) == 27
-        assert len(calls) == rounds + 2 * len(rows) + 2 == 110  # was 299
+        assert len(calls) == len(rows) + 2 == 29  # was 110, and 299 before
 
     def test_a_degraded_read_is_one_call(self, monkeypatch):
         import asyncio
@@ -253,6 +256,140 @@ class TestWorkerHandoffs:
             )
             peaks[store.reads_overlap] = store.peak
         assert width > 1 and peaks == {True: width, False: 1}
+
+
+class TestCachedReads:
+    """A chunk read the page cache answers runs on the event loop, over
+    file shards; anything else takes the worker path it always took, and no
+    byte that failed a verify is served."""
+
+    CHUNK = 16 * 1024
+
+    def service(self, tmp_path, chunk=CHUNK, faulty=False):
+        from repro.core import ALGORITHMS
+        from repro.hdss.store import FaultyChunkStore, ShardedChunkStore
+        from repro.service import RepairService, ServiceConfig
+        from repro.workloads import build_exp_server
+
+        store = ShardedChunkStore.from_root(tmp_path / "store", durable=False)
+        server = build_exp_server(
+            n=9, k=6, disk_size=3 * chunk, chunk_size=chunk, num_disks=12,
+            seed=51, placement="rotating", with_data=True,
+            store=FaultyChunkStore(store) if faulty else store,
+        )
+        return RepairService(server, ALGORITHMS["hd-psr-ap"](), ServiceConfig())
+
+    def read(self, service, si, shard, monkeypatch):
+        """``read_chunk``'s bytes, its hand-offs and its reads by path."""
+        import asyncio
+
+        from repro.obs import MetricsRegistry, use_registry
+        from repro.service.service import CHUNK_READS
+
+        with use_registry(MetricsRegistry()) as registry:
+            calls = TestWorkerHandoffs.count_handoffs(monkeypatch)
+            data = asyncio.run(service.read_chunk(si, shard))
+        monkeypatch.undo()
+        reads = registry.get(CHUNK_READS)
+        return data, len(calls), {p: reads.labels(path=p).value for p in ("loop", "worker")}
+
+    def expected(self, service, si, shard):
+        stripe = service.server.layout[si]
+        return service.server.store.get(stripe.disks[shard], ChunkId(si, shard))
+
+    def test_cached_healthy_and_degraded_reads_make_no_handoff(
+        self, tmp_path, monkeypatch
+    ):
+        service = self.service(tmp_path)
+        want = self.expected(service, 0, 1)
+        data, handoffs, by_path = self.read(service, 0, 1, monkeypatch)
+        assert np.array_equal(data, want)
+        assert handoffs == 0 and by_path == {"loop": 1, "worker": 0}
+        service.server.fail_disk(service.server.layout[0].disks[1])
+        data, handoffs, by_path = self.read(service, 0, 1, monkeypatch)
+        assert np.array_equal(data, want)
+        assert handoffs == 0 and by_path == {"loop": 6, "worker": 0}  # k survivors
+
+    def test_an_uncached_read_falls_back_to_one_handoff(self, tmp_path, monkeypatch):
+        import os
+
+        service = self.service(tmp_path)
+        want = self.expected(service, 0, 1)
+        tried = []
+
+        def would_block(*args):
+            tried.append(args[0])
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+
+        for fail in (False, True):
+            if fail:
+                service.server.fail_disk(service.server.layout[0].disks[1])
+            tried.clear()
+            monkeypatch.setattr(os, "preadv", would_block)
+            data, handoffs, by_path = self.read(service, 0, 1, monkeypatch)
+            assert np.array_equal(data, want)
+            # The first read would block, so it and the rest of the round
+            # are the worker's: one try on the loop, one hand-off.
+            assert len(tried) == 1 and handoffs == 1
+            assert by_path == {"loop": 0, "worker": 6 if fail else 1}
+
+    def test_a_flipped_byte_is_never_served(self, tmp_path):
+        import asyncio
+
+        from repro.obs import MetricsRegistry, use_registry
+        from repro.service.service import CORRUPT_FOUND
+
+        service = self.service(tmp_path)
+        disk = service.server.layout[0].disks[1]
+        want = self.expected(service, 0, 1)
+        (path,) = (tmp_path / "store").rglob(f"disk-{disk:03d}/s000000.001.chunk")
+        raw = bytearray(path.read_bytes())
+        raw[100] ^= 0x01
+        path.write_bytes(bytes(raw))
+        store = service.server.store
+        assert store.get_cached(disk, ChunkId(0, 1)) is None
+        assert store.checksum_failures == 0  # the loop's try counts nothing
+
+        async def read():
+            data = await service.read_chunk(0, 1)
+            spawned = len(service._chunk_repairs)
+            await service.close()
+            return data, spawned
+
+        with use_registry(MetricsRegistry()) as registry:
+            data, spawned = asyncio.run(read())
+            found = registry.get(CORRUPT_FOUND).labels(source="foreground").value
+        assert np.array_equal(data, want)  # decoded, not the flipped bytes
+        assert store.checksum_failures == 1 and found == 1 and spawned == 1
+        assert np.array_equal(store.get(disk, ChunkId(0, 1)), want)  # read-repaired
+
+    def test_a_chunk_above_the_bound_takes_one_handoff(self, tmp_path, monkeypatch):
+        from repro.hdss.store import CACHED_READ_MAX_BYTES
+
+        service = self.service(tmp_path, chunk=2 * CACHED_READ_MAX_BYTES)
+        want = self.expected(service, 0, 1)
+        data, handoffs, by_path = self.read(service, 0, 1, monkeypatch)
+        assert np.array_equal(data, want)
+        assert handoffs == 1 and by_path == {"loop": 0, "worker": 1}
+
+    def test_a_decorated_file_store_keeps_its_get(self, tmp_path, monkeypatch):
+        """A latent sector error a ``FaultyChunkStore`` injects over file
+        shards still raises, so the read degrades; every read of the
+        decorated store is its ``get`` in a worker."""
+        import pytest
+
+        from repro.errors import LatentSectorError
+
+        service = self.service(tmp_path, faulty=True)
+        store, disk = service.server.store, service.server.layout[0].disks[1]
+        want = self.expected(service, 0, 1)
+        store.mark_bad(disk, ChunkId(0, 1))
+        with pytest.raises(LatentSectorError):
+            store.get(disk, ChunkId(0, 1))
+        assert store.get_cached(disk, ChunkId(0, 2)) is None
+        data, handoffs, by_path = self.read(service, 0, 1, monkeypatch)
+        assert np.array_equal(data, want)
+        assert handoffs == 1 and by_path == {"loop": 0, "worker": 6}  # the decode
 
 
 class TestScrubHandoffs:

@@ -2,8 +2,9 @@
 """Telemetry smoke: a real ``hdpsr serve`` process whose ``/healthz`` flips
 ready, whose ``/metrics`` is scrapeable with counters monotone across a
 repair episode, whose TCP ``metrics`` verb exposes the same series as HTTP
-``/metrics`` without a ``stats`` call to prime either, and whose ``top
---once --json`` reports job progress and foreground p99.
+``/metrics`` without a ``stats`` call to prime either, whose page-cached
+chunk reads ran on the event loop (a non-zero ``path="loop"`` series), and
+whose ``top --once --json`` reports job progress and foreground p99.
 
     PYTHONPATH=src python tools/smoke_telemetry.py [WORKDIR]
 
@@ -31,6 +32,9 @@ REQUIRED_SERIES = (
     "hdpsr_service_read_latency_seconds_count",
 )
 READS = "hdpsr_service_foreground_reads_total"
+#: Chunk reads the page cache answered on the event loop: the store is
+#: file shards of 32 KiB chunks, so the front door's reads take that path.
+LOOP_READS = ("hdpsr_service_chunk_reads_total", (("path", "loop"),))
 
 
 def hdpsr(*argv: str) -> str:
@@ -96,6 +100,7 @@ def main(workdir: Path) -> int:
 
         for required in REQUIRED_SERIES:
             assert series(second, required), f"missing {required}"
+        assert second.get(LOOP_READS, 0) > 0, "no chunk read ran on the loop"
         before = sum(series(first, READS).values())
         after = sum(series(second, READS).values())
         assert after >= before + 40, (before, after)
