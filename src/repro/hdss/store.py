@@ -23,10 +23,8 @@ verified bytes of a small chunk already in memory, or None.
 from __future__ import annotations
 
 import abc
-import contextlib
 import hashlib
 import os
-import string
 import struct
 import threading
 import uuid
@@ -39,17 +37,13 @@ from repro.ec.stripe import ChunkId
 from repro.errors import (
     ChunkChecksumError,
     ChunkNotFoundError,
+    ConfigurationError,
     LatentSectorError,
     StorageError,
 )
 from repro.journal.wal import fsync_dir
-from repro.utils.checksum import crc32c
 
 Key = Tuple[int, ChunkId]
-
-#: Suffix of the digest sidecar files of the earlier two-file layout (a
-#: historical name: they held a SHA-256 hexdigest, or an older CRC32C).
-CRC_SUFFIX = ".crc32c"
 
 #: Head of a chunk file's trailer: magic, stripe, shard, payload length.
 _HEAD = struct.Struct("<8sQQQ")
@@ -99,20 +93,6 @@ def _unwrap(raw: np.ndarray, chunk_id: ChunkId) -> Optional[np.ndarray]:
     payload, head_end = raw[:size], size + _HEAD.size
     head = raw[size:head_end].tobytes()
     return payload if chunk_digest(payload, head) == raw[head_end:].tobytes() else None
-
-
-def _sidecar_matches(raw: np.ndarray, sidecar: str) -> bool:
-    """Whether a whole legacy chunk file agrees with its sidecar's text:
-    eight hex digits in any case are a CRC32C (``int(text, 16)`` read
-    them), anything else must be the lowercase SHA-256 hexdigest."""
-    if len(sidecar) == 8 and all(c in string.hexdigits for c in sidecar):
-        return int(sidecar, 16) == crc32c(raw)
-    return chunk_digest(raw).hex() == sidecar
-
-
-def _discard(name: str) -> None:
-    with contextlib.suppress(FileNotFoundError):
-        os.unlink(name)
 
 
 def _read_file(name: str) -> np.ndarray:
@@ -176,10 +156,9 @@ class ChunkStore(abc.ABC):
     """Abstract chunk-addressed byte store."""
 
     #: Checksum mismatches detected, and crash leftovers (dead-writer tmp
-    #: files, orphan sidecars) swept at open; zero on backends with neither.
+    #: files) swept at open; zero on backends with neither.
     checksum_failures = 0
     swept_tmp_files = 0
-    orphan_sidecars = 0
 
     @property
     @abc.abstractmethod
@@ -320,7 +299,6 @@ class ForwardingChunkStore(ChunkStore):
 
     checksum_failures = property(lambda self: self.inner.checksum_failures)
     swept_tmp_files = property(lambda self: self.inner.swept_tmp_files)
-    orphan_sidecars = property(lambda self: self.inner.orphan_sidecars)
     persistent = property(lambda self: self.inner.persistent)
     reads_overlap = property(lambda self: self.inner.reads_overlap)
 
@@ -435,11 +413,11 @@ class FileChunkStore(ChunkStore):
     is durable once :meth:`sync` fsynced the directory; a power cut before
     that leaves the chunk absent (or its old version) and a tmp to sweep.
 
-    A chunk of the earlier layout — no trailer, a ``<chunk>.crc32c``
-    sidecar holding a SHA-256 hexdigest or 8 hex digits of CRC32C — is
-    verified against its sidecar, and its next ``put`` drops the sidecar.
-    A chunk with neither is a checksum failure: no ``put`` ever wrote a
-    sidecar-less chunk, and a damaged trailer must never pass as one.
+    This is the one chunk-file format. A store of the earlier two-file
+    layout (a trailer-less chunk beside a ``<chunk>.crc32c`` digest
+    sidecar) is refused at open with a :class:`ConfigurationError` naming
+    the sidecar; nothing migrates it. A chunk without a valid trailer is a
+    checksum failure, and a damaged trailer never passes as anything else.
 
     ``reads_overlap`` is False: every read this repo measures is served
     from the page cache, so a ``get`` is this process's own CPU work and a
@@ -468,8 +446,6 @@ class FileChunkStore(ChunkStore):
         self.checksum_failures = 0
         #: Dead-writer ``*.tmp`` files removed by the startup sweep.
         self.swept_tmp_files = 0
-        #: Orphan legacy sidecars (no chunk beside them) removed by the sweep.
-        self.orphan_sidecars = 0
         #: Per disk, its directory as a string ending in a separator (a
         #: read builds no ``Path``), and the disks whose directory exists.
         self._dir_names: Dict[int, str] = {}
@@ -484,29 +460,32 @@ class FileChunkStore(ChunkStore):
         self._sweep_stale()
 
     def _sweep_stale(self) -> None:
-        """Drop leftovers of crashed writers: ``*.tmp`` and orphan sidecars.
+        """Drop leftovers of crashed writers (``*.tmp``); refuse a store of
+        the earlier two-file layout.
 
         A tmp name carries its writer's pid, and a live writer's tmp is
         left alone: two stores opening one directory must never delete
         each other's in-flight writes. Tmps of dead pids or unparseable
-        names are garbage, and so is a legacy sidecar with no chunk beside
-        it (the earlier layout's crashed ``put``; nothing writes sidecars
-        now).
+        names are garbage. A ``*.crc32c`` digest sidecar means the store
+        was written in the pre-trailer layout: the open raises before it
+        removes anything, and every file stays where it is.
         """
+        stale = []
         for disk_dir in self.root.glob("disk-*"):
             if not disk_dir.is_dir():
                 continue
             for p in disk_dir.iterdir():
-                if p.name.endswith(".tmp"):
-                    if _tmp_writer_alive(p.name):
-                        continue  # a live writer still owns this tmp
-                    p.unlink(missing_ok=True)
-                    self.swept_tmp_files += 1
-                elif p.name.endswith(CRC_SUFFIX) and not os.path.exists(
-                    str(p)[: -len(CRC_SUFFIX)]
-                ):
-                    p.unlink(missing_ok=True)
-                    self.orphan_sidecars += 1
+                if p.name.endswith(".crc32c"):
+                    raise ConfigurationError(
+                        f"{p}: a chunk digest sidecar; this store uses the "
+                        "pre-trailer layout (a chunk file plus a .crc32c "
+                        "sidecar), which is no longer read"
+                    )
+                if p.name.endswith(".tmp") and not _tmp_writer_alive(p.name):
+                    stale.append(p)
+        for p in stale:
+            p.unlink(missing_ok=True)
+            self.swept_tmp_files += 1
 
     def _disk_dir(self, disk_id: int) -> Path:
         return self.root / f"disk-{disk_id:03d}"
@@ -553,7 +532,6 @@ class FileChunkStore(ChunkStore):
                 fh.flush()
                 os.fsync(fh.fileno())
         os.replace(tmp, name)
-        _discard(name + CRC_SUFFIX)  # the trailer supersedes a legacy sidecar
         if self.durable:
             with self._dirty_lock:
                 self._dirty.add(disk_id)
@@ -583,14 +561,6 @@ class FileChunkStore(ChunkStore):
                 raise
             self._rooted |= unrooted
 
-    def _read_sidecar(self, name: str) -> Optional[str]:
-        """Chunk file ``name``'s legacy sidecar text, stripped, or None."""
-        try:
-            with open(name + CRC_SUFFIX, "rb") as fh:
-                return fh.read().decode("utf-8", errors="replace").strip()
-        except OSError:
-            return None
-
     def _checksum_failed(self, disk_id: int, chunk_id: ChunkId) -> ChunkChecksumError:
         self.checksum_failures += 1
         from repro.obs.context import current_registry
@@ -602,26 +572,16 @@ class FileChunkStore(ChunkStore):
         return ChunkChecksumError(f"chunk {chunk_id} on disk {disk_id} failed digest verification")
 
     def _read_verified(self, disk_id: int, chunk_id: ChunkId) -> np.ndarray:
-        """Read one chunk and return its verified payload, or raise.
-
-        A mismatch is re-read once: a ``put`` upgrading a legacy chunk
-        renames the new file in, then drops the sidecar, so a racing read
-        can pair the old bytes with a vanished sidecar. Only a *stable*
-        mismatch counts as corruption.
-        """
-        name = self._chunk_name(disk_id, chunk_id)
-        for attempt in (0, 1):
-            try:
-                raw = _read_file(name)
-            except FileNotFoundError:
-                raise ChunkNotFoundError(f"chunk {chunk_id} not on disk {disk_id}") from None
-            payload = _unwrap(raw, chunk_id)
-            if payload is not None:
-                return payload
-            sidecar = self._read_sidecar(name)
-            if sidecar is not None and _sidecar_matches(raw, sidecar):
-                return raw
-        raise self._checksum_failed(disk_id, chunk_id)
+        """Read one chunk and return its verified payload, or raise. One
+        read: a ``put`` renames a whole file in, so a mismatch is stable."""
+        try:
+            raw = _read_file(self._chunk_name(disk_id, chunk_id))
+        except FileNotFoundError:
+            raise ChunkNotFoundError(f"chunk {chunk_id} not on disk {disk_id}") from None
+        payload = _unwrap(raw, chunk_id)
+        if payload is None:
+            raise self._checksum_failed(disk_id, chunk_id)
+        return payload
 
     def get(
         self, disk_id: int, chunk_id: ChunkId, nowait: bool = False
@@ -637,7 +597,7 @@ class FileChunkStore(ChunkStore):
     def get_cached(self, disk_id: int, chunk_id: ChunkId) -> Optional[np.ndarray]:
         """The payload when the chunk is at most :data:`CACHED_READ_MAX_BYTES`,
         wholly in the page cache and vouched for by its trailer; else None
-        (a missing, uncached, short, legacy or corrupt chunk alike)."""
+        (a missing, uncached, short or corrupt chunk alike)."""
         return self.get(disk_id, chunk_id, nowait=True)
 
     def verify_chunk(self, disk_id: int, chunk_id: ChunkId) -> bool:
@@ -652,7 +612,6 @@ class FileChunkStore(ChunkStore):
             os.unlink(name)
         except FileNotFoundError:
             raise ChunkNotFoundError(f"chunk {chunk_id} not on disk {disk_id}") from None
-        _discard(name + CRC_SUFFIX)
 
     def contains(self, disk_id: int, chunk_id: ChunkId) -> bool:
         return os.path.exists(self._chunk_name(disk_id, chunk_id))
@@ -672,7 +631,6 @@ class FileChunkStore(ChunkStore):
         for path in list(disk_dir.iterdir()):
             if path.suffix == ".chunk":
                 path.unlink()
-                _discard(str(path) + CRC_SUFFIX)
                 lost += 1
         return lost
 
@@ -735,11 +693,6 @@ class ShardedChunkStore(ChunkStore):
     def swept_tmp_files(self) -> int:
         """Dead-writer tmp files swept at startup, across every shard."""
         return sum(s.swept_tmp_files for s in self.shards)
-
-    @property
-    def orphan_sidecars(self) -> int:
-        """Orphan sidecars swept at startup, across every shard."""
-        return sum(s.orphan_sidecars for s in self.shards)
 
     # ------------------------------------------------------------ delegation
     def put(self, disk_id: int, chunk_id: ChunkId, data: np.ndarray) -> None:

@@ -340,7 +340,7 @@ class ChaosScenario(rig.Episode):
         self.check(rig.check_no_duplicate_writes(shared))
         self.check_memory(report, daemon_a.service, daemon_b.service)
         rebuilt = sorted(shared.write_counts)
-        if self.check(rig.check_sidecars_verify(shared, rebuilt)):
+        if self.check(rig.check_digests_verify(shared, rebuilt)):
             report["verified_chunks"] = len(rebuilt)
         # Revival: a's in-memory state still believes it owns the shard at
         # its old epoch; the on-disk lease now carries b's bumped epoch, so

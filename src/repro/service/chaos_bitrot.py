@@ -256,7 +256,7 @@ class BitrotChaosScenario(rig.Episode):
             # corruption must still be latent on disk at episode end. The
             # control's own pass/fail stays about integrity; the caller
             # asserts latent_corruptions >= 1, mirroring the overload control.
-            report["latent_corruptions"] = len(rig.bad_sidecars(
+            report["latent_corruptions"] = len(rig.bad_digests(
                 store, [(disk, ChunkId(si, s)) for disk, si, s in victims]
             ))
 
@@ -315,7 +315,7 @@ class BitrotChaosScenario(rig.Episode):
         )
 
         # Every victim: detected, repaired byte-identically, digest fresh.
-        rotten = set(rig.bad_sidecars(
+        rotten = set(rig.bad_digests(
             store, [(disk, ChunkId(si, s)) for disk, si, s in victims]
         ))
         still_bad = []

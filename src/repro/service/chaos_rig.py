@@ -233,7 +233,7 @@ def check_no_duplicate_writes(store: CountingStore) -> Optional[str]:
     return None
 
 
-def bad_sidecars(store: ChunkStore, keys: Iterable[Key]) -> List[Key]:
+def bad_digests(store: ChunkStore, keys: Iterable[Key]) -> List[Key]:
     """The ``keys`` whose bytes disagree with their digest (or are
     unreadable, or gone) when re-read end to end."""
     bad = []
@@ -247,9 +247,9 @@ def bad_sidecars(store: ChunkStore, keys: Iterable[Key]) -> List[Key]:
     return bad
 
 
-def check_sidecars_verify(store: ChunkStore, keys: Iterable[Key]) -> Optional[str]:
+def check_digests_verify(store: ChunkStore, keys: Iterable[Key]) -> Optional[str]:
     """Every chunk in ``keys`` passes an end-to-end digest verify."""
-    bad = bad_sidecars(store, keys)
+    bad = bad_digests(store, keys)
     if bad:
         return f"digest mismatch on rebuilt chunks: {bad}"
     return None

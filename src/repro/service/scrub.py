@@ -5,7 +5,7 @@ until something *reads* the bytes, and the worst possible moment to find
 it is mid-repair, when the corrupt chunk was supposed to be a survivor.
 :class:`Scrubber` closes that window: a background task that continuously
 walks every disk of the service's chunk store, re-reading each chunk
-against its SHA-256 digest (or a legacy sidecar; see
+against the SHA-256 digest in its trailer (see
 :class:`repro.hdss.store.FileChunkStore`), quarantining anything that fails and
 handing it to :meth:`~repro.service.service.RepairService.repair_chunk`,
 which runs the chunk's stripe through the repair job.

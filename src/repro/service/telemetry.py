@@ -56,7 +56,6 @@ from repro.service.service import (
     READ_LATENCY_QUANTILES,
     RepairService,
 )
-from repro.utils.checksum import BACKEND as CHECKSUM_BACKEND
 
 #: Gauge: fraction of a repair job's stripes rebuilt, per disk.
 JOB_PROGRESS = "hdpsr_service_job_progress_ratio"
@@ -168,13 +167,7 @@ def stats_snapshot(
             "commits": _counter_value(metrics, JOURNAL_COMMITS),
             "bytes": _counter_value(metrics, JOURNAL_BYTES),
         },
-        "store": {
-            # The CRC32C backend (WAL and lease frames, legacy sidecars);
-            # chunk files carry SHA-256 whatever it says.
-            "checksum_backend": CHECKSUM_BACKEND,
-            "swept_tmp_files": int(store.swept_tmp_files),
-            "orphan_sidecars": int(store.orphan_sidecars),
-        },
+        "store": {"swept_tmp_files": int(store.swept_tmp_files)},
     }
     if service.overload is not None:
         sections["overload"] = service.overload.snapshot()

@@ -3,17 +3,23 @@
 CRC32C is the polynomial used by iSCSI, ext4 metadata, and most storage
 systems that frame records with a checksum — it detects the burst and
 bit-flip corruption patterns disks actually produce. It frames every WAL
-record and lease record, scores the cluster's hash ring, and checks the
-8-hex-digit chunk sidecars of the store's earlier layout. Chunk files
+record and lease record and scores the cluster's hash ring. Chunk files
 carry a SHA-256 digest in their trailer instead
-(:func:`repro.hdss.store.chunk_digest`), so chunk bytes no longer pass
-through this module.
+(:func:`repro.hdss.store.chunk_digest`), so a chunk read or write never
+passes through this module. Most frames are small, but a journal over a
+volatile store (``InMemoryChunkStore``) carries each stripe's rebuilt
+chunks in its ``stripe_done`` record (:meth:`RepairJob.record_writebacks`),
+so whole chunks are hashed once when the record is written and once more
+when a resume reads it back.
 
-Backend selection happens once, at import: a native ``crc32c`` module
-(the optional ``fast`` extra) is used when importable, otherwise the
-NumPy kernel below. :data:`BACKEND` names the one in use; there is no
-flag to override it. WAL frames, lease records and CRC32C sidecars are
-the same whichever computed them.
+Two kernels, one answer: inputs under :data:`_VECTOR_MIN` bytes, and the
+sub-row tail of longer ones, take a scalar slicing-by-4 loop, where
+interpreter overhead beats NumPy call overhead; whole 16-byte rows of a
+longer input take a row-parallel NumPy kernel. Measured on a 2-vCPU Xeon
+(CPython 3.11): the NumPy kernel runs 200-220 MB/s at 64 KiB, 110-130 MB/s
+at 16 KiB and 40 MB/s at 4 KiB, against 11-13 MB/s for the scalar loop;
+``hdpsr repair --journal`` over an in-memory store with 4 MiB chunks takes
+about 4 s with it and 7 s on the scalar loop alone.
 
 The NumPy kernel leans on the CRC register being GF(2)-linear in the
 data. The raw register of a 16-byte row started from zero is the XOR of
@@ -28,9 +34,7 @@ tables), and the table for ``2n`` is the table for ``n`` applied to
 itself, so only spans ``4 * 2**level`` ever exist, whatever lengths
 callers feed in; rows enter the tree at the level whose span is one row.
 The incoming ``value`` rides along as one more register in front of the
-first row. Inputs under :data:`_VECTOR_MIN` bytes and the sub-row tail
-stay on a scalar slicing-by-4 loop, where interpreter overhead beats
-NumPy call overhead.
+first row.
 
 Two things keep its speed steady from call to call, which the daemon's
 latency and the e2e benchmark's spread bounds both need. What a step
@@ -56,28 +60,14 @@ forth dozens of times a chunk (three threads over 60 MB of 16 KiB
 chunks: 54 000-185 000 context switches, 0.7-2.1 s of system time and
 18-41 MB/s in total without the lock; 900-3 400 switches, under 0.1 s
 and 62-116 MB/s when they take turns).
-
-Measured on the reference sandbox (2 vCPUs): 200-220 MB/s at 64 KiB,
-110-130 MB/s at 16 KiB (where the fold's call overhead is half the
-time) and 40 MB/s at 4 KiB, against 13 MB/s for the scalar loop; the
-tables take 140 KiB and are built on first use in about half a
-millisecond.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
-
-try:  # the optional `fast` extra
-    from crc32c import crc32c as _native_crc32c
-except ImportError:
-    _native_crc32c = None
-
-#: Which implementation :func:`crc32c` runs on: ``"native"`` or ``"numpy"``.
-BACKEND = "numpy" if _native_crc32c is None else "native"
 
 #: Reflected CRC32C (Castagnoli) polynomial.
 _POLY = 0x82F63B78
@@ -99,8 +89,6 @@ _LEVELS = 32
 _ROW_LEVEL = (_ROW // 4).bit_length() - 1
 
 _KERNEL_LOCK = threading.Lock()
-_SLICING: Optional[List[list]] = None
-_TABLES: Optional[Tuple[np.ndarray, Tuple[np.ndarray, ...]]] = None
 
 
 def _advance(
@@ -121,6 +109,10 @@ def _advance(
 
 
 def _build_tables() -> Tuple[np.ndarray, Tuple[np.ndarray, ...]]:
+    """``(position, shifts)``: ``position[j][b]`` is byte ``b`` followed by
+    ``_ROW - 1 - j`` zero bytes, and ``shifts[level]`` (four such rows)
+    advances a register ``4 * 2**level`` zero bytes. 140 KiB, built at
+    import in about a millisecond."""
     # after[j][b]: the register of byte b followed by j zero bytes.
     after = [np.arange(256, dtype="<u4")]
     for _ in range(8):
@@ -138,28 +130,10 @@ def _build_tables() -> Tuple[np.ndarray, Tuple[np.ndarray, ...]]:
     return position, tuple(shifts)
 
 
-def _tables() -> Tuple[np.ndarray, Tuple[np.ndarray, ...]]:
-    """``(position, shifts)``, built on first use: ``position[j][b]`` is
-    byte ``b`` followed by ``_ROW - 1 - j`` zero bytes, and ``shifts[level]``
-    (four such rows) advances a register ``4 * 2**level`` zero bytes.
-
-    Built into locals and published with one assignment, so threads racing
-    through a cold start at worst build identical tables twice.
-    """
-    global _TABLES
-    if _TABLES is None:
-        _TABLES = _build_tables()
-    return _TABLES
-
-
-def _slicing_tables() -> List[list]:
-    """Slicing-by-4 tables as Python lists: ``tables[j][b]`` is byte ``b``
-    followed by ``j`` zero bytes."""
-    global _SLICING
-    if _SLICING is None:
-        _, shifts = _tables()
-        _SLICING = shifts[0][::-1].tolist()
-    return _SLICING
+_POSITION, _SHIFTS = _build_tables()
+#: Slicing-by-4 tables as Python lists: ``_T<j>[b]`` is byte ``b`` followed
+#: by ``j`` zero bytes.
+_T0, _T1, _T2, _T3 = _SHIFTS[0][::-1].tolist()
 
 
 def _as_uint8(data: "bytes | bytearray | memoryview | np.ndarray") -> np.ndarray:
@@ -172,7 +146,7 @@ def _as_uint8(data: "bytes | bytearray | memoryview | np.ndarray") -> np.ndarray
 
 def _crc32c_sliced(data, value: int = 0) -> int:
     """Scalar slicing-by-4: fold little-endian words, byte-walk the tail."""
-    t0, t1, t2, t3 = _slicing_tables()
+    t0, t1, t2, t3 = _T0, _T1, _T2, _T3
     buf = _as_uint8(data)
     crc = ~value & _MASK
     split = buf.size & ~3
@@ -191,7 +165,6 @@ def _crc32c_sliced(data, value: int = 0) -> int:
 
 def _crc32c_vector(buf: np.ndarray, value: int = 0) -> int:
     """Row-parallel CRC32C of a uint8 array holding whole ``_ROW``-byte rows."""
-    position, shifts = _tables()
     rows = buf.reshape(-1, _ROW)
     count = rows.shape[0]
     with _KERNEL_LOCK:
@@ -203,12 +176,12 @@ def _crc32c_vector(buf: np.ndarray, value: int = 0) -> int:
         live = regs[-count:]
         for start in range(0, count, _STEP_ROWS):
             stop = start + _STEP_ROWS
-            _advance(position, rows[start:stop], out=live[start:stop])
+            _advance(_POSITION, rows[start:stop], out=live[start:stop])
         level = _ROW_LEVEL
         while regs.size > 1:
             # Neighbours pairwise: columns 0-3 of a pair are its left register.
             right = regs[1::2]
-            regs = _advance(shifts[level], regs.view(np.uint8).reshape(-1, 8))
+            regs = _advance(_SHIFTS[level], regs.view(np.uint8).reshape(-1, 8))
             regs ^= right
             level += 1
     return ~int(regs[0]) & _MASK
@@ -232,10 +205,7 @@ def crc32c(data: "bytes | bytearray | memoryview | np.ndarray", value: int = 0) 
     (strided, or not uint8) are hashed over their C-order bytes. Returns an
     unsigned 32-bit integer.
     """
-    buf = _as_uint8(data)
-    if _native_crc32c is not None:
-        return _native_crc32c(buf, value)
-    return _crc32c_numpy(buf, value)
+    return _crc32c_numpy(_as_uint8(data), value)
 
 
 def verify_crc32c(data: "bytes | np.ndarray", expected: int) -> bool:

@@ -199,3 +199,26 @@ class TestHardenedExitCodes:
         code_b = main(["repair", *self.SERVER, "--faults", spec])
         b = capsys.readouterr().out
         assert (code_a, a) == (code_b, b)
+
+
+class TestServeStore:
+    def test_a_store_of_the_pre_trailer_layout_is_a_usage_error(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        """``serve --store`` over a store holding a ``.crc32c`` sidecar
+        exits 2 with one ``hdpsr: error:`` line naming the file and the
+        layout; the daemon never starts and the sidecar stays."""
+        from repro.commands import flags
+
+        def started(*args, **kwargs):
+            raise AssertionError("the daemon started over a refused store")
+
+        monkeypatch.setattr(flags, "build_server", started)
+        sidecar = tmp_path / "store" / "shard-02" / "disk-002" / "s000001.000.chunk.crc32c"
+        sidecar.parent.mkdir(parents=True)
+        sidecar.write_text("00000000\n")
+        assert main(["serve", "--store", str(tmp_path / "store"), "--no-fsync"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("hdpsr: error: ")
+        assert str(sidecar) in err and "pre-trailer layout" in err
+        assert sidecar.exists()

@@ -19,7 +19,6 @@ from repro.errors import (
     StorageError,
 )
 from repro.hdss.store import (
-    CRC_SUFFIX,
     TRAILER_SIZE,
     FaultyChunkStore,
     FileChunkStore,
@@ -278,16 +277,12 @@ class TestFileSpecific:
     def test_stale_tmp_swept_on_startup(self, tmp_path):
         store = FileChunkStore(tmp_path)
         store.put(0, ChunkId(0, 0), chunk())
-        # leftovers from a crashed writer: a half-written tmp and an
-        # orphan checksum sidecar with no chunk next to it
+        # the leftover of a crashed writer: a half-written tmp
         dead = dead_pid()
         stale = tmp_path / "disk-000" / f"s000009.001.chunk.{dead}.deadbeef.tmp"
         stale.write_bytes(b"partial")
-        orphan = tmp_path / "disk-000" / ("s000009.001.chunk" + CRC_SUFFIX)
-        orphan.write_text("00000000\n")
         reopened = FileChunkStore(tmp_path)
         assert not stale.exists()
-        assert not orphan.exists()
         assert np.array_equal(reopened.get(0, ChunkId(0, 0)), chunk())
 
     def test_sweep_spares_live_writers_tmp(self, tmp_path):
@@ -393,29 +388,6 @@ class TestFileSpecific:
         for disk, tick in last_put.items():
             assert max(synced[disk]) > tick, disk
 
-    def test_get_retries_transient_sidecar_race(self, tmp_path):
-        """A legacy chunk's mismatch caused by reading mid-put (the upgrade
-        renames the new file in, then drops the sidecar) heals on the
-        re-read."""
-
-        class FlakySidecar(FileChunkStore):
-            def __init__(self, root):
-                super().__init__(root)
-                self.misreads = 1
-
-            def _read_sidecar(self, path):
-                if self.misreads:
-                    self.misreads -= 1
-                    return "deadbeef"  # raced: stale sidecar bytes
-                return super()._read_sidecar(path)
-
-        lay_down(tmp_path, chunk(), "crc32c")
-        store = FlakySidecar(tmp_path)
-        data = store.get(0, CID)  # must not raise
-        assert np.array_equal(data, chunk())
-        assert store.checksum_failures == 0
-
-
 class TestGetCached:
     """``get_cached``: a read that cannot block answers only verified bytes
     of a small chunk already in the page cache; every other case is None,
@@ -429,6 +401,7 @@ class TestGetCached:
         assert np.array_equal(store.get(0, CID), data)
 
     def test_missing_corrupt_and_legacy_chunks_are_none(self, tmp_path):
+        """Legacy: a chunk without a trailer, which no ``put`` writes."""
         store = FileChunkStore(tmp_path)
         assert store.get_cached(0, CID) is None  # missing
         store.put(0, CID, chunk(4096))
@@ -442,9 +415,10 @@ class TestGetCached:
             store.get(0, CID)
         assert store.checksum_failures == 1
         legacy = tmp_path / "legacy"
-        lay_down(legacy, chunk(), "sha256")
+        lay_down(legacy, chunk())
         assert FileChunkStore(legacy).get_cached(0, CID) is None
-        assert np.array_equal(FileChunkStore(legacy).get(0, CID), chunk())
+        with pytest.raises(ChunkChecksumError):
+            FileChunkStore(legacy).get(0, CID)
 
     def test_a_chunk_above_the_bound_is_none(self, tmp_path):
         from repro.hdss.store import CACHED_READ_MAX_BYTES
@@ -523,7 +497,7 @@ class TestChecksumIntegrity:
         cid = ChunkId(0, 0)
         store.put(0, cid, chunk(fill=1))
         store.put(0, cid, chunk(fill=2))
-        assert store.get(0, cid)[0] == 2  # sidecar matches the new bytes
+        assert store.get(0, cid)[0] == 2  # the trailer vouches for the new bytes
 
     def test_verify_chunk(self, tmp_path):
         store = FileChunkStore(tmp_path)
@@ -536,9 +510,9 @@ class TestChecksumIntegrity:
             store.verify_chunk(0, cid)
 
     def test_sidecar_less_legacy_chunk_served(self, tmp_path):
-        """Inverted: a chunk with neither a valid trailer nor a sidecar is a
-        checksum failure — bytes nothing vouches for are never served."""
-        path, _ = lay_down(tmp_path, chunk(fill=4), "none")
+        """Inverted: a chunk without a valid trailer is a checksum failure —
+        bytes nothing vouches for are never served."""
+        path = lay_down(tmp_path, chunk(fill=4))
         store = FileChunkStore(tmp_path)
         with pytest.raises(ChunkChecksumError):
             store.get(0, CID)
@@ -564,140 +538,110 @@ class TestChecksumIntegrity:
             store.verify_chunk(0, victim)
         assert store.verify_chunk(0, donor)
 
-    def test_garbage_sidecar_counts_as_mismatch(self, tmp_path):
-        _, sidecar = lay_down(tmp_path, chunk(), "crc32c")
-        sidecar.write_text("not-a-crc\n")
-        with pytest.raises(ChunkChecksumError):
-            FileChunkStore(tmp_path).get(0, CID)
-
-    def test_delete_removes_sidecar(self, tmp_path):
-        lay_down(tmp_path, chunk(), "sha256")
-        FileChunkStore(tmp_path).delete(0, CID)
-        assert not list(tmp_path.rglob("*.chunk*"))
-
-    def test_drop_disk_removes_sidecars(self, tmp_path):
-        store = FileChunkStore(tmp_path)
-        for j in range(3):
-            store.put(2, ChunkId(0, j), chunk())
-        legacy = tmp_path / "disk-002" / ("s000001.000.chunk" + CRC_SUFFIX)
-        (tmp_path / "disk-002" / "s000001.000.chunk").write_bytes(chunk().tobytes())
-        legacy.write_text(f"{crc32c(chunk()):08x}\n")
-        assert store.drop_disk(2) == 4
-        assert not list((tmp_path / "disk-002").glob("*" + CRC_SUFFIX))
-
-
 CID = ChunkId(0, 0)
 
 
-def lay_down(root, payload, kind, sidecar_text=None):
-    """Chunk ``CID`` on disk 0 in the earlier two-file layout: the bare
-    payload and a ``kind`` sidecar — ``"sha256"`` (a hexdigest, the last
-    such ``put``), ``"crc32c"`` (``%08x\\n`` as the one before it wrote, or
-    ``sidecar_text``) or ``"none"``. Returns (chunk path, sidecar path)."""
+def lay_down(root, payload, sidecar=None):
+    """Chunk ``CID`` on disk 0 as the earlier two-file layout wrote it: the
+    bare payload, and a ``<chunk>.crc32c`` sidecar holding ``sidecar``
+    (text or bytes) unless it is None. Returns the chunk's path."""
     disk_dir = Path(root) / "disk-000"
     path = disk_dir / "s000000.000.chunk"
-    sidecar = disk_dir / (path.name + CRC_SUFFIX)
     disk_dir.mkdir(parents=True, exist_ok=True)
     path.write_bytes(payload.tobytes())
-    if kind == "sha256":
-        sidecar.write_text(hashlib.sha256(payload.tobytes()).hexdigest() + "\n")
-    elif kind == "crc32c":
-        text = f"{crc32c(payload):08x}\n" if sidecar_text is None else sidecar_text
-        sidecar.write_text(text)
-    return path, sidecar
+    if sidecar is not None:
+        side = disk_dir / (path.name + ".crc32c")
+        if isinstance(sidecar, bytes):
+            side.write_bytes(sidecar)
+        else:
+            side.write_text(sidecar)
+    return path
+
+
+_PAYLOAD = np.arange(64, dtype=np.uint8)
+_SHA = hashlib.sha256(_PAYLOAD.tobytes()).hexdigest()
+_CRC = f"{crc32c(_PAYLOAD):08x}"
+
+
+def _beside(root, text):
+    """The chunk and a sidecar, as the earlier layout's ``put`` left them."""
+    lay_down(root, _PAYLOAD, text)
+    return Path(root) / "disk-000" / "s000000.000.chunk.crc32c"
+
+
+def _flipped_under(root):
+    """A CRC32C sidecar whose chunk took a flipped bit after it landed."""
+    path = lay_down(root, _PAYLOAD, _CRC + "\n")
+    raw = bytearray(path.read_bytes())
+    raw[5] ^= 0x01
+    path.write_bytes(bytes(raw))
+    return path.with_name(path.name + ".crc32c")
+
+
+def _parent_store(root):
+    """A store as the earlier layout left it: a chunk with its ``%08x``
+    sidecar, and a sidecar-less chunk beside it."""
+    sidecar = _beside(root, _CRC + "\n")
+    (sidecar.parent / "s000001.002.chunk").write_bytes(_PAYLOAD.tobytes())
+    return sidecar
+
+
+def _orphan(root):
+    """A sidecar whose chunk never landed: the earlier layout's crash."""
+    FileChunkStore(root).put(0, ChunkId(1, 0), _PAYLOAD)
+    orphan = Path(root) / "disk-000" / "s000009.001.chunk.crc32c"
+    orphan.write_text("00000000\n")
+    return orphan
+
+
+def _orphan_in_a_shard(root):
+    ShardedChunkStore.from_root(root, num_shards=2).put(1, ChunkId(1, 1), _PAYLOAD)
+    orphan = Path(root) / "shard-01" / "disk-001" / "s000002.000.chunk.crc32c"
+    orphan.write_bytes(b"12345678")
+    return orphan
+
+
+#: Every sidecar shape the earlier layout wrote, or a damaged one: (lay it
+#: down under ``root`` and return the sidecar's path, open the store).
+_SIDECAR_SHAPES = {
+    "sha256": (lambda r: _beside(r, _SHA + "\n"), FileChunkStore),
+    "crc32c": (lambda r: _beside(r, _CRC + "\n"), FileChunkStore),
+    "crc32c-upper": (lambda r: _beside(r, _CRC.upper() + "\n"), FileChunkStore),
+    "crc32c-padded": (lambda r: _beside(r, f"  {_CRC} \n"), FileChunkStore),
+    "crc32c-upper-padded": (lambda r: _beside(r, f"\t{_CRC.upper()}\r\n"), FileChunkStore),
+    "length-63": (lambda r: _beside(r, _SHA[:-1]), FileChunkStore),
+    "length-65": (lambda r: _beside(r, _SHA + "0"), FileChunkStore),
+    "length-9": (lambda r: _beside(r, _CRC + "0"), FileChunkStore),
+    "length-7": (lambda r: _beside(r, _CRC[1:]), FileChunkStore),
+    "crc32c-flipped-chunk": (_flipped_under, FileChunkStore),
+    "parent-store": (_parent_store, FileChunkStore),
+    "binary": (lambda r: _beside(r, b"\xff\xfe" * 4), FileChunkStore),
+    "garbage": (lambda r: _beside(r, "not-a-crc\n"), FileChunkStore),
+    "orphan": (_orphan, FileChunkStore),
+    "orphan-sharded": (
+        _orphan_in_a_shard, lambda r: ShardedChunkStore.from_root(r, num_shards=2)
+    ),
+}
 
 
 class TestSidecarFormats:
-    """The earlier layout's sidecars still verify: SHA-256 hex, or an
-    8-hex-digit CRC32C verified as one, never passed unchecked."""
+    """One chunk-file format: the one ``put`` writes catches any flipped
+    bit, and a store of the earlier layout — a bare chunk beside a
+    ``<chunk>.crc32c`` digest sidecar — is refused at open, whatever the
+    sidecar holds, and nothing on disk is touched."""
 
-    def test_bit_flip_in_a_crc32c_sidecar_chunk_is_detected(self, tmp_path):
-        path, _ = lay_down(tmp_path, chunk(fill=9), "crc32c")
-        store = FileChunkStore(tmp_path)
-        assert store.verify_chunk(0, CID)
-        data = bytearray(path.read_bytes())
-        data[5] ^= 0x01
-        path.write_bytes(bytes(data))
-        with pytest.raises(ChunkChecksumError):
-            store.get(0, CID)
-        with pytest.raises(ChunkChecksumError):
-            store.verify_chunk(0, CID)
-        assert store.checksum_failures == 2
-
-    def test_put_over_a_crc32c_sidecar_chunk_rewrites_it_as_sha256(self, tmp_path):
-        """The next ``put`` writes the one-file format, its SHA-256 in the
-        trailer, and drops the sidecar."""
-        path, sidecar = lay_down(tmp_path, chunk(fill=1), "crc32c")
-        store = FileChunkStore(tmp_path)
-        store.put(0, CID, chunk(fill=2))
-        assert not sidecar.exists()
-        assert path.stat().st_size == 64 + TRAILER_SIZE
-        assert store.verify_chunk(0, CID) and store.get(0, CID)[0] == 2
-
-    @pytest.mark.parametrize("style", [
-        lambda t: t.upper() + "\n",
-        lambda t: f"  {t} \n",
-        lambda t: f"\t{t.upper()}\r\n",
-    ], ids=["upper", "padded", "upper-padded"])
-    def test_crc32c_sidecar_in_any_case_or_padding_still_verifies(
-        self, tmp_path, style
-    ):
-        """``int(text, 16)`` read these before; a string compare would not."""
-        payload = np.arange(64, dtype=np.uint8)
-        text = f"{crc32c(payload):08x}"
-        assert any(c.isalpha() for c in text)  # upper-casing changes it
-        lay_down(tmp_path, payload, "crc32c", style(text))
-        store = FileChunkStore(tmp_path)
-        assert np.array_equal(store.get(0, CID), payload)
-        assert store.verify_chunk(0, CID)
-
-    @pytest.mark.parametrize("cut", [
-        lambda sha, crc: sha[:-1],
-        lambda sha, crc: sha + "0",
-        lambda sha, crc: crc + "0",
-        lambda sha, crc: crc[1:],
-    ], ids=["63", "65", "9", "7"])
-    def test_a_sidecar_of_another_length_is_a_mismatch(self, tmp_path, cut):
-        payload = chunk()
-        sha = hashlib.sha256(payload.tobytes()).hexdigest()
-        lay_down(tmp_path, payload, "crc32c", cut(sha, f"{crc32c(payload):08x}"))
-        with pytest.raises(ChunkChecksumError):
-            FileChunkStore(tmp_path).get(0, CID)
-
-    def test_a_binary_sidecar_is_a_mismatch_not_a_decode_error(self, tmp_path):
-        _, sidecar = lay_down(tmp_path, chunk(), "sha256")
-        sidecar.write_bytes(b"\xff\xfe" * 4)  # eight bytes, not UTF-8
-        with pytest.raises(ChunkChecksumError):
-            FileChunkStore(tmp_path).verify_chunk(0, CID)
-
-    @settings(max_examples=80, deadline=None)
-    @given(
-        size=st.sampled_from([0, 1, 15, 16 * 1024 + 3]),
-        kind=st.sampled_from(["sha256", "crc32c"]),
-        data=st.data(),
-    )
-    def test_any_flipped_bit_or_changed_digit_is_caught(self, size, kind, data):
-        payload = np.random.default_rng(size).integers(0, 256, size, dtype=np.uint8)
-        with tempfile.TemporaryDirectory() as root:
-            path, sidecar = lay_down(root, payload, kind)
-            assert FileChunkStore(root).verify_chunk(0, CID)
-            text = sidecar.read_text()
-            if size and data.draw(st.booleans(), label="flip a chunk bit"):
-                bit = data.draw(st.integers(0, 8 * size - 1), label="bit")
-                raw = bytearray(path.read_bytes())
-                raw[bit // 8] ^= 1 << (bit % 8)
-                path.write_bytes(bytes(raw))
-            else:
-                i = data.draw(st.integers(0, len(text.strip()) - 1), label="digit")
-                new = data.draw(st.sampled_from(
-                    [c for c in "0123456789abcdef" if c != text[i]]
-                ), label="to")
-                sidecar.write_text(text[:i] + new + text[i + 1:])
-            store = FileChunkStore(root)
-            with pytest.raises(ChunkChecksumError):
-                store.get(0, CID)
-            with pytest.raises(ChunkChecksumError):
-                store.verify_chunk(0, CID)
+    @pytest.mark.parametrize("shape", list(_SIDECAR_SHAPES))
+    def test_a_sidecar_refuses_the_open(self, tmp_path, shape):
+        lay, open_store = _SIDECAR_SHAPES[shape]
+        sidecar = lay(tmp_path)
+        # a dead writer's tmp beside it: a refused open sweeps nothing
+        stale = sidecar.parent / f"s000009.002.chunk.{dead_pid()}.deadbeef.tmp"
+        stale.write_bytes(b"partial")
+        before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+        with pytest.raises(ConfigurationError, match="pre-trailer layout") as err:
+            open_store(tmp_path)
+        assert str(sidecar) in str(err.value)
+        assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
 
     @settings(max_examples=80, deadline=None)
     @given(size=st.sampled_from([0, 1, 15, 16 * 1024 + 3]), data=st.data())
@@ -755,7 +699,7 @@ class TestPutOrdering:
         pid = tmp.name.split(".")[-3]
         tmp.rename(tmp.with_name(tmp.name.replace(f".{pid}.", f".{dead_pid()}.")))
         reopened = FileChunkStore(tmp_path)
-        assert reopened.swept_tmp_files == 1 and reopened.orphan_sidecars == 0
+        assert reopened.swept_tmp_files == 1
         assert not reopened.contains(0, cid)
         assert not reopened.is_readable(0, cid)
         assert list(disk_dir.iterdir()) == []
@@ -769,35 +713,13 @@ class TestPutOrdering:
         self.crash_at_rename(tmp_path, monkeypatch, cid, chunk(fill=2))
         assert FileChunkStore(tmp_path).get(0, cid)[0] == 1
         # Bytes torn under the name — in the payload or the trailer — never
-        # pass, and never as a sidecar-less legacy chunk.
+        # pass, and never as a trailer-less legacy chunk.
         path = tmp_path / "disk-000" / "s000000.000.chunk"
         whole = path.read_bytes()
         for cut in (32, 64, 64 + TRAILER_SIZE // 2, len(whole) - 1):
             path.write_bytes(whole[:cut])
             with pytest.raises(ChunkChecksumError):
                 FileChunkStore(tmp_path).get(0, cid)
-
-    def test_a_store_the_parent_wrote_still_reads(self, tmp_path):
-        """Same files, same format: a chunk + ``%08x\\n`` sidecar laid down
-        by an earlier ``put`` still reads back; a sidecar-less chunk (no
-        such ``put`` ever existed) is a checksum failure, not served."""
-        from repro.utils.checksum import crc32c
-
-        disk_dir = tmp_path / "disk-000"
-        disk_dir.mkdir()
-        payload = chunk(fill=5)
-        (disk_dir / "s000000.000.chunk").write_bytes(payload.tobytes())
-        (disk_dir / ("s000000.000.chunk" + CRC_SUFFIX)).write_text(
-            f"{crc32c(payload):08x}\n"
-        )
-        (disk_dir / "s000001.002.chunk").write_bytes(payload.tobytes())
-        store = FileChunkStore(tmp_path)
-        assert store.orphan_sidecars == 0
-        assert store.chunks_on_disk(0) == [ChunkId(0, 0), ChunkId(1, 2)]
-        assert np.array_equal(store.get(0, ChunkId(0, 0)), payload)
-        assert store.verify_chunk(0, ChunkId(0, 0))
-        with pytest.raises(ChunkChecksumError):
-            store.get(0, ChunkId(1, 2))
 
     def test_one_fsync_per_put_and_one_per_dirty_directory_on_sync(
         self, tmp_path, monkeypatch
@@ -903,6 +825,42 @@ class TestPutOrdering:
         assert len(opened) == 1
         store.verify_chunk(0, CID)
         assert len(opened) == 2
+
+    def test_a_put_unlinks_nothing(self, tmp_path, monkeypatch):
+        """The tmp is renamed over the chunk; there is no sidecar to drop."""
+        import os
+
+        store = FileChunkStore(tmp_path)
+        store.put(0, CID, chunk(fill=1))
+        unlinked = []
+        real_unlink = os.unlink
+        monkeypatch.setattr(
+            os, "unlink", lambda *a, **kw: (unlinked.append(a), real_unlink(*a, **kw))[1]
+        )
+        store.put(0, CID, chunk(fill=2))  # an overwrite
+        store.put(0, ChunkId(1, 0), chunk())  # a first write
+        assert unlinked == []
+
+    def test_a_corrupt_chunk_is_read_once(self, tmp_path, monkeypatch):
+        """A mismatch is stable (a ``put`` renames a whole file in), so the
+        ``get`` that finds it raises on its first read."""
+        from repro.hdss import store as store_module
+
+        store = FileChunkStore(tmp_path)
+        store.put(0, CID, chunk(4096))
+        path = store._chunk_path(0, CID)
+        raw = bytearray(path.read_bytes())
+        raw[100] ^= 0xFF
+        path.write_bytes(bytes(raw))
+        reads = []
+        real_read = store_module._read_file
+        monkeypatch.setattr(
+            store_module, "_read_file", lambda name: (reads.append(name), real_read(name))[1]
+        )
+        with pytest.raises(ChunkChecksumError):
+            store.get(0, CID)
+        assert reads == [str(path)]
+        assert store.checksum_failures == 1
 
 
 class TestPersistence:

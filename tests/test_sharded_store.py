@@ -96,23 +96,22 @@ class TestContract:
 
 
 class TestStartupSweep:
-    """Crash leftovers — dead-writer tmps and orphan sidecars — are swept
-    at open and surfaced as observable counters."""
+    """Crash leftovers — dead-writer tmps — are swept at open and surfaced
+    as an observable counter. (A store holding a ``.crc32c`` sidecar of the
+    earlier layout is refused at open instead:
+    ``test_hdss_store.py::TestSidecarFormats``.)"""
 
-    def test_sweeps_dead_tmp_and_orphan_sidecar(self, tmp_path):
+    def test_sweeps_dead_tmp(self, tmp_path):
         store = ShardedChunkStore.from_root(tmp_path, num_shards=2, durable=False)
         store.put(0, ChunkId(0, 0), chunk())
         disk_dir = store.shard_for(0)._chunk_path(0, ChunkId(0, 0)).parent
         # a tmp from a writer pid that cannot be alive (pid 1 is init, so
-        # use an impossible one) and a sidecar whose chunk never landed
+        # use an impossible one)
         (disk_dir / "s000001.000.chunk.999999999.deadbeef.tmp").write_bytes(b"x")
-        (disk_dir / "s000002.000.chunk.crc32c").write_bytes(b"12345678")
         reopened = ShardedChunkStore.from_root(tmp_path, num_shards=2, durable=False)
         assert reopened.swept_tmp_files == 1
-        assert reopened.orphan_sidecars == 1
         assert not (disk_dir / "s000001.000.chunk.999999999.deadbeef.tmp").exists()
-        assert not (disk_dir / "s000002.000.chunk.crc32c").exists()
-        # the real chunk and its sidecar are untouched
+        # the real chunk is untouched
         assert np.array_equal(reopened.get(0, ChunkId(0, 0)), chunk())
 
     def test_live_writer_tmp_left_alone(self, tmp_path):
@@ -132,7 +131,6 @@ class TestStartupSweep:
         store.put(3, ChunkId(1, 1), chunk())
         reopened = ShardedChunkStore.from_root(tmp_path, num_shards=2, durable=False)
         assert reopened.swept_tmp_files == 0
-        assert reopened.orphan_sidecars == 0
 
 
 class TestApplyCorruption:
