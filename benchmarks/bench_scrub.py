@@ -13,11 +13,14 @@ pins down:
   byte-identical read-repair either way.
 
 * **Scrub never mugs the foreground.** The scrubber verifies a disk in
-  runs, each one worker call under one *background* gate slot: a run
-  lasts until the next pause is due (one chunk at ``interval_ms > 0``,
-  the whole disk at 0), and ends early at the next chunk boundary once
-  any read queues on that disk's gate, and at the first chunk that fails
-  its verify. So a diurnal open-loop read workload sees (nearly) the
+  runs, each under one *background* gate slot (on the event loop while
+  the page cache answers, else in one worker call): a run lasts until
+  the next pause is due (one chunk at ``interval_ms > 0``, the whole disk
+  at 0), and ends early at the next chunk boundary once any read queues
+  on that disk's gate, and at the first chunk that fails its verify. The
+  detection episodes scrub file shards, so they take the event-loop
+  path; the foreground episodes scrub paced in-memory disks, whose every
+  verify is a worker call. So a diurnal open-loop read workload sees (nearly) the
   same tail latency whether the scrubber is hammering the store at full
   rate or switched off entirely. The p99 comparison on/off is the
   politeness assertion.

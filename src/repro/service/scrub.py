@@ -25,14 +25,18 @@ Three properties make it a polite tenant of a loaded daemon:
   brownout plane (:data:`~repro.service.overload.CLASS_SCRUB`): while the
   daemon is ``browned_out`` the inter-verify pause stretches by
   ``scrub_brownout_factor``; while ``shedding`` the scrubber parks
-  entirely and polls for recovery. The walk verifies a disk in *runs*:
-  one worker call under one *background* gate slot verifies chunk after
-  chunk until the next pause is due — one chunk when ``interval_ms > 0``,
-  the whole disk when it is 0. A run also ends at the next chunk boundary
-  once any read queues on that disk's gate, and at the first chunk that
-  fails its verify, so a scrub read never holds a spindle a foreground or
-  repair read waits on for longer than one verify, and quarantine and
-  read-repair happen before the disk's next chunk is read.
+  entirely and polls for recovery. A cycle lists every disk it will walk
+  in one worker call, then verifies a disk in *runs*: under one
+  *background* gate slot, chunk after chunk until the next pause is due —
+  one chunk when ``interval_ms > 0``, the whole disk when it is 0. A
+  chunk the page cache holds is verified on the event loop
+  (:meth:`~repro.hdss.store.ChunkStore.get_cached`), each verify ending
+  its loop step; the first chunk that call cannot answer goes, with the
+  rest of the run, to one worker call. A run also ends at the next chunk
+  boundary once any read queues on that disk's gate, and at the first
+  chunk that fails its verify, so a scrub read never holds a spindle a
+  foreground or repair read waits on for longer than one verify, and
+  quarantine and read-repair happen before the disk's next chunk is read.
 
 * **Quarantine-and-repair.** A failed verify immediately quarantines the
   chunk (it will never be served, and never used as a decode survivor),
@@ -50,7 +54,7 @@ import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.ec.stripe import ChunkId
 from repro.errors import (
@@ -72,6 +76,12 @@ SCRUB_CYCLES = "hdpsr_scrub_cycles_total"
 REC_CYCLE_BEGIN = "scrub_cycle_begin"
 REC_DISK_DONE = "scrub_disk_done"
 REC_CYCLE_DONE = "scrub_cycle_done"
+
+
+def _verified_counter():
+    return current_registry().counter(
+        SCRUB_VERIFIED, "chunks verified by the scrub plane"
+    )
 
 
 def _commit_cursor(writer: WALWriter) -> None:
@@ -180,6 +190,9 @@ class Scrubber:
         self.parked = False
         self.current_disk: Optional[int] = None
         self._done_disks: Set[int] = set()
+        #: This cycle's listing of the disks it has yet to walk, taken as
+        #: the cycle starts: a chunk put after it waits for the next cycle.
+        self._listing: Dict[int, List[ChunkId]] = {}
         self._begun = False
         self._cycle_started: Optional[float] = None
         self._task: Optional[asyncio.Task] = None
@@ -311,6 +324,13 @@ class Scrubber:
         self.cycle_chunks = 0
         disks = list(range(len(service.server.disks)))
         self._disks_total = len(disks)
+        walk = [
+            d for d in disks
+            if d not in self._done_disks and not service.server.disk(d).is_failed
+        ]
+        self._listing = (
+            await asyncio.to_thread(self._list_disks, walk) if walk else {}
+        )
         for disk_id in disks:
             if disk_id in self._done_disks:
                 continue  # certified by a previous incarnation's cursor
@@ -341,30 +361,61 @@ class Scrubber:
         self.current_disk = None
         return verified
 
+    def _list_disks(self, disks: List[int]) -> Dict[int, List[ChunkId]]:
+        """A cycle's one listing, in a worker thread: the chunks of each
+        disk in ``disks``."""
+        store = self.service.server.store
+        return {disk_id: store.chunks_on_disk(disk_id) for disk_id in disks}
+
     async def _scrub_disk(self, disk_id: int) -> None:
-        """Verify one disk run by run, each run one worker call under one
-        background gate slot (see the module docstring for where a run
-        ends). Paced, the disk is listed in a call of its own; unpaced,
-        the first run lists it."""
+        """Verify one disk run by run, each run under one background gate
+        slot (see the module docstring for where a run ends). A disk the
+        cycle's listing lacks is listed by its first run's worker call."""
         service = self.service
-        chunks: Optional[List[ChunkId]] = None
-        if self.config.interval_ms > 0:
-            chunks = await asyncio.to_thread(
-                service.server.store.chunks_on_disk, disk_id
-            )
+        chunks = self._listing.pop(disk_id, None)
         pos = 0
         while chunks is None or pos < len(chunks):
             await self._pace()
-            halt = threading.Event()
             async with service.gate.read(disk_id, foreground=False):
-                try:
-                    chunks, pos, corrupt = await asyncio.to_thread(
-                        self._verify_run, disk_id, chunks, pos, halt
-                    )
-                finally:
-                    halt.set()  # a cancelled run stops at its next chunk
+                chunks, pos, corrupt = await self._one_run(disk_id, chunks, pos)
             if corrupt is not None:
                 await self._handle_corrupt(disk_id, corrupt)
+
+    async def _one_run(
+        self, disk_id: int, chunks: Optional[List[ChunkId]], pos: int
+    ) -> Tuple[List[ChunkId], int, Optional[ChunkId]]:
+        """One run, page cache first: each chunk of ``chunks[pos:]`` in
+        turn is a ``store.get_cached`` on the event loop, and each that
+        answers ends its loop step. The first chunk that call cannot
+        answer (uncached, too big, missing, corrupt, a decorated store)
+        goes, with the rest of the run, to one :meth:`_verify_run` worker
+        call, whose ``verify_chunk`` raises, counts and reports; so does
+        a whole run whose disk is not listed yet. Returns what
+        :meth:`_verify_run` does."""
+        service = self.service
+        if chunks is not None:
+            store = service.server.store
+            one_chunk = self.config.interval_ms > 0
+            counter = _verified_counter()
+            while pos < len(chunks):
+                cid = chunks[pos]
+                if not service.is_quarantined(disk_id, cid):
+                    if store.get_cached(disk_id, cid) is None:
+                        break
+                    self._count_verified(counter)
+                pos += 1
+                await asyncio.sleep(0)
+                if one_chunk or service.gate.queue_depth(disk_id):
+                    return chunks, pos, None
+            if pos == len(chunks):
+                return chunks, pos, None
+        halt = threading.Event()
+        try:
+            return await asyncio.to_thread(
+                self._verify_run, disk_id, chunks, pos, halt
+            )
+        finally:
+            halt.set()  # a cancelled run stops at its next chunk
 
     def _verify_run(
         self,
@@ -373,18 +424,16 @@ class Scrubber:
         pos: int,
         halt: threading.Event,
     ) -> Tuple[List[ChunkId], int, Optional[ChunkId]]:
-        """One run, in a worker thread: verify ``chunks[pos:]`` in order
-        (listing the disk first when ``chunks`` is None), one
-        ``verify_chunk`` a chunk. Returns the list, the position the next
-        run starts at, and the chunk that failed its verify, if one did."""
+        """A run's worker call: verify ``chunks[pos:]`` in order (listing
+        the disk first when ``chunks`` is None), one ``verify_chunk`` a
+        chunk. Returns the list, the position the next run starts at, and
+        the chunk that failed its verify, if one did."""
         service = self.service
         store = service.server.store
         if chunks is None:
             chunks = store.chunks_on_disk(disk_id)
         one_chunk = self.config.interval_ms > 0
-        counter = current_registry().counter(
-            SCRUB_VERIFIED, "chunks verified by the scrub plane"
-        )
+        counter = _verified_counter()
         while pos < len(chunks):
             cid = chunks[pos]
             pos += 1

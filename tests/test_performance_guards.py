@@ -394,10 +394,11 @@ class TestCachedReads:
 
 class TestScrubHandoffs:
     """The scrub walk's thread hand-offs, in counts: one clean cycle over
-    the chaos geometry (15 disks, 50 chunks) on durable-off file shards.
-    Before runs, the walk paid one call per chunk plus one listing per
-    disk at any pace: chunks + disks = 65. Unpaced, a disk is now one
-    call; paced, a run is one chunk, as before."""
+    the chaos geometry (15 disks, 50 chunks) on durable-off file shards,
+    every chunk in the page cache. A cycle lists its disks in one call and
+    verifies cached chunks on the event loop, at any pace; when runs were
+    worker calls, a cycle cost 15 calls unpaced (one a disk) and 65 paced
+    (one a chunk, plus a listing a disk)."""
 
     DISKS, CHUNKS = 15, 50
 
@@ -425,20 +426,30 @@ class TestScrubHandoffs:
 
         assert asyncio.run(run()) == self.CHUNKS
         assert len(service.server.disks) == self.DISKS
+        self.holding = sum(1 for d in range(self.DISKS) if store.chunks_on_disk(d))
         return calls
 
-    def test_an_unpaced_disk_is_one_call(self, tmp_path, monkeypatch):
-        assert len(self.cycle(tmp_path, monkeypatch, 0.0)) == self.DISKS
+    def test_an_unpaced_cycle_is_one_call(self, tmp_path, monkeypatch):
+        assert len(self.cycle(tmp_path, monkeypatch, 0.0)) == 1  # the listing
 
-    def test_a_paced_run_is_one_chunk(self, tmp_path, monkeypatch):
-        calls = self.cycle(tmp_path, monkeypatch, 0.01)
-        assert len(calls) == self.CHUNKS + self.DISKS
+    def test_a_paced_cycle_is_one_call(self, tmp_path, monkeypatch):
+        assert len(self.cycle(tmp_path, monkeypatch, 0.01)) == 1
 
     def test_each_cursor_commit_is_one_call(self, tmp_path, monkeypatch):
         """The cycle's one commit, at ``cycle_done``: ``cycle_begin`` and
         each ``disk_done`` are flushed on the loop, with no call."""
         calls = self.cycle(tmp_path, monkeypatch, 0.0, journal=True)
-        assert len(calls) == self.DISKS + 1
+        assert len(calls) == 2  # the listing and the commit
+
+    def test_an_uncached_run_is_one_call(self, tmp_path, monkeypatch):
+        """Chunks over the cached-read bound: each disk's first chunk falls
+        back to one worker call, which verifies the rest of the disk."""
+        from repro.hdss import store as store_module
+
+        monkeypatch.setattr(store_module, "CACHED_READ_MAX_BYTES", 512)
+        calls = self.cycle(tmp_path, monkeypatch, 0.0)
+        assert 0 < self.holding < self.DISKS  # a spare holds none: no call
+        assert len(calls) == 1 + self.holding
 
 
 class TestWritePathCounts:

@@ -33,6 +33,7 @@ from repro.service.overload import (
     STATE_HEALTHY,
     STATE_SHEDDING,
     OverloadConfig,
+    OverloadController,
 )
 from repro.service.protocol import ERR_CORRUPT
 from repro.service.scrub import REC_CYCLE_BEGIN, REC_CYCLE_DONE, REC_DISK_DONE
@@ -44,12 +45,12 @@ pytestmark = pytest.mark.usefixtures("fresh_registry")
 STRIPES = 10
 
 
-def make_service(tmp_path, **cfg):
+def make_service(tmp_path, stripes=STRIPES, **cfg):
     store = ShardedChunkStore.from_root(
         tmp_path / "store", num_shards=2, durable=False
     )
     return build_service(
-        build_server(store, stripes=STRIPES, chunk_size=1024), **cfg
+        build_server(store, stripes=stripes, chunk_size=1024), **cfg
     )
 
 
@@ -366,13 +367,21 @@ class TestScrubCursor:
             all_disks = range(len(service.server.disks))
             on_disk = {d: set(store.chunks_on_disk(d)) for d in all_disks}
             verified = set()
-            real_verify = store.verify_chunk
+            real_verify, real_cached = store.verify_chunk, store.get_cached
 
             def verify_chunk(disk_id, chunk_id):
                 verified.add((disk_id, chunk_id))
                 return real_verify(disk_id, chunk_id)
 
+            def get_cached(disk_id, chunk_id):
+                # a cached chunk is verified on the loop, with no verify_chunk
+                payload = real_cached(disk_id, chunk_id)
+                if payload is not None:
+                    verified.add((disk_id, chunk_id))
+                return payload
+
             store.verify_chunk = verify_chunk
+            store.get_cached = get_cached
             cut = tmp_path / "cut"
             cycled = set()
             for length in range(len(log) + 1):
@@ -502,17 +511,22 @@ class TestScrubEta:
 # ----------------------------------------------------------------- pacing
 class TestScrubPacing:
     def test_parks_while_shedding_and_resumes_after_recovery(self, tmp_path):
+        """The controller runs on a clock of the test's own, so its state
+        changes when the test moves that clock, not as real time passes."""
+        now = [100.0]
+
         async def run():
-            service = make_service(
-                tmp_path,
-                overload=OverloadConfig(
+            service = make_service(tmp_path)
+            ctrl = OverloadController(
+                OverloadConfig(
                     target_ms=5.0, shed_target_ms=30.0, interval_ms=20.0,
                     recovery_intervals=1, idle_reset_s=0.3,
                 ),
+                clock=lambda: now[0],
             )
-            ctrl = service.overload
+            service.overload = service.gate.controller = ctrl
             ctrl.observe_wait(0, 0.2)
-            await asyncio.sleep(0.03)
+            now[0] += 0.03
             ctrl.observe_wait(0, 0.2)  # rollover: min 200 ms >> shed target
             assert ctrl.state == STATE_SHEDDING
 
@@ -521,18 +535,15 @@ class TestScrubPacing:
             )
             scrub.start()
             deadline = time.monotonic() + 10.0
-            while not scrub.parked and time.monotonic() < deadline:
-                ctrl.observe_wait(0, 0.2)
-                await asyncio.sleep(0.01)
-            assert scrub.parked
-            before = scrub.chunks_verified
-            for _ in range(10):  # held in shedding: zero verifies
-                ctrl.observe_wait(0, 0.2)
-                await asyncio.sleep(0.01)
-            assert scrub.chunks_verified == before
+            # held in shedding: five parked polls, zero verifies
+            while ctrl.scrub_paced < 5 and time.monotonic() < deadline:
+                await asyncio.sleep(0.001)
+            assert scrub.parked and ctrl.scrub_paced >= 5
+            assert scrub.chunks_verified == 0
 
-            # stop feeding waits: idle expiry recovers the controller and
-            # the parked scrubber completes a full cycle
+            # no wait for longer than idle_reset_s: idle expiry recovers
+            # the controller and the parked scrubber completes a full cycle
+            now[0] += 0.31
             assert await scrub.wait_cycles(1, timeout=30.0)
             assert ctrl.state == STATE_HEALTHY
             assert not scrub.parked
@@ -584,7 +595,9 @@ class TestScrubRuns:
             )
             scrub = Scrubber(service, fast_config())
             task = asyncio.get_running_loop().create_task(scrub.run_cycle())
+            deadline = time.monotonic() + 30.0
             while store.reads < 2:  # two verifies into disk 0's run
+                assert time.monotonic() < deadline, "scrub made no progress"
                 await asyncio.sleep(0.001)
             assert scrub.current_disk == 0
             assert service.gate.depths()[0]["inflight"] == 1  # the run's slot
@@ -619,6 +632,118 @@ class TestScrubRuns:
         after = [row for row in log[rotted:] if row[0] != cid][0]
         # the disk's next verify ran after the quarantine and read-repair
         assert after[0] > cid and after[1:] == (1, 1)
+
+
+class TestScrubLoopRuns:
+    """Over file shards in the page cache a run verifies on the event
+    loop, one ``get_cached`` and one loop step a chunk. It keeps the
+    worker run's manners: it yields its disk to a queued read, stops at a
+    corrupt chunk, and lets other tasks run between verifies (ten chunks
+    a disk)."""
+
+    STRIPES = 24
+
+    @staticmethod
+    def spy(service, scrub):
+        """Log every chunk verify as ``(disk, chunk, path, corrupt_found,
+        repaired)``: ``loop`` for a ``get_cached`` that answered, ``worker``
+        for a ``verify_chunk``."""
+        store, log = service.server.store, []
+        real_cached, real_verify = store.get_cached, store.verify_chunk
+
+        def get_cached(disk_id, cid):
+            payload = real_cached(disk_id, cid)
+            if payload is not None:
+                log.append((disk_id, cid, "loop", scrub.corrupt_found, scrub.repaired))
+            return payload
+
+        def verify_chunk(disk_id, cid):
+            log.append((disk_id, cid, "worker", scrub.corrupt_found, scrub.repaired))
+            return real_verify(disk_id, cid)
+
+        store.get_cached, store.verify_chunk = get_cached, verify_chunk
+        return log
+
+    def test_a_queued_read_is_admitted_after_at_most_one_more_verify(self, tmp_path):
+        async def run():
+            service = make_service(tmp_path, stripes=self.STRIPES, per_disk_reads=1)
+            scrub = Scrubber(service, fast_config())
+            log = self.spy(service, scrub)
+            task = asyncio.get_running_loop().create_task(scrub.run_cycle())
+            deadline = time.monotonic() + 30.0
+            while len(log) < 2:  # two verifies into the first disk's run
+                assert time.monotonic() < deadline, "scrub made no progress"
+                await asyncio.sleep(0)
+            disk = scrub.current_disk
+            assert [(d, path) for d, _, path, _, _ in log] == [(disk, "loop")] * 2
+            assert service.gate.depths()[disk]["inflight"] == 1  # the run's slot
+            before = len(log)
+            async with service.gate.read(disk, foreground=True):
+                admitted = len(log)
+            task.cancel()
+            await asyncio.gather(task, return_exceptions=True)
+            await scrub.stop()
+            await service.close()
+            return len(service.server.store.chunks_on_disk(disk)), before, admitted
+
+        per_disk, before, admitted = asyncio.run(run())
+        assert per_disk - before >= 5  # a run left to finish would hog it
+        assert admitted - before <= 1
+
+    def test_a_corrupt_chunk_is_quarantined_before_the_next_verify(self, tmp_path):
+        async def run():
+            service = make_service(tmp_path, stripes=self.STRIPES)
+            store = service.server.store
+            chunks = store.chunks_on_disk(0)
+            cid = chunks[len(chunks) // 2]  # mid-disk
+            corrupt(service, cid.stripe_index, cid.shard_index)
+            failures = store.checksum_failures
+            scrub = Scrubber(service, fast_config())
+            log = self.spy(service, scrub)
+            await scrub.run_cycle()
+            await service.close()
+            return cid, [row for row in log if row[0] == 0], scrub, (
+                store.checksum_failures - failures
+            )
+
+        cid, log, scrub, failures = asyncio.run(run())
+        assert scrub.corrupt_found == 1 and scrub.repaired == 1
+        assert failures == 1  # the worker's verify, not the loop's try
+        rotted = [i for i, row in enumerate(log) if row[1] == cid][0]
+        assert {row[2] for row in log[:rotted]} == {"loop"}
+        assert log[rotted][2:] == ("worker", 0, 0)
+        after = [row for row in log[rotted:] if row[1] != cid][0]
+        # the disk's next verify ran on the loop, after the quarantine
+        # and the read-repair
+        assert after[1] > cid and after[2:] == ("loop", 1, 1)
+
+    def test_a_task_scheduled_mid_run_runs_before_the_next_verify(self, tmp_path):
+        async def run():
+            service = make_service(tmp_path, stripes=self.STRIPES)
+            scrub = Scrubber(service, fast_config())
+            log = self.spy(service, scrub)
+            store, seen = service.server.store, []
+            spied = store.get_cached
+
+            async def probe():
+                seen.append(len(log))
+
+            def get_cached(disk_id, cid):
+                payload = spied(disk_id, cid)
+                if len(log) == 1 and not seen:
+                    asyncio.get_running_loop().create_task(probe())
+                return payload
+
+            store.get_cached = get_cached
+            await scrub.run_cycle()
+            await service.close()
+            return log, seen
+
+        log, seen = asyncio.run(run())
+        first = log[0][0]
+        assert sum(1 for row in log if row[0] == first) >= 5  # a run of many
+        assert {row[2] for row in log} == {"loop"}
+        assert seen == [1]
 
 
 # ------------------------------------------------------------ daemon verb
