@@ -22,8 +22,10 @@ pins down:
   path; the foreground episodes scrub paced in-memory disks, whose every
   verify is a worker call. So a diurnal open-loop read workload sees (nearly) the
   same tail latency whether the scrubber is hammering the store at full
-  rate or switched off entirely. The p99 comparison on/off is the
-  politeness assertion.
+  rate or switched off entirely. The politeness assertion compares p99 on
+  and off within pairs of episodes run back to back (off, on, off, on):
+  the host's noise moves both halves of a pair together, while it moves
+  the p99 of one session's episodes against another's by 3x or more.
 
 Latency is measured from the *scheduled* arrival (no coordinated
 omission), and the scrub-on episode must also complete at least one full
@@ -33,6 +35,7 @@ verify cycle — politeness that comes from not scrubbing would be cheating.
 from __future__ import annotations
 
 import asyncio
+import statistics
 import time
 from typing import Dict, List
 
@@ -62,6 +65,10 @@ GATE_WIDTH = 2
 READ_RATE = 120.0
 EPISODE_SECONDS = 1.2
 DIURNAL_PERIOD_S = 0.6
+#: Interleaved off/on foreground episode pairs.
+PAIRS = 2
+#: The most the scrub may multiply the foreground p99 (median over pairs).
+MAX_P99_RATIO = 3.0
 
 
 def _make_service(root, store=None) -> RepairService:
@@ -209,8 +216,19 @@ def test_scrub_detection_and_politeness(results_sink, tmp_path):
     detection = [
         run_detection_episode(tmp_path, ms) for ms in INTERVAL_SWEEP_MS
     ]
-    foreground = [
-        run_foreground_episode(tmp_path, scrub_on) for scrub_on in (False, True)
+    foreground = []
+    for pair in range(PAIRS):
+        for scrub_on in (False, True):
+            row = run_foreground_episode(tmp_path / f"pair{pair}", scrub_on)
+            foreground.append(dict(pair=pair, **row))
+    politeness = [
+        {
+            "pair": pair,
+            "off_p99_ms": off["p99_ms"],
+            "on_p99_ms": on["p99_ms"],
+            "p99_ratio": round(on["p99_ms"] / off["p99_ms"], 2),
+        }
+        for pair, (off, on) in enumerate(zip(foreground[::2], foreground[1::2]))
     ]
 
     table = AsciiTable([
@@ -225,20 +243,25 @@ def test_scrub_detection_and_politeness(results_sink, tmp_path):
     emit("Scrub detection latency vs scrub rate", table.render())
 
     fg_table = AsciiTable([
-        "scrub", "offered", "completed", "errors", "p50 (ms)", "p99 (ms)",
-        "cycles", "verified",
+        "pair", "scrub", "offered", "completed", "errors", "p50 (ms)",
+        "p99 (ms)", "cycles", "verified",
     ])
     for r in foreground:
         fg_table.add_row([
-            "on" if r["scrub"] else "off", r["offered"], r["completed"],
-            r["errors"], r["p50_ms"], r["p99_ms"], r["scrub_cycles"],
-            r["chunks_verified"],
+            r["pair"], "on" if r["scrub"] else "off", r["offered"],
+            r["completed"], r["errors"], r["p50_ms"], r["p99_ms"],
+            r["scrub_cycles"], r["chunks_verified"],
         ])
     emit("Foreground p99 under diurnal arrivals, scrub on vs off",
          fg_table.render())
+    pair_table = AsciiTable(["pair", "off p99 (ms)", "on p99 (ms)", "on/off"])
+    for r in politeness:
+        pair_table.add_row([r["pair"], r["off_p99_ms"], r["on_p99_ms"], r["p99_ratio"]])
+    emit("Foreground p99 ratio per interleaved pair", pair_table.render())
 
     rows = [dict(kind="detection", **r) for r in detection]
     rows += [dict(kind="foreground", **r) for r in foreground]
+    rows += [dict(kind="politeness", **r) for r in politeness]
     results_sink("scrub", rows, meta={
         "stripes": STRIPES,
         "corruptions": CORRUPTIONS,
@@ -248,6 +271,7 @@ def test_scrub_detection_and_politeness(results_sink, tmp_path):
         "read_rate_per_s": READ_RATE,
         "episode_seconds": EPISODE_SECONDS,
         "diurnal_period_s": DIURNAL_PERIOD_S,
+        "pairs": PAIRS,
         "seed": SEED,
     })
 
@@ -262,10 +286,11 @@ def test_scrub_detection_and_politeness(results_sink, tmp_path):
     assert detection[0]["detect_all_s"] < detection[-1]["detect_all_s"], detection
     assert detection[0]["cycle_s"] < detection[-1]["cycle_s"], detection
 
-    off, on = foreground
-    assert off["errors"] == 0 and on["errors"] == 0, foreground
-    assert on["scrub_cycles"] >= 1, on  # politeness with progress
-    # Background gate slots keep the foreground tail comparable: allow
-    # generous slack for CI noise, but an order-of-magnitude regression
-    # (scrub hogging spindles) fails.
-    assert on["p99_ms"] <= max(5.0 * off["p99_ms"], 60.0), foreground
+    for r in foreground:
+        assert r["errors"] == 0, r
+        if r["scrub"]:
+            assert r["scrub_cycles"] >= 1, r  # politeness with progress
+    # Background gate slots keep the foreground tail comparable: within a
+    # pair the scrub may not triple the p99.
+    ratio = statistics.median(r["p99_ratio"] for r in politeness)
+    assert ratio <= MAX_P99_RATIO, politeness

@@ -23,173 +23,46 @@ paper-vs-measured record of every table and figure.
 
 from repro.version import __version__
 
-# Erasure coding
-from repro.ec import ChunkId, LRCCode, PartialDecoder, RSCode, Stripe, StripeLayout
-
 # Server substrate
-from repro.hdss import (
-    ActiveProber,
-    BimodalSlowProfile,
-    Disk,
-    DiskState,
-    FileChunkStore,
-    HDSSConfig,
-    HighDensityStorageServer,
-    InMemoryChunkStore,
-    LognormalProfile,
-    NormalProfile,
-    PassiveMonitor,
-    SpeedProfile,
-    UniformProfile,
-)
+from repro.hdss.profiles import UniformProfile
+from repro.hdss.server import HDSSConfig, HighDensityStorageServer
+from repro.hdss.store import FileChunkStore
 
 # Repair algorithms and execution
-from repro.core import (
-    ALGORITHMS,
-    ActivePreliminaryRepair,
-    ActiveSlowerFirstRepair,
-    ExecutionOptions,
-    FullStripeRepair,
-    MultiDiskOutcome,
-    PassiveRepair,
-    RepairAlgorithm,
-    RepairContext,
-    RepairOutcome,
-    RepairPlan,
-    SlotLedger,
-    StripePlan,
-    cooperative_multi_disk_repair,
-    execute_plan,
-    naive_multi_disk_repair,
-    pa_for_pr,
-    recover_disk,
-    pr_for_pa,
-    repair_single_disk,
-)
-
-# Observability
-from repro.obs import (
-    MetricsRegistry,
-    RecordingTracer,
-    use_registry,
-    use_tracer,
-    write_chrome_trace,
-    write_prometheus,
-)
+from repro.core.fsr import FullStripeRepair
+from repro.core.multi_disk import cooperative_multi_disk_repair, naive_multi_disk_repair
+from repro.core.psr_ap import ActivePreliminaryRepair
+from repro.core.psr_as import ActiveSlowerFirstRepair
+from repro.core.psr_pa import PassiveRepair
+from repro.core.recovery import recover_disk
+from repro.core.scheduler import execute_plan, repair_single_disk
 
 # Reliability
-from repro.reliability import (
-    ExponentialLifetime,
-    WeibullLifetime,
-    estimate_repair_seconds,
-    simulate_durability,
-)
-
-# Simulation
-from repro.sim import (
-    ChunkTransfer,
-    StripeJob,
-    TransferReport,
-    simulate_interval_schedule,
-    simulate_slot_schedule,
-)
+from repro.reliability.lifetimes import WeibullLifetime
+from repro.reliability.mttdl import estimate_repair_seconds, simulate_durability
 
 # Workloads
-from repro.workloads import (
-    EXP1_GRID,
-    PAPER_CODES,
-    PAPER_DISK_SIZES,
-    TransferTimeWorkload,
-    build_exp_server,
-    load_trace,
-    normal_transfer_times,
-    save_trace,
-    stripes_for,
-    uniform_transfer_times,
-)
-
-# Units
-from repro.utils import GiB, KiB, MiB, TiB, format_bytes, format_duration, parse_size
+from repro.workloads.generator import normal_transfer_times
+from repro.workloads.scenarios import build_exp_server
 
 __all__ = [
     "__version__",
-    # ec
-    "ChunkId",
-    "Stripe",
-    "StripeLayout",
-    "RSCode",
-    "LRCCode",
-    "PartialDecoder",
-    # hdss
-    "Disk",
-    "DiskState",
-    "SpeedProfile",
     "UniformProfile",
-    "NormalProfile",
-    "LognormalProfile",
-    "BimodalSlowProfile",
-    "InMemoryChunkStore",
     "FileChunkStore",
     "HDSSConfig",
     "HighDensityStorageServer",
-    "ActiveProber",
-    "PassiveMonitor",
-    # core
-    "ALGORITHMS",
-    "RepairAlgorithm",
-    "RepairContext",
-    "RepairPlan",
-    "StripePlan",
     "FullStripeRepair",
     "ActivePreliminaryRepair",
     "ActiveSlowerFirstRepair",
     "PassiveRepair",
-    "ExecutionOptions",
-    "RepairOutcome",
     "execute_plan",
     "repair_single_disk",
-    "MultiDiskOutcome",
     "naive_multi_disk_repair",
     "cooperative_multi_disk_repair",
-    "SlotLedger",
     "recover_disk",
-    "pa_for_pr",
-    "pr_for_pa",
-    # obs
-    "MetricsRegistry",
-    "RecordingTracer",
-    "use_tracer",
-    "use_registry",
-    "write_chrome_trace",
-    "write_prometheus",
-    # reliability
-    "ExponentialLifetime",
     "WeibullLifetime",
     "simulate_durability",
     "estimate_repair_seconds",
-    # sim
-    "ChunkTransfer",
-    "StripeJob",
-    "TransferReport",
-    "simulate_interval_schedule",
-    "simulate_slot_schedule",
-    # workloads
-    "TransferTimeWorkload",
     "normal_transfer_times",
-    "uniform_transfer_times",
     "build_exp_server",
-    "stripes_for",
-    "save_trace",
-    "load_trace",
-    "PAPER_CODES",
-    "PAPER_DISK_SIZES",
-    "EXP1_GRID",
-    # units
-    "KiB",
-    "MiB",
-    "GiB",
-    "TiB",
-    "parse_size",
-    "format_bytes",
-    "format_duration",
 ]

@@ -29,35 +29,22 @@ Contents map directly onto §4 of the paper:
 * :mod:`repro.core.analysis` — ACWT / TR analytics behind Figures 3-4.
 """
 
-from repro.core.parallelism import pa_for_pr, pr_for_pa, rounds_for, split_rounds
-from repro.core.plans import RepairPlan, StripePlan, plan_to_jobs
-from repro.core.base import RepairAlgorithm, RepairContext
+from repro.core.base import RepairContext
 from repro.core.fsr import FullStripeRepair
-from repro.core.psr_ap import ActivePreliminaryRepair, ap_total_transfer_time
-from repro.core.psr_as import ActiveSlowerFirstRepair, classify_slow_chunks
+from repro.core.psr_ap import ActivePreliminaryRepair
+from repro.core.psr_as import ActiveSlowerFirstRepair
 from repro.core.psr_pa import PassiveRepair
-from repro.core.sliced import simulate_sliced_repair, sliced_jobs
 from repro.core.scheduler import (
     ExecutionOptions,
-    RepairOutcome,
     execute_plan,
     repair_single_disk,
 )
 from repro.core.multi_disk import (
-    MultiDiskOutcome,
     cooperative_multi_disk_repair,
     naive_multi_disk_repair,
 )
-from repro.core.slot_ledger import SlotLedger
-from repro.core.repair_job import DataPathStats
 from repro.core.stripe_repair import ReadPolicy
-from repro.core.recovery import RecoveryResult, recover_disk, recover_disks
-from repro.core.analysis import (
-    acwt_curve_vs_pa,
-    acwt_for_schedule,
-    observation1_table,
-    rounds_curve_vs_pr,
-)
+from repro.core.recovery import recover_disk, recover_disks
 
 ALGORITHMS = {
     "fsr": FullStripeRepair,
@@ -68,39 +55,18 @@ ALGORITHMS = {
 """Registry of the paper's repair schemes by canonical name."""
 
 __all__ = [
-    "pa_for_pr",
-    "pr_for_pa",
-    "rounds_for",
-    "split_rounds",
-    "RepairPlan",
-    "StripePlan",
-    "plan_to_jobs",
-    "RepairAlgorithm",
     "RepairContext",
     "FullStripeRepair",
     "ActivePreliminaryRepair",
-    "ap_total_transfer_time",
     "ActiveSlowerFirstRepair",
-    "classify_slow_chunks",
     "PassiveRepair",
-    "sliced_jobs",
-    "simulate_sliced_repair",
     "ExecutionOptions",
-    "RepairOutcome",
     "execute_plan",
     "repair_single_disk",
-    "MultiDiskOutcome",
     "naive_multi_disk_repair",
     "cooperative_multi_disk_repair",
-    "DataPathStats",
-    "SlotLedger",
     "ReadPolicy",
-    "RecoveryResult",
     "recover_disk",
     "recover_disks",
-    "acwt_curve_vs_pa",
-    "acwt_for_schedule",
-    "observation1_table",
-    "rounds_curve_vs_pr",
     "ALGORITHMS",
 ]

@@ -150,30 +150,6 @@ class RepairPlan:
         except (KeyError, TypeError, ValueError) as exc:
             raise PlanError(f"malformed plan dict: {exc}") from exc
 
-    def save(self, path) -> "Path":
-        """Write the plan as JSON."""
-        import json
-        from pathlib import Path
-
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(self.to_dict(), indent=2))
-        return path
-
-    @classmethod
-    def load(cls, path) -> "RepairPlan":
-        """Read a plan previously written by :meth:`save`."""
-        import json
-        from pathlib import Path
-
-        path = Path(path)
-        if not path.exists():
-            raise PlanError(f"plan file {path} does not exist")
-        try:
-            return cls.from_dict(json.loads(path.read_text()))
-        except json.JSONDecodeError as exc:
-            raise PlanError(f"plan file {path} is not valid JSON: {exc}") from exc
-
 
 def _jsonable(value: Any) -> Any:
     """Best-effort conversion of metadata values to JSON-safe types."""

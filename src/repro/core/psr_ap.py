@@ -65,20 +65,6 @@ def window_makespan(stripe_times: np.ndarray, pr: int) -> float:
     return float(descending[::pr].sum())
 
 
-def ap_total_transfer_time(
-    L: np.ndarray, pa: int, c: int, pr_policy: str = "ceil"
-) -> float:
-    """Predicted total transfer time for one candidate ``P_a``.
-
-    Rows of ``L`` are sorted internally; use :func:`stripe_times_for_pa`
-    directly when sweeping many candidates over a pre-sorted matrix.
-    """
-    L = np.asarray(L, dtype=np.float64)
-    L_sorted = np.sort(L, axis=1)
-    pr = pr_for_pa(c, pa, policy=pr_policy)
-    return window_makespan(stripe_times_for_pa(L_sorted, pa), pr)
-
-
 class ActivePreliminaryRepair(RepairAlgorithm):
     """HD-PSR-AP: exhaustive ``P_a`` sweep minimising predicted ``T``.
 

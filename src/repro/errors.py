@@ -70,10 +70,6 @@ class JournalError(StorageError):
     """The repair journal is missing, malformed, or inconsistent with the run."""
 
 
-class DataLossError(StorageError):
-    """Fewer than ``k`` readable shards remain for at least one stripe."""
-
-
 class ChunkNotFoundError(StorageError, KeyError):
     """The requested chunk does not exist on the addressed disk."""
 

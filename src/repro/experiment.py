@@ -102,17 +102,6 @@ class ExperimentSpec:
         except KeyError as exc:
             raise ConfigurationError(f"spec is missing required field {exc}") from exc
 
-    @classmethod
-    def from_file(cls, path: "str | Path") -> "ExperimentSpec":
-        path = Path(path)
-        if not path.exists():
-            raise ConfigurationError(f"spec file {path} does not exist")
-        try:
-            data = json.loads(path.read_text())
-        except json.JSONDecodeError as exc:
-            raise ConfigurationError(f"spec file {path} is not valid JSON: {exc}") from exc
-        return cls.from_dict(data)
-
 
 def _run_once(spec: ExperimentSpec, algorithm_name: str, seed: int) -> Dict[str, float]:
     server = build_exp_server(seed=seed, **spec.server)

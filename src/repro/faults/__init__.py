@@ -21,50 +21,28 @@ Recovery outcomes under faults land in a
 recovered / recovered-after-replan / lost — instead of an exception.
 """
 
-from repro.faults.injector import FaultInjector, SimFaultModel, SimulatedCrash
-from repro.faults.report import (
-    EXIT_CRASHED,
-    EXIT_DATA_LOSS,
-    LOST,
-    RECOVERED,
-    REPLANNED,
-    DataLossReport,
-)
+from repro.faults.injector import SimulatedCrash
+from repro.faults.report import EXIT_CRASHED
 from repro.faults.service import (
     ServiceFaultInjector,
-    WireVerdict,
     apply_corruption,
     is_service_schedule,
 )
 from repro.faults.spec import (
-    CORRUPTION_FAULT_KINDS,
     FAULT_KINDS,
-    GENERATED_KINDS,
-    SERVICE_FAULT_KINDS,
     FaultEvent,
     FaultSchedule,
     generate_fault_schedule,
 )
 
 __all__ = [
-    "CORRUPTION_FAULT_KINDS",
     "FAULT_KINDS",
-    "GENERATED_KINDS",
-    "SERVICE_FAULT_KINDS",
     "ServiceFaultInjector",
-    "WireVerdict",
     "apply_corruption",
     "is_service_schedule",
     "FaultEvent",
     "FaultSchedule",
     "generate_fault_schedule",
-    "FaultInjector",
-    "SimFaultModel",
     "SimulatedCrash",
-    "DataLossReport",
-    "RECOVERED",
-    "REPLANNED",
-    "LOST",
     "EXIT_CRASHED",
-    "EXIT_DATA_LOSS",
 ]

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List
 
-from repro.errors import DataLossError
 
 #: Per-stripe outcomes.
 RECOVERED = "recovered"
@@ -101,15 +100,6 @@ class DataLossReport:
 
     def count_fault(self, kind: str, n: int = 1) -> None:
         self.faults_injected[kind] = self.faults_injected.get(kind, 0) + n
-
-    def raise_for_loss(self) -> None:
-        """Raise :class:`DataLossError` when any stripe was lost."""
-        if self.has_loss:
-            lost = self.lost
-            raise DataLossError(
-                f"{len(lost)} stripe(s) unrecoverable: {lost[:8]}"
-                f"{'...' if len(lost) > 8 else ''}"
-            )
 
     def summary(self) -> Dict[str, object]:
         return {

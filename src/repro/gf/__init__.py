@@ -7,56 +7,22 @@ whole chunk times one scalar is a ``bytes.translate`` through that scalar's
 256-byte product table, so the data path has no Python-level inner loops.
 """
 
-from repro.gf.tables import (
-    FIELD_SIZE,
-    GENERATOR,
-    PRIMITIVE_POLY,
-    exp_table,
-    log_table,
-)
-from repro.gf.arithmetic import (
-    gf_add,
-    gf_sub,
-    gf_mul,
-    gf_div,
-    gf_pow,
-    gf_inv,
-    gf_mul_scalar,
-    gf_mul_add_scalar,
-)
+# gf_mul stays for tests/test_gf_bigfield.py, which imports it from here and
+# changes only with gf/bigfield.py itself.
+from repro.gf.arithmetic import gf_mul, gf_mul_scalar, gf_mul_add_scalar
 from repro.gf.matrix import (
-    gf_identity,
     gf_independent_rows,
     gf_mat_mul,
-    gf_mat_vec,
     gf_mat_inv,
-    gf_vandermonde,
-    gf_cauchy,
     gf_rs_encoding_matrix,
-    gf_mat_rank,
 )
 
 __all__ = [
-    "FIELD_SIZE",
-    "GENERATOR",
-    "PRIMITIVE_POLY",
-    "exp_table",
-    "log_table",
-    "gf_add",
-    "gf_sub",
     "gf_mul",
-    "gf_div",
-    "gf_pow",
-    "gf_inv",
     "gf_mul_scalar",
     "gf_mul_add_scalar",
-    "gf_identity",
     "gf_independent_rows",
     "gf_mat_mul",
-    "gf_mat_vec",
     "gf_mat_inv",
-    "gf_vandermonde",
-    "gf_cauchy",
     "gf_rs_encoding_matrix",
-    "gf_mat_rank",
 ]

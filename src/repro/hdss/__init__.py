@@ -15,40 +15,9 @@ Simulates the paper's testbed — a single server packing dozens of disks
   detection (the inputs to HD-PSR's active/passive algorithms).
 """
 
-from repro.hdss.disk import Disk, DiskState
-from repro.hdss.profiles import (
-    BimodalSlowProfile,
-    LognormalProfile,
-    NormalProfile,
-    SpeedProfile,
-    UniformProfile,
-)
-from repro.hdss.store import (
-    ChunkStore,
-    FileChunkStore,
-    InMemoryChunkStore,
-    ShardedChunkStore,
-)
-from repro.hdss.placement import random_placement, rotating_placement
 from repro.hdss.server import HDSSConfig, HighDensityStorageServer
-from repro.hdss.prober import ActiveProber, PassiveMonitor
 
 __all__ = [
-    "Disk",
-    "DiskState",
-    "SpeedProfile",
-    "UniformProfile",
-    "NormalProfile",
-    "LognormalProfile",
-    "BimodalSlowProfile",
-    "ChunkStore",
-    "InMemoryChunkStore",
-    "FileChunkStore",
-    "ShardedChunkStore",
-    "rotating_placement",
-    "random_placement",
     "HDSSConfig",
     "HighDensityStorageServer",
-    "ActiveProber",
-    "PassiveMonitor",
 ]

@@ -3,10 +3,10 @@
 Two mechanisms mirroring §4.2 / §4.3 of the paper:
 
 * :class:`ActiveProber` — reads a small probe (1 KiB by default) from each
-  disk, converts measured bandwidth into per-chunk transfer-time estimates,
-  and assembles the estimated ``L_{s×k}`` matrix HD-PSR-AP/AS consume. The
-  estimates carry measurement noise — active algorithms never see oracle
-  truth.
+  disk and converts measured bandwidth into per-chunk transfer-time
+  estimates; :func:`~repro.core.repair_job.plan_repair` assembles them into
+  the estimated ``L_{s×k}`` matrix HD-PSR-AP/AS consume. The estimates
+  carry measurement noise — active algorithms never see oracle truth.
 
 * :class:`PassiveMonitor` — watches completed chunk reads; when a read
   exceeds ``threshold`` seconds (or ``threshold_ratio`` x the expected
@@ -68,35 +68,6 @@ class ActiveProber:
         if disk_id not in self.measured:
             self.probe_disk(disk_id)
         return self.server.config.chunk_size / self.measured[disk_id]
-
-    def estimate_matrix(
-        self, failed_disks: Sequence[int], select: str = "first"
-    ) -> Tuple[List[int], List[List[int]], np.ndarray]:
-        """Assemble the *estimated* ``L_{s×k}`` for a recovery.
-
-        Same shape contract as
-        :meth:`~repro.hdss.server.HighDensityStorageServer.transfer_time_matrix`,
-        but each entry comes from probe measurements instead of oracle
-        transfer times. Each disk is probed once and reused across stripes,
-        which is exactly the paper's "test the transfer speed of disks in
-        advance".
-        """
-        stripe_indices = self.server.stripes_needing_repair(failed_disks)
-        survivor_ids: List[List[int]] = []
-        rows: List[List[float]] = []
-        for si in stripe_indices:
-            stripe = self.server.layout[si]
-            shard_ids = self.server.survivor_shards(stripe, failed_disks, select=select)
-            survivor_ids.append(shard_ids)
-            rows.append(
-                [self.estimated_chunk_time(stripe.disks[j]) for j in shard_ids]
-            )
-        L = (
-            np.asarray(rows, dtype=np.float64)
-            if rows
-            else np.empty((0, self.server.config.k))
-        )
-        return stripe_indices, survivor_ids, L
 
     @property
     def probe_bytes_issued(self) -> int:

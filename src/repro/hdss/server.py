@@ -174,10 +174,6 @@ class HighDensityStorageServer:
 
     # --------------------------------------------------------------- topology
     @property
-    def regular_disk_ids(self) -> List[int]:
-        return list(range(self.config.num_disks))
-
-    @property
     def spare_disk_ids(self) -> List[int]:
         return list(range(self.config.num_disks, self.config.num_disks + self.config.spares))
 
@@ -323,20 +319,6 @@ class HighDensityStorageServer:
             self.fail_disk(disk_id, destroy_data=destroy_data)
             failed.append(disk_id)
         return failed
-
-    def inject_slow_disks(self, ros: float, slow_factor: float = 4.0) -> List[int]:
-        """Degrade a random ``ros`` fraction of healthy regular disks.
-
-        Returns the degraded disk ids (deterministic under the server seed).
-        """
-        candidates = [d for d in self.regular_disk_ids if not self.disks[d].is_failed]
-        num_slow = int(round(ros * len(candidates)))
-        chosen = sorted(
-            int(d) for d in self._rng.choice(candidates, size=num_slow, replace=False)
-        ) if num_slow else []
-        for disk_id in chosen:
-            self.degrade_disk(disk_id, slow_factor)
-        return chosen
 
     # ------------------------------------------------------------ repair view
     def stripes_needing_repair(self, failed_disks: Sequence[int]) -> List[int]:

@@ -29,7 +29,7 @@ import struct
 import threading
 import uuid
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -277,12 +277,6 @@ class InMemoryChunkStore(ChunkStore):
     def total_chunks(self) -> int:
         """Total chunks across every disk."""
         return sum(len(d) for d in self._data.values())
-
-    def iter_all(self) -> Iterator[Tuple[int, ChunkId]]:
-        """Iterate (disk_id, chunk_id) over the whole store."""
-        for disk_id, chunks in self._data.items():
-            for chunk_id in chunks:
-                yield disk_id, chunk_id
 
 
 class ForwardingChunkStore(ChunkStore):

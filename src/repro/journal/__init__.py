@@ -13,17 +13,5 @@ Layers:
 * :mod:`repro.journal.journal` — the typed record schema
   (``begin`` / ``stripe_done`` / ``phase`` / ``resume`` / ``complete``;
   ``phase`` and v1's ``round_commit`` are written or tolerated, never
-  replayed) and the :class:`RepairState` replayer.
+  replayed) and the :class:`~repro.journal.journal.RepairState` replayer.
 """
-
-from repro.journal.journal import RepairJournal, RepairState, StripeDone
-from repro.journal.wal import WALReader, WALRecord, WALWriter
-
-__all__ = [
-    "RepairJournal",
-    "RepairState",
-    "StripeDone",
-    "WALReader",
-    "WALRecord",
-    "WALWriter",
-]

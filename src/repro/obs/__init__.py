@@ -21,115 +21,45 @@ is one attribute read per round.
 """
 
 from repro.obs.analysis import (
-    DiffResult,
-    DiskBlame,
-    MemoryOccupancy,
-    RoundTimeline,
-    TraceAnalysis,
     analyze_trace,
     diff_metrics,
-    flatten_summary,
     load_run_metrics,
     summarize_trace,
 )
 from repro.obs.context import (
     current_registry,
-    current_span,
     current_tracer,
-    new_span_context,
     use_registry,
-    use_span,
     use_tracer,
 )
 from repro.obs.exporters import (
-    chrome_trace,
-    events_from_jsonl,
-    events_to_jsonl,
     parse_prometheus_text,
     prometheus_text,
     read_jsonl,
-    validate_chrome_trace,
     write_chrome_trace,
     write_jsonl,
     write_prometheus,
 )
-from repro.obs.metrics import (
-    DEFAULT_TIME_BUCKETS,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    Summary,
-    default_registry,
-)
-from repro.obs.profiling import ProfileRecord, profile, profiled
-from repro.obs.quantiles import DEFAULT_QUANTILES, P2Quantile, QuantileSketch
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.runtime import EventLoopMonitor
-from repro.obs.tracer import (
-    NULL_TRACER,
-    NullTracer,
-    OffsetTracer,
-    RecordingTracer,
-    SpanContext,
-    TraceEvent,
-    Tracer,
-)
+from repro.obs.tracer import RecordingTracer
 
 __all__ = [
-    # tracer
-    "TraceEvent",
-    "Tracer",
-    "NullTracer",
-    "NULL_TRACER",
     "RecordingTracer",
-    "OffsetTracer",
-    "SpanContext",
-    # runtime
     "EventLoopMonitor",
-    # metrics
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "Summary",
     "MetricsRegistry",
-    "default_registry",
-    "DEFAULT_TIME_BUCKETS",
-    # quantiles
-    "DEFAULT_QUANTILES",
-    "P2Quantile",
-    "QuantileSketch",
-    # exporters
-    "chrome_trace",
     "write_chrome_trace",
-    "validate_chrome_trace",
-    "events_to_jsonl",
-    "events_from_jsonl",
     "read_jsonl",
     "write_jsonl",
     "prometheus_text",
     "write_prometheus",
     "parse_prometheus_text",
-    # analysis
-    "TraceAnalysis",
-    "RoundTimeline",
-    "DiskBlame",
-    "MemoryOccupancy",
     "analyze_trace",
     "summarize_trace",
-    "flatten_summary",
     "diff_metrics",
-    "DiffResult",
     "load_run_metrics",
-    # profiling
-    "profile",
-    "profiled",
-    "ProfileRecord",
-    # context
     "current_tracer",
     "current_registry",
-    "current_span",
-    "new_span_context",
     "use_tracer",
     "use_registry",
-    "use_span",
 ]

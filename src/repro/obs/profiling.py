@@ -22,7 +22,6 @@ import time
 import tracemalloc
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import wraps
 from typing import Iterator, Optional
 
 from repro.obs.context import current_registry, current_tracer
@@ -91,19 +90,3 @@ def profile(
         registry.counter(
             "hdpsr_profile_runs_total", "Invocations of profiled blocks"
         ).labels(name=name).inc()
-
-
-def profiled(name: Optional[str] = None, trace_malloc: bool = False):
-    """Decorator form of :func:`profile` (name defaults to the function's)."""
-
-    def decorate(fn):
-        label = name or fn.__qualname__
-
-        @wraps(fn)
-        def wrapper(*args, **kwargs):
-            with profile(label, trace_malloc=trace_malloc):
-                return fn(*args, **kwargs)
-
-        return wrapper
-
-    return decorate

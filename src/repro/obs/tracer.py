@@ -306,10 +306,6 @@ class RecordingTracer(Tracer):
         return [e for e in self.events
                 if not e.is_span and (category is None or e.category == category)]
 
-    def for_trace(self, trace_id: str) -> List[TraceEvent]:
-        """Every event stamped with ``trace_id`` (one request's span tree)."""
-        return [e for e in self.events if e.args.get("trace_id") == trace_id]
-
     def clear(self) -> None:
         with self._lock:
             self.events.clear()

@@ -14,18 +14,15 @@ package closes the loop quantitatively:
   improvements.
 """
 
-from repro.reliability.lifetimes import ExponentialLifetime, LifetimeModel, WeibullLifetime
+from repro.reliability.lifetimes import ExponentialLifetime, WeibullLifetime
 from repro.reliability.mttdl import (
-    DurabilityResult,
     estimate_repair_seconds,
     simulate_durability,
 )
 
 __all__ = [
-    "LifetimeModel",
     "ExponentialLifetime",
     "WeibullLifetime",
-    "DurabilityResult",
     "simulate_durability",
     "estimate_repair_seconds",
 ]

@@ -14,22 +14,23 @@ client reads while disks rebuild:
   request-scoped trace propagation, per-request deadlines, and the v4
   error taxonomy);
 * :mod:`repro.service.overload` — deadline-aware admission control:
-  the CoDel-style :class:`OverloadController` (healthy → browned_out →
-  shedding), per-request :class:`Deadline` budgets, and the client-side
-  :class:`RetryBudget` token bucket;
+  the CoDel-style :class:`~repro.service.overload.OverloadController`
+  (healthy → browned_out → shedding), per-request
+  :class:`~repro.service.overload.Deadline` budgets, and the client-side
+  :class:`~repro.service.overload.RetryBudget` token bucket;
 * :mod:`repro.service.netserver` / :mod:`repro.service.client` — the
   ``hdpsr serve`` daemon and ``hdpsr client`` workload driver (closed
   loop via :func:`run_workload`, open loop via :func:`run_open_loop`),
-  plus the cluster-aware :class:`ClusterClient` (retries, circuit
-  breakers, ``NOT_OWNER`` redirects, hedged failover reads, retry
-  budgets and ``retry_after_ms`` back-pressure);
+  plus the cluster-aware :class:`~repro.service.client.ClusterClient`
+  (retries, circuit breakers, ``NOT_OWNER`` redirects, hedged failover
+  reads, retry budgets and ``retry_after_ms`` back-pressure);
 * :mod:`repro.service.cluster` — multi-daemon shard ownership: epoch-
   stamped file leases, heartbeat failure detection, journal handoff and
   epoch fencing (:class:`ClusterNode`);
 * :mod:`repro.service.scrub` — the online scrub plane: a crash-resumable
-  background :class:`Scrubber` that verifies every chunk against its
-  digest, quarantines silent corruption, and read-repairs it
-  through the partial-stripe decode path;
+  background :class:`~repro.service.scrub.Scrubber` that verifies every
+  chunk against its digest, quarantines silent corruption, and
+  read-repairs it through the partial-stripe decode path;
 * :mod:`repro.service.telemetry` — the live scrape surface: the ``stats``
   snapshot builder and the HTTP ``/metrics`` + ``/healthz`` listener.
 
@@ -39,67 +40,26 @@ over the shared :mod:`repro.service.chaos_rig` — are a harness, not part
 of the daemon: nothing here imports them, ``hdpsr chaos`` does.
 """
 
-from repro.service.admission import DiskGate
 from repro.service.client import (
-    BackoffPolicy,
-    CircuitBreaker,
-    ClusterClient,
     ServiceClient,
     ServiceError,
     run_open_loop,
     run_workload,
 )
-from repro.service.cluster import (
-    ClusterClock,
-    ClusterConfig,
-    ClusterNode,
-    HashRing,
-    LeaseRecord,
-    LeaseStore,
-)
+from repro.service.cluster import ClusterConfig, ClusterNode
 from repro.service.netserver import ServiceDaemon
-from repro.service.overload import (
-    Deadline,
-    OverloadConfig,
-    OverloadController,
-    RetryBudget,
-)
-from repro.service.service import (
-    RepairService,
-    RepairTicket,
-    ServiceConfig,
-    ServiceRepairResult,
-)
-from repro.service.scrub import ScrubConfig, Scrubber, ScrubStatus
-from repro.service.telemetry import TelemetryServer, stats_snapshot
+from repro.service.overload import OverloadConfig
+from repro.service.service import RepairService, ServiceConfig
 
 __all__ = [
-    "BackoffPolicy",
-    "CircuitBreaker",
-    "ClusterClient",
-    "ClusterClock",
     "ClusterConfig",
     "ClusterNode",
-    "Deadline",
-    "DiskGate",
-    "HashRing",
-    "LeaseRecord",
-    "LeaseStore",
     "OverloadConfig",
-    "OverloadController",
     "RepairService",
-    "RepairTicket",
-    "RetryBudget",
     "ServiceClient",
     "ServiceConfig",
     "ServiceDaemon",
-    "ScrubConfig",
-    "ScrubStatus",
-    "Scrubber",
     "ServiceError",
-    "ServiceRepairResult",
-    "TelemetryServer",
     "run_open_loop",
     "run_workload",
-    "stats_snapshot",
 ]

@@ -14,35 +14,11 @@ provides:
   the paper reports (total repair time, ACWT, TR, memory utilisation).
 """
 
-from repro.sim.engine import AllOf, Engine, Event, Process, SlotResource, Timeout
-from repro.sim.metrics import ChunkRecord, TransferReport, build_report
-from repro.sim.viz import memory_occupancy_series, render_disk_load, render_memory_timeline
-from repro.sim.transfer import (
-    ChunkTransfer,
-    RoundSpec,
-    StripeJob,
-    safe_admission_cap,
-    simulate_interval_schedule,
-    simulate_slot_schedule,
-)
+from repro.sim.viz import render_disk_load, render_memory_timeline
+from repro.sim.transfer import simulate_slot_schedule
 
 __all__ = [
-    "Engine",
-    "Event",
-    "Timeout",
-    "Process",
-    "AllOf",
-    "SlotResource",
-    "ChunkRecord",
-    "TransferReport",
-    "build_report",
-    "ChunkTransfer",
-    "RoundSpec",
-    "StripeJob",
-    "safe_admission_cap",
-    "simulate_interval_schedule",
     "simulate_slot_schedule",
-    "memory_occupancy_series",
     "render_memory_timeline",
     "render_disk_load",
 ]

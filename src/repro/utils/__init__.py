@@ -1,43 +1,10 @@
 """Shared utilities: size units, seeded RNG, ASCII tables, timers, validation."""
 
-from repro.utils.units import (
-    KiB,
-    MiB,
-    GiB,
-    TiB,
-    format_bytes,
-    format_duration,
-    parse_size,
-)
-from repro.utils.rng import derive_seed, make_rng, spawn_rngs
-from repro.utils.tables import AsciiTable, render_table
-from repro.utils.timer import Stopwatch, timed
-from repro.utils.validation import (
-    check_positive,
-    check_non_negative,
-    check_in_range,
-    check_probability,
-    check_type,
-)
+from repro.utils.units import format_bytes, format_duration
+from repro.utils.tables import AsciiTable
 
 __all__ = [
-    "KiB",
-    "MiB",
-    "GiB",
-    "TiB",
     "format_bytes",
     "format_duration",
-    "parse_size",
-    "derive_seed",
-    "make_rng",
-    "spawn_rngs",
     "AsciiTable",
-    "render_table",
-    "Stopwatch",
-    "timed",
-    "check_positive",
-    "check_non_negative",
-    "check_in_range",
-    "check_probability",
-    "check_type",
 ]

@@ -1,50 +1,19 @@
 """Workload generation: transfer-time matrices, scenarios, traces, arrivals."""
 
-from repro.workloads.arrivals import (
-    SHAPES,
-    ArrivalSchedule,
-    bursty_arrivals,
-    constant_arrivals,
-    diurnal_arrivals,
-    flash_crowd_arrivals,
-    make_arrivals,
-)
 from repro.workloads.generator import (
-    TransferTimeWorkload,
     disk_heterogeneous_transfer_times,
     normal_transfer_times,
-    uniform_transfer_times,
 )
 from repro.workloads.scenarios import (
-    EXP1_GRID,
     PAPER_CODES,
     PAPER_DISK_SIZES,
     build_exp_server,
-    stripes_for,
 )
-from repro.workloads.staleness import DriftOutcome, StalenessModel, drift_transfer_times
-from repro.workloads.traces import load_trace, save_trace
 
 __all__ = [
-    "TransferTimeWorkload",
     "disk_heterogeneous_transfer_times",
     "normal_transfer_times",
-    "uniform_transfer_times",
     "PAPER_CODES",
     "PAPER_DISK_SIZES",
-    "EXP1_GRID",
     "build_exp_server",
-    "stripes_for",
-    "save_trace",
-    "load_trace",
-    "StalenessModel",
-    "DriftOutcome",
-    "drift_transfer_times",
-    "SHAPES",
-    "ArrivalSchedule",
-    "constant_arrivals",
-    "diurnal_arrivals",
-    "bursty_arrivals",
-    "flash_crowd_arrivals",
-    "make_arrivals",
 ]

@@ -102,12 +102,8 @@ class TestServeMirrorsItsConfigs:
 
     def test_the_eleven_mirrored_defaults(self):
         from repro.core import ReadPolicy
-        from repro.service import (
-            ClusterConfig,
-            OverloadConfig,
-            ScrubConfig,
-            ServiceConfig,
-        )
+        from repro.service import ClusterConfig, OverloadConfig, ServiceConfig
+        from repro.service.scrub import ScrubConfig
 
         mirrored = {
             "--max-stripes": (ServiceConfig, "max_concurrent_stripes"),

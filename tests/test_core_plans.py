@@ -1,5 +1,7 @@
 """RepairPlan / StripePlan invariants and the job adapter."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -146,35 +148,22 @@ class TestPlanSerialization:
             sp.rounds for sp in plan.stripe_plans
         ]
 
-    def test_roundtrip_file_and_execution_identical(self, tmp_path):
+    def test_roundtrip_file_and_execution_identical(self):
         from repro.core import execute_plan
 
+        # the form a journal's begin record carries: to_dict through JSON
         plan, L = self._plan()
-        path = plan.save(tmp_path / "plan.json")
-        loaded = RepairPlan.load(path)
+        loaded = RepairPlan.from_dict(json.loads(json.dumps(plan.to_dict())))
         a = execute_plan(plan, L, c=12)
         b = execute_plan(loaded, L, c=12)
         assert a.total_time == b.total_time
         assert a.acwt == b.acwt
 
-    def test_metadata_numpy_values_serialised(self, tmp_path):
+    def test_metadata_numpy_values_serialised(self):
         plan, _ = self._plan()
-        # AP metadata holds numpy floats; save must not choke
-        path = plan.save(tmp_path / "p.json")
-        import json
-
-        payload = json.loads(path.read_text())
+        # AP metadata holds numpy floats; the journal's JSON must not choke
+        payload = json.loads(json.dumps(plan.to_dict()))
         assert "candidate_T" in payload["metadata"]
-
-    def test_load_missing(self, tmp_path):
-        with pytest.raises(PlanError):
-            RepairPlan.load(tmp_path / "nope.json")
-
-    def test_load_garbage(self, tmp_path):
-        p = tmp_path / "bad.json"
-        p.write_text("{not json")
-        with pytest.raises(PlanError):
-            RepairPlan.load(p)
 
     def test_malformed_dict(self):
         with pytest.raises(PlanError):

@@ -2,12 +2,9 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.core.psr_ap import (
     ActivePreliminaryRepair,
-    ap_total_transfer_time,
     stripe_times_for_pa,
     window_makespan,
 )
@@ -162,18 +159,3 @@ class TestPlan:
         for sp in plan.stripe_plans:
             expected = 1 if sp.num_rounds > 1 else 0
             assert sp.accumulator_chunks == expected
-
-
-class TestApTotalTransferTime:
-    @given(seed=st.integers(0, 10_000), pa=st.integers(1, 8))
-    @settings(max_examples=40, deadline=None)
-    def test_positive_and_bounded(self, seed, pa):
-        rng = np.random.default_rng(seed)
-        L = rng.uniform(0.5, 4.0, size=(15, 8))
-        t = ap_total_transfer_time(L, pa, c=16)
-        # lower bound: slowest single stripe; upper: fully serial everything
-        sorted_L = np.sort(L, axis=1)
-        from repro.core.psr_ap import stripe_times_for_pa as stp
-
-        stripe_times = stp(sorted_L, pa)
-        assert stripe_times.max() <= t <= stripe_times.sum() + 1e-9

@@ -5,10 +5,11 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from repro.ec import RSCode
+from repro.ec.encoder import RSCode
 from repro.ec.decoder import decode_matrix_for, reconstruction_coefficients
 from repro.errors import CodingError, InsufficientShardsError
-from repro.gf import gf_identity, gf_mat_mul
+from repro.gf import gf_mat_mul
+from repro.gf.matrix import gf_identity
 
 
 @pytest.fixture

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.ec import RSCode
+from repro.ec.encoder import RSCode
 from repro.errors import CodingError, ConfigurationError
 
 

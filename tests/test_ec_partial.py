@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.ec import PartialDecoder, RSCode
+from repro.ec.encoder import RSCode
+from repro.ec.partial import PartialDecoder
 from repro.errors import CodingError
 
 

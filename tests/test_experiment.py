@@ -67,21 +67,22 @@ class TestSpecValidation:
         with pytest.raises(ConfigurationError):
             ExperimentSpec.from_dict(spec_dict(runs=0))
 
-    def test_from_file(self, tmp_path):
+    # A spec reaches the runner as a file through ``hdpsr run``.
+    def test_from_file(self, tmp_path, capsys):
         path = tmp_path / "spec.json"
-        path.write_text(json.dumps(spec_dict()))
-        spec = ExperimentSpec.from_file(path)
-        assert spec.name == "test-exp"
+        path.write_text(json.dumps(spec_dict(runs=1)))
+        assert main(["run", str(path)]) == 0
+        assert "Experiment spec 'test-exp'" in capsys.readouterr().out
 
-    def test_missing_file(self, tmp_path):
-        with pytest.raises(ConfigurationError):
-            ExperimentSpec.from_file(tmp_path / "nope.json")
+    def test_missing_file(self, tmp_path, capsys):
+        assert main(["run", str(tmp_path / "nope.json")]) == 1
+        assert "does not exist" in capsys.readouterr().err
 
-    def test_invalid_json(self, tmp_path):
+    def test_invalid_json(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text("{not json")
-        with pytest.raises(ConfigurationError):
-            ExperimentSpec.from_file(path)
+        assert main(["run", str(path)]) == 1
+        assert "not valid JSON" in capsys.readouterr().err
 
 
 class TestRunExperiment:

@@ -5,14 +5,8 @@ import pytest
 
 from repro.ec.stripe import ChunkId
 from repro.errors import ConfigurationError, LatentSectorError
-from repro.faults import (
-    FAULT_KINDS,
-    FaultEvent,
-    FaultInjector,
-    FaultSchedule,
-    SimFaultModel,
-    generate_fault_schedule,
-)
+from repro.faults import FAULT_KINDS, FaultEvent, FaultSchedule, generate_fault_schedule
+from repro.faults.injector import FaultInjector, SimFaultModel
 from repro.faults.spec import HANG_FACTOR
 from repro.hdss import HDSSConfig, HighDensityStorageServer
 from repro.hdss.store import FaultyChunkStore
@@ -336,7 +330,7 @@ class TestProcessCrash:
         assert FaultSchedule.from_spec(schedule.to_spec()) == schedule
 
     def test_generator_never_draws_crashes(self):
-        from repro.faults import GENERATED_KINDS
+        from repro.faults.spec import GENERATED_KINDS
 
         assert "process_crash" not in GENERATED_KINDS
         schedule = generate_fault_schedule(seed=1, num_events=50, num_disks=12)

@@ -17,7 +17,8 @@ from repro.core import (
     cooperative_multi_disk_repair,
     recover_disk,
 )
-from repro.faults import DataLossReport, generate_fault_schedule
+from repro.faults import generate_fault_schedule
+from repro.faults.report import DataLossReport
 from repro.hdss import HDSSConfig, HighDensityStorageServer
 from repro.hdss.profiles import BimodalSlowProfile
 

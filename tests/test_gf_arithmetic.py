@@ -7,19 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.gf import (
-    exp_table,
-    gf_add,
-    gf_div,
-    gf_inv,
-    gf_mul,
-    gf_mul_add_scalar,
-    gf_mul_scalar,
-    gf_pow,
-    gf_sub,
-    log_table,
-)
-from repro.ec import PartialDecoder, RSCode
+from repro.gf import gf_mul, gf_mul_add_scalar, gf_mul_scalar
+from repro.gf.arithmetic import gf_add, gf_div, gf_inv, gf_pow, gf_sub
+from repro.gf.tables import exp_table, log_table
+from repro.ec.encoder import RSCode
+from repro.ec.partial import PartialDecoder
 from repro.gf.arithmetic import gf_product_table
 
 ALL = np.arange(256, dtype=np.uint8)

@@ -6,15 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import CodingError
-from repro.gf import (
+from repro.gf import gf_mat_inv, gf_mat_mul, gf_mul, gf_rs_encoding_matrix
+from repro.gf.matrix import (
     gf_cauchy,
     gf_identity,
-    gf_mat_inv,
-    gf_mat_mul,
     gf_mat_rank,
     gf_mat_vec,
-    gf_mul,
-    gf_rs_encoding_matrix,
     gf_vandermonde,
 )
 

@@ -51,7 +51,6 @@ class TestProvisioning:
 
     def test_spare_ids(self, small_server):
         assert small_server.spare_disk_ids == [12, 13]
-        assert small_server.regular_disk_ids == list(range(12))
 
     def test_stripes_only_on_regular_disks(self, small_server):
         for stripe in small_server.layout:
@@ -98,12 +97,6 @@ class TestFailure:
     def test_unknown_disk(self, small_server):
         with pytest.raises(ConfigurationError):
             small_server.disk(99)
-
-    def test_inject_slow_disks(self, metadata_server):
-        slow = metadata_server.inject_slow_disks(0.25, slow_factor=4.0)
-        assert len(slow) == 3  # 25% of 12
-        for d in slow:
-            assert metadata_server.disk(d).is_slow
 
     def test_slow_disks_ground_truth(self):
         cfg = HDSSConfig(

@@ -26,7 +26,8 @@ from repro.faults import (
     SimulatedCrash,
 )
 from repro.hdss import HDSSConfig, HighDensityStorageServer
-from repro.journal import RepairJournal, WALReader, WALRecord, WALWriter
+from repro.journal.journal import RepairJournal
+from repro.journal.wal import WALReader, WALRecord, WALWriter
 from repro.journal.journal import JOURNAL_BYTES, journal_exists, load_state
 from repro.journal.wal import list_segments
 from repro.obs import MetricsRegistry, use_registry

@@ -562,11 +562,13 @@ class TestOneOperatorPlane:
         loaded = loaded_repro_modules("import repro.cli; repro.cli.build_parser()")
         assert not [m for m in loaded if m.startswith("repro.service")]
         library = loaded_repro_modules("import repro")
+        # ``repro`` re-exports only what the examples and docs import, so
+        # the Observation 1-3 tables (``hdpsr observe``) load with the CLI.
         assert set(loaded) - set(library) == {
             "repro.cli", "repro.commands", "repro.commands.chaos",
             "repro.commands.clients", "repro.commands.flags",
             "repro.commands.paper", "repro.commands.serve",
-            "repro.commands.trace",
+            "repro.commands.trace", "repro.core.analysis",
         }
 
 
@@ -922,3 +924,186 @@ class TestBenchmarkBindings:
             "repro.hdss.store:FileChunkStore.put_many",
             "repro.hdss.store:crc32c",
         }
+
+
+def _defs(path):
+    """``(qualified name, bare name, first line, last line)`` of every
+    top-level function and class in ``path`` and every public method of its
+    classes; the first line is the first decorator's."""
+    module = ".".join(path.relative_to(ROOT / "src").with_suffix("").parts)
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    out = []
+    for node in ast.parse(path.read_text()).body:
+        if not isinstance(node, (*functions, ast.ClassDef)):
+            continue
+        members = [(node.name, node)]
+        if isinstance(node, ast.ClassDef):
+            members += [
+                (f"{node.name}.{sub.name}", sub) for sub in node.body
+                if isinstance(sub, functions) and not sub.name.startswith("_")
+            ]
+        for qual, member in members:
+            first = min([d.lineno for d in member.decorator_list] + [member.lineno])
+            out.append((f"{module}:{qual}", member.name, first, member.end_lineno))
+    return out
+
+
+def _name_sites():
+    """Every use of a name outside ``tests/``, as ``name -> [(path, line)]``:
+    loads of a name or an attribute in ``src/``, ``benchmarks/``,
+    ``examples/`` and ``tools/`` (an import is not a use, so a package's
+    re-exports count for nothing; strings and comments are not code), every
+    word of ``ci.yml``, and the e2e benchmark's trace-hook targets."""
+    sites = {}
+    paths = src_files() + [
+        p for d in ("benchmarks", "examples", "tools") for p in sorted((ROOT / d).rglob("*.py"))
+    ]
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                sites.setdefault(node.id, []).append((path, node.lineno))
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                sites.setdefault(node.attr, []).append((path, node.end_lineno))
+    ci = (ROOT / ".github" / "workflows" / "ci.yml").read_text()
+    for word in re.findall(r"[A-Za-z_]\w*", ci):
+        sites.setdefault(word, []).append((None, 0))
+    for _module, path, _span, _nbytes in load_traced_serve().HOOKS:
+        for part in path.split("."):
+            sites.setdefault(part, []).append((None, 0))
+    return sites
+
+
+class TestNothingOnlyTestsReach:
+    """Every function, class and public method in ``src/repro`` is named by
+    code outside ``tests/`` — outside its own body, and by code that is
+    itself reached — or is listed below with the reason it stays. A name
+    only its own unit tests call is deleted with those tests. Names can
+    clash (a method called ``load`` is "used" by every ``json.load``), so
+    this is a floor: a run of every entry point under a call recorder is
+    what found the clashing ones."""
+
+    DEFERRED = ("only its tests call it; it goes with them in a later change "
+                "(ROADMAP item 12)")
+    ACCESSOR = "read-only accessor tests use to check live state"
+    ALLOWED = {
+        # ROADMAP item 12 gives these two modules a change of their own.
+        "repro.ec.wide": "own change, ROADMAP item 12",
+        "repro.gf.bigfield": "own change, ROADMAP item 12",
+        # `hdpsr chaos` looks each scenario's runner up by name
+        # (commands/chaos.py, _CHAOS_SCENARIOS).
+        "repro.service.chaos:run_chaos": "bound by name in commands/chaos.py",
+        "repro.service.chaos_bitrot:run_bitrot_chaos": "bound by name in commands/chaos.py",
+        "repro.service.chaos_overload:run_overload_chaos": "bound by name in commands/chaos.py",
+        # Reference implementations live code is checked against.
+        "repro.sim.metrics:TransferReport.disk_blame":
+            "the simulator's blame, obs.analysis's blame is compared against it",
+        "repro.gf.arithmetic:gf_add": "scalar GF(2^8) op, oracle of the field tests",
+        "repro.gf.arithmetic:gf_sub": "scalar GF(2^8) op, oracle of the field tests",
+        "repro.gf.arithmetic:gf_div": "scalar GF(2^8) op, oracle of gf_inv and the kernels",
+        "repro.gf.tables:exp_table": "read-only view of the table the kernels are built from",
+        "repro.gf.tables:log_table": "read-only view of the table the kernels are built from",
+        "repro.obs.exporters:validate_chrome_trace":
+            "checks an exported trace against Chrome's trace_event schema",
+        "repro.obs.metrics:Gauge.dec": "the gauge's half of the Prometheus set/inc/dec interface",
+        # Read-only accessors.
+        "repro.ec.partial:PartialDecoder.memory_chunks_held": ACCESSOR,
+        "repro.ec.partial:PartialDecoder.rounds_fed": ACCESSOR,
+        "repro.ec.stripe:Stripe.chunk_ids": ACCESSOR,
+        "repro.ec.stripe:Stripe.shard_on_disk": ACCESSOR,
+        "repro.faults.injector:FaultInjector.exhausted": ACCESSOR,
+        "repro.faults.service:ServiceFaultInjector.exhausted": ACCESSOR,
+        "repro.faults.service:WireVerdict.disruptive": ACCESSOR,
+        "repro.hdss.server:ScrubReport.stripes_checked": ACCESSOR,
+        "repro.hdss.store:InMemoryChunkStore.total_chunks": ACCESSOR,
+        "repro.hdss.store:FaultyChunkStore.bad_chunks": ACCESSOR,
+        "repro.obs.tracer:RecordingTracer.instants": ACCESSOR,
+        "repro.sim.metrics:TransferReport.max_rounds_per_stripe": ACCESSOR,
+        "repro.workloads.generator:TransferTimeWorkload.ros_actual": ACCESSOR,
+        # Unreached, left for a later deletion.
+        "repro.workloads.traces": DEFERRED,
+        "repro.hdss.server:HighDensityStorageServer.fail_enclosure": DEFERRED,
+        "repro.hdss.server:HighDensityStorageServer.enclosure_of": DEFERRED,
+        "repro.hdss.prober:ActiveProber.probe_all": DEFERRED,
+        "repro.hdss.profiles:NormalProfile": DEFERRED,
+        "repro.hdss.profiles:LognormalProfile": DEFERRED,
+        "repro.gf.matrix:gf_mat_rank": DEFERRED,
+        "repro.gf.matrix:gf_mat_vec": DEFERRED,
+        "repro.sim.viz:render_disk_load": DEFERRED,
+        "repro.utils.checksum:verify_crc32c": DEFERRED,
+        "repro.utils.rng:spawn_rngs": DEFERRED,
+        "repro.utils.validation:check_type": DEFERRED,
+        "repro.workloads.arrivals:ArrivalSchedule.rate_in": DEFERRED,
+        "repro.workloads.generator:uniform_transfer_times": DEFERRED,
+    }
+
+    @staticmethod
+    def _entry_of(qual):
+        """The allowlist key covering ``qual``, or None."""
+        module, _, name = qual.partition(":")
+        for key in (qual, f"{module}:{name.split('.')[0]}", module):
+            if key in TestNothingOnlyTestsReach.ALLOWED:
+                return key
+        return None
+
+    @classmethod
+    def _audit(cls):
+        """``(unreached, callers)``: the definitions nothing reaches when the
+        allowlisted ones count as reached, and per allowlist entry the sites
+        in reached, unlisted code that name what it covers (a module entry
+        covers its whole file)."""
+        sites = _name_sites()
+        defs = [(path, *d) for path in src_files() for d in _defs(path)]
+        listed = {}  # allowlist key -> [(name, its own span)]
+        for path, qual, name, first, last in defs:
+            # what an entry answers for: the named definition, or every
+            # top-level one of a listed module (whose own span is the file)
+            module, _, local = qual.partition(":")
+            if qual in cls.ALLOWED:
+                listed.setdefault(qual, []).append((name, (path, first, last)))
+            elif module in cls.ALLOWED and "." not in local:
+                listed.setdefault(module, []).append((name, (path, 1, 10**9)))
+        dead = []  # spans of the definitions found unreached
+
+        def inside(spans, path, line):
+            return any(p == path and a <= line <= b for p, a, b in spans)
+
+        def reaches(site, own, skip=()):
+            path, line = site
+            return path is None or not inside([own, *dead, *skip], path, line)
+
+        changed = True
+        while changed:
+            changed = False
+            for path, qual, name, first, last in defs:
+                span = (path, first, last)
+                if cls._entry_of(qual) or span in dead:
+                    continue
+                if not any(reaches(site, span) for site in sites.get(name, ())):
+                    dead.append(span)
+                    changed = True
+        unreached = sorted(
+            qual for path, qual, _n, first, last in defs if (path, first, last) in dead
+        )
+        listed_spans = [own for members in listed.values() for _n, own in members]
+        callers = {
+            key: sorted(
+                f"{site[0].relative_to(ROOT)}:{site[1]}" if site[0] else "ci.yml or a trace hook"
+                for name, own in members for site in sites.get(name, ())
+                if reaches(site, own, listed_spans)
+            )
+            for key, members in listed.items()
+        }
+        return unreached, callers
+
+    def test_every_unreached_name_is_allowlisted(self):
+        unreached, _callers = self._audit()
+        assert unreached == [], (
+            "only tests reach these; delete them with their tests, or list "
+            f"them in ALLOWED with the reason they stay: {unreached}"
+        )
+
+    def test_no_allowlist_entry_has_gained_a_caller(self):
+        _unreached, callers = self._audit()
+        assert sorted(set(self.ALLOWED) - set(callers)) == [], "names nothing in src/"
+        stale = {key: found for key, found in callers.items() if found}
+        assert stale == {}, "reached from code outside tests; drop from ALLOWED"

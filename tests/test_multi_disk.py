@@ -194,7 +194,8 @@ class TestMidRepairReplan:
 
     def run_with_faults(self, events, stripes=20):
         from repro.core import ExecutionOptions
-        from repro.faults import FaultEvent, FaultSchedule, SimFaultModel
+        from repro.faults import FaultEvent, FaultSchedule
+        from repro.faults.injector import SimFaultModel
 
         server = faulted_server(stripes=stripes)
         server.fail_disk(0)

@@ -8,12 +8,11 @@ from repro.obs import (
     RecordingTracer,
     analyze_trace,
     diff_metrics,
-    events_from_jsonl,
-    events_to_jsonl,
-    flatten_summary,
     load_run_metrics,
     summarize_trace,
 )
+from repro.obs.analysis import flatten_summary
+from repro.obs.exporters import events_from_jsonl, events_to_jsonl
 from repro.obs.analysis import metric_direction
 from repro.sim.transfer import ChunkTransfer, StripeJob, simulate_slot_schedule
 

@@ -17,15 +17,15 @@ from repro.core.multi_disk import naive_multi_disk_repair
 from repro.core.scheduler import ExecutionOptions
 from repro.obs import (
     MetricsRegistry,
-    NULL_TRACER,
     RecordingTracer,
     current_registry,
     current_tracer,
-    profile,
     use_registry,
     use_tracer,
-    validate_chrome_trace,
 )
+from repro.obs.exporters import validate_chrome_trace
+from repro.obs.profiling import profile
+from repro.obs.tracer import NULL_TRACER
 
 
 @pytest.fixture

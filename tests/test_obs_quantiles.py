@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.obs import MetricsRegistry, QuantileSketch, parse_prometheus_text, prometheus_text
+from repro.obs import MetricsRegistry, parse_prometheus_text, prometheus_text
+from repro.obs.quantiles import QuantileSketch
 from repro.obs.quantiles import P2Quantile
 
 QUANTILES = (0.5, 0.95, 0.99)

@@ -406,7 +406,7 @@ class TestScrubHandoffs:
         import asyncio
 
         from repro.hdss.store import ShardedChunkStore
-        from repro.service import ScrubConfig, Scrubber
+        from repro.service.scrub import ScrubConfig, Scrubber
         from repro.service.chaos_rig import build_server, build_service
 
         store = ShardedChunkStore.from_root(tmp_path / "store", durable=False)

@@ -14,7 +14,8 @@ from repro.core import (
     execute_plan,
 )
 from repro.core.psr_ap import window_makespan
-from repro.ec import PartialDecoder, RSCode
+from repro.ec.encoder import RSCode
+from repro.ec.partial import PartialDecoder
 from repro.sim.transfer import simulate_interval_schedule, simulate_slot_schedule
 
 

@@ -25,7 +25,7 @@ from repro.journal.wal import (
     decode_stream,
     list_segments,
 )
-from repro.service import ScrubConfig, Scrubber
+from repro.service.scrub import ScrubConfig, Scrubber
 from repro.service.chaos_rig import PacedStore, build_server, build_service
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.netserver import ServiceDaemon

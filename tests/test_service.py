@@ -33,11 +33,8 @@ from repro.hdss.store import (
     ShardedChunkStore,
 )
 from repro.obs import MetricsRegistry, use_registry
-from repro.service import (
-    DiskGate,
-    RepairService,
-    ServiceConfig,
-)
+from repro.service import RepairService, ServiceConfig
+from repro.service.admission import DiskGate
 from repro.service import chaos_rig as rig
 from repro.service.chaos_rig import build_server as make_server
 from repro.service.chaos_rig import build_service as make_service

@@ -7,7 +7,6 @@ in the toolchain: every test drives its coroutine with ``asyncio.run``.
 """
 
 import asyncio
-import json
 
 import pytest
 
@@ -15,14 +14,14 @@ from repro.obs import (
     EventLoopMonitor,
     MetricsRegistry,
     RecordingTracer,
-    chrome_trace,
-    new_span_context,
     parse_prometheus_text,
     use_registry,
-    use_span,
     use_tracer,
 )
-from repro.service import ServiceClient, TelemetryServer, stats_snapshot
+from repro.obs.context import new_span_context, use_span
+from repro.obs.exporters import chrome_trace
+from repro.service import ServiceClient
+from repro.service.telemetry import TelemetryServer, stats_snapshot
 from repro.service import protocol
 from repro.service.chaos_rig import NUM_DISKS
 from repro.service.chaos_rig import build_server as make_server
@@ -81,7 +80,7 @@ class TestTracePropagation:
         with use_tracer(tracer), use_registry(registry):
             root = asyncio.run(run())
 
-        events = tracer.for_trace(root.trace_id)
+        events = [e for e in tracer.events if e.args.get("trace_id") == root.trace_id]
         cats = {e.category for e in events}
         # The daemon side of each call plus the request's anatomy.
         assert "request" in cats

@@ -193,7 +193,8 @@ def faulted_job(job_id, *rounds, disks=None, acc=0):
 
 class TestFaultedExecution:
     def make_faults(self, *events):
-        from repro.faults import FaultEvent, FaultSchedule, SimFaultModel
+        from repro.faults import FaultEvent, FaultSchedule
+        from repro.faults.injector import SimFaultModel
 
         return SimFaultModel(FaultSchedule([FaultEvent(**e) for e in events]))
 

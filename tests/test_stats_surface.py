@@ -22,11 +22,10 @@ from repro.service import (
     ClusterConfig,
     ClusterNode,
     OverloadConfig,
-    ScrubConfig,
-    Scrubber,
     ServiceClient,
     ServiceDaemon,
 )
+from repro.service.scrub import ScrubConfig, Scrubber
 from repro.service.chaos_rig import build_server, build_service
 
 SNAPSHOT = Path(__file__).parent / "data" / "stats_keys.json"

@@ -23,7 +23,7 @@ from repro.core.stripe_repair import (
     readable_shards,
     rounds_of,
 )
-from repro.ec import RSCode
+from repro.ec.encoder import RSCode
 from repro.ec.stripe import ChunkId, Stripe
 from repro.errors import DiskFailedError
 from repro.faults.report import LOST, RECOVERED, REPLANNED

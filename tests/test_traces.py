@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.workloads import load_trace, normal_transfer_times, save_trace
+from repro.workloads import normal_transfer_times
+from repro.workloads.traces import load_trace, save_trace
 
 
 class TestRoundTrip:

@@ -6,14 +6,13 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.utils.units import GiB, MiB
 from repro.workloads import (
-    EXP1_GRID,
     PAPER_CODES,
     PAPER_DISK_SIZES,
     build_exp_server,
     normal_transfer_times,
-    stripes_for,
-    uniform_transfer_times,
 )
+from repro.workloads.generator import uniform_transfer_times
+from repro.workloads.scenarios import EXP1_GRID, stripes_for
 
 
 class TestNormalWorkload:
@@ -94,14 +93,14 @@ class TestScenarios:
         )
         # every disk holds within n/2 chunks of the requested size
         target = (1 * GiB) // (64 * MiB)
-        for d in server.regular_disk_ids:
+        for d in range(server.config.num_disks):
             assert abs(len(server.layout.stripe_set(d)) - target) <= 9 / 2
 
     def test_build_exp_server_even_load(self):
         server = build_exp_server(
             n=9, k=6, disk_size="1GiB", chunk_size="64MiB", num_disks=36, seed=0
         )
-        counts = {len(server.layout.stripe_set(d)) for d in server.regular_disk_ids}
+        counts = {len(server.layout.stripe_set(d)) for d in range(server.config.num_disks)}
         assert len(counts) == 1  # perfectly even
 
     def test_build_exp_server_memory_default(self):
