@@ -145,9 +145,11 @@ def test_wallclock_headline(benchmark, results_sink):
         assert r["stripes"] == stripes
         assert r["chunks_read"] == K * stripes
         assert r["certify_verifies"] == stripes
-    # HD-PSR-AP is not asserted: it loses here. Each AP round pairs a slow
-    # chunk with a fast one, and the daemon holds a round's gates and slots
-    # until its slowest read ends, so AP's rounds queue at the four slow
-    # disks' gates (ROADMAP item 2 (d), EXPERIMENTS.md).
+    # HD-PSR-AP is not asserted: it loses here. AP admits stripes in
+    # ascending order of their reduced time L_s, so the stripes that touch
+    # the four slow disks all come last and queue on those disks'
+    # one-read-at-a-time gates. Admitted in stripe order, as FSR, AS and PA
+    # are, AP beat FSR in 3 of 3 real-clock runs (ROADMAP.md finding 1,
+    # EXPERIMENTS.md).
     by = {r["algorithm"]: r for r in rows}
     assert by["hd-psr-as"]["wall_seconds"] < by["fsr"]["wall_seconds"]

@@ -2,13 +2,34 @@
 
 from __future__ import annotations
 
+import statistics
 from pathlib import Path
-from typing import Optional
+from typing import Callable, List, Optional
+
+from repro.utils.timer import time_call
+
+#: Timing rounds per selection; their median is what Exp 2 and Exp 4 report.
+SELECT_ROUNDS = 101
 
 
 def emit(title: str, text: str) -> None:
     """Print a benchmark table with a separator (shown with pytest -s)."""
     print(f"\n{'=' * 72}\n{title}\n{'=' * 72}\n{text}")
+
+
+def alternating_medians(*calls: Callable[[], object]) -> List[float]:
+    """Median wall-clock seconds of each call over ``SELECT_ROUNDS`` rounds.
+
+    A round times every call once, in turn, so a change in host load during
+    the measurement falls on all of them alike and their ratio holds. Timed
+    here rather than read from the ``benchmark`` fixture's stats, which are
+    None under ``--benchmark-disable``.
+    """
+    samples: List[List[float]] = [[] for _ in calls]
+    for _ in range(SELECT_ROUNDS):
+        for call, times in zip(calls, samples):
+            times.append(time_call(call)[1])
+    return [statistics.median(times) for times in samples]
 
 
 def write_metrics_dump(experiment_id: str, results_dir: Path) -> Optional[Path]:

@@ -7,21 +7,12 @@ whole chunk times one scalar is a ``bytes.translate`` through that scalar's
 256-byte product table, so the data path has no Python-level inner loops.
 """
 
-# gf_mul stays for tests/test_gf_bigfield.py, which imports it from here and
-# changes only with gf/bigfield.py itself.
-from repro.gf.arithmetic import gf_mul, gf_mul_scalar, gf_mul_add_scalar
-from repro.gf.matrix import (
-    gf_independent_rows,
-    gf_mat_mul,
-    gf_mat_inv,
-    gf_rs_encoding_matrix,
-)
+from repro.gf.arithmetic import gf_mul_scalar, gf_mul_add_scalar
+from repro.gf.matrix import gf_mat_mul, gf_mat_inv, gf_rs_encoding_matrix
 
 __all__ = [
-    "gf_mul",
     "gf_mul_scalar",
     "gf_mul_add_scalar",
-    "gf_independent_rows",
     "gf_mat_mul",
     "gf_mat_inv",
     "gf_rs_encoding_matrix",

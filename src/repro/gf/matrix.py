@@ -34,14 +34,6 @@ def gf_mat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.bitwise_xor.reduce(products, axis=1)
 
 
-def gf_mat_vec(a: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Matrix-vector product over GF(2^8)."""
-    v = np.asarray(v, dtype=np.uint8)
-    if v.ndim != 1:
-        raise ValueError("v must be 1-D")
-    return gf_mat_mul(a, v[:, None])[:, 0]
-
-
 def gf_mat_inv(m: np.ndarray) -> np.ndarray:
     """Invert a square matrix over GF(2^8) by Gauss-Jordan elimination.
 
@@ -69,64 +61,6 @@ def gf_mat_inv(m: np.ndarray) -> np.ndarray:
         factors[col] = 0
         work ^= gf_mul(factors[:, None], work[col][None, :])
     return work[:, size:].copy()
-
-
-def gf_mat_rank(m: np.ndarray) -> int:
-    """Rank of a matrix over GF(2^8) (row echelon elimination)."""
-    work = np.asarray(m, dtype=np.uint8).copy()
-    rows, cols = work.shape
-    rank = 0
-    for col in range(cols):
-        if rank == rows:
-            break
-        pivot_rows = np.nonzero(work[rank:, col])[0]
-        if pivot_rows.size == 0:
-            continue
-        pivot = rank + int(pivot_rows[0])
-        if pivot != rank:
-            work[[rank, pivot]] = work[[pivot, rank]]
-        inv_pivot = gf_inv(work[rank, col])
-        work[rank] = gf_mul(work[rank], inv_pivot)
-        factors = work[:, col].copy()
-        factors[rank] = 0
-        work ^= gf_mul(factors[:, None], work[rank][None, :])
-        rank += 1
-    return rank
-
-
-def gf_independent_rows(m: np.ndarray, need: int) -> "list[int]":
-    """Indices of the first ``need`` linearly independent rows of ``m``.
-
-    Greedy from the top: a row is kept iff it is independent of the rows
-    already kept (Gaussian elimination over GF(2^8)).
-
-    Raises:
-        CodingError: if fewer than ``need`` independent rows exist.
-    """
-    m = np.asarray(m, dtype=np.uint8)
-    rows, cols = m.shape
-    if need > cols:
-        raise CodingError(f"cannot find {need} independent rows in a {cols}-column matrix")
-    kept: "list[int]" = []
-    # Reduced basis of the kept rows; pivot_cols[i] is basis row i's pivot.
-    basis = np.zeros((0, cols), dtype=np.uint8)
-    pivot_cols: "list[int]" = []
-    for r in range(rows):
-        vec = m[r].copy()
-        for b, pc in zip(basis, pivot_cols):
-            if vec[pc]:
-                vec ^= gf_mul(vec[pc], b)
-        nz = np.nonzero(vec)[0]
-        if nz.size == 0:
-            continue
-        pc = int(nz[0])
-        vec = gf_mul(vec, gf_inv(vec[pc]))
-        basis = np.vstack([basis, vec])
-        pivot_cols.append(pc)
-        kept.append(r)
-        if len(kept) == need:
-            return kept
-    raise CodingError(f"matrix has rank {len(kept)} < required {need}")
 
 
 def gf_vandermonde(rows: int, cols: int) -> np.ndarray:

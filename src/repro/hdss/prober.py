@@ -16,7 +16,7 @@ Two mechanisms mirroring §4.2 / §4.3 of the paper:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -54,14 +54,6 @@ class ActiveProber:
         bw = self.server.disk(disk_id).probe(self.probe_size, noise=self.noise)
         self.measured[disk_id] = bw
         return bw
-
-    def probe_all(self, disk_ids: Optional[Sequence[int]] = None) -> Dict[int, float]:
-        """Probe the given disks (default: all healthy regular + spare)."""
-        if disk_ids is None:
-            disk_ids = [d.disk_id for d in self.server.disks if not d.is_failed]
-        for disk_id in disk_ids:
-            self.probe_disk(disk_id)
-        return dict(self.measured)
 
     def estimated_chunk_time(self, disk_id: int) -> float:
         """Chunk-size / measured-bandwidth (probing on demand)."""

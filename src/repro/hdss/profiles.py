@@ -44,49 +44,6 @@ class UniformProfile(SpeedProfile):
         return f"uniform({self.bandwidth / 1e6:.0f} MB/s)"
 
 
-class NormalProfile(SpeedProfile):
-    """Bandwidths ~ Normal(mean, std), truncated below at ``floor``.
-
-    Mirrors the paper's Observation-2 setup, which draws chunk transfer
-    *times* from N(2, 4); drawing bandwidths normally and clipping gives the
-    same style of unimodal heterogeneity at the disk level.
-    """
-
-    def __init__(self, mean: float, std: float, floor_fraction: float = 0.05) -> None:
-        check_positive("mean", mean)
-        if std < 0:
-            raise ConfigurationError(f"std must be >= 0, got {std}")
-        check_probability("floor_fraction", floor_fraction)
-        self.mean = float(mean)
-        self.std = float(std)
-        self.floor = self.mean * floor_fraction
-
-    def sample(self, count: int, rng: RngLike = None) -> np.ndarray:
-        gen = make_rng(rng)
-        values = gen.normal(self.mean, self.std, size=count)
-        return np.maximum(values, max(self.floor, 1e-9))
-
-    def describe(self) -> str:
-        return f"normal(mean={self.mean / 1e6:.0f} MB/s, std={self.std / 1e6:.0f})"
-
-
-class LognormalProfile(SpeedProfile):
-    """Heavy-tailed bandwidths (a few disks much slower than the median)."""
-
-    def __init__(self, median: float, sigma: float = 0.25) -> None:
-        check_positive("median", median)
-        check_positive("sigma", sigma)
-        self.median = float(median)
-        self.sigma = float(sigma)
-
-    def sample(self, count: int, rng: RngLike = None) -> np.ndarray:
-        gen = make_rng(rng)
-        return self.median * np.exp(gen.normal(0.0, self.sigma, size=count))
-
-    def describe(self) -> str:
-        return f"lognormal(median={self.median / 1e6:.0f} MB/s, sigma={self.sigma})"
-
-
 class BimodalSlowProfile(SpeedProfile):
     """A ``ros`` fraction of disks runs ``slow_factor`` x slower.
 

@@ -34,7 +34,7 @@ from repro.hdss.profiles import SpeedProfile, UniformProfile, build_disks
 from repro.hdss.store import ChunkStore, InMemoryChunkStore
 from repro.utils.rng import derive_seed, make_rng
 from repro.utils.units import MiB, parse_size
-from repro.utils.validation import check_positive, check_probability
+from repro.utils.validation import check_positive
 
 
 @dataclass
@@ -283,13 +283,6 @@ class HighDensityStorageServer:
         """Slow one disk down by ``factor`` (models contention/aging)."""
         self.disk(disk_id).degrade(factor)
 
-    def enclosure_of(self, disk_id: int) -> int:
-        """Enclosure (backplane group) of a disk: consecutive-id groups."""
-        size = self.config.enclosure_size
-        if size is None:
-            raise ConfigurationError("server has no enclosure_size configured")
-        return disk_id // size
-
     def enclosure_disks(self, enclosure: int) -> List[int]:
         """Disk ids of one enclosure (regular and spare alike)."""
         size = self.config.enclosure_size
@@ -299,26 +292,6 @@ class HighDensityStorageServer:
         if start >= len(self.disks):
             raise ConfigurationError(f"no such enclosure {enclosure}")
         return list(range(start, min(start + size, len(self.disks))))
-
-    def fail_enclosure(
-        self, enclosure: int, survival_prob: float = 0.0, destroy_data: bool = True
-    ) -> List[int]:
-        """Backplane event: fail the enclosure's disks (correlated failure).
-
-        Each disk independently survives with ``survival_prob``. Returns
-        the failed disk ids — feed them to
-        :func:`~repro.core.multi_disk.cooperative_multi_disk_repair`.
-        """
-        check_probability("survival_prob", survival_prob)
-        failed = []
-        for disk_id in self.enclosure_disks(enclosure):
-            if self.disks[disk_id].is_failed:
-                continue
-            if survival_prob > 0.0 and self._rng.random() < survival_prob:
-                continue
-            self.fail_disk(disk_id, destroy_data=destroy_data)
-            failed.append(disk_id)
-        return failed
 
     # ------------------------------------------------------------ repair view
     def stripes_needing_repair(self, failed_disks: Sequence[int]) -> List[int]:

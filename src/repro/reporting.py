@@ -53,21 +53,6 @@ PAPER_CLAIMS = {
         "actual elapsed seconds of each job, its certify re-read included, not a "
         "simulated clock (median and [min, max] of five alternating repetitions)."
     ),
-    "lrc_comparison": (
-        "Related-work comparison (paper section 6): LRC cuts repair I/O at a capacity "
-        "cost; HD-PSR cuts repair time at no capacity cost; on wide RS stripes the "
-        "schedule-level gains are large, on 3-chunk LRC local repairs the memory is "
-        "no longer contended and HD-PSR's headroom vanishes."
-    ),
-    "foreground_latency": (
-        "Repo extension: degraded-read latency while each scheme repairs (priority "
-        "slot granting). HD-PSR finishes sooner without worsening the read tail."
-    ),
-    "ablation_slicing": (
-        "Related-work ablation (RP, paper section 6): slice-level pipelining vs "
-        "chunk-level HD-PSR under per-disk service contention — with realistic "
-        "per-request cost the optimum collapses back to chunk-granular rounds."
-    ),
     "wide_stripes": (
         "Repo extension into the ECWide [13] regime the paper's complexity analysis "
         "anticipates: reductions grow with stripe width while AS's selection cost "
@@ -123,9 +108,6 @@ TITLES = {
     "ablation_staleness": "Ablation — probe staleness (active vs passive)",
     "durability": "Extension — durability consequence of repair speed",
     "wallclock": "Extension — wall-clock repair: the daemon over paced disks",
-    "lrc_comparison": "Related work — LRC vs RS under FSR/HD-PSR scheduling",
-    "foreground_latency": "Extension — degraded-read latency during repair",
-    "ablation_slicing": "Related work — slice-level pipelining (RP) vs HD-PSR",
     "wide_stripes": "Extension — wide-stripe (k up to 128) regime",
     "vulnerability_order": "Extension — vulnerability-first multi-disk repair ordering",
     "robustness": "Extension — recovery outcomes under injected faults",
@@ -137,8 +119,7 @@ TITLES = {
 ORDER = [
     "fig4a", "fig4b", "exp1", "exp2", "exp3", "exp4", "exp5",
     "ablation_memory", "ablation_ros", "ablation_ap_model", "ablation_threshold",
-    "ablation_staleness", "durability", "wallclock", "lrc_comparison",
-    "foreground_latency", "ablation_slicing", "wide_stripes",
+    "ablation_staleness", "durability", "wallclock", "wide_stripes",
     "vulnerability_order", "robustness", "cluster_failover", "overload",
     "scrub",
 ]
@@ -235,7 +216,7 @@ def _rows_to_markdown(rows: List[Dict[str, Any]]) -> str:
 def _quantile_table(prom_path: Path) -> Optional[str]:
     """Render the streaming-quantile samples of a ``.prom`` dump.
 
-    Summary metrics (e.g. the foreground sojourn-time sketch) expose
+    Summary metrics (e.g. the daemon's read-latency sketch) expose
     ``metric{quantile="0.5"}`` samples; pivot them into one row per
     metric/label-set with p50/p95/p99 columns. Returns None when the dump
     has no quantile samples.

@@ -14,11 +14,10 @@ provides:
   the paper reports (total repair time, ACWT, TR, memory utilisation).
 """
 
-from repro.sim.viz import render_disk_load, render_memory_timeline
+from repro.sim.viz import render_memory_timeline
 from repro.sim.transfer import simulate_slot_schedule
 
 __all__ = [
     "simulate_slot_schedule",
     "render_memory_timeline",
-    "render_disk_load",
 ]

@@ -61,25 +61,17 @@ class StripeJob:
     ``accumulator_slots`` models PSR's partial-sum chunks: slots claimed
     with the first round and held until the job finishes (zero for
     single-round FSR-style jobs, where decode happens in place).
-    ``arrival_time`` delays the job's first request (slot model only) —
-    used for foreground traffic arriving while a repair runs.
-    ``priority`` orders admission when jobs contend (lower = sooner;
-    foreground reads typically outrank background repair).
     """
 
     job_id: Any
     rounds: List[List[ChunkTransfer]] = field(default_factory=list)
     accumulator_slots: int = 0
-    arrival_time: float = 0.0
-    priority: int = 0
 
     def validate(self) -> None:
         if not self.rounds:
             raise PlanError(f"job {self.job_id!r} has no rounds")
         if self.accumulator_slots < 0:
             raise PlanError(f"job {self.job_id!r} has negative accumulator_slots")
-        if self.arrival_time < 0:
-            raise PlanError(f"job {self.job_id!r} has negative arrival_time")
         seen = set()
         for rnd in self.rounds:
             if not rnd:
@@ -378,22 +370,17 @@ def simulate_slot_schedule(
         return res
 
     def chunk_process(
-        chunk: ChunkTransfer, priority: int, duration: float
+        chunk: ChunkTransfer, duration: float
     ) -> Generator[Event, Any, float]:
         """One contended transfer; returns its completion time."""
         res = _disk_resource(chunk.disk)
-        yield res.request(1, priority=priority)
+        yield res.request(1)
         yield engine.timeout(duration)
         res.release(1)
         return engine.now
 
     def job_process(job: StripeJob) -> Generator[Event, Any, None]:
-        if job.arrival_time > 0:
-            yield engine.timeout(job.arrival_time)
-        # Foreground jobs (negative priority) bypass the repair admission
-        # cap and contend for memory slots directly.
-        gated = admission is not None and job.priority >= 0
-        if gated:
+        if admission is not None:
             yield admission.request(1)
         admitted = engine.now
         track = f"stripe-{job.job_id}"
@@ -402,7 +389,7 @@ def simulate_slot_schedule(
             # The first round also claims the persistent accumulator slots.
             extra = job.accumulator_slots if round_index == 0 else 0
             requested = engine.now
-            yield memory.request(len(rnd) + extra, priority=job.priority)
+            yield memory.request(len(rnd) + extra)
             held_acc += extra
             start = engine.now
             if trace and start > requested:
@@ -422,12 +409,12 @@ def simulate_slot_schedule(
                     tracer.instant("fault", f"stripe {job.job_id} aborted",
                                    track=track, disk=fail_disk)
                 memory.release(len(rnd) + held_acc)
-                if gated:
+                if admission is not None:
                     admission.release(1)
                 return
             if disk_contention:
                 procs = [
-                    engine.process(chunk_process(c, job.priority, d))
+                    engine.process(chunk_process(c, d))
                     if c.disk is not None
                     else engine.timeout(d, None)
                     for c, d in zip(rnd, durations)
@@ -491,7 +478,7 @@ def simulate_slot_schedule(
                 engine.now - admitted, track=track,
                 stripe=job.job_id, rounds=len(job.rounds),
             )
-        if gated:
+        if admission is not None:
             admission.release(1)
 
     processes = [engine.process(job_process(job)) for job in jobs]

@@ -6,9 +6,7 @@ Terminal-friendly renderings of a :class:`~repro.sim.metrics.TransferReport`
 * :func:`memory_occupancy_series` / :func:`render_memory_timeline` — how
   many chunk slots are busy over time (the memory-competition picture of
   the paper's Figure 1(a), reconstructed from chunk records: a chunk
-  occupies its slot from transfer start until its round completes);
-* :func:`render_disk_load` — per-disk busy time and request counts, which
-  shows where the slow spindles are and how evenly a schedule spreads.
+  occupies its slot from transfer start until its round completes).
 """
 
 from __future__ import annotations
@@ -19,7 +17,6 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.sim.metrics import TransferReport
-from repro.utils.tables import AsciiTable
 
 #: Eight-level vertical bar glyphs for the occupancy chart.
 _BARS = " ▁▂▃▄▅▆▇█"
@@ -73,24 +70,3 @@ def render_memory_timeline(
         + (f"/{capacity} slots" if capacity else " slots")
         + f" over {report.total_time:.2f}s"
     )
-
-
-def render_disk_load(report: TransferReport, top: int = 10) -> str:
-    """Per-disk busy seconds and request counts (busiest first)."""
-    busy: dict = {}
-    count: dict = {}
-    for r in report.records:
-        if r.disk is None:
-            continue
-        busy[r.disk] = busy.get(r.disk, 0.0) + r.duration
-        count[r.disk] = count.get(r.disk, 0) + 1
-    if not busy:
-        return "(no disk information recorded)"
-    table = AsciiTable(["disk", "busy (s)", "requests", "share"],
-                       title="Disk load (busiest first)", float_fmt=".2f")
-    total = sum(busy.values())
-    for disk in sorted(busy, key=busy.get, reverse=True)[:top]:
-        table.add_row([
-            disk, busy[disk], count[disk], f"{busy[disk] / total:.1%}"
-        ])
-    return table.render()

@@ -206,8 +206,3 @@ def crc32c(data: "bytes | bytearray | memoryview | np.ndarray", value: int = 0) 
     unsigned 32-bit integer.
     """
     return _crc32c_numpy(_as_uint8(data), value)
-
-
-def verify_crc32c(data: "bytes | np.ndarray", expected: int) -> bool:
-    """True when ``data`` hashes to ``expected``."""
-    return crc32c(data) == (expected & _MASK)

@@ -11,7 +11,7 @@ experiment tables.
 from __future__ import annotations
 
 import hashlib
-from typing import List, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -43,23 +43,6 @@ def derive_seed(base_seed: int, *labels: "str | int") -> int:
         h.update(b"\x00")
         h.update(str(label).encode())
     return int.from_bytes(h.digest(), "little") & (2**63 - 1)
-
-
-def spawn_rngs(seed: RngLike, count: int, label: str = "stream") -> List[np.random.Generator]:
-    """Spawn ``count`` independent generators from one seed.
-
-    When ``seed`` is an integer the streams are reproducible; when it is a
-    generator or ``None`` we draw a base seed from it first.
-    """
-    if count < 0:
-        raise ValueError(f"count must be >= 0, got {count}")
-    if isinstance(seed, np.random.Generator):
-        base = int(seed.integers(0, 2**63 - 1))
-    elif seed is None:
-        base = int(np.random.default_rng().integers(0, 2**63 - 1))
-    else:
-        base = int(seed)
-    return [make_rng(derive_seed(base, label, i)) for i in range(count)]
 
 
 def optional_seed(seed: RngLike) -> Optional[int]:

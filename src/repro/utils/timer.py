@@ -1,83 +1,16 @@
-"""Wall-clock timing helpers for the *algorithm running time* experiments.
+"""Wall-clock timing for the *algorithm running time* experiments.
 
 Experiments 2 and 4 of the paper measure how long HD-PSR-AP / HD-PSR-AS take
-to derive ``P_a``. :class:`Stopwatch` provides ``perf_counter``-based timing
-with accumulate/reset semantics; :func:`timed` is a context-manager shortcut.
+to derive ``P_a``; :func:`time_call` times one such selection with
+``time.perf_counter``.
 """
 
 from __future__ import annotations
 
 import time
-from contextlib import contextmanager
-from typing import Callable, Iterator, Tuple, TypeVar
+from typing import Callable, Tuple, TypeVar
 
 T = TypeVar("T")
-
-
-class Stopwatch:
-    """Accumulating wall-clock stopwatch based on ``time.perf_counter``.
-
-    >>> sw = Stopwatch()
-    >>> sw.start(); _ = sum(range(100)); sw.stop()  # doctest: +SKIP
-    >>> sw.elapsed  # doctest: +SKIP
-    """
-
-    def __init__(self) -> None:
-        self._elapsed = 0.0
-        self._started_at: "float | None" = None
-
-    @property
-    def running(self) -> bool:
-        """Whether the stopwatch is currently started."""
-        return self._started_at is not None
-
-    @property
-    def elapsed(self) -> float:
-        """Total accumulated seconds (including the live segment if running)."""
-        live = time.perf_counter() - self._started_at if self.running else 0.0
-        return self._elapsed + live
-
-    def start(self) -> "Stopwatch":
-        if self.running:
-            raise RuntimeError("Stopwatch already running")
-        self._started_at = time.perf_counter()
-        return self
-
-    def stop(self) -> float:
-        """Stop and return total elapsed seconds."""
-        if not self.running:
-            raise RuntimeError("Stopwatch is not running")
-        assert self._started_at is not None
-        self._elapsed += time.perf_counter() - self._started_at
-        self._started_at = None
-        return self._elapsed
-
-    def reset(self) -> None:
-        self._elapsed = 0.0
-        self._started_at = None
-
-    def __enter__(self) -> "Stopwatch":
-        return self.start()
-
-    def __exit__(self, *exc: object) -> None:
-        self.stop()
-
-
-@contextmanager
-def timed() -> Iterator[Stopwatch]:
-    """Context manager yielding a running :class:`Stopwatch`.
-
-    >>> with timed() as sw:
-    ...     _ = sorted(range(10))
-    >>> sw.elapsed >= 0
-    True
-    """
-    sw = Stopwatch().start()
-    try:
-        yield sw
-    finally:
-        if sw.running:
-            sw.stop()
 
 
 def time_call(func: Callable[..., T], *args: object, **kwargs: object) -> Tuple[T, float]:

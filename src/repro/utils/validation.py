@@ -7,18 +7,8 @@ messages (the quantity name is always included).
 from __future__ import annotations
 
 from numbers import Real
-from typing import Any, Tuple, Type, Union
 
 from repro.errors import ConfigurationError
-
-
-def check_type(name: str, value: Any, types: Union[Type, Tuple[Type, ...]]) -> Any:
-    """Ensure ``value`` is an instance of ``types`` (bool never counts as int)."""
-    if isinstance(value, bool) and (types is int or (isinstance(types, tuple) and int in types and bool not in types)):
-        raise ConfigurationError(f"{name} must be {types}, got bool {value!r}")
-    if not isinstance(value, types):
-        raise ConfigurationError(f"{name} must be {types}, got {type(value).__name__} {value!r}")
-    return value
 
 
 def check_positive(name: str, value: Real) -> Real:

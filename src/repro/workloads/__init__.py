@@ -1,4 +1,4 @@
-"""Workload generation: transfer-time matrices, scenarios, traces, arrivals."""
+"""Workload generation: transfer-time matrices, scenarios, arrivals."""
 
 from repro.workloads.generator import (
     disk_heterogeneous_transfer_times,

@@ -160,24 +160,3 @@ def disk_heterogeneous_transfer_times(
         },
     )
     return workload, disk_ids
-
-
-def uniform_transfer_times(
-    s: int,
-    k: int,
-    low: float = 1.0,
-    high: float = 3.0,
-    seed: RngLike = None,
-) -> TransferTimeWorkload:
-    """Homogeneous control workload: U(low, high), no designated slowers."""
-    check_positive("s", s)
-    check_positive("k", k)
-    if not 0 < low <= high:
-        raise ConfigurationError(f"require 0 < low <= high, got [{low}, {high}]")
-    rng = make_rng(seed)
-    L = rng.uniform(low, high, size=(s, k))
-    return TransferTimeWorkload(
-        L=L,
-        slow_mask=np.zeros((s, k), dtype=bool),
-        params={"kind": "uniform", "s": s, "k": k, "low": low, "high": high},
-    )

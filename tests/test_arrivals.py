@@ -36,6 +36,12 @@ BUILDERS = {
 }
 
 
+def rate_in(sched, start, end):
+    """Realised arrivals per second inside ``[start, end)``."""
+    n = np.count_nonzero((sched.times >= start) & (sched.times < end))
+    return n / (end - start)
+
+
 class TestDeterminism:
     @pytest.mark.parametrize("shape", SHAPES)
     def test_same_seed_byte_identical(self, shape):
@@ -102,8 +108,8 @@ class TestShapeInvariants:
         sched = diurnal_arrivals(
             RATE, DURATION, period=DURATION, amplitude=0.8, seed=3
         )
-        peak = sched.rate_in(0.0, DURATION / 2)
-        trough = sched.rate_in(DURATION / 2, DURATION)
+        peak = rate_in(sched, 0.0, DURATION / 2)
+        trough = rate_in(sched, DURATION / 2, DURATION)
         assert peak > RATE > trough
         assert peak > 2.0 * trough
 
@@ -123,17 +129,13 @@ class TestShapeInvariants:
             100.0, 9.0, spike_factor=6.0, spike_start=3.0,
             spike_duration=3.0, seed=2,
         )
-        base = sched.rate_in(0.0, 3.0)
-        spike = sched.rate_in(3.0, 6.0)
-        after = sched.rate_in(6.0, 9.0)
+        base = rate_in(sched, 0.0, 3.0)
+        spike = rate_in(sched, 3.0, 6.0)
+        after = rate_in(sched, 6.0, 9.0)
         assert spike / base > 4.0
         assert spike / after > 4.0
         assert sched.params["spike_start"] == 3.0
 
-    def test_rate_in_empty_window(self):
-        sched = constant_arrivals(50.0, 2.0, seed=0)
-        assert sched.rate_in(1.0, 1.0) == 0.0
-        assert sched.rate_in(2.0, 1.0) == 0.0
 
 
 class TestValidation:

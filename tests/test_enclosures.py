@@ -1,4 +1,4 @@
-"""Enclosure topology and correlated (backplane) failure injection."""
+"""Enclosure topology and repair after a correlated (backplane) failure."""
 
 import pytest
 
@@ -18,12 +18,6 @@ def server():
 
 
 class TestTopology:
-    def test_enclosure_of(self, server):
-        assert server.enclosure_of(0) == 0
-        assert server.enclosure_of(3) == 0
-        assert server.enclosure_of(4) == 1
-        assert server.enclosure_of(11) == 2
-
     def test_enclosure_disks(self, server):
         assert server.enclosure_disks(1) == [4, 5, 6, 7]
         # spares land in the last (partial) enclosure
@@ -35,7 +29,7 @@ class TestTopology:
 
     def test_unconfigured_rejected(self, small_server):
         with pytest.raises(ConfigurationError):
-            small_server.enclosure_of(0)
+            small_server.enclosure_disks(0)
 
     def test_bad_size_config(self):
         with pytest.raises(ConfigurationError):
@@ -43,22 +37,6 @@ class TestTopology:
 
 
 class TestFailEnclosure:
-    def test_total_loss(self, server):
-        failed = server.fail_enclosure(0)
-        assert failed == [0, 1, 2, 3]
-        assert server.failed_disks() == [0, 1, 2, 3]
-
-    def test_partial_survival_seeded(self, server):
-        failed = server.fail_enclosure(1, survival_prob=0.5)
-        assert set(failed) <= {4, 5, 6, 7}
-        assert server.failed_disks() == failed
-
-    def test_already_failed_skipped(self, server):
-        server.fail_disk(0)
-        failed = server.fail_enclosure(0)
-        assert 0 not in failed
-        assert set(failed) == {1, 2, 3}
-
     def test_cooperative_repair_after_backplane_event(self):
         """A backplane event within the code's tolerance is repairable."""
         from repro.core import FullStripeRepair, cooperative_multi_disk_repair
@@ -69,7 +47,9 @@ class TestFailEnclosure:
         )
         srv = HighDensityStorageServer(cfg)
         srv.provision_stripes(40)
-        failed = srv.fail_enclosure(2)  # 3 disks <= m = 3
+        failed = srv.enclosure_disks(2)  # 3 disks <= m = 3
+        for disk_id in failed:
+            srv.fail_disk(disk_id)
         out = cooperative_multi_disk_repair(srv, FullStripeRepair, failed)
         assert out.chunks_rebuilt > 0
         assert out.time_to_safety is not None

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.gf import gf_mul, gf_mul_add_scalar, gf_mul_scalar
-from repro.gf.arithmetic import gf_add, gf_div, gf_inv, gf_pow, gf_sub
+from repro.gf import gf_mul_add_scalar, gf_mul_scalar
+from repro.gf.arithmetic import gf_add, gf_div, gf_inv, gf_mul, gf_pow, gf_sub
 from repro.gf.tables import exp_table, log_table
 from repro.ec.encoder import RSCode
 from repro.ec.partial import PartialDecoder

@@ -6,14 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import CodingError
-from repro.gf import gf_mat_inv, gf_mat_mul, gf_mul, gf_rs_encoding_matrix
-from repro.gf.matrix import (
-    gf_cauchy,
-    gf_identity,
-    gf_mat_rank,
-    gf_mat_vec,
-    gf_vandermonde,
-)
+from repro.gf import gf_mat_inv, gf_mat_mul, gf_rs_encoding_matrix
+from repro.gf.arithmetic import gf_mul
+from repro.gf.matrix import gf_cauchy, gf_identity, gf_vandermonde
 
 
 def random_matrix(rng, rows, cols):
@@ -45,15 +40,6 @@ class TestMatMul:
         out = gf_mat_mul(a, b)
         assert out[0, 0] == int(gf_mul(1, 5)) ^ int(gf_mul(2, 7))
         assert out[1, 1] == int(gf_mul(3, 6)) ^ 0
-
-    def test_mat_vec(self, rng):
-        m = random_matrix(rng, 3, 4)
-        v = rng.integers(0, 256, size=4, dtype=np.uint8)
-        assert np.array_equal(gf_mat_vec(m, v), gf_mat_mul(m, v[:, None])[:, 0])
-
-    def test_mat_vec_rejects_2d(self, rng):
-        with pytest.raises(ValueError):
-            gf_mat_vec(random_matrix(rng, 3, 3), random_matrix(rng, 3, 1))
 
 
 class TestInverse:
@@ -92,22 +78,6 @@ class TestInverse:
         except CodingError:
             pass
         assert np.array_equal(m, copy)
-
-
-class TestRank:
-    def test_identity_full_rank(self):
-        assert gf_mat_rank(gf_identity(7)) == 7
-
-    def test_zero_rank(self):
-        assert gf_mat_rank(np.zeros((3, 4), dtype=np.uint8)) == 0
-
-    def test_duplicate_rows(self):
-        m = np.array([[1, 2, 3], [1, 2, 3], [4, 5, 6]], dtype=np.uint8)
-        assert gf_mat_rank(m) == 2
-
-    def test_rank_bounded(self, rng):
-        m = random_matrix(rng, 3, 7)
-        assert 0 <= gf_mat_rank(m) <= 3
 
 
 class TestStructuredMatrices:

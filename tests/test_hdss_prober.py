@@ -27,13 +27,6 @@ class TestActiveProber:
         truth = server.disk(0).current_bandwidth
         assert abs(bw - truth) / truth < 0.1
 
-    def test_probe_all_skips_failed(self, server):
-        server.fail_disk(0)
-        prober = ActiveProber(server)
-        measured = prober.probe_all()
-        assert 0 not in measured
-        assert len(measured) == len(server.disks) - 1
-
     def test_estimated_chunk_time(self, server):
         prober = ActiveProber(server, noise=0.0)
         t = prober.estimated_chunk_time(1)
@@ -42,7 +35,8 @@ class TestActiveProber:
 
     def test_probe_traffic_accounted(self, server):
         prober = ActiveProber(server, probe_size=2048)
-        prober.probe_all([0, 1, 2])
+        for disk_id in (0, 1, 2):
+            prober.probe_disk(disk_id)
         assert prober.probe_bytes_issued == 3 * 2048
 
     def test_noisy_estimates_differ_from_truth(self, server):

@@ -6,8 +6,6 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.hdss.profiles import (
     BimodalSlowProfile,
-    LognormalProfile,
-    NormalProfile,
     UniformProfile,
     build_disks,
 )
@@ -24,31 +22,6 @@ class TestUniform:
 
     def test_describe(self):
         assert "uniform" in UniformProfile(1e6).describe()
-
-
-class TestNormal:
-    def test_mean_roughly(self):
-        vals = NormalProfile(100.0, 10.0).sample(10_000, rng=0)
-        assert abs(vals.mean() - 100.0) < 1.0
-
-    def test_floor_applied(self):
-        vals = NormalProfile(10.0, 100.0, floor_fraction=0.05).sample(10_000, rng=0)
-        assert vals.min() >= 0.5 - 1e-12
-
-    def test_deterministic(self):
-        a = NormalProfile(100.0, 10.0).sample(100, rng=7)
-        b = NormalProfile(100.0, 10.0).sample(100, rng=7)
-        assert np.array_equal(a, b)
-
-
-class TestLognormal:
-    def test_positive(self):
-        vals = LognormalProfile(100.0, 0.5).sample(1000, rng=0)
-        assert np.all(vals > 0)
-
-    def test_median_roughly(self):
-        vals = LognormalProfile(100.0, 0.3).sample(20_000, rng=0)
-        assert abs(np.median(vals) - 100.0) / 100.0 < 0.05
 
 
 class TestBimodal:
@@ -88,6 +61,6 @@ class TestBuildDisks:
         assert bws[0] == 25.0 and bws[-1] == 100.0
 
     def test_reproducible(self):
-        a = build_disks(6, LognormalProfile(1e6), capacity=0, seed=11)
-        b = build_disks(6, LognormalProfile(1e6), capacity=0, seed=11)
+        a = build_disks(6, BimodalSlowProfile(1e6, ros=0.5), capacity=0, seed=11)
+        b = build_disks(6, BimodalSlowProfile(1e6, ros=0.5), capacity=0, seed=11)
         assert [d.nominal_bandwidth for d in a] == [d.nominal_bandwidth for d in b]

@@ -1,18 +1,15 @@
-"""Unit tests for tables, timers, and validation helpers."""
-
-import time
+"""Unit tests for tables, the call timer, and validation helpers."""
 
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.utils.tables import AsciiTable, render_table
-from repro.utils.timer import Stopwatch, time_call, timed
+from repro.utils.timer import time_call
 from repro.utils.validation import (
     check_in_range,
     check_non_negative,
     check_positive,
     check_probability,
-    check_type,
 )
 
 
@@ -58,45 +55,7 @@ class TestAsciiTable:
         assert len(widths) == 1  # all rows equally wide
 
 
-class TestStopwatch:
-    def test_elapsed_accumulates(self):
-        sw = Stopwatch()
-        sw.start()
-        time.sleep(0.01)
-        first = sw.stop()
-        sw.start()
-        time.sleep(0.01)
-        second = sw.stop()
-        assert second > first > 0
-
-    def test_double_start_rejected(self):
-        sw = Stopwatch().start()
-        with pytest.raises(RuntimeError):
-            sw.start()
-        sw.stop()
-
-    def test_stop_without_start_rejected(self):
-        with pytest.raises(RuntimeError):
-            Stopwatch().stop()
-
-    def test_reset(self):
-        sw = Stopwatch().start()
-        sw.stop()
-        sw.reset()
-        assert sw.elapsed == 0.0
-        assert not sw.running
-
-    def test_context_manager(self):
-        with Stopwatch() as sw:
-            time.sleep(0.005)
-        assert sw.elapsed >= 0.004
-
-    def test_timed_helper(self):
-        with timed() as sw:
-            pass
-        assert not sw.running
-        assert sw.elapsed >= 0
-
+class TestTimeCall:
     def test_time_call(self):
         result, elapsed = time_call(sum, [1, 2, 3])
         assert result == 6
@@ -130,10 +89,3 @@ class TestValidation:
         assert check_probability("p", 0.5) == 0.5
         with pytest.raises(ConfigurationError):
             check_probability("p", 1.5)
-
-    def test_check_type(self):
-        assert check_type("x", 3, int) == 3
-        with pytest.raises(ConfigurationError):
-            check_type("x", "3", int)
-        with pytest.raises(ConfigurationError):
-            check_type("x", True, int)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.utils.rng import derive_seed, make_rng, optional_seed, spawn_rngs
+from repro.utils.rng import derive_seed, make_rng, optional_seed
 
 
 class TestMakeRng:
@@ -46,26 +46,7 @@ class TestDeriveSeed:
         assert derive_seed(0, "ab", "c") != derive_seed(0, "a", "bc")
 
 
-class TestSpawnRngs:
-    def test_count(self):
-        assert len(spawn_rngs(0, 5)) == 5
 
-    def test_independent_streams(self):
-        streams = spawn_rngs(0, 3)
-        draws = [g.integers(0, 2**32) for g in streams]
-        assert len(set(draws)) == 3
-
-    def test_reproducible(self):
-        a = [g.integers(0, 2**32) for g in spawn_rngs(9, 4)]
-        b = [g.integers(0, 2**32) for g in spawn_rngs(9, 4)]
-        assert a == b
-
-    def test_zero_count(self):
-        assert spawn_rngs(0, 0) == []
-
-    def test_negative_count_rejected(self):
-        with pytest.raises(ValueError):
-            spawn_rngs(0, -1)
 
 
 class TestOptionalSeed:

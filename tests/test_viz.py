@@ -5,11 +5,7 @@ import pytest
 from repro.core import ActivePreliminaryRepair, FullStripeRepair, execute_plan
 from repro.errors import ConfigurationError
 from repro.sim.metrics import build_report
-from repro.sim.viz import (
-    memory_occupancy_series,
-    render_disk_load,
-    render_memory_timeline,
-)
+from repro.sim.viz import memory_occupancy_series, render_memory_timeline
 from repro.workloads import disk_heterogeneous_transfer_times
 
 
@@ -56,15 +52,6 @@ class TestRenderers:
     def test_empty_timeline(self):
         rep = build_report([], {}, {})
         assert "empty" in render_memory_timeline(rep)
-
-    def test_disk_load_table(self, report):
-        out = render_disk_load(report, top=5)
-        assert "Disk load" in out
-        assert "%" in out
-
-    def test_disk_load_without_disks(self):
-        rep = build_report([], {}, {})
-        assert "no disk information" in render_disk_load(rep)
 
     def test_psr_flattens_occupancy(self):
         """Visual claim made checkable: PSR's occupancy has less idle-wait

@@ -11,7 +11,6 @@ from repro.workloads import (
     build_exp_server,
     normal_transfer_times,
 )
-from repro.workloads.generator import uniform_transfer_times
 from repro.workloads.scenarios import EXP1_GRID, stripes_for
 
 
@@ -55,16 +54,6 @@ class TestNormalWorkload:
     def test_bad_params(self, bad):
         with pytest.raises(ConfigurationError):
             normal_transfer_times(10, 5, **bad)
-
-
-class TestUniformWorkload:
-    def test_range(self):
-        w = uniform_transfer_times(50, 6, low=1.0, high=3.0, seed=0)
-        assert w.L.min() >= 1.0 and w.L.max() <= 3.0
-
-    def test_bad_range(self):
-        with pytest.raises(ConfigurationError):
-            uniform_transfer_times(5, 5, low=3.0, high=1.0)
 
 
 class TestScenarios:

@@ -34,14 +34,32 @@ because all schemes process the same stripe population.
 | Exp 3: repair time grows with chunk size, HD-PSR keeps winning | reproduced (~36-44% best reduction across 8-256 MiB) | shape reproduced |
 | Exp 4: selection time falls with chunk size; AS << AP | reproduced | shape reproduced |
 | Exp 5: cooperative repair up to 52.5% faster at 3 failures | ~0% (1 disk) -> ~19% (2) -> ~32% (3), monotone | shape reproduced; magnitude tracks stripe-set overlap, which grows with disk fill |
-| Headline on a real clock (repo extension): HD-PSR repairs faster than FSR | through the repair daemon over paced disks, 226 stripes, median of 5: PA -32.6%, AS -26.8%, AP +9.6% | AS and PA reproduced; AP loses. Each AP round pairs one slow-disk chunk with a fast one, and the daemon holds a round's disk gates and memory slots until its slowest read ends, so AP's rounds queue at the four slow disks' gates: a traced run blames `DiskGate` waits, 14.6 s summed against FSR's 3.8 s (ROADMAP item 2 (d)) |
+| Headline on a real clock (repo extension): HD-PSR repairs faster than FSR | through the repair daemon over paced disks, 226 stripes, median of 5: PA -32.6%, AS -26.8%, AP +9.6% | AS and PA reproduced; AP loses. AP admits stripes in ascending order of their reduced time `L_s`, so the stripes that touch the four slow disks all come last and queue on those disks' one-read-at-a-time gates; FSR, AS and PA admit in stripe order. Admitted in stripe order, AP's plans beat FSR in 3 of 3 real-clock runs (medians 5.12 s vs 6.51 s; ROADMAP.md finding 1) |
 
 Beyond the paper, the repo adds measured extensions: durability (MTTDL)
 consequences, a wall-clock rerun of the headline comparison through the
-repair daemon over paced disks,
-an LRC related-work composition study, degraded-read latency under repair,
-and a probe-staleness ablation of the active-vs-passive design choice —
-all recorded below.
+repair daemon over paced disks, and a probe-staleness ablation of the
+active-vs-passive design choice — all recorded below.
+
+Three modeled extensions were retired with their modules (`ec/lrc.py`,
+`sim/foreground.py`, `core/sliced.py`) and benchmarks. Their last
+verdicts, in modeled seconds:
+
+- *LRC vs RS (related work, paper section 6).* Under HD-PSR-AP, RS(9,6)
+  repaired 41.4% faster than under FSR (1618 -> 949), while LRC(6,2,2)'s
+  3-chunk local repairs gained nothing (613 -> 613, 0.07% slower). A local
+  repair leaves no memory contention for HD-PSR to remove, so code-level
+  and schedule-level acceleration overlap rather than stack.
+- *Degraded reads during repair.* With foreground reads granted memory
+  slots first, FSR's repair took 1205 s and HD-PSR-AP's 894, and the
+  degraded-read p99 was 42.6 vs 40.4: HD-PSR finished sooner without a
+  worse read tail. Degraded reads are now measured on the daemon
+  (`benchmarks/e2e/`).
+- *Slice pipelining (Repair Pipelining, Li et al.).* With disks serving
+  one request at a time, 16 slices per chunk beat chunk-granular HD-PSR-AP
+  at zero per-request overhead (322 vs 458). At 15% overhead per request
+  the best slicing (2 slices, 457) only ties it, and 16 slices take 679:
+  a realistic per-request cost collapses the optimum back to chunk rounds.
 """
 
 
