@@ -31,6 +31,7 @@ import time
 from typing import Dict, Optional
 
 from repro.hdss.store import InMemoryChunkStore
+from repro.obs.metrics import percentiles
 from repro.service import chaos_rig as rig
 from repro.service.chaos_overload import GATE_WIDTH, OVERLOAD, SERVICE_TIME_S
 from repro.service.client import pace_open_loop, tally_open_loop
@@ -87,16 +88,16 @@ def run_episode(offered_frac: float, control: bool) -> Dict[str, object]:
         await service.close()
         latencies, errors = tally_open_loop(outcomes)
 
-        q = latencies.quantiles() if latencies.count else {}
+        q = percentiles(latencies)
         return {
             "offered_frac": offered_frac,
             "offered_per_s": round(rate, 1),
             "control": control,
             "offered": schedule.count,
-            "completed": latencies.count,
+            "completed": len(latencies),
             "sheds": errors.get(ERR_OVERLOAD, 0),
             "deadline_expired": errors.get(ERR_DEADLINE, 0),
-            "goodput_per_s": round(latencies.count / elapsed, 1),
+            "goodput_per_s": round(len(latencies) / elapsed, 1),
             "p50_ms": round(q.get(0.5, 0.0) * 1e3, 1),
             "p99_ms": round(q.get(0.99, 0.0) * 1e3, 1),
             "drain_s": round(elapsed - EPISODE_SECONDS, 3),

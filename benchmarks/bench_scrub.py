@@ -43,6 +43,7 @@ from repro.ec.stripe import ChunkId
 from repro.faults import apply_corruption
 from repro.faults.spec import FaultEvent
 from repro.hdss.store import InMemoryChunkStore, ShardedChunkStore
+from repro.obs.metrics import percentiles
 from repro.service import chaos_rig as rig
 from repro.service.client import pace_open_loop, tally_open_loop
 from repro.service.netserver import ServiceDaemon
@@ -197,11 +198,11 @@ def run_foreground_episode(tmp_path, scrub_on: bool) -> Dict[str, object]:
             await scrub.stop()
         await service.close()
 
-        q = latencies.quantiles() if latencies.count else {}
+        q = percentiles(latencies)
         return {
             "scrub": scrub_on,
             "offered": schedule.count,
-            "completed": latencies.count,
+            "completed": len(latencies),
             "errors": errors,
             "p50_ms": round(q.get(0.5, 0.0) * 1e3, 1),
             "p99_ms": round(q.get(0.99, 0.0) * 1e3, 1),

@@ -48,8 +48,6 @@ class ExecutionOptions:
 
     #: ``"slot"`` (exact, default) or ``"interval"`` (paper's model).
     model: str = "slot"
-    #: Slot grant policy for the slot model.
-    slot_policy: str = "first-fit"
     #: Optional decode cost added to every repair round.
     compute_time_per_round: float = 0.0
     #: Override the concurrent-stripe cap (default: the plan's P_r).
@@ -116,7 +114,6 @@ def execute_plan(
         report = simulate_slot_schedule(
             jobs,
             capacity=c,
-            policy=options.slot_policy,
             max_concurrent=cap,
             compute_time_per_round=options.compute_time_per_round,
             tail_time_per_job=options.writeback_seconds,

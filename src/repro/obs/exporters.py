@@ -221,12 +221,6 @@ def prometheus_text(registry: MetricsRegistry) -> str:
                     lines.append(f"{name}_bucket{_fmt_labels(le)} {count}")
                 lines.append(f"{name}_sum{_fmt_labels(labels)} {_fmt_value(series['sum'])}")
                 lines.append(f"{name}_count{_fmt_labels(labels)} {series['count']}")
-            elif data["type"] == "summary":
-                for q, value in series["quantiles"].items():
-                    ql = dict(labels, quantile=q)
-                    lines.append(f"{name}{_fmt_labels(ql)} {_fmt_value(value)}")
-                lines.append(f"{name}_sum{_fmt_labels(labels)} {_fmt_value(series['sum'])}")
-                lines.append(f"{name}_count{_fmt_labels(labels)} {series['count']}")
             else:
                 lines.append(f"{name}{_fmt_labels(labels)} {_fmt_value(series['value'])}")
     return "\n".join(lines) + "\n" if lines else ""

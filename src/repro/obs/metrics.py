@@ -11,13 +11,16 @@ Histograms use **fixed bucket boundaries** chosen at creation: observing a
 value increments the first bucket whose upper edge is >= the value (edges
 are inclusive, matching Prometheus ``le`` semantics), plus a running sum
 and count. :data:`DEFAULT_TIME_BUCKETS` suits repair-scale durations
-(milliseconds to tens of minutes).
+(milliseconds to tens of minutes); :data:`LATENCY_BUCKETS` is the one grid
+every wall-clock latency the daemon records uses. :meth:`Histogram.quantile`
+reads a quantile back the way Prometheus' ``histogram_quantile`` does, and
+:func:`percentiles` gives the exact ones of samples a bounded run holds.
 
 Everything is thread-safe; increments take one lock, which is negligible
 next to the NumPy work they meter. Metrics created through a
 :class:`MetricsRegistry` (and every labelled child they fan out into)
 share the registry's single re-entrant lock, so label-child creation,
-P² summary updates, and :meth:`MetricsRegistry.snapshot` are safe when
+updates, and :meth:`MetricsRegistry.snapshot` are safe when
 hammered from concurrent asyncio tasks and ``to_thread`` workers alike —
 no torn reads between a child being inserted and its first increment.
 """
@@ -29,12 +32,18 @@ import threading
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
-from repro.obs.quantiles import DEFAULT_QUANTILES, QuantileSketch
 
 #: Edges (seconds) covering chunk transfers through whole-disk repairs.
 DEFAULT_TIME_BUCKETS: Tuple[float, ...] = (
     0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1.0, 5.0, 10.0, 30.0,
     60.0, 300.0, 1200.0,
+)
+
+#: Edges (seconds) for wall-clock latencies: 11 a decade from 10 µs to 100 s,
+#: 3 significant digits, so neighbours differ by a factor of at most 1.24
+#: and :meth:`Histogram.quantile` lands within that factor of the truth.
+LATENCY_BUCKETS: Tuple[float, ...] = tuple(
+    float(f"{10 ** (e / 11):.3g}") for e in range(-55, 23)
 )
 
 LabelKey = Tuple[Tuple[str, str], ...]
@@ -212,51 +221,55 @@ class Histogram(Metric):
             out.append(running)
         return out
 
-
-class Summary(Metric):
-    """Streaming quantiles over an unbounded observation stream.
-
-    Backed by a :class:`~repro.obs.quantiles.QuantileSketch` (P² markers,
-    no sample retention), so it is safe to feed every foreground sojourn
-    time of a long run through it. Exposition follows the Prometheus
-    summary type: ``name{quantile="0.5"}`` samples plus ``_sum``/``_count``.
-    """
-
-    kind = "summary"
-
-    def __init__(self, name: str, help: str = "",
-                 quantiles: Sequence[float] = DEFAULT_QUANTILES,
-                 lock: Optional["threading.RLock"] = None) -> None:
-        super().__init__(name, help, lock=lock)
-        self._sketch = QuantileSketch(quantiles)
-
-    def _new_child(self) -> "Summary":
-        return Summary(self.name, self.help, self._sketch.targets,
-                       lock=self._lock)
-
-    def _touched(self) -> bool:
-        return self._sketch.count > 0
-
-    def observe(self, value: float) -> None:
-        with self._lock:
-            self._sketch.observe(value)
-
-    @property
-    def sum(self) -> float:
-        return self._sketch.sum
-
-    @property
-    def count(self) -> int:
-        return self._sketch.count
-
     def quantile(self, q: float) -> float:
-        with self._lock:
-            return self._sketch.quantile(q)
+        """The ``q`` quantile estimated from the buckets (see
+        :func:`bucket_quantile`); 0.0 before the first observation."""
+        return bucket_quantile(q, self.buckets, self.cumulative_counts())
 
-    def quantiles(self) -> Dict[float, float]:
-        """Tracked quantiles, ascending and monotone (see QuantileSketch)."""
-        with self._lock:
-            return self._sketch.quantiles()
+
+def bucket_quantile(q: float, edges: Sequence[float],
+                    cumulative: Sequence[float]) -> float:
+    """Prometheus' ``histogram_quantile`` over one histogram's buckets.
+
+    ``edges`` are the finite upper edges; ``cumulative`` the cumulative
+    count at each of them, then the ``+Inf`` total. The answer lies in the
+    bucket holding rank ``q * total``, interpolated linearly within it (the
+    first bucket starts at 0); a rank in the ``+Inf`` bucket answers the
+    last finite edge, and an empty histogram 0.0. Monotone in ``q``.
+    """
+    if not 0.0 <= q <= 1.0:
+        raise ConfigurationError(f"quantile must be in [0, 1], got {q}")
+    total = cumulative[-1]
+    if total <= 0:
+        return 0.0
+    rank = q * total
+    # the first bucket that reaches the rank (for q = 0: that holds anything)
+    if rank > 0:
+        idx = bisect.bisect_left(cumulative, rank)
+    else:
+        idx = bisect.bisect_right(cumulative, 0)
+    if idx >= len(edges):
+        return float(edges[-1])
+    lower = edges[idx - 1] if idx else 0.0
+    below = cumulative[idx - 1] if idx else 0
+    return lower + (edges[idx] - lower) * (rank - below) / (cumulative[idx] - below)
+
+
+def percentiles(samples: Sequence[float],
+                qs: Sequence[float] = (0.5, 0.9, 0.99)) -> Dict[float, float]:
+    """Exact ``qs`` quantiles of ``samples``, interpolated linearly between
+    order statistics (``numpy.percentile``'s default); ``{}`` when empty."""
+    ordered = sorted(samples)
+    if not ordered:
+        return {}
+    last = len(ordered) - 1
+    out: Dict[float, float] = {}
+    for q in qs:
+        rank = q * last
+        lo = int(rank)
+        hi = min(lo + 1, last)
+        out[q] = ordered[lo] + (ordered[hi] - ordered[lo]) * (rank - lo)
+    return out
 
 
 class MetricsRegistry:
@@ -295,10 +308,6 @@ class MetricsRegistry:
                   buckets: Sequence[float] = DEFAULT_TIME_BUCKETS) -> Histogram:
         return self._get_or_create(Histogram, name, help, buckets=buckets)
 
-    def summary(self, name: str, help: str = "",
-                quantiles: Sequence[float] = DEFAULT_QUANTILES) -> Summary:
-        return self._get_or_create(Summary, name, help, quantiles=quantiles)
-
     def get(self, name: str) -> Optional[Metric]:
         return self._metrics.get(name)
 
@@ -311,9 +320,7 @@ class MetricsRegistry:
 
         Returns ``{name: {"type", "help", "series": [{"labels", ...}]}}``;
         counter/gauge series carry ``"value"``, histogram series carry
-        ``"buckets"`` (edge -> cumulative count), ``"sum"`` and ``"count"``,
-        summary series carry ``"quantiles"`` (q -> estimate), ``"sum"``
-        and ``"count"``.
+        ``"buckets"`` (edge -> cumulative count), ``"sum"`` and ``"count"``.
         """
         out: Dict[str, Dict] = {}
         for metric in self.metrics():
@@ -321,19 +328,14 @@ class MetricsRegistry:
             for labels, child in metric._series():
                 entry: Dict = {"labels": dict(labels)}
                 if isinstance(child, Histogram):
-                    cum = child.cumulative_counts()
+                    with child._lock:  # buckets, sum and count of one instant
+                        cum = child.cumulative_counts()
+                        entry["sum"] = child.sum
+                        entry["count"] = child.count
                     entry["buckets"] = {
                         **{str(edge): c for edge, c in zip(child.buckets, cum)},
                         "+Inf": cum[-1],
                     }
-                    entry["sum"] = child.sum
-                    entry["count"] = child.count
-                elif isinstance(child, Summary):
-                    entry["quantiles"] = {
-                        f"{q:g}": v for q, v in child.quantiles().items()
-                    }
-                    entry["sum"] = child.sum
-                    entry["count"] = child.count
                 else:
                     entry["value"] = child.value
                 series.append(entry)

@@ -10,8 +10,9 @@ callback on the loop is experiencing.
 
 Exported series (all in the ambient registry):
 
-* ``hdpsr_runtime_loop_lag_seconds`` — P² summary (p50/p99/p999) of
-  per-tick wakeup lag;
+* ``hdpsr_runtime_loop_lag_seconds`` — histogram of per-tick wakeup lag
+  on :data:`~repro.obs.metrics.LATENCY_BUCKETS` (``snapshot`` reads its
+  p50/p99/p999);
 * ``hdpsr_runtime_loop_lag_last_seconds`` — gauge, most recent tick;
 * ``hdpsr_runtime_tasks`` — gauge, tasks alive on the loop at the tick;
 * ``hdpsr_runtime_ticks_total`` — counter, monitor heartbeats (a flat
@@ -32,14 +33,14 @@ from typing import Dict, Optional
 
 from repro.errors import ConfigurationError
 from repro.obs.context import current_registry
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import LATENCY_BUCKETS, MetricsRegistry
 
 LOOP_LAG = "hdpsr_runtime_loop_lag_seconds"
 LOOP_LAG_LAST = "hdpsr_runtime_loop_lag_last_seconds"
 TASKS = "hdpsr_runtime_tasks"
 TICKS = "hdpsr_runtime_ticks_total"
 
-#: Quantiles tracked for loop lag (tail-heavy on purpose).
+#: Quantiles ``snapshot`` reports for loop lag (tail-heavy on purpose).
 LAG_QUANTILES = (0.5, 0.99, 0.999)
 
 
@@ -96,9 +97,9 @@ class EventLoopMonitor:
 
     async def _run(self) -> None:
         registry = self._registry
-        lag_summary = registry.summary(
+        lag_histogram = registry.histogram(
             LOOP_LAG, "event-loop wakeup lag per monitor tick",
-            quantiles=LAG_QUANTILES,
+            buckets=LATENCY_BUCKETS,
         )
         lag_gauge = registry.gauge(LOOP_LAG_LAST, "most recent loop lag")
         tasks_gauge = registry.gauge(TASKS, "asyncio tasks alive on the loop")
@@ -110,7 +111,7 @@ class EventLoopMonitor:
             lag = max(0.0, loop.time() - before - self.interval)
             self.last_lag = lag
             self.ticks += 1
-            lag_summary.observe(lag)
+            lag_histogram.observe(lag)
             lag_gauge.set(lag)
             tasks_gauge.set(len(asyncio.all_tasks(loop)))
             ticks.inc()
@@ -123,9 +124,9 @@ class EventLoopMonitor:
             "interval_seconds": self.interval,
         }
         if self._registry is not None:
-            summary = self._registry.get(LOOP_LAG)
-            if summary is not None:
-                for q, v in summary.quantiles().items():
+            histogram = self._registry.get(LOOP_LAG)
+            if histogram is not None:
+                for q in LAG_QUANTILES:
                     pname = "p" + format(q * 100, "g").replace(".", "")
-                    out[f"loop_lag_{pname}_seconds"] = v
+                    out[f"loop_lag_{pname}_seconds"] = histogram.quantile(q)
         return out

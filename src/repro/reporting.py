@@ -214,34 +214,39 @@ def _rows_to_markdown(rows: List[Dict[str, Any]]) -> str:
 
 
 def _quantile_table(prom_path: Path) -> Optional[str]:
-    """Render the streaming-quantile samples of a ``.prom`` dump.
+    """Render the latency percentiles of a ``.prom`` dump.
 
-    Summary metrics (e.g. the daemon's read-latency sketch) expose
-    ``metric{quantile="0.5"}`` samples; pivot them into one row per
-    metric/label-set with p50/p95/p99 columns. Returns None when the dump
-    has no quantile samples.
+    Every histogram on :data:`~repro.obs.metrics.LATENCY_BUCKETS` (e.g. the
+    daemon's read latency) becomes one row per label set, with p50/p90/p99
+    in milliseconds estimated from its ``_bucket`` samples. Histograms on coarser edges are
+    left out: their estimates could be off by the width of a whole bucket.
+    Returns None when the dump has no such histogram.
     """
     from repro.obs import parse_prometheus_text
+    from repro.obs.metrics import LATENCY_BUCKETS, bucket_quantile
 
-    pivoted: Dict[tuple, Dict[str, float]] = {}
+    buckets: Dict[tuple, Dict[float, float]] = {}
     for (name, labels), value in parse_prometheus_text(prom_path.read_text()).items():
         label_map = dict(labels)
-        q = label_map.pop("quantile", None)
-        if q is None:
+        le = label_map.pop("le", None)
+        if le is None or not name.endswith("_bucket"):
             continue
-        rest = tuple(sorted(label_map.items()))
-        pivoted.setdefault((name, rest), {})[q] = value
-    if not pivoted:
-        return None
-    quantile_keys = sorted(
-        {q for values in pivoted.values() for q in values}, key=float
-    )
-    headers = ["metric"] + [f"p{float(q) * 100:g}" for q in quantile_keys]
+        key = (name[:-len("_bucket")], tuple(sorted(label_map.items())))
+        buckets.setdefault(key, {})[float(le)] = value
+    qs = (0.5, 0.9, 0.99)
     body = []
-    for (name, rest), values in sorted(pivoted.items()):
+    for (name, rest), counts in sorted(buckets.items()):
+        ordered = sorted(counts)
+        edges = ordered[:-1]  # the last one is +Inf
+        if tuple(edges) != LATENCY_BUCKETS:
+            continue
+        cumulative = [counts[edge] for edge in ordered]
         label_str = "".join(f" {k}={v}" for k, v in rest)
         body.append([f"{name}{label_str}"]
-                    + [values.get(q, "") for q in quantile_keys])
+                    + [bucket_quantile(q, edges, cumulative) * 1e3 for q in qs])
+    if not body:
+        return None
+    headers = ["metric"] + [f"p{q * 100:g} (ms)" for q in qs]
     return render_table(headers, body, markdown=True, float_fmt=".3f")
 
 
@@ -286,8 +291,8 @@ def render_report(results_dir: Path, preamble: Optional[str] = None) -> str:
         if prom_path.exists():
             quantiles = _quantile_table(prom_path)
             if quantiles:
-                lines.append("**Latency percentiles** (streaming P² sketch, "
-                             f"from `{prom_path.name}`):")
+                lines.append("**Latency percentiles** (estimated from the "
+                             f"histogram buckets of `{prom_path.name}`):")
                 lines.append("")
                 lines.append(quantiles)
                 lines.append("")

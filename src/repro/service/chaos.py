@@ -55,7 +55,7 @@ from repro.faults.report import EXIT_CRASHED
 from repro.faults.spec import FaultEvent, FaultSchedule
 from repro.hdss.server import HighDensityStorageServer, attach_server
 from repro.hdss.store import ShardedChunkStore
-from repro.obs.quantiles import QuantileSketch
+from repro.obs.metrics import percentiles
 from repro.service import chaos_rig as rig
 from repro.service.client import BackoffPolicy, ClusterClient, ServiceClient
 from repro.service.cluster import ClusterConfig, ClusterNode
@@ -139,7 +139,7 @@ class ChaosScenario(rig.Episode):
 
     async def _foreground(
         self, client: ClusterClient, server: HighDensityStorageServer,
-        stop: asyncio.Event, sketch: QuantileSketch,
+        stop: asyncio.Event, latencies: List[float],
     ) -> Dict[str, int]:
         """Hammer hedged reads until told to stop; records wall latency."""
         rng = random.Random(self.config.seed)
@@ -151,7 +151,7 @@ class ChaosScenario(rig.Episode):
             t0 = time.monotonic()
             try:
                 await client.read_chunk(stripe, shard)
-                sketch.observe(time.monotonic() - t0)
+                latencies.append(time.monotonic() - t0)
                 reads += 1
             except Exception:  # noqa: BLE001 - tallied, asserted via p99/count
                 errors += 1
@@ -198,7 +198,7 @@ class ChaosScenario(rig.Episode):
             breaker_reset_after=0.2,
             hedge_after=HEDGE_AFTER,
         )
-        sketch = QuantileSketch((0.5, 0.9, 0.99))
+        latencies: List[float] = []
         stop_reads = asyncio.Event()
         report: dict = {
             "seed": c.seed,
@@ -221,7 +221,7 @@ class ChaosScenario(rig.Episode):
                 shard=daemon_a.cluster.shard_of_disk(c.failed_disk),
             )
             fg_task = asyncio.create_task(
-                self._foreground(client, server_a, stop_reads, sketch)
+                self._foreground(client, server_a, stop_reads, latencies)
             )
 
             # The scripted crash fires as one of a's repair reads is priced.
@@ -299,9 +299,9 @@ class ChaosScenario(rig.Episode):
                 task_b.cancel()
                 self.fail("daemon b did not shut down cleanly")
 
-        q = sketch.quantiles() if sketch.count else {}
+        q = percentiles(latencies)
         report["foreground_latency"] = {
-            "count": sketch.count,
+            "count": len(latencies),
             **{f"p{format(k * 100, 'g').replace('.', '')}": round(v, 6)
                for k, v in q.items()},
         }

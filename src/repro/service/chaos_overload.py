@@ -46,6 +46,7 @@ from typing import Optional
 from repro.errors import ConfigurationError
 from repro.hdss.server import HighDensityStorageServer
 from repro.hdss.store import InMemoryChunkStore
+from repro.obs.metrics import percentiles
 from repro.service import chaos_rig as rig
 from repro.service.client import pace_open_loop, tally_open_loop
 from repro.service.netserver import ServiceDaemon
@@ -199,7 +200,7 @@ class OverloadChaosScenario(rig.Episode):
 
         # ------------------------------------------------------- the ledger
         latencies, errors = tally_open_loop(outcomes)
-        q = latencies.quantiles() if latencies.count else {}
+        q = percentiles(latencies)
         p99 = q.get(0.99)
         # Goodput by *scheduled* offset: which phase's arrivals completed.
         completed_at = [t for t, r in outcomes if not isinstance(r, str)]
@@ -207,7 +208,7 @@ class OverloadChaosScenario(rig.Episode):
         pre = sum(t < c.pre_seconds for t in completed_at)
         spike = sum(c.pre_seconds <= t < spike_end for t in completed_at)
         report.update({
-            "completed": latencies.count,
+            "completed": len(latencies),
             "errors": errors,
             "sheds": errors.get(ERR_OVERLOAD, 0),
             "deadline_expired": errors.get(ERR_DEADLINE, 0),

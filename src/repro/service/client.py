@@ -5,9 +5,9 @@
 :mod:`repro.service.protocol`). :func:`run_workload` is the
 benchmark/smoke driver: it fails disks, submits their repairs, and —
 while the repairs run — hammers the front door with seeded random chunk
-reads from several concurrent connections, measuring *wall-clock* user
-latency into a :class:`~repro.obs.quantiles.QuantileSketch`. The report
-carries repair summaries plus foreground p50/p99, which is the
+reads from several concurrent connections, timing each read's *wall-clock*
+user latency. The report carries repair summaries plus the exact
+foreground p50/p99 of those reads, which is the
 paper-style "user latency during recovery" number the service exists to
 protect.
 
@@ -32,7 +32,7 @@ from typing import Awaitable, Callable, Dict, List, Optional, Sequence, Tuple
 from repro.errors import ReproError
 from repro.faults.report import EXIT_CRASHED
 from repro.obs.context import current_registry, current_span, current_tracer, use_span
-from repro.obs.quantiles import QuantileSketch
+from repro.obs.metrics import LATENCY_BUCKETS, percentiles
 from repro.obs.tracer import new_span_context
 from repro.service import protocol
 from repro.service.overload import RetryBudget
@@ -573,9 +573,10 @@ class ClusterClient:
                             ).inc()
                         delay = max(delay, retry_after_floor)
                         retry_after_floor = 0.0
-                    registry.summary(
+                    registry.histogram(
                         "hdpsr_client_backoff_seconds",
                         "Backoff sleeps between retry rounds.",
+                        buckets=LATENCY_BUCKETS,
                     ).observe(delay)
                     await asyncio.sleep(delay)
             assert last_error is not None
@@ -771,7 +772,7 @@ async def _closed_loop(
     seed: int,
     shutdown: bool,
 ) -> dict:
-    latencies = QuantileSketch((0.5, 0.9, 0.99))
+    latencies: List[float] = []
     queue: "asyncio.Queue[tuple]" = asyncio.Queue()
     for target in episode.read_targets(seed, reads):
         queue.put_nowait(target)
@@ -791,7 +792,7 @@ async def _closed_loop(
                     if exc.crashed:
                         raise
                     read_errors.append(f"({stripe},{shard}): {exc}")
-                latencies.observe(time.monotonic() - started)
+                latencies.append(time.monotonic() - started)
 
     crashed = False
     repairs: List[dict] = []
@@ -808,13 +809,14 @@ async def _closed_loop(
         if not exc.crashed:
             raise
         crashed, exit_code = True, EXIT_CRASHED
+    q = percentiles(latencies)
     return {
         "repairs": repairs,
         "crashed": crashed,
-        "reads": latencies.count,
+        "reads": len(latencies),
         "read_errors": read_errors,
-        "read_p50_seconds": latencies.quantile(0.5),
-        "read_p99_seconds": latencies.quantile(0.99),
+        "read_p50_seconds": q.get(0.5, 0.0),
+        "read_p99_seconds": q.get(0.99, 0.0),
         "exit_code": exit_code,
     }
 
@@ -855,15 +857,15 @@ async def pace_open_loop(
 
 def tally_open_loop(
     outcomes: Sequence[Outcome],
-) -> Tuple[QuantileSketch, Dict[str, int]]:
-    """Fold pacer outcomes into (success-latency sketch, errors by code)."""
-    latencies = QuantileSketch((0.5, 0.9, 0.99))
+) -> Tuple[List[float], Dict[str, int]]:
+    """Fold pacer outcomes into (success latencies, errors by code)."""
+    latencies: List[float] = []
     errors: Dict[str, int] = {}
     for _, result in outcomes:
         if isinstance(result, str):
             errors[result] = errors.get(result, 0) + 1
         else:
-            latencies.observe(result)
+            latencies.append(result)
     return latencies, errors
 
 
@@ -930,16 +932,17 @@ async def run_open_loop(
             elapsed = time.monotonic() - started
             latencies, errors = tally_open_loop(outcomes)
             repairs, exit_code = await episode.finish(shutdown)
+        q = percentiles(latencies)
         return {
             "shape": schedule.params,
             "offered": schedule.count,
             "offered_rate": schedule.mean_rate,
-            "completed": latencies.count,
+            "completed": len(latencies),
             "errors": errors,
-            "goodput_per_s": latencies.count / elapsed if elapsed > 0 else 0.0,
-            "read_p50_seconds": latencies.quantile(0.5),
-            "read_p90_seconds": latencies.quantile(0.9),
-            "read_p99_seconds": latencies.quantile(0.99),
+            "goodput_per_s": len(latencies) / elapsed if elapsed > 0 else 0.0,
+            "read_p50_seconds": q.get(0.5, 0.0),
+            "read_p90_seconds": q.get(0.9, 0.0),
+            "read_p99_seconds": q.get(0.99, 0.0),
             "elapsed_seconds": elapsed,
             "deadline_ms": deadline_ms,
             "repairs": repairs,

@@ -89,6 +89,7 @@ from repro.faults.spec import FaultSchedule
 from repro.hdss.server import HighDensityStorageServer, ScrubReport
 from repro.journal.journal import RepairJournal, load_state
 from repro.obs.context import current_registry, current_tracer
+from repro.obs.metrics import LATENCY_BUCKETS
 from repro.service.admission import DiskGate, SlotWaiter
 from repro.service.overload import (
     CLASS_DEGRADED,
@@ -106,16 +107,16 @@ REPAIRS = "hdpsr_service_repairs_total"
 CORRUPT_FOUND = "hdpsr_service_corrupt_chunks_total"
 #: Counter: quarantined chunks replaced by a verified read-repair.
 CORRUPT_REPAIRED = "hdpsr_service_corrupt_repaired_total"
-#: P² summary: seconds from corruption seeding to quarantine (only
+#: Histogram: seconds from corruption seeding to quarantine (only
 #: observable when the seeding side stamped the chunk, e.g. chaos runs).
 DETECTION_LATENCY = "hdpsr_scrub_detection_latency_seconds"
-#: P² summary of wall-clock front-door read latency, labelled by path.
+#: Histogram of wall-clock front-door read latency, labelled by path.
 READ_LATENCY = "hdpsr_service_read_latency_seconds"
 #: Counter: chunk reads, by the thread that made them — ``loop`` (a
 #: ``get_cached`` that answered) or ``worker`` (a ``get``).
 CHUNK_READS = "hdpsr_service_chunk_reads_total"
 
-#: Quantiles tracked for foreground latency (the SLO tail).
+#: Quantiles ``stats`` reports for foreground latency (the SLO tail).
 READ_LATENCY_QUANTILES = (0.5, 0.9, 0.99, 0.999)
 
 #: One survivor read as a worker call saw it: ``(shard, disk, payload or
@@ -491,10 +492,10 @@ class RepairService:
         ).labels(source=source).inc()
         seeded = self._corruption_seeded.pop(key, None)
         if seeded is not None:
-            registry.summary(
+            registry.histogram(
                 DETECTION_LATENCY,
                 "seconds from corruption seeding to quarantine",
-                quantiles=(0.5, 0.9, 0.99),
+                buckets=LATENCY_BUCKETS,
             ).observe(now - seeded)
         current_tracer().instant(
             "service", f"quarantine s{stripe_index}/{shard_idx}",
@@ -1172,10 +1173,10 @@ class RepairService:
             raise  # not expired after all (clock nudge): surface the timeout
 
     def _observe_read(self, registry, path: str, started: float) -> None:
-        """Record one front-door read's wall latency into the P² summary."""
-        registry.summary(
+        """Record one front-door read's wall latency in its histogram."""
+        registry.histogram(
             READ_LATENCY, "front-door read wall latency",
-            quantiles=READ_LATENCY_QUANTILES,
+            buckets=LATENCY_BUCKETS,
         ).labels(path=path).observe(time.monotonic() - started)
 
     async def read_object(

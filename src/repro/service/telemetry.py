@@ -14,8 +14,7 @@ sees is derived from that one reading:
   :data:`GAUGES` (name, help, section, label keys, where in the section).
   That happens at scrape time — under ``stats``, HTTP ``/metrics`` and the
   TCP ``metrics`` verb alike — so the request and repair paths write no
-  gauge. Counters, histograms and summaries are written where the event
-  happens.
+  gauge. Counters and histograms are written where the event happens.
 
 A new section is one more entry in :func:`stats_snapshot`'s ``sections``
 (``stats`` and ``top --json`` pick it up as is) plus a :data:`GAUGES` row
@@ -46,7 +45,7 @@ from repro.journal.journal import (
 )
 from repro.obs.context import current_registry
 from repro.obs.exporters import prometheus_text
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import MetricsRegistry, bucket_quantile
 from repro.obs.runtime import EventLoopMonitor
 from repro.service.client import write_port_file
 from repro.service.cluster import NO_EPOCH
@@ -130,14 +129,19 @@ def _counter_value(metrics: Dict[str, Dict], name: str) -> float:
 
 
 def _read_percentiles(metrics: Dict[str, Dict]) -> Dict[str, Dict[str, float]]:
-    """Foreground latency percentiles per path (healthy/piggyback/decode)."""
+    """Foreground latency percentiles per path (healthy/piggyback/decode),
+    estimated from the read-latency histogram's buckets."""
     out: Dict[str, Dict[str, float]] = {}
     for series in metrics.get(READ_LATENCY, {}).get("series", ()):
         if series["count"] == 0:
             continue
         entry = {"count": float(series["count"]), "sum": float(series["sum"])}
-        for q, est in series["quantiles"].items():
-            entry["p" + format(float(q) * 100, "g").replace(".", "")] = est
+        edges = [float(le) for le in series["buckets"] if le != "+Inf"]
+        cumulative = list(series["buckets"].values())
+        for q in READ_LATENCY_QUANTILES:
+            entry["p" + format(q * 100, "g").replace(".", "")] = bucket_quantile(
+                q, edges, cumulative
+            )
         out[series["labels"].get("path", "all")] = entry
     return out
 

@@ -5,7 +5,7 @@ under a c-chunk memory) applied to per-chunk transfer times. This package
 provides:
 
 * :mod:`repro.sim.engine` — a small generator-based event kernel (timeouts,
-  processes, all-of joins, FIFO slot resources), in the style of SimPy but
+  processes, all-of joins, first-fit slot resources), in the style of SimPy but
   dependency-free;
 * :mod:`repro.sim.transfer` — two executors for repair schedules: the
   paper's deterministic *interval* model (memory partitioned into ``P_r``

@@ -121,37 +121,27 @@ class Process(Event):
 
 
 class SlotResource:
-    """A counted resource with FIFO (optionally first-fit) granting.
+    """A counted resource with first-fit granting.
 
     Models the HDSS memory: ``capacity`` chunk slots; a repair round
     requests ``count`` slots and holds them for the duration of the round.
 
-    Requests carry a priority (lower value = more urgent; default 0).
-    Waiters are served in (priority, arrival) order under two policies:
-
-        * ``"fifo"`` — strict order; a blocked request blocks everything
-          behind it (conservative, no overtaking);
-        * ``"first-fit"`` — a blocked request lets *equal-priority*
-          requests overtake when they fit, but bars all lower-priority
-          ones — so background repair rounds cannot starve a blocked
-          foreground read, while repair rounds still pack among
-          themselves.
+    Waiters are served in arrival order, except that a blocked request
+    lets later ones overtake when they fit, so repair rounds pack into the
+    free slots. A resource whose requests are all one slot (admission, a
+    disk) therefore grants strictly first come, first served.
     """
 
-    def __init__(self, engine: "Engine", capacity: int, policy: str = "fifo",
+    def __init__(self, engine: "Engine", capacity: int,
                  name: str = "slots") -> None:
         if capacity <= 0:
             raise SimulationError(f"capacity must be positive, got {capacity}")
-        if policy not in ("fifo", "first-fit"):
-            raise SimulationError(f"unknown grant policy {policy!r}")
         self.engine = engine
         self.capacity = capacity
-        self.policy = policy
         self.name = name
         self.in_use = 0
-        self._seq = 0
-        #: sorted by (priority, seq): (priority, seq, count, event, t_req)
-        self._waiters: List[Tuple[int, int, int, Event, float]] = []
+        #: in arrival order: (count, event, t_req)
+        self._waiters: List[Tuple[int, Event, float]] = []
         #: (time, slots-in-use) samples for utilisation accounting.
         self.occupancy_log: List[Tuple[float, int]] = [(0.0, 0)]
 
@@ -162,11 +152,8 @@ class SlotResource:
     def _log(self) -> None:
         self.occupancy_log.append((self.engine.now, self.in_use))
 
-    def request(self, count: int, priority: int = 0) -> Event:
-        """Return an event that fires once ``count`` slots are granted.
-
-        ``priority``: lower is more urgent; ties are FIFO.
-        """
+    def request(self, count: int) -> Event:
+        """Return an event that fires once ``count`` slots are granted."""
         if count <= 0:
             raise SimulationError(f"slot request must be positive, got {count}")
         if count > self.capacity:
@@ -174,13 +161,7 @@ class SlotResource:
                 f"request for {count} slots exceeds capacity {self.capacity}"
             )
         event = Event(self.engine)
-        entry = (priority, self._seq, count, event, self.engine.now)
-        self._seq += 1
-        # insert keeping (priority, seq) order; appends dominate in practice
-        idx = len(self._waiters)
-        while idx > 0 and self._waiters[idx - 1][:2] > entry[:2]:
-            idx -= 1
-        self._waiters.insert(idx, entry)
+        self._waiters.append((count, event, self.engine.now))
         self._dispatch()
         return event
 
@@ -223,24 +204,12 @@ class SlotResource:
         granted = True
         while granted and self._waiters:
             granted = False
-            if self.policy == "fifo":
-                _prio, _seq, count, event, t_req = self._waiters[0]
+            for idx, (count, event, t_req) in enumerate(self._waiters):
                 if count <= self.available:
-                    self._waiters.pop(0)
+                    del self._waiters[idx]
                     self._grant(count, event, t_req)
                     granted = True
-            else:  # first-fit with a priority barrier
-                blocked_priority: "int | None" = None
-                for idx, (prio, _seq, count, event, t_req) in enumerate(self._waiters):
-                    if blocked_priority is not None and prio > blocked_priority:
-                        break  # never overtake a blocked higher-priority waiter
-                    if count <= self.available:
-                        del self._waiters[idx]
-                        self._grant(count, event, t_req)
-                        granted = True
-                        break
-                    if blocked_priority is None:
-                        blocked_priority = prio
+                    break
 
     def utilization(self, until: Optional[float] = None) -> float:
         """Time-averaged fraction of slots in use over [0, until]."""
@@ -289,9 +258,8 @@ class Engine:
     def all_of(self, events: Iterable[Event]) -> AllOf:
         return AllOf(self, events)
 
-    def slot_resource(self, capacity: int, policy: str = "fifo",
-                      name: str = "slots") -> SlotResource:
-        return SlotResource(self, capacity, policy, name=name)
+    def slot_resource(self, capacity: int, name: str = "slots") -> SlotResource:
+        return SlotResource(self, capacity, name=name)
 
     # -------------------------------------------------------------- execution
     def run(self, until: Optional[float] = None, max_steps: int = 50_000_000) -> float:

@@ -282,7 +282,6 @@ def safe_admission_cap(jobs: Sequence[StripeJob], capacity: int) -> int:
 def simulate_slot_schedule(
     jobs: Sequence[StripeJob],
     capacity: int,
-    policy: str = "first-fit",
     max_concurrent: Optional[int] = None,
     compute_time_per_round: float = 0.0,
     tail_time_per_job: float = 0.0,
@@ -293,9 +292,8 @@ def simulate_slot_schedule(
     """Execute jobs against a ``capacity``-slot memory on the event kernel.
 
     Args:
-        capacity: memory capacity ``c`` in chunk slots.
-        policy: slot grant policy, ``"first-fit"`` (default; required for
-            deadlock-freedom with accumulators) or ``"fifo"``.
+        capacity: memory capacity ``c`` in chunk slots, granted first-fit
+            (see :class:`~repro.sim.engine.SlotResource`).
         max_concurrent: admission cap on simultaneously active stripes
             (e.g. ``P_r``). Always clamped to the deadlock-free maximum
             from :func:`safe_admission_cap`; ``None`` means "as many as is
@@ -327,8 +325,8 @@ def simulate_slot_schedule(
 
     Raises:
         SimulationError: if the schedule deadlocks (requests pending when
-            the event heap drains) — cannot happen under the default
-            policy/cap, but reachable with ``policy="fifo"``.
+            the event heap drains) — cannot happen under first-fit
+            granting and the safe admission cap.
     """
     if capacity <= 0:
         raise PlanError(f"capacity must be positive, got {capacity}")
@@ -349,9 +347,9 @@ def simulate_slot_schedule(
 
     trace = tracer is not None and tracer.enabled
     engine = Engine(tracer=tracer if trace else None)
-    memory = engine.slot_resource(capacity, policy=policy, name="memory")
+    memory = engine.slot_resource(capacity, name="memory")
     admission = (
-        engine.slot_resource(max_concurrent, policy="fifo", name="admission")
+        engine.slot_resource(max_concurrent, name="admission")
         if max_concurrent is not None
         else None
     )
@@ -365,7 +363,7 @@ def simulate_slot_schedule(
     def _disk_resource(disk: Any):
         res = disk_resources.get(disk)
         if res is None:
-            res = engine.slot_resource(1, policy="fifo", name=f"disk-{disk}")
+            res = engine.slot_resource(1, name=f"disk-{disk}")
             disk_resources[disk] = res
         return res
 

@@ -136,13 +136,9 @@ class TestSlotResourceEdges:
         with pytest.raises(SimulationError):
             res.request(0)
 
-    def test_bad_policy(self):
-        with pytest.raises(SimulationError):
-            Engine().slot_resource(4, policy="lifo")
-
     def test_many_waiters_all_served(self):
         eng = Engine()
-        res = eng.slot_resource(3, policy="first-fit")
+        res = eng.slot_resource(3)
         served = []
 
         def proc(i, size):

@@ -169,7 +169,7 @@ class TestWaiters:
 
 class TestModeledMemoryMeansTheSame:
     """The ledger behind its asyncio waiter grants exactly the requests the
-    simulator's ``SlotResource(policy="first-fit")`` grants, step by step."""
+    simulator's first-fit ``SlotResource`` grants, step by step."""
 
     @given(
         st.integers(1, 8).flatmap(
@@ -186,7 +186,7 @@ class TestModeledMemoryMeansTheSame:
         capacity, ops = case
 
         async def run():
-            modeled = SlotResource(Engine(), capacity, policy="first-fit")
+            modeled = SlotResource(Engine(), capacity)
             ledger = SlotLedger(capacity)
             real = SlotWaiter(ledger)
             widths, events, tasks, released = [], [], [], set()

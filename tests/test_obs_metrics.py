@@ -9,6 +9,7 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.obs.metrics import (
     DEFAULT_TIME_BUCKETS,
+    LATENCY_BUCKETS,
     Counter,
     Gauge,
     Histogram,
@@ -181,16 +182,16 @@ class TestRegistryLockHammer:
         # get-or-create must have been idempotent: 4 distinct children only.
         assert len({id(w) for w in winners}) == 4
 
-    def test_summary_observe_vs_snapshot_races(self):
+    def test_histogram_observe_vs_snapshot_races(self):
         r = MetricsRegistry()
         stop = threading.Event()
         errors = []
 
         def observe(path):
             try:
-                s = r.summary("lat_seconds", quantiles=(0.5, 0.99))
+                h = r.histogram("lat_seconds", buckets=LATENCY_BUCKETS)
                 for i in range(2000):
-                    s.labels(path=path).observe(i / 1000.0)
+                    h.labels(path=path).observe(i / 1000.0)
             except Exception as exc:  # pragma: no cover - the regression
                 errors.append(exc)
 
@@ -199,9 +200,10 @@ class TestRegistryLockHammer:
                 while not stop.is_set():
                     for snap in r.snapshot().values():
                         for series in snap["series"]:
-                            q = series.get("quantiles", {})
-                            vals = [v for v in q.values() if v == v]
-                            assert vals == sorted(vals)  # monotone markers
+                            # a torn read would show a bucket running ahead
+                            vals = list(series["buckets"].values())
+                            assert vals == sorted(vals)
+                            assert vals[-1] == series["count"]
             except Exception as exc:  # pragma: no cover - the regression
                 errors.append(exc)
 
@@ -218,9 +220,9 @@ class TestRegistryLockHammer:
         stop.set()
         scraper.join()
         assert errors == []
-        s = r.summary("lat_seconds", quantiles=(0.5, 0.99))
-        assert s.labels(path="healthy").count == 4000
-        assert s.labels(path="piggyback").count == 2000
+        h = r.histogram("lat_seconds", buckets=LATENCY_BUCKETS)
+        assert h.labels(path="healthy").count == 4000
+        assert h.labels(path="piggyback").count == 2000
 
     def test_registry_metrics_share_one_lock(self):
         r = MetricsRegistry()

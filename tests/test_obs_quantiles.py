@@ -1,14 +1,26 @@
-"""P² streaming quantiles: accuracy, invariants, registry integration."""
+"""Quantiles read from histogram buckets: accuracy, invariants, stats shape.
+
+Every wall-clock latency the daemon records is a :class:`Histogram` on
+:data:`LATENCY_BUCKETS`, and ``stats`` reads its percentiles back through
+:meth:`Histogram.quantile`. On that grid an estimate lands in the bucket
+that holds the true quantile, so it is off by at most the ratio of one
+edge to the one below it.
+"""
+
+import asyncio
 
 import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.obs import MetricsRegistry, parse_prometheus_text, prometheus_text
-from repro.obs.quantiles import QuantileSketch
-from repro.obs.quantiles import P2Quantile
+from repro.obs import EventLoopMonitor, MetricsRegistry, use_registry
+from repro.obs.metrics import LATENCY_BUCKETS, Histogram, percentiles
+from repro.service.service import READ_LATENCY
+from repro.service.telemetry import _read_percentiles
 
-QUANTILES = (0.5, 0.95, 0.99)
+QUANTILES = (0.5, 0.9, 0.99, 0.999)
+#: The widest step of the grid: the error bound of every estimate.
+GRID_RATIO = max(b / a for a, b in zip(LATENCY_BUCKETS, LATENCY_BUCKETS[1:]))
 
 
 def _distributions(n=50000):
@@ -22,138 +34,110 @@ def _distributions(n=50000):
         "uniform": rng.uniform(0.0, 10.0, n),
         "exponential": rng.exponential(2.0, n),
         "bimodal": bimodal,
+        # read latencies: a millisecond median with a long right tail
+        "lognormal": rng.lognormal(np.log(1e-3), 1.0, n),
     }
 
 
+def _latency_histogram(values=()):
+    histogram = Histogram("hdpsr_test_latency_seconds", buckets=LATENCY_BUCKETS)
+    for x in values:
+        histogram.observe(x)
+    return histogram
+
+
+class TestGrid:
+    def test_spans_ten_microseconds_to_a_hundred_seconds(self):
+        assert LATENCY_BUCKETS[0] == 1e-5 and LATENCY_BUCKETS[-1] == 100.0
+        assert 1.0 < GRID_RATIO <= 1.25
+        assert list(LATENCY_BUCKETS) == sorted(set(LATENCY_BUCKETS))
+
+
 class TestAccuracy:
-    @pytest.mark.parametrize("name", ["uniform", "exponential", "bimodal"])
-    def test_within_one_percent_of_numpy(self, name):
+    @pytest.mark.parametrize(
+        "name", ["uniform", "exponential", "bimodal", "lognormal"]
+    )
+    def test_within_grid_ratio_of_numpy(self, name):
         data = _distributions()[name]
-        sketch = QuantileSketch(QUANTILES)
-        for x in data:
-            sketch.observe(x)
-        estimates = sketch.quantiles()
+        histogram = _latency_histogram(data)
         for q in QUANTILES:
             true = float(np.percentile(data, q * 100))
-            assert estimates[q] == pytest.approx(true, rel=0.01), (name, q)
+            estimate = histogram.quantile(q)
+            assert true / GRID_RATIO <= estimate <= true * GRID_RATIO, (name, q)
 
-    def test_mean_min_max_exact(self):
+    def test_count_and_sum_exact(self):
         data = _distributions()["exponential"]
-        sketch = QuantileSketch(QUANTILES)
-        for x in data:
-            sketch.observe(x)
-        assert sketch.count == len(data)
-        assert sketch.mean == pytest.approx(float(data.mean()))
-        assert sketch.min == pytest.approx(float(data.min()))
-        assert sketch.max == pytest.approx(float(data.max()))
+        histogram = _latency_histogram(data)
+        assert histogram.count == len(data)
+        assert histogram.sum == pytest.approx(float(data.sum()))
+
+    @pytest.mark.parametrize("name", ["uniform", "lognormal"])
+    def test_exact_percentiles_match_numpy(self, name):
+        data = _distributions(n=5000)[name]
+        exact = percentiles(data.tolist(), QUANTILES)
+        for q in QUANTILES:
+            assert exact[q] == pytest.approx(float(np.percentile(data, q * 100)))
+        assert percentiles([]) == {}
 
 
 class TestInvariants:
     def test_monotone_and_bounded(self):
         rng = np.random.default_rng(7)
         for trial in range(20):
-            sketch = QuantileSketch(QUANTILES)
-            for x in rng.exponential(1.0, int(rng.integers(1, 60))):
-                sketch.observe(x)
-            values = sketch.quantiles()
-            assert values[0.5] <= values[0.95] <= values[0.99]
-            assert sketch.min <= values[0.5]
-            assert values[0.99] <= sketch.max
-
-    def test_small_sample_exact(self):
-        # With <= 5 observations P² still holds the raw values: the median
-        # of five known numbers is exact.
-        sketch = QuantileSketch((0.5,))
-        for x in (5.0, 1.0, 3.0, 2.0, 4.0):
-            sketch.observe(x)
-        assert sketch.quantiles()[0.5] == pytest.approx(3.0)
+            data = 1e-4 + rng.exponential(1e-3, int(rng.integers(1, 60)))
+            histogram = _latency_histogram(data)
+            values = [histogram.quantile(q) for q in np.linspace(0.0, 1.0, 101)]
+            assert values == sorted(values)
+            # never outside the buckets that hold the smallest and largest
+            assert values[0] >= data.min() / GRID_RATIO
+            assert values[-1] <= data.max() * GRID_RATIO
 
     def test_empty_sketch_reports_zero(self):
-        sketch = QuantileSketch(QUANTILES)
-        assert sketch.quantiles() == {q: 0.0 for q in QUANTILES}
-        assert sketch.mean == 0.0
+        histogram = _latency_histogram()
+        assert [histogram.quantile(q) for q in QUANTILES] == [0.0] * 4
 
     def test_constant_stream(self):
-        sketch = QuantileSketch(QUANTILES)
-        for _ in range(1000):
-            sketch.observe(2.5)
-        assert all(v == pytest.approx(2.5) for v in sketch.quantiles().values())
+        histogram = _latency_histogram([2.5e-3] * 1000)
+        for q in QUANTILES:
+            assert 2.5e-3 / GRID_RATIO <= histogram.quantile(q) <= 2.5e-3 * GRID_RATIO
 
     def test_no_sample_retention(self):
-        # The estimator keeps five markers per quantile, nothing that
-        # grows with the stream.
-        estimator = P2Quantile(0.95)
-        for x in range(10000):
-            estimator.observe(float(x % 97))
-        assert len(estimator._q) == 5
-        assert len(estimator._buf) == 5
+        # A histogram keeps one count per bucket, nothing that grows with
+        # the stream.
+        histogram = _latency_histogram(float(x % 97) * 1e-3 for x in range(10000))
+        assert len(histogram.bucket_counts()) == len(LATENCY_BUCKETS) + 1
 
-    def test_summary_dict(self):
-        sketch = QuantileSketch((0.5, 0.99))
-        for x in (1.0, 2.0, 3.0):
-            sketch.observe(x)
-        summary = sketch.summary()
-        assert summary["count"] == 3.0
-        assert summary["mean"] == pytest.approx(2.0)
-        assert "p50" in summary and "p99" in summary
+    def test_overflow_answers_the_last_edge(self):
+        histogram = _latency_histogram([500.0, 1000.0])
+        assert histogram.quantile(0.5) == LATENCY_BUCKETS[-1]
+
+    def test_empty_histograms_give_the_stats_shape_of_an_idle_daemon(self):
+        """Registered but never observed: ``stats`` lists no read path and
+        reports the loop-lag quantiles as 0.0, as it always has."""
+        registry = MetricsRegistry()
+        registry.histogram(READ_LATENCY, buckets=LATENCY_BUCKETS)
+        assert _read_percentiles(registry.snapshot()) == {}
+
+        async def run():
+            monitor = EventLoopMonitor(interval=60.0)
+            monitor.start()
+            await asyncio.sleep(0)  # registers the lag histogram, no tick yet
+            snap = monitor.snapshot()
+            await monitor.stop()
+            return snap
+
+        with use_registry(registry):
+            snap = asyncio.run(run())
+        assert snap["ticks"] == 0.0
+        for key in ("loop_lag_p50_seconds", "loop_lag_p99_seconds",
+                    "loop_lag_p999_seconds"):
+            assert snap[key] == 0.0
 
 
 class TestValidation:
     def test_bad_quantile_rejected(self):
+        histogram = _latency_histogram([1e-3])
         with pytest.raises(ConfigurationError):
-            P2Quantile(0.0)
+            histogram.quantile(-0.1)
         with pytest.raises(ConfigurationError):
-            P2Quantile(1.0)
-        with pytest.raises(ConfigurationError):
-            QuantileSketch(())
-
-    def test_untracked_quantile_rejected(self):
-        sketch = QuantileSketch((0.5,))
-        sketch.observe(1.0)
-        with pytest.raises(ConfigurationError):
-            sketch.quantile(0.9)
-
-
-class TestSummaryMetric:
-    def test_registry_and_exposition(self):
-        registry = MetricsRegistry()
-        summary = registry.summary("hdpsr_test_sojourn_seconds", "test", (0.5, 0.99))
-        for x in range(1, 101):
-            summary.observe(float(x))
-        assert summary.count == 100
-        assert summary.sum == pytest.approx(5050.0)
-        assert summary.quantile(0.5) == pytest.approx(50.0, rel=0.1)
-
-        text = prometheus_text(registry)
-        assert "# TYPE hdpsr_test_sojourn_seconds summary" in text
-        samples = parse_prometheus_text(text)
-        assert samples[("hdpsr_test_sojourn_seconds_count", ())] == 100
-        q50 = samples[("hdpsr_test_sojourn_seconds", (("quantile", "0.5"),))]
-        assert q50 == pytest.approx(summary.quantile(0.5))
-
-    def test_labels_fan_out(self):
-        registry = MetricsRegistry()
-        summary = registry.summary("hdpsr_test_latency_seconds")
-        summary.labels(algorithm="fsr").observe(1.0)
-        summary.labels(algorithm="hd-psr-ap").observe(2.0)
-        snap = registry.snapshot()["hdpsr_test_latency_seconds"]
-        assert snap["type"] == "summary"
-        assert len(snap["series"]) == 2
-        for series in snap["series"]:
-            assert series["count"] == 1
-
-    def test_type_collision_rejected(self):
-        registry = MetricsRegistry()
-        registry.summary("hdpsr_thing")
-        with pytest.raises(ConfigurationError):
-            registry.counter("hdpsr_thing")
-
-    def test_snapshot_quantiles_monotone(self):
-        registry = MetricsRegistry()
-        summary = registry.summary("hdpsr_mono_seconds")
-        rng = np.random.default_rng(3)
-        for x in rng.exponential(1.0, 500):
-            summary.observe(float(x))
-        series = registry.snapshot()["hdpsr_mono_seconds"]["series"][0]
-        values = [series["quantiles"][f"{q:g}"] for q in (0.5, 0.95, 0.99)]
-        assert values == sorted(values)
+            histogram.quantile(1.5)

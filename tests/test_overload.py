@@ -430,7 +430,7 @@ class TestOpenLoopPacer:
         assert [offset for offset, _ in outcomes] == times
         assert [r for _, r in outcomes if isinstance(r, str)] == [ERR_OVERLOAD] * 2
         latencies, errors = tally_open_loop(outcomes)
-        assert latencies.count == 2 and errors == {ERR_OVERLOAD: 2}
+        assert len(latencies) == 2 and errors == {ERR_OVERLOAD: 2}
 
     def test_empty_schedule(self):
         async def send(i):

@@ -5,6 +5,8 @@ import json
 import pytest
 
 from repro.cli import main
+from repro.obs import MetricsRegistry, prometheus_text
+from repro.obs.metrics import LATENCY_BUCKETS
 from repro.reporting import ORDER, load_results, render_report, write_report
 
 
@@ -71,6 +73,25 @@ class TestRenderReport:
         out = write_report(results_dir, tmp_path / "EXPERIMENTS.md")
         assert out.exists()
         assert "paper vs measured" in out.read_text()
+
+
+    def test_latency_table_estimated_from_grid_buckets(self, results_dir):
+        registry = MetricsRegistry()
+        reads = registry.histogram("hdpsr_service_read_latency_seconds",
+                                   buckets=LATENCY_BUCKETS)
+        for ms in range(1, 101):
+            reads.labels(path="healthy").observe(ms / 1e3)
+        # coarse edges: no table row, an estimate could be a bucket off
+        registry.histogram("hdpsr_service_admission_wait_seconds").observe(0.2)
+        (results_dir / "exp1.prom").write_text(prometheus_text(registry))
+        text = render_report(results_dir)
+        assert "| metric" in text and "p99 (ms)" in text
+        (row,) = [line for line in text.splitlines()
+                  if "hdpsr_service_read_latency_seconds path=healthy" in line]
+        p50, p90, p99 = (float(cell) for cell in row.strip("|").split("|")[1:])
+        for estimate, true in ((p50, 50.5), (p90, 90.1), (p99, 99.01)):
+            assert true / 1.25 <= estimate <= true * 1.25
+        assert "admission_wait" not in text
 
 
 class TestCliReport:

@@ -7,6 +7,7 @@ in the toolchain: every test drives its coroutine with ``asyncio.run``.
 """
 
 import asyncio
+from pathlib import Path
 
 import pytest
 
@@ -293,6 +294,63 @@ class TestScrapeVerbs:
         parsed = parse_prometheus_text(text)
         names = {name for name, _ in parsed}
         assert "hdpsr_service_foreground_reads_total" in names
+
+    def test_one_latency_type_counts_every_front_door_read(self):
+        """Every latency the daemon exports is a histogram: no summary on
+        either ``/metrics`` door, and the read-latency histogram counts
+        exactly the front-door reads served, by path."""
+        registry = MetricsRegistry()
+
+        async def run():
+            server = make_server()
+            service = make_service(server)
+            telemetry = TelemetryServer()
+            await telemetry.start()
+            daemon, port, task = await start_daemon(
+                service, monitor=EventLoopMonitor(interval=0.005),
+                telemetry=telemetry,
+            )
+            client = await ServiceClient.connect("127.0.0.1", port)
+            healthy = [(si, 0) for si in range(len(server.layout))]
+            for si, shard in healthy:
+                await client.read_chunk(si, shard)
+            await client.call("fail_disk", disk=0)
+            await client.read_chunk(*lost_chunk_of(server, 0))
+            await asyncio.sleep(0.02)  # let the loop monitor tick
+            texts = [await client.metrics_text(),
+                     (await http_get(telemetry.port, "/metrics"))[1]]
+            await client.call("shutdown")
+            await client.close()
+            await task
+            return len(healthy) + 1, texts
+
+        with use_registry(registry):
+            served, texts = asyncio.run(run())
+        for text in texts:
+            types = dict(
+                line.split()[2:4] for line in text.splitlines()
+                if line.startswith("# TYPE ")
+            )
+            assert "summary" not in types.values()
+            for name in ("hdpsr_service_read_latency_seconds",
+                         "hdpsr_runtime_loop_lag_seconds"):
+                assert types[name] == "histogram"
+            counts = {
+                labels: value
+                for (name, labels), value in parse_prometheus_text(text).items()
+                if name == "hdpsr_service_read_latency_seconds_count"
+            }
+            assert sum(counts.values()) == served
+            assert counts[(("path", "healthy"),)] == served - 1
+
+    def test_checked_in_metric_dumps_hold_no_summary(self):
+        results = Path(__file__).resolve().parent.parent / "benchmarks" / "results"
+        dumps = sorted(results.glob("*.prom"))
+        assert dumps
+        for dump in dumps:
+            for line in dump.read_text().splitlines():
+                assert not (line.startswith("# TYPE ")
+                            and line.split()[-1] == "summary"), (dump.name, line)
 
     def test_ops_tuple_covers_dispatch(self):
         assert "stats" in OPS and "metrics" in OPS
@@ -630,9 +688,9 @@ class TestEventLoopMonitor:
             snap = asyncio.run(run())
         assert snap["ticks"] > 0
         # The tick pending across the block woke ~0.095 s late; the lag
-        # summary's running sum must have caught it.
-        lag_summary = registry.get("hdpsr_runtime_loop_lag_seconds")
-        assert lag_summary.sum > 0.05
+        # histogram's running sum must have caught it.
+        lag_histogram = registry.get("hdpsr_runtime_loop_lag_seconds")
+        assert lag_histogram.sum > 0.05
 
 
 # ---------------------------------------------------------------------------

@@ -120,36 +120,9 @@ class TestSlotResource:
         eng.run()
         assert res.in_use == 0
 
-    def test_fifo_blocks_head_of_line(self):
-        eng = Engine()
-        res = eng.slot_resource(4, policy="fifo")
-        order = []
-
-        def holder():
-            yield res.request(3)
-            yield eng.timeout(5.0)
-            res.release(3)
-
-        def big():
-            yield res.request(3)
-            order.append(("big", eng.now))
-            res.release(3)
-
-        def small():
-            yield res.request(1)
-            order.append(("small", eng.now))
-            res.release(1)
-
-        eng.process(holder())
-        eng.process(big())
-        eng.process(small())
-        eng.run()
-        # FIFO: small waits behind big even though a slot was free.
-        assert order == [("big", 5.0), ("small", 5.0)]
-
     def test_first_fit_overtakes(self):
         eng = Engine()
-        res = eng.slot_resource(4, policy="first-fit")
+        res = eng.slot_resource(4)
         order = []
 
         def holder():
@@ -208,81 +181,3 @@ class TestSlotResource:
         eng = Engine()
         res = eng.slot_resource(2)
         assert res.utilization(until=0.0) == 0.0
-
-
-class TestSlotPriority:
-    def test_high_priority_served_first(self):
-        eng = Engine()
-        res = eng.slot_resource(2, policy="first-fit")
-        order = []
-
-        def holder():
-            yield res.request(2)
-            yield eng.timeout(1.0)
-            res.release(2)
-
-        def waiter(name, priority):
-            yield res.request(2, priority=priority)
-            order.append((name, eng.now))
-            res.release(2)
-
-        eng.process(holder())
-        eng.process(waiter("background", 0))   # enqueued first
-        eng.process(waiter("foreground", -1))  # enqueued second, outranks
-        eng.run()
-        assert order[0][0] == "foreground"
-
-    def test_blocked_high_priority_bars_lower(self):
-        """Small low-priority requests must not starve a blocked big
-        high-priority one once it is at the front."""
-        eng = Engine()
-        res = eng.slot_resource(4, policy="first-fit")
-        order = []
-
-        def holder():
-            yield res.request(3)
-            yield eng.timeout(1.0)
-            res.release(3)
-
-        def big_fg():
-            yield res.request(4, priority=-1)
-            order.append(("big_fg", eng.now))
-            res.release(4)
-
-        def small_bg():
-            yield res.request(1, priority=0)
-            order.append(("small_bg", eng.now))
-            res.release(1)
-
-        eng.process(holder())
-        eng.process(big_fg())
-        eng.process(small_bg())
-        eng.run()
-        # small_bg fits at t=0 but must not overtake the blocked foreground
-        assert order[0] == ("big_fg", 1.0)
-
-    def test_same_priority_first_fit_still_overtakes(self):
-        eng = Engine()
-        res = eng.slot_resource(4, policy="first-fit")
-        order = []
-
-        def holder():
-            yield res.request(3)
-            yield eng.timeout(1.0)
-            res.release(3)
-
-        def big():
-            yield res.request(4)
-            order.append(("big", eng.now))
-            res.release(4)
-
-        def small():
-            yield res.request(1)
-            order.append(("small", eng.now))
-            res.release(1)
-
-        eng.process(holder())
-        eng.process(big())
-        eng.process(small())
-        eng.run()
-        assert ("small", 0.0) in order

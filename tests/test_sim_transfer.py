@@ -138,11 +138,6 @@ class TestSlotModel:
         assert a.total_time == b.total_time
         assert [r.key for r in a.records] == [r.key for r in b.records]
 
-    def test_fifo_policy_optional(self):
-        jobs = [job(i, [1.0]) for i in range(3)]
-        rep = simulate_slot_schedule(jobs, capacity=3, policy="fifo")
-        assert rep.total_time == 1.0
-
     def test_psr_beats_fsr_with_slow_chunk(self):
         """The paper's core effect: a slow chunk holds fewer slots under PSR."""
         slow, fast = 8.0, 1.0
