@@ -256,26 +256,33 @@ def readable_shards(
     stripe: Stripe,
     exclude: Sequence[int] = (),
     skip: Optional[Callable[[int, ChunkId], bool]] = None,
+    limit: Optional[int] = None,
 ) -> List[int]:
     """Shards with a live disk and a readable chunk, fast disks first.
 
     ``skip(disk_id, chunk_id)`` lets a driver veto chunks the store cannot
-    know about (the service's quarantine).
+    know about (the service's quarantine). With ``limit``, the store is
+    asked about shards in that order only until ``limit`` have answered:
+    the result is the first ``limit`` of the unlimited one.
     """
-    out: List[Tuple[bool, int]] = []
-    for sid, disk_id in enumerate(stripe.disks):
-        if sid in exclude:
-            continue
-        disk = server.disks[disk_id]
-        if disk.is_failed:
+    disks = server.disks
+    order = sorted(
+        (disks[disk_id].is_slow, sid) for sid, disk_id in enumerate(stripe.disks)
+    )
+    out: List[int] = []
+    for _, sid in order:
+        if limit is not None and len(out) >= limit:
+            break
+        disk_id = stripe.disks[sid]
+        if sid in exclude or disks[disk_id].is_failed:
             continue
         cid = ChunkId(si, sid)
         if not server.store.is_readable(disk_id, cid):
             continue
         if skip is not None and skip(disk_id, cid):
             continue
-        out.append((disk.is_slow, sid))
-    return [sid for _, sid in sorted(out)]
+        out.append(sid)
+    return out
 
 
 class StripeRepair:

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import bisect
 import threading
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
 
@@ -284,6 +284,8 @@ class MetricsRegistry:
     def __init__(self) -> None:
         self._lock = threading.RLock()
         self._metrics: Dict[str, Metric] = {}
+        #: ``(family, label value) -> series`` resolved by :class:`Family`.
+        self._resolved: Dict[Tuple["Family", Hashable], Metric] = {}
 
     def _get_or_create(self, cls, name: str, help: str, **kwargs) -> Metric:
         with self._lock:
@@ -310,6 +312,14 @@ class MetricsRegistry:
 
     def get(self, name: str) -> Optional[Metric]:
         return self._metrics.get(name)
+
+    def resolve(self, family: "Family", value: Optional[str]) -> Metric:
+        """``family``'s series for ``value`` in this registry, created and
+        remembered on first use (:class:`Family` looks it up after that)."""
+        metric = getattr(self, family.kind)(family.name, family.help, **family.options)
+        series = metric if family.label is None else metric.labels(**{family.label: value})
+        with self._lock:
+            return self._resolved.setdefault((family, value), series)
 
     def metrics(self) -> List[Metric]:
         with self._lock:
@@ -348,6 +358,40 @@ class MetricsRegistry:
         """Drop every registered metric (tests; fresh CLI runs)."""
         with self._lock:
             self._metrics.clear()
+            self._resolved.clear()
+
+
+class Family:
+    """One hot-path metric, fanned out by at most one label.
+
+    ``family(registry, value)`` is the series ``name{label=value}`` of
+    ``registry`` (the bare metric when ``label`` is None). The first call
+    per registry and value resolves it like ``registry.<kind>(name,
+    help).labels(...)``; later ones are one dict lookup in that registry's
+    own table. A registry installed by ``use_registry`` therefore resolves
+    its own series, and :meth:`MetricsRegistry.reset` forgets them with the
+    metrics.
+
+    Args:
+        kind: ``"counter"``, ``"gauge"`` or ``"histogram"``.
+        options: passed to the registry accessor (``buckets=``).
+    """
+
+    __slots__ = ("kind", "name", "help", "label", "options")
+
+    def __init__(self, kind: str, name: str, help: str = "",
+                 label: Optional[str] = None, **options) -> None:
+        self.kind = kind
+        self.name = name
+        self.help = help
+        self.label = label
+        self.options = options
+
+    def __call__(self, registry: MetricsRegistry, value: Optional[str] = None) -> Metric:
+        series = registry._resolved.get((self, value))
+        if series is None:
+            series = registry.resolve(self, value)
+        return series
 
 
 #: The process-wide default registry (see also repro.obs.context).

@@ -2,11 +2,14 @@
 
 A high-density chassis dies by seeking: letting every repair task hit the
 same spindle concurrently turns sequential recovery reads into random I/O.
-:class:`DiskGate` bounds in-flight reads per disk with one semaphore per
+:class:`DiskGate` bounds in-flight reads per disk with a slot count per
 spindle, and adds a single priority rule — a waiting *foreground* (client)
 read parks new *background* (repair) admissions for its disk until it gets
-a slot. Repairs soak up whatever concurrency is left over; user latency is
-not taxed by the rebuild.
+a slot: a released slot passes to the first queued foreground read before
+any background one. Repairs soak up whatever concurrency is left over;
+user latency is not taxed by the rebuild. A free slot is taken without a
+suspension, so an uncontended read pays a few attribute updates for its
+admission.
 
 Admission wait is recorded per priority class into the ambient metrics
 registry (``hdpsr_service_admission_wait_seconds``), which is how the
@@ -34,23 +37,99 @@ how a round waits on the :class:`~repro.core.slot_ledger.SlotLedger`.
 from __future__ import annotations
 
 import asyncio
-import contextlib
 import time
-from typing import TYPE_CHECKING, AsyncIterator, Dict, List, Optional
+from collections import deque
+from typing import TYPE_CHECKING, Deque, Dict, Iterable, List, Optional
 
 from repro.core.slot_ledger import SlotLedger
 from repro.errors import ConfigurationError, DeadlineExceededError
 from repro.obs.context import current_registry, current_tracer
+from repro.obs.metrics import Family
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
     from repro.service.overload import Deadline, OverloadController
 
 #: Histogram of seconds spent waiting for a read slot, labelled by priority.
 ADMISSION_WAIT = "hdpsr_service_admission_wait_seconds"
+_WAITS = Family(
+    "histogram", ADMISSION_WAIT, "seconds a read waited for a per-disk slot",
+    label="priority",
+)
+
+
+class _DiskSlots:
+    """One disk's slots: how many are held, and the reads queued for one.
+
+    A released slot passes straight to the first queued foreground read,
+    else to the first queued background one, and is freed only when no
+    read waits. So a free slot means an empty queue: a read that finds
+    one takes it without waiting, and a background read never takes a
+    slot a queued foreground read was owed."""
+
+    __slots__ = ("held", "foreground", "background")
+
+    def __init__(self) -> None:
+        self.held = 0
+        self.foreground: Deque["asyncio.Future[None]"] = deque()
+        self.background: Deque["asyncio.Future[None]"] = deque()
+
+    def release(self) -> None:
+        for queue in (self.foreground, self.background):
+            while queue:
+                waiter = queue.popleft()
+                if not waiter.done():  # a cancelled wait is skipped
+                    waiter.set_result(None)
+                    return
+        self.held -= 1
+
+
+class _Slot:
+    """``async with gate.read(disk)``: one read slot held for the block."""
+
+    __slots__ = ("gate", "disk_id", "foreground", "deadline")
+
+    def __init__(self, gate: "DiskGate", disk_id: int, foreground: bool,
+                 deadline: Optional["Deadline"]) -> None:
+        self.gate = gate
+        self.disk_id = disk_id
+        self.foreground = foreground
+        self.deadline = deadline
+
+    def __aenter__(self):
+        return self.gate.acquire(self.disk_id, self.foreground, self.deadline)
+
+    async def __aexit__(self, *exc) -> None:
+        self.gate.release(self.disk_id)
+
+
+class _Slots:
+    """``async with gate.read_many(disks)``: one slot on each disk, taken in
+    ascending disk order (as every holder of more than one gate takes
+    them, so nothing deadlocks) and released in reverse."""
+
+    __slots__ = ("slots", "held")
+
+    def __init__(self, slots: List) -> None:
+        self.slots = slots
+        self.held = 0
+
+    async def __aenter__(self) -> None:
+        try:
+            for slot in self.slots:
+                await slot.__aenter__()
+                self.held += 1
+        except BaseException:
+            await self.__aexit__(None, None, None)
+            raise
+
+    async def __aexit__(self, *exc) -> None:
+        while self.held:
+            self.held -= 1
+            await self.slots[self.held].__aexit__(None, None, None)
 
 
 class DiskGate:
-    """Per-disk read-concurrency semaphores with foreground priority.
+    """Per-disk read-concurrency slots with foreground priority.
 
     Args:
         width: maximum concurrent reads per disk.
@@ -60,38 +139,19 @@ class DiskGate:
         if width < 1:
             raise ConfigurationError(f"gate width must be >= 1, got {width}")
         self.width = width
-        self._sems: Dict[int, asyncio.Semaphore] = {}
-        #: Reads currently holding a slot, per disk.
-        self._inflight: Dict[int, int] = {}
-        #: Background reads currently queued, per disk.
-        self._bg_waiting: Dict[int, int] = {}
-        #: Foreground reads currently queued, per disk (priority rule).
-        self._fg_waiting: Dict[int, int] = {}
-        #: Set when a disk has no foreground waiters (background may enter).
-        self._fg_clear: Dict[int, asyncio.Event] = {}
+        #: Every disk that has seen a read: its holders and queued reads.
+        self._disks: Dict[int, _DiskSlots] = {}
         #: Optional overload controller fed every admission wait.
         self.controller: Optional["OverloadController"] = None
-
-    def _sem(self, disk_id: int) -> asyncio.Semaphore:
-        sem = self._sems.get(disk_id)
-        if sem is None:
-            sem = self._sems[disk_id] = asyncio.Semaphore(self.width)
-        return sem
-
-    def _clear_event(self, disk_id: int) -> asyncio.Event:
-        event = self._fg_clear.get(disk_id)
-        if event is None:
-            event = self._fg_clear[disk_id] = asyncio.Event()
-            event.set()
-        return event
 
     def queue_depth(self, disk_id: int) -> int:
         """Total reads (both classes) queued on ``disk_id``.
 
-        Safe to read from a worker thread: it only reads two counters the
-        event loop updates. The scrub plane's runs poll it between chunks
-        to yield the disk to a queued read."""
-        return self._fg_waiting.get(disk_id, 0) + self._bg_waiting.get(disk_id, 0)
+        Safe to read from a worker thread: it only reads two queue lengths
+        the event loop updates. The scrub plane's runs poll it between
+        chunks to yield the disk to a queued read."""
+        slots = self._disks.get(disk_id)
+        return 0 if slots is None else len(slots.foreground) + len(slots.background)
 
     def depths(self) -> Dict[int, Dict[str, int]]:
         """Per-disk gate state right now — the gate's one self-description.
@@ -99,91 +159,110 @@ class DiskGate:
         Only disks that have ever seen a read appear; each entry reports
         slot occupancy and queued readers by priority class.
         """
-        disks = set(self._sems)
-        out: Dict[int, Dict[str, int]] = {}
-        for disk_id in sorted(disks):
-            out[disk_id] = {
+        return {
+            disk_id: {
                 "width": self.width,
-                "inflight": self._inflight.get(disk_id, 0),
-                "waiting_foreground": self._fg_waiting.get(disk_id, 0),
-                "waiting_background": self._bg_waiting.get(disk_id, 0),
+                "inflight": slots.held,
+                "waiting_foreground": len(slots.foreground),
+                "waiting_background": len(slots.background),
             }
-        return out
+            for disk_id, slots in sorted(self._disks.items())
+        }
 
-    async def _acquire_background(
-        self, sem: asyncio.Semaphore, event: asyncio.Event
-    ) -> None:
-        # Background defers to any queued foreground read: wait for the
-        # disk's foreground queue to drain before competing.
-        while not event.is_set():
-            await event.wait()
-        await sem.acquire()
-
-    @contextlib.asynccontextmanager
-    async def read(
+    def read(
         self,
         disk_id: int,
         foreground: bool = False,
         deadline: Optional["Deadline"] = None,
-    ) -> AsyncIterator[None]:
-        """Hold one read slot on ``disk_id`` for the body of the block.
+    ) -> _Slot:
+        """Hold one read slot on ``disk_id`` for the body of an ``async
+        with`` block.
 
         When ``deadline`` is given, the wait for a slot is bounded by the
         request's remaining budget: an expired request raises
         :class:`~repro.errors.DeadlineExceededError` (hop ``"gate"``)
         instead of taking a slot it can no longer use in time.
         """
-        sem = self._sem(disk_id)
-        event = self._clear_event(disk_id)
+        return _Slot(self, disk_id, foreground, deadline)
+
+    def read_many(
+        self,
+        disk_ids: Iterable[int],
+        foreground: bool = False,
+        deadline: Optional["Deadline"] = None,
+    ) -> _Slots:
+        """:meth:`read` on each of ``disk_ids`` for one ``async with``
+        block, in ascending disk order."""
+        return _Slots([
+            self.read(disk_id, foreground=foreground, deadline=deadline)
+            for disk_id in sorted(disk_ids)
+        ])
+
+    async def acquire(
+        self,
+        disk_id: int,
+        foreground: bool = False,
+        deadline: Optional["Deadline"] = None,
+    ) -> None:
+        """Take one read slot on ``disk_id`` (:meth:`read`'s entry; give it
+        back with :meth:`release`). A free slot is taken without waiting."""
+        slots = self._disks.get(disk_id)
+        if slots is None:
+            slots = self._disks[disk_id] = _DiskSlots()
         if deadline is not None:
             deadline.check("gate")
-        started = time.monotonic()
-        if foreground:
-            self._fg_waiting[disk_id] = self._fg_waiting.get(disk_id, 0) + 1
-            event.clear()
+        started: Optional[float] = None
+        waited = 0.0
+        if slots.held < self.width:
+            slots.held += 1
         else:
-            self._bg_waiting[disk_id] = self._bg_waiting.get(disk_id, 0) + 1
+            started = time.monotonic()
+            await self._wait(slots, foreground, deadline)
+            waited = time.monotonic() - started
+        if self.controller is not None:
+            self.controller.observe_wait(disk_id, waited)
+        priority = "foreground" if foreground else "background"
+        _WAITS(current_registry(), priority).observe(waited)
+        tracer = current_tracer()
+        if tracer.enabled:
+            tracer.complete(
+                "wait", f"gate:disk-{disk_id}",
+                time.monotonic() if started is None else started, waited,
+                track="gate", domain="wall", disk=disk_id, priority=priority,
+            )
+
+    def release(self, disk_id: int) -> None:
+        """Give back one slot :meth:`acquire` took on ``disk_id``."""
+        self._disks[disk_id].release()
+
+    @staticmethod
+    async def _wait(
+        slots: _DiskSlots, foreground: bool, deadline: Optional["Deadline"]
+    ) -> None:
+        """Queue for a slot by priority class until a release hands one
+        over, bounded by ``deadline`` when one is given."""
+        waiter = asyncio.get_running_loop().create_future()
+        queue = slots.foreground if foreground else slots.background
+        queue.append(waiter)
         try:
-            if foreground:
-                pending = sem.acquire()
-            else:
-                pending = self._acquire_background(sem, event)
             if deadline is None:
-                await pending
+                await waiter
             else:
                 try:
-                    await asyncio.wait_for(pending, timeout=deadline.remaining())
+                    await asyncio.wait_for(waiter, timeout=deadline.remaining())
                 except asyncio.TimeoutError:
                     deadline.check("gate")  # raises once the budget is spent
                     raise DeadlineExceededError(
                         "gate wait timed out at the deadline", hop="gate"
                     ) from None
-        finally:
-            if foreground:
-                self._fg_waiting[disk_id] -= 1
-                if self._fg_waiting[disk_id] == 0:
-                    event.set()
+        except BaseException:
+            if waiter.done() and not waiter.cancelled():
+                slots.release()  # handed a slot it will not use: pass it on
             else:
-                self._bg_waiting[disk_id] -= 1
-        waited = time.monotonic() - started
-        if self.controller is not None:
-            self.controller.observe_wait(disk_id, waited)
-        priority = "foreground" if foreground else "background"
-        current_registry().histogram(
-            ADMISSION_WAIT, "seconds a read waited for a per-disk slot"
-        ).labels(priority=priority).observe(waited)
-        tracer = current_tracer()
-        if tracer.enabled:
-            tracer.complete(
-                "wait", f"gate:disk-{disk_id}", started, waited,
-                track="gate", domain="wall", disk=disk_id, priority=priority,
-            )
-        self._inflight[disk_id] = self._inflight.get(disk_id, 0) + 1
-        try:
-            yield
-        finally:
-            self._inflight[disk_id] -= 1
-            sem.release()
+                waiter.cancel()
+                if waiter in queue:
+                    queue.remove(waiter)
+            raise
 
 
 class SlotWaiter:

@@ -54,7 +54,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, Optional, Set
 
 from repro.errors import ConfigurationError, DeadlineExceededError, OverloadError
 from repro.obs.context import current_registry
@@ -236,6 +236,8 @@ class OverloadController:
         self.config = config or OverloadConfig()
         self._clock = clock
         self._disks: Dict[int, _DiskWindow] = {}
+        #: The disks whose level is above 0: the state reads only these.
+        self._hot: Set[int] = set()
         self._last_min_wait = 0.0
         # --- tallies (also exported as metrics; kept here for `stats`) ---
         self.sheds: Dict[str, int] = {}
@@ -250,21 +252,25 @@ class OverloadController:
     # -------------------------------------------------------------- state
     @property
     def state(self) -> str:
-        """The daemon-wide overload state (worst disk wins)."""
-        self._expire_idle()
-        level = max((w.level for w in self._disks.values()), default=0)
-        return STATES[level]
+        """The daemon-wide overload state (worst disk wins).
 
-    def _expire_idle(self) -> None:
+        O(1) while every disk is at level 0; while some disk is hot, the
+        hot disks idle past ``idle_reset_s`` are forgotten first."""
+        if not self._hot:
+            return STATE_HEALTHY
         now = self._clock()
-        stale = [
-            d for d, w in self._disks.items()
-            if now - w.last_seen > self.config.idle_reset_s
-        ]
-        for d in stale:
-            if self._disks[d].level:
-                self._note_transition()
-            del self._disks[d]
+        for d in [d for d in self._hot if self._stale(self._disks[d], now)]:
+            self._forget(d)
+        return STATES[max((self._disks[d].level for d in self._hot), default=0)]
+
+    def _stale(self, win: _DiskWindow, now: float) -> bool:
+        return now - win.last_seen > self.config.idle_reset_s
+
+    def _forget(self, disk_id: int) -> None:
+        """Drop an idle disk's window: its queue is empty by definition."""
+        if self._disks.pop(disk_id).level:
+            self._hot.discard(disk_id)
+            self._note_transition()
 
     def _note_transition(self) -> None:
         self.transitions += 1
@@ -278,6 +284,9 @@ class OverloadController:
         c = self.config
         now = self._clock()
         win = self._disks.get(disk_id)
+        if win is not None and self._stale(win, now):
+            self._forget(disk_id)
+            win = None
         if win is None:
             win = self._disks[disk_id] = _DiskWindow(now)
         win.last_seen = now
@@ -303,6 +312,10 @@ class OverloadController:
             if win.level == 0:
                 self._last_min_wait = 0.0
         if win.level != before:
+            if win.level:
+                self._hot.add(disk_id)
+            else:
+                self._hot.discard(disk_id)
             self._note_transition()
         win.window_start = now
         win.min_wait = None
@@ -424,9 +437,7 @@ class OverloadController:
             "scrub_paced": self.scrub_paced,
             "transitions": self.transitions,
             "retry_after_ms": self.retry_after_ms(),
-            "browned_disks": sorted(
-                d for d, w in self._disks.items() if w.level
-            ),
+            "browned_disks": sorted(self._hot),
         }
 
 

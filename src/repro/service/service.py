@@ -42,7 +42,6 @@ record) without a survivor read and redoes the rest from the plan.
 from __future__ import annotations
 
 import asyncio
-import contextlib
 import functools
 import time
 from dataclasses import dataclass, fields
@@ -89,7 +88,7 @@ from repro.faults.spec import FaultSchedule
 from repro.hdss.server import HighDensityStorageServer, ScrubReport
 from repro.journal.journal import RepairJournal, load_state
 from repro.obs.context import current_registry, current_tracer
-from repro.obs.metrics import LATENCY_BUCKETS
+from repro.obs.metrics import LATENCY_BUCKETS, Family
 from repro.service.admission import DiskGate, SlotWaiter
 from repro.service.overload import (
     CLASS_DEGRADED,
@@ -119,25 +118,36 @@ CHUNK_READS = "hdpsr_service_chunk_reads_total"
 #: Quantiles ``stats`` reports for foreground latency (the SLO tail).
 READ_LATENCY_QUANTILES = (0.5, 0.9, 0.99, 0.999)
 
+# The front door's series, resolved once per registry (obs.metrics.Family).
+_CHUNK_READS = Family(
+    "counter", CHUNK_READS, "service chunk reads, by thread (loop or worker)",
+    label="path",
+)
+_DEGRADED_READS = Family(
+    "counter", DEGRADED_READS, "front-door reads of lost chunks", label="source"
+)
+_FOREGROUND_READS = Family("counter", FOREGROUND_READS, "front-door reads served")
+_READ_LATENCY = Family(
+    "histogram", READ_LATENCY, "front-door read wall latency",
+    label="path", buckets=LATENCY_BUCKETS,
+)
+
 #: One survivor read as a worker call saw it: ``(shard, disk, payload or
-#: the store's unreadable error, started, seconds)``.
+#: the store's unreadable error, started, seconds)`` — both 0.0 when the
+#: read was not timed.
 Gotten = Tuple[int, int, object, float, float]
-
-
-def _chunk_reads(path: str):
-    return current_registry().counter(
-        CHUNK_READS, "service chunk reads, by thread (loop or worker)"
-    ).labels(path=path)
 
 
 def _read_and_fold(
     store, si: int, reads: Sequence[Tuple[int, int]],
     decoder: Optional[PartialDecoder], gotten: Sequence[Gotten] = (),
+    timed: bool = False,
 ) -> Tuple[List[Gotten], Optional[Tuple[float, float]]]:
     """A round's worker-thread body: ``get`` each ``(shard, disk)`` of
     ``reads`` in turn — the store verifies every byte — timing each on
-    the monotonic clock, then fold everything that arrived (``gotten`` too:
-    reads earlier calls made) into ``decoder``, when one is given.
+    the monotonic clock when ``timed``, then fold everything that arrived
+    (``gotten`` too: reads earlier calls made) into ``decoder``, when one
+    is given.
 
     Returns the reads kept and the fold's ``(started, seconds)`` (None when
     nothing was folded). An unreadable chunk comes back as its error and
@@ -145,14 +155,16 @@ def _read_and_fold(
     store already had it in flight. Any other error fails the call.
     """
     gotten = list(gotten)
+    counted = _CHUNK_READS(current_registry(), "worker")
     for shard, disk_id in reads:
-        _chunk_reads("worker").inc()
-        started = time.monotonic()
+        counted.inc()
+        started = time.monotonic() if timed else 0.0
         try:
             payload = store.get(disk_id, ChunkId(si, shard))
         except (LatentSectorError, ChunkNotFoundError) as exc:
             payload = exc
-        gotten.append((shard, disk_id, payload, started, time.monotonic() - started))
+        seconds = time.monotonic() - started if timed else 0.0
+        gotten.append((shard, disk_id, payload, started, seconds))
         if not isinstance(payload, np.ndarray):
             break
     for i, (_, _, payload, _, _) in enumerate(gotten):
@@ -185,6 +197,7 @@ def _record_then_put(
 async def _get_and_fold(
     store, si: int, reads: Sequence[Tuple[int, int]],
     decoder: Optional[PartialDecoder], gotten: Sequence[Gotten] = (),
+    timed: bool = False,
 ) -> Tuple[List[Gotten], Optional[Tuple[float, float]]]:
     """:func:`_read_and_fold`, page cache first: each read in turn is a
     ``store.get_cached`` on the event loop. The first that answers None,
@@ -195,15 +208,17 @@ async def _get_and_fold(
     the loop's own timers run between a round's reads rather than behind
     the whole round."""
     gotten = list(gotten)
+    counted = _CHUNK_READS(current_registry(), "loop")
     for i, (shard, disk_id) in enumerate(reads):
-        started = time.monotonic()
+        started = time.monotonic() if timed else 0.0
         payload = store.get_cached(disk_id, ChunkId(si, shard))
         if payload is None:
             return await asyncio.to_thread(
-                _read_and_fold, store, si, reads[i:], decoder, gotten
+                _read_and_fold, store, si, reads[i:], decoder, gotten, timed
             )
-        _chunk_reads("loop").inc()
-        gotten.append((shard, disk_id, payload, started, time.monotonic() - started))
+        counted.inc()
+        seconds = time.monotonic() - started if timed else 0.0
+        gotten.append((shard, disk_id, payload, started, seconds))
         await asyncio.sleep(0)
     return _read_and_fold(store, si, (), decoder, gotten)
 
@@ -524,8 +539,9 @@ class RepairService:
         if not 0 <= shard_idx < stripe.n:
             raise ConfigurationError(f"stripe has no shard {shard_idx}")
         survivors = readable_shards(
-            self.server, stripe_index, stripe, skip=self.is_quarantined
-        )[: stripe.k]
+            self.server, stripe_index, stripe, skip=self.is_quarantined,
+            limit=stripe.k,
+        )
         error = "fewer than k clean survivors"
         if shard_idx in self.lost_shards(stripe_index) and len(survivors) == stripe.k:
             job = ServiceJob(
@@ -589,8 +605,8 @@ class RepairService:
         server = self.server
         survivors = readable_shards(
             server, stripe_index, stripe,
-            exclude=(shard_idx,), skip=self.is_quarantined,
-        )[: stripe.k]
+            exclude=(shard_idx,), skip=self.is_quarantined, limit=stripe.k,
+        )
         if len(survivors) < stripe.k:
             raise InsufficientShardsError(
                 f"stripe {stripe_index}: {len(survivors)} clean survivors < k; "
@@ -989,9 +1005,9 @@ class RepairService:
         a repair round (``stats`` given, background gate slots) or, without
         ``stats``, a degraded read's decode (foreground slots, unpriced).
 
-        Takes the round's disk-gate slots in ascending disk order (as every
-        holder of more than one gate does, so nothing deadlocks) and holds
-        them for the reads. A repair round prices each read in round order
+        Takes the round's disk-gate slots in ascending disk order
+        (:meth:`DiskGate.read_many`) and holds them for the reads. A repair
+        round prices each read in round order
         on :attr:`clock` (``forced`` as ``ReadClock.price`` takes it; a slow
         :class:`ShardFault` skips that read, a dead one or an unreadable
         chunk ends the round). Each read is first a ``get_cached`` on the
@@ -1007,23 +1023,26 @@ class RepairService:
         A chunk that failed its digest verify is quarantined: a degraded
         decode spawns its read-repair, a repair round leaves it to its
         stripe's re-plan. A recording tracer gets a ``read`` span per
-        arrived read (the ``get`` alone) and a ``decode`` span for the fold.
+        arrived read (the ``get`` alone) and a ``decode`` span for the fold;
+        the reads are timed only then.
         """
         store = self.server.store
         overlap = store.reads_overlap
         foreground = stats is None
+        tracer = current_tracer()
+        timed = tracer.enabled  # per-read timestamps feed only its spans
         faults: Dict[int, ShardFault] = {}
         reads: List[Tuple[int, int]] = []
         gotten: List[Gotten] = []
-        async with contextlib.AsyncExitStack() as gates:
-            for disk_id in sorted(stripe.disks[s] for s in shards):
-                await gates.enter_async_context(self.gate.read(
-                    disk_id, foreground=foreground, deadline=deadline
-                ))
+        async with self.gate.read_many(
+            [stripe.disks[s] for s in shards], foreground=foreground, deadline=deadline
+        ):
             for shard in shards:
                 if stats is not None:
                     if reads and self.clock.due():
-                        gotten, _ = await _get_and_fold(store, si, reads, None, gotten)
+                        gotten, _ = await _get_and_fold(
+                            store, si, reads, None, gotten, timed
+                        )
                         reads = []
                         if not isinstance(gotten[-1][2], np.ndarray):
                             break
@@ -1037,17 +1056,18 @@ class RepairService:
                 reads.append((shard, stripe.disks[shard]))
             if overlap:
                 parts = await asyncio.gather(*(
-                    asyncio.to_thread(_read_and_fold, store, si, [read], None)
+                    asyncio.to_thread(_read_and_fold, store, si, [read], None, (), timed)
                     for read in reads
                 ))
                 gotten += [g for part, _ in parts for g in part]
             else:
-                gotten, fold = await _get_and_fold(store, si, reads, decoder, gotten)
+                gotten, fold = await _get_and_fold(
+                    store, si, reads, decoder, gotten, timed
+                )
         if overlap:  # the fold needs no disk
             gotten, fold = await asyncio.to_thread(
                 _read_and_fold, store, si, (), decoder, gotten
             )
-        tracer = current_tracer()
         fed: Dict[int, np.ndarray] = {}
         for shard, disk_id, payload, started, seconds in gotten:
             if not isinstance(payload, np.ndarray):
@@ -1098,29 +1118,32 @@ class RepairService:
         if deadline is not None:
             deadline.check("admission")
         registry = current_registry()
-        registry.counter(FOREGROUND_READS, "front-door reads served").inc()
         started = time.monotonic()
-        if (
-            not server.disk(disk_id).is_failed
-            and server.store.is_readable(disk_id, cid)
-            and not self.is_quarantined(disk_id, cid)
-        ):
+        store = server.store
+        if not server.disk(disk_id).is_failed and not self.is_quarantined(disk_id, cid):
             if self.overload is not None:
                 self.overload.admit(
                     CLASS_READ, queue_depth=self.gate.queue_depth(disk_id)
                 )
             async with self.gate.read(disk_id, foreground=True, deadline=deadline):
-                gotten, _ = await _get_and_fold(
-                    server.store, stripe_index, [(shard_idx, disk_id)], None
-                )
-            data = gotten[0][2]
+                # The store is asked whether the chunk is there only when
+                # the page cache cannot answer: a missing chunk answers None.
+                data = store.get_cached(disk_id, cid)
+                if data is not None:
+                    _CHUNK_READS(registry, "loop").inc()
+                    await asyncio.sleep(0)
+                elif store.is_readable(disk_id, cid):
+                    (read,), _ = await asyncio.to_thread(
+                        _read_and_fold, store, stripe_index, [(shard_idx, disk_id)], None
+                    )
+                    data = read[2]
             if isinstance(data, np.ndarray):
                 self._observe_read(registry, "healthy", started)
                 return data
-            if not isinstance(data, LatentSectorError):
+            if data is not None and not isinstance(data, LatentSectorError):
                 raise data
-            # Unreadable sector or failed verify: no bytes escaped, so fall
-            # through to the degraded path below.
+            # Missing, an unreadable sector or a failed verify: no bytes
+            # escaped, so fall through to the degraded path below.
             if isinstance(data, ChunkChecksumError):
                 # Silent corruption: quarantine and kick off the read-repair.
                 self.quarantine_chunk(
@@ -1130,9 +1153,6 @@ class RepairService:
 
         if self.overload is not None:
             self.overload.admit(CLASS_DEGRADED)
-        degraded = registry.counter(
-            DEGRADED_READS, "front-door reads of lost chunks"
-        )
         tracer = current_tracer()
         entry = self._pass_of(stripe_index)
         if entry is not None:
@@ -1142,10 +1162,10 @@ class RepairService:
             ):
                 results = await self._await_piggyback(entry.decoded, deadline)
             if results is not None and shard_idx in results:
-                degraded.labels(source="piggyback").inc()
+                _DEGRADED_READS(registry, "piggyback").inc()
                 self._observe_read(registry, "piggyback", started)
                 return results[shard_idx]
-        degraded.labels(source="decode").inc()
+        _DEGRADED_READS(registry, "decode").inc()
         decode = self._decode_chunk(stripe_index, stripe, shard_idx, deadline)
         with tracer.span(
             "decode", f"degraded:{stripe_index}/{shard_idx}",
@@ -1172,12 +1192,12 @@ class RepairService:
             deadline.check("piggyback")
             raise  # not expired after all (clock nudge): surface the timeout
 
-    def _observe_read(self, registry, path: str, started: float) -> None:
-        """Record one front-door read's wall latency in its histogram."""
-        registry.histogram(
-            READ_LATENCY, "front-door read wall latency",
-            buckets=LATENCY_BUCKETS,
-        ).labels(path=path).observe(time.monotonic() - started)
+    @staticmethod
+    def _observe_read(registry, path: str, started: float) -> None:
+        """Count one front-door read that returned bytes, and record its
+        wall latency in its path's histogram."""
+        _FOREGROUND_READS(registry).inc()
+        _READ_LATENCY(registry, path).observe(time.monotonic() - started)
 
     async def read_object(
         self, stripe_index: int, deadline: Optional[Deadline] = None

@@ -11,6 +11,7 @@ from repro.obs.metrics import (
     DEFAULT_TIME_BUCKETS,
     LATENCY_BUCKETS,
     Counter,
+    Family,
     Gauge,
     Histogram,
     MetricsRegistry,
@@ -131,6 +132,26 @@ class TestRegistry:
         r.counter("c").inc()
         r.reset()
         assert r.get("c") is None
+
+    def test_a_family_resolves_its_series_once_per_registry(self):
+        reads = Family("counter", "reads_total", "help", label="path")
+        latency = Family("histogram", "latency_seconds", label="path", buckets=(1.0,))
+        first, second = MetricsRegistry(), MetricsRegistry()
+        assert reads(first, "loop") is first.counter("reads_total").labels(path="loop")
+        assert reads(first, "loop") is reads(first, "loop")
+        assert reads(second, "loop") is not reads(first, "loop")
+        assert latency(first, "decode").buckets == (1.0,)
+        bare = Family("counter", "served_total")
+        assert bare(first) is first.counter("served_total")
+        first.reset()  # forgets the resolved series with the metrics
+        reads(first, "loop").inc()
+        assert first.get("reads_total").labels(path="loop").value == 1.0
+
+    def test_a_family_keeps_the_registry_s_type_check(self):
+        r = MetricsRegistry()
+        r.gauge("reads_total")
+        with pytest.raises(ConfigurationError):
+            Family("counter", "reads_total", label="path")(r, "loop")
 
     def test_default_registry_is_shared(self):
         assert default_registry() is default_registry()

@@ -14,7 +14,10 @@ drive coroutines via ``asyncio.run``.
 import asyncio
 import types
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import (
     ConfigurationError,
@@ -22,6 +25,7 @@ from repro.errors import (
     OverloadError,
 )
 from repro.hdss.store import InMemoryChunkStore
+from repro.obs.context import current_registry
 from repro.service import client as client_module
 from repro.service.chaos_rig import (
     PacedStore,
@@ -43,12 +47,14 @@ from repro.service.overload import (
     STATE_BROWNED_OUT,
     STATE_HEALTHY,
     STATE_SHEDDING,
+    STATES,
     Deadline,
     OverloadConfig,
     OverloadController,
     RetryBudget,
 )
 from repro.service.protocol import ERR_DEADLINE, ERR_OVERLOAD
+from repro.service.service import FOREGROUND_READS, READ_LATENCY
 
 from tests.conftest import start_daemon, stop_daemon
 
@@ -110,6 +116,50 @@ def feed_window(ctrl, clock, disk, wait_s, observations=3):
         ctrl.observe_wait(disk, wait_s)
         clock.advance(0.04)
     ctrl.observe_wait(disk, wait_s)  # past interval_ms: judges the window
+
+
+class RescanController:
+    """The controller's state as a rescan of every disk's window on each
+    read — the reference the kept-current state is checked against."""
+
+    def __init__(self, config, clock):
+        self.config = config
+        self.clock = clock
+        self.windows = {}
+        self.transitions = 0
+
+    @property
+    def state(self):
+        now = self.clock()
+        for disk in list(self.windows):
+            if now - self.windows[disk].last_seen > self.config.idle_reset_s:
+                self.transitions += bool(self.windows.pop(disk).level)
+        return STATES[max((w.level for w in self.windows.values()), default=0)]
+
+    def browned_disks(self):
+        return sorted(d for d, w in self.windows.items() if w.level)
+
+    def observe_wait(self, disk, waited):
+        c, now = self.config, self.clock()
+        win = self.windows.setdefault(disk, types.SimpleNamespace(
+            start=now, min_wait=None, level=0, clean=0, last_seen=now,
+        ))
+        win.last_seen = now
+        if win.min_wait is None or waited < win.min_wait:
+            win.min_wait = waited
+        if now - win.start < c.interval_ms / 1000.0:
+            return
+        before = win.level
+        if win.min_wait > c.shed_target_ms / 1000.0:
+            win.level, win.clean = 2, 0
+        elif win.min_wait > c.target_ms / 1000.0:
+            win.level, win.clean = max(win.level, 1), 0
+        else:
+            win.clean += 1
+            if win.clean >= c.recovery_intervals and win.level:
+                win.level, win.clean = win.level - 1, 0
+        self.transitions += win.level != before
+        win.start, win.min_wait = now, None
 
 
 class TestOverloadController:
@@ -215,6 +265,33 @@ class TestOverloadController:
         assert snap["sheds_total"] == 1
         assert snap["browned_disks"] == [3]
         assert snap["retry_after_ms"] > 0.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(
+        st.tuples(
+            st.just("observe"), st.integers(0, 3),
+            st.sampled_from([0.0, 0.003, 0.02, 0.08]),
+        ),
+        st.tuples(st.just("advance"), st.sampled_from([0.0, 0.03, 0.11, 0.6, 1.5])),
+    ), max_size=60))
+    def test_state_matches_a_rescan_of_every_disk(self, steps):
+        """The state the controller keeps current equals a rescan of every
+        disk's window, and so does the transition count, over any sequence
+        of waits and clock advances with the state read after each step
+        (as the daemon reads it at every admission). Idle expiry of hot and
+        cold disks is in the sequences: ``idle_reset_s`` is 1 s."""
+        clock = FakeClock()
+        ctrl = make_controller(clock, idle_reset_s=1.0)
+        ref = RescanController(ctrl.config, clock)
+        for step in steps:
+            if step[0] == "observe":
+                ctrl.observe_wait(*step[1:])
+                ref.observe_wait(*step[1:])
+            else:
+                clock.advance(step[1])
+            assert ctrl.state == ref.state
+            assert ctrl.transitions == ref.transitions
+            assert ctrl.snapshot()["browned_disks"] == ref.browned_disks()
 
     def test_config_validation(self):
         with pytest.raises(ConfigurationError):
@@ -369,6 +446,45 @@ class TestDeadlinePropagation:
             return service.overload.deadline_expired
 
         assert asyncio.run(run()) >= 1
+
+
+class TestForegroundReadsCount:
+    def test_only_a_read_that_returns_bytes_counts(self):
+        """``hdpsr_service_foreground_reads_total`` counts front-door reads
+        served: a shed read and a read dead at admission do not count, and
+        the counter equals the reads the latency histogram recorded."""
+        server = make_server()
+        service = build_service(server, overload=OverloadConfig())
+        clock = FakeClock()
+        ctrl = make_controller(clock)
+        service.overload = service.gate.controller = ctrl
+        stripe = server.layout[0]
+        server.fail_disk(stripe.disks[1])
+
+        async def run():
+            await service.read_chunk(0, 0)  # healthy
+            await service.read_chunk(0, 1)  # degraded: its own decode
+            # a standing queue on a disk this stripe's reads never waited on
+            idle = next(d for d in range(len(server.disks)) if d not in stripe.disks)
+            feed_window(ctrl, clock, disk=idle, wait_s=0.080)
+            assert ctrl.state == STATE_SHEDDING
+            with pytest.raises(OverloadError):
+                await service.read_chunk(0, 1)  # degraded decodes are shed
+            with pytest.raises(DeadlineExceededError):
+                await service.read_chunk(
+                    0, 0, deadline=Deadline(clock() - 1.0, clock=clock)
+                )
+            return await service.read_chunk(0, 0)  # healthy reads still served
+
+        assert isinstance(asyncio.run(run()), np.ndarray)
+        registry = current_registry()
+        latency = registry.get(READ_LATENCY)
+        recorded = {
+            path: latency.labels(path=path).count
+            for path in ("healthy", "piggyback", "decode")
+        }
+        assert recorded == {"healthy": 2, "piggyback": 0, "decode": 1}
+        assert registry.get(FOREGROUND_READS).value == sum(recorded.values()) == 3
 
 
 class TestClusterClientBudgets:

@@ -391,6 +391,125 @@ class TestCachedReads:
         assert np.array_equal(data, want)
         assert handoffs == 1 and by_path == {"loop": 0, "worker": 6}  # the decode
 
+    def test_a_cached_healthy_read_asks_no_stat_and_never_waits(
+        self, tmp_path, monkeypatch
+    ):
+        """The store is asked whether a chunk is there only when the page
+        cache cannot answer, and a free gate slot is taken without a
+        suspension."""
+        import asyncio
+        import os
+
+        import pytest
+
+        from repro.hdss.store import FileChunkStore
+        from repro.service.admission import DiskGate
+
+        service = self.service(tmp_path)
+        want = self.expected(service, 0, 1)
+        disk = service.server.layout[0].disks[1]
+        asked, waits = [], []
+        real_stat, real_readable = os.stat, FileChunkStore.is_readable
+        real_wait = DiskGate._wait
+
+        def stat(path, *args, **kwargs):
+            if str(path).endswith(".chunk"):  # not asyncio debug's own stats
+                asked.append("stat")
+            return real_stat(path, *args, **kwargs)
+
+        def is_readable(store, disk_id, chunk_id):
+            asked.append("is_readable")
+            return real_readable(store, disk_id, chunk_id)
+
+        def wait(*args):
+            waits.append(args)
+            return real_wait(*args)
+
+        def patch():
+            monkeypatch.setattr(os, "stat", stat)
+            monkeypatch.setattr(FileChunkStore, "is_readable", is_readable)
+            monkeypatch.setattr(DiskGate, "_wait", staticmethod(wait))
+
+        patch()
+        data, handoffs, by_path = self.read(service, 0, 1, monkeypatch)
+        assert np.array_equal(data, want)
+        assert asked == [] and waits == [] and handoffs == 0
+        assert by_path == {"loop": 1, "worker": 0}
+        # An uncontended acquire finishes at its first step: no suspension.
+        with pytest.raises(StopIteration):
+            service.gate.acquire(disk, foreground=True).send(None)
+        service.gate.release(disk)
+        patch()
+        asyncio.run(service.read_chunk(0, 1))
+        assert asked == [] and waits == []
+
+    def test_a_chunk_missing_from_a_file_store_degrades(self, tmp_path, monkeypatch):
+        """A healthy disk's chunk that is not there: the cache answers None,
+        ``is_readable`` says no, and the read decodes the right bytes."""
+        service = self.service(tmp_path)
+        want = self.expected(service, 0, 1)
+        disk = service.server.layout[0].disks[1]
+        service.server.store.delete(disk, ChunkId(0, 1))
+        data, handoffs, by_path = self.read(service, 0, 1, monkeypatch)
+        assert np.array_equal(data, want)
+        assert handoffs == 0 and by_path == {"loop": 6, "worker": 0}  # k survivors
+
+    def test_background_never_overtakes_a_queued_foreground_read(self, tmp_path):
+        """Both slots held, a front-door read queues; a released slot passes
+        to it, so a background admission that arrives before the read has
+        even resumed queues behind it."""
+        import asyncio
+
+        service = self.service(tmp_path)
+        want = self.expected(service, 0, 1)
+        gate, disk = service.gate, service.server.layout[0].disks[1]
+        done = []
+
+        async def run():
+            for _ in range(gate.width):
+                await gate.acquire(disk)
+            read = asyncio.ensure_future(service.read_chunk(0, 1))
+            read.add_done_callback(lambda _: done.append("foreground"))
+            while not gate.queue_depth(disk):
+                await asyncio.sleep(0)
+            gate.release(disk)  # handed to the queued foreground read
+            background = asyncio.ensure_future(gate.acquire(disk))
+            background.add_done_callback(lambda _: done.append("background"))
+            await asyncio.sleep(0)
+            assert gate.depths()[disk]["waiting_background"] == 1
+            data = await read
+            await background
+            return data
+
+        assert np.array_equal(asyncio.run(run()), want)
+        assert done == ["foreground", "background"]
+        assert gate.depths()[disk]["inflight"] == gate.width
+
+    def test_each_registry_counts_only_its_own_reads(self, tmp_path, monkeypatch):
+        """The read path resolves its labelled series once per registry: a
+        registry installed with ``use_registry`` after another gets series
+        of its own, not the first one's."""
+        import asyncio
+
+        from repro.obs import MetricsRegistry, use_registry
+        from repro.service.service import CHUNK_READS, FOREGROUND_READS, READ_LATENCY
+
+        service = self.service(tmp_path)
+        registries = [MetricsRegistry(), MetricsRegistry()]
+        for registry, reads in zip(registries, (1, 2)):
+            with use_registry(registry):
+                for _ in range(reads):
+                    asyncio.run(service.read_chunk(0, 1))
+        counts = [
+            (
+                r.get(CHUNK_READS).labels(path="loop").value,
+                r.get(FOREGROUND_READS).value,
+                r.get(READ_LATENCY).labels(path="healthy").count,
+            )
+            for r in registries
+        ]
+        assert counts == [(1, 1, 1), (2, 2, 2)]
+
 
 class TestScrubHandoffs:
     """The scrub walk's thread hand-offs, in counts: one clean cycle over

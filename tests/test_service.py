@@ -142,6 +142,33 @@ class TestDiskGate:
 
         assert asyncio.run(run()) == ["fg", "bg"]
 
+    def test_a_cancelled_wait_passes_its_slot_on(self):
+        """A queued read cancelled before a release leaves the queue; one
+        cancelled after a release handed it the slot hands the slot on."""
+
+        async def run():
+            gate = DiskGate(width=1)
+            await gate.acquire(0)
+            first = asyncio.ensure_future(gate.acquire(0, foreground=True))
+            second = asyncio.ensure_future(gate.acquire(0, foreground=True))
+            third = asyncio.ensure_future(gate.acquire(0))
+            await self.turns()
+            first.cancel()  # still queued
+            await self.turns()
+            assert gate.depths()[0]["waiting_foreground"] == 1
+            gate.release(0)  # handed to ``second``, which has not resumed
+            second.cancel()
+            await self.turns()
+            assert first.cancelled() and second.cancelled() and third.done()
+            assert gate.depths()[0] == {
+                "width": 1, "inflight": 1,
+                "waiting_foreground": 0, "waiting_background": 0,
+            }
+            gate.release(0)
+            return gate.depths()[0]["inflight"]
+
+        assert asyncio.run(run()) == 0
+
     def test_rejects_zero_width(self):
         with pytest.raises(ConfigurationError):
             DiskGate(width=0)
