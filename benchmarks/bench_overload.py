@@ -146,14 +146,19 @@ def test_overload_knee(results_sink):
         # than measurement slack.
         assert r["goodput_per_s"] < 1.25 * CAPACITY, r
 
-    # Past the knee both modes saturate near capacity...
-    for control in (True, False):
-        deep = by[(1.8, control)]
-        assert deep["goodput_per_s"] > 0.5 * CAPACITY, deep
+    # Past the knee both modes saturate: the uncontrolled daemon near
+    # capacity, and shedding keeps at least half of that goodput. The
+    # controlled point is held to the uncontrolled point of the same
+    # sweep, not to CAPACITY: on a slower host more of the excess expires
+    # at its deadline, and that is the controller working...
+    controlled, uncontrolled = by[(1.8, True)], by[(1.8, False)]
+    assert uncontrolled["goodput_per_s"] > 0.5 * CAPACITY, uncontrolled
+    assert controlled["goodput_per_s"] >= 0.5 * uncontrolled["goodput_per_s"], (
+        controlled, uncontrolled,
+    )
     # ...but only the controlled daemon bounds the tail: it sheds load,
     # leaves healthy, and keeps p99 within a few deadlines, while the
     # uncontrolled queue's tail scales with the whole episode.
-    controlled, uncontrolled = by[(1.8, True)], by[(1.8, False)]
     assert controlled["sheds"] + controlled["deadline_expired"] > 0, controlled
     assert controlled["max_state_level"] >= 1, controlled
     assert controlled["p99_ms"] <= 3 * DEADLINE_MS, controlled

@@ -32,12 +32,7 @@ from typing import List, Optional, Sequence
 
 from repro.core.base import RepairAlgorithm, RepairContext
 from repro.core.repair_job import DataPathStats, certified, plan_repair
-from repro.core.scheduler import (
-    ExecutionOptions,
-    RepairOutcome,
-    repair_single_disk,
-    simulate,
-)
+from repro.core.scheduler import RepairOutcome, repair_single_disk, simulate
 from repro.core.stripe_repair import ReadPolicy
 from repro.ec.stripe import ChunkId
 from repro.errors import JournalError, StorageError
@@ -164,7 +159,6 @@ def recover_disk(
     server: HighDensityStorageServer,
     algorithm: RepairAlgorithm,
     failed_disk: int,
-    options: Optional[ExecutionOptions] = None,
     context: Optional[RepairContext] = None,
     faults: Optional[FaultSchedule] = None,
     policy: Optional[ReadPolicy] = None,
@@ -198,7 +192,7 @@ def recover_disk(
     return _recover(
         server, algorithm, server.failed_disks(),
         lambda: repair_single_disk(
-            server, algorithm, failed_disk, options=options, context=context
+            server, algorithm, failed_disk, context=context
         ),
         faults, policy, journal, resume,
     )
@@ -208,7 +202,6 @@ def recover_disks(
     server: HighDensityStorageServer,
     algorithm: RepairAlgorithm,
     failed_disks: Sequence[int],
-    options: Optional[ExecutionOptions] = None,
     context: Optional[RepairContext] = None,
     faults: Optional[FaultSchedule] = None,
     policy: Optional[ReadPolicy] = None,
@@ -249,7 +242,7 @@ def recover_disks(
                 server, algorithm, failed, select=select,
                 prober=ActiveProber(server, noise=probe_noise), context=context,
             ),
-            server, options,
+            server,
         ),
         faults, policy, journal, resume,
     )

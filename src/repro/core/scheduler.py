@@ -23,7 +23,7 @@ times, and report the paper's metrics.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -38,9 +38,6 @@ from repro.obs.profiling import profile
 from repro.sim.metrics import TransferReport
 from repro.sim.transfer import simulate_interval_schedule, simulate_slot_schedule
 
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.faults.injector import SimFaultModel
-
 
 @dataclass
 class ExecutionOptions:
@@ -48,26 +45,13 @@ class ExecutionOptions:
 
     #: ``"slot"`` (exact, default) or ``"interval"`` (paper's model).
     model: str = "slot"
-    #: Optional decode cost added to every repair round.
-    compute_time_per_round: float = 0.0
-    #: Override the concurrent-stripe cap (default: the plan's P_r).
-    max_concurrent: Optional[int] = None
     #: Charge partial-sum accumulator slots against the memory capacity
     #: (ablation; the paper's accounting budgets transfer buffers only).
     charge_accumulators: bool = False
-    #: Per-stripe tail time after the last round: writing the rebuilt
-    #: chunk to a spare disk (0 = reads only, the paper's accounting).
-    writeback_seconds: float = 0.0
     #: Model each source disk as serving one request at a time (slot model
     #: only); False keeps the paper's L-matrix abstraction where a disk
     #: can feed any number of concurrent transfers at full speed.
     disk_contention: bool = False
-    #: Optional timing-plane fault model
-    #: (:class:`~repro.faults.injector.SimFaultModel`): slow/hang windows
-    #: stretch transfers; a permanent disk failure aborts the stripes
-    #: reading from it (surfaced in ``TransferReport.failed_jobs`` for the
-    #: caller — e.g. cooperative multi-disk repair — to re-plan).
-    faults: "Optional[SimFaultModel]" = None
 
     def __post_init__(self) -> None:
         if self.model not in ("slot", "interval"):
@@ -96,30 +80,19 @@ def execute_plan(
         charge_accumulators=options.charge_accumulators,
     )
     if options.model == "interval":
-        num_intervals = options.max_concurrent or plan.pr
+        num_intervals = plan.pr
         if num_intervals is None:
             # Plans without a declared P_r (HD-PSR-PA): intervals must be
             # wide enough for the largest per-stripe footprint.
             num_intervals = max(1, c // max(j.max_round_size() + j.accumulator_slots for j in jobs))
-        report = simulate_interval_schedule(
-            jobs,
-            num_intervals,
-            compute_time_per_round=options.compute_time_per_round,
-            tail_time_per_job=options.writeback_seconds,
-            tracer=tracer,
-            faults=options.faults,
-        )
+        report = simulate_interval_schedule(jobs, num_intervals, tracer=tracer)
     else:
-        cap = options.max_concurrent if options.max_concurrent is not None else plan.pr
         report = simulate_slot_schedule(
             jobs,
             capacity=c,
-            max_concurrent=cap,
-            compute_time_per_round=options.compute_time_per_round,
-            tail_time_per_job=options.writeback_seconds,
+            max_concurrent=plan.pr,
             disk_contention=options.disk_contention,
             tracer=tracer,
-            faults=options.faults,
         )
     _record_execution_metrics(plan, report, options.model)
     return report

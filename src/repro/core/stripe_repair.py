@@ -74,8 +74,6 @@ class ReadPolicy:
         backoff_cap: upper bound on a single backoff sleep.
         hedge: after the retry budget, re-plan the read onto a different
             survivor instead of forcing it through the slow disk.
-        hedge_threshold_seconds: when set (with ``hedge``), a read slower
-            than this hedges immediately without burning retries.
     """
 
     timeout_seconds: Optional[float] = None
@@ -83,7 +81,6 @@ class ReadPolicy:
     backoff_base: float = 0.05
     backoff_cap: float = 2.0
     hedge: bool = False
-    hedge_threshold_seconds: Optional[float] = None
 
     def __post_init__(self) -> None:
         if self.timeout_seconds is not None and self.timeout_seconds <= 0:
@@ -96,10 +93,6 @@ class ReadPolicy:
             raise ConfigurationError(
                 f"need 0 <= backoff_base <= backoff_cap, got "
                 f"{self.backoff_base}/{self.backoff_cap}"
-            )
-        if self.hedge_threshold_seconds is not None and self.hedge_threshold_seconds <= 0:
-            raise ConfigurationError(
-                f"hedge_threshold_seconds must be > 0, got {self.hedge_threshold_seconds}"
             )
 
     def backoff(self, attempt: int) -> float:
@@ -116,17 +109,11 @@ class ReadPolicy:
         * :data:`READ_OK` — issue the read;
         * :data:`READ_RETRY` — timed out with budget left: pay ``penalty``,
           re-price the disk and decide again with ``attempt + 1``;
-        * :data:`READ_SLOW` — give up on this disk and hedge onto another
-          survivor (budget spent, or immediately past the hedge threshold);
+        * :data:`READ_SLOW` — budget spent: give up on this disk and hedge
+          onto another survivor;
         * :data:`FORCE` — budget spent and hedging is off: timeouts alone
           never lose data, so the read goes through at degraded speed.
         """
-        if (
-            self.hedge
-            and self.hedge_threshold_seconds is not None
-            and duration > self.hedge_threshold_seconds
-        ):
-            return READ_SLOW, 0.0
         if self.timeout_seconds is None or duration <= self.timeout_seconds:
             return READ_OK, 0.0
         if attempt < self.max_retries:

@@ -6,15 +6,12 @@ latent sector errors on specific chunks, transient bandwidth collapses,
 hung I/O windows — expressed on the *logical repair clock* (seconds of
 modeled transfer time since the recovery started).
 
-Two consumers interpret the same schedule:
-
-* :class:`~repro.faults.injector.FaultInjector` binds a schedule to a live
-  :class:`~repro.hdss.server.HighDensityStorageServer` and mutates real
-  state (fails disks, degrades bandwidth, poisons chunks) as the byte-exact
-  data path advances its clock;
-* :class:`~repro.faults.injector.SimFaultModel` answers the timing
-  executors' questions (``fail_time``, ``effective_duration``) without any
-  server, so plan simulations see the same failure timeline.
+:class:`~repro.faults.injector.FaultInjector` is the one interpreter: it
+binds a schedule to a live
+:class:`~repro.hdss.server.HighDensityStorageServer` and mutates real state
+(fails disks, degrades bandwidth, poisons chunks) as the byte-exact data
+path advances its clock. The timing simulators take no schedule; they run
+the paper's fault-free timeline.
 
 Recovery outcomes under faults land in a
 :class:`~repro.faults.report.DataLossReport` — per-stripe

@@ -1,17 +1,13 @@
-"""Schedule interpreters: mutate a live server, or answer timing queries.
+"""The schedule interpreter: mutate a live server as the repair clock runs.
 
-:class:`FaultInjector` is the byte-exact side. It binds a schedule to a
-:class:`~repro.hdss.server.HighDensityStorageServer` and, as the data-path
-driver advances its logical clock past event times, really fails disks,
-really poisons chunks, and really collapses bandwidth — so every downstream
-consequence (``DiskFailedError`` on read, decode re-planning, data loss) is
-exercised for real rather than signaled by a flag.
-
-:class:`SimFaultModel` is the stateless timing side: the slot/interval
-simulators ask it when a disk dies and how long a transfer *actually* takes
-once slow/hang windows stretch it. Both read the same
-:class:`~repro.faults.spec.FaultSchedule`, so one spec file tells one story
-on both planes.
+:class:`FaultInjector` binds a :class:`~repro.faults.spec.FaultSchedule` to
+a :class:`~repro.hdss.server.HighDensityStorageServer` and, as the
+data path advances its logical clock past event times, really fails
+disks, really poisons chunks, and really collapses bandwidth — so every
+downstream consequence (``DiskFailedError`` on read, decode re-planning,
+data loss) is exercised for real rather than signaled by a flag. It is the
+only interpreter: the timing simulators run the paper's fault-free
+timeline.
 
 Approximation note: the data-path injector applies events at **read
 boundaries** — the clock only moves when a read completes, so an event at
@@ -21,7 +17,7 @@ atomic; a fault cannot corrupt half a chunk.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.ec.stripe import ChunkId
 from repro.faults.spec import FaultEvent, FaultSchedule
@@ -200,64 +196,3 @@ class FaultInjector:
                 shard=event.shard,
             )
 
-
-class SimFaultModel:
-    """Timing-plane view of a schedule: no server, just arithmetic.
-
-    The simulators ask two questions: *when does this disk die* and *how
-    long does a transfer starting at ``t`` really take* once slow/hang
-    windows are laid over it. Durations are stretched by integrating the
-    bandwidth-collapse factor across each window the transfer overlaps.
-    """
-
-    def __init__(self, schedule: FaultSchedule) -> None:
-        self.schedule = schedule
-        self._fail_times = schedule.disk_fail_times()
-        self._windows: Dict[int, List[FaultEvent]] = {}
-        for e in schedule:
-            if e.kind in ("slow", "hang"):
-                self._windows.setdefault(e.disk, []).append(e)
-        for wins in self._windows.values():
-            wins.sort(key=lambda e: e.at)
-
-    def fail_time(self, disk_id: int) -> Optional[float]:
-        """Permanent-failure time for a disk, or ``None`` if it survives."""
-        return self._fail_times.get(disk_id)
-
-    def _factor_at(self, disk_id: int, t: float) -> float:
-        factor = 1.0
-        for e in self._windows.get(disk_id, ()):  # few windows; linear is fine
-            if e.at <= t < e.window_end:
-                factor = max(factor, e.effective_factor)
-        return factor
-
-    def _next_boundary(self, disk_id: int, t: float) -> float:
-        nxt = float("inf")
-        for e in self._windows.get(disk_id, ()):
-            if e.at > t:
-                nxt = min(nxt, e.at)
-            if t < e.window_end < nxt:
-                nxt = min(nxt, e.window_end)
-        return nxt
-
-    def effective_duration(self, disk_id: int, start: float, base: float) -> float:
-        """Stretch ``base`` (fault-free seconds) across slow/hang windows.
-
-        A window with factor ``f`` delivers work at rate ``1/f``; the
-        transfer finishes when the integrated rate equals ``base``.
-        """
-        if base <= 0 or disk_id not in self._windows:
-            return base
-        t = float(start)
-        remaining = float(base)  # work left, in fault-free seconds
-        for _ in range(4 * len(self._windows[disk_id]) + 2):
-            factor = self._factor_at(disk_id, t)
-            boundary = self._next_boundary(disk_id, t)
-            if boundary == float("inf"):
-                return t + remaining * factor - start
-            capacity = (boundary - t) / factor
-            if capacity >= remaining:
-                return t + remaining * factor - start
-            remaining -= capacity
-            t = boundary
-        return t + remaining - start  # windows exhausted; run at nominal

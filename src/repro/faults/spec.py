@@ -1,9 +1,10 @@
 """Fault schedules: what goes wrong, where, and when.
 
 A schedule is deliberately dumb data — a sorted tuple of events with a JSON
-round-trip — so the same spec file drives both the byte-exact injector and
-the timing simulators, and a seed reproduces the identical failure story
-run after run.
+round-trip — so one spec file drives the data path's
+:class:`~repro.faults.injector.FaultInjector` (or, for the service-plane
+kinds, a daemon's :class:`~repro.faults.service.ServiceFaultInjector`), and
+a seed reproduces the identical failure story run after run.
 
 Event kinds:
 
@@ -221,41 +222,6 @@ class FaultSchedule:
 
     def for_kind(self, kind: str) -> List[FaultEvent]:
         return [e for e in self.events if e.kind == kind]
-
-    def disk_fail_times(self) -> Dict[int, float]:
-        """Earliest permanent-failure time per disk."""
-        times: Dict[int, float] = {}
-        for e in self.events:
-            if e.kind == "disk_fail" and e.disk not in times:
-                times[e.disk] = e.at
-        return times
-
-    def shifted(self, origin: float) -> "FaultSchedule":
-        """Rebase the schedule so simulated time restarts at ``origin``.
-
-        Used when a timing-plane repair re-plans mid-run: the replacement
-        phase simulates from t=0 again, so every remaining event moves
-        earlier by ``origin``. Events entirely in the past are dropped
-        (they already happened to the server); transient windows straddling
-        the origin keep only their remaining duration.
-        """
-        if origin <= 0:
-            return self
-        out: List[FaultEvent] = []
-        for e in self.events:
-            if e.at >= origin:
-                out.append(FaultEvent(
-                    at=e.at - origin, kind=e.kind, disk=e.disk,
-                    stripe=e.stripe, shard=e.shard, factor=e.factor,
-                    duration=e.duration, daemon=e.daemon,
-                ))
-            elif e.kind in ("slow", "hang") and e.window_end > origin:
-                rest = None if e.duration is None else e.window_end - origin
-                out.append(FaultEvent(
-                    at=0.0, kind=e.kind, disk=e.disk,
-                    factor=e.factor, duration=rest,
-                ))
-        return FaultSchedule(out)
 
     def for_daemon(self, daemon: int) -> "Tuple[FaultSchedule, FaultSchedule]":
         """Split a cluster schedule into one daemon's two injection planes.

@@ -11,7 +11,8 @@ Layers:
 * :mod:`repro.journal.wal` — framed, CRC32C-checked, append-only segment
   files with torn-tail tolerance;
 * :mod:`repro.journal.journal` — the typed record schema
-  (``begin`` / ``stripe_done`` / ``phase`` / ``resume`` / ``complete``;
-  ``phase`` and v1's ``round_commit`` are written or tolerated, never
-  replayed) and the :class:`~repro.journal.journal.RepairState` replayer.
+  (``begin`` / ``stripe_done`` / ``resume`` / ``complete``; v1's
+  ``round_commit`` is written but never replayed, and any other record type
+  an older journal holds is skipped) and the
+  :class:`~repro.journal.journal.RepairState` replayer.
 """

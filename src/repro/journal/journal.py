@@ -8,8 +8,6 @@ has to say where. Record types, in the order a healthy run emits them:
     Once per journal: algorithm, serialized :class:`RepairPlan`, stripe
     list, survivor set, failed disks, and a server-config fingerprint so
     ``--resume`` can refuse a mismatched server.
-``phase``
-    Multi-disk replan boundary (timing-plane metadata only).
 ``stripe_done``
     A stripe reached a terminal outcome: the outcome, the logical clock and
     the ``(shard, spare)`` placement of every rebuilt chunk. On a
@@ -23,7 +21,7 @@ has to say where. Record types, in the order a healthy run emits them:
 ``complete``
     The repair finished; a resume of a complete journal is a no-op.
 
-``begin``, ``phase``, ``resume`` and ``complete`` are one ``append`` + one
+``begin``, ``resume`` and ``complete`` are one ``append`` + one
 fsync'd ``commit``. ``stripe_done`` is appended and flushed to the OS, not
 fsync'd: it is a hint whose loss costs one stripe's re-read and an identical
 re-put, never a byte (``docs/robustness.md`` has the argument), and
@@ -31,11 +29,11 @@ re-put, never a byte (``docs/robustness.md`` has the argument), and
 journal ends on a record boundary or a torn tail the WAL reader clips off.
 
 :func:`load_state` parses only what a resume reads: ``begin``,
-``stripe_done``, ``resume`` and ``complete``. ``phase`` is written as audit
-metadata and not replayed. ``round_commit`` (one repair round of one
-stripe, which no driver writes any more but a v1 journal may hold) is
-tolerated and not replayed either — its clock still counts — so a stripe
-without a ``stripe_done`` restarts from its plan.
+``stripe_done``, ``resume`` and ``complete``. Any other record type is
+tolerated and not replayed — ``round_commit`` (one repair round of one
+stripe, which no repair path writes any more but a v1 journal may hold; its
+clock still counts, so a stripe without a ``stripe_done`` restarts from its
+plan) and ``phase`` (a multi-disk re-plan boundary older journals carry).
 """
 
 from __future__ import annotations
@@ -166,9 +164,6 @@ class RepairJournal:
 
     def mark_resume(self, clock: float) -> None:
         self._emit(WALRecord(type="resume", meta={"clock": float(clock)}))
-
-    def phase(self, **meta: object) -> None:
-        self._emit(WALRecord(type="phase", meta=dict(meta)))
 
     def round_commit(
         self,

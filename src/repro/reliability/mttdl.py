@@ -35,7 +35,7 @@ from typing import Optional
 
 from repro.core.base import RepairAlgorithm
 from repro.core.repair_job import plan_repair
-from repro.core.scheduler import ExecutionOptions, simulate
+from repro.core.scheduler import simulate
 from repro.ec.stripe import StripeLayout
 from repro.errors import ConfigurationError
 from repro.hdss.server import HighDensityStorageServer
@@ -312,7 +312,6 @@ def estimate_repair_seconds(
     server: HighDensityStorageServer,
     algorithm: RepairAlgorithm,
     disk: int = 0,
-    options: Optional[ExecutionOptions] = None,
 ) -> float:
     """Simulated single-disk repair time of ``algorithm`` on ``server``.
 
@@ -324,4 +323,4 @@ def estimate_repair_seconds(
     if not stripes:
         raise ConfigurationError(f"disk {disk} holds no stripes")
     planned = plan_repair(server, algorithm, [disk], stripes=stripes)
-    return simulate(planned, server, options).transfer_time
+    return simulate(planned, server).transfer_time

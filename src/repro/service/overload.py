@@ -77,6 +77,9 @@ STATE_BROWNED_OUT = "browned_out"
 STATE_SHEDDING = "shedding"
 STATES = (STATE_HEALTHY, STATE_BROWNED_OUT, STATE_SHEDDING)
 
+#: Lower bound on the ``retry_after_ms`` hint of an ``overload`` refusal.
+RETRY_AFTER_FLOOR_MS = 25.0
+
 #: Counter: requests refused by the controller, by work class.
 SHEDS = "hdpsr_service_sheds_total"
 #: Counter: requests shed because their deadline had already expired, by hop.
@@ -166,7 +169,6 @@ class OverloadConfig:
         queue_cap: per-disk waiting-reader count beyond which even plain
             reads are refused while shedding (the hard backstop that
             bounds queue length, and therefore wait time, outright).
-        retry_after_floor_ms: lower bound on the ``retry_after_ms`` hint.
         scrub_brownout_factor: how much the scrub plane stretches its
             inter-verify pause while the daemon is browned out (shedding
             parks scrub outright, so no factor applies there).
@@ -179,7 +181,6 @@ class OverloadConfig:
     idle_reset_s: float = 2.0
     repair_pace_ms: float = 20.0
     queue_cap: int = 64
-    retry_after_floor_ms: float = 25.0
     scrub_brownout_factor: float = 4.0
 
     def __post_init__(self) -> None:
@@ -325,7 +326,7 @@ class OverloadController:
         """The backoff hint attached to ``overload`` refusals: long enough
         for the standing queue the controller measured to drain once."""
         hint = max(
-            self.config.retry_after_floor_ms,
+            RETRY_AFTER_FLOOR_MS,
             2.0 * self._last_min_wait * 1000.0,
             self.config.interval_ms,
         )

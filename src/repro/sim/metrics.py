@@ -63,8 +63,6 @@ class TransferReport:
     memory_utilization: Optional[float] = None
     #: Per-job completion times.
     job_finish_times: Dict[Any, float] = field(default_factory=dict)
-    #: Jobs aborted by an injected disk failure: job_id -> (time, disk).
-    failed_jobs: Dict[Any, tuple] = field(default_factory=dict)
 
     @property
     def chunk_count(self) -> int:
@@ -147,7 +145,7 @@ class TransferReport:
 
     def summary(self) -> Dict[str, float]:
         """Compact dictionary for tables and EXPERIMENTS.md rows."""
-        out = {
+        return {
             "total_time": self.total_time,
             "acwt": self.acwt,
             "chunks_read": float(self.chunk_count),
@@ -156,9 +154,6 @@ class TransferReport:
                 float(self.memory_utilization) if self.memory_utilization is not None else float("nan")
             ),
         }
-        if self.failed_jobs:
-            out["failed_jobs"] = float(len(self.failed_jobs))
-        return out
 
     def to_csv(self, path) -> "Path":
         """Write the per-chunk timeline as CSV (for external plotting).
@@ -192,17 +187,9 @@ def build_report(
     rounds_per_job: Dict[Any, int],
     job_finish_times: Dict[Any, float],
     memory_utilization: Optional[float] = None,
-    failed_jobs: Optional[Dict[Any, tuple]] = None,
 ) -> TransferReport:
-    """Assemble a :class:`TransferReport`, deriving the makespan from records.
-
-    ``failed_jobs`` marks jobs aborted by injected disk failures; an aborted
-    job's abort instant still counts toward the makespan (the slots it held
-    were busy until then).
-    """
+    """Assemble a :class:`TransferReport`, deriving the makespan from records."""
     total = max(job_finish_times.values()) if job_finish_times else 0.0
-    if failed_jobs:
-        total = max([total] + [t for (t, _) in failed_jobs.values()])
     ordered = sorted(records, key=lambda r: (r.end, str(r.key)))
     return TransferReport(
         total_time=total,
@@ -210,5 +197,4 @@ def build_report(
         rounds_per_job=dict(rounds_per_job),
         memory_utilization=memory_utilization,
         job_finish_times=dict(job_finish_times),
-        failed_jobs=dict(failed_jobs or {}),
     )

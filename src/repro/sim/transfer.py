@@ -19,16 +19,11 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import (
-    TYPE_CHECKING, Any, Dict, Generator, List, Optional, Sequence, Tuple,
-)
+from typing import Any, Dict, Generator, List, Optional, Sequence
 
 from repro.errors import PlanError, SimulationError
 from repro.sim.engine import Engine, Event
 from repro.sim.metrics import ChunkRecord, TransferReport, build_report
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.faults.injector import SimFaultModel
 
 
 @dataclass(frozen=True)
@@ -90,41 +85,6 @@ class StripeJob:
 
 
 # --------------------------------------------------------------------------
-# Fault overlay
-# --------------------------------------------------------------------------
-
-
-def _faulted_round(
-    faults: "Optional[SimFaultModel]",
-    rnd: Sequence[ChunkTransfer],
-    start: float,
-) -> "Tuple[List[float], Optional[float], Optional[int]]":
-    """Per-chunk effective durations + earliest failure instant of a round.
-
-    A chunk's duration is stretched through any slow/hang windows its disk
-    crosses; if the disk permanently fails before the transfer completes,
-    the round (and its job) aborts at the failure instant. Fault windows are
-    evaluated against the round's start time — the same read-boundary
-    approximation the byte-exact injector documents.
-    """
-    durations: List[float] = []
-    fail_at: Optional[float] = None
-    fail_disk: Optional[int] = None
-    for chunk in rnd:
-        if faults is None or chunk.disk is None:
-            durations.append(chunk.duration)
-            continue
-        dur = faults.effective_duration(chunk.disk, start, chunk.duration)
-        fail = faults.fail_time(chunk.disk)
-        if fail is not None and fail < start + dur:
-            instant = max(start, fail)
-            if fail_at is None or instant < fail_at:
-                fail_at, fail_disk = instant, chunk.disk
-        durations.append(dur)
-    return durations, fail_at, fail_disk
-
-
-# --------------------------------------------------------------------------
 # Interval model (paper §4.2.1 Step 2)
 # --------------------------------------------------------------------------
 
@@ -132,39 +92,24 @@ def _faulted_round(
 def simulate_interval_schedule(
     jobs: Sequence[StripeJob],
     num_intervals: int,
-    compute_time_per_round: float = 0.0,
-    tail_time_per_job: float = 0.0,
     tracer=None,
-    faults: "Optional[SimFaultModel]" = None,
 ) -> TransferReport:
     """Execute jobs on ``P_r`` memory intervals, FIFO job admission.
 
     Each interval repairs one stripe at a time; a stripe's round takes the
-    maximum of its chunk durations (plus an optional per-round compute
-    cost). Jobs are admitted in list order to whichever interval frees
-    first — exactly the paper's "the interval selects the next stripe from
-    the waiting queue" procedure. ``tail_time_per_job`` extends each job
-    after its last round (e.g. writing the rebuilt chunk to a spare disk)
-    while still occupying its interval.
+    maximum of its chunk durations. Jobs are admitted in list order to
+    whichever interval frees first — exactly the paper's "the interval
+    selects the next stripe from the waiting queue" procedure.
 
     The memory-utilisation figure assumes each interval is as wide as the
     job's current round (chunks occupy slots only while their round runs).
 
     ``tracer`` (optional): a :class:`repro.obs.tracer.Tracer`; when
     enabled, each interval becomes a trace track carrying its stripes'
-    ``stripe``/``round``/``read``/``decode``/``writeback`` spans.
-
-    ``faults`` (optional): a :class:`~repro.faults.injector.SimFaultModel`;
-    slow/hang windows stretch chunk durations, and a permanent disk failure
-    aborts the jobs reading from it (listed in ``report.failed_jobs`` for
-    the caller to re-plan).
+    ``stripe``/``round``/``read`` spans.
     """
     if num_intervals <= 0:
         raise PlanError(f"num_intervals must be positive, got {num_intervals}")
-    if compute_time_per_round < 0:
-        raise PlanError("compute_time_per_round must be >= 0")
-    if tail_time_per_job < 0:
-        raise PlanError("tail_time_per_job must be >= 0")
     for job in jobs:
         job.validate()
     trace = tracer is not None and tracer.enabled
@@ -176,27 +121,17 @@ def simulate_interval_schedule(
     records: List[ChunkRecord] = []
     rounds_per_job: Dict[Any, int] = {}
     finish_times: Dict[Any, float] = {}
-    failed_jobs: Dict[Any, tuple] = {}
     busy_slot_area = 0.0
 
     for job in jobs:
         free_at, interval_id = heapq.heappop(intervals)
         t = free_at
         track = f"interval-{interval_id}"
-        aborted = False
         for round_index, rnd in enumerate(job.rounds):
-            durations, fail_at, fail_disk = _faulted_round(faults, rnd, t)
-            if fail_at is not None:
-                failed_jobs[job.job_id] = (fail_at, fail_disk)
-                if trace:
-                    tracer.instant("fault", f"stripe {job.job_id} aborted",
-                                   track=track, disk=fail_disk)
-                t = fail_at
-                aborted = True
-                break
-            round_time = max(durations) + compute_time_per_round
+            round_time = max(chunk.duration for chunk in rnd)
             round_end = t + round_time
-            for chunk, dur in zip(rnd, durations):
+            for chunk in rnd:
+                dur = chunk.duration
                 records.append(
                     ChunkRecord(
                         key=chunk.key,
@@ -221,19 +156,7 @@ def simulate_interval_schedule(
                     t, round_time, track=track,
                     stripe=job.job_id, round=round_index, chunks=len(rnd),
                 )
-                if compute_time_per_round > 0:
-                    tracer.complete(
-                        "decode", "decode", round_end - compute_time_per_round,
-                        compute_time_per_round, track=track, stripe=job.job_id,
-                    )
             t = round_end
-        if aborted:
-            heapq.heappush(intervals, (t, interval_id))
-            continue
-        if trace and tail_time_per_job > 0:
-            tracer.complete("writeback", "writeback", t, tail_time_per_job,
-                            track=track, stripe=job.job_id)
-        t += tail_time_per_job
         if trace:
             tracer.complete(
                 "stripe", f"stripe {job.job_id}", free_at, t - free_at,
@@ -249,8 +172,7 @@ def simulate_interval_schedule(
     widest = max((j.max_round_size() for j in jobs), default=0)
     capacity = num_intervals * widest
     utilization = busy_slot_area / (capacity * makespan) if capacity and makespan > 0 else None
-    return build_report(records, rounds_per_job, finish_times, utilization,
-                        failed_jobs=failed_jobs)
+    return build_report(records, rounds_per_job, finish_times, utilization)
 
 
 # --------------------------------------------------------------------------
@@ -283,11 +205,8 @@ def simulate_slot_schedule(
     jobs: Sequence[StripeJob],
     capacity: int,
     max_concurrent: Optional[int] = None,
-    compute_time_per_round: float = 0.0,
-    tail_time_per_job: float = 0.0,
     disk_contention: bool = False,
     tracer=None,
-    faults: "Optional[SimFaultModel]" = None,
 ) -> TransferReport:
     """Execute jobs against a ``capacity``-slot memory on the event kernel.
 
@@ -298,9 +217,6 @@ def simulate_slot_schedule(
             (e.g. ``P_r``). Always clamped to the deadlock-free maximum
             from :func:`safe_admission_cap`; ``None`` means "as many as is
             safe".
-        compute_time_per_round: added to every round (decode cost).
-        tail_time_per_job: extends each job after its last round (spare
-            write-back); consumes no read-memory slots.
         disk_contention: when True, each chunk transfer must additionally
             hold its source disk (chunks with ``disk=None`` skip this) —
             a disk serves one request at a time, so concurrent reads to
@@ -312,13 +228,8 @@ def simulate_slot_schedule(
 
         tracer: optional :class:`repro.obs.tracer.Tracer`; when enabled,
             every stripe becomes a trace track with ``stripe``/``round``/
-            ``read``/``decode``/``writeback`` spans plus memory-wait
-            spans, and the slot resources emit acquire/release instants.
-        faults: optional :class:`~repro.faults.injector.SimFaultModel`.
-            Slow/hang windows stretch chunk durations (evaluated against
-            each round's start time); a permanent disk failure aborts jobs
-            reading from it at the failure instant — slots are released and
-            the job lands in ``report.failed_jobs`` for re-planning.
+            ``read`` spans plus memory-wait spans, and the slot resources
+            emit acquire/release instants.
 
     Per-job ``accumulator_slots`` are claimed with the first round and
     held until the job ends (PSR's partial-sum residency).
@@ -330,8 +241,6 @@ def simulate_slot_schedule(
     """
     if capacity <= 0:
         raise PlanError(f"capacity must be positive, got {capacity}")
-    if tail_time_per_job < 0:
-        raise PlanError("tail_time_per_job must be >= 0")
     for job in jobs:
         job.validate()
         need = job.max_round_size() + job.accumulator_slots
@@ -343,21 +252,15 @@ def simulate_slot_schedule(
     cap = safe_admission_cap(jobs, capacity)
     if max_concurrent is not None:
         cap = max(1, min(max_concurrent, cap))
-    max_concurrent = cap
 
     trace = tracer is not None and tracer.enabled
     engine = Engine(tracer=tracer if trace else None)
     memory = engine.slot_resource(capacity, name="memory")
-    admission = (
-        engine.slot_resource(max_concurrent, name="admission")
-        if max_concurrent is not None
-        else None
-    )
+    admission = engine.slot_resource(cap, name="admission")
 
     records: List[ChunkRecord] = []
     rounds_per_job: Dict[Any, int] = {}
     finish_times: Dict[Any, float] = {}
-    failed_jobs: Dict[Any, tuple] = {}
     disk_resources: Dict[Any, Any] = {}
 
     def _disk_resource(disk: Any):
@@ -367,19 +270,16 @@ def simulate_slot_schedule(
             disk_resources[disk] = res
         return res
 
-    def chunk_process(
-        chunk: ChunkTransfer, duration: float
-    ) -> Generator[Event, Any, float]:
+    def chunk_process(chunk: ChunkTransfer) -> Generator[Event, Any, float]:
         """One contended transfer; returns its completion time."""
         res = _disk_resource(chunk.disk)
         yield res.request(1)
-        yield engine.timeout(duration)
+        yield engine.timeout(chunk.duration)
         res.release(1)
         return engine.now
 
     def job_process(job: StripeJob) -> Generator[Event, Any, None]:
-        if admission is not None:
-            yield admission.request(1)
+        yield admission.request(1)
         admitted = engine.now
         track = f"stripe-{job.job_id}"
         held_acc = 0
@@ -395,45 +295,21 @@ def simulate_slot_schedule(
                     "wait", "memory-wait", requested, start - requested,
                     track=track, stripe=job.job_id, slots=len(rnd) + extra,
                 )
-            durations, fail_at, fail_disk = _faulted_round(faults, rnd, start)
-            if fail_at is not None:
-                # One of the round's source disks dies before the round
-                # completes: hold the slots until the failure instant, then
-                # abort the job and hand everything back.
-                if fail_at > start:
-                    yield engine.timeout(fail_at - start)
-                failed_jobs[job.job_id] = (engine.now, fail_disk)
-                if trace:
-                    tracer.instant("fault", f"stripe {job.job_id} aborted",
-                                   track=track, disk=fail_disk)
-                memory.release(len(rnd) + held_acc)
-                if admission is not None:
-                    admission.release(1)
-                return
             if disk_contention:
                 procs = [
-                    engine.process(chunk_process(c, d))
+                    engine.process(chunk_process(c))
                     if c.disk is not None
-                    else engine.timeout(d, None)
-                    for c, d in zip(rnd, durations)
+                    else engine.timeout(c.duration, None)
+                    for c in rnd
                 ]
                 results = yield engine.all_of(procs)
                 ends = [
-                    r if r is not None else start + d
-                    for r, d in zip(results, durations)
+                    r if r is not None else start + c.duration
+                    for r, c in zip(results, rnd)
                 ]
             else:
-                transfers = [engine.timeout(d) for d in durations]
-                yield engine.all_of(transfers)
-                ends = [start + d for d in durations]
-            if compute_time_per_round > 0:
-                decode_start = engine.now
-                yield engine.timeout(compute_time_per_round)
-                if trace:
-                    tracer.complete(
-                        "decode", "decode", decode_start, compute_time_per_round,
-                        track=track, stripe=job.job_id,
-                    )
+                yield engine.all_of([engine.timeout(c.duration) for c in rnd])
+                ends = [start + c.duration for c in rnd]
             round_end = engine.now
             for chunk, end in zip(rnd, ends):
                 records.append(
@@ -462,12 +338,6 @@ def simulate_slot_schedule(
             memory.release(len(rnd))
         if held_acc:
             memory.release(held_acc)
-        if tail_time_per_job > 0:
-            tail_start = engine.now
-            yield engine.timeout(tail_time_per_job)
-            if trace:
-                tracer.complete("writeback", "writeback", tail_start,
-                                tail_time_per_job, track=track, stripe=job.job_id)
         rounds_per_job[job.job_id] = len(job.rounds)
         finish_times[job.job_id] = engine.now
         if trace:
@@ -476,8 +346,7 @@ def simulate_slot_schedule(
                 engine.now - admitted, track=track,
                 stripe=job.job_id, rounds=len(job.rounds),
             )
-        if admission is not None:
-            admission.release(1)
+        admission.release(1)
 
     processes = [engine.process(job_process(job)) for job in jobs]
     engine.run()
@@ -489,5 +358,4 @@ def simulate_slot_schedule(
             f"{'...' if len(unfinished) > 5 else ''}"
         )
     utilization = memory.utilization(until=engine.now) if engine.now > 0 else None
-    return build_report(records, rounds_per_job, finish_times, utilization,
-                        failed_jobs=failed_jobs)
+    return build_report(records, rounds_per_job, finish_times, utilization)

@@ -52,18 +52,6 @@ class TestExecutePlan:
         with pytest.raises(ConfigurationError):
             ExecutionOptions(model="quantum")
 
-    def test_max_concurrent_override(self, L):
-        plan = uniform_pa_plan(L, pa=2, pr=6)
-        serial = execute_plan(plan, L, c=12, options=ExecutionOptions(max_concurrent=1))
-        parallel = execute_plan(plan, L, c=12, options=ExecutionOptions(max_concurrent=6))
-        assert serial.total_time >= parallel.total_time
-
-    def test_compute_time_adds(self, L):
-        plan = uniform_pa_plan(L, pa=3, pr=4)
-        fast = execute_plan(plan, L, c=12)
-        slow = execute_plan(plan, L, c=12, options=ExecutionOptions(compute_time_per_round=0.5))
-        assert slow.total_time > fast.total_time
-
     def test_pa_plan_without_pr_interval_model(self, L):
         """Plans with pr=None (PA-style) fall back to a derived interval count."""
         plan = uniform_pa_plan(L, pa=3, pr=4)

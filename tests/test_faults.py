@@ -6,7 +6,7 @@ import pytest
 from repro.ec.stripe import ChunkId
 from repro.errors import ConfigurationError, LatentSectorError
 from repro.faults import FAULT_KINDS, FaultEvent, FaultSchedule, generate_fault_schedule
-from repro.faults.injector import FaultInjector, SimFaultModel
+from repro.faults.injector import FaultInjector
 from repro.faults.spec import HANG_FACTOR
 from repro.hdss import HDSSConfig, HighDensityStorageServer
 from repro.hdss.store import FaultyChunkStore
@@ -89,51 +89,6 @@ class TestScheduleSpec:
         with pytest.raises(ConfigurationError):
             FaultSchedule.from_json(p)
 
-    def test_disk_fail_times_keeps_earliest(self):
-        sched = FaultSchedule([
-            FaultEvent(at=4.0, kind="disk_fail", disk=1),
-            FaultEvent(at=2.0, kind="disk_fail", disk=1),
-            FaultEvent(at=3.0, kind="disk_fail", disk=5),
-        ])
-        assert sched.disk_fail_times() == {1: 2.0, 5: 3.0}
-
-
-class TestShifted:
-    def test_nonpositive_origin_is_identity(self):
-        sched = FaultSchedule([FaultEvent(at=1.0, kind="disk_fail", disk=0)])
-        assert sched.shifted(0.0) is sched
-        assert sched.shifted(-1.0) is sched
-
-    def test_future_events_move_earlier(self):
-        sched = FaultSchedule([FaultEvent(at=5.0, kind="disk_fail", disk=0)])
-        out = sched.shifted(2.0)
-        assert [e.at for e in out] == [3.0]
-
-    def test_past_permanent_events_dropped(self):
-        sched = FaultSchedule([FaultEvent(at=1.0, kind="disk_fail", disk=0)])
-        assert len(sched.shifted(2.0)) == 0
-
-    def test_straddling_window_keeps_remaining_duration(self):
-        sched = FaultSchedule([
-            FaultEvent(at=1.0, kind="slow", disk=0, factor=4.0, duration=3.0),
-        ])
-        (ev,) = sched.shifted(2.0).events
-        assert ev.at == 0.0
-        assert ev.duration == pytest.approx(2.0)
-        assert ev.factor == 4.0
-
-    def test_expired_window_dropped(self):
-        sched = FaultSchedule([
-            FaultEvent(at=1.0, kind="slow", disk=0, duration=0.5),
-        ])
-        assert len(sched.shifted(2.0)) == 0
-
-    def test_unbounded_window_survives(self):
-        sched = FaultSchedule([FaultEvent(at=1.0, kind="slow", disk=0)])
-        (ev,) = sched.shifted(5.0).events
-        assert ev.at == 0.0
-        assert ev.duration is None
-
 
 class TestGenerator:
     def test_same_seed_same_schedule(self):
@@ -180,53 +135,6 @@ class TestGenerator:
         for e in sched:
             assert e.kind in FAULT_KINDS
             assert 0.0 <= e.at < 2.0
-
-
-class TestSimFaultModel:
-    def test_fail_time(self):
-        model = SimFaultModel(FaultSchedule([
-            FaultEvent(at=3.0, kind="disk_fail", disk=2),
-        ]))
-        assert model.fail_time(2) == 3.0
-        assert model.fail_time(0) is None
-
-    def test_duration_unchanged_without_windows(self):
-        model = SimFaultModel(FaultSchedule())
-        assert model.effective_duration(0, 0.0, 2.0) == 2.0
-
-    def test_duration_inside_window_stretched(self):
-        model = SimFaultModel(FaultSchedule([
-            FaultEvent(at=0.0, kind="slow", disk=0, factor=4.0, duration=100.0),
-        ]))
-        assert model.effective_duration(0, 1.0, 2.0) == pytest.approx(8.0)
-
-    def test_duration_straddling_window_piecewise(self):
-        # Window [0, 2) at factor 2: first 2 s deliver 1 s of work, the
-        # remaining 1 s runs at nominal -> 3 s total.
-        model = SimFaultModel(FaultSchedule([
-            FaultEvent(at=0.0, kind="slow", disk=0, factor=2.0, duration=2.0),
-        ]))
-        assert model.effective_duration(0, 0.0, 2.0) == pytest.approx(3.0)
-
-    def test_transfer_after_window_unaffected(self):
-        model = SimFaultModel(FaultSchedule([
-            FaultEvent(at=0.0, kind="slow", disk=0, factor=8.0, duration=1.0),
-        ]))
-        assert model.effective_duration(0, 5.0, 2.0) == pytest.approx(2.0)
-
-    def test_other_disks_unaffected(self):
-        model = SimFaultModel(FaultSchedule([
-            FaultEvent(at=0.0, kind="slow", disk=0, factor=8.0, duration=10.0),
-        ]))
-        assert model.effective_duration(1, 0.0, 2.0) == pytest.approx(2.0)
-
-    def test_hang_effectively_stalls(self):
-        model = SimFaultModel(FaultSchedule([
-            FaultEvent(at=0.0, kind="hang", disk=0, duration=5.0),
-        ]))
-        # Work cannot meaningfully progress inside the hang window; the
-        # transfer completes only after the window closes.
-        assert model.effective_duration(0, 0.0, 1.0) >= 5.0
 
 
 class TestFaultInjector:

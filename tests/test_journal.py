@@ -242,14 +242,16 @@ class TestJournalReplay:
     def test_round_commit_and_phase_records_are_not_replayed(self, tmp_path):
         """A resume reads only the terminal outcomes: a stripe with rounds
         but no ``stripe_done`` starts from its plan. Only the clock counts
-        a skipped ``round_commit``."""
+        a skipped ``round_commit``; a ``phase`` record, which older
+        multi-disk journals hold, is skipped too."""
         code = RSCode(9, 6)
         pd = PartialDecoder(code, [0, 1, 2, 3, 4, 5], [6], chunk_size=8)
         pd.feed({0: np.zeros(8, dtype=np.uint8)})
         with RepairJournal(tmp_path, durable=False) as journal:
             journal.begin(algorithm="fsr", plan={}, stripe_indices=[0, 1],
                           survivor_ids=[[0], [0]], failed_disks=[0], fingerprint={})
-            journal.phase(kind="initial", start=0.0, duration=1.0)
+            journal._emit(WALRecord(type="phase", meta={
+                "kind": "initial", "start": 0.0, "duration": 1.0}))
             journal.round_commit(0, 0.1, pd.to_state())
             journal.stripe_done(0, "recovered", 0.2)
             journal.round_commit(1, 0.3, pd.to_state())

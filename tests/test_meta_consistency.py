@@ -973,6 +973,10 @@ def _name_sites():
     return sites
 
 
+#: A reason that only defers: the thing stays until some later change.
+DEFERRED = re.compile(r"\blater\b|\bown change\b|\bdeferred\b|\bROADMAP\b", re.I)
+
+
 class TestNothingOnlyTestsReach:
     """Every function, class and public method in ``src/repro`` is named by
     code outside ``tests/`` — outside its own body, and by code that is
@@ -1085,10 +1089,7 @@ class TestNothingOnlyTestsReach:
     def test_nothing_is_deferred(self):
         """An entry stays for a reason that holds now. A name kept only until
         a later change deletes it is deleted in this one."""
-        deferred = {
-            key: why for key, why in self.ALLOWED.items()
-            if re.search(r"\blater\b|\bown change\b|\bdeferred\b|\bROADMAP\b", why, re.I)
-        }
+        deferred = {key: why for key, why in self.ALLOWED.items() if DEFERRED.search(why)}
         assert deferred == {}, "kept for a later change; delete it with its tests"
 
     def test_no_allowlist_entry_has_gained_a_caller(self):
@@ -1096,3 +1097,77 @@ class TestNothingOnlyTestsReach:
         assert sorted(set(self.ALLOWED) - set(callers)) == [], "names nothing in src/"
         stale = {key: found for key, found in callers.items() if found}
         assert stale == {}, "reached from code outside tests; drop from ALLOWED"
+
+
+def _settings_fields():
+    """``Class.field`` for every field with a default of every ``*Options``,
+    ``*Config`` and ``*Policy`` dataclass in ``src/``. The chaos episode
+    configs are the test plane (``hdpsr chaos`` builds them from a dict)
+    and are left out."""
+    out = set()
+    for path in src_files():
+        for node in ast.parse(path.read_text()).body:
+            if not (
+                isinstance(node, ast.ClassDef)
+                and node.name.endswith(("Options", "Config", "Policy"))
+                and not node.name.endswith("ChaosConfig")
+                and any("dataclass" in ast.unparse(d) for d in node.decorator_list)
+            ):
+                continue
+            for stmt in node.body:
+                if isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
+                    out.add(f"{node.name}.{stmt.target.id}")
+    return out
+
+
+def _keywords_set():
+    """``Class.keyword`` for every keyword argument of a call to a class by
+    name (``C(...)`` or ``mod.C(...)``) in ``src/``, ``benchmarks/``,
+    ``examples/`` and ``tools/``."""
+    paths = src_files() + [
+        p for d in ("benchmarks", "examples", "tools") for p in sorted((ROOT / d).rglob("*.py"))
+    ]
+    found = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                found |= {f"{name}.{kw.arg}" for kw in node.keywords if kw.arg}
+    return found
+
+
+class TestNoFieldOnlyTestsSet:
+    """A settings field no code outside ``tests/`` sets is a knob only
+    tests turn: the branch behind it is dead on every entry point, and
+    :class:`TestNothingOnlyTestsReach` cannot see it (the class is reached,
+    the field's default is all it ever holds). Each such field is deleted
+    with its branch, or listed here with the reason it stays."""
+
+    ALLOWED = {
+        "ExecutionOptions.disk_contention":
+            "the per-disk contention model, finding 1's reference for reconciling "
+            "the simulator with the wall clock; tests/test_disk_contention.py pins it",
+        "ClusterConfig.endpoint":
+            "ServiceDaemon.start fills it in after bind, when the port is known",
+        "HDSSConfig.matrix_style":
+            "every journal fingerprint carries it, tests/data/parent_journal's "
+            "included, so a resume refuses a server built with another matrix",
+    }
+
+    def test_every_unset_field_is_allowlisted(self):
+        unset = sorted(_settings_fields() - _keywords_set() - set(self.ALLOWED))
+        assert unset == [], (
+            "only tests set these fields; delete each with its branch, or list "
+            f"it in ALLOWED with the reason it stays: {unset}"
+        )
+
+    def test_allowlist_is_current(self):
+        assert sorted(set(self.ALLOWED) - _settings_fields()) == [], "names no field with a default"
+        assert sorted(set(self.ALLOWED) & _keywords_set()) == [], (
+            "set by code outside tests; drop from ALLOWED"
+        )
+
+    def test_nothing_is_deferred(self):
+        deferred = {key: why for key, why in self.ALLOWED.items() if DEFERRED.search(why)}
+        assert deferred == {}, "kept for a later change; delete it with its branch"

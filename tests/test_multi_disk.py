@@ -177,76 +177,3 @@ class TestAtScale:
 
         r2, r3 = ratio(2), ratio(3)
         assert r3 <= r2 <= 1.0
-
-
-def faulted_server(seed=0, stripes=20):
-    cfg = HDSSConfig(
-        num_disks=12, n=9, k=6, chunk_size=1024, memory_chunks=12, spares=3,
-        profile=UniformProfile(1e6), seed=seed,
-    )
-    server = HighDensityStorageServer(cfg)
-    server.provision_stripes(stripes)
-    return server
-
-
-class TestMidRepairReplan:
-    """Timing-plane re-planning when a disk dies during cooperative repair."""
-
-    def run_with_faults(self, events, stripes=20):
-        from repro.core import ExecutionOptions
-        from repro.faults import FaultEvent, FaultSchedule
-        from repro.faults.injector import SimFaultModel
-
-        server = faulted_server(stripes=stripes)
-        server.fail_disk(0)
-        options = ExecutionOptions(
-            faults=SimFaultModel(FaultSchedule([FaultEvent(**e) for e in events]))
-        )
-        out = cooperative_multi_disk_repair(
-            server, FullStripeRepair, [0], options=options
-        )
-        return server, out
-
-    def test_casualty_triggers_replan_phase(self):
-        server, out = self.run_with_faults(
-            [dict(at=2e-3, kind="disk_fail", disk=1)]
-        )
-        assert out.replan_phases >= 1
-        assert 1 in out.failed_disks
-        assert out.replanned_stripes
-        assert not out.lost_stripes
-        assert out.time_to_safety is not None
-        assert server.disk(1).is_failed
-
-    def test_no_faults_no_replan(self):
-        _, out = self.run_with_faults([])
-        assert out.replan_phases == 0
-        assert not out.replanned_stripes
-        assert out.failed_disks == [0]
-
-    def test_slow_window_stretches_without_replan(self):
-        _, base = self.run_with_faults([])
-        _, slowed = self.run_with_faults(
-            [dict(at=0.0, kind="slow", disk=2, factor=8.0, duration=60.0)]
-        )
-        assert slowed.replan_phases == 0
-        assert slowed.total_time > base.total_time
-
-    def test_overwhelming_casualties_lose_stripes(self):
-        # n - k = 3: three extra deaths on top of disk 0 exceed tolerance
-        _, out = self.run_with_faults([
-            dict(at=1e-3, kind="disk_fail", disk=1),
-            dict(at=2e-3, kind="disk_fail", disk=2),
-            dict(at=3e-3, kind="disk_fail", disk=3),
-        ])
-        assert out.lost_stripes
-        assert out.time_to_safety is None
-        summary = out.summary()
-        assert summary["lost_stripes"] == float(len(out.lost_stripes))
-
-    def test_deterministic_across_runs(self):
-        _, a = self.run_with_faults([dict(at=2e-3, kind="disk_fail", disk=1)])
-        _, b = self.run_with_faults([dict(at=2e-3, kind="disk_fail", disk=1)])
-        assert a.summary() == b.summary()
-        assert a.replanned_stripes == b.replanned_stripes
-        assert a.total_time == b.total_time

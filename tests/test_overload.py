@@ -249,7 +249,7 @@ class TestOverloadController:
 
     def test_retry_after_scales_with_measured_wait(self):
         clock = FakeClock()
-        ctrl = make_controller(clock, retry_after_floor_ms=25.0)
+        ctrl = make_controller(clock)
         assert ctrl.retry_after_ms() >= 100.0  # floor: the interval
         feed_window(ctrl, clock, disk=1, wait_s=0.200)
         assert ctrl.retry_after_ms() == pytest.approx(400.0)  # 2x min wait

@@ -82,10 +82,6 @@ class TestIntervalModel:
         assert rep.total_time == 5.0
         assert rep.job_finish_times["c"] == 2.0
 
-    def test_compute_time_added(self):
-        rep = simulate_interval_schedule([job("a", [1.0], [1.0])], 1, compute_time_per_round=0.5)
-        assert rep.total_time == 3.0
-
     def test_bad_intervals(self):
         with pytest.raises(PlanError):
             simulate_interval_schedule([job("a", [1.0])], 0)
@@ -168,100 +164,3 @@ class TestSafeAdmissionCap:
         jobs = [job(i, [1.0, 2.0], [3.0], [0.5, 0.5], acc=1) for i in range(30)]
         rep = simulate_slot_schedule(jobs, capacity=5)
         assert rep.rounds_per_job and len(rep.rounds_per_job) == 30
-
-
-def faulted_job(job_id, *rounds, disks=None, acc=0):
-    """Like ``job`` but tags each chunk with a source disk id."""
-    return StripeJob(
-        job_id=job_id,
-        rounds=[
-            [
-                ChunkTransfer((job_id, i, j), d,
-                              disk=None if disks is None else disks[i][j])
-                for j, d in enumerate(r)
-            ]
-            for i, r in enumerate(rounds)
-        ],
-        accumulator_slots=acc,
-    )
-
-
-class TestFaultedExecution:
-    def make_faults(self, *events):
-        from repro.faults import FaultEvent, FaultSchedule
-        from repro.faults.injector import SimFaultModel
-
-        return SimFaultModel(FaultSchedule([FaultEvent(**e) for e in events]))
-
-    def test_no_faults_is_baseline(self):
-        jobs = [faulted_job(0, [1.0, 1.0], disks=[[0, 1]])]
-        base = simulate_slot_schedule(jobs, capacity=4)
-        faulted = simulate_slot_schedule(
-            jobs, capacity=4, faults=self.make_faults()
-        )
-        assert faulted.total_time == base.total_time
-        assert not faulted.failed_jobs
-
-    def test_slow_window_stretches_both_models(self):
-        faults = self.make_faults(
-            dict(at=0.0, kind="slow", disk=0, factor=4.0, duration=100.0),
-        )
-        jobs = [faulted_job(0, [1.0, 1.0], disks=[[0, 1]])]
-        rep_i = simulate_interval_schedule(jobs, num_intervals=4, faults=faults)
-        rep_s = simulate_slot_schedule(jobs, capacity=4, faults=faults)
-        assert rep_i.total_time == pytest.approx(4.0)
-        assert rep_s.total_time == pytest.approx(4.0)
-
-    def test_disk_fail_aborts_job_in_both_models(self):
-        faults = self.make_faults(dict(at=0.5, kind="disk_fail", disk=1))
-        jobs = [
-            faulted_job(0, [1.0, 1.0], disks=[[0, 1]]),
-            faulted_job(1, [1.0], disks=[[2]]),
-        ]
-        for rep in (
-            simulate_interval_schedule(jobs, num_intervals=4, faults=faults),
-            simulate_slot_schedule(jobs, capacity=4, faults=faults),
-        ):
-            assert set(rep.failed_jobs) == {0}
-            t, disk = rep.failed_jobs[0]
-            assert disk == 1
-            assert t == pytest.approx(0.5)
-            # the unaffected job still completes
-            assert 1 in rep.rounds_per_job
-
-    def test_abort_releases_memory_for_waiters(self):
-        """An aborted job must free its slots or the queue deadlocks."""
-        faults = self.make_faults(dict(at=0.1, kind="disk_fail", disk=0))
-        jobs = [faulted_job(i, [1.0, 1.0], [1.0], disks=[[0, 1], [2]], acc=1)
-                for i in range(6)]
-        rep = simulate_slot_schedule(jobs, capacity=3, faults=faults)
-        # every job aborts (all touch disk 0) yet the run terminates
-        assert len(rep.failed_jobs) == 6
-
-    def test_failed_jobs_in_summary(self):
-        faults = self.make_faults(dict(at=0.5, kind="disk_fail", disk=0))
-        jobs = [faulted_job(0, [1.0], disks=[[0]])]
-        rep = simulate_slot_schedule(jobs, capacity=2, faults=faults)
-        assert rep.summary()["failed_jobs"] == 1
-        # makespan covers the abort instant
-        assert rep.total_time >= 0.5
-
-    def test_faulted_run_deterministic(self):
-        faults = self.make_faults(
-            dict(at=0.4, kind="disk_fail", disk=1),
-            dict(at=0.0, kind="slow", disk=2, factor=2.0, duration=3.0),
-        )
-        jobs = [faulted_job(i, [1.0, 0.5], disks=[[i % 3, (i + 1) % 3]])
-                for i in range(5)]
-        a = simulate_slot_schedule(jobs, capacity=4, faults=faults)
-        b = simulate_slot_schedule(jobs, capacity=4, faults=faults)
-        assert a.total_time == b.total_time
-        assert a.failed_jobs == b.failed_jobs
-        assert [r.key for r in a.records] == [r.key for r in b.records]
-
-    def test_untagged_chunks_ignore_faults(self):
-        faults = self.make_faults(dict(at=0.0, kind="disk_fail", disk=0))
-        jobs = [job(0, [1.0])]  # no disk tags
-        rep = simulate_slot_schedule(jobs, capacity=2, faults=faults)
-        assert not rep.failed_jobs
-        assert rep.total_time == pytest.approx(1.0)

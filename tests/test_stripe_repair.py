@@ -252,16 +252,6 @@ class TestReadPolicyDecision:
         (ReadPolicy(timeout_seconds=2.0, max_retries=0), 5.0, 0, (FORCE, 2.0)),
         (ReadPolicy(timeout_seconds=2.0, max_retries=1, hedge=True), 5.0, 1,
          (READ_SLOW, 2.0)),
-        # hedge threshold: hedge at once, no timeout paid, no retry burnt
-        (ReadPolicy(timeout_seconds=2.0, hedge=True, hedge_threshold_seconds=1.0),
-         1.5, 0, (READ_SLOW, 0.0)),
-        (ReadPolicy(timeout_seconds=2.0, hedge=True, hedge_threshold_seconds=1.0),
-         5.0, 0, (READ_SLOW, 0.0)),
-        (ReadPolicy(timeout_seconds=2.0, hedge=True, hedge_threshold_seconds=1.0),
-         0.9, 0, (READ_OK, 0.0)),
-        # the threshold means nothing with hedging off
-        (ReadPolicy(timeout_seconds=2.0, hedge_threshold_seconds=1.0), 1.5, 0,
-         (READ_OK, 0.0)),
     ])
     def test_decide(self, policy, duration, attempt, expected):
         assert policy.decide(duration, attempt) == expected
